@@ -20,8 +20,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import fsum
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .funcs import AdditiveSpec, MultiplicativeSpec, OMEGA, eval_multiplicative, twist
 from .sieve import build_sieve, factor, prime_array
-from .special import clog1p, gamma
+from .special import gamma
 
 DEFAULT_PRIME_CUTOFF = 10**6
 DEFAULT_FACTOR_TOL = 1e-14
@@ -155,6 +156,193 @@ def _second_order_constant(spec: MultiplicativeSpec, rho: complex) -> float:
     return 2.0 * (abs(rho) + (C * r) ** 2 + C * r * r)
 
 
+class _LocalFactors(NamedTuple):
+    """Local series F_p(s) over the primes p <= P, as float64 columns.
+
+    vanished marks that 1 + F_p(s) = 0 at primes[-1], so the product is
+    exactly 0; k_max then counts the primes up to that one.
+    """
+
+    primes: np.ndarray
+    F_re: np.ndarray
+    F_im: np.ndarray
+    t_re: np.ndarray
+    t_im: np.ndarray
+    k_max: int
+    vanished: bool
+
+
+def _map_float(fn: Callable, *columns) -> np.ndarray:
+    """fn applied elementwise through the scalar math library.
+
+    numpy's own log1p, atan2 and power may differ from libm in the last
+    ulp, which would change printed values; mapping keeps every term
+    bit-identical to the scalar local_factor path.
+    """
+    n = max(np.size(c) for c in columns)
+    lists = [np.broadcast_to(c, (n,)).tolist() for c in columns]
+    return np.fromiter(map(fn, *lists), dtype=np.float64, count=n)
+
+
+def _prime_power_values(value_at, primes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """value_at(p, k) over an object array of primes, as (real, imag).
+
+    value_at may return a scalar or an array of the primes' shape; one
+    that raises TypeError or ValueError on an array is evaluated one
+    prime at a time.
+    """
+    try:
+        values = np.broadcast_to(np.asarray(value_at(primes, k), dtype=np.complex128), primes.shape)
+    except (TypeError, ValueError):
+        values = np.array([value_at(p, k) for p in primes.tolist()], dtype=np.complex128)
+    return values.real, values.imag
+
+
+@np.errstate(all="ignore")  # Python float arithmetic does not warn either
+def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at: str) -> _LocalFactors:
+    """F_p(s) for every prime p <= P, bit-identical to local_factor.
+
+    One value_at call per power k covers every prime whose series
+    reaches k.  Complex products are spelled out in float64 so that
+    they round exactly as Python's complex arithmetic does.  Failures
+    act at the first prime that trips one, in the order the scalar path
+    meets them: series divergence, then a vanishing factor (returned,
+    not raised), then the log branch cut, then a non-finite series.
+
+    Raises:
+        DivergentLocalFactorError: growth ratio >= p^{Re s}, or more
+            than _K_HARD_CAP terms.
+        PoleError: 1 + F_p(s) real and negative.
+        ValueError: F_p(s) not finite.
+    """
+    primes = prime_array(P)
+    sigma = s.real
+    C, r = spec.growth.C, spec.growth.r
+    p_sigma = _map_float(math.pow, primes.astype(np.float64), sigma)
+    q = r / p_sigma
+
+    # series lengths by the _series_length recurrence, run elementwise;
+    # primes from index `fail` on are never reached
+    fail = len(primes)
+    failure = None
+    diverging = np.flatnonzero(q >= 1.0)
+    if len(diverging):
+        fail = int(diverging[0])
+        p, qf = int(primes[fail]), float(q[fail])
+        failure = DivergentLocalFactorError(
+            f"local factor diverges at p={p}: growth ratio {C:g}*{qf:g}^k does not decay",
+            prime=p,
+        )
+    q = q[:fail]
+    K = np.zeros(fail, dtype=np.int64)
+    if C != 0.0:
+        K[:] = 1
+        bound = C * q * q / (1.0 - q)
+        live = np.flatnonzero(bound > tol)
+        bound, q_live = bound[live], q[live]
+        k = 1
+        while len(live):
+            k += 1
+            if k > _K_HARD_CAP:
+                fail = int(live[0])
+                p = int(primes[fail])
+                failure = DivergentLocalFactorError(
+                    f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p
+                )
+                K = K[:fail]
+                break
+            K[live] = k
+            bound = bound * q_live
+            keep = bound > tol
+            live, bound, q_live = live[keep], bound[keep], q_live[keep]
+
+    primes = primes[:fail]
+    if s.imag == 0.0:
+        t_re = 1.0 / p_sigma[:fail]
+        t_im = np.zeros(fail)
+    else:
+        t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
+        t_re, t_im = t.real, t.imag
+
+    # acc += value_at(p, k) * cur; cur *= t, one power at a time
+    F_re = np.zeros(fail)
+    F_im = np.zeros(fail)
+    live = np.flatnonzero(K >= 1)
+    p_live = np.array(primes[live].tolist(), dtype=object)
+    tr, ti = t_re[live], t_im[live]
+    cur_re, cur_im = tr, ti
+    k = 1
+    while len(live):
+        v_re, v_im = _prime_power_values(spec.value_at, p_live, k)
+        F_re[live] += v_re * cur_re - v_im * cur_im
+        F_im[live] += v_re * cur_im + v_im * cur_re
+        cur_re, cur_im = cur_re * tr - cur_im * ti, cur_re * ti + cur_im * tr
+        k += 1
+        keep = K[live] >= k
+        if not keep.all():
+            live, p_live, tr, ti = live[keep], p_live[keep], tr[keep], ti[keep]
+            cur_re, cur_im = cur_re[keep], cur_im[keep]
+
+    w_re = 1.0 + F_re
+    zero = (w_re == 0.0) & (F_im == 0.0)
+    pole = (F_im == 0.0) & (w_re < 0.0)
+    bad = ~(np.isfinite(F_re) & np.isfinite(F_im))
+    first = np.flatnonzero(zero | pole | bad)
+    if len(first):
+        i = int(first[0])
+        p = int(primes[i])
+        k_max = int(K[: i + 1].max())
+        if zero[i]:
+            return _LocalFactors(primes[: i + 1], F_re, F_im, t_re, t_im, k_max, True)
+        if pole[i]:
+            raise PoleError(
+                f"local factor 1 + F_p({at}) = {float(w_re[i]):g} hits the log branch cut at p={p}",
+                prime=p,
+            )
+        raise ValueError(f"a must have finite components, got {complex(F_re[i], F_im[i])!r}")
+    if failure is not None:
+        raise failure
+    k_max = int(K.max()) if len(K) else 0
+    return _LocalFactors(primes, F_re, F_im, t_re, t_im, k_max, False)
+
+
+def _clog1p(re, im) -> Tuple[np.ndarray, np.ndarray]:
+    """special.clog1p over arrays, elementwise bit-identical to it."""
+    return (
+        0.5 * _map_float(math.log1p, 2.0 * re + re * re + im * im),
+        _map_float(math.atan2, im, 1.0 + re),
+    )
+
+
+def _log_product(rho: complex, comp_re, comp_im, factors: _LocalFactors) -> complex:
+    """fsum over primes of rho * log(compensator) + log(1 + F_p)."""
+    L_re, L_im = _clog1p(factors.F_re, factors.F_im)
+    re = rho.real * comp_re - rho.imag * comp_im + L_re
+    im = rho.real * comp_im + rho.imag * comp_re + L_im
+    return complex(fsum(re.tolist()), fsum(im.tolist()))
+
+
+def _check_cutoff(prime_cutoff) -> int:
+    P = int(prime_cutoff)
+    if P < 100:
+        raise ValueError(f"prime_cutoff must be >= 100, got {prime_cutoff}")
+    return P
+
+
+# Euler products are memoised per process: psi shares its denominator
+# across z, and ldp shares psi across x.  Specs are frozen and compare
+# value_at by identity, so a hit always means the same function.
+_MEMO_SIZE = 256
+
+
+def _memoised(cached, compute, *key):
+    try:
+        hash(key)
+    except TypeError:  # a spec with an unhashable field
+        return compute(*key)
+    return cached(*key)
+
+
 def lambda0(
     spec: MultiplicativeSpec,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
@@ -170,10 +358,12 @@ def lambda0(
     Returns:
         EulerProductResult; value is exactly 0 when rho is a nonpositive
         integer (within snap tolerance) or some local factor vanishes.
+        Results are memoised per process on (spec, cutoff, tol).
     """
-    P = int(prime_cutoff)
-    if P < 100:
-        raise ValueError(f"prime_cutoff must be >= 100, got {prime_cutoff}")
+    return _memoised(_lambda0_cached, _lambda0, spec, _check_cutoff(prime_cutoff), float(tol))
+
+
+def _lambda0(spec: MultiplicativeSpec, P: int, tol: float) -> EulerProductResult:
     rho = complex(spec.rho)
     if _is_snapped_nonpositive_integer(rho):
         return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=0, tail_estimate=0.0)
@@ -186,30 +376,20 @@ def lambda0(
             f"spec {spec.name!r} declares prime value {spec.prime_coeff} != rho {spec.rho}; "
             "the s=1 Euler product diverges"
         )
-    re_parts: List[float] = []
-    im_parts: List[float] = []
-    k_max = 0
-    for p in prime_array(P).tolist():
-        F, K = _local_factor_terms(spec, p, complex(1.0), tol)
-        k_max = max(k_max, K)
-        w = 1.0 + F
-        if w == 0:
-            return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=k_max, tail_estimate=0.0)
-        if w.imag == 0.0 and w.real < 0.0:
-            raise PoleError(
-                f"local factor 1 + F_p(1) = {w.real:g} hits the log branch cut at p={p}",
-                prime=p,
-            )
-        term = rho * math.log1p(-1.0 / p) + clog1p(F)
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-    total = complex(fsum(re_parts), fsum(im_parts))
+    factors = _local_factors(spec, complex(1.0), P, tol, "1")
+    if factors.vanished:
+        return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0)
+    comp = _map_float(math.log1p, -1.0 / factors.primes)
+    total = _log_product(rho, comp, 0.0, factors)
     value = cmath.exp(total) / gamma(rho)
     c1, eps = spec.prime_deviation
     tail = _second_order_constant(spec, rho) * _prime_tail_scale(P, 2.0)
     if c1 > 0.0:
         tail += c1 * _prime_tail_scale(P, 1.0 + eps)
-    return EulerProductResult(value=value, prime_cutoff=P, k_cutoff=k_max, tail_estimate=tail)
+    return EulerProductResult(value=value, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=tail)
+
+
+_lambda0_cached = lru_cache(maxsize=_MEMO_SIZE)(_lambda0)
 
 
 def psi(
@@ -221,16 +401,25 @@ def psi(
 ) -> complex:
     """Limiting function psi(z) = lambda0(exp-twist of alpha) / lambda0(alpha).
 
+    Memoised per process, like lambda0.
+
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
     """
     z = complex(z)
-    den = lambda0(alpha, prime_cutoff, tol)
+    return _memoised(_psi_cached, _psi, alpha, z, g, _check_cutoff(prime_cutoff), float(tol))
+
+
+def _psi(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec, P: int, tol: float) -> complex:
+    den = lambda0(alpha, P, tol)
     if den.value == 0:
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
     twisted = twist(alpha, cmath.exp(z), g)
-    num = lambda0(twisted, prime_cutoff, tol)
+    num = lambda0(twisted, P, tol)
     return num.value / den.value
+
+
+_psi_cached = lru_cache(maxsize=_MEMO_SIZE)(_psi)
 
 
 def g_compensated(
@@ -251,43 +440,27 @@ def g_compensated(
     """
     s = complex(s)
     rho = complex(rho)
-    P = int(prime_cutoff)
-    if P < 100:
-        raise ValueError(f"prime_cutoff must be >= 100, got {prime_cutoff}")
+    P = _check_cutoff(prime_cutoff)
     sigma = s.real
     if sigma <= 1.0 - spec.c0:
         raise DomainError(
             f"g_compensated needs Re s > 1 - c0 = {1.0 - spec.c0:g}, got Re s = {sigma:g}"
         )
-    re_parts: List[float] = []
-    im_parts: List[float] = []
-    k_max = 0
-    real_axis = s.imag == 0.0
-    for p in prime_array(P).tolist():
-        F, K = _local_factor_terms(spec, p, s, tol)
-        k_max = max(k_max, K)
-        w = 1.0 + F
-        if w == 0:
-            return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=k_max, tail_estimate=0.0)
-        if w.imag == 0.0 and w.real < 0.0:
-            raise PoleError(
-                f"local factor 1 + F_p({s}) = {w.real:g} hits the log branch cut at p={p}",
-                prime=p,
-            )
-        if real_axis:
-            t = complex(float(p) ** (-sigma))
-        else:
-            t = cmath.exp(-s * math.log(p))
-        term = rho * clog1p(-t) + clog1p(F)
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-    value = cmath.exp(complex(fsum(re_parts), fsum(im_parts)))
+    factors = _local_factors(spec, s, P, tol, f"{s}")
+    if factors.vanished:
+        return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0)
+    if s.imag == 0.0:
+        t_re, t_im = _map_float(math.pow, factors.primes.astype(np.float64), -sigma), 0.0
+    else:
+        t_re, t_im = factors.t_re, factors.t_im
+    comp_re, comp_im = _clog1p(-t_re, -t_im)
+    value = cmath.exp(_log_product(rho, comp_re, comp_im, factors))
     c1, eps = spec.prime_deviation
     tail = _second_order_constant(spec, rho) * _prime_tail_scale(P, 2.0 * sigma)
     tail += abs(complex(spec.prime_coeff) - rho) * _prime_tail_scale(P, sigma)
     if c1 > 0.0:
         tail += c1 * _prime_tail_scale(P, sigma + eps)
-    return EulerProductResult(value=value, prime_cutoff=P, k_cutoff=k_max, tail_estimate=tail)
+    return EulerProductResult(value=value, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=tail)
 
 
 _DEFAULT_P_GRID = tuple(2000 * 2**i for i in range(9))

@@ -68,10 +68,18 @@ class MultiplicativeSpec:
     """A multiplicative function given by its prime-power values.
 
     value_at(p, k) must be pure; instances are immutable and safe to
-    share across threads.  prime_coeff is the exact constant value of
-    f(p) at primes when one exists (it does for every built-in), and
-    prime_deviation = (c1, eps) bounds |f(p) - prime_coeff| <= c1 *
-    p^(-eps); both feed Euler-product tail estimates.
+    share across threads, and Euler products memoise on them.  The
+    Euler-product kernel calls value_at once per power k with p a numpy
+    object array of Python int primes, so that Python arithmetic on p
+    acts elementwise and rounds as the scalar call does; it may return
+    a scalar or an array of p's shape.  A value_at that raises
+    TypeError or ValueError on an array (a table lookup, an `if` on p)
+    is evaluated one prime at a time instead.
+
+    prime_coeff is the exact constant value of f(p) at primes when one
+    exists (it does for every built-in), and prime_deviation = (c1, eps)
+    bounds |f(p) - prime_coeff| <= c1 * p^(-eps); both feed
+    Euler-product tail estimates.
     """
 
     name: str
@@ -100,7 +108,10 @@ class AdditiveSpec:
     that all values are real and >= 0 (true for omega and Omega), which
     tightens twisted growth bounds.  strip is the horizontal strip of
     twist parameters z on which the limiting-function analysis of
-    exp-twists y^g (y = e^z) stays valid.
+    exp-twists y^g (y = e^z) stays valid.  prime_value is the generic
+    value g(p) taken at every prime outside the finite set
+    exceptional_primes (1 for omega and Omega, 0 for tables), or None
+    when g declares no such value.
     """
 
     name: str
@@ -109,6 +120,8 @@ class AdditiveSpec:
     power_bound: Tuple[float, float] = (1.0, 0.0)
     integer_valued: bool = False
     nonnegative: bool = True
+    prime_value: Optional[float] = None
+    exceptional_primes: Tuple[int, ...] = ()
 
 
 OMEGA = AdditiveSpec(
@@ -118,6 +131,7 @@ OMEGA = AdditiveSpec(
     power_bound=(1.0, 0.0),
     integer_valued=True,
     nonnegative=True,
+    prime_value=1,
 )
 
 # exponential twists of Omega stay controlled only for Re z < ln(2)/2,
@@ -129,6 +143,7 @@ BIG_OMEGA = AdditiveSpec(
     power_bound=(0.0, 1.0),
     integer_valued=True,
     nonnegative=True,
+    prime_value=1,
 )
 
 
@@ -151,13 +166,15 @@ def eval_additive(g: AdditiveSpec, factorization: Factorization) -> complex:
 def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec, rho=None) -> MultiplicativeSpec:
     """The twisted function n -> y^g(n) * alpha(n).
 
-    The average value of the twist is y^g(p) * alpha.rho, which is
-    derived automatically when g takes the constant value g(p) on
-    primes (omega and Omega both give y * rho); otherwise the caller
-    must pass the twisted average explicitly.
+    The average value of the twist is y^c * alpha.rho, where c is the
+    generic prime value g.prime_value (omega and Omega give y * rho,
+    tables give rho); the finitely many exceptional primes of g enter
+    the prime deviation bound, as in tabulated_multiplicative.  For a g
+    without a generic prime value the caller must pass the twisted
+    average explicitly.
 
     Raises:
-        ValueError: y == 0, or rho omitted for a g that varies at primes.
+        ValueError: y == 0, or rho omitted for a g without prime_value.
     """
     y = complex(y)
     if y == 0:
@@ -168,21 +185,26 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec, rho=None) -> Multiplica
     def value_at(p, k):
         return cpow(y, g_value(p, k)) * alpha_value(p, k)
 
-    gp1 = g_value(2, 1)
-    if rho is None:
-        if any(g_value(p, 1) != gp1 for p in (3, 5, 7)):
-            raise ValueError(
-                f"additive spec {g.name!r} varies at primes; pass the twisted rho explicitly"
-            )
-        scale = cpow(y, gp1)
-        rho = scale * complex(alpha.rho)
-        prime_coeff = scale * complex(alpha.prime_coeff)
-    else:
-        rho = complex(rho)
-        prime_coeff = rho
     a, b = g.power_bound
     m = max(1.0, abs(y)) if g.nonnegative else max(abs(y), 1.0 / abs(y))
     c1, eps = alpha.prime_deviation
+    c1 = c1 * m ** (a + b)
+    if rho is None:
+        if g.prime_value is None:
+            raise ValueError(
+                f"additive spec {g.name!r} has no generic prime value; pass the twisted rho explicitly"
+            )
+        scale = cpow(y, g.prime_value)
+        rho = scale * complex(alpha.rho)
+        prime_coeff = scale * complex(alpha.prime_coeff)
+        c1 += max(
+            (abs(cpow(y, g_value(p, 1)) - scale) * abs(alpha_value(p, 1)) * p**eps
+             for p in g.exceptional_primes),
+            default=0.0,
+        )
+    else:
+        rho = complex(rho)
+        prime_coeff = rho
     return MultiplicativeSpec(
         name=f"twist({alpha.name}, y={y.real:g}{y.imag:+g}j, g={g.name})",
         value_at=value_at,
@@ -190,7 +212,7 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec, rho=None) -> Multiplica
         c0=alpha.c0,
         growth=GrowthBound(C=alpha.growth.C * m**a, r=alpha.growth.r * m**b),
         prime_coeff=prime_coeff,
-        prime_deviation=(c1 * m ** (a + b), eps),
+        prime_deviation=(c1, eps),
     )
 
 
@@ -374,7 +396,11 @@ def tabulated_additive(
     entries: Dict[Tuple[int, int], float],
     name: str = "table",
 ) -> AdditiveSpec:
-    """Explicit (p, k) -> value additive table; unlisted values are 0."""
+    """Explicit (p, k) -> value additive table; unlisted values are 0.
+
+    Its generic prime value is therefore 0, and the primes p with a
+    nonzero entry at (p, 1) are its exceptional primes.
+    """
     table = {}
     for (p, k), v in entries.items():
         if k < 1 or not _is_prime_small(p):
@@ -389,6 +415,8 @@ def tabulated_additive(
         power_bound=(cap, 0.0),
         integer_valued=all(v == int(v) for v in values),
         nonnegative=all(v >= 0.0 for v in values),
+        prime_value=0.0,
+        exceptional_primes=tuple(sorted(p for (p, k), v in table.items() if k == 1 and v != 0.0)),
     )
 
 

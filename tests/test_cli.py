@@ -130,6 +130,19 @@ def test_unknown_command_exits_two(capsys):
     assert exc_info.value.code == 2
 
 
+def test_psi_with_one_row_additive_table(tmp_path, capsys):
+    # g = 1 at p = 2 only: psi(ln 2) = 1 + 1/4, where the table used to
+    # be refused for varying at primes
+    table = tmp_path / "g.txt"
+    table.write_text("2 1 1\n")
+    argv = ["psi", "--spec", "unit", "--g", f"table:{table}", "--z", "0.6931471805599453",
+            "--cutoff", "10000", "--no-cache"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out.startswith("psi = ")
+    assert float(out.split("=")[1]) == pytest.approx(1.25, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # output routing and formats
 

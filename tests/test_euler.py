@@ -1,8 +1,12 @@
 import cmath
+import dataclasses
 import math
+from math import fsum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selberg_delange.errors import (
     DegenerateSpecError,
@@ -10,6 +14,7 @@ from selberg_delange.errors import (
     DomainError,
     PoleError,
 )
+from selberg_delange import euler
 from selberg_delange.euler import (
     AdmissibilityReport,
     EulerProductResult,
@@ -21,15 +26,23 @@ from selberg_delange.euler import (
 )
 from selberg_delange.exact import multiplicative_value_table
 from selberg_delange.funcs import (
+    BIG_OMEGA,
+    OMEGA,
+    AdditiveSpec,
     GrowthBound,
+    MultiplicativeSpec,
     euler_phi_over_n,
     geometric_B,
+    perturbed,
+    tabulated_additive,
     tabulated_multiplicative,
     tau_rho,
     theta_omega,
+    twist,
     unit,
 )
-from selberg_delange.special import cpow, zeta
+from selberg_delange.sieve import prime_array
+from selberg_delange.special import clog1p, cpow, gamma, zeta
 
 # ---------------------------------------------------------------------------
 # local_factor
@@ -285,3 +298,237 @@ def test_admissibility_validation():
         check_admissibility_pp(unit(), c0=0.0)
     with pytest.raises(ValueError):
         check_admissibility_pp(unit(), c0=0.25, p_grid=[100, 200])
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernel against the scalar local_factor path
+
+
+def reference_log_product(spec, s, rho, P, tol, at_one):
+    """Per-prime fsum of log terms built from the scalar local_factor.
+
+    Returns (log of the product, or None once a factor vanishes; k_max).
+    at_one selects lambda0's compensator log1p(-1/p); otherwise it is
+    g_compensated's clog1p(-p^{-s}).
+    """
+    re_parts, im_parts, k_max = [], [], 0
+    for p in prime_array(P).tolist():
+        q = spec.growth.r / float(p) ** s.real
+        k_max = max(k_max, euler._series_length(spec.growth.C, q, tol, p))
+        F = local_factor(spec, p, s, tol)
+        w = 1.0 + F
+        if w == 0:
+            return None, k_max
+        if w.imag == 0.0 and w.real < 0.0:
+            raise PoleError("log branch cut", prime=p)
+        if at_one:
+            compensator = math.log1p(-1.0 / p)
+        elif s.imag == 0.0:
+            compensator = clog1p(-complex(float(p) ** (-s.real)))
+        else:
+            compensator = clog1p(-cmath.exp(-s * math.log(p)))
+        term = rho * compensator + clog1p(F)
+        re_parts.append(term.real)
+        im_parts.append(term.imag)
+    return complex(fsum(re_parts), fsum(im_parts)), k_max
+
+
+def reference_lambda0(spec, P, tol=euler.DEFAULT_FACTOR_TOL):
+    rho = complex(spec.rho)
+    total, k_max = reference_log_product(spec, complex(1.0), rho, P, tol, at_one=True)
+    return (0j if total is None else cmath.exp(total) / gamma(rho)), k_max
+
+
+def reference_g_compensated(spec, s, rho, P, tol=euler.DEFAULT_FACTOR_TOL):
+    total, k_max = reference_log_product(spec, complex(s), complex(rho), P, tol, at_one=False)
+    return (0j if total is None else cmath.exp(total)), k_max
+
+
+def outcome(compute):
+    """(value bits, k_cutoff) of a product, or (error class, prime)."""
+    try:
+        result = compute()
+    except (DivergentLocalFactorError, PoleError, ValueError) as exc:
+        return type(exc), getattr(exc, "prime", None)
+    if isinstance(result, EulerProductResult):
+        result = (result.value, result.k_cutoff)
+    value, k_max = result
+    return repr(value.real), repr(value.imag), k_max
+
+
+def _mod4_value(p, k):
+    # `if` on an array raises ValueError, so the kernel falls back to
+    # evaluating this one prime at a time
+    return 1.0 + (0.5 if p % 4 == 1 else -0.5) / p**k
+
+
+MOD4 = MultiplicativeSpec(
+    name="mod4",
+    value_at=_mod4_value,
+    rho=1.0,
+    c0=0.25,
+    growth=GrowthBound(1.5, 1.0),
+    prime_deviation=(0.5, 1.0),
+)
+TABLE = tabulated_multiplicative({(2, 1): 0.5, (3, 2): 2.0, (7, 1): 1.5}, default=1.0)
+# y = e^z for z on the report's default circle:16
+CIRCLE_Y = [cmath.exp(cmath.exp(2j * math.pi * j / 16)) for j in (1, 5, 8, 11)]
+
+ORACLE_SPECS = [
+    unit(),
+    theta_omega(2.5),
+    theta_omega(complex(1.5, 0.5)),
+    geometric_B(1.5),
+    perturbed(1, 0.5),
+    perturbed(2, 1.5),
+    tau_rho(0.5),
+    tau_rho(3),
+    euler_phi_over_n(),
+    *[twist(theta_omega(2), y, OMEGA) for y in CIRCLE_Y],
+    twist(euler_phi_over_n(), CIRCLE_Y[0], OMEGA),
+    twist(geometric_B(1.5), 1.0001, BIG_OMEGA),
+    twist(unit(), complex(0.9, 0.3), BIG_OMEGA),
+    TABLE,
+    twist(TABLE, CIRCLE_Y[1], OMEGA),
+    twist(unit(), 2.0, tabulated_additive({(3, 1): 1.0, (5, 2): 2.0})),
+    MOD4,
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_kernel_matches_scalar_reference_to_the_last_bit(spec):
+    P = 3000
+    assert outcome(lambda: lambda0(spec, P)) == outcome(lambda: reference_lambda0(spec, P))
+    for s in (2.0, 1.1, complex(1.5, 1.0)):
+        got = outcome(lambda: g_compensated(spec, s, spec.rho, P))
+        assert got == outcome(lambda: reference_g_compensated(spec, s, spec.rho, P))
+
+
+def test_fallback_specs_do_not_broadcast():
+    primes = np.array([2, 3, 5], dtype=object)
+    with pytest.raises(ValueError):
+        MOD4.value_at(primes, 1)
+    with pytest.raises(TypeError):
+        TABLE.value_at(primes, 1)
+
+
+def test_kernel_errors_act_at_the_same_prime_as_the_reference():
+    zero_at_5 = {(5, 1): -5.0, **{(5, k): 0.0 for k in range(2, 60)}}
+    pole_at_3 = tabulated_multiplicative({(3, 1): -4.0, **zero_at_5})
+    zero_first = tabulated_multiplicative({(7, 1): -9.0, **zero_at_5})
+    assert outcome(lambda: lambda0(pole_at_3, 1000)) == (PoleError, 3)
+    assert outcome(lambda: reference_lambda0(pole_at_3, 1000)) == (PoleError, 3)
+    got = lambda0(zero_first, 1000)
+    assert got.value == 0j and got.tail_estimate == 0.0
+    assert outcome(lambda: got) == outcome(lambda: reference_lambda0(zero_first, 1000))
+    assert outcome(lambda: g_compensated(pole_at_3, 1.0, 1.0, 1000)) == (PoleError, 3)
+    assert outcome(lambda: reference_g_compensated(pole_at_3, 1.0, 1.0, 1000)) == (PoleError, 3)
+    # growth ratio above 2^0.8 diverges at p = 2; just below 2^s the
+    # series needs more than the hard cap of terms
+    heavy = geometric_B(1.9, c0=0.45)
+    for s in (0.8, math.log2(1.9 / 0.99995)):
+        with pytest.raises(DivergentLocalFactorError) as got_info:
+            g_compensated(heavy, s, 1.9, 1000)
+        with pytest.raises(DivergentLocalFactorError) as want_info:
+            reference_g_compensated(heavy, s, 1.9, 1000)
+        assert got_info.value.prime == want_info.value.prime == 2
+        assert str(got_info.value) == str(want_info.value)
+
+
+BUILTIN_SPECS = st.one_of(
+    st.just(unit()),
+    st.just(euler_phi_over_n()),
+    st.floats(0.1, 3.0).map(theta_omega),
+    st.floats(0.1, 1.9).map(geometric_B),
+    st.floats(0.1, 4.0).map(tau_rho),
+    st.tuples(st.floats(0.5, 2.0), st.floats(0.2, 2.0)).map(lambda t: perturbed(*t)),
+)
+TWISTS = st.one_of(
+    st.none(),
+    st.tuples(st.floats(0.3, 2.0), st.floats(-math.pi, math.pi)).map(
+        lambda t: (cmath.rect(*t), OMEGA)
+    ),
+    st.floats(0.5, 1.05).map(lambda y: (y, BIG_OMEGA)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=BUILTIN_SPECS,
+    tw=TWISTS,
+    P=st.integers(100, 5000),
+    s=st.sampled_from([None, 2.0, complex(1.5, 1.0)]),
+)
+def test_kernel_matches_reference_on_random_specs(spec, tw, P, s):
+    if tw is not None:
+        spec = twist(spec, *tw)
+    if s is not None:
+        got = outcome(lambda: g_compensated(spec, s, spec.rho, P))
+        assert got == outcome(lambda: reference_g_compensated(spec, s, spec.rho, P))
+    elif euler._is_snapped_nonpositive_integer(spec.rho):
+        assert lambda0(spec, P).value == 0j
+    else:
+        assert outcome(lambda: lambda0(spec, P)) == outcome(lambda: reference_lambda0(spec, P))
+
+
+# ---------------------------------------------------------------------------
+# memoised products
+
+
+def test_memo_accepts_numpy_scalars_and_float_cutoff():
+    spec = theta_omega(1.5)
+    want = lambda0(spec, 3000).value
+    assert lambda0(spec, 3000.0).value == want
+    assert lambda0(spec, np.int64(3000), np.float64(1e-14)).value == want
+    z = 0.25
+    want = psi(spec, z, prime_cutoff=3000)
+    assert psi(spec, np.float64(z), prime_cutoff=3000.0) == want
+    assert psi(spec, np.complex128(z), OMEGA, np.int64(3000)) == want
+
+
+def test_memo_hit_equals_fresh_computation():
+    spec = theta_omega(0.75)
+    first = lambda0(spec, 4000)
+    hits = euler._lambda0_cached.cache_info().hits
+    second = lambda0(spec, 4000)
+    assert euler._lambda0_cached.cache_info().hits == hits + 1
+    fresh = euler._lambda0(spec, 4000, euler.DEFAULT_FACTOR_TOL)
+    assert second == first == fresh
+    z = complex(0.2, 0.4)
+    cached = [psi(spec, z, prime_cutoff=4000) for _ in range(2)]
+    fresh = euler._psi(spec, z, OMEGA, 4000, euler.DEFAULT_FACTOR_TOL)
+    assert cached == [fresh, fresh]
+
+
+def test_memo_never_shares_entries_across_value_at():
+    a = theta_omega(2)
+    b = dataclasses.replace(a, value_at=lambda p, k: 1.5)
+    assert a != b
+    for first, second in ((a, b), (b, a)):
+        assert lambda0(first, 2000).value != lambda0(second, 2000).value
+        assert psi(first, 0.3, prime_cutoff=2000) != psi(second, 0.3, prime_cutoff=2000)
+    assert lambda0(b, 2000) == euler._lambda0(b, 2000, euler.DEFAULT_FACTOR_TOL)
+
+
+def test_memo_skips_unhashable_specs():
+    spec = dataclasses.replace(theta_omega(2), prime_deviation=[0.0, 1.0])
+    with pytest.raises(TypeError):
+        hash(spec)
+    assert lambda0(spec, 2000).value == lambda0(theta_omega(2), 2000).value
+
+
+# ---------------------------------------------------------------------------
+# additive tables
+
+
+def test_psi_with_additive_table_matches_closed_form():
+    # g = 1 at p = 2, 3, 5, 7 and 0 elsewhere only moves four factors:
+    # psi(ln 2) = prod_{p<=7} (1 + (p-1)/p^2)
+    g = tabulated_additive({(p, 1): 1.0 for p in (2, 3, 5, 7)})
+    exact = math.prod(1.0 + (p - 1) / p**2 for p in (2, 3, 5, 7))
+    assert exact == pytest.approx(1.98923, abs=5e-6)
+    for P in (10**3, 10**4, 10**5):
+        got = psi(unit(), math.log(2.0), g, prime_cutoff=P)
+        tail = lambda0(twist(unit(), 2.0, g), P).tail_estimate + lambda0(unit(), P).tail_estimate
+        assert abs(got - exact) <= tail
+        assert abs(got - exact) < 1e-9

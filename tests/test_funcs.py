@@ -100,12 +100,27 @@ def test_twist_rejects_zero():
 
 
 def test_twist_varying_additive_needs_explicit_rho():
-    g = tabulated_additive({(2, 1): 1.0, (3, 1): 2.0})
+    # a custom g that declares no generic prime value
+    g = AdditiveSpec("custom", lambda p, k: 1.0 if p == 2 else 2.0)
     with pytest.raises(ValueError):
         twist(unit(), 2, g)
-    spec = twist(unit(), 2, g, rho=1.0)
-    assert spec.rho == 1.0
+    spec = twist(unit(), 2, g, rho=4.0)
+    assert spec.rho == 4.0
     assert spec.value_at(3, 1) == 4
+
+
+def test_twist_by_additive_table_uses_generic_value_zero():
+    g = tabulated_additive({(2, 1): 1.0, (3, 1): 2.0})
+    assert (g.prime_value, g.exceptional_primes) == (0.0, (2, 3))
+    spec = twist(theta_omega(1.5), 2, g)
+    assert spec.rho == spec.prime_coeff == 1.5
+    assert spec.value_at(3, 1) == 6
+    assert spec.value_at(11, 1) == 1.5
+    # |f(3) - 1.5| = 4.5 = c1 * 3^-1 needs c1 >= 13.5
+    c1, eps = spec.prime_deviation
+    assert eps == 1.0 and c1 >= 13.5
+    one_row = twist(unit(), 2, tabulated_additive({(2, 1): 1.0}))
+    assert one_row.rho == 1.0
 
 
 def test_theta_omega_is_omega_twist_of_unit():
