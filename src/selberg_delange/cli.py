@@ -27,14 +27,14 @@ from .euler import (
 )
 from .exact import (
     additive_value_table,
+    bucket_sums,
     distribution_to_csv,
-    mod_poisson_residual,
     multiplicative_value_table,
     partial_sum,
     pmf,
     sample,
     sums_to_csv,
-    twisted_sum,
+    twisted_mean,
 )
 from .funcs import AdditiveSpec, MultiplicativeSpec, parse_additive, parse_multiplicative
 from .sieve import SieveTable, cached_sieve
@@ -254,12 +254,7 @@ def cmd_mgf(cfg: RunConfig) -> None:
         y = cmath.exp(cfg.z)
     if y == 0:
         raise ValueError("--y must be nonzero")
-    sieve = cfg.sieve_for(x)
-    num = twisted_sum(cfg.alpha, y, cfg.g, x, sieve)
-    den = partial_sum(cfg.alpha, x, sieve)
-    if den == 0:
-        raise ValueError(f"{cfg.alpha.name}: zero normalizing sum on [1, {x}]")
-    value = num / den
+    value = twisted_mean(cfg.alpha, y, cfg.g, x, cfg.sieve_for(x))
     if cfg.fmt == "json":
         _emit_json(cfg, {"x": x, "y_re": y.real, "y_im": y.imag, "mgf_re": value.real, "mgf_im": value.imag})
         return
@@ -405,20 +400,19 @@ def cmd_report(cfg: RunConfig) -> None:
         value = psi(cfg.alpha, z, cfg.g, prime_cutoff=cfg.cutoff, tol=cfg.tol)
         psi_values.append((z, value))
 
+    # one bucketing per x serves all residuals and the pmf
+    buckets = [bucket_sums(cfg.alpha, cfg.g, x, weights=weights, g_values=g_values) for x in xs]
     residual_table = []
-    for x in xs:
+    for x, sums in zip(xs, buckets):
         worst = 0.0
         for z, limit in psi_values:
-            value = mod_poisson_residual(
-                cfg.alpha, cfg.g, x, z, rho, weights=weights, g_values=g_values
-            )
-            worst = max(worst, abs(value - limit))
+            worst = max(worst, abs(sums.residual(z, rho) - limit))
         residual_table.append({"x": x, "max_abs_residual": worst})
 
     clt_rows = []
     ldp_rows = []
-    for x in xs:
-        dist = pmf(cfg.alpha, cfg.g, x, weights=weights, g_values=g_values)
+    for x, sums in zip(xs, buckets):
+        dist = sums.distribution()
         clt_rows.append(
             clt_report_to_dict(clt_report(cfg.alpha, cfg.g, cfg.rho, x, cfg.y_grid, dist=dist))
         )

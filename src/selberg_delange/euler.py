@@ -32,8 +32,9 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .funcs import AdditiveSpec, MultiplicativeSpec, OMEGA, eval_multiplicative, twist
-from .sieve import build_sieve, factor, prime_array
+from .exact import multiplicative_value_table
+from .funcs import AdditiveSpec, MultiplicativeSpec, OMEGA, _prime_power_values, twist
+from .sieve import prime_array
 from .special import gamma
 
 DEFAULT_PRIME_CUTOFF = 10**6
@@ -184,20 +185,6 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
     return np.fromiter(map(fn, *lists), dtype=np.float64, count=n)
 
 
-def _prime_power_values(value_at, primes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """value_at(p, k) over an object array of primes, as (real, imag).
-
-    value_at may return a scalar or an array of the primes' shape; one
-    that raises TypeError or ValueError on an array is evaluated one
-    prime at a time.
-    """
-    try:
-        values = np.broadcast_to(np.asarray(value_at(primes, k), dtype=np.complex128), primes.shape)
-    except (TypeError, ValueError):
-        values = np.array([value_at(p, k) for p in primes.tolist()], dtype=np.complex128)
-    return values.real, values.imag
-
-
 @np.errstate(all="ignore")  # Python float arithmetic does not warn either
 def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at: str) -> _LocalFactors:
     """F_p(s) for every prime p <= P, bit-identical to local_factor.
@@ -273,7 +260,8 @@ def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at:
     cur_re, cur_im = tr, ti
     k = 1
     while len(live):
-        v_re, v_im = _prime_power_values(spec.value_at, p_live, k)
+        values = _prime_power_values(spec.value_at, p_live, k)
+        v_re, v_im = values.real, values.imag
         F_re[live] += v_re * cur_re - v_im * cur_im
         F_im[live] += v_re * cur_im + v_im * cur_re
         cur_re, cur_im = cur_re * tr - cur_im * ti, cur_re * ti + cur_im * tr
@@ -470,11 +458,7 @@ _ABSCISSA_N = 1 << 16
 
 def _abscissa_estimate(spec: MultiplicativeSpec, sigma_grid: Sequence[float]) -> float:
     """Smallest tested sigma at which sum |f(n)| n^{-sigma} looks stable."""
-    table = build_sieve(_ABSCISSA_N)
-    mags = np.empty(_ABSCISSA_N + 1)
-    mags[0] = 0.0
-    for n in range(1, _ABSCISSA_N + 1):
-        mags[n] = abs(eval_multiplicative(spec, factor(n, table)))
+    mags = np.abs(multiplicative_value_table(spec, _ABSCISSA_N))
     n_pows = np.arange(_ABSCISSA_N + 1, dtype=np.float64)
     n_pows[0] = 1.0
     best = math.inf

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from .errors import SpecGrammarError
 from .sieve import Factorization
 from .special import cpow
@@ -161,6 +163,19 @@ def eval_additive(g: AdditiveSpec, factorization: Factorization) -> complex:
     for p, k in factorization.factors:
         result += g.value_at(p, k)
     return result
+
+
+def _prime_power_values(value_at, primes: np.ndarray, k: int) -> np.ndarray:
+    """value_at(p, k) over an object array of primes, as complex128.
+
+    value_at may return a scalar or an array of the primes' shape; one
+    that raises TypeError or ValueError on an array is evaluated one
+    prime at a time.
+    """
+    try:
+        return np.broadcast_to(np.asarray(value_at(primes, k), dtype=np.complex128), primes.shape)
+    except (TypeError, ValueError):
+        return np.array([value_at(p, k) for p in primes.tolist()], dtype=np.complex128)
 
 
 def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec, rho=None) -> MultiplicativeSpec:

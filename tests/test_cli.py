@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from selberg_delange import cli, exact
 from selberg_delange.cli import main
 
 SAMPLE_ARGS = ["sample", "--spec", "unit", "--x", "10", "--seed", "7", "--count", "5", "--no-cache"]
@@ -249,3 +251,50 @@ def test_module_invocation_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout == SAMPLE_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# work counts: each command builds its tables once and buckets once per x
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    counts = Counter()
+    for name in ("multiplicative_value_table", "additive_value_table", "bucket_sums"):
+        fn = getattr(exact, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(exact, name, counted)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv, buckets",
+    [
+        (["mgf", "--spec", "theta_omega:2", "--x", "1000", "--y", "0.5+0.5j"], 1),
+        (["mgf", "--spec", "theta_omega:2", "--x", "1000", "--z", "0.3"], 1),
+        (["pmf", "--spec", "geometric_B:1.5", "--g", "big_omega", "--x", "1000"], 1),
+        (["report", "--x-grid", "1000,3000,20000", "--cutoff", "2000", "--z-grid", "circle:4"], 3),
+    ],
+    ids=["mgf-y", "mgf-z", "pmf", "report"],
+)
+def test_each_command_builds_its_tables_once(work_counts, capsys, argv, buckets):
+    code, _, err = run_cli(capsys, argv + ["--no-cache"])
+    assert code == 0, err
+    assert work_counts == Counter(
+        multiplicative_value_table=1, additive_value_table=1, bucket_sums=buckets
+    )
+
+
+def test_mgf_zero_normalizing_sum_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys, ["mgf", "--spec", "tabulated:2^1=-1", "--x", "2", "--y", "2", "--no-cache"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "zero normalizing sum on [1, 2]" in err

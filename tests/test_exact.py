@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import additive_eval_brute, spec_eval_brute, trial_big_omega, trial_omega
 from selberg_delange.errors import DegenerateSpecError, DomainError
 from selberg_delange.exact import (
+    BucketSums,
     DistributionTable,
     WeightTable,
     additive_value_table,
+    bucket_sums,
     build_weight_table,
     compensated_complex_sum,
     compensated_cumsum,
@@ -22,6 +26,7 @@ from selberg_delange.exact import (
     pmf,
     sample,
     sums_to_csv,
+    twisted_mean,
     twisted_sum,
 )
 from selberg_delange.funcs import (
@@ -32,13 +37,15 @@ from selberg_delange.funcs import (
     MultiplicativeSpec,
     euler_phi_over_n,
     geometric_B,
+    perturbed,
     tabulated_additive,
     tabulated_multiplicative,
     tau_rho,
     theta_omega,
     unit,
 )
-from selberg_delange.sieve import build_sieve
+from selberg_delange.sieve import build_sieve, prime_array
+from selberg_delange.special import cpow
 
 SIEVE = build_sieve(10**4)
 
@@ -295,7 +302,8 @@ def test_pmf_rejects_non_integer_or_negative_g():
 
 def test_mgf_pmf_duality():
     # E[e^{z g}] computed directly and through the pmf agree to near
-    # machine precision; the two paths share no summation code
+    # machine precision; both read the same bucket sums, which the
+    # property tests below check against term-by-term sums
     x = 10**4
     for spec in (unit(), theta_omega(2.5)):
         weights = multiplicative_value_table(spec, x)
@@ -387,3 +395,287 @@ def test_distribution_to_csv():
 def test_sums_to_csv():
     rows = [(10, complex(23.0, 0.0)), (100, complex(1.5, -2.25))]
     assert sums_to_csv(rows) == "x,sum_re,sum_im\n10,23,0\n100,1.5,-2.25\n"
+
+
+# ---------------------------------------------------------------------------
+# two-part value tables against the per-prime sweep
+
+
+def reference_multiplicative_table(spec, x):
+    """f(n) for n <= x by sweeping the prime-power progressions of every
+    prime p <= x in increasing order, one value_at call per (p, k)."""
+    w = np.ones(x + 1, dtype=np.float64)
+    w[0] = 0.0
+    for p in prime_array(x).tolist():
+        values = []
+        pk = p
+        while pk <= x:
+            v = complex(spec.value_at(p, len(values) + 1))
+            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+                raise ValueError(f"{spec.name}: non-finite value at ({p},{len(values) + 1})")
+            values.append(v)
+            pk *= p
+        if not np.iscomplexobj(w) and any(v.imag != 0.0 for v in values):
+            w = w.astype(np.complex128)
+        if any(v == 0 for v in values):
+            for k, v in enumerate(values, start=1):
+                idx = np.arange(p**k, x + 1, p**k)
+                if p ** (k + 1) <= x:
+                    idx = idx[idx % p ** (k + 1) != 0]
+                w[idx] *= v if np.iscomplexobj(w) else v.real
+            continue
+        prev = complex(1.0)
+        pk = p
+        for v in values:
+            ratio = v / prev
+            if ratio != 1.0:
+                w[pk::pk] *= ratio if np.iscomplexobj(w) else ratio.real
+            prev = v
+            pk *= p
+    return w
+
+
+def reference_additive_table(g, x):
+    """g(n) for n <= x by the per-prime sweep, as reference_multiplicative_table."""
+    tab = np.zeros(x + 1, dtype=np.int64 if g.integer_valued else np.float64)
+    for p in prime_array(x).tolist():
+        prev = 0.0
+        pk, k = p, 1
+        while pk <= x:
+            v = complex(g.value_at(p, k))
+            if v.imag != 0.0:
+                raise ValueError(f"{g.name}: tables require real values, got {v} at ({p},{k})")
+            delta = v.real - prev
+            prev = v.real
+            if delta != 0.0:
+                if g.integer_valued:
+                    if delta != int(delta):
+                        raise ValueError(
+                            f"{g.name} declared integer-valued but g({p}^{k}) jumps by {delta}"
+                        )
+                    tab[pk::pk] += int(delta)
+                else:
+                    tab[pk::pk] += delta
+            pk *= p
+            k += 1
+    return tab
+
+
+def raised(fn):
+    """fn()'s exception as (type, message), or None when it returns."""
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+    return None
+
+
+PRIMES_1E4 = prime_array(10**4).tolist()
+PRIME_POWER_KEYS = st.tuples(st.sampled_from(PRIMES_1E4), st.integers(1, 3))
+MULTIPLICATIVE = st.one_of(
+    st.just(unit()),
+    st.just(euler_phi_over_n()),
+    st.floats(0.1, 3.0).map(theta_omega),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 2.0)).map(lambda t: theta_omega(complex(*t))),
+    st.floats(0.1, 1.9).map(geometric_B),
+    st.floats(0.1, 4.0).map(tau_rho),
+    st.tuples(st.floats(0.5, 2.0), st.floats(0.2, 2.0)).map(lambda t: perturbed(*t)),
+    st.dictionaries(PRIME_POWER_KEYS, st.floats(0.0, 3.0), max_size=8).map(tabulated_multiplicative),
+)
+NONNEGATIVE = st.one_of(
+    st.just(unit()),
+    st.just(euler_phi_over_n()),
+    st.floats(0.1, 3.0).map(theta_omega),
+    st.floats(0.1, 1.9).map(geometric_B),
+    st.floats(0.1, 4.0).map(tau_rho),
+    st.dictionaries(PRIME_POWER_KEYS, st.floats(0.0, 3.0), max_size=8).map(tabulated_multiplicative),
+)
+INTEGER_TABLES = st.dictionaries(PRIME_POWER_KEYS, st.integers(0, 4).map(float), max_size=8)
+ADDITIVE = st.one_of(
+    st.just(OMEGA),
+    st.just(BIG_OMEGA),
+    INTEGER_TABLES.map(tabulated_additive),
+    st.dictionaries(PRIME_POWER_KEYS, st.floats(-2.0, 2.0), max_size=8).map(tabulated_additive),
+)
+INTEGER_ADDITIVE = st.one_of(st.just(OMEGA), st.just(BIG_OMEGA), INTEGER_TABLES.map(tabulated_additive))
+# x = p^2 puts p on the swept side, x = p^2 - 1 on the gathered side
+SQUARE_EDGES = [p * p - d for p in PRIMES_1E4 if p * p <= 10**4 for d in (0, 1)]
+XS = st.one_of(st.integers(1, 10**4), st.sampled_from(SQUARE_EDGES))
+
+
+def oracle_sample(x):
+    """Every n <= 60, the primes' squares near x, and x itself."""
+    return sorted({n for n in range(1, min(x, 60) + 1)} | {n for n in SQUARE_EDGES if n <= x} | {x})
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=MULTIPLICATIVE, g=ADDITIVE, x=XS)
+def test_two_part_tables_match_per_prime_sweep(spec, g, x):
+    w = multiplicative_value_table(spec, x)
+    want = reference_multiplicative_table(spec, x)
+    assert w.dtype == want.dtype
+    assert w.tobytes() == want.tobytes()
+    gt = additive_value_table(g, x)
+    want = reference_additive_table(g, x)
+    assert gt.dtype == want.dtype
+    assert gt.tobytes() == want.tobytes()
+    for n in oracle_sample(x):
+        assert w[n] == pytest.approx(spec_eval_brute(spec, n), rel=1e-12, abs=1e-15)
+        assert gt[n] == pytest.approx(additive_eval_brute(g, n).real, abs=1e-12)
+
+
+def direct_twisted_sum(w, gt, y, x):
+    """The term-by-term compensated sum of y^{g(n)} alpha(n), and its L1 norm."""
+    g_slice = gt[1 : x + 1]
+    lo = int(g_slice.min())
+    ladder = np.array([cpow(y, m) for m in range(lo, int(g_slice.max()) + 1)], dtype=np.complex128)
+    terms = w[1 : x + 1] * ladder[g_slice - lo]
+    return compensated_complex_sum(terms), float(np.abs(terms).sum())
+
+
+CIRCLE_16 = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
+REAL_Y = st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0))
+# a bucket sum adds at most 4096 weights in sequence per block (then
+# fsum), for the real and the imaginary part, so its error is at most
+# 2 * 4096 ulps of the L1 norm; weights with few distinct values (as
+# theta_omega's) do reach 1e-14 of it, while the direct blocked
+# pairwise sum stays near 1e-16
+BUCKET_TOL = 2 * 4096 * 2.0**-53
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=MULTIPLICATIVE, g=INTEGER_ADDITIVE, x=XS, real_y=REAL_Y)
+def test_bucketed_sums_match_direct_sums(spec, g, x, real_y):
+    w = multiplicative_value_table(spec, x)
+    gt = additive_value_table(g, x)
+    buckets = bucket_sums(spec, g, x, weights=w, g_values=gt)
+    den, den_l1 = direct_twisted_sum(w, gt, 1.0, x)
+    assert abs(buckets.total() - den) <= BUCKET_TOL * den_l1
+    for y in CIRCLE_16 + [real_y]:
+        num, num_l1 = direct_twisted_sum(w, gt, y, x)
+        got = twisted_sum(spec, y, g, x, weights=w, g_values=gt)
+        assert abs(got - num) <= BUCKET_TOL * num_l1
+        if den == 0:
+            continue
+        mgf = num / den
+        got = mgf_exact(spec, g, x, cmath.log(y), weights=w, g_values=gt)
+        bound = BUCKET_TOL * (num_l1 + abs(mgf) * den_l1) / abs(den) + 1e-15 * abs(mgf)
+        assert abs(got - mgf) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=NONNEGATIVE, g=INTEGER_ADDITIVE, x=XS)
+def test_bucketed_pmf_matches_direct_sums(spec, g, x):
+    w = multiplicative_value_table(spec, x)
+    gt = additive_value_table(g, x)
+    total = compensated_sum(w[1:])
+    dist = pmf(spec, g, x, weights=w, g_values=gt)
+    for m, q in zip(dist.values.tolist(), dist.probabilities.tolist()):
+        bucket = compensated_sum(w[1:][gt[1:] == m])
+        assert abs(q - bucket / total) <= BUCKET_TOL * q + 1e-16
+    # every bucket of positive weight is listed, and nothing else
+    support = [m for m in np.unique(gt[1:]).tolist() if w[1:][gt[1:] == m].sum() > 0]
+    assert dist.values.tolist() == support
+
+
+def test_bucket_sums_api():
+    x = 1000
+    buckets = bucket_sums(theta_omega(2), OMEGA, x)
+    assert isinstance(buckets, BucketSums)
+    assert buckets.x == x and buckets.lo == 0 and buckets.imag is None
+    assert buckets.total() == partial_sum(theta_omega(2), x)
+    assert buckets.twisted_sum(0.5) == twisted_sum(theta_omega(2), 0.5, OMEGA, x)
+    assert buckets.mean(2.0) == twisted_mean(theta_omega(2), 2.0, OMEGA, x)
+    assert buckets.residual(0.3) == mod_poisson_residual(theta_omega(2), OMEGA, x, 0.3)
+    assert buckets.distribution().as_dict() == pmf(theta_omega(2), OMEGA, x).as_dict()
+    complex_buckets = bucket_sums(theta_omega(1j), OMEGA, 100)
+    assert complex_buckets.imag is not None
+    assert complex_buckets.total() == pytest.approx(partial_sum(theta_omega(1j), 100), abs=1e-12)
+    with pytest.raises(ValueError, match="real nonnegative"):
+        complex_buckets.distribution()
+    with pytest.raises(ValueError, match="not integer-valued"):
+        bucket_sums(unit(), tabulated_additive({(2, 1): 0.5}), 100)
+    with pytest.raises(ValueError, match="do not cover"):
+        bucket_sums(unit(), OMEGA, 100, weights=np.ones(50))
+
+
+def test_signed_integer_g_buckets_below_zero():
+    g = tabulated_additive({(2, 1): -1.0, (3, 1): 2.0})
+    buckets = bucket_sums(unit(), g, 12)
+    assert buckets.lo == -1  # g(2) = g(10) = -1; unlisted g(2^k), k >= 2, are 0
+    got = twisted_sum(unit(), 2.0, g, 12)
+    want = sum(2.0 ** additive_eval_brute(g, n).real for n in range(1, 13))
+    assert got == pytest.approx(want, rel=1e-14)
+    with pytest.raises(ValueError, match="negative values"):
+        buckets.distribution()
+
+
+def test_twisted_mean_zero_normalizing_sum():
+    signed = tabulated_multiplicative({(2, 1): -1.0}, default=1.0)
+    # weights 1, -1 on n = 1, 2 cancel exactly
+    with pytest.raises(DegenerateSpecError, match=r"zero normalizing sum on \[1, 2\]"):
+        twisted_mean(signed, 2.0, OMEGA, 2)
+    with pytest.raises(DegenerateSpecError, match=r"zero normalizing sum on \[1, 2\]"):
+        mgf_exact(signed, tabulated_additive({(2, 1): 0.5}), 2, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the large-prime gather: primes above sqrt(x) take one value_at call
+
+
+def test_gather_non_finite_value_at_large_prime():
+    bad = MultiplicativeSpec(
+        "bad", lambda p, k: np.where(p == 97, math.inf, 1.0), rho=1.0, c0=0.25,
+        growth=GrowthBound(1.0, 1.0),
+    )
+    with pytest.raises(ValueError, match=r"^bad: non-finite value at \(97,1\)$"):
+        multiplicative_value_table(bad, 200)
+    assert raised(lambda: multiplicative_value_table(bad, 200)) == raised(
+        lambda: reference_multiplicative_table(bad, 200)
+    )
+
+
+def test_gather_promotes_to_complex_at_large_prime():
+    spec = MultiplicativeSpec(
+        "late_complex", lambda p, k: np.where(p == 101, 2j, 1.5), rho=1.0, c0=0.25,
+        growth=GrowthBound(2.0, 1.0),
+    )
+    x = 1000
+    table = multiplicative_value_table(spec, x)
+    assert table.dtype == np.complex128
+    assert table[101] == 2j and table[202] == 3j
+    assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
+
+
+def test_gather_falls_back_per_prime_for_dict_lookups():
+    spec = tabulated_multiplicative({(2, 1): 0.5, (101, 1): 3.0, (997, 1): 0.0}, default=1.25)
+    seen = []
+
+    def value_at(p, k):
+        seen.append(type(p))
+        return spec.value_at(p, k)
+
+    counted = MultiplicativeSpec("counted", value_at, rho=1.25, c0=0.25, growth=spec.growth)
+    x = 2000
+    table = multiplicative_value_table(counted, x)
+    assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
+    assert table[997] == 0.0 and table[101] == 3.0 and table[202] == 1.5
+    # one array call that raised, then one scalar call per prime above sqrt(x)
+    assert seen.count(np.ndarray) == 1
+    n_large = len(prime_array(x)) - len(prime_array(math.isqrt(x)))
+    assert seen[-n_large:] == [int] * n_large
+
+
+def test_gather_non_integer_delta_at_large_prime():
+    lying = AdditiveSpec(
+        "lying", lambda p, k: np.where(p == 101, 0.5, 1.0), integer_valued=True
+    )
+    with pytest.raises(ValueError, match=r"^lying declared integer-valued but g\(101\^1\) jumps by 0.5$"):
+        additive_value_table(lying, 1000)
+    assert raised(lambda: additive_value_table(lying, 1000)) == raised(
+        lambda: reference_additive_table(lying, 1000)
+    )
+    complex_late = AdditiveSpec("cplx", lambda p, k: np.where(p == 103, 1j, 1.0))
+    assert raised(lambda: additive_value_table(complex_late, 1000)) == raised(
+        lambda: reference_additive_table(complex_late, 1000)
+    )
