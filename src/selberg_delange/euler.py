@@ -12,7 +12,9 @@ The leading constant at s = 1,
 
 is defined as exactly 0 when rho is a nonpositive integer, and the
 limiting function of the normalized twisted averages is the ratio
-psi(z) = lambda0(alpha_{e^z}) / lambda0(alpha).
+psi(z) = lambda0(alpha_{e^z}) / lambda0(alpha).  Its derivative psi'(0)
+is the logarithmic derivative of the product, one more sum over the
+same primes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import fsum
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -35,7 +37,7 @@ from .errors import (
 from .exact import multiplicative_value_table
 from .funcs import AdditiveSpec, MultiplicativeSpec, OMEGA, _prime_power_values, twist
 from .sieve import prime_array
-from .special import gamma
+from .special import digamma, gamma
 
 DEFAULT_PRIME_CUTOFF = 10**6
 DEFAULT_FACTOR_TOL = 1e-14
@@ -185,31 +187,17 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
     return np.fromiter(map(fn, *lists), dtype=np.float64, count=n)
 
 
-@np.errstate(all="ignore")  # Python float arithmetic does not warn either
-def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at: str) -> _LocalFactors:
-    """F_p(s) for every prime p <= P, bit-identical to local_factor.
+def _series_lengths(
+    primes: np.ndarray, q: np.ndarray, C: float, tol: float, envelope: Tuple[float, float] = (1.0, 0.0)
+) -> Tuple[np.ndarray, Optional[ArithmeticError]]:
+    """Per-prime series lengths under the envelope (a + b k) C q^k.
 
-    One value_at call per power k covers every prime whose series
-    reaches k.  Complex products are spelled out in float64 so that
-    they round exactly as Python's complex arithmetic does.  Failures
-    act at the first prime that trips one, in the order the scalar path
-    meets them: series divergence, then a vanishing factor (returned,
-    not raised), then the log branch cut, then a non-finite series.
-
-    Raises:
-        DivergentLocalFactorError: growth ratio >= p^{Re s}, or more
-            than _K_HARD_CAP terms.
-        PoleError: 1 + F_p(s) real and negative.
-        ValueError: F_p(s) not finite.
+    K_p is the smallest K >= 1 whose tail bound
+    C q^{K+1}/(1-q) (a + b(K+1) + b q/(1-q)) is <= tol; the default
+    envelope (1, 0) is the geometric tail of _series_length and rounds
+    exactly as it does.  K stops before the first prime whose series
+    fails, and that failure is returned as well (None if there is none).
     """
-    primes = prime_array(P)
-    sigma = s.real
-    C, r = spec.growth.C, spec.growth.r
-    p_sigma = _map_float(math.pow, primes.astype(np.float64), sigma)
-    q = r / p_sigma
-
-    # series lengths by the _series_length recurrence, run elementwise;
-    # primes from index `fail` on are never reached
     fail = len(primes)
     failure = None
     diverging = np.flatnonzero(q >= 1.0)
@@ -222,27 +210,91 @@ def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at:
         )
     q = q[:fail]
     K = np.zeros(fail, dtype=np.int64)
-    if C != 0.0:
-        K[:] = 1
-        bound = C * q * q / (1.0 - q)
-        live = np.flatnonzero(bound > tol)
-        bound, q_live = bound[live], q[live]
-        k = 1
-        while len(live):
-            k += 1
-            if k > _K_HARD_CAP:
-                fail = int(live[0])
-                p = int(primes[fail])
-                failure = DivergentLocalFactorError(
-                    f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p
-                )
-                K = K[:fail]
-                break
-            K[live] = k
-            bound = bound * q_live
-            keep = bound > tol
-            live, bound, q_live = live[keep], bound[keep], q_live[keep]
+    if C == 0.0:
+        return K, failure
+    a, b = envelope
+    K[:] = 1
+    geo = C * q * q / (1.0 - q)
+    base = a + b * q / (1.0 - q)
+    live = np.flatnonzero(geo * (base + b * 2) > tol)
+    geo, q_live, base = geo[live], q[live], base[live]
+    k = 1
+    while len(live):
+        k += 1
+        if k > _K_HARD_CAP:
+            fail = int(live[0])
+            p = int(primes[fail])
+            failure = DivergentLocalFactorError(
+                f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p
+            )
+            return K[:fail], failure
+        K[live] = k
+        geo = geo * q_live
+        keep = geo * (base + b * (k + 1)) > tol
+        live, geo, q_live, base = live[keep], geo[keep], q_live[keep], base[keep]
+    return K, failure
 
+
+def _powers(values: Callable, primes: np.ndarray, K: np.ndarray, *columns: np.ndarray):
+    """Yield (live, values(p, k), columns) for k = 1, 2, ...
+
+    live indexes the primes whose series reaches k (K_p >= k); values
+    gets them as an object array of Python ints, once per power k, and
+    returns a complex128 array of their shape.  The columns are copies
+    cut to the live rows; update them in place to carry state from one
+    power to the next.
+    """
+    live = np.flatnonzero(K >= 1)
+    p_live = np.array(primes[live].tolist(), dtype=object)
+    columns = [c[live] for c in columns]
+    k = 1
+    while len(live):
+        yield live, values(p_live, k), columns
+        k += 1
+        keep = K[live] >= k
+        if not keep.all():
+            live, p_live = live[keep], p_live[keep]
+            columns = [c[keep] for c in columns]
+
+
+@np.errstate(all="ignore")  # Python float arithmetic does not warn either
+def _power_series(values: Callable, primes: np.ndarray, K: np.ndarray, t_re, t_im) -> Tuple[np.ndarray, np.ndarray]:
+    """sum_{k <= K_p} values(p, k) t_p^k for every prime, as float64 columns.
+
+    acc += value * cur; cur *= t, one power at a time, with the complex
+    products spelled out in float64 so that they round exactly as
+    Python's complex arithmetic does.
+    """
+    S_re, S_im = np.zeros(len(K)), np.zeros(len(K))
+    for live, v, (tr, ti, cur_re, cur_im) in _powers(values, primes, K, t_re, t_im, t_re, t_im):
+        S_re[live] += v.real * cur_re - v.imag * cur_im
+        S_im[live] += v.real * cur_im + v.imag * cur_re
+        cur_re[:], cur_im[:] = cur_re * tr - cur_im * ti, cur_re * ti + cur_im * tr
+    return S_re, S_im
+
+
+@np.errstate(all="ignore")  # Python float arithmetic does not warn either
+def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at: str) -> _LocalFactors:
+    """F_p(s) for every prime p <= P, bit-identical to local_factor.
+
+    One value_at call per power k covers every prime whose series
+    reaches k.  Failures act at the first prime that trips one, in the
+    order the scalar path meets them: series divergence, then a
+    vanishing factor (returned, not raised), then the log branch cut,
+    then a non-finite series.
+
+    Raises:
+        DivergentLocalFactorError: growth ratio >= p^{Re s}, or more
+            than _K_HARD_CAP terms.
+        PoleError: 1 + F_p(s) real and negative.
+        ValueError: F_p(s) not finite.
+    """
+    primes = prime_array(P)
+    p_sigma = primes.astype(np.float64)
+    if s.real != 1.0:  # pow(p, 1.0) is p exactly
+        p_sigma = _map_float(math.pow, p_sigma, s.real)
+    K, failure = _series_lengths(primes, spec.growth.r / p_sigma, spec.growth.C, tol)
+    fail = len(K)
     primes = primes[:fail]
     if s.imag == 0.0:
         t_re = 1.0 / p_sigma[:fail]
@@ -250,26 +302,7 @@ def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at:
     else:
         t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
         t_re, t_im = t.real, t.imag
-
-    # acc += value_at(p, k) * cur; cur *= t, one power at a time
-    F_re = np.zeros(fail)
-    F_im = np.zeros(fail)
-    live = np.flatnonzero(K >= 1)
-    p_live = np.array(primes[live].tolist(), dtype=object)
-    tr, ti = t_re[live], t_im[live]
-    cur_re, cur_im = tr, ti
-    k = 1
-    while len(live):
-        values = _prime_power_values(spec.value_at, p_live, k)
-        v_re, v_im = values.real, values.imag
-        F_re[live] += v_re * cur_re - v_im * cur_im
-        F_im[live] += v_re * cur_im + v_im * cur_re
-        cur_re, cur_im = cur_re * tr - cur_im * ti, cur_re * ti + cur_im * tr
-        k += 1
-        keep = K[live] >= k
-        if not keep.all():
-            live, p_live, tr, ti = live[keep], p_live[keep], tr[keep], ti[keep]
-            cur_re, cur_im = cur_re[keep], cur_im[keep]
+    F_re, F_im = _power_series(partial(_prime_power_values, spec.value_at), primes, K, t_re, t_im)
 
     w_re = 1.0 + F_re
     zero = (w_re == 0.0) & (F_im == 0.0)
@@ -351,10 +384,16 @@ def lambda0(
     return _memoised(_lambda0_cached, _lambda0, spec, _check_cutoff(prime_cutoff), float(tol))
 
 
-def _lambda0(spec: MultiplicativeSpec, P: int, tol: float) -> EulerProductResult:
+def _factors_at_one(spec: MultiplicativeSpec, P: int, tol: float) -> Optional[_LocalFactors]:
+    """The local factors F_p(1), or None when rho is a nonpositive integer.
+
+    Raises:
+        DivergentLocalFactorError: growth ratio r >= 2.
+        DegenerateSpecError: the prime value differs from rho.
+    """
     rho = complex(spec.rho)
     if _is_snapped_nonpositive_integer(rho):
-        return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=0, tail_estimate=0.0)
+        return None
     if spec.growth.r >= 2.0:
         raise DivergentLocalFactorError(
             f"growth ratio r={spec.growth.r:g} >= 2 diverges at p=2, s=1", prime=2
@@ -364,9 +403,15 @@ def _lambda0(spec: MultiplicativeSpec, P: int, tol: float) -> EulerProductResult
             f"spec {spec.name!r} declares prime value {spec.prime_coeff} != rho {spec.rho}; "
             "the s=1 Euler product diverges"
         )
-    factors = _local_factors(spec, complex(1.0), P, tol, "1")
-    if factors.vanished:
-        return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0)
+    return _local_factors(spec, complex(1.0), P, tol, "1")
+
+
+def _lambda0(spec: MultiplicativeSpec, P: int, tol: float) -> EulerProductResult:
+    factors = _factors_at_one(spec, P, tol)
+    if factors is None or factors.vanished:
+        k_max = factors.k_max if factors else 0
+        return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=k_max, tail_estimate=0.0)
+    rho = complex(spec.rho)
     comp = _map_float(math.log1p, -1.0 / factors.primes)
     total = _log_product(rho, comp, 0.0, factors)
     value = cmath.exp(total) / gamma(rho)
@@ -408,6 +453,45 @@ def _psi(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec, P: int, tol: fl
 
 
 _psi_cached = lru_cache(maxsize=_MEMO_SIZE)(_psi)
+
+
+def _psi_prime(alpha: MultiplicativeSpec, g: AdditiveSpec, prime_cutoff: int, tol: float) -> complex:
+    """psi'(0) for stats.psi_prime_at_zero, memoised per process like psi."""
+    return _memoised(_psi_prime_cached, _log_derivative, alpha, g, _check_cutoff(prime_cutoff), float(tol))
+
+
+def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int, tol: float) -> complex:
+    """d/dz log lambda0(exp-twist of alpha) at z = 0, over the primes p <= P.
+
+    The closed form of stats.psi_prime_at_zero, from two kernel passes:
+    F_p comes with the s = 1 factors, and G_p is truncated where the
+    tail of its envelope (a + b k) C (r/p)^k is <= tol, with
+    (a, b) = g.power_bound.  Logs go through the math library, as in
+    lambda0, so the printed value does not depend on numpy's SIMD.
+    """
+    factors = _factors_at_one(alpha, P, tol)
+    if factors is None or factors.vanished:
+        raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
+    c = g.prime_value
+    if c is None:
+        raise ValueError(f"additive spec {g.name!r} has no generic prime value; psi'(0) needs one")
+    primes = factors.primes
+    K, failure = _series_lengths(primes, alpha.growth.r / primes, alpha.growth.C, tol, g.power_bound)
+    if failure is not None:
+        raise failure
+
+    def values(p, k):
+        return _prime_power_values(g.value_at, p, k) * _prime_power_values(alpha.value_at, p, k)
+
+    G_re, G_im = _power_series(values, primes, K, factors.t_re, factors.t_im)
+    rho = complex(alpha.rho)
+    comp = _map_float(math.log1p, -1.0 / primes)
+    terms = c * rho * comp + (G_re + 1j * G_im) / (1.0 + factors.F_re + 1j * factors.F_im)
+    total = complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
+    return total - c * rho * digamma(rho)
+
+
+_psi_prime_cached = lru_cache(maxsize=_MEMO_SIZE)(_log_derivative)
 
 
 def g_compensated(
@@ -509,26 +593,23 @@ def check_admissibility_pp(
             square_sum_partials=[],
             increment_exponent=None,
         )
-    partials: List[Tuple[int, float]] = []
-    acc_parts: List[float] = []
-    value_at = spec.value_at
-    grid_iter = iter(grid)
-    next_cut = next(grid_iter)
-    for p in prime_array(grid[-1]).tolist():
-        while p > next_cut:
-            partials.append((next_cut, fsum(acc_parts)))
-            next_cut = next(grid_iter)
-        q = r / float(p) ** beta
-        K = _series_length(C, q, tol, p)
-        inner = 0.0
-        weight = 1.0
-        for k in range(1, K + 1):
-            weight /= float(p) ** beta
-            inner += abs(value_at(p, k)) * weight
-        acc_parts.append(inner * inner)
-    partials.append((next_cut, fsum(acc_parts)))
-    for remaining in grid_iter:
-        partials.append((remaining, partials[-1][1]))
+    # inner_p = sum_k |f(p^k)| p^{-k beta}, one power k at a time over all
+    # primes; weight /= p^beta and the fsum of each prefix of squares
+    # round as the per-prime loop did
+    primes = prime_array(grid[-1])
+    p_beta = _map_float(math.pow, primes.astype(np.float64), beta)
+    K, failure = _series_lengths(primes, r / p_beta, C, tol)
+    if failure is not None:
+        raise failure
+    inner = np.zeros(len(primes))
+    values = partial(_prime_power_values, spec.value_at)
+    for live, v, (pb, weight) in _powers(values, primes, K, p_beta, np.ones(len(primes))):
+        weight /= pb
+        magnitude = np.abs(v.real) if not v.imag.any() else _map_float(math.hypot, v.real, v.imag)
+        inner[live] += magnitude * weight
+    squares = (inner * inner).tolist()
+    ends = np.searchsorted(primes, grid, side="right").tolist()
+    partials = [(P, fsum(squares[:end])) for P, end in zip(grid, ends)]
     increments = [
         (math.sqrt(lo * hi), t_hi - t_lo)
         for (lo, t_lo), (hi, t_hi) in zip(partials, partials[1:])

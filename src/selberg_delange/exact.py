@@ -561,16 +561,21 @@ def sample(
     Philox4x64 generator keyed by (seed, stream), so draws are
     reproducible across platforms and independent streams are obtained
     by varying `stream`; each draw binary-searches the cumulative
-    weight array.
+    weight array, in sorted order of the targets so that successive
+    searches stay close in memory.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if table is None:
         table = build_weight_table(alpha, x, sieve)
     bits = np.random.Philox(key=[np.uint64(int(seed) & (2**64 - 1)), np.uint64(int(stream))])
-    uniforms = np.random.Generator(bits).random(count)
-    targets = uniforms * table.total
-    return np.searchsorted(table.cumulative, targets, side="right").astype(np.int64)
+    targets = np.random.Generator(bits).random(count)
+    targets *= table.total
+    order = np.argsort(targets)
+    found = np.searchsorted(table.cumulative, targets[order], side="right")
+    draws = targets.view(np.int64)  # the targets are spent; their buffer takes the draws
+    draws[order] = found
+    return draws
 
 
 def mod_poisson_residual(

@@ -25,9 +25,6 @@ CACHE_MAGIC = b"SDSIEVE1"
 # dtype bound for 32-bit spf entries
 MAX_SIEVE_X = 2**32 - 1
 
-# block length for sieving primes beyond a table's range
-SEGMENT_LENGTH = 1 << 20
-
 
 @dataclass(frozen=True)
 class SieveTable:
@@ -137,53 +134,25 @@ def _simple_prime_array(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
-
-
-def _segmented_primes(low: int, high: int, base: np.ndarray) -> Iterator[int]:
-    """Yield primes in (low, high] given base primes up to sqrt(high)."""
-    start = low + 1
-    while start <= high:
-        stop = min(start + SEGMENT_LENGTH - 1, high)
-        block = np.ones(stop - start + 1, dtype=bool)
-        for p in base.tolist():
-            if p * p > stop:
-                break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            block[first - start :: p] = False
-        if start == 1:
-            block[0] = False
-        for q in np.flatnonzero(block):
-            yield start + int(q)
-        start = stop + 1
+    return np.flatnonzero(is_prime).astype(np.int64, copy=False)
 
 
 def primes_up_to(P: int, sieve: Optional[SieveTable] = None) -> Iterator[int]:
     """Yield the primes <= P in increasing order.
 
-    Uses the spf table when the range is covered and a segmented sieve
-    beyond it, so P may exceed sieve.x_max (or sieve may be None).
+    Reads the spf table when it covers P, and prime_array otherwise, so
+    P may exceed sieve.x_max (or sieve may be None).
     """
-    if P < 2:
-        return
-    if sieve is not None:
-        covered = min(P, sieve.x_max)
-        yield from _primes_from_table(sieve, covered).tolist()
-        if P <= sieve.x_max:
-            return
-        low = sieve.x_max
+    if sieve is not None and 2 <= P <= sieve.x_max:
+        yield from _primes_from_table(sieve, P).tolist()
     else:
-        low = 1
-    base = _simple_prime_array(math.isqrt(P))
-    yield from _segmented_primes(low, P, base)
+        yield from prime_array(P).tolist()
 
 
 @lru_cache(maxsize=16)
 def prime_array(P: int) -> np.ndarray:
-    """Primes <= P as an int64 array (cached across callers)."""
-    if P < 2:
-        return np.empty(0, dtype=np.int64)
-    arr = np.fromiter(primes_up_to(P), dtype=np.int64)
+    """Primes <= P as an int64 array from a boolean sieve (cached across callers)."""
+    arr = _simple_prime_array(P)
     arr.flags.writeable = False
     return arr
 

@@ -1,6 +1,7 @@
 """Complex special functions backing the Euler-product engine.
 
-Provides Gamma on the complex plane (Lanczos approximation with
+Provides Gamma and its logarithmic derivative digamma on the complex
+plane (Lanczos approximation and asymptotic series, each with
 reflection), the Riemann zeta function restricted to Re s > 1
 (Euler-Maclaurin summation), and principal-branch power/log helpers
 tuned for factors close to 1.
@@ -31,9 +32,11 @@ _LANCZOS_COEFFS = (
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# B_{2j}/(2j)! for the Euler-Maclaurin correction terms, exact rationals
-# evaluated once.  Twelve terms with N >= 24 leave a remainder far below
-# double-precision noise for |s| <= 60.
+# Bernoulli numbers B_2 .. B_24 as exact rationals.  B_{2j}/(2j)! gives
+# the Euler-Maclaurin correction terms: twelve terms with N >= 24 leave a
+# remainder far below double-precision noise for |s| <= 60.  B_{2j}/(2j)
+# gives the asymptotic series of digamma, whose twelfth term is below
+# 4e-21 once |z| >= 10.
 _B2J = (
     Fraction(1, 6),
     Fraction(-1, 30),
@@ -49,6 +52,8 @@ _B2J = (
     Fraction(-236364091, 2730),
 )
 _EM_COEFFS = tuple(float(b / math.factorial(2 * j)) for j, b in enumerate(_B2J, start=1))
+_DIGAMMA_COEFFS = tuple(float(b / (2 * j)) for j, b in enumerate(_B2J, start=1))
+_DIGAMMA_ASYMPTOTIC_RE = 10.0
 
 
 def _as_finite_complex(value, label: str) -> complex:
@@ -87,6 +92,40 @@ def gamma(z) -> complex:
         acc += c / (w + i)
     t = w + _LANCZOS_G + 0.5
     return _SQRT_TWO_PI * cmath.exp((w + 0.5) * cmath.log(t) - t) * acc
+
+
+def digamma(z) -> complex:
+    """Digamma function Gamma'(z)/Gamma(z) for complex z.
+
+    Re z < 0.5 goes through the reflection
+    digamma(z) = digamma(1 - z) - pi cot(pi z), with pi z reduced by the
+    nearest integer first so that the cotangent keeps full relative
+    accuracy next to a pole.  Otherwise the recurrence
+    digamma(z) = digamma(z + 1) - 1/z lifts Re z to at least 10, where
+    digamma(z) = log z - 1/(2z) - sum_j B_{2j}/(2j z^{2j}).
+
+    Returns:
+        digamma(z); relative error near 1e-15 away from the zeros of
+        digamma.
+
+    Raises:
+        PoleError: z is a nonpositive integer.
+    """
+    z = _as_finite_complex(z, "z")
+    if _is_nonpositive_integer(z):
+        raise PoleError(f"digamma pole at z = {z.real:g}")
+    if z.real < 0.5:
+        frac = z - round(z.real)  # exact: a fractional part is a double
+        return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * frac)
+    shift = 0j
+    while z.real < _DIGAMMA_ASYMPTOTIC_RE:
+        shift -= 1.0 / z
+        z += 1.0
+    inv_z2 = 1.0 / (z * z)
+    series = 0j
+    for coeff in reversed(_DIGAMMA_COEFFS):
+        series = (series + coeff) * inv_z2
+    return shift + cmath.log(z) - 0.5 / z - series
 
 
 def zeta(s) -> complex:

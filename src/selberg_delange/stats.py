@@ -4,12 +4,14 @@ The Poisson cumulant eta(z) = e^z - 1 drives everything: ldp_predict
 compares exact tail probabilities against
 exp(-rho ln ln x eta*(s)) psi(ln s)/(1 - 1/s), and clt_report measures
 the Kolmogorov distance between the standardized additive statistic and
-a standard normal.
+a standard normal.  At s = 1 the prefactor is replaced by psi'(0),
+which psi_prime_at_zero computes in closed form as the logarithmic
+derivative of the truncated Euler product (a digamma term plus one sum
+over the primes).
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .euler import DEFAULT_FACTOR_TOL, DEFAULT_PRIME_CUTOFF, psi
+from .euler import DEFAULT_FACTOR_TOL, DEFAULT_PRIME_CUTOFF, _psi_prime, psi
 from .exact import DistributionTable, pmf
 from .funcs import OMEGA, AdditiveSpec, MultiplicativeSpec
 from .sieve import SieveTable
@@ -30,14 +32,6 @@ logger = logging.getLogger(__name__)
 def eta(z) -> complex:
     """Poisson cumulant e^z - 1 (accurate near 0)."""
     return cexpm1(complex(z))
-
-
-def eta_prime(z) -> complex:
-    return cmath.exp(complex(z))
-
-
-def eta_second(z) -> complex:
-    return cmath.exp(complex(z))
 
 
 def eta_star(s: float) -> float:
@@ -65,21 +59,24 @@ def psi_prime_at_zero(
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
     tol: float = DEFAULT_FACTOR_TOL,
 ) -> complex:
-    """psi'(0) by Richardson-extrapolated central differences.
+    """psi'(0), the logarithmic derivative of the truncated Euler product.
 
-    Step 1e-4 balances truncation against cancellation; the two-level
-    extrapolation (4 D(h/2) - D(h))/3 leaves an error near 1e-9.
+    psi(0) = 1, so psi'(0) is d/dz log lambda0(exp-twist of alpha) at
+    z = 0: with rho = alpha.rho and c = g.prime_value,
+
+        psi'(0) = -c rho digamma(rho)
+                  + sum_{p <= P} [c rho log(1 - 1/p) + G_p / (1 + F_p)],
+
+    where F_p = sum_k alpha(p^k) p^{-k} and
+    G_p = sum_k g(p^k) alpha(p^k) p^{-k}.  It is the constant term of
+    the mean of g(N) (Mertens' constant 0.26150 for unit and omega).
+    Two kernel passes over the primes, memoised per process.
+
+    Raises:
+        DegenerateSpecError: lambda0(alpha) = 0.
+        ValueError: g has no generic prime value.
     """
-    h = 1e-4
-
-    def central(step: float) -> complex:
-        up = psi(alpha, step, g, prime_cutoff=prime_cutoff, tol=tol)
-        down = psi(alpha, -step, g, prime_cutoff=prime_cutoff, tol=tol)
-        return (up - down) / (2.0 * step)
-
-    coarse = central(h)
-    fine = central(h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return _psi_prime(alpha, g, prime_cutoff, tol)
 
 
 @dataclass(frozen=True)

@@ -471,6 +471,63 @@ def test_kernel_matches_reference_on_random_specs(spec, tw, P, s):
         assert outcome(lambda: lambda0(spec, P)) == outcome(lambda: reference_lambda0(spec, P))
 
 
+@pytest.mark.parametrize("envelope", [(1.0, 0.0), (0.0, 1.0), (2.0, 0.5), (0.0, 0.0)])
+def test_series_lengths_match_the_envelope_tail(envelope):
+    # K_p is the smallest K >= 1 with sum_{k>K} (a + b k) C q^k <= tol;
+    # the tail is summed here term by term
+    a, b = envelope
+    C, tol = 1.5, 1e-12
+    primes = prime_array(200)
+    q = 1.9 / primes
+    K, failure = euler._series_lengths(primes, q, C, tol, envelope)
+    assert failure is None
+    def tail(qp, K0):
+        return fsum((a + b * k) * C * qp**k for k in range(K0 + 1, K0 + 2000))
+
+    for p, qp, got in zip(primes.tolist(), q.tolist(), K.tolist()):
+        assert tail(qp, got) <= tol * (1 + 1e-9), p
+        assert got == 1 or tail(qp, got - 1) > tol * (1 - 1e-9), p
+
+
+def reference_square_sum_partials(spec, c0, grid, tol=euler.DEFAULT_FACTOR_TOL):
+    """The per-prime, per-power loop check_admissibility_pp replaced."""
+    beta = 1.0 - c0
+    C, r = spec.growth.C, spec.growth.r
+    partials, acc_parts = [], []
+    grid_iter = iter(grid)
+    next_cut = next(grid_iter)
+    for p in prime_array(grid[-1]).tolist():
+        while p > next_cut:
+            partials.append((next_cut, fsum(acc_parts)))
+            next_cut = next(grid_iter)
+        K = euler._series_length(C, r / float(p) ** beta, tol, p)
+        inner = 0.0
+        weight = 1.0
+        for k in range(1, K + 1):
+            weight /= float(p) ** beta
+            inner += abs(spec.value_at(p, k)) * weight
+        acc_parts.append(inner * inner)
+    partials.append((next_cut, fsum(acc_parts)))
+    for remaining in grid_iter:
+        partials.append((remaining, partials[-1][1]))
+    return partials
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_admissibility_partials_match_scalar_reference(spec):
+    for c0, grid in ((0.25, [1, 2, 100, 1000, 3000]), (0.45, [50, 500, 2500])):
+        report = check_admissibility_pp(spec, c0=c0, p_grid=grid)
+        if report.verdict == "inconsistent" and report.witness == 2:
+            continue
+        assert report.square_sum_partials == reference_square_sum_partials(spec, c0, grid)
+
+
+def test_admissibility_default_grid_matches_scalar_reference():
+    spec = theta_omega(complex(1.5, 0.5))
+    report = check_admissibility_pp(spec, c0=0.25)
+    assert report.square_sum_partials == reference_square_sum_partials(spec, 0.25, euler._DEFAULT_P_GRID)
+
+
 # ---------------------------------------------------------------------------
 # memoised products
 

@@ -335,6 +335,19 @@ def test_sample_reproducible_and_stream_independent():
     assert a.min() >= 1 and a.max() <= 10**4
 
 
+def test_sample_equals_unsorted_search():
+    # sample searches the targets in sorted order; each draw must be the
+    # one a plain searchsorted over the targets as drawn gives
+    table = build_weight_table(geometric_B(1.5), 10**5)
+    for seed, stream in ((0, 0), (1, 0), (7, 3), (2**63 + 5, 1)):
+        bits = np.random.Philox(key=[np.uint64(seed & (2**64 - 1)), np.uint64(stream)])
+        targets = np.random.Generator(bits).random(5000) * table.total
+        want = np.searchsorted(table.cumulative, targets, side="right")
+        got = sample(geometric_B(1.5), 10**5, seed, 5000, stream, table=table)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
 def test_sample_degenerate_support():
     assert sample(unit(), 1, seed=99, count=5).tolist() == [1, 1, 1, 1, 1]
     assert sample(unit(), 10, seed=1, count=0).size == 0

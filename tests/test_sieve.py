@@ -74,10 +74,22 @@ def test_prime_array_small():
     assert prime_array(2).tolist() == [2]
 
 
+@pytest.mark.parametrize("P", [0, 1, 2, 3, 4, 25, 10**4])
+def test_prime_array_matches_trial_division(P):
+    want = [n for n in range(2, P + 1) if trial_factorize(n) == ((n, 1),)]
+    got = prime_array(P)
+    assert got.dtype == np.int64
+    assert not got.flags.writeable
+    assert got.tolist() == want
+    assert list(primes_up_to(P)) == want
+    assert list(primes_up_to(P, build_sieve(max(P, 2)))) == want
+    assert list(primes_up_to(-P, build_sieve(max(P, 2)))) == []
+
+
 def test_primes_up_to_with_and_without_table():
     direct = list(primes_up_to(10000))
     assert direct == prime_array(10000).tolist()
-    # a tiny table forces the segmented extension beyond x_max
+    # a tiny table does not cover P, so the primes come from prime_array
     small = build_sieve(100)
     assert list(primes_up_to(10000, small)) == direct
 

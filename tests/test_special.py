@@ -7,7 +7,7 @@ import pytest
 
 from selberg_delange.errors import DomainError, PoleError
 from selberg_delange.sieve import prime_array
-from selberg_delange.special import cexpm1, clog1p, cpow, gamma, zeta
+from selberg_delange.special import cexpm1, clog1p, cpow, digamma, gamma, zeta
 
 mpmath.mp.dps = 30
 
@@ -59,6 +59,41 @@ def test_gamma_rejects_non_finite():
         gamma(float("nan"))
     with pytest.raises(ValueError):
         gamma(complex(1.0, float("inf")))
+
+
+# ---------------------------------------------------------------------------
+# digamma
+
+
+def test_digamma_special_values():
+    euler_gamma = float(mpmath.euler)
+    assert digamma(1) == pytest.approx(-euler_gamma, rel=1e-15)
+    assert digamma(0.5) == pytest.approx(-euler_gamma - 2.0 * math.log(2.0), rel=1e-15)
+    assert digamma(10.0) - digamma(9.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
+
+
+def test_digamma_matches_mpmath():
+    rng = np.random.default_rng(404)
+    points = _seeded_points(100, 12.0, seed=303) + rng.uniform(-12.0, 12.0, size=60).tolist()
+    points += [0.25, 2.5, -0.5, -2.5, 3 + 4j, -4.5 - 2j, 1.5j, 0.3 + 100j, 25.3, 1e6, -100.5]
+    # next to the poles at 0, -1, -2, -3, where pi cot(pi z) dominates
+    points += [1e-10, -1e-12, -1 + 1e-9, -2 - 1e-7, -3 + 1e-6j, -7.25 + 0.1j]
+    for z in points:
+        want = complex(mpmath.digamma(complex(z)))
+        assert digamma(z) == pytest.approx(want, rel=1e-13), z
+
+
+def test_digamma_poles():
+    for z in (0, -1, -5, 0.0, -3.0 + 0j):
+        with pytest.raises(PoleError):
+            digamma(z)
+
+
+def test_digamma_rejects_non_finite():
+    with pytest.raises(ValueError):
+        digamma(float("inf"))
+    with pytest.raises(ValueError):
+        digamma(complex(1.0, float("nan")))
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,38 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
-from selberg_delange.errors import DomainError
+from selberg_delange import euler
+from selberg_delange.errors import (
+    DegenerateSpecError,
+    DivergentLocalFactorError,
+    DomainError,
+    PoleError,
+)
+from selberg_delange.euler import psi
 from selberg_delange.exact import pmf
-from selberg_delange.funcs import BIG_OMEGA, OMEGA, theta_omega, unit
-from selberg_delange.sieve import build_sieve
+from selberg_delange.funcs import (
+    BIG_OMEGA,
+    OMEGA,
+    AdditiveSpec,
+    GrowthBound,
+    geometric_B,
+    tabulated_additive,
+    tabulated_multiplicative,
+    tau_rho,
+    theta_omega,
+    unit,
+)
+from selberg_delange.sieve import build_sieve, prime_array
 from selberg_delange.stats import (
     CltReport,
     LdpPrediction,
     clt_report,
     clt_report_to_dict,
     eta,
-    eta_prime,
-    eta_second,
     eta_star,
     ldp_predict,
     ldp_prediction_to_dict,
@@ -37,8 +55,6 @@ SIEVE = build_sieve(10**4)
 def test_eta_basics():
     assert eta(0.0) == 0.0
     assert eta(math.log(2.0)) == pytest.approx(1.0, rel=1e-14)
-    assert eta_prime(0.0) == 1.0
-    assert eta_second(0.0) == 1.0
     for z in (0.5, -1.0, complex(0.2, 0.3)):
         assert eta(z) == pytest.approx(np.exp(z) - 1.0, rel=1e-13)
 
@@ -100,8 +116,6 @@ def test_normal_cdf_matches_mpmath():
 
 
 def test_psi_prime_at_zero_against_independent_stencil():
-    from selberg_delange.euler import psi
-
     for spec in (unit(), theta_omega(2)):
         got = psi_prime_at_zero(spec, OMEGA)
         h = 2e-3
@@ -109,6 +123,105 @@ def test_psi_prime_at_zero_against_independent_stencil():
             -psi(spec, 2 * h) + 8 * psi(spec, h) - 8 * psi(spec, -h) + psi(spec, -2 * h)
         ) / (12 * h)
         assert got == pytest.approx(stencil, abs=1e-6)
+
+
+def richardson_psi_prime(alpha, g, P):
+    """psi'(0) by Richardson-extrapolated central differences of psi.
+
+    The method psi_prime_at_zero used before its closed form, kept as a
+    reference: five Euler products, with an extrapolation error near 1e-9.
+    """
+    h = 1e-4
+
+    def central(step):
+        return (psi(alpha, step, g, prime_cutoff=P) - psi(alpha, -step, g, prime_cutoff=P)) / (2.0 * step)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+@pytest.mark.parametrize(
+    "alpha, g",
+    [(unit(), OMEGA), (theta_omega(2), OMEGA), (geometric_B(1.5), OMEGA), (geometric_B(1.5), BIG_OMEGA)],
+    ids=lambda v: v.name,
+)
+def test_psi_prime_at_zero_matches_richardson_reference(alpha, g):
+    P = 2 * 10**5
+    assert psi_prime_at_zero(alpha, g, P) == pytest.approx(richardson_psi_prime(alpha, g, P), abs=1e-8)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    alpha=st.one_of(st.floats(0.1, 3.0).map(theta_omega), st.floats(0.1, 1.9).map(geometric_B)),
+    g=st.sampled_from([OMEGA, BIG_OMEGA]),
+    P=st.integers(100, 3000),
+)
+def test_psi_prime_at_zero_matches_richardson_on_random_specs(alpha, g, P):
+    want = richardson_psi_prime(alpha, g, P)
+    assert abs(psi_prime_at_zero(alpha, g, P) - want) <= 1e-8 * max(1.0, abs(want))
+
+
+def test_psi_prime_at_zero_closed_forms():
+    # unit and omega: Mertens' constant, up to the primes above 10^6
+    mertens = 0.2614972128476427837554268386
+    assert psi_prime_at_zero(unit(), OMEGA).real == pytest.approx(mertens, abs=1e-7)
+    # geometric_B(B) and Omega: B (-digamma(B) + sum_p [log(1 - 1/p) + 1/(p - B)]),
+    # each local series truncated at 1e-14
+    B, P = mpmath.mpf(3) / 2, 5000
+    head = mpmath.fsum(mpmath.log(1 - mpmath.mpf(1) / p) + 1 / (p - B) for p in prime_array(P).tolist())
+    want = float(B * (-mpmath.digamma(B) + head))
+    assert psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, P) == pytest.approx(want, abs=1e-11)
+    # F_p and G_p each stop where their tails are <= tol, and here
+    # 1/|1 + F_p| + |G_p|/|1 + F_p|^2 <= 1, so each prime is off by <= tol;
+    # G_p needs its envelope k (r/p)^k for that, not (r/p)^k
+    P = 100
+    head = mpmath.fsum(mpmath.log(1 - mpmath.mpf(1) / p) + 1 / (p - B) for p in prime_array(P).tolist())
+    want = float(B * (-mpmath.digamma(B) + head))
+    for tol in (1e-6, 1e-8, 1e-10):
+        got = psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, P, tol).real
+        assert abs(got - want) <= tol * len(prime_array(P))
+    # a table g = 1 at p = 2 only: G_2 / (1 + F_2) = (1/2) / 2 is the whole sum
+    g = tabulated_additive({(2, 1): 1.0})
+    assert psi_prime_at_zero(unit(), g, 1000) == pytest.approx(0.25, abs=1e-14)
+
+
+# psi'(0) of geometric_B:1.5 with g = Omega, to 19 digits: the mpmath
+# oracle bench/oracle.py prints it
+PSI_PRIME_B15 = 2.484700133266037647
+
+
+def test_psi_prime_at_zero_against_oracle():
+    got = psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, 2 * 10**5)
+    assert got.imag == 0.0
+    assert abs(got.real - PSI_PRIME_B15) <= 1e-6
+
+
+def test_psi_prime_at_zero_errors():
+    # lambda0(alpha) = 0: rho a nonpositive integer, or a vanishing factor
+    vanishing = tabulated_multiplicative({(2, 1): -2.0, **{(2, k): 0.0 for k in range(2, 60)}})
+    for alpha in (theta_omega(0), tau_rho(-1), vanishing):
+        with pytest.raises(DegenerateSpecError):
+            psi_prime_at_zero(alpha, OMEGA, 1000)
+    with pytest.raises(DivergentLocalFactorError) as exc_info:
+        psi_prime_at_zero(tabulated_multiplicative({}, growth=GrowthBound(1.0, 2.0)), OMEGA, 1000)
+    assert exc_info.value.prime == 2
+    with pytest.raises(PoleError) as exc_info:
+        psi_prime_at_zero(tabulated_multiplicative({(3, 1): -4.0}), OMEGA, 1000)
+    assert exc_info.value.prime == 3
+    no_prime_value = AdditiveSpec(name="custom", value_at=lambda p, k: 1)
+    with pytest.raises(ValueError, match="generic prime value"):
+        psi_prime_at_zero(unit(), no_prime_value, 1000)
+    with pytest.raises(ValueError):
+        psi_prime_at_zero(unit(), OMEGA, 50)
+
+
+def test_psi_prime_at_zero_is_memoised():
+    spec = theta_omega(0.75)
+    first = psi_prime_at_zero(spec, OMEGA, 4000)
+    hits = euler._psi_prime_cached.cache_info().hits
+    for x in (10**3, 10**4):
+        ldp_predict(spec, OMEGA, None, x, 1.0, sieve=SIEVE, prime_cutoff=4000)
+    assert euler._psi_prime_cached.cache_info().hits == hits + 2
+    assert first == euler._log_derivative(spec, OMEGA, 4000, euler.DEFAULT_FACTOR_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +247,6 @@ def test_ldp_predict_fields_and_exact_tail():
 
 
 def test_ldp_predict_prefactor_composition():
-    from selberg_delange.euler import psi
-
     x, s = 10**4, 2.0
     pred = ldp_predict(unit(), OMEGA, 1.0, x, s, sieve=SIEVE)
     t_x = math.log(math.log(x))
