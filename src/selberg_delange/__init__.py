@@ -57,8 +57,6 @@ from .funcs import (
     GrowthBound,
     MultiplicativeSpec,
     StripDomain,
-    eval_additive,
-    eval_multiplicative,
     euler_phi_over_n,
     geometric_B,
     parse_additive,
@@ -71,19 +69,7 @@ from .funcs import (
     twist,
     unit,
 )
-from .sieve import (
-    Factorization,
-    SieveTable,
-    big_omega,
-    build_sieve,
-    cached_sieve,
-    factor,
-    load_sieve,
-    omega,
-    prime_array,
-    primes_up_to,
-    save_sieve,
-)
+from .sieve import prime_array
 from .special import cexpm1, clog1p, cpow, gamma, zeta
 from .stats import (
     CltReport,
@@ -110,22 +96,17 @@ __all__ = [
     "DomainError",
     "EulerProductResult",
     "FULL_PLANE",
-    "Factorization",
     "GrowthBound",
     "LdpPrediction",
     "MultiplicativeSpec",
     "OMEGA",
     "PoleError",
-    "SieveTable",
     "SpecGrammarError",
     "StripDomain",
     "WeightTable",
     "additive_value_table",
-    "big_omega",
     "bucket_sums",
-    "build_sieve",
     "build_weight_table",
-    "cached_sieve",
     "cexpm1",
     "check_admissibility_pp",
     "clog1p",
@@ -137,32 +118,25 @@ __all__ = [
     "eta",
     "eta_star",
     "euler_phi_over_n",
-    "eval_additive",
-    "eval_multiplicative",
-    "factor",
     "g_compensated",
     "gamma",
     "geometric_B",
     "lambda0",
     "ldp_predict",
-    "load_sieve",
     "local_factor",
     "mgf_exact",
     "mod_poisson_residual",
     "multiplicative_value_table",
     "normal_cdf",
-    "omega",
     "parse_additive",
     "parse_multiplicative",
     "partial_sum",
     "perturbed",
     "pmf",
     "prime_array",
-    "primes_up_to",
     "psi",
     "psi_prime_at_zero",
     "sample",
-    "save_sieve",
     "sums_to_csv",
     "tabulated_additive",
     "tabulated_multiplicative",

@@ -1,6 +1,6 @@
 """Command-line frontend.
 
-Orchestrates sieve construction, Euler-product evaluation, exact
+Orchestrates value-table construction, Euler-product evaluation, exact
 distribution studies, and report emission.  Every command prints with
 15 significant digits and is deterministic for a fixed configuration
 and seed.  Exit codes: 0 success, 2 configuration error (bad grammar,
@@ -13,7 +13,6 @@ import argparse
 import cmath
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -37,7 +36,6 @@ from .exact import (
     twisted_mean,
 )
 from .funcs import AdditiveSpec, MultiplicativeSpec, parse_additive, parse_multiplicative
-from .sieve import SieveTable, cached_sieve
 from .stats import (
     clt_report,
     clt_report_to_dict,
@@ -46,7 +44,6 @@ from .stats import (
     tail_pairs_to_csv,
 )
 
-DEFAULT_CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "selberg_delange")
 DEFAULT_X_GRID = (1000, 10000, 100000, 1000000)
 DEFAULT_Y_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
@@ -125,8 +122,6 @@ class RunConfig:
     substitute_at_one: bool = True
     output: Optional[str] = None
     fmt: str = "csv"
-    cache_dir: Optional[str] = None
-    use_cache: bool = True
 
     @staticmethod
     def from_args(args: argparse.Namespace) -> "RunConfig":
@@ -134,7 +129,6 @@ class RunConfig:
         g_text = getattr(args, "g", "omega")
         alpha = parse_multiplicative(spec_text)
         g = parse_additive(g_text)
-        cache_dir = getattr(args, "cache_dir", None) or os.environ.get("SD_CACHE_DIR") or DEFAULT_CACHE_DIR
         return RunConfig(
             alpha=alpha,
             g=g,
@@ -157,14 +151,7 @@ class RunConfig:
             substitute_at_one=not getattr(args, "no_s1_substitution", False),
             output=getattr(args, "output", None),
             fmt=getattr(args, "fmt", "csv"),
-            cache_dir=cache_dir,
-            use_cache=not getattr(args, "no_cache", False),
         )
-
-    def sieve_for(self, x: int) -> Optional[SieveTable]:
-        if not self.use_cache:
-            return None
-        return cached_sieve(x, self.cache_dir, use_cache=True)
 
     def require_x(self) -> int:
         if self.x is None:
@@ -225,25 +212,20 @@ def cmd_psi(cfg: RunConfig) -> None:
 
 
 def cmd_sum(cfg: RunConfig) -> None:
-    if cfg.x_grid:
-        xs = sorted(cfg.x_grid)
-        sieve = cfg.sieve_for(xs[-1])
-        table = multiplicative_value_table(cfg.alpha, xs[-1], sieve)
-        rows = [(x, partial_sum(cfg.alpha, x, values=table)) for x in xs]
+    xs = sorted(cfg.x_grid or (cfg.require_x(),))
+    table = multiplicative_value_table(cfg.alpha, xs[-1])
+    rows = [(x, partial_sum(cfg.alpha, x, values=table)) for x in xs]
+    if not cfg.x_grid:
+        x, value = rows[0]
         if cfg.fmt == "json":
-            _emit_json(
-                cfg,
-                {"rows": [{"x": x, "sum_re": v.real, "sum_im": v.imag} for x, v in rows]},
-            )
+            _emit_json(cfg, {"x": x, "sum_re": value.real, "sum_im": value.imag})
             return
-        _emit(cfg, sums_to_csv(rows))
+        _emit(cfg, f"sum = {_fmt(value)}\n")
         return
-    x = cfg.require_x()
-    value = partial_sum(cfg.alpha, x, cfg.sieve_for(x))
     if cfg.fmt == "json":
-        _emit_json(cfg, {"x": x, "sum_re": value.real, "sum_im": value.imag})
+        _emit_json(cfg, {"rows": [{"x": x, "sum_re": v.real, "sum_im": v.imag} for x, v in rows]})
         return
-    _emit(cfg, f"sum = {_fmt(value)}\n")
+    _emit(cfg, sums_to_csv(rows))
 
 
 def cmd_mgf(cfg: RunConfig) -> None:
@@ -254,7 +236,7 @@ def cmd_mgf(cfg: RunConfig) -> None:
         y = cmath.exp(cfg.z)
     if y == 0:
         raise ValueError("--y must be nonzero")
-    value = twisted_mean(cfg.alpha, y, cfg.g, x, cfg.sieve_for(x))
+    value = twisted_mean(cfg.alpha, y, cfg.g, x)
     if cfg.fmt == "json":
         _emit_json(cfg, {"x": x, "y_re": y.real, "y_im": y.imag, "mgf_re": value.real, "mgf_im": value.imag})
         return
@@ -263,7 +245,7 @@ def cmd_mgf(cfg: RunConfig) -> None:
 
 def cmd_pmf(cfg: RunConfig) -> None:
     x = cfg.require_x()
-    dist = pmf(cfg.alpha, cfg.g, x, cfg.sieve_for(x))
+    dist = pmf(cfg.alpha, cfg.g, x)
     if cfg.fmt == "json":
         _emit_json(
             cfg,
@@ -282,7 +264,7 @@ def cmd_sample(cfg: RunConfig) -> None:
     x = cfg.require_x()
     if cfg.count < 1:
         raise ValueError(f"--count must be >= 1, got {cfg.count}")
-    draws = sample(cfg.alpha, x, cfg.seed, cfg.count, stream=cfg.stream, sieve=cfg.sieve_for(x))
+    draws = sample(cfg.alpha, x, cfg.seed, cfg.count, stream=cfg.stream)
     if cfg.fmt == "json":
         _emit_json(cfg, {"x": x, "seed": cfg.seed, "stream": cfg.stream, "draws": draws.tolist()})
         return
@@ -291,7 +273,7 @@ def cmd_sample(cfg: RunConfig) -> None:
 
 def cmd_clt(cfg: RunConfig) -> None:
     x = cfg.require_x()
-    report = clt_report(cfg.alpha, cfg.g, cfg.rho, x, cfg.y_grid, sieve=cfg.sieve_for(x))
+    report = clt_report(cfg.alpha, cfg.g, cfg.rho, x, cfg.y_grid)
     if cfg.fmt == "json":
         _emit_json(cfg, clt_report_to_dict(report))
         return
@@ -300,52 +282,30 @@ def cmd_clt(cfg: RunConfig) -> None:
 
 
 def cmd_ldp(cfg: RunConfig) -> None:
-    if cfg.x_grid:
-        xs = sorted(cfg.x_grid)
-        sieve = cfg.sieve_for(xs[-1])
-        weights = multiplicative_value_table(cfg.alpha, xs[-1], sieve)
-        g_values = additive_value_table(cfg.g, xs[-1], sieve)
-        rows = []
-        for x in xs:
-            pred = ldp_predict(
-                cfg.alpha,
-                cfg.g,
-                cfg.rho,
-                x,
-                cfg.s,
-                substitute_at_one=cfg.substitute_at_one,
-                weights=weights,
-                g_values=g_values,
-                prime_cutoff=cfg.cutoff,
-                tol=cfg.tol,
-            )
-            rows.append((x, pred))
+    xs = sorted(cfg.x_grid or (cfg.require_x(),))
+    weights = multiplicative_value_table(cfg.alpha, xs[-1])
+    g_values = additive_value_table(cfg.g, xs[-1])
+    rows = [
+        (x, ldp_predict(
+            cfg.alpha, cfg.g, cfg.rho, x, cfg.s, substitute_at_one=cfg.substitute_at_one,
+            weights=weights, g_values=g_values, prime_cutoff=cfg.cutoff, tol=cfg.tol,
+        ))
+        for x in xs
+    ]
+    if not cfg.x_grid:
+        pred = rows[0][1]
         if cfg.fmt == "json":
-            _emit_json(cfg, {"rows": [dict(ldp_prediction_to_dict(p), x=x) for x, p in rows]})
+            _emit_json(cfg, ldp_prediction_to_dict(pred))
             return
-        lines = ["x,exact_tail,predicted_tail,ratio"]
-        for x, pred in rows:
-            lines.append(
-                f"{x},{pred.exact_tail:.15g},{pred.predicted_tail:.15g},{pred.ratio:.15g}"
-            )
+        lines = [f"{key} = {value:.15g}" for key, value in ldp_prediction_to_dict(pred).items()]
         _emit(cfg, "\n".join(lines) + "\n")
         return
-    x = cfg.require_x()
-    pred = ldp_predict(
-        cfg.alpha,
-        cfg.g,
-        cfg.rho,
-        x,
-        cfg.s,
-        substitute_at_one=cfg.substitute_at_one,
-        sieve=cfg.sieve_for(x),
-        prime_cutoff=cfg.cutoff,
-        tol=cfg.tol,
-    )
     if cfg.fmt == "json":
-        _emit_json(cfg, ldp_prediction_to_dict(pred))
+        _emit_json(cfg, {"rows": [dict(ldp_prediction_to_dict(p), x=x) for x, p in rows]})
         return
-    lines = [f"{key} = {value:.15g}" for key, value in ldp_prediction_to_dict(pred).items()]
+    lines = ["x,exact_tail,predicted_tail,ratio"]
+    for x, pred in rows:
+        lines.append(f"{x},{pred.exact_tail:.15g},{pred.predicted_tail:.15g},{pred.ratio:.15g}")
     _emit(cfg, "\n".join(lines) + "\n")
 
 
@@ -388,9 +348,8 @@ def cmd_report(cfg: RunConfig) -> None:
         raise ValueError(f"report x grid needs x >= 16, got {xs[0]}")
     zs = cfg.z_grid or _z_grid_arg("circle:16")
     x_max = xs[-1]
-    sieve = cfg.sieve_for(x_max)
-    weights = multiplicative_value_table(cfg.alpha, x_max, sieve)
-    g_values = additive_value_table(cfg.g, x_max, sieve)
+    weights = multiplicative_value_table(cfg.alpha, x_max)
+    g_values = additive_value_table(cfg.g, x_max)
 
     lam = lambda0(cfg.alpha, prime_cutoff=cfg.cutoff, tol=cfg.tol)
     rho = cfg.rho if cfg.rho is not None else cfg.alpha.rho
@@ -466,8 +425,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=DEFAULT_FACTOR_TOL, help="local factor truncation tolerance")
     parser.add_argument("--output", default=None, help="write output to this file instead of stdout")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    parser.add_argument("--cache-dir", default=None, help="sieve cache directory (default SD_CACHE_DIR or ~/.cache/selberg_delange)")
-    parser.add_argument("--no-cache", action="store_true", help="never read or write sieve cache files")
 
 
 def build_parser() -> argparse.ArgumentParser:

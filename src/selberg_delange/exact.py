@@ -37,11 +37,15 @@ import numpy as np
 
 from .errors import DegenerateSpecError, DomainError
 from .funcs import AdditiveSpec, MultiplicativeSpec, _prime_power_values
-from .sieve import SieveTable, prime_array
+from .sieve import _require_memory, _sieve_bytes, prime_array
 from .special import cexpm1, cpow
 
 # reduction block size shared by every compensated sum in this module
 _CHUNK = 1024
+
+# an alpha table (float64) and a g table (int64) per n, the pair every
+# exact statistic of g(N) reads
+_TABLE_BYTES_PER_N = 16
 
 
 def compensated_sum(values) -> float:
@@ -90,16 +94,16 @@ def compensated_cumsum(values) -> np.ndarray:
     return out
 
 
-def _primes_leq(x: int, sieve: Optional[SieveTable]) -> np.ndarray:
-    if sieve is not None and sieve.x_max >= x:
-        values = np.arange(2, x + 1, dtype=np.uint32)
-        return values[sieve.spf[2 : x + 1] == values].astype(np.int64)
-    return prime_array(x)
+def _split_at_root(x: int) -> Tuple[List[int], np.ndarray]:
+    """Primes p <= isqrt(x) as a list, and the larger primes as an array.
 
-
-def _split_at_root(x: int, sieve: Optional[SieveTable]) -> Tuple[List[int], np.ndarray]:
-    """Primes p <= isqrt(x) as a list, and the larger primes as an array."""
-    primes = _primes_leq(x, sieve)
+    Raises ValueError for x < 1, and, before allocating anything, when
+    the value tables and the prime sieve for x exceed physical memory.
+    """
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    _require_memory(_TABLE_BYTES_PER_N * (x + 1) + _sieve_bytes(x), f"value tables to x = {x}")
+    primes = prime_array(x)
     split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
     return primes[:split].tolist(), primes[split:]
 
@@ -130,20 +134,16 @@ def _apply_prime_exact(w: np.ndarray, p: int, x: int, values: Sequence[complex])
         w[idx] *= v
 
 
-def multiplicative_value_table(
-    spec: MultiplicativeSpec, x: int, sieve: Optional[SieveTable] = None
-) -> np.ndarray:
+def multiplicative_value_table(spec: MultiplicativeSpec, x: int) -> np.ndarray:
     """Array of f(n) for 0 <= n <= x (entry 0 is 0, entry 1 is 1).
 
     Primes up to sqrt(x) are swept over the progressions of their
     powers, and the larger primes are applied by one cofactor gather;
     the result is exactly the per-n product of prime-power values.
     Returns float64 when every prime-power value is real, complex128
-    otherwise.
+    otherwise.  Raises ValueError for x < 1 or x beyond physical memory.
     """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    small, large = _split_at_root(x, sieve)
+    small, large = _split_at_root(x)
     w = np.ones(x + 1, dtype=np.float64)
     w[0] = 0.0
     for p in small:
@@ -157,9 +157,7 @@ def multiplicative_value_table(
             values.append(v)
             has_zero = has_zero or v == 0
             pk *= p
-        if np.iscomplexobj(w):
-            pass
-        elif any(v.imag != 0.0 for v in values):
+        if not np.iscomplexobj(w) and any(v.imag != 0.0 for v in values):
             w = w.astype(np.complex128)
         if has_zero:
             vals = values if np.iscomplexobj(w) else [v.real for v in values]
@@ -200,19 +198,16 @@ def _additive_delta(g: AdditiveSpec, p: int, k: int, v: complex, prev: float) ->
     return delta
 
 
-def additive_value_table(
-    g: AdditiveSpec, x: int, sieve: Optional[SieveTable] = None
-) -> np.ndarray:
+def additive_value_table(g: AdditiveSpec, x: int) -> np.ndarray:
     """Array of g(n) for 0 <= n <= x; int64 for integer-valued g.
 
     Built like multiplicative_value_table: sweeps for the primes up to
-    sqrt(x), one cofactor gather for the rest.
+    sqrt(x), one cofactor gather for the rest.  Raises ValueError for
+    x < 1 or x beyond physical memory.
     """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
+    small, large = _split_at_root(x)
     integer = g.integer_valued
     tab = np.zeros(x + 1, dtype=np.int64 if integer else np.float64)
-    small, large = _split_at_root(x, sieve)
     for p in small:
         prev = 0.0
         pk = p
@@ -255,19 +250,14 @@ class WeightTable:
         return float(self.cumulative[self.x])
 
 
-def build_weight_table(
-    alpha: MultiplicativeSpec,
-    x: int,
-    sieve: Optional[SieveTable] = None,
-    values: Optional[np.ndarray] = None,
-) -> WeightTable:
+def build_weight_table(alpha: MultiplicativeSpec, x: int, values: Optional[np.ndarray] = None) -> WeightTable:
     """Materialize alpha as a probability weight table on 1..x.
 
     Raises:
         ValueError: some alpha(n) is complex or negative.
         DegenerateSpecError: all weights vanish.
     """
-    w = multiplicative_value_table(alpha, x, sieve) if values is None else values[: x + 1]
+    w = multiplicative_value_table(alpha, x) if values is None else values[: x + 1]
     if np.iscomplexobj(w):
         raise ValueError(f"{alpha.name}: weight table requires real nonnegative values")
     if w.size != x + 1:
@@ -301,16 +291,11 @@ class DistributionTable:
         return min(1.0, float(math.fsum(self.probabilities[mask].tolist())))
 
 
-def partial_sum(
-    spec: MultiplicativeSpec,
-    x: int,
-    sieve: Optional[SieveTable] = None,
-    values: Optional[np.ndarray] = None,
-) -> complex:
+def partial_sum(spec: MultiplicativeSpec, x: int, values: Optional[np.ndarray] = None) -> complex:
     """Exact sum of f(n) over 1 <= n <= x."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    w = multiplicative_value_table(spec, x, sieve) if values is None else values
+    w = multiplicative_value_table(spec, x) if values is None else values
     if w.shape[0] < x + 1:
         raise ValueError(f"values array covers {w.shape[0] - 1} < x = {x}")
     return compensated_complex_sum(w[1 : x + 1])
@@ -320,15 +305,14 @@ def _value_tables(
     alpha: MultiplicativeSpec,
     g: AdditiveSpec,
     x: int,
-    sieve: Optional[SieveTable],
     weights: Optional[np.ndarray],
     g_values: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """alpha(n) and g(n) for 1 <= n <= x, each built unless given."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    w = multiplicative_value_table(alpha, x, sieve) if weights is None else weights
-    gt = additive_value_table(g, x, sieve) if g_values is None else g_values
+    w = multiplicative_value_table(alpha, x) if weights is None else weights
+    gt = additive_value_table(g, x) if g_values is None else g_values
     if w.shape[0] < x + 1 or gt.shape[0] < x + 1:
         raise ValueError(f"precomputed arrays do not cover x = {x}")
     return w[1 : x + 1], gt[1 : x + 1]
@@ -447,7 +431,6 @@ def bucket_sums(
     alpha: MultiplicativeSpec,
     g: AdditiveSpec,
     x: int,
-    sieve: Optional[SieveTable] = None,
     weights: Optional[np.ndarray] = None,
     g_values: Optional[np.ndarray] = None,
 ) -> BucketSums:
@@ -461,7 +444,7 @@ def bucket_sums(
     """
     if not g.integer_valued:
         raise ValueError(f"{g.name} is not integer-valued; pmf buckets are integers")
-    w, gt = _value_tables(alpha, g, x, sieve, weights, g_values)
+    w, gt = _value_tables(alpha, g, x, weights, g_values)
     lo = int(gt.min())
     n_buckets = int(gt.max()) - lo + 1
     labels = gt - lo if lo else gt
@@ -485,15 +468,14 @@ def twisted_sum(
     y,
     g: AdditiveSpec,
     x: int,
-    sieve: Optional[SieveTable] = None,
     weights: Optional[np.ndarray] = None,
     g_values: Optional[np.ndarray] = None,
 ) -> complex:
     """Exact sum of y^{g(n)} alpha(n) over 1 <= n <= x."""
     y = _twist_base(y)
     if g.integer_valued:
-        return bucket_sums(alpha, g, x, sieve, weights, g_values).twisted_sum(y)
-    return _direct_twisted_sum(y, *_value_tables(alpha, g, x, sieve, weights, g_values))
+        return bucket_sums(alpha, g, x, weights, g_values).twisted_sum(y)
+    return _direct_twisted_sum(y, *_value_tables(alpha, g, x, weights, g_values))
 
 
 def twisted_mean(
@@ -501,7 +483,6 @@ def twisted_mean(
     y,
     g: AdditiveSpec,
     x: int,
-    sieve: Optional[SieveTable] = None,
     weights: Optional[np.ndarray] = None,
     g_values: Optional[np.ndarray] = None,
 ) -> complex:
@@ -512,8 +493,8 @@ def twisted_mean(
     """
     y = _twist_base(y)
     if g.integer_valued:
-        return bucket_sums(alpha, g, x, sieve, weights, g_values).mean(y)
-    w, gt = _value_tables(alpha, g, x, sieve, weights, g_values)
+        return bucket_sums(alpha, g, x, weights, g_values).mean(y)
+    w, gt = _value_tables(alpha, g, x, weights, g_values)
     return _mean(alpha, x, _direct_twisted_sum(y, w, gt), compensated_complex_sum(w))
 
 
@@ -522,19 +503,17 @@ def mgf_exact(
     g: AdditiveSpec,
     x: int,
     z,
-    sieve: Optional[SieveTable] = None,
     weights: Optional[np.ndarray] = None,
     g_values: Optional[np.ndarray] = None,
 ) -> complex:
     """E[exp(z g(N))] for N weighted by alpha on 1..x (exact)."""
-    return twisted_mean(alpha, cmath.exp(complex(z)), g, x, sieve, weights, g_values)
+    return twisted_mean(alpha, cmath.exp(complex(z)), g, x, weights, g_values)
 
 
 def pmf(
     alpha: MultiplicativeSpec,
     g: AdditiveSpec,
     x: int,
-    sieve: Optional[SieveTable] = None,
     weights: Optional[np.ndarray] = None,
     g_values: Optional[np.ndarray] = None,
 ) -> DistributionTable:
@@ -543,7 +522,7 @@ def pmf(
     Requires g to take nonnegative integer values (omega, Omega, or an
     integer table); weights must be real and nonnegative.
     """
-    return bucket_sums(alpha, g, x, sieve, weights, g_values).distribution()
+    return bucket_sums(alpha, g, x, weights, g_values).distribution()
 
 
 def sample(
@@ -552,7 +531,6 @@ def sample(
     seed: int,
     count: int,
     stream: int = 0,
-    sieve: Optional[SieveTable] = None,
     table: Optional[WeightTable] = None,
 ) -> np.ndarray:
     """Draw `count` iid copies of N (P(N=n) proportional to alpha(n), n <= x).
@@ -567,7 +545,7 @@ def sample(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if table is None:
-        table = build_weight_table(alpha, x, sieve)
+        table = build_weight_table(alpha, x)
     bits = np.random.Philox(key=[np.uint64(int(seed) & (2**64 - 1)), np.uint64(int(stream))])
     targets = np.random.Generator(bits).random(count)
     targets *= table.total
@@ -584,7 +562,6 @@ def mod_poisson_residual(
     x: int,
     z,
     rho=None,
-    sieve: Optional[SieveTable] = None,
     weights: Optional[np.ndarray] = None,
     g_values: Optional[np.ndarray] = None,
 ) -> complex:
@@ -598,7 +575,7 @@ def mod_poisson_residual(
     """
     z = complex(z)
     rho = complex(alpha.rho) if rho is None else complex(rho)
-    return _poisson_factor(x, z, rho) * mgf_exact(alpha, g, x, z, sieve, weights, g_values)
+    return _poisson_factor(x, z, rho) * mgf_exact(alpha, g, x, z, weights, g_values)
 
 
 def distribution_to_csv(dist: DistributionTable) -> str:

@@ -26,7 +26,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import SpecGrammarError
-from .sieve import Factorization
 from .special import cpow
 
 _DEVIATION_NONE = (0.0, 1.0)
@@ -147,22 +146,6 @@ BIG_OMEGA = AdditiveSpec(
     nonnegative=True,
     prime_value=1,
 )
-
-
-def eval_multiplicative(spec: MultiplicativeSpec, factorization: Factorization) -> complex:
-    """f(n) as the product of prime-power values; empty product is 1."""
-    result = complex(1.0)
-    for p, k in factorization.factors:
-        result *= spec.value_at(p, k)
-    return result
-
-
-def eval_additive(g: AdditiveSpec, factorization: Factorization) -> complex:
-    """g(n) as the sum of prime-power values; empty sum is 0."""
-    result = complex(0.0)
-    for p, k in factorization.factors:
-        result += g.value_at(p, k)
-    return result
 
 
 def _prime_power_values(value_at, primes: np.ndarray, k: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import DomainError
 from .euler import DEFAULT_FACTOR_TOL, DEFAULT_PRIME_CUTOFF, _psi_prime, psi
 from .exact import DistributionTable, pmf
 from .funcs import OMEGA, AdditiveSpec, MultiplicativeSpec
-from .sieve import SieveTable
 from .special import cexpm1
 
 logger = logging.getLogger(__name__)
@@ -99,7 +98,6 @@ def ldp_predict(
     s: float,
     substitute_at_one: bool = True,
     dist: Optional[DistributionTable] = None,
-    sieve: Optional[SieveTable] = None,
     weights=None,
     g_values=None,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
@@ -150,7 +148,7 @@ def ldp_predict(
         prefactor = value.real / (1.0 - 1.0 / s)
     predicted = math.exp(-t_x * rate) * prefactor
     if dist is None:
-        dist = pmf(alpha, g, x, sieve, weights, g_values)
+        dist = pmf(alpha, g, x, weights, g_values)
     exact = dist.tail_probability(s * t_x)
     ratio = exact / predicted if predicted != 0.0 else math.inf
     return LdpPrediction(
@@ -174,7 +172,6 @@ def clt_report(
     x: int,
     y_grid: Sequence[float],
     dist: Optional[DistributionTable] = None,
-    sieve: Optional[SieveTable] = None,
     weights=None,
     g_values=None,
 ) -> CltReport:
@@ -196,7 +193,7 @@ def clt_report(
         raise DomainError(f"clt_report requires real rho > 0, got {rho}")
     rho = rho.real
     if dist is None:
-        dist = pmf(alpha, g, x, sieve, weights, g_values)
+        dist = pmf(alpha, g, x, weights, g_values)
     t_x = rho * math.log(math.log(x))
     sigma = math.sqrt(t_x)
     atoms = (dist.values.astype(np.float64) - t_x) / sigma

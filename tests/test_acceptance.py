@@ -46,7 +46,6 @@ from selberg_delange.funcs import (
     theta_omega,
     unit,
 )
-from selberg_delange.sieve import build_sieve
 from selberg_delange.special import gamma, zeta
 from selberg_delange.stats import clt_report, eta_star, ldp_predict, normal_cdf
 
@@ -105,24 +104,19 @@ def _first_order_coefficient(y: complex, primes: np.ndarray) -> complex:
 
 
 @pytest.fixture(scope="module")
-def big_sieve():
-    return build_sieve(X_MAX)
+def unit_weights():
+    return multiplicative_value_table(unit(), X_MAX)
 
 
 @pytest.fixture(scope="module")
-def unit_weights(big_sieve):
-    return multiplicative_value_table(unit(), X_MAX, big_sieve)
+def omega_values():
+    return additive_value_table(OMEGA, X_MAX)
 
 
 @pytest.fixture(scope="module")
-def omega_values(big_sieve):
-    return additive_value_table(OMEGA, X_MAX, big_sieve)
-
-
-@pytest.fixture(scope="module")
-def unit_dists(big_sieve, unit_weights, omega_values):
+def unit_dists(unit_weights, omega_values):
     return {
-        x: pmf(unit(), OMEGA, x, big_sieve, weights=unit_weights, g_values=omega_values)
+        x: pmf(unit(), OMEGA, x, weights=unit_weights, g_values=omega_values)
         for x in X_GRID
     }
 
@@ -162,12 +156,11 @@ def test_criterion_02_compensated_product():
 def test_criterion_03_sieve_vs_trial_division():
     start = time.perf_counter()
     limit = 10**4
-    sieve = build_sieve(limit)
     factorizations = [()] + [trial_factorize(n) for n in range(1, limit + 1)]
     checkpoints = (1, 10, 100, 1000, limit)
     worst = 0.0
     for spec in (unit(), theta_omega(2), geometric_B(1.5), euler_phi_over_n()):
-        table = multiplicative_value_table(spec, limit, sieve)
+        table = multiplicative_value_table(spec, limit)
         brute = np.empty(limit + 1)
         brute[0] = 0.0
         for n in range(1, limit + 1):
@@ -179,7 +172,7 @@ def test_criterion_03_sieve_vs_trial_division():
         rel[0] = 0.0
         worst = max(worst, float(rel.max()))
         for x in checkpoints:
-            lhs = partial_sum(spec, x, sieve)
+            lhs = partial_sum(spec, x)
             rhs = math.fsum(brute[1 : x + 1].tolist())
             worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     elapsed = time.perf_counter() - start
@@ -192,7 +185,7 @@ def test_criterion_03_sieve_vs_trial_division():
     assert elapsed < 60.0
 
 
-def test_criterion_04_residual_convergence(big_sieve, unit_weights, omega_values):
+def test_criterion_04_residual_convergence(unit_weights, omega_values):
     limits = {z: psi(unit(), z) for z in Z_CIRCLE}
     primes = _primes_up_to(10**6).astype(np.float64)
     first_order = {z: _first_order_coefficient(complex(np.exp(z)), primes) for z in Z_CIRCLE}
@@ -240,15 +233,15 @@ def test_criterion_04_residual_convergence(big_sieve, unit_weights, omega_values
     )
 
 
-def test_criterion_05_mgf_pmf_duality(big_sieve, unit_weights, omega_values):
+def test_criterion_05_mgf_pmf_duality(unit_weights, omega_values):
     x = 10**6
     worst = 0.0
     for spec in (unit(), theta_omega(2.5)):
         if spec.name == "unit":
             weights = unit_weights
         else:
-            weights = multiplicative_value_table(spec, x, big_sieve)
-        dist = pmf(spec, OMEGA, x, big_sieve, weights=weights, g_values=omega_values)
+            weights = multiplicative_value_table(spec, x)
+        dist = pmf(spec, OMEGA, x, weights=weights, g_values=omega_values)
         # the mgf as a term-by-term compensated sum, independent of the
         # buckets the pmf is read from
         w, om = weights[1 : x + 1], omega_values[1 : x + 1]
@@ -364,12 +357,11 @@ def test_criterion_09_special_values():
 def test_criterion_10_sampler_goodness_of_fit():
     x = 10**4
     seed = 20240814
-    sieve = build_sieve(x)
-    dist = pmf(unit(), OMEGA, x, sieve)
+    dist = pmf(unit(), OMEGA, x)
     draws = sample(unit(), x, seed=seed, count=10**6)
     again = sample(unit(), x, seed=seed, count=10**6)
     identical = draws.tobytes() == again.tobytes()
-    labels = additive_value_table(OMEGA, x, sieve)[draws]
+    labels = additive_value_table(OMEGA, x)[draws]
     observed = np.bincount(labels, minlength=int(dist.values.max()) + 1)[dist.values]
     expected = dist.probabilities * draws.size
     chi2 = float(((observed - expected) ** 2 / expected).sum())

@@ -1,14 +1,17 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import selberg_delange
 from selberg_delange import cli, exact
 from selberg_delange.cli import main
 
-SAMPLE_ARGS = ["sample", "--spec", "unit", "--x", "10", "--seed", "7", "--count", "5", "--no-cache"]
+SAMPLE_ARGS = ["sample", "--spec", "unit", "--x", "10", "--seed", "7", "--count", "5"]
 SAMPLE_GOLDEN = "9\n3\n5\n5\n1\n"
 
 
@@ -23,7 +26,7 @@ def run_cli(capsys, argv):
 
 
 def test_lambda0_golden(capsys):
-    code, out, _ = run_cli(capsys, ["lambda0", "--spec", "theta_omega:2", "--no-cache"])
+    code, out, _ = run_cli(capsys, ["lambda0", "--spec", "theta_omega:2"])
     assert code == 0
     assert out == (
         "lambda0 = 0.607927143040184\n"
@@ -34,21 +37,21 @@ def test_lambda0_golden(capsys):
 
 
 def test_psi_golden(capsys):
-    code, out, _ = run_cli(capsys, ["psi", "--spec", "unit", "--z", "0", "--no-cache"])
+    code, out, _ = run_cli(capsys, ["psi", "--spec", "unit", "--z", "0"])
     assert code == 0
     assert out == "psi = 1\n"
 
 
 def test_mgf_golden(capsys):
     code, out, _ = run_cli(
-        capsys, ["mgf", "--spec", "unit", "--g", "omega", "--x", "10", "--y", "2", "--no-cache"]
+        capsys, ["mgf", "--spec", "unit", "--g", "omega", "--x", "10", "--y", "2"]
     )
     assert code == 0
     assert out == "mgf = 2.3\n"
 
 
 def test_pmf_golden_csv(capsys):
-    code, out, _ = run_cli(capsys, ["pmf", "--spec", "unit", "--g", "omega", "--x", "10", "--no-cache"])
+    code, out, _ = run_cli(capsys, ["pmf", "--spec", "unit", "--g", "omega", "--x", "10"])
     assert code == 0
     assert out == "value,probability\n0,0.1\n1,0.7\n2,0.2\n"
 
@@ -60,16 +63,16 @@ def test_sample_golden(capsys):
 
 
 def test_sum_golden_single_and_grid(capsys):
-    code, out, _ = run_cli(capsys, ["sum", "--spec", "theta_omega:2", "--x", "10", "--no-cache"])
+    code, out, _ = run_cli(capsys, ["sum", "--spec", "theta_omega:2", "--x", "10"])
     assert code == 0
     assert out == "sum = 23\n"
-    code, out, _ = run_cli(capsys, ["sum", "--spec", "unit", "--x-grid", "10,100", "--no-cache"])
+    code, out, _ = run_cli(capsys, ["sum", "--spec", "unit", "--x-grid", "10,100"])
     assert code == 0
     assert out == "x,sum_re,sum_im\n10,10,0\n100,100,0\n"
 
 
 def test_check_golden(capsys):
-    code, out, _ = run_cli(capsys, ["check", "--spec", "geometric_B:1.9,c0=0.1", "--no-cache"])
+    code, out, _ = run_cli(capsys, ["check", "--spec", "geometric_B:1.9,c0=0.1"])
     assert code == 0
     assert out == (
         "verdict = inconsistent\n"
@@ -81,7 +84,7 @@ def test_check_golden(capsys):
 
 
 def test_repeat_runs_are_byte_identical(capsys):
-    argv = ["psi", "--spec", "theta_omega:2", "--z", "0.5", "--cutoff", "2000", "--no-cache"]
+    argv = ["psi", "--spec", "theta_omega:2", "--z", "0.5", "--cutoff", "2000"]
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
@@ -93,14 +96,14 @@ def test_repeat_runs_are_byte_identical(capsys):
 
 
 def test_exit_code_bad_spec(capsys):
-    code, out, err = run_cli(capsys, ["lambda0", "--spec", "nope", "--no-cache"])
+    code, out, err = run_cli(capsys, ["lambda0", "--spec", "nope"])
     assert code == 2
     assert out == ""
     assert "unknown spec name" in err
 
 
 def test_exit_code_numeric_failure(capsys):
-    code, _, err = run_cli(capsys, ["lambda0", "--spec", "tabulated:2^1=1,C=1,r=2", "--no-cache"])
+    code, _, err = run_cli(capsys, ["lambda0", "--spec", "tabulated:2^1=1,C=1,r=2"])
     assert code == 3
     assert "diverges" in err
 
@@ -108,22 +111,37 @@ def test_exit_code_numeric_failure(capsys):
 def test_exit_code_strip_violation(capsys):
     code, _, err = run_cli(
         capsys,
-        ["ldp", "--spec", "unit", "--g", "big_omega", "--x", "1000", "--s", "1.5", "--no-cache"],
+        ["ldp", "--spec", "unit", "--g", "big_omega", "--x", "1000", "--s", "1.5"],
     )
     assert code == 2
     assert "need 0 < s < 1.41421" in err
 
 
 def test_exit_code_missing_x(capsys):
-    code, _, err = run_cli(capsys, ["mgf", "--spec", "unit", "--g", "omega", "--y", "2", "--no-cache"])
+    code, _, err = run_cli(capsys, ["mgf", "--spec", "unit", "--g", "omega", "--y", "2"])
     assert code == 2
     assert "--x" in err
 
 
 def test_exit_code_report_rejects_csv(capsys):
-    code, _, err = run_cli(capsys, ["report", "--spec", "unit", "--format", "csv", "--no-cache"])
+    code, _, err = run_cli(capsys, ["report", "--spec", "unit", "--format", "csv"])
     assert code == 2
     assert "json" in err
+
+
+def test_exit_code_x_beyond_memory(capsys):
+    # checked before anything is allocated
+    for argv in (["pmf", "--spec", "unit", "--x", "1e13"], ["lambda0", "--cutoff", "1e13"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "GiB of physical memory" in err
+
+
+def test_x_one_is_the_empty_product(capsys):
+    assert run_cli(capsys, ["sum", "--spec", "unit", "--x", "1"]) == (0, "sum = 1\n", "")
+    assert run_cli(capsys, ["pmf", "--spec", "unit", "--x", "1"]) == (0, "value,probability\n0,1\n", "")
+    assert run_cli(capsys, ["sample", "--spec", "unit", "--x", "1", "--count", "3"]) == (0, "1\n1\n1\n", "")
 
 
 def test_unknown_command_exits_two(capsys):
@@ -138,7 +156,7 @@ def test_psi_with_one_row_additive_table(tmp_path, capsys):
     table = tmp_path / "g.txt"
     table.write_text("2 1 1\n")
     argv = ["psi", "--spec", "unit", "--g", f"table:{table}", "--z", "0.6931471805599453",
-            "--cutoff", "10000", "--no-cache"]
+            "--cutoff", "10000"]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert out.startswith("psi = ")
@@ -153,7 +171,7 @@ def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     argv = [
         "pmf", "--spec", "unit", "--g", "omega", "--x", "10",
-        "--output", str(target), "--no-cache",
+        "--output", str(target),
     ]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
@@ -164,7 +182,7 @@ def test_output_file(tmp_path, capsys):
 def test_output_file_bad_path(capsys):
     argv = [
         "pmf", "--spec", "unit", "--g", "omega", "--x", "10",
-        "--output", "/nonexistent-dir/out.csv", "--no-cache",
+        "--output", "/nonexistent-dir/out.csv",
     ]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
@@ -174,7 +192,7 @@ def test_output_file_bad_path(capsys):
 def test_pmf_json_format(capsys):
     code, out, _ = run_cli(
         capsys,
-        ["pmf", "--spec", "unit", "--g", "omega", "--x", "10", "--format", "json", "--no-cache"],
+        ["pmf", "--spec", "unit", "--g", "omega", "--x", "10", "--format", "json"],
     )
     assert code == 0
     doc = json.loads(out)
@@ -187,7 +205,7 @@ def test_report_schema(capsys):
     argv = [
         "report", "--spec", "unit", "--g", "omega",
         "--x-grid", "1000,10000", "--z-grid", "circle:4",
-        "--cutoff", "2000", "--y-grid", "0,1", "--s", "2", "--no-cache",
+        "--cutoff", "2000", "--y-grid", "0,1", "--s", "2",
     ]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
@@ -208,34 +226,32 @@ def test_report_schema(capsys):
 
 
 # ---------------------------------------------------------------------------
-# sieve cache control
+# no files, no cache options
 
 
-def test_cache_dir_env(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "sieves"
-    monkeypatch.setenv("SD_CACHE_DIR", str(cache))
-    code, _, _ = run_cli(capsys, ["sum", "--spec", "unit", "--x", "1000"])
-    assert code == 0
-    assert (cache / "spf_1000.sdsieve").exists()
+def test_cli_writes_no_files(tmp_path):
+    src = Path(selberg_delange.__file__).resolve().parents[1]
+    env = dict(os.environ, HOME=str(tmp_path), PYTHONPATH=str(src))
+    for argv in (
+        ["sum", "--spec", "unit", "--x", "1000"],
+        ["pmf", "--spec", "unit", "--x", "1000"],
+        ["report", "--x-grid", "1000,3000", "--cutoff", "2000", "--z-grid", "circle:4"],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "selberg_delange.cli"] + argv,
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_no_cache_flag(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "sieves"
-    monkeypatch.setenv("SD_CACHE_DIR", str(cache))
-    code, _, _ = run_cli(capsys, ["sum", "--spec", "unit", "--x", "1000", "--no-cache"])
-    assert code == 0
-    assert not cache.exists()
-
-
-def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SD_CACHE_DIR", str(tmp_path / "ignored"))
-    chosen = tmp_path / "chosen"
-    code, _, _ = run_cli(
-        capsys, ["sum", "--spec", "unit", "--x", "1000", "--cache-dir", str(chosen)]
-    )
-    assert code == 0
-    assert (chosen / "spf_1000.sdsieve").exists()
-    assert not (tmp_path / "ignored").exists()
+def test_no_cache_flag(capsys):
+    # the sieve cache and its options are gone, so argparse rejects them
+    for extra in (["--no-cache"], ["--cache-dir", "somewhere"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sum", "--spec", "unit", "--x", "10"] + extra)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +300,7 @@ def work_counts(monkeypatch):
     ids=["mgf-y", "mgf-z", "pmf", "report"],
 )
 def test_each_command_builds_its_tables_once(work_counts, capsys, argv, buckets):
-    code, _, err = run_cli(capsys, argv + ["--no-cache"])
+    code, _, err = run_cli(capsys, argv)
     assert code == 0, err
     assert work_counts == Counter(
         multiplicative_value_table=1, additive_value_table=1, bucket_sums=buckets
@@ -293,7 +309,7 @@ def test_each_command_builds_its_tables_once(work_counts, capsys, argv, buckets)
 
 def test_mgf_zero_normalizing_sum_exits_two(capsys):
     code, out, err = run_cli(
-        capsys, ["mgf", "--spec", "tabulated:2^1=-1", "--x", "2", "--y", "2", "--no-cache"]
+        capsys, ["mgf", "--spec", "tabulated:2^1=-1", "--x", "2", "--y", "2"]
     )
     assert code == 2
     assert out == ""

@@ -44,10 +44,8 @@ from selberg_delange.funcs import (
     theta_omega,
     unit,
 )
-from selberg_delange.sieve import build_sieve, prime_array
+from selberg_delange.sieve import prime_array
 from selberg_delange.special import cpow
-
-SIEVE = build_sieve(10**4)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +107,7 @@ def test_compensated_cumsum_prefixes():
     ids=lambda s: s.name,
 )
 def test_multiplicative_value_table_matches_brute(spec):
-    table = multiplicative_value_table(spec, 1000, SIEVE)
+    table = multiplicative_value_table(spec, 1000)
     assert table[0] == 0
     assert table[1] == 1
     for n in range(1, 1001):
@@ -130,9 +128,18 @@ def test_multiplicative_value_table_rejects_non_finite():
         multiplicative_value_table(bad, 100)
 
 
+def test_value_tables_reject_x_beyond_memory():
+    # the estimate is checked before anything is allocated
+    for build, spec in ((multiplicative_value_table, unit()), (additive_value_table, OMEGA)):
+        with pytest.raises(ValueError, match="value tables to x = 10000000000000: need about"):
+            build(spec, 10**13)
+    with pytest.raises(ValueError, match="value tables to x = 10000000000000"):
+        pmf(unit(), OMEGA, 10**13)
+
+
 def test_additive_value_table_matches_trial_division():
-    om = additive_value_table(OMEGA, 2000, SIEVE)
-    big = additive_value_table(BIG_OMEGA, 2000, SIEVE)
+    om = additive_value_table(OMEGA, 2000)
+    big = additive_value_table(BIG_OMEGA, 2000)
     assert om.dtype == np.int64
     assert big.dtype == np.int64
     for n in range(1, 2001):
@@ -162,7 +169,7 @@ def test_additive_value_table_rejects_bad_specs():
 
 
 def test_build_weight_table_unit():
-    table = build_weight_table(unit(), 100, SIEVE)
+    table = build_weight_table(unit(), 100)
     assert isinstance(table, WeightTable)
     assert table.total == pytest.approx(100.0, rel=1e-14)
     assert table.cumulative[1] == 1.0
@@ -172,13 +179,13 @@ def test_build_weight_table_unit():
 
 def test_build_weight_table_rejects_negative():
     with pytest.raises(ValueError) as exc_info:
-        build_weight_table(theta_omega(-1), 50, SIEVE)
+        build_weight_table(theta_omega(-1), 50)
     assert "alpha(2)" in str(exc_info.value)
 
 
 def test_build_weight_table_rejects_complex():
     with pytest.raises(ValueError):
-        build_weight_table(theta_omega(1j), 50, SIEVE)
+        build_weight_table(theta_omega(1j), 50)
 
 
 def test_build_weight_table_rejects_vanishing_total():
@@ -192,8 +199,8 @@ def test_build_weight_table_rejects_vanishing_total():
 
 def test_partial_sum_enumeration_examples():
     # sum over n <= 10 of 2^omega(n): 1+2+2+2+2+4+2+2+2+4
-    assert partial_sum(theta_omega(2), 10, SIEVE) == pytest.approx(23.0, rel=1e-14)
-    assert partial_sum(unit(), 50, SIEVE) == pytest.approx(50.0, rel=1e-14)
+    assert partial_sum(theta_omega(2), 10) == pytest.approx(23.0, rel=1e-14)
+    assert partial_sum(unit(), 50) == pytest.approx(50.0, rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -205,7 +212,7 @@ def test_partial_sum_matches_brute_force(spec):
     for x in (1, 7, 30, 50):
         want_re = math.fsum(spec_eval_brute(spec, n).real for n in range(1, x + 1))
         want_im = math.fsum(spec_eval_brute(spec, n).imag for n in range(1, x + 1))
-        got = partial_sum(spec, x, SIEVE)
+        got = partial_sum(spec, x)
         assert got == pytest.approx(complex(want_re, want_im), rel=1e-13, abs=1e-13)
 
 
@@ -218,7 +225,7 @@ def test_partial_sum_validation():
 
 def test_twisted_sum_enumeration_example():
     # sum over n <= 4 of 0.5^Omega(n) = 1 + 0.5 + 0.5 + 0.25
-    got = twisted_sum(unit(), 0.5, BIG_OMEGA, 4, SIEVE)
+    got = twisted_sum(unit(), 0.5, BIG_OMEGA, 4)
     assert got == pytest.approx(2.25, rel=1e-14)
 
 
@@ -227,13 +234,13 @@ def test_twisted_sum_matches_brute_force():
         want = 0j
         for n in range(1, 41):
             want += y ** trial_omega(n) * spec_eval_brute(theta_omega(1.5), n)
-        got = twisted_sum(theta_omega(1.5), y, OMEGA, 40, SIEVE)
+        got = twisted_sum(theta_omega(1.5), y, OMEGA, 40)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_twisted_sum_negative_base_integer_g():
     # (-1)^Omega(n) is the Liouville function; its partial sums are exact
-    got = twisted_sum(unit(), -1.0, BIG_OMEGA, 20, SIEVE)
+    got = twisted_sum(unit(), -1.0, BIG_OMEGA, 20)
     want = sum((-1) ** trial_big_omega(n) for n in range(1, 21))
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -241,21 +248,21 @@ def test_twisted_sum_negative_base_integer_g():
 def test_twisted_sum_branch_cut_for_fractional_g():
     g = tabulated_additive({(2, 1): 0.5})
     with pytest.raises(DomainError):
-        twisted_sum(unit(), -2.0, g, 20, SIEVE)
+        twisted_sum(unit(), -2.0, g, 20)
     # positive base is fine
-    got = twisted_sum(unit(), 2.0, g, 4, SIEVE)
+    got = twisted_sum(unit(), 2.0, g, 4)
     want = 1.0 + 2.0**0.5 + 1.0 + 1.0
     assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_twisted_sum_rejects_zero_y():
     with pytest.raises(ValueError):
-        twisted_sum(unit(), 0.0, OMEGA, 10, SIEVE)
+        twisted_sum(unit(), 0.0, OMEGA, 10)
 
 
 def test_mgf_exact_examples():
-    assert mgf_exact(unit(), OMEGA, 10, math.log(2.0), SIEVE) == pytest.approx(2.3, rel=1e-14)
-    assert mgf_exact(unit(), OMEGA, 100, 0.0, SIEVE) == pytest.approx(1.0, rel=1e-14)
+    assert mgf_exact(unit(), OMEGA, 10, math.log(2.0)) == pytest.approx(2.3, rel=1e-14)
+    assert mgf_exact(unit(), OMEGA, 100, 0.0) == pytest.approx(1.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +270,7 @@ def test_mgf_exact_examples():
 
 
 def test_pmf_small_example():
-    dist = pmf(unit(), OMEGA, 10, SIEVE)
+    dist = pmf(unit(), OMEGA, 10)
     assert dist.values.tolist() == [0, 1, 2]
     assert dist.probabilities.tolist() == pytest.approx([0.1, 0.7, 0.2], abs=1e-15)
     assert dist.mean == pytest.approx(1.1, abs=1e-14)
@@ -272,7 +279,7 @@ def test_pmf_small_example():
 
 
 def test_pmf_tail_probability():
-    dist = pmf(unit(), OMEGA, 10, SIEVE)
+    dist = pmf(unit(), OMEGA, 10)
     assert dist.tail_probability(2) == pytest.approx(0.2, abs=1e-15)
     assert dist.tail_probability(1.5) == pytest.approx(0.2, abs=1e-15)
     assert dist.tail_probability(0) == pytest.approx(1.0, abs=1e-15)
@@ -294,10 +301,10 @@ def test_pmf_invariants_at_scale():
 def test_pmf_rejects_non_integer_or_negative_g():
     frac = tabulated_additive({(2, 1): 0.5})
     with pytest.raises(ValueError):
-        pmf(unit(), frac, 100, SIEVE)
+        pmf(unit(), frac, 100)
     signed = tabulated_additive({(2, 1): -1.0})
     with pytest.raises(ValueError):
-        pmf(unit(), signed, 100, SIEVE)
+        pmf(unit(), signed, 100)
 
 
 def test_mgf_pmf_duality():
@@ -362,7 +369,7 @@ def test_sample_empirical_frequencies():
     spec = theta_omega(2)
     dist = pmf(spec, OMEGA, x)
     draws = sample(spec, x, seed=2024, count=200000)
-    om = additive_value_table(OMEGA, x, SIEVE)
+    om = additive_value_table(OMEGA, x)
     empirical = float(np.mean(om[draws]))
     sigma = math.sqrt(dist.variance / draws.size)
     assert abs(empirical - dist.mean) < 4.0 * sigma
@@ -373,7 +380,7 @@ def test_sample_empirical_frequencies():
 
 
 def test_mod_poisson_residual_at_zero_is_one():
-    assert mod_poisson_residual(unit(), OMEGA, 1000, 0.0, sieve=SIEVE) == 1.0
+    assert mod_poisson_residual(unit(), OMEGA, 1000, 0.0) == 1.0
     assert mod_poisson_residual(unit(), OMEGA, 3, 0.0) == 1.0
 
 
@@ -384,16 +391,16 @@ def test_mod_poisson_residual_rejects_tiny_x():
 
 def test_mod_poisson_residual_manual_composition():
     x, z = 5000, complex(0.2, 0.4)
-    got = mod_poisson_residual(unit(), OMEGA, x, z, sieve=SIEVE)
+    got = mod_poisson_residual(unit(), OMEGA, x, z)
     t_x = math.log(math.log(x))
-    want = cmath.exp(-t_x * (cmath.exp(z) - 1.0)) * mgf_exact(unit(), OMEGA, x, z, SIEVE)
+    want = cmath.exp(-t_x * (cmath.exp(z) - 1.0)) * mgf_exact(unit(), OMEGA, x, z)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_mod_poisson_residual_rho_override():
     x, z = 5000, 0.3
-    got = mod_poisson_residual(unit(), OMEGA, x, z, rho=0.0, sieve=SIEVE)
-    assert got == pytest.approx(mgf_exact(unit(), OMEGA, x, z, SIEVE), rel=1e-13)
+    got = mod_poisson_residual(unit(), OMEGA, x, z, rho=0.0)
+    assert got == pytest.approx(mgf_exact(unit(), OMEGA, x, z), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +408,7 @@ def test_mod_poisson_residual_rho_override():
 
 
 def test_distribution_to_csv():
-    dist = pmf(unit(), OMEGA, 10, SIEVE)
+    dist = pmf(unit(), OMEGA, 10)
     assert distribution_to_csv(dist) == "value,probability\n0,0.1\n1,0.7\n2,0.2\n"
 
 

