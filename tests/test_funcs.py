@@ -34,6 +34,14 @@ def test_eval_multiplicative_examples():
     assert multiplicative_value_table(unit(), 1)[1] == 1
 
 
+def test_eval_matches_trial_division_oracle():
+    for spec in (theta_omega(2), geometric_B(1.5), euler_phi_over_n(), tau_rho(2)):
+        table = multiplicative_value_table(spec, 499)
+        for n in range(1, 500):
+            want = spec_eval_brute(spec, n)
+            assert table[n] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 def test_eval_additive_examples():
     assert additive_value_table(OMEGA, 12)[12] == 2
     assert additive_value_table(BIG_OMEGA, 12)[12] == 3
