@@ -15,7 +15,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .euler import (
     DEFAULT_FACTOR_TOL,
@@ -25,11 +25,9 @@ from .euler import (
     psi,
 )
 from .exact import (
-    additive_value_table,
-    bucket_sums,
+    bucket_sums_grid,
     distribution_to_csv,
-    multiplicative_value_table,
-    partial_sum,
+    partial_sum_grid,
     pmf,
     sample,
     sums_to_csv,
@@ -46,6 +44,8 @@ from .stats import (
 
 DEFAULT_X_GRID = (1000, 10000, 100000, 1000000)
 DEFAULT_Y_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
+# sd sample formats and writes its draws this many at a time
+_DRAWS_PER_WRITE = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -169,11 +169,16 @@ class RunConfig:
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
+    _emit_chunks(cfg, (text,))
+
+
+def _emit_chunks(cfg: RunConfig, chunks: Iterable[str]) -> None:
+    """Write the chunks in order, to --output or stdout."""
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(cfg: RunConfig, obj) -> None:
@@ -213,8 +218,7 @@ def cmd_psi(cfg: RunConfig) -> None:
 
 def cmd_sum(cfg: RunConfig) -> None:
     xs = sorted(cfg.x_grid or (cfg.require_x(),))
-    table = multiplicative_value_table(cfg.alpha, xs[-1])
-    rows = [(x, partial_sum(cfg.alpha, x, values=table)) for x in xs]
+    rows = list(zip(xs, partial_sum_grid(cfg.alpha, xs)))
     if not cfg.x_grid:
         x, value = rows[0]
         if cfg.fmt == "json":
@@ -268,7 +272,8 @@ def cmd_sample(cfg: RunConfig) -> None:
     if cfg.fmt == "json":
         _emit_json(cfg, {"x": x, "seed": cfg.seed, "stream": cfg.stream, "draws": draws.tolist()})
         return
-    _emit(cfg, "\n".join(str(int(n)) for n in draws.tolist()) + "\n")
+    _emit_chunks(cfg, ("\n".join(map(str, draws[i : i + _DRAWS_PER_WRITE].tolist())) + "\n"
+                       for i in range(0, draws.size, _DRAWS_PER_WRITE)))
 
 
 def cmd_clt(cfg: RunConfig) -> None:
@@ -283,14 +288,13 @@ def cmd_clt(cfg: RunConfig) -> None:
 
 def cmd_ldp(cfg: RunConfig) -> None:
     xs = sorted(cfg.x_grid or (cfg.require_x(),))
-    weights = multiplicative_value_table(cfg.alpha, xs[-1])
-    g_values = additive_value_table(cfg.g, xs[-1])
+    buckets = bucket_sums_grid(cfg.alpha, cfg.g, xs)
     rows = [
         (x, ldp_predict(
             cfg.alpha, cfg.g, cfg.rho, x, cfg.s, substitute_at_one=cfg.substitute_at_one,
-            weights=weights, g_values=g_values, prime_cutoff=cfg.cutoff, tol=cfg.tol,
+            dist=sums.distribution(), prime_cutoff=cfg.cutoff, tol=cfg.tol,
         ))
-        for x in xs
+        for x, sums in zip(xs, buckets)
     ]
     if not cfg.x_grid:
         pred = rows[0][1]
@@ -347,9 +351,8 @@ def cmd_report(cfg: RunConfig) -> None:
     if xs[0] < 16:
         raise ValueError(f"report x grid needs x >= 16, got {xs[0]}")
     zs = cfg.z_grid or _z_grid_arg("circle:16")
-    x_max = xs[-1]
-    weights = multiplicative_value_table(cfg.alpha, x_max)
-    g_values = additive_value_table(cfg.g, x_max)
+    # one pass over the value tables serves all residuals and the pmf
+    buckets = bucket_sums_grid(cfg.alpha, cfg.g, xs)
 
     lam = lambda0(cfg.alpha, prime_cutoff=cfg.cutoff, tol=cfg.tol)
     rho = cfg.rho if cfg.rho is not None else cfg.alpha.rho
@@ -359,8 +362,6 @@ def cmd_report(cfg: RunConfig) -> None:
         value = psi(cfg.alpha, z, cfg.g, prime_cutoff=cfg.cutoff, tol=cfg.tol)
         psi_values.append((z, value))
 
-    # one bucketing per x serves all residuals and the pmf
-    buckets = [bucket_sums(cfg.alpha, cfg.g, x, weights=weights, g_values=g_values) for x in xs]
     residual_table = []
     for x, sums in zip(xs, buckets):
         worst = 0.0

@@ -1,29 +1,40 @@
 """Exact sieve-scale sums, distributions, and sampling.
 
-Value tables.  f(n) and g(n) for every n <= x are built from the
-prime-power values in two parts.  Each prime p <= sqrt(x) is swept over
-the arithmetic progressions of its powers, which is the vectorized
-equivalent of factoring each n and applying its prime powers in
-increasing order.  Every n <= x has at most one prime factor q above
-sqrt(x), and the sweep would apply it last, so all larger primes take
-one value_at(primes, 1) call and one gather through the cofactor,
-w[m q] *= f(q) for m <= x // q.  The result is bit-identical to
-sweeping every prime.
+Value tables.  f(n) and g(n) for 1 <= n <= x are produced in blocks
+[lo, hi) of _BLOCK consecutive n, aligned at n = 1, so no consumer holds
+more than a block of them.  Each prime p <= sqrt(x) is swept over the
+progressions of its powers inside the block, starting at the first
+multiple of p^k that is >= lo; this is the vectorized equivalent of
+factoring each n and applying its prime powers in increasing order.
+Every n <= x has at most one prime factor q above sqrt(x), and the
+sweep would apply it last, so those primes take one value_at(q, 1) per
+chunk of primes, evaluated once per table, and one gather per block:
+for each m, the q with m q in [lo, hi) form one contiguous run of the
+primes, found by two searchsorted calls over every m at once.  Each n
+gets the same multiplications in the same order as a sweep of every
+prime over the whole table, so every block is bit-identical to the
+slice of that table.  multiplicative_value_table and
+additive_value_table write the blocks into one array; arrays a caller
+passes as weights= or g_values= are cut into the same blocks.
 
 Buckets.  For integer-valued g every exact statistic of g(N) is a
 function of the sums S_m(x) = sum of alpha(n) over n <= x with
 g(n) = m: the twisted sum is sum_m y^m S_m, the normalizing sum is
-sum_m S_m, and the pmf is S_m over that total.  bucket_sums makes one
-pass over the tables; twisted_sum, mgf_exact, mod_poisson_residual and
-pmf then cost O(#buckets), about 25.  Non-integer g keeps the direct
-sum of exp(g(n) log y) alpha(n).
+sum_m S_m, and the pmf is S_m over that total.  bucket_sums_grid makes
+one pass over the blocks for a whole x grid; twisted_sum, mgf_exact,
+mod_poisson_residual and pmf then cost O(#buckets), about 25.
+Non-integer g keeps the direct sum of exp(g(n) log y) alpha(n).
 
-All reductions run through fixed-block sums finished by fsum, so results
-are bit-stable for a given block size (changing _CHUNK or the bincount
-block may perturb outputs at the 1e-13 level).  Direct sums add blocks
-of _CHUNK pairwise and stay near 1e-16 of the terms' L1 norm; a bucket
-adds up to 4096 weights in sequence, which for weights with few distinct
-values costs up to about 1e-14 of it.
+All reductions run through fixed chunks aligned at n = 1 (n = 0 for
+prefix sums) and finished by fsum, which is exact and so does not
+depend on where the blocks cut: a bucket sum takes one bincount row
+per 4096 consecutive n, a direct sum one pairwise sum per _CHUNK n,
+and a grid x inside a chunk gets a row of its own.  Results are
+bit-stable for a given chunk size (changing _CHUNK or the bincount
+chunk may perturb outputs at the 1e-13 level).  Direct sums stay near
+1e-16 of the terms' L1 norm; a bucket adds up to 4096 weights in
+sequence, which for weights with few distinct values costs up to about
+1e-14 of it.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +54,15 @@ from .special import cexpm1, cpow
 # reduction block size shared by every compensated sum in this module
 _CHUNK = 1024
 
+# consecutive n per bincount row of the bucket sums
+_BUCKET_CHUNK = 4096
+
+# n per value-table block: a multiple of _BUCKET_CHUNK (and so of _CHUNK)
+_BLOCK = 1 << 16
+
+# primes per value_at call for the primes above sqrt(x)
+_PRIME_CHUNK = 4096
+
 # an alpha table (float64) and a g table (int64) per n, the pair every
 # exact statistic of g(N) reads
 _TABLE_BYTES_PER_N = 16
@@ -51,15 +71,21 @@ _TABLE_BYTES_PER_N = 16
 def compensated_sum(values) -> float:
     """Sum a real array: pairwise blocks finished with exact fsum."""
     a = np.ascontiguousarray(values, dtype=np.float64)
-    n = a.size
-    if n == 0:
-        return 0.0
-    m = (n // _CHUNK) * _CHUNK
-    partials: List[float] = []
-    if m:
-        partials.extend(a[:m].reshape(-1, _CHUNK).sum(axis=1).tolist())
-    if m < n:
-        partials.append(math.fsum(a[m:].tolist()))
+    return _finish_sum([], a, a.size)
+
+
+def _chunk_sums(a: np.ndarray) -> np.ndarray:
+    """The pairwise sum of each whole _CHUNK-block of a."""
+    m = (a.size // _CHUNK) * _CHUNK
+    return a[:m].reshape(-1, _CHUNK).sum(axis=1)
+
+
+def _finish_sum(chunk_sums: List[np.ndarray], a: np.ndarray, end: int) -> float:
+    """compensated_sum of a sequence whose earlier blocks gave chunk_sums and that ends with a[:end]."""
+    m = (end // _CHUNK) * _CHUNK
+    partials = np.concatenate(chunk_sums + [_chunk_sums(a[:m])]).tolist()
+    if m < end:
+        partials.append(math.fsum(a[m:end].tolist()))
     return math.fsum(partials)
 
 
@@ -71,81 +97,132 @@ def compensated_complex_sum(values) -> complex:
     return complex(compensated_sum(a), 0.0)
 
 
+class _PrefixSums:
+    """compensated_cumsum of a sequence fed in pieces.
+
+    The running offset is compensated once per _CHUNK-block, so cutting
+    the sequence into pieces of whole blocks (all but the last) leaves
+    every prefix sum unchanged.
+    """
+
+    def __init__(self):
+        self.total = 0.0
+        self.comp = 0.0
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        n = a.size
+        out = np.empty(n, dtype=np.float64)
+        m = (n // _CHUNK) * _CHUNK
+        total, comp = self.total, self.comp
+        if m:
+            body = np.cumsum(a[:m].reshape(-1, _CHUNK), axis=1, out=out[:m].reshape(-1, _CHUNK))
+            offsets = np.empty(m // _CHUNK, dtype=np.float64)
+            for i, t in enumerate(body[:, -1].tolist()):
+                offsets[i] = total
+                y = t - comp
+                new_total = total + y
+                comp = (new_total - total) - y
+                total = new_total
+            body += offsets[:, None]
+        if m < n:
+            out[m:] = np.cumsum(a[m:]) + total
+        self.total, self.comp = total, comp
+        return out
+
+
 def compensated_cumsum(values) -> np.ndarray:
     """Prefix sums with per-block compensation of the running offset."""
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    n = a.size
-    out = np.empty(n, dtype=np.float64)
-    m = (n // _CHUNK) * _CHUNK
-    total = 0.0
-    comp = 0.0
-    if m:
-        body = np.cumsum(a[:m].reshape(-1, _CHUNK), axis=1, out=out[:m].reshape(-1, _CHUNK))
-        offsets = np.empty(m // _CHUNK, dtype=np.float64)
-        for i, t in enumerate(body[:, -1].tolist()):
-            offsets[i] = total
-            y = t - comp
-            new_total = total + y
-            comp = (new_total - total) - y
-            total = new_total
-        body += offsets[:, None]
-    if m < n:
-        out[m:] = np.cumsum(a[m:]) + total
+    return _PrefixSums()(np.ascontiguousarray(values, dtype=np.float64))
+
+
+# ---------------------------------------------------------------------------
+# value tables in blocks
+
+
+def _large_prime_values(value_at, primes: np.ndarray) -> np.ndarray:
+    """value_at(q, 1) for every listed q, one call per _PRIME_CHUNK primes.
+
+    float64 while every imaginary part is +0.0, complex128 otherwise, so
+    the values convert back to exactly what one complex128 call gives.
+    """
+    out = np.empty(len(primes), dtype=np.float64)
+    for start in range(0, len(primes), _PRIME_CHUNK):
+        chunk = primes[start : start + _PRIME_CHUNK]
+        values = _prime_power_values(value_at, np.array(chunk.tolist(), dtype=object), 1)
+        if not np.iscomplexobj(out) and np.signbit(values.imag).any() | values.imag.any():
+            out = out.astype(np.complex128)
+        out[start : start + len(chunk)] = values if np.iscomplexobj(out) else values.real
     return out
 
 
-def _split_at_root(x: int) -> Tuple[List[int], np.ndarray]:
-    """Primes p <= isqrt(x) as a list, and the larger primes as an array.
+def _compact(values: np.ndarray):
+    """values[0] when every entry has the same bits, else values."""
+    raw = np.ascontiguousarray(values).view(np.int64).reshape(values.size, -1)
+    return values[0] if values.size and (raw == raw[0]).all() else values
 
-    Raises ValueError for x < 1, and, before allocating anything, when
-    the value tables and the prime sieve for x exceed physical memory.
+
+@dataclass(frozen=True)
+class _Recipe:
+    """One value table as steps: a start value, the sweep of the primes
+    p <= sqrt(x), then one gather of the primes above sqrt(x).
+
+    A step (pk, nxt, v) applies op(., v) at the multiples of pk, except
+    those of nxt when nxt is nonzero.  The table turns complex128 before
+    step complex_from (len(steps): before the gather), if that is set.
+    gather_values is one value for every gather prime, or an array
+    aligned with gather_primes.
     """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    _require_memory(_TABLE_BYTES_PER_N * (x + 1) + _sieve_bytes(x), f"value tables to x = {x}")
-    primes = prime_array(x)
-    split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
-    return primes[:split].tolist(), primes[split:]
+
+    start: float
+    dtype: type
+    op: Callable
+    steps: List[Tuple[int, int, object]]
+    moduli: np.ndarray
+    complex_from: Optional[int]
+    gather_primes: np.ndarray
+    gather_values: object
+
+    def block(self, lo: int, hi: int, gather: Callable) -> np.ndarray:
+        size = hi - lo
+        a = np.full(size, self.start, dtype=self.dtype)
+        firsts = (-lo % self.moduli).tolist()
+        promote = len(self.steps) + 1 if self.complex_from is None else self.complex_from
+        # most steps of the larger prime powers have no multiple in the block
+        for i in [i for i, first in enumerate(firsts) if first < size]:
+            if i >= promote and a.dtype != np.complex128:
+                a = a.astype(np.complex128)
+            pk, nxt, v = self.steps[i]
+            if nxt:
+                at = np.arange(firsts[i], size, pk)
+                at = at[(at + lo) % nxt != 0]
+                a[at] = self.op(a[at], v)
+            else:
+                view = a[firsts[i] :: pk]
+                self.op(view, v, out=view)
+        if promote <= len(self.steps) and a.dtype != np.complex128:
+            a = a.astype(np.complex128)
+        if len(self.gather_primes):
+            at, index = gather(self.gather_primes)
+            values = self.gather_values if np.ndim(self.gather_values) == 0 else self.gather_values[index]
+            if a.dtype == np.complex128:
+                a[at] = self.op(a[at], values)  # op.at rounds complex products differently
+            else:
+                self.op.at(a, at, values)
+        return a
 
 
-def _cofactor_gather(table: np.ndarray, primes: np.ndarray, values: np.ndarray, x: int, op) -> None:
-    """table[m q] = op(table[m q], values[q]) for every listed q and m <= x // q.
-
-    Every q must exceed sqrt(x), so m < q and each n <= x is hit by at
-    most one q; primes are ascending, so the q with m q <= x form a
-    prefix of the array.
-    """
-    if not len(primes):
-        return
-    limits = x // np.arange(1, x // int(primes[0]) + 1, dtype=np.int64)
-    for m, count in enumerate(np.searchsorted(primes, limits, side="right").tolist(), start=1):
-        idx = m * primes[:count]
-        table[idx] = op(table[idx], values[:count])
+def _gather_recipe(start, dtype, op, steps, complex_from, large, values, keep) -> _Recipe:
+    if not keep.all():
+        large, values = large[keep], values[keep]
+    moduli = np.array([pk for pk, _, _ in steps], dtype=np.int64)
+    gather_values = _compact(values) if len(values) else values
+    return _Recipe(start, dtype, op, steps, moduli, complex_from, large, gather_values)
 
 
-def _apply_prime_exact(w: np.ndarray, p: int, x: int, values: Sequence[complex]) -> None:
-    """Multiply w[n] by value(p, k) on the exact-exponent classes p^k || n."""
-    for k, v in enumerate(values, start=1):
-        pk = p**k
-        idx = np.arange(pk, x + 1, pk, dtype=np.int64)
-        nxt = pk * p
-        if nxt <= x:
-            idx = idx[idx % nxt != 0]
-        w[idx] *= v
-
-
-def multiplicative_value_table(spec: MultiplicativeSpec, x: int) -> np.ndarray:
-    """Array of f(n) for 0 <= n <= x (entry 0 is 0, entry 1 is 1).
-
-    Primes up to sqrt(x) are swept over the progressions of their
-    powers, and the larger primes are applied by one cofactor gather;
-    the result is exactly the per-n product of prime-power values.
-    Returns float64 when every prime-power value is real, complex128
-    otherwise.  Raises ValueError for x < 1 or x beyond physical memory.
-    """
-    small, large = _split_at_root(x)
-    w = np.ones(x + 1, dtype=np.float64)
-    w[0] = 0.0
+def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: List[int], large: np.ndarray) -> _Recipe:
+    """The steps of f(n) for n <= x, with the checks and the dtype of the whole table."""
+    steps: List[Tuple[int, int, object]] = []
+    complex_from: Optional[int] = None
     for p in small:
         values: List[complex] = []
         pk = p
@@ -157,35 +234,34 @@ def multiplicative_value_table(spec: MultiplicativeSpec, x: int) -> np.ndarray:
             values.append(v)
             has_zero = has_zero or v == 0
             pk *= p
-        if not np.iscomplexobj(w) and any(v.imag != 0.0 for v in values):
-            w = w.astype(np.complex128)
+        if complex_from is None and any(v.imag != 0.0 for v in values):
+            complex_from = len(steps)
         if has_zero:
-            vals = values if np.iscomplexobj(w) else [v.real for v in values]
-            _apply_prime_exact(w, p, x, vals)
+            # multiply on the exact-exponent classes p^k || n
+            for k, v in enumerate(values, start=1):
+                nxt = p ** (k + 1)
+                steps.append((p**k, nxt if nxt <= x else 0, v if complex_from is not None else v.real))
             continue
         prev = complex(1.0)
         pk = p
         for v in values:
             ratio = v / prev
             if ratio != 1.0:
-                scale = ratio if np.iscomplexobj(w) else ratio.real
-                w[pk::pk] *= scale
+                steps.append((pk, 0, ratio if complex_from is not None else ratio.real))
             prev = v
             pk *= p
-    if not len(large):
-        return w
     # primes above sqrt(x) divide each n <= x at most once, and last
-    values = _prime_power_values(spec.value_at, np.array(large.tolist(), dtype=object), 1)
+    values = _large_prime_values(spec.value_at, large)
     bad = np.flatnonzero(~(np.isfinite(values.real) & np.isfinite(values.imag)))
     if len(bad):
         raise ValueError(f"{spec.name}: non-finite value at ({int(large[bad[0]])},1)")
-    if np.iscomplexobj(w) or values.imag.any():
-        w = w.astype(np.complex128, copy=False)
+    if complex_from is not None or values.imag.any():
+        if complex_from is None:
+            complex_from = len(steps)
+        values = values.astype(np.complex128, copy=False)
     else:
         values = values.real
-    keep = values != 1.0
-    _cofactor_gather(w, large[keep], values[keep], x, np.multiply)
-    return w
+    return _gather_recipe(1.0, np.float64, np.multiply, steps, complex_from, large, values, values != 1.0)
 
 
 def _additive_delta(g: AdditiveSpec, p: int, k: int, v: complex, prev: float) -> float:
@@ -198,16 +274,10 @@ def _additive_delta(g: AdditiveSpec, p: int, k: int, v: complex, prev: float) ->
     return delta
 
 
-def additive_value_table(g: AdditiveSpec, x: int) -> np.ndarray:
-    """Array of g(n) for 0 <= n <= x; int64 for integer-valued g.
-
-    Built like multiplicative_value_table: sweeps for the primes up to
-    sqrt(x), one cofactor gather for the rest.  Raises ValueError for
-    x < 1 or x beyond physical memory.
-    """
-    small, large = _split_at_root(x)
+def _additive_recipe(g: AdditiveSpec, x: int, small: List[int], large: np.ndarray) -> _Recipe:
+    """The steps of g(n) for n <= x; int64 for integer-valued g."""
     integer = g.integer_valued
-    tab = np.zeros(x + 1, dtype=np.int64 if integer else np.float64)
+    steps = []
     for p in small:
         prev = 0.0
         pk = p
@@ -217,12 +287,10 @@ def additive_value_table(g: AdditiveSpec, x: int) -> np.ndarray:
             delta = _additive_delta(g, p, k, v, prev)
             prev = v.real
             if delta != 0.0:
-                tab[pk::pk] += int(delta) if integer else delta
+                steps.append((pk, 0, int(delta) if integer else delta))
             pk *= p
             k += 1
-    if not len(large):
-        return tab
-    values = _prime_power_values(g.value_at, np.array(large.tolist(), dtype=object), 1)
+    values = _large_prime_values(g.value_at, large)
     deltas = values.real
     suspect = values.imag != 0.0
     if integer:
@@ -232,9 +300,125 @@ def additive_value_table(g: AdditiveSpec, x: int) -> np.ndarray:
         i = int(first[0])
         _additive_delta(g, int(large[i]), 1, complex(values[i]), 0.0)  # raises for this prime
     keep = deltas != 0.0
-    steps = deltas[keep].astype(np.int64) if integer else deltas[keep]
-    _cofactor_gather(tab, large[keep], steps, x, np.add)
-    return tab
+    dtype = np.int64 if integer else np.float64
+    return _gather_recipe(0, dtype, np.add, steps, None, large, deltas.astype(dtype, copy=False), keep)
+
+
+def _gather_index(primes: np.ndarray, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets n - lo and prime indices i of every n = m primes[i] in [lo, hi).
+
+    Every listed prime exceeds sqrt(x) >= sqrt(n), so m < primes[i] and
+    each n is hit at most once; for each m the primes in
+    [ceil(lo / m), (hi - 1) // m] are one contiguous run.
+    """
+    ms = np.arange(1, (hi - 1) // int(primes[0]) + 1, dtype=np.int64)
+    first = np.searchsorted(primes, -(-lo // ms), side="left")
+    counts = np.maximum(np.searchsorted(primes, (hi - 1) // ms, side="right") - first, 0)
+    index = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    index += np.arange(index.size, dtype=np.int64)
+    at = primes[index]
+    at *= np.repeat(ms, counts)
+    at -= lo
+    return at, index
+
+
+class _ValueBlocks:
+    """alpha(n) and g(n) for 1 <= n <= x as blocks (lo, alpha[lo:hi], g[lo:hi]).
+
+    Tables are built from the specs or cut from the arrays a caller
+    passes; a side with neither spec nor array yields None.  The
+    constructor makes every check a whole-table build makes, in the same
+    order and with the same messages; each iteration is one pass.
+
+    Raises ValueError for x < 1, a prime sieve beyond physical memory, a
+    spec the tables reject, or arrays that do not cover x.
+    """
+
+    def __init__(
+        self,
+        alpha: Optional[MultiplicativeSpec],
+        g: Optional[AdditiveSpec],
+        x: int,
+        weights: Optional[np.ndarray] = None,
+        g_values: Optional[np.ndarray] = None,
+    ):
+        if x < 1:
+            raise ValueError(f"x must be >= 1, got {x}")
+        self.x = x
+        self.alpha: Optional[_Recipe] = None
+        self.g: Optional[_Recipe] = None
+        if (alpha is not None and weights is None) or (g is not None and g_values is None):
+            _require_memory(_sieve_bytes(x), f"value tables to x = {x}")
+            primes = prime_array(x)
+            split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
+            small, large = primes[:split].tolist(), primes[split:]
+            if alpha is not None and weights is None:
+                self.alpha = _multiplicative_recipe(alpha, x, small, large)
+            if g is not None and g_values is None:
+                self.g = _additive_recipe(g, x, small, large)
+        for given in (weights, g_values):
+            if given is not None and given.shape[0] < x + 1:
+                raise ValueError(f"precomputed arrays do not cover x = {x}")
+        self.weights = weights
+        self.g_values = g_values
+
+    def __iter__(self) -> Iterator[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]]:
+        for lo in range(1, self.x + 1, _BLOCK):
+            hi = min(lo + _BLOCK, self.x + 1)
+            index: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+            def gather(primes, lo=lo, hi=hi, index=index):
+                if id(primes) not in index:
+                    index[id(primes)] = _gather_index(primes, lo, hi)
+                return index[id(primes)]
+
+            yield (
+                lo,
+                self._side(self.alpha, self.weights, lo, hi, gather),
+                self._side(self.g, self.g_values, lo, hi, gather),
+            )
+
+    @staticmethod
+    def _side(recipe, given, lo, hi, gather):
+        if recipe is not None:
+            return recipe.block(lo, hi, gather)
+        return None if given is None else given[lo:hi]
+
+
+def _whole_table(alpha: Optional[MultiplicativeSpec], g: Optional[AdditiveSpec], x: int) -> np.ndarray:
+    """Entries 0..x of the one table asked for, written block by block; entry 0 is 0."""
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    _require_memory(_TABLE_BYTES_PER_N * (x + 1) + _sieve_bytes(x), f"value tables to x = {x}")
+    out = np.empty(0)
+    for lo, w, gt in _ValueBlocks(alpha, g, x):
+        block = gt if w is None else w
+        if lo == 1:
+            out = np.empty(x + 1, dtype=block.dtype)
+            out[0] = 0
+        out[lo : lo + block.size] = block
+    return out
+
+
+def multiplicative_value_table(spec: MultiplicativeSpec, x: int) -> np.ndarray:
+    """Array of f(n) for 0 <= n <= x (entry 0 is 0, entry 1 is 1).
+
+    The blocks of the streamed tables written into one array; the
+    result is exactly the per-n product of prime-power values.  Returns
+    float64 when every prime-power value is real, complex128 otherwise.
+    Raises ValueError for x < 1 or when the array and the prime sieve
+    exceed physical memory.
+    """
+    return _whole_table(spec, None, x)
+
+
+def additive_value_table(g: AdditiveSpec, x: int) -> np.ndarray:
+    """Array of g(n) for 0 <= n <= x; int64 for integer-valued g.
+
+    Built like multiplicative_value_table.  Raises ValueError for x < 1
+    or x beyond physical memory.
+    """
+    return _whole_table(None, g, x)
 
 
 @dataclass(frozen=True)
@@ -271,6 +455,62 @@ def build_weight_table(alpha: MultiplicativeSpec, x: int, values: Optional[np.nd
     return WeightTable(x=int(x), weights=w, cumulative=cumulative)
 
 
+# ---------------------------------------------------------------------------
+# one pass over the blocks for a grid of x
+
+
+def _grid(xs: Sequence[int]) -> List[int]:
+    grid = sorted({int(x) for x in xs})
+    if not grid:
+        raise ValueError("empty x grid")
+    if grid[0] < 1:
+        raise ValueError(f"x must be >= 1, got {grid[0]}")
+    return grid
+
+
+def _ends(grid: List[int], lo: int, size: int) -> List[int]:
+    """The lengths x - lo + 1 of the prefixes of block [lo, lo + size) that end at a grid x."""
+    return [x - lo + 1 for x in grid if lo <= x < lo + size]
+
+
+def _grid_sums(blocks: _ValueBlocks, grid: List[int], parts: Callable) -> Dict[int, List[float]]:
+    """compensated_sum over 1 <= n <= x of each real sequence parts(w, gt) gives, for every grid x."""
+    done: Optional[List[List[np.ndarray]]] = None
+    out = {}
+    for lo, w, gt in blocks:
+        arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in parts(w, gt)]
+        if done is None:
+            done = [[] for _ in arrays]
+        for end in _ends(grid, lo, arrays[0].size):
+            out[lo + end - 1] = [_finish_sum(d, a, end) for d, a in zip(done, arrays)]
+        for d, a in zip(done, arrays):
+            d.append(_chunk_sums(a))
+        del w, gt, arrays  # the next block is built without this one
+    return out
+
+
+def _alpha_parts(w: np.ndarray, gt=None) -> Tuple[np.ndarray, ...]:
+    return (w.real, w.imag) if np.iscomplexobj(w) else (w,)
+
+
+def _as_complex(sums: Sequence[float]) -> complex:
+    return complex(sums[0], sums[1] if len(sums) > 1 else 0.0)
+
+
+def partial_sum_grid(spec: MultiplicativeSpec, xs: Sequence[int], values: Optional[np.ndarray] = None) -> List[complex]:
+    """partial_sum at every x in xs, from one pass over the blocks."""
+    grid = _grid(xs)
+    if values is not None and values.shape[0] < grid[-1] + 1:
+        raise ValueError(f"values array covers {values.shape[0] - 1} < x = {grid[-1]}")
+    sums = _grid_sums(_ValueBlocks(spec, None, grid[-1], weights=values), grid, _alpha_parts)
+    return [_as_complex(sums[int(x)]) for x in xs]
+
+
+def partial_sum(spec: MultiplicativeSpec, x: int, values: Optional[np.ndarray] = None) -> complex:
+    """Exact sum of f(n) over 1 <= n <= x."""
+    return partial_sum_grid(spec, (x,), values)[0]
+
+
 @dataclass(frozen=True)
 class DistributionTable:
     """Exact distribution of g(N) for N drawn with weights alpha(n), n <= x."""
@@ -291,33 +531,6 @@ class DistributionTable:
         return min(1.0, float(math.fsum(self.probabilities[mask].tolist())))
 
 
-def partial_sum(spec: MultiplicativeSpec, x: int, values: Optional[np.ndarray] = None) -> complex:
-    """Exact sum of f(n) over 1 <= n <= x."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    w = multiplicative_value_table(spec, x) if values is None else values
-    if w.shape[0] < x + 1:
-        raise ValueError(f"values array covers {w.shape[0] - 1} < x = {x}")
-    return compensated_complex_sum(w[1 : x + 1])
-
-
-def _value_tables(
-    alpha: MultiplicativeSpec,
-    g: AdditiveSpec,
-    x: int,
-    weights: Optional[np.ndarray],
-    g_values: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """alpha(n) and g(n) for 1 <= n <= x, each built unless given."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    w = multiplicative_value_table(alpha, x) if weights is None else weights
-    gt = additive_value_table(g, x) if g_values is None else g_values
-    if w.shape[0] < x + 1 or gt.shape[0] < x + 1:
-        raise ValueError(f"precomputed arrays do not cover x = {x}")
-    return w[1 : x + 1], gt[1 : x + 1]
-
-
 def _twist_base(y) -> complex:
     y = complex(y)
     if y == 0:
@@ -325,11 +538,27 @@ def _twist_base(y) -> complex:
     return y
 
 
-def _direct_twisted_sum(y: complex, w: np.ndarray, gt: np.ndarray) -> complex:
-    """Sum of y^{g(n)} alpha(n) term by term, for non-integer g."""
+def _direct_twisted_sums(
+    alpha: MultiplicativeSpec,
+    y: complex,
+    g: AdditiveSpec,
+    x: int,
+    weights: Optional[np.ndarray],
+    g_values: Optional[np.ndarray],
+    with_total: bool,
+) -> Tuple[complex, complex]:
+    """Sum of y^{g(n)} alpha(n) term by term, for non-integer g, and the sum of alpha(n) if asked."""
+    blocks = _ValueBlocks(alpha, g, x, weights, g_values)
     if y.imag == 0.0 and y.real <= 0.0:
         raise DomainError(f"y = {y} is on the branch cut for non-integer additive values")
-    return compensated_complex_sum(w * np.exp(gt * complex(cmath.log(y))))
+    log_y = complex(cmath.log(y))
+
+    def parts(w, gt):
+        terms = w * np.exp(gt * log_y)
+        return (terms.real, terms.imag) + (_alpha_parts(w) if with_total else ())
+
+    sums = _grid_sums(blocks, [x], parts)[x]
+    return complex(sums[0], sums[1]), _as_complex(sums[2:]) if with_total else 0j
 
 
 def _mean(alpha: MultiplicativeSpec, x: int, num: complex, den: complex) -> complex:
@@ -343,16 +572,6 @@ def _poisson_factor(x: int, z: complex, rho: complex) -> complex:
     if x < 3:
         raise ValueError(f"x must be >= 3 for ln ln x > 0, got {x}")
     return cmath.exp(-(rho * math.log(math.log(x))) * cexpm1(z))
-
-
-def _compensated_bincount(labels: np.ndarray, weights: np.ndarray, n_buckets: int) -> np.ndarray:
-    rows = []
-    for start in range(0, labels.size, 4096):
-        rows.append(
-            np.bincount(labels[start : start + 4096], weights=weights[start : start + 4096], minlength=n_buckets)
-        )
-    stacked = np.vstack(rows)
-    return np.array([math.fsum(stacked[:, j].tolist()) for j in range(n_buckets)])
 
 
 @dataclass(frozen=True)
@@ -427,6 +646,91 @@ class BucketSums:
         )
 
 
+def _bucket_rows(labels: np.ndarray, weights: np.ndarray, n_buckets: int) -> np.ndarray:
+    """One bincount row per _BUCKET_CHUNK consecutive n, each adding its weights in order."""
+    return np.vstack([
+        np.bincount(labels[s : s + _BUCKET_CHUNK], weights=weights[s : s + _BUCKET_CHUNK], minlength=n_buckets)
+        for s in range(0, labels.size, _BUCKET_CHUNK)
+    ])
+
+
+def _fsum_buckets(rows: List[Tuple[int, np.ndarray]], lo: int, n_buckets: int) -> np.ndarray:
+    """fsum down buckets lo .. lo + n_buckets - 1.
+
+    rows[i] = (m0, r) holds buckets m0, m0 + 1, ... in its columns; the
+    columns outside the range hold no weight.
+    """
+    stacked = np.zeros((sum(r.shape[0] for _, r in rows), n_buckets))
+    i = 0
+    for m0, r in rows:
+        a, b = max(m0, lo), min(m0 + r.shape[1], lo + n_buckets)
+        stacked[i : i + r.shape[0], a - lo : b - lo] = r[:, a - m0 : b - m0]
+        i += r.shape[0]
+    return np.array([math.fsum(stacked[:, j].tolist()) for j in range(n_buckets)])
+
+
+def _least(w: np.ndarray, lo: int) -> Tuple[float, int]:
+    """The least of the weights w of n = lo, lo + 1, ..., and its first n."""
+    i = int(np.argmin(w))
+    return float(w[i]), lo + i
+
+
+def bucket_sums_grid(
+    alpha: MultiplicativeSpec,
+    g: AdditiveSpec,
+    xs: Sequence[int],
+    weights: Optional[np.ndarray] = None,
+    g_values: Optional[np.ndarray] = None,
+) -> List[BucketSums]:
+    """bucket_sums at every x in xs, from one pass over the blocks.
+
+    Each block adds one bincount row per 4096 consecutive n (two for
+    complex alpha, real and imaginary part); a grid x inside a row gets
+    a row of its own, and fsum down the rows gives every bucket exactly,
+    whatever the blocks.
+
+    Raises:
+        ValueError: g is not integer-valued.
+    """
+    if not g.integer_valued:
+        raise ValueError(f"{g.name} is not integer-valued; pmf buckets are integers")
+    grid = _grid(xs)
+    blocks = _ValueBlocks(alpha, g, grid[-1], weights, g_values)
+    done: List[List[Tuple[int, np.ndarray]]] = []  # per part of alpha, (m0, rows) of the blocks passed
+    g_lo, g_hi = math.inf, -math.inf
+    least = (math.inf, 0)  # the least weight so far and its first n (real alpha)
+    out = {}
+    for lo, w, gt in blocks:
+        parts = _alpha_parts(w)
+        done = done or [[] for _ in parts]
+        # bincount labels from 0; only a g with negative values needs an offset
+        m0 = min(int(gt.min()), 0)
+        labels = gt - m0 if m0 else gt
+        n_buckets = int(gt.max()) - m0 + 1
+        rows = [_bucket_rows(labels, a, n_buckets) for a in parts]
+        for end in _ends(grid, lo, gt.size):
+            whole = (end // _BUCKET_CHUNK) * _BUCKET_CHUNK
+            m_lo, m_hi = min(g_lo, int(gt[:end].min())), max(g_hi, int(gt[:end].max()))
+            sums = []
+            for d, r, a in zip(done, rows, parts):
+                cut = d + [(m0, r[: whole // _BUCKET_CHUNK])]
+                if whole < end:
+                    cut.append((m0, _bucket_rows(labels[whole:end], a[whole:end], n_buckets)))
+                sums.append(_fsum_buckets(cut, m_lo, m_hi - m_lo + 1))
+            min_weight, min_index = min(least, _least(w[:end], lo)) if len(parts) == 1 else (0.0, 0)
+            out[lo + end - 1] = BucketSums(
+                alpha=alpha, g=g, x=lo + end - 1, lo=m_lo, real=sums[0],
+                imag=sums[1] if len(sums) > 1 else None, min_index=min_index, min_weight=min_weight,
+            )
+        for d, r in zip(done, rows):
+            d.append((m0, r))
+        g_lo, g_hi = min(g_lo, int(gt.min())), max(g_hi, int(gt.max()))
+        if len(parts) == 1:
+            least = min(least, _least(w, lo))
+        del w, gt, parts, labels  # the next block is built without this one
+    return [out[int(x)] for x in xs]
+
+
 def bucket_sums(
     alpha: MultiplicativeSpec,
     g: AdditiveSpec,
@@ -436,31 +740,12 @@ def bucket_sums(
 ) -> BucketSums:
     """Bucket the alpha weights on 1..x by the integer value of g.
 
-    One pass over the tables; complex alpha takes one bincount for its
-    real part and one for its imaginary part.
+    One pass over the value-table blocks; see bucket_sums_grid.
 
     Raises:
         ValueError: g is not integer-valued.
     """
-    if not g.integer_valued:
-        raise ValueError(f"{g.name} is not integer-valued; pmf buckets are integers")
-    w, gt = _value_tables(alpha, g, x, weights, g_values)
-    lo = int(gt.min())
-    n_buckets = int(gt.max()) - lo + 1
-    labels = gt - lo if lo else gt
-    if np.iscomplexobj(w):
-        real = _compensated_bincount(labels, w.real, n_buckets)
-        imag = _compensated_bincount(labels, w.imag, n_buckets)
-        min_index, min_weight = 0, 0.0
-    else:
-        real = _compensated_bincount(labels, w, n_buckets)
-        imag = None
-        i = int(np.argmin(w))
-        min_index, min_weight = i + 1, float(w[i])
-    return BucketSums(
-        alpha=alpha, g=g, x=int(x), lo=lo, real=real, imag=imag,
-        min_index=min_index, min_weight=min_weight,
-    )
+    return bucket_sums_grid(alpha, g, (x,), weights, g_values)[0]
 
 
 def twisted_sum(
@@ -475,7 +760,7 @@ def twisted_sum(
     y = _twist_base(y)
     if g.integer_valued:
         return bucket_sums(alpha, g, x, weights, g_values).twisted_sum(y)
-    return _direct_twisted_sum(y, *_value_tables(alpha, g, x, weights, g_values))
+    return _direct_twisted_sums(alpha, y, g, x, weights, g_values, with_total=False)[0]
 
 
 def twisted_mean(
@@ -494,8 +779,7 @@ def twisted_mean(
     y = _twist_base(y)
     if g.integer_valued:
         return bucket_sums(alpha, g, x, weights, g_values).mean(y)
-    w, gt = _value_tables(alpha, g, x, weights, g_values)
-    return _mean(alpha, x, _direct_twisted_sum(y, w, gt), compensated_complex_sum(w))
+    return _mean(alpha, x, *_direct_twisted_sums(alpha, y, g, x, weights, g_values, with_total=True))
 
 
 def mgf_exact(
@@ -525,6 +809,26 @@ def pmf(
     return bucket_sums(alpha, g, x, weights, g_values).distribution()
 
 
+def _cumulative_pieces(w0: float, blocks) -> Iterator[Tuple[int, np.ndarray]]:
+    """(n, cumulative[n : n + len]) piece by piece, cumulative = compensated_cumsum(w[0..x]).
+
+    The prefix-sum chunks start at n = 0 and the blocks at n = 1, so each
+    piece carries the last weight of its block over to the next.
+    """
+    prefix = _PrefixSums()
+    carry = np.array([w0], dtype=np.float64)
+    n = 0
+    for _, w, _ in blocks:
+        run = np.concatenate((carry, w))
+        m = (run.size // _CHUNK) * _CHUNK
+        if m:
+            yield n, prefix(run[:m])
+            n += m
+        carry = run[m:]
+    if carry.size:
+        yield n, prefix(carry)
+
+
 def sample(
     alpha: MultiplicativeSpec,
     x: int,
@@ -538,19 +842,51 @@ def sample(
     Inverse-CDF sampling: uniforms come from the counter-based
     Philox4x64 generator keyed by (seed, stream), so draws are
     reproducible across platforms and independent streams are obtained
-    by varying `stream`; each draw binary-searches the cumulative
-    weight array, in sorted order of the targets so that successive
-    searches stay close in memory.
+    by varying `stream`.  Two passes over the weight blocks (or over a
+    given table's weights, cut into the same blocks) replace the
+    cumulative weight array: the first checks the weights as
+    build_weight_table does and carries the compensated prefix sum to
+    the total; the second recomputes the prefix sums a block at a time
+    and binary-searches the targets, in sorted order, that fall in it.
+    Each draw is the one a search of the whole cumulative array gives.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if table is None:
-        table = build_weight_table(alpha, x)
+        w0, blocks = 0.0, _ValueBlocks(alpha, None, x)
+    else:
+        x = table.x
+        w0, blocks = float(table.weights[0]), _ValueBlocks(alpha, None, x, weights=table.weights)
+    least = [(w0, 0)]
+
+    def checked():
+        for lo, w, gt in blocks:
+            if np.iscomplexobj(w):
+                raise ValueError(f"{alpha.name}: weight table requires real nonnegative values")
+            least.append(_least(w, lo))
+            yield lo, w, gt
+
+    total = 0.0
+    for _, cumulative in _cumulative_pieces(w0, checked()):
+        total = float(cumulative[-1])
+    weight, n_bad = min(least)
+    if weight < 0.0:
+        raise ValueError(f"{alpha.name}: negative weight alpha({n_bad}) = {weight:g}")
+    if not total > 0.0:
+        raise DegenerateSpecError(f"{alpha.name}: total weight is 0 on [1, {x}]")
     bits = np.random.Philox(key=[np.uint64(int(seed) & (2**64 - 1)), np.uint64(int(stream))])
     targets = np.random.Generator(bits).random(count)
-    targets *= table.total
+    targets *= total
     order = np.argsort(targets)
-    found = np.searchsorted(table.cumulative, targets[order], side="right")
+    ordered = targets[order]
+    found = np.full(count, x + 1, dtype=np.int64)
+    j = 0
+    for n, cumulative in _cumulative_pieces(w0, blocks):
+        if j == count:
+            break
+        k = j + int(np.searchsorted(ordered[j:], cumulative[-1], side="left"))
+        found[j:k] = n + np.searchsorted(cumulative, ordered[j:k], side="right")
+        j = k
     draws = targets.view(np.int64)  # the targets are spent; their buffer takes the draws
     draws[order] = found
     return draws

@@ -9,7 +9,9 @@ least-prime-factor table.
 
 _require_memory is the guard on the size of x: prime_array and the
 value tables estimate their bytes before allocating anything and raise
-ValueError when the estimate exceeds physical memory.
+ValueError when the estimate exceeds physical memory.  The streamed
+tables hold a block at a time, so they are charged for the sieve alone;
+the whole-table functions also for their 16 bytes per n.
 """
 
 from __future__ import annotations
@@ -21,9 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _require_memory(nbytes: int, what: str) -> None:
     """Raise ValueError when nbytes exceeds the machine's physical memory."""
-    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    total = _physical_memory()
     if nbytes > total:
         raise ValueError(
             f"{what}: need about {nbytes / 2**30:.3g} GiB, "

@@ -62,6 +62,16 @@ def test_sample_golden(capsys):
     assert out == SAMPLE_GOLDEN
 
 
+def test_sample_draws_written_in_chunks(tmp_path, capsys, monkeypatch):
+    # the draws are formatted and written a chunk at a time; the bytes
+    # are those of one write, on stdout and in one --output file
+    monkeypatch.setattr(cli, "_DRAWS_PER_WRITE", 2)
+    assert run_cli(capsys, SAMPLE_ARGS) == (0, SAMPLE_GOLDEN, "")
+    target = tmp_path / "draws.txt"
+    assert run_cli(capsys, SAMPLE_ARGS + ["--output", str(target)]) == (0, "", "")
+    assert target.read_text() == SAMPLE_GOLDEN
+
+
 def test_sum_golden_single_and_grid(capsys):
     code, out, _ = run_cli(capsys, ["sum", "--spec", "theta_omega:2", "--x", "10"])
     assert code == 0
@@ -270,13 +280,14 @@ def test_module_invocation_subprocess():
 
 
 # ---------------------------------------------------------------------------
-# work counts: each command builds its tables once and buckets once per x
+# work counts: each command streams its value tables in as few passes as
+# it needs and never builds a whole table
 
 
 @pytest.fixture
 def work_counts(monkeypatch):
     counts = Counter()
-    for name in ("multiplicative_value_table", "additive_value_table", "bucket_sums"):
+    for name in ("multiplicative_value_table", "additive_value_table"):
         fn = getattr(exact, name)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
@@ -286,25 +297,33 @@ def work_counts(monkeypatch):
         monkeypatch.setattr(exact, name, counted)
         if hasattr(cli, name):
             monkeypatch.setattr(cli, name, counted)
+    one_pass = exact._ValueBlocks.__iter__
+
+    def counted_pass(self):
+        counts["passes"] += 1
+        return one_pass(self)
+
+    monkeypatch.setattr(exact._ValueBlocks, "__iter__", counted_pass)
     return counts
 
 
 @pytest.mark.parametrize(
-    "argv, buckets",
+    "argv, passes",
     [
         (["mgf", "--spec", "theta_omega:2", "--x", "1000", "--y", "0.5+0.5j"], 1),
         (["mgf", "--spec", "theta_omega:2", "--x", "1000", "--z", "0.3"], 1),
         (["pmf", "--spec", "geometric_B:1.5", "--g", "big_omega", "--x", "1000"], 1),
-        (["report", "--x-grid", "1000,3000,20000", "--cutoff", "2000", "--z-grid", "circle:4"], 3),
+        (["report", "--x-grid", "1000,3000,20000", "--cutoff", "2000", "--z-grid", "circle:4"], 1),
+        (["sample", "--spec", "geometric_B:1.5", "--x", "1000", "--count", "50"], 2),
+        (["sum", "--spec", "theta_omega:2", "--x-grid", "10,1000,70000"], 1),
+        (["ldp", "--spec", "unit", "--x-grid", "100,1000", "--cutoff", "2000"], 1),
     ],
-    ids=["mgf-y", "mgf-z", "pmf", "report"],
+    ids=["mgf-y", "mgf-z", "pmf", "report", "sample", "sum-grid", "ldp-grid"],
 )
-def test_each_command_builds_its_tables_once(work_counts, capsys, argv, buckets):
+def test_each_command_builds_its_tables_once(work_counts, capsys, argv, passes):
     code, _, err = run_cli(capsys, argv)
     assert code == 0, err
-    assert work_counts == Counter(
-        multiplicative_value_table=1, additive_value_table=1, bucket_sums=buckets
-    )
+    assert work_counts == Counter(passes=passes)
 
 
 def test_mgf_zero_normalizing_sum_exits_two(capsys):

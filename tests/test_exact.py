@@ -1,5 +1,7 @@
 import cmath
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import additive_eval_brute, spec_eval_brute, trial_big_omega, trial_omega
+from selberg_delange import exact, sieve
 from selberg_delange.errors import DegenerateSpecError, DomainError
 from selberg_delange.exact import (
     BucketSums,
@@ -14,6 +17,7 @@ from selberg_delange.exact import (
     WeightTable,
     additive_value_table,
     bucket_sums,
+    bucket_sums_grid,
     build_weight_table,
     compensated_complex_sum,
     compensated_cumsum,
@@ -23,6 +27,7 @@ from selberg_delange.exact import (
     mod_poisson_residual,
     multiplicative_value_table,
     partial_sum,
+    partial_sum_grid,
     pmf,
     sample,
     sums_to_csv,
@@ -44,7 +49,7 @@ from selberg_delange.funcs import (
     theta_omega,
     unit,
 )
-from selberg_delange.sieve import prime_array
+from selberg_delange.sieve import _sieve_bytes, prime_array
 from selberg_delange.special import cpow
 
 
@@ -699,3 +704,216 @@ def test_gather_non_integer_delta_at_large_prime():
     assert raised(lambda: additive_value_table(complex_late, 1000)) == raised(
         lambda: reference_additive_table(complex_late, 1000)
     )
+
+
+# ---------------------------------------------------------------------------
+# streamed blocks: cutting the tables into blocks changes no bit
+
+
+def whole_bucket_sums(w, gt, x):
+    """Bucket sums of alpha(n) by g(n) over n <= x from whole tables: one
+    bincount row per 4096 n from n = 1, then fsum down each bucket."""
+    w, gt = w[1 : x + 1], gt[1 : x + 1]
+    lo = int(gt.min())
+    n_buckets = int(gt.max()) - lo + 1
+    sums = []
+    for part in (w.real, w.imag) if np.iscomplexobj(w) else (w,):
+        rows = np.vstack([
+            np.bincount(gt[s : s + 4096] - lo, weights=part[s : s + 4096], minlength=n_buckets)
+            for s in range(0, x, 4096)
+        ])
+        sums.append(np.array([math.fsum(rows[:, j].tolist()) for j in range(n_buckets)]))
+    return lo, sums
+
+
+def whole_sum(a):
+    """Pairwise sums of 1024-chunks and fsum of the rest, finished by fsum."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    m = (a.size // 1024) * 1024
+    partials = a[:m].reshape(-1, 1024).sum(axis=1).tolist()
+    if m < a.size:
+        partials.append(math.fsum(a[m:].tolist()))
+    return math.fsum(partials)
+
+
+def whole_complex_sum(a):
+    if np.iscomplexobj(a):
+        return complex(whole_sum(a.real), whole_sum(a.imag))
+    return complex(whole_sum(a), 0.0)
+
+
+def bits(z):
+    return np.complex128(z).tobytes()
+
+
+PRIMES_5E4 = prime_array(5 * 10**4).tolist()
+# primes above 8192 are first met after the first block at either length
+LATE_PRIMES = [p for p in PRIMES_5E4 if p > 8192]
+STREAM_KEYS = st.tuples(st.sampled_from(PRIMES_1E4[:40] + LATE_PRIMES[::50]), st.integers(1, 3))
+STREAM_MULTIPLICATIVE = st.one_of(
+    MULTIPLICATIVE,
+    # a zero value, a value at a late prime, and a default that makes every large prime gather
+    st.dictionaries(STREAM_KEYS, st.sampled_from([0.0, 0.5, 3.0]), min_size=1, max_size=6).map(
+        lambda t: tabulated_multiplicative(t, default=1.5)
+    ),
+)
+SIGNED_INTEGER_TABLES = st.dictionaries(STREAM_KEYS, st.integers(-3, 3).map(float), min_size=1, max_size=8)
+STREAM_INTEGER_ADDITIVE = st.one_of(INTEGER_ADDITIVE, SIGNED_INTEGER_TABLES.map(tabulated_additive))
+FRACTIONAL_ADDITIVE = st.dictionaries(STREAM_KEYS, st.floats(-2.0, 2.0), min_size=1, max_size=8).map(
+    lambda t: tabulated_additive({**t, (2, 1): 0.5})
+)
+BLOCK_EDGES = [k * 4096 + d for k in range(1, 13) for d in (-1, 0, 1)]
+STREAM_XS = st.one_of(
+    st.integers(1, 5 * 10**4),
+    st.sampled_from(BLOCK_EDGES),
+    st.sampled_from([p * p - d for p in PRIMES_5E4 if p * p <= 5 * 10**4 for d in (0, 1)]),
+)
+
+
+def stream_grid(x):
+    """x with a few smaller x: block edges, a chunk edge and a midpoint."""
+    return sorted({x, (x + 1) // 2, min(x, 4095), min(x, 4097), min(x, 8192), min(x, 1024 * 9 + 5)})
+
+
+BLOCKS = pytest.mark.parametrize("block", [4096, 8192], ids=lambda b: f"block{b}")
+
+
+@contextlib.contextmanager
+def small_blocks(block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_BLOCK", block)
+        yield
+
+
+@BLOCKS
+@settings(max_examples=20, deadline=None)
+@given(spec=STREAM_MULTIPLICATIVE, g=st.one_of(ADDITIVE, SIGNED_INTEGER_TABLES.map(tabulated_additive)), x=STREAM_XS)
+def test_streamed_tables_match_per_prime_sweep(block, spec, g, x):
+    with small_blocks(block):
+        w = multiplicative_value_table(spec, x)
+        gt = additive_value_table(g, x)
+    want = reference_multiplicative_table(spec, x)
+    assert w.dtype == want.dtype and w.tobytes() == want.tobytes()
+    want = reference_additive_table(g, x)
+    assert gt.dtype == want.dtype and gt.tobytes() == want.tobytes()
+
+
+@BLOCKS
+@settings(max_examples=20, deadline=None)
+@given(spec=STREAM_MULTIPLICATIVE, g=STREAM_INTEGER_ADDITIVE, x=STREAM_XS)
+def test_streamed_bucket_and_partial_sums_match_whole_tables(block, spec, g, x):
+    grid = stream_grid(x)
+    w = reference_multiplicative_table(spec, x)
+    gt = reference_additive_table(g, x)
+    with small_blocks(block):
+        streamed = bucket_sums_grid(spec, g, grid)
+        given_arrays = bucket_sums_grid(spec, g, grid, weights=w, g_values=gt)
+        partials = partial_sum_grid(spec, grid)
+        given_partials = partial_sum_grid(spec, grid, values=w)
+    for xi, a, b, s, t in zip(grid, streamed, given_arrays, partials, given_partials):
+        lo, sums = whole_bucket_sums(w, gt, xi)
+        for got in (a, b):
+            assert got.x == xi and got.lo == lo
+            assert got.real.tobytes() == sums[0].tobytes()
+            assert (got.imag is None) == (len(sums) == 1)
+            if got.imag is None:
+                i = int(np.argmin(w[1 : xi + 1]))
+                assert (got.min_index, got.min_weight) == (i + 1, float(w[i + 1]))
+            else:
+                assert got.imag.tobytes() == sums[1].tobytes()
+        want = whole_complex_sum(w[1 : xi + 1])
+        assert bits(s) == bits(want) and bits(t) == bits(want)
+        assert bits(partial_sum(spec, xi)) == bits(want)
+
+
+@BLOCKS
+@settings(max_examples=15, deadline=None)
+@given(spec=STREAM_MULTIPLICATIVE, g=FRACTIONAL_ADDITIVE, x=STREAM_XS, y=st.floats(0.1, 3.0))
+def test_streamed_direct_twisted_sums_match_whole_tables(block, spec, g, x, y):
+    w = reference_multiplicative_table(spec, x)
+    gt = reference_additive_table(g, x)
+    want = whole_complex_sum(w[1:] * np.exp(gt[1:] * complex(cmath.log(y))))
+    with small_blocks(block):
+        assert bits(twisted_sum(spec, y, g, x)) == bits(want)
+        assert bits(twisted_sum(spec, y, g, x, weights=w, g_values=gt)) == bits(want)
+        den = whole_complex_sum(w[1:])
+        if den != 0:
+            assert bits(twisted_mean(spec, y, g, x)) == bits(want / den)
+
+
+@BLOCKS
+@settings(max_examples=15, deadline=None)
+@given(spec=st.one_of(NONNEGATIVE, STREAM_MULTIPLICATIVE.filter(lambda s: s.name == "tabulated")), x=STREAM_XS)
+def test_streamed_sample_matches_whole_search(block, spec, x):
+    w = reference_multiplicative_table(spec, x)
+    cumulative = compensated_cumsum(w)
+    with small_blocks(block):
+        table = build_weight_table(spec, x)
+        assert table.cumulative.tobytes() == cumulative.tobytes()
+        pieces = exact._cumulative_pieces(0.0, exact._ValueBlocks(spec, None, x))
+        assert np.concatenate([c for _, c in pieces]).tobytes() == cumulative.tobytes()
+        for seed in (0, 1, 7, 2**63 + 5):
+            bits_ = np.random.Philox(key=[np.uint64(seed & (2**64 - 1)), np.uint64(0)])
+            targets = np.random.Generator(bits_).random(3000) * cumulative[x]
+            want = np.searchsorted(cumulative, targets, side="right")
+            assert np.array_equal(sample(spec, x, seed, 3000), want)
+            assert np.array_equal(sample(spec, x, seed, 3000, table=table), want)
+
+
+@BLOCKS
+def test_streamed_errors_match_reference(block):
+    x = 5 * 10**4
+    late = LATE_PRIMES[-1]
+    bad = MultiplicativeSpec(
+        "bad", lambda p, k: np.where(p == late, math.inf, 1.5), rho=1.5, c0=0.25,
+        growth=GrowthBound(1.5, 1.0),
+    )
+    want = raised(lambda: reference_multiplicative_table(bad, x))
+    assert want == (ValueError, f"bad: non-finite value at ({late},1)")
+    with small_blocks(block):
+        for run in (
+            lambda: multiplicative_value_table(bad, x),
+            lambda: partial_sum(bad, x),
+            lambda: pmf(bad, OMEGA, x),
+            lambda: sample(bad, x, 1, 10),
+        ):
+            assert raised(run) == want
+        late_complex = MultiplicativeSpec(
+            "late_complex", lambda p, k: np.where(p == late, 2j, 1.5), rho=1.5, c0=0.25,
+            growth=GrowthBound(2.0, 1.0),
+        )
+        table = multiplicative_value_table(late_complex, x)
+        assert table.tobytes() == reference_multiplicative_table(late_complex, x).tobytes()
+        assert raised(lambda: pmf(late_complex, OMEGA, x)) == (
+            ValueError, "late_complex: weight table requires real nonnegative values"
+        )
+        assert raised(lambda: sample(late_complex, x, 1, 10)) == raised(
+            lambda: build_weight_table(late_complex, x)
+        )
+        lying = AdditiveSpec("lying", lambda p, k: np.where(p == late, 0.5, 1.0), integer_valued=True)
+        assert raised(lambda: pmf(unit(), lying, x)) == raised(lambda: reference_additive_table(lying, x))
+
+
+def test_pmf_streams_in_bounded_memory():
+    # numpy allocations are traced by tracemalloc; the prime sieve (a byte
+    # per n, and the primes) is the only part that grows with x
+    x = 2**20
+    prime_array.cache_clear()
+    tracemalloc.start()
+    try:
+        pmf(geometric_B(1.5), BIG_OMEGA, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * x / 4
+
+
+def test_streamed_commands_are_charged_for_the_sieve_alone(monkeypatch):
+    x = 10**5
+    memory = (_sieve_bytes(x) + 16 * (x + 1)) // 2
+    assert _sieve_bytes(x) < memory
+    monkeypatch.setattr(sieve, "_physical_memory", lambda: memory)
+    assert pmf(unit(), OMEGA, x).values.tolist() == pmf(unit(), OMEGA, x, weights=np.ones(x + 1)).values.tolist()
+    for build, spec in ((multiplicative_value_table, unit()), (additive_value_table, OMEGA)):
+        with pytest.raises(ValueError, match=f"value tables to x = {x}: need about"):
+            build(spec, x)
