@@ -35,6 +35,7 @@ from .exact import (
     WeightTable,
     additive_value_table,
     bucket_sums,
+    bucket_sums_grid,
     build_weight_table,
     compensated_cumsum,
     compensated_sum,
@@ -43,6 +44,7 @@ from .exact import (
     mod_poisson_residual,
     multiplicative_value_table,
     partial_sum,
+    partial_sum_grid,
     pmf,
     sample,
     sums_to_csv,
@@ -106,6 +108,7 @@ __all__ = [
     "WeightTable",
     "additive_value_table",
     "bucket_sums",
+    "bucket_sums_grid",
     "build_weight_table",
     "cexpm1",
     "check_admissibility_pp",
@@ -131,6 +134,7 @@ __all__ = [
     "parse_additive",
     "parse_multiplicative",
     "partial_sum",
+    "partial_sum_grid",
     "perturbed",
     "pmf",
     "prime_array",

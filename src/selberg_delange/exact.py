@@ -149,16 +149,18 @@ def _large_prime_values(value_at, primes: np.ndarray) -> np.ndarray:
     for start in range(0, len(primes), _PRIME_CHUNK):
         chunk = primes[start : start + _PRIME_CHUNK]
         values = _prime_power_values(value_at, np.array(chunk.tolist(), dtype=object), 1)
-        if not np.iscomplexobj(out) and np.signbit(values.imag).any() | values.imag.any():
+        if not np.iscomplexobj(out) and (values.imag.any() or np.signbit(values.imag).any()):
             out = out.astype(np.complex128)
         out[start : start + len(chunk)] = values if np.iscomplexobj(out) else values.real
     return out
 
 
 def _compact(values: np.ndarray):
-    """values[0] when every entry has the same bits, else values."""
+    """values[0] when there are entries and all have the same bits, else values."""
+    if not values.size:
+        return values
     raw = np.ascontiguousarray(values).view(np.int64).reshape(values.size, -1)
-    return values[0] if values.size and (raw == raw[0]).all() else values
+    return values[0] if (raw == raw[0]).all() else values
 
 
 @dataclass(frozen=True)
@@ -215,8 +217,7 @@ def _gather_recipe(start, dtype, op, steps, complex_from, large, values, keep) -
     if not keep.all():
         large, values = large[keep], values[keep]
     moduli = np.array([pk for pk, _, _ in steps], dtype=np.int64)
-    gather_values = _compact(values) if len(values) else values
-    return _Recipe(start, dtype, op, steps, moduli, complex_from, large, gather_values)
+    return _Recipe(start, dtype, op, steps, moduli, complex_from, large, _compact(values))
 
 
 def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: List[int], large: np.ndarray) -> _Recipe:
@@ -365,6 +366,7 @@ class _ValueBlocks:
     def __iter__(self) -> Iterator[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]]:
         for lo in range(1, self.x + 1, _BLOCK):
             hi = min(lo + _BLOCK, self.x + 1)
+            # alpha and g usually gather the same primes; index them once
             index: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
             def gather(primes, lo=lo, hi=hi, index=index):
@@ -857,19 +859,19 @@ def sample(
     else:
         x = table.x
         w0, blocks = float(table.weights[0]), _ValueBlocks(alpha, None, x, weights=table.weights)
-    least = [(w0, 0)]
+    lows = [(w0, 0)]  # the least weight of each block, and its first n
 
     def checked():
         for lo, w, gt in blocks:
             if np.iscomplexobj(w):
                 raise ValueError(f"{alpha.name}: weight table requires real nonnegative values")
-            least.append(_least(w, lo))
+            lows.append(_least(w, lo))
             yield lo, w, gt
 
     total = 0.0
     for _, cumulative in _cumulative_pieces(w0, checked()):
         total = float(cumulative[-1])
-    weight, n_bad = min(least)
+    weight, n_bad = min(lows)
     if weight < 0.0:
         raise ValueError(f"{alpha.name}: negative weight alpha({n_bad}) = {weight:g}")
     if not total > 0.0:
@@ -879,7 +881,7 @@ def sample(
     targets *= total
     order = np.argsort(targets)
     ordered = targets[order]
-    found = np.full(count, x + 1, dtype=np.int64)
+    found = ordered.view(np.int64)  # each sorted target's slot takes its draw once searched
     j = 0
     for n, cumulative in _cumulative_pieces(w0, blocks):
         if j == count:
@@ -887,6 +889,7 @@ def sample(
         k = j + int(np.searchsorted(ordered[j:], cumulative[-1], side="left"))
         found[j:k] = n + np.searchsorted(cumulative, ordered[j:k], side="right")
         j = k
+    found[j:] = x + 1  # targets at the total, as a search of the whole array places them
     draws = targets.view(np.int64)  # the targets are spent; their buffer takes the draws
     draws[order] = found
     return draws
