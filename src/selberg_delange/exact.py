@@ -6,16 +6,18 @@ more than a block of them.  Each prime p <= sqrt(x) is swept over the
 progressions of its powers inside the block, starting at the first
 multiple of p^k that is >= lo; this is the vectorized equivalent of
 factoring each n and applying its prime powers in increasing order.
-Every n <= x has at most one prime factor q above sqrt(x), and the
-sweep would apply it last, so those primes take one value_at(q, 1) per
-chunk of primes, evaluated once per table, and one gather per block:
-for each m, the q with m q in [lo, hi) form one contiguous run of the
-primes, found by two searchsorted calls over every m at once.  Each n
-gets the same multiplications in the same order as a sweep of every
-prime over the whole table, so every block is bit-identical to the
-slice of that table.  multiplicative_value_table and
-additive_value_table write the blocks into one array; arrays a caller
-passes as weights= or g_values= are cut into the same blocks.
+The last steps, whose moduli hit few n of a block each, are applied by
+one ufunc.at, which keeps their order.  Every n <= x has at most one
+prime factor q above sqrt(x), and the sweep would apply it last, so
+those primes take one value_at(q, 1) per chunk of primes, evaluated
+once per table, and one gather per block: for each m, the q with m q in
+[lo, hi) form one contiguous run of the primes, found by two
+searchsorted calls over every m at once.  Each n gets the same
+multiplications in the same order as a sweep of every prime over the
+whole table, so every block is bit-identical to the slice of that
+table.  multiplicative_value_table and additive_value_table write the
+blocks into one array; arrays a caller passes as weights= or g_values=
+are cut into the same blocks.
 
 Buckets.  For integer-valued g every exact statistic of g(N) is a
 function of the sums S_m(x) = sum of alpha(n) over n <= x with
@@ -62,6 +64,10 @@ _BLOCK = 1 << 16
 
 # primes per value_at call for the primes above sqrt(x)
 _PRIME_CHUNK = 4096
+
+# sweep steps of a modulus at least this large hit few n of a block each,
+# so one op.at per block applies them cheaper than a slice each
+_TAIL_MODULUS = 128
 
 # an alpha table (float64) and a g table (int64) per n, the pair every
 # exact statistic of g(N) reads
@@ -171,8 +177,9 @@ class _Recipe:
     A step (pk, nxt, v) applies op(., v) at the multiples of pk, except
     those of nxt when nxt is nonzero.  The table turns complex128 before
     step complex_from (len(steps): before the gather), if that is set.
-    gather_values is one value for every gather prime, or an array
-    aligned with gather_primes.
+    The steps from tail on are applied together, by one op.at per block.
+    tail_values and gather_values hold one value for all their steps or
+    primes, or one per step or gather prime.
     """
 
     start: float
@@ -181,26 +188,35 @@ class _Recipe:
     steps: List[Tuple[int, int, object]]
     moduli: np.ndarray
     complex_from: Optional[int]
+    tail: int
+    tail_values: object
     gather_primes: np.ndarray
     gather_values: object
 
     def block(self, lo: int, hi: int, gather: Callable) -> np.ndarray:
         size = hi - lo
         a = np.full(size, self.start, dtype=self.dtype)
-        firsts = (-lo % self.moduli).tolist()
+        firsts = -lo % self.moduli
+        head = firsts[: self.tail].tolist()
         promote = len(self.steps) + 1 if self.complex_from is None else self.complex_from
         # most steps of the larger prime powers have no multiple in the block
-        for i in [i for i, first in enumerate(firsts) if first < size]:
+        for i in [i for i, first in enumerate(head) if first < size]:
             if i >= promote and a.dtype != np.complex128:
                 a = a.astype(np.complex128)
             pk, nxt, v = self.steps[i]
             if nxt:
-                at = np.arange(firsts[i], size, pk)
+                at = np.arange(head[i], size, pk)
                 at = at[(at + lo) % nxt != 0]
                 a[at] = self.op(a[at], v)
             else:
-                view = a[firsts[i] :: pk]
+                view = a[head[i] :: pk]
                 self.op(view, v, out=view)
+        if self.tail < len(self.steps):
+            # op.at applies its positions in order, so each n still sees the steps in order
+            moduli = self.moduli[self.tail :]
+            counts = np.maximum((size - 1 - firsts[self.tail :]) // moduli + 1, 0)
+            values = self.tail_values if np.ndim(self.tail_values) == 0 else np.repeat(self.tail_values, counts)
+            self.op.at(a, _runs(firsts[self.tail :], moduli, counts), values)
         if promote <= len(self.steps) and a.dtype != np.complex128:
             a = a.astype(np.complex128)
         if len(self.gather_primes):
@@ -213,11 +229,32 @@ class _Recipe:
         return a
 
 
+def _runs(starts: np.ndarray, steps: Optional[np.ndarray], counts: np.ndarray) -> np.ndarray:
+    """starts[i] + j steps[i] (steps 1 when None) for j < counts[i], run after run."""
+    out = np.arange(int(counts.sum()), dtype=np.int64)
+    out -= np.repeat(np.cumsum(counts) - counts, counts)
+    if steps is not None:
+        out *= np.repeat(steps, counts)
+    out += np.repeat(starts, counts)
+    return out
+
+
 def _gather_recipe(start, dtype, op, steps, complex_from, large, values, keep) -> _Recipe:
     if not keep.all():
         large, values = large[keep], values[keep]
     moduli = np.array([pk for pk, _, _ in steps], dtype=np.int64)
-    return _Recipe(start, dtype, op, steps, moduli, complex_from, large, _compact(values))
+    # the tail: the last steps, all of moduli >= _TAIL_MODULUS and none
+    # excluding multiples, of a table still real (op.at rounds complex
+    # products differently)
+    tail = len(steps)
+    if complex_from is None or complex_from == len(steps):
+        small = np.flatnonzero(moduli < _TAIL_MODULUS)
+        exact = [i for i, (_, nxt, _) in enumerate(steps) if nxt]
+        tail = max([int(small[-1]) + 1 if small.size else 0] + [i + 1 for i in exact[-1:]])
+    tail_values = _compact(np.array([v for _, _, v in steps[tail:]]))
+    return _Recipe(
+        start, dtype, op, steps, moduli, complex_from, tail, tail_values, large, _compact(values)
+    )
 
 
 def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: List[int], large: np.ndarray) -> _Recipe:
@@ -315,8 +352,7 @@ def _gather_index(primes: np.ndarray, lo: int, hi: int) -> Tuple[np.ndarray, np.
     ms = np.arange(1, (hi - 1) // int(primes[0]) + 1, dtype=np.int64)
     first = np.searchsorted(primes, -(-lo // ms), side="left")
     counts = np.maximum(np.searchsorted(primes, (hi - 1) // ms, side="right") - first, 0)
-    index = np.repeat(first - (np.cumsum(counts) - counts), counts)
-    index += np.arange(index.size, dtype=np.int64)
+    index = _runs(first, None, counts)
     at = primes[index]
     at *= np.repeat(ms, counts)
     at -= lo

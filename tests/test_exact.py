@@ -861,6 +861,18 @@ def test_streamed_sample_matches_whole_search(block, spec, x):
 
 
 @BLOCKS
+@pytest.mark.parametrize("spec", [perturbed(1.0, 0.5), theta_omega(0.5 + 1.5j)], ids=lambda s: s.name)
+def test_streamed_tables_keep_the_order_of_the_steps(block, spec):
+    # n = p q with 128 < p < q < sqrt(x) takes two different ratios from
+    # the steps of one op.at, and rounding shows their order; complex
+    # tables take every step as a slice
+    x = 5 * 10**4
+    with small_blocks(block):
+        table = multiplicative_value_table(spec, x)
+    assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
+
+
+@BLOCKS
 def test_streamed_errors_match_reference(block):
     x = 5 * 10**4
     late = LATE_PRIMES[-1]
