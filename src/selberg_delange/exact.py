@@ -239,7 +239,8 @@ def _runs(starts: np.ndarray, steps: Optional[np.ndarray], counts: np.ndarray) -
     return out
 
 
-def _gather_recipe(start, dtype, op, steps, complex_from, large, values, keep) -> _Recipe:
+def _recipe(start, dtype, op, steps, complex_from, large, values, keep) -> _Recipe:
+    """The _Recipe of a sweep and of the gather of the large primes where keep holds."""
     if not keep.all():
         large, values = large[keep], values[keep]
     moduli = np.array([pk for pk, _, _ in steps], dtype=np.int64)
@@ -299,7 +300,7 @@ def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: List[int], l
         values = values.astype(np.complex128, copy=False)
     else:
         values = values.real
-    return _gather_recipe(1.0, np.float64, np.multiply, steps, complex_from, large, values, values != 1.0)
+    return _recipe(1.0, np.float64, np.multiply, steps, complex_from, large, values, values != 1.0)
 
 
 def _additive_delta(g: AdditiveSpec, p: int, k: int, v: complex, prev: float) -> float:
@@ -339,7 +340,7 @@ def _additive_recipe(g: AdditiveSpec, x: int, small: List[int], large: np.ndarra
         _additive_delta(g, int(large[i]), 1, complex(values[i]), 0.0)  # raises for this prime
     keep = deltas != 0.0
     dtype = np.int64 if integer else np.float64
-    return _gather_recipe(0, dtype, np.add, steps, None, large, deltas.astype(dtype, copy=False), keep)
+    return _recipe(0, dtype, np.add, steps, None, large, deltas.astype(dtype, copy=False), keep)
 
 
 def _gather_index(primes: np.ndarray, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -405,22 +406,17 @@ class _ValueBlocks:
             # alpha and g usually gather the same primes; index them once
             index: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-            def gather(primes, lo=lo, hi=hi, index=index):
+            def gather(primes):
                 if id(primes) not in index:
                     index[id(primes)] = _gather_index(primes, lo, hi)
                 return index[id(primes)]
 
-            yield (
-                lo,
-                self._side(self.alpha, self.weights, lo, hi, gather),
-                self._side(self.g, self.g_values, lo, hi, gather),
-            )
+            def side(recipe, given):
+                if recipe is not None:
+                    return recipe.block(lo, hi, gather)
+                return None if given is None else given[lo:hi]
 
-    @staticmethod
-    def _side(recipe, given, lo, hi, gather):
-        if recipe is not None:
-            return recipe.block(lo, hi, gather)
-        return None if given is None else given[lo:hi]
+            yield lo, side(self.alpha, self.weights), side(self.g, self.g_values)
 
 
 def _whole_table(alpha: Optional[MultiplicativeSpec], g: Optional[AdditiveSpec], x: int) -> np.ndarray:
@@ -583,9 +579,8 @@ def _direct_twisted_sums(
     x: int,
     weights: Optional[np.ndarray],
     g_values: Optional[np.ndarray],
-    with_total: bool,
 ) -> Tuple[complex, complex]:
-    """Sum of y^{g(n)} alpha(n) term by term, for non-integer g, and the sum of alpha(n) if asked."""
+    """Sums of y^{g(n)} alpha(n), term by term for non-integer g, and of alpha(n)."""
     blocks = _ValueBlocks(alpha, g, x, weights, g_values)
     if y.imag == 0.0 and y.real <= 0.0:
         raise DomainError(f"y = {y} is on the branch cut for non-integer additive values")
@@ -593,10 +588,10 @@ def _direct_twisted_sums(
 
     def parts(w, gt):
         terms = w * np.exp(gt * log_y)
-        return (terms.real, terms.imag) + (_alpha_parts(w) if with_total else ())
+        return (terms.real, terms.imag) + _alpha_parts(w)
 
     sums = _grid_sums(blocks, [x], parts)[x]
-    return complex(sums[0], sums[1]), _as_complex(sums[2:]) if with_total else 0j
+    return complex(sums[0], sums[1]), _as_complex(sums[2:])
 
 
 def _mean(alpha: MultiplicativeSpec, x: int, num: complex, den: complex) -> complex:
@@ -798,7 +793,7 @@ def twisted_sum(
     y = _twist_base(y)
     if g.integer_valued:
         return bucket_sums(alpha, g, x, weights, g_values).twisted_sum(y)
-    return _direct_twisted_sums(alpha, y, g, x, weights, g_values, with_total=False)[0]
+    return _direct_twisted_sums(alpha, y, g, x, weights, g_values)[0]
 
 
 def twisted_mean(
@@ -817,7 +812,7 @@ def twisted_mean(
     y = _twist_base(y)
     if g.integer_valued:
         return bucket_sums(alpha, g, x, weights, g_values).mean(y)
-    return _mean(alpha, x, *_direct_twisted_sums(alpha, y, g, x, weights, g_values, with_total=True))
+    return _mean(alpha, x, *_direct_twisted_sums(alpha, y, g, x, weights, g_values))
 
 
 def mgf_exact(
