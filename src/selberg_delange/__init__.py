@@ -32,11 +32,9 @@ from .euler import (
 from .exact import (
     BucketSums,
     DistributionTable,
-    WeightTable,
     additive_value_table,
     bucket_sums,
     bucket_sums_grid,
-    build_weight_table,
     compensated_cumsum,
     compensated_sum,
     distribution_to_csv,
@@ -105,11 +103,9 @@ __all__ = [
     "PoleError",
     "SpecGrammarError",
     "StripDomain",
-    "WeightTable",
     "additive_value_table",
     "bucket_sums",
     "bucket_sums_grid",
-    "build_weight_table",
     "cexpm1",
     "check_admissibility_pp",
     "clog1p",

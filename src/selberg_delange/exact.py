@@ -15,9 +15,9 @@ once per table, and one gather per block: for each m, the q with m q in
 searchsorted calls over every m at once.  Each n gets the same
 multiplications in the same order as a sweep of every prime over the
 whole table, so every block is bit-identical to the slice of that
-table.  multiplicative_value_table and additive_value_table write the
-blocks into one array; arrays a caller passes as weights= or g_values=
-are cut into the same blocks.
+table.  Every exact result reads these blocks, built from the specs;
+multiplicative_value_table and additive_value_table write them into one
+array for callers that want the whole table.
 
 Buckets.  For integer-valued g every exact statistic of g(N) is a
 function of the sums S_m(x) = sum of alpha(n) over n <= x with
@@ -80,6 +80,14 @@ def compensated_sum(values) -> float:
     return _finish_sum([], a, a.size)
 
 
+def _fsum(values: List[float]) -> float:
+    """math.fsum, or the float sum (inf or nan) where fsum raises because the sum overflows."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return float(sum(values))
+
+
 def _chunk_sums(a: np.ndarray) -> np.ndarray:
     """The pairwise sum of each whole _CHUNK-block of a."""
     m = (a.size // _CHUNK) * _CHUNK
@@ -91,16 +99,8 @@ def _finish_sum(chunk_sums: List[np.ndarray], a: np.ndarray, end: int) -> float:
     m = (end // _CHUNK) * _CHUNK
     partials = np.concatenate(chunk_sums + [_chunk_sums(a[:m])]).tolist()
     if m < end:
-        partials.append(math.fsum(a[m:end].tolist()))
-    return math.fsum(partials)
-
-
-def compensated_complex_sum(values) -> complex:
-    """Complex sum with real and imaginary parts compensated separately."""
-    a = np.ascontiguousarray(values)
-    if np.iscomplexobj(a):
-        return complex(compensated_sum(a.real), compensated_sum(a.imag))
-    return complex(compensated_sum(a), 0.0)
+        partials.append(_fsum(a[m:end].tolist()))
+    return _fsum(partials)
 
 
 class _PrefixSums:
@@ -275,19 +275,18 @@ def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: List[int], l
             pk *= p
         if complex_from is None and any(v.imag != 0.0 for v in values):
             complex_from = len(steps)
-        if has_zero:
-            # multiply on the exact-exponent classes p^k || n
+        ratios = [] if has_zero else [v / prev for v, prev in zip(values, [complex(1.0)] + values[:-1])]
+        if has_zero or not all(cmath.isfinite(r) for r in ratios):
+            # multiply on the exact-exponent classes p^k || n; a ratio
+            # after a zero, or past a tiny value, is not finite
             for k, v in enumerate(values, start=1):
                 nxt = p ** (k + 1)
                 steps.append((p**k, nxt if nxt <= x else 0, v if complex_from is not None else v.real))
             continue
-        prev = complex(1.0)
         pk = p
-        for v in values:
-            ratio = v / prev
+        for ratio in ratios:
             if ratio != 1.0:
                 steps.append((pk, 0, ratio if complex_from is not None else ratio.real))
-            prev = v
             pk *= p
     # primes above sqrt(x) divide each n <= x at most once, and last
     values = _large_prime_values(spec.value_at, large)
@@ -363,42 +362,24 @@ def _gather_index(primes: np.ndarray, lo: int, hi: int) -> Tuple[np.ndarray, np.
 class _ValueBlocks:
     """alpha(n) and g(n) for 1 <= n <= x as blocks (lo, alpha[lo:hi], g[lo:hi]).
 
-    Tables are built from the specs or cut from the arrays a caller
-    passes; a side with neither spec nor array yields None.  The
-    constructor makes every check a whole-table build makes, in the same
-    order and with the same messages; each iteration is one pass.
+    A side without a spec yields None.  The constructor makes every
+    check a whole-table build makes, in the same order and with the same
+    messages; each iteration is one pass.
 
-    Raises ValueError for x < 1, a prime sieve beyond physical memory, a
-    spec the tables reject, or arrays that do not cover x.
+    Raises ValueError for x < 1, a prime sieve beyond physical memory, or
+    a spec the tables reject.
     """
 
-    def __init__(
-        self,
-        alpha: Optional[MultiplicativeSpec],
-        g: Optional[AdditiveSpec],
-        x: int,
-        weights: Optional[np.ndarray] = None,
-        g_values: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, alpha: Optional[MultiplicativeSpec], g: Optional[AdditiveSpec], x: int):
         if x < 1:
             raise ValueError(f"x must be >= 1, got {x}")
         self.x = x
-        self.alpha: Optional[_Recipe] = None
-        self.g: Optional[_Recipe] = None
-        if (alpha is not None and weights is None) or (g is not None and g_values is None):
-            _require_memory(_sieve_bytes(x), f"value tables to x = {x}")
-            primes = prime_array(x)
-            split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
-            small, large = primes[:split].tolist(), primes[split:]
-            if alpha is not None and weights is None:
-                self.alpha = _multiplicative_recipe(alpha, x, small, large)
-            if g is not None and g_values is None:
-                self.g = _additive_recipe(g, x, small, large)
-        for given in (weights, g_values):
-            if given is not None and given.shape[0] < x + 1:
-                raise ValueError(f"precomputed arrays do not cover x = {x}")
-        self.weights = weights
-        self.g_values = g_values
+        _require_memory(_sieve_bytes(x), f"value tables to x = {x}")
+        primes = prime_array(x)
+        split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
+        small, large = primes[:split].tolist(), primes[split:]
+        self.alpha = None if alpha is None else _multiplicative_recipe(alpha, x, small, large)
+        self.g = None if g is None else _additive_recipe(g, x, small, large)
 
     def __iter__(self) -> Iterator[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]]:
         for lo in range(1, self.x + 1, _BLOCK):
@@ -411,12 +392,10 @@ class _ValueBlocks:
                     index[id(primes)] = _gather_index(primes, lo, hi)
                 return index[id(primes)]
 
-            def side(recipe, given):
-                if recipe is not None:
-                    return recipe.block(lo, hi, gather)
-                return None if given is None else given[lo:hi]
+            def side(recipe):
+                return None if recipe is None else recipe.block(lo, hi, gather)
 
-            yield lo, side(self.alpha, self.weights), side(self.g, self.g_values)
+            yield lo, side(self.alpha), side(self.g)
 
 
 def _whole_table(alpha: Optional[MultiplicativeSpec], g: Optional[AdditiveSpec], x: int) -> np.ndarray:
@@ -453,40 +432,6 @@ def additive_value_table(g: AdditiveSpec, x: int) -> np.ndarray:
     or x beyond physical memory.
     """
     return _whole_table(None, g, x)
-
-
-@dataclass(frozen=True)
-class WeightTable:
-    """Nonnegative weights w[n] = alpha(n) for n <= x with prefix sums."""
-
-    x: int
-    weights: np.ndarray
-    cumulative: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.cumulative[self.x])
-
-
-def build_weight_table(alpha: MultiplicativeSpec, x: int, values: Optional[np.ndarray] = None) -> WeightTable:
-    """Materialize alpha as a probability weight table on 1..x.
-
-    Raises:
-        ValueError: some alpha(n) is complex or negative.
-        DegenerateSpecError: all weights vanish.
-    """
-    w = multiplicative_value_table(alpha, x) if values is None else values[: x + 1]
-    if np.iscomplexobj(w):
-        raise ValueError(f"{alpha.name}: weight table requires real nonnegative values")
-    if w.size != x + 1:
-        raise ValueError(f"values array covers {w.size - 1} < x = {x}")
-    if float(w.min()) < 0.0:
-        n_bad = int(np.argmin(w))
-        raise ValueError(f"{alpha.name}: negative weight alpha({n_bad}) = {w[n_bad]:g}")
-    cumulative = compensated_cumsum(w)
-    if not cumulative[x] > 0.0:
-        raise DegenerateSpecError(f"{alpha.name}: total weight is 0 on [1, {x}]")
-    return WeightTable(x=int(x), weights=w, cumulative=cumulative)
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +476,16 @@ def _as_complex(sums: Sequence[float]) -> complex:
     return complex(sums[0], sums[1] if len(sums) > 1 else 0.0)
 
 
-def partial_sum_grid(spec: MultiplicativeSpec, xs: Sequence[int], values: Optional[np.ndarray] = None) -> List[complex]:
+def partial_sum_grid(spec: MultiplicativeSpec, xs: Sequence[int]) -> List[complex]:
     """partial_sum at every x in xs, from one pass over the blocks."""
     grid = _grid(xs)
-    if values is not None and values.shape[0] < grid[-1] + 1:
-        raise ValueError(f"values array covers {values.shape[0] - 1} < x = {grid[-1]}")
-    sums = _grid_sums(_ValueBlocks(spec, None, grid[-1], weights=values), grid, _alpha_parts)
+    sums = _grid_sums(_ValueBlocks(spec, None, grid[-1]), grid, _alpha_parts)
     return [_as_complex(sums[int(x)]) for x in xs]
 
 
-def partial_sum(spec: MultiplicativeSpec, x: int, values: Optional[np.ndarray] = None) -> complex:
+def partial_sum(spec: MultiplicativeSpec, x: int) -> complex:
     """Exact sum of f(n) over 1 <= n <= x."""
-    return partial_sum_grid(spec, (x,), values)[0]
+    return partial_sum_grid(spec, (x,))[0]
 
 
 @dataclass(frozen=True)
@@ -572,16 +515,9 @@ def _twist_base(y) -> complex:
     return y
 
 
-def _direct_twisted_sums(
-    alpha: MultiplicativeSpec,
-    y: complex,
-    g: AdditiveSpec,
-    x: int,
-    weights: Optional[np.ndarray],
-    g_values: Optional[np.ndarray],
-) -> Tuple[complex, complex]:
+def _direct_twisted_sums(alpha: MultiplicativeSpec, y: complex, g: AdditiveSpec, x: int) -> Tuple[complex, complex]:
     """Sums of y^{g(n)} alpha(n), term by term for non-integer g, and of alpha(n)."""
-    blocks = _ValueBlocks(alpha, g, x, weights, g_values)
+    blocks = _ValueBlocks(alpha, g, x)
     if y.imag == 0.0 and y.real <= 0.0:
         raise DomainError(f"y = {y} is on the branch cut for non-integer additive values")
     log_y = complex(cmath.log(y))
@@ -594,7 +530,13 @@ def _direct_twisted_sums(
     return complex(sums[0], sums[1]), _as_complex(sums[2:])
 
 
+def _check_finite_total(alpha: MultiplicativeSpec, x: int, total: complex) -> None:
+    if not cmath.isfinite(total):
+        raise ValueError(f"{alpha.name}: total weight on [1, {x}] overflows float64")
+
+
 def _mean(alpha: MultiplicativeSpec, x: int, num: complex, den: complex) -> complex:
+    _check_finite_total(alpha, x, den)
     if den == 0:
         raise DegenerateSpecError(f"{alpha.name}: zero normalizing sum on [1, {x}]")
     return num / den
@@ -627,9 +569,9 @@ class BucketSums:
     min_weight: float
 
     def total(self) -> complex:
-        """sum of alpha(n) over 1 <= n <= x."""
-        imag = 0.0 if self.imag is None else math.fsum(self.imag.tolist())
-        return complex(math.fsum(self.real.tolist()), imag)
+        """sum of alpha(n) over 1 <= n <= x; not finite when it overflows."""
+        imag = 0.0 if self.imag is None else _fsum(self.imag.tolist())
+        return complex(_fsum(self.real.tolist()), imag)
 
     def twisted_sum(self, y) -> complex:
         """sum of y^{g(n)} alpha(n) over 1 <= n <= x, as sum_m y^m S_m."""
@@ -654,7 +596,8 @@ class BucketSums:
         """The pmf of g(N); see pmf.
 
         Raises:
-            ValueError: alpha complex or negative somewhere, or g negative.
+            ValueError: alpha complex or negative somewhere, its total
+                overflows, or g negative.
             DegenerateSpecError: all weights vanish.
         """
         name = self.alpha.name
@@ -662,7 +605,8 @@ class BucketSums:
             raise ValueError(f"{name}: weight table requires real nonnegative values")
         if self.min_weight < 0.0:
             raise ValueError(f"{name}: negative weight alpha({self.min_index}) = {self.min_weight:g}")
-        total = math.fsum(self.real.tolist())
+        total = self.total().real
+        _check_finite_total(self.alpha, self.x, total)
         if not total > 0.0:
             raise DegenerateSpecError(f"{name}: total weight is 0 on [1, {self.x}]")
         if self.lo < 0:
@@ -699,7 +643,7 @@ def _fsum_buckets(rows: List[Tuple[int, np.ndarray]], lo: int, n_buckets: int) -
         a, b = max(m0, lo), min(m0 + r.shape[1], lo + n_buckets)
         stacked[i : i + r.shape[0], a - lo : b - lo] = r[:, a - m0 : b - m0]
         i += r.shape[0]
-    return np.array([math.fsum(stacked[:, j].tolist()) for j in range(n_buckets)])
+    return np.array([_fsum(stacked[:, j].tolist()) for j in range(n_buckets)])
 
 
 def _least(w: np.ndarray, lo: int) -> Tuple[float, int]:
@@ -708,13 +652,7 @@ def _least(w: np.ndarray, lo: int) -> Tuple[float, int]:
     return float(w[i]), lo + i
 
 
-def bucket_sums_grid(
-    alpha: MultiplicativeSpec,
-    g: AdditiveSpec,
-    xs: Sequence[int],
-    weights: Optional[np.ndarray] = None,
-    g_values: Optional[np.ndarray] = None,
-) -> List[BucketSums]:
+def bucket_sums_grid(alpha: MultiplicativeSpec, g: AdditiveSpec, xs: Sequence[int]) -> List[BucketSums]:
     """bucket_sums at every x in xs, from one pass over the blocks.
 
     Each block adds one bincount row per 4096 consecutive n (two for
@@ -728,7 +666,7 @@ def bucket_sums_grid(
     if not g.integer_valued:
         raise ValueError(f"{g.name} is not integer-valued; pmf buckets are integers")
     grid = _grid(xs)
-    blocks = _ValueBlocks(alpha, g, grid[-1], weights, g_values)
+    blocks = _ValueBlocks(alpha, g, grid[-1])
     done: List[List[Tuple[int, np.ndarray]]] = []  # per part of alpha, (m0, rows) of the blocks passed
     g_lo, g_hi = math.inf, -math.inf
     least = (math.inf, 0)  # the least weight so far and its first n (real alpha)
@@ -764,13 +702,7 @@ def bucket_sums_grid(
     return [out[int(x)] for x in xs]
 
 
-def bucket_sums(
-    alpha: MultiplicativeSpec,
-    g: AdditiveSpec,
-    x: int,
-    weights: Optional[np.ndarray] = None,
-    g_values: Optional[np.ndarray] = None,
-) -> BucketSums:
+def bucket_sums(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int) -> BucketSums:
     """Bucket the alpha weights on 1..x by the integer value of g.
 
     One pass over the value-table blocks; see bucket_sums_grid.
@@ -778,78 +710,53 @@ def bucket_sums(
     Raises:
         ValueError: g is not integer-valued.
     """
-    return bucket_sums_grid(alpha, g, (x,), weights, g_values)[0]
+    return bucket_sums_grid(alpha, g, (x,))[0]
 
 
-def twisted_sum(
-    alpha: MultiplicativeSpec,
-    y,
-    g: AdditiveSpec,
-    x: int,
-    weights: Optional[np.ndarray] = None,
-    g_values: Optional[np.ndarray] = None,
-) -> complex:
+def twisted_sum(alpha: MultiplicativeSpec, y, g: AdditiveSpec, x: int) -> complex:
     """Exact sum of y^{g(n)} alpha(n) over 1 <= n <= x."""
     y = _twist_base(y)
     if g.integer_valued:
-        return bucket_sums(alpha, g, x, weights, g_values).twisted_sum(y)
-    return _direct_twisted_sums(alpha, y, g, x, weights, g_values)[0]
+        return bucket_sums(alpha, g, x).twisted_sum(y)
+    return _direct_twisted_sums(alpha, y, g, x)[0]
 
 
-def twisted_mean(
-    alpha: MultiplicativeSpec,
-    y,
-    g: AdditiveSpec,
-    x: int,
-    weights: Optional[np.ndarray] = None,
-    g_values: Optional[np.ndarray] = None,
-) -> complex:
+def twisted_mean(alpha: MultiplicativeSpec, y, g: AdditiveSpec, x: int) -> complex:
     """E[y^{g(N)}] for N weighted by alpha on 1..x (exact).
 
     Raises:
+        ValueError: the sum of the weights on [1, x] overflows.
         DegenerateSpecError: the weights sum to 0 on [1, x].
     """
     y = _twist_base(y)
     if g.integer_valued:
-        return bucket_sums(alpha, g, x, weights, g_values).mean(y)
-    return _mean(alpha, x, *_direct_twisted_sums(alpha, y, g, x, weights, g_values))
+        return bucket_sums(alpha, g, x).mean(y)
+    return _mean(alpha, x, *_direct_twisted_sums(alpha, y, g, x))
 
 
-def mgf_exact(
-    alpha: MultiplicativeSpec,
-    g: AdditiveSpec,
-    x: int,
-    z,
-    weights: Optional[np.ndarray] = None,
-    g_values: Optional[np.ndarray] = None,
-) -> complex:
+def mgf_exact(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int, z) -> complex:
     """E[exp(z g(N))] for N weighted by alpha on 1..x (exact)."""
-    return twisted_mean(alpha, cmath.exp(complex(z)), g, x, weights, g_values)
+    return twisted_mean(alpha, cmath.exp(complex(z)), g, x)
 
 
-def pmf(
-    alpha: MultiplicativeSpec,
-    g: AdditiveSpec,
-    x: int,
-    weights: Optional[np.ndarray] = None,
-    g_values: Optional[np.ndarray] = None,
-) -> DistributionTable:
+def pmf(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int) -> DistributionTable:
     """Exact probability mass function of g(N) under the alpha weights.
 
     Requires g to take nonnegative integer values (omega, Omega, or an
-    integer table); weights must be real and nonnegative.
+    integer table); weights must be real and nonnegative, with a total
+    that float64 holds.
     """
-    return bucket_sums(alpha, g, x, weights, g_values).distribution()
+    return bucket_sums(alpha, g, x).distribution()
 
 
-def _cumulative_pieces(w0: float, blocks) -> Iterator[Tuple[int, np.ndarray]]:
-    """(n, cumulative[n : n + len]) piece by piece, cumulative = compensated_cumsum(w[0..x]).
+def _cumulative_pieces(blocks) -> Iterator[Tuple[int, np.ndarray]]:
+    """(n, cumulative[n : n + len]) piece by piece, cumulative = compensated_cumsum(w[0..x]), w[0] = 0.
 
     The prefix-sum chunks start at n = 0 and the blocks at n = 1, so each
     piece carries the last weight of its block over to the next.
     """
     prefix = _PrefixSums()
-    carry = np.array([w0], dtype=np.float64)
+    carry = np.zeros(1)
     n = 0
     for _, w, _ in blocks:
         run = np.concatenate((carry, w))
@@ -862,35 +769,24 @@ def _cumulative_pieces(w0: float, blocks) -> Iterator[Tuple[int, np.ndarray]]:
         yield n, prefix(carry)
 
 
-def sample(
-    alpha: MultiplicativeSpec,
-    x: int,
-    seed: int,
-    count: int,
-    stream: int = 0,
-    table: Optional[WeightTable] = None,
-) -> np.ndarray:
+def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int = 0) -> np.ndarray:
     """Draw `count` iid copies of N (P(N=n) proportional to alpha(n), n <= x).
 
     Inverse-CDF sampling: uniforms come from the counter-based
     Philox4x64 generator keyed by (seed, stream), so draws are
     reproducible across platforms and independent streams are obtained
-    by varying `stream`.  Two passes over the weight blocks (or over a
-    given table's weights, cut into the same blocks) replace the
+    by varying `stream`.  Two passes over the weight blocks replace the
     cumulative weight array: the first checks the weights as
-    build_weight_table does and carries the compensated prefix sum to
-    the total; the second recomputes the prefix sums a block at a time
-    and binary-searches the targets, in sorted order, that fall in it.
-    Each draw is the one a search of the whole cumulative array gives.
+    BucketSums.distribution does and carries the compensated prefix sum
+    to the total; the second recomputes the prefix sums a block at a
+    time and binary-searches the targets, in sorted order, that fall in
+    it.  Each draw is the one a search of the whole cumulative array
+    gives.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if table is None:
-        w0, blocks = 0.0, _ValueBlocks(alpha, None, x)
-    else:
-        x = table.x
-        w0, blocks = float(table.weights[0]), _ValueBlocks(alpha, None, x, weights=table.weights)
-    lows = [(w0, 0)]  # the least weight of each block, and its first n
+    blocks = _ValueBlocks(alpha, None, x)
+    lows = [(0.0, 0)]  # the least weight of each block, and its first n
 
     def checked():
         for lo, w, gt in blocks:
@@ -900,11 +796,12 @@ def sample(
             yield lo, w, gt
 
     total = 0.0
-    for _, cumulative in _cumulative_pieces(w0, checked()):
+    for _, cumulative in _cumulative_pieces(checked()):
         total = float(cumulative[-1])
     weight, n_bad = min(lows)
     if weight < 0.0:
         raise ValueError(f"{alpha.name}: negative weight alpha({n_bad}) = {weight:g}")
+    _check_finite_total(alpha, x, total)
     if not total > 0.0:
         raise DegenerateSpecError(f"{alpha.name}: total weight is 0 on [1, {x}]")
     bits = np.random.Philox(key=[np.uint64(int(seed) & (2**64 - 1)), np.uint64(int(stream))])
@@ -914,7 +811,7 @@ def sample(
     ordered = targets[order]
     found = ordered.view(np.int64)  # each sorted target's slot takes its draw once searched
     j = 0
-    for n, cumulative in _cumulative_pieces(w0, blocks):
+    for n, cumulative in _cumulative_pieces(blocks):
         if j == count:
             break
         k = j + int(np.searchsorted(ordered[j:], cumulative[-1], side="left"))
@@ -932,8 +829,6 @@ def mod_poisson_residual(
     x: int,
     z,
     rho=None,
-    weights: Optional[np.ndarray] = None,
-    g_values: Optional[np.ndarray] = None,
 ) -> complex:
     """Normalized MGF psi_x(z) = exp(-rho ln ln x (e^z - 1)) E[e^{z g(N)}].
 
@@ -945,7 +840,7 @@ def mod_poisson_residual(
     """
     z = complex(z)
     rho = complex(alpha.rho) if rho is None else complex(rho)
-    return _poisson_factor(x, z, rho) * mgf_exact(alpha, g, x, z, weights, g_values)
+    return _poisson_factor(x, z, rho) * mgf_exact(alpha, g, x, z)
 
 
 def distribution_to_csv(dist: DistributionTable) -> str:

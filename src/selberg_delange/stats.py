@@ -98,8 +98,6 @@ def ldp_predict(
     s: float,
     substitute_at_one: bool = True,
     dist: Optional[DistributionTable] = None,
-    weights=None,
-    g_values=None,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
     tol: float = DEFAULT_FACTOR_TOL,
 ) -> LdpPrediction:
@@ -148,7 +146,7 @@ def ldp_predict(
         prefactor = value.real / (1.0 - 1.0 / s)
     predicted = math.exp(-t_x * rate) * prefactor
     if dist is None:
-        dist = pmf(alpha, g, x, weights, g_values)
+        dist = pmf(alpha, g, x)
     exact = dist.tail_probability(s * t_x)
     ratio = exact / predicted if predicted != 0.0 else math.inf
     return LdpPrediction(
@@ -172,8 +170,6 @@ def clt_report(
     x: int,
     y_grid: Sequence[float],
     dist: Optional[DistributionTable] = None,
-    weights=None,
-    g_values=None,
 ) -> CltReport:
     """Kolmogorov distance and tail pairs against the standard normal.
 
@@ -193,7 +189,7 @@ def clt_report(
         raise DomainError(f"clt_report requires real rho > 0, got {rho}")
     rho = rho.real
     if dist is None:
-        dist = pmf(alpha, g, x, weights, g_values)
+        dist = pmf(alpha, g, x)
     t_x = rho * math.log(math.log(x))
     sigma = math.sqrt(t_x)
     atoms = (dist.values.astype(np.float64) - t_x) / sigma

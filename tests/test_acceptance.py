@@ -31,8 +31,7 @@ from conftest import trial_factorize
 from selberg_delange.euler import check_admissibility_pp, g_compensated, lambda0, psi
 from selberg_delange.exact import (
     additive_value_table,
-    mgf_exact,
-    mod_poisson_residual,
+    bucket_sums_grid,
     multiplicative_value_table,
     partial_sum,
     pmf,
@@ -50,7 +49,6 @@ from selberg_delange.special import gamma, zeta
 from selberg_delange.stats import clt_report, eta_star, ldp_predict, normal_cdf
 
 X_GRID = (10**3, 10**4, 10**5, 10**6, 10**7)
-X_MAX = X_GRID[-1]
 Z_CIRCLE = tuple(np.exp(2j * math.pi * j / 16) for j in range(16))
 
 
@@ -104,21 +102,9 @@ def _first_order_coefficient(y: complex, primes: np.ndarray) -> complex:
 
 
 @pytest.fixture(scope="module")
-def unit_weights():
-    return multiplicative_value_table(unit(), X_MAX)
-
-
-@pytest.fixture(scope="module")
-def omega_values():
-    return additive_value_table(OMEGA, X_MAX)
-
-
-@pytest.fixture(scope="module")
-def unit_dists(unit_weights, omega_values):
-    return {
-        x: pmf(unit(), OMEGA, x, weights=unit_weights, g_values=omega_values)
-        for x in X_GRID
-    }
+def unit_buckets():
+    """The omega buckets of the unit weights at every grid x, from one pass."""
+    return dict(zip(X_GRID, bucket_sums_grid(unit(), OMEGA, X_GRID)))
 
 
 def test_criterion_01_euler_product_constant():
@@ -185,7 +171,7 @@ def test_criterion_03_sieve_vs_trial_division():
     assert elapsed < 60.0
 
 
-def test_criterion_04_residual_convergence(unit_weights, omega_values):
+def test_criterion_04_residual_convergence(unit_buckets):
     limits = {z: psi(unit(), z) for z in Z_CIRCLE}
     primes = _primes_up_to(10**6).astype(np.float64)
     first_order = {z: _first_order_coefficient(complex(np.exp(z)), primes) for z in Z_CIRCLE}
@@ -196,9 +182,7 @@ def test_criterion_04_residual_convergence(unit_weights, omega_values):
         worst = 0.0
         worst_remainder = 0.0
         for z in Z_CIRCLE:
-            psi_x = mod_poisson_residual(
-                unit(), OMEGA, x, z, weights=unit_weights, g_values=omega_values
-            )
+            psi_x = unit_buckets[x].residual(z)
             worst = max(worst, abs(psi_x - limits[z]))
             second_order = limits[z] * (1.0 + first_order[z] / ln_x)
             worst_remainder = max(worst_remainder, abs(psi_x - second_order))
@@ -233,18 +217,15 @@ def test_criterion_04_residual_convergence(unit_weights, omega_values):
     )
 
 
-def test_criterion_05_mgf_pmf_duality(unit_weights, omega_values):
+def test_criterion_05_mgf_pmf_duality():
     x = 10**6
     worst = 0.0
+    om = additive_value_table(OMEGA, x)[1:]
     for spec in (unit(), theta_omega(2.5)):
-        if spec.name == "unit":
-            weights = unit_weights
-        else:
-            weights = multiplicative_value_table(spec, x)
-        dist = pmf(spec, OMEGA, x, weights=weights, g_values=omega_values)
-        # the mgf as a term-by-term compensated sum, independent of the
-        # buckets the pmf is read from
-        w, om = weights[1 : x + 1], omega_values[1 : x + 1]
+        dist = pmf(spec, OMEGA, x)
+        # the mgf as a term-by-term compensated sum over whole tables,
+        # independent of the buckets the pmf is read from
+        w = multiplicative_value_table(spec, x)[1:]
         total = math.fsum(w.tolist())
         for y in (0.5, 1.0, 2.0):
             direct = math.fsum((w * y**om).tolist()) / total
@@ -260,10 +241,10 @@ def test_criterion_05_mgf_pmf_duality(unit_weights, omega_values):
     assert worst <= 1e-10
 
 
-def test_criterion_06_central_limit_distance(unit_dists):
+def test_criterion_06_central_limit_distance(unit_buckets):
     rho = 1.0
     distances = [
-        clt_report(unit(), OMEGA, rho, x, [0.0], dist=unit_dists[x]).kolmogorov_distance
+        clt_report(unit(), OMEGA, rho, x, [0.0], dist=unit_buckets[x].distribution()).kolmogorov_distance
         for x in X_GRID
     ]
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
@@ -285,9 +266,9 @@ def test_criterion_06_central_limit_distance(unit_dists):
     )
 
 
-def test_criterion_07_large_deviation_ratio(unit_dists):
+def test_criterion_07_large_deviation_ratio(unit_buckets):
     rho, s = 1.0, 2.0
-    preds = [ldp_predict(unit(), OMEGA, rho, x, s, dist=unit_dists[x]) for x in X_GRID]
+    preds = [ldp_predict(unit(), OMEGA, rho, x, s, dist=unit_buckets[x].distribution()) for x in X_GRID]
     ratios = [p.ratio for p in preds]
     gaps = [abs(r - 1.0) for r in ratios]
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))

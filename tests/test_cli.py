@@ -333,3 +333,25 @@ def test_mgf_zero_normalizing_sum_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "zero normalizing sum on [1, 2]" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [["pmf"], ["sample", "--count", "5"], ["mgf", "--y", "2"]],
+    ids=["pmf", "sample", "mgf"],
+)
+def test_overflowing_total_weight_exits_two(capsys, argv):
+    # alpha(6) = 1e400 overflows: no empty pmf, no draw outside [1, x], no nan
+    spec = ["--spec", "tabulated:2^1=1e200,3^1=1e200", "--x", "10"]
+    code, out, err = run_cli(capsys, argv[:1] + spec + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "tabulated: total weight on [1, 10] overflows float64" in err
+
+
+def test_pmf_with_a_subnormal_prime_power_value(capsys):
+    # f(4)/f(2) overflows; alpha(4) = 1 all the same
+    code, out, err = run_cli(capsys, ["pmf", "--spec", "tabulated:2^1=2.2250738585e-313", "--x", "10"])
+    assert (code, err) == (0, "")
+    assert out == "value,probability\n0,0.142857142857143\n1,0.857142857142857\n2,6.35735388156138e-314\n"

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import additive_eval_brute, spec_eval_brute, trial_big_omega, trial_omega
@@ -14,12 +14,9 @@ from selberg_delange.errors import DegenerateSpecError, DomainError
 from selberg_delange.exact import (
     BucketSums,
     DistributionTable,
-    WeightTable,
     additive_value_table,
     bucket_sums,
     bucket_sums_grid,
-    build_weight_table,
-    compensated_complex_sum,
     compensated_cumsum,
     compensated_sum,
     distribution_to_csv,
@@ -75,14 +72,6 @@ def test_compensated_sum_error_scales_with_l1_norm(size):
     want = math.fsum(data.tolist())
     budget = 1e-14 * float(np.abs(data).sum()) + 1e-300
     assert abs(compensated_sum(data) - want) <= budget
-
-
-def test_compensated_complex_sum():
-    rng = np.random.default_rng(42)
-    data = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
-    got = compensated_complex_sum(data)
-    assert got.real == pytest.approx(math.fsum(data.real.tolist()), abs=1e-12)
-    assert got.imag == pytest.approx(math.fsum(data.imag.tolist()), abs=1e-12)
 
 
 def test_compensated_cumsum_prefixes():
@@ -170,32 +159,45 @@ def test_additive_value_table_rejects_bad_specs():
 
 
 # ---------------------------------------------------------------------------
-# weight tables
+# weights of a distribution
 
 
-def test_build_weight_table_unit():
-    table = build_weight_table(unit(), 100)
-    assert isinstance(table, WeightTable)
-    assert table.total == pytest.approx(100.0, rel=1e-14)
-    assert table.cumulative[1] == 1.0
-    diffs = np.diff(table.cumulative)
-    assert (diffs >= 0).all()
+def test_sample_and_pmf_reject_negative_weights():
+    for run in (lambda: sample(theta_omega(-1), 50, 1, 10), lambda: pmf(theta_omega(-1), OMEGA, 50)):
+        with pytest.raises(ValueError, match=r"^theta_omega:-1: negative weight alpha\(2\) = -1$"):
+            run()
 
 
-def test_build_weight_table_rejects_negative():
-    with pytest.raises(ValueError) as exc_info:
-        build_weight_table(theta_omega(-1), 50)
-    assert "alpha(2)" in str(exc_info.value)
+def test_sample_and_pmf_reject_complex_weights():
+    for run in (lambda: sample(theta_omega(1j), 50, 1, 10), lambda: pmf(theta_omega(1j), OMEGA, 50)):
+        with pytest.raises(ValueError, match="weight table requires real nonnegative values"):
+            run()
 
 
-def test_build_weight_table_rejects_complex():
-    with pytest.raises(ValueError):
-        build_weight_table(theta_omega(1j), 50)
-
-
-def test_build_weight_table_rejects_vanishing_total():
-    with pytest.raises(DegenerateSpecError):
-        build_weight_table(unit(), 10, values=np.zeros(11))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec, x",
+    [
+        # alpha(6) = 1e400 overflows to inf
+        (tabulated_multiplicative({(2, 1): 1e200, (3, 1): 1e200}), 10),
+        # every weight is finite, but 25,000 of them are 1e305
+        (tabulated_multiplicative({(2, 1): 1e305}), 10**5),
+    ],
+    ids=["inf-weight", "finite-weights"],
+)
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda spec, x: sample(spec, x, 1, 5),
+        lambda spec, x: pmf(spec, OMEGA, x),
+        lambda spec, x: twisted_mean(spec, 2.0, OMEGA, x),
+        lambda spec, x: mgf_exact(spec, tabulated_additive({(2, 1): 0.5}), x, 0.1),
+    ],
+    ids=["sample", "pmf", "mean", "direct-mean"],
+)
+def test_overflowing_total_weight_is_rejected(run, spec, x):
+    with pytest.raises(ValueError, match=r"^tabulated: total weight on \[1, \d+\] overflows float64$"):
+        run(spec, x)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +226,6 @@ def test_partial_sum_matches_brute_force(spec):
 def test_partial_sum_validation():
     with pytest.raises(ValueError):
         partial_sum(unit(), 0)
-    with pytest.raises(ValueError):
-        partial_sum(unit(), 100, values=np.ones(50))
 
 
 def test_twisted_sum_enumeration_example():
@@ -313,20 +313,22 @@ def test_pmf_rejects_non_integer_or_negative_g():
 
 
 def test_mgf_pmf_duality():
-    # E[e^{z g}] computed directly and through the pmf agree to near
-    # machine precision; both read the same bucket sums, which the
-    # property tests below check against term-by-term sums
+    # E[e^{z g}] as a term-by-term sum over whole tables, through the pmf,
+    # and from mgf_exact agree to near machine precision
     x = 10**4
+    om = additive_value_table(OMEGA, x)[1:]
     for spec in (unit(), theta_omega(2.5)):
-        weights = multiplicative_value_table(spec, x)
-        dist = pmf(spec, OMEGA, x, weights=weights)
+        w = multiplicative_value_table(spec, x)[1:]
+        dist = pmf(spec, OMEGA, x)
         for z in (math.log(0.5), math.log(2.0), complex(0.3, 1.0)):
-            direct = mgf_exact(spec, OMEGA, x, z, weights=weights)
+            terms = w * np.exp(complex(z) * om)
+            direct = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) / math.fsum(w.tolist())
             via_pmf = sum(
                 cmath.exp(z * m) * q
                 for m, q in zip(dist.values.tolist(), dist.probabilities.tolist())
             )
             assert abs(direct - via_pmf) < 1e-12
+            assert abs(direct - mgf_exact(spec, OMEGA, x, z)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +352,12 @@ def test_sample_reproducible_and_stream_independent():
 def test_sample_equals_unsorted_search():
     # sample searches the targets in sorted order; each draw must be the
     # one a plain searchsorted over the targets as drawn gives
-    table = build_weight_table(geometric_B(1.5), 10**5)
+    cumulative = compensated_cumsum(multiplicative_value_table(geometric_B(1.5), 10**5))
     for seed, stream in ((0, 0), (1, 0), (7, 3), (2**63 + 5, 1)):
         bits = np.random.Philox(key=[np.uint64(seed & (2**64 - 1)), np.uint64(stream)])
-        targets = np.random.Generator(bits).random(5000) * table.total
-        want = np.searchsorted(table.cumulative, targets, side="right")
-        got = sample(geometric_B(1.5), 10**5, seed, 5000, stream, table=table)
+        targets = np.random.Generator(bits).random(5000) * cumulative[-1]
+        want = np.searchsorted(cumulative, targets, side="right")
+        got = sample(geometric_B(1.5), 10**5, seed, 5000, stream)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
 
@@ -442,7 +444,10 @@ def reference_multiplicative_table(spec, x):
             pk *= p
         if not np.iscomplexobj(w) and any(v.imag != 0.0 for v in values):
             w = w.astype(np.complex128)
-        if any(v == 0 for v in values):
+        # a ratio after a zero, or past a tiny value, is not finite
+        if any(v == 0 for v in values) or not all(
+            cmath.isfinite(v / prev) for v, prev in zip(values, [complex(1.0)] + values[:-1])
+        ):
             for k, v in enumerate(values, start=1):
                 idx = np.arange(p**k, x + 1, p**k)
                 if p ** (k + 1) <= x:
@@ -555,7 +560,7 @@ def direct_twisted_sum(w, gt, y, x):
     lo = int(g_slice.min())
     ladder = np.array([cpow(y, m) for m in range(lo, int(g_slice.max()) + 1)], dtype=np.complex128)
     terms = w[1 : x + 1] * ladder[g_slice - lo]
-    return compensated_complex_sum(terms), float(np.abs(terms).sum())
+    return complex(compensated_sum(terms.real), compensated_sum(terms.imag)), float(np.abs(terms).sum())
 
 
 CIRCLE_16 = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
@@ -573,28 +578,30 @@ BUCKET_TOL = 2 * 4096 * 2.0**-53
 def test_bucketed_sums_match_direct_sums(spec, g, x, real_y):
     w = multiplicative_value_table(spec, x)
     gt = additive_value_table(g, x)
-    buckets = bucket_sums(spec, g, x, weights=w, g_values=gt)
+    buckets = bucket_sums(spec, g, x)
     den, den_l1 = direct_twisted_sum(w, gt, 1.0, x)
     assert abs(buckets.total() - den) <= BUCKET_TOL * den_l1
     for y in CIRCLE_16 + [real_y]:
         num, num_l1 = direct_twisted_sum(w, gt, y, x)
-        got = twisted_sum(spec, y, g, x, weights=w, g_values=gt)
+        got = twisted_sum(spec, y, g, x)
         assert abs(got - num) <= BUCKET_TOL * num_l1
         if den == 0:
             continue
         mgf = num / den
-        got = mgf_exact(spec, g, x, cmath.log(y), weights=w, g_values=gt)
+        got = mgf_exact(spec, g, x, cmath.log(y))
         bound = BUCKET_TOL * (num_l1 + abs(mgf) * den_l1) / abs(den) + 1e-15 * abs(mgf)
         assert abs(got - mgf) <= bound
 
 
 @settings(max_examples=40, deadline=None)
 @given(spec=NONNEGATIVE, g=INTEGER_ADDITIVE, x=XS)
+# f(2) subnormal: the ratio f(4)/f(2) overflows
+@example(spec=tabulated_multiplicative({(2, 1): 2.2250738585e-313}), g=OMEGA, x=10)
 def test_bucketed_pmf_matches_direct_sums(spec, g, x):
     w = multiplicative_value_table(spec, x)
     gt = additive_value_table(g, x)
     total = compensated_sum(w[1:])
-    dist = pmf(spec, g, x, weights=w, g_values=gt)
+    dist = pmf(spec, g, x)
     for m, q in zip(dist.values.tolist(), dist.probabilities.tolist()):
         bucket = compensated_sum(w[1:][gt[1:] == m])
         assert abs(q - bucket / total) <= BUCKET_TOL * q + 1e-16
@@ -620,8 +627,6 @@ def test_bucket_sums_api():
         complex_buckets.distribution()
     with pytest.raises(ValueError, match="not integer-valued"):
         bucket_sums(unit(), tabulated_additive({(2, 1): 0.5}), 100)
-    with pytest.raises(ValueError, match="do not cover"):
-        bucket_sums(unit(), OMEGA, 100, weights=np.ones(50))
 
 
 def test_signed_integer_g_buckets_below_zero():
@@ -704,6 +709,19 @@ def test_gather_non_integer_delta_at_large_prime():
     assert raised(lambda: additive_value_table(complex_late, 1000)) == raised(
         lambda: reference_additive_table(complex_late, 1000)
     )
+
+
+def test_tiny_prime_power_value_takes_exact_exponent_steps():
+    # f(2) is subnormal, so the ratio f(4)/f(2) overflows; the sweep then
+    # multiplies by f(2^k) on the n with 2^k || n instead
+    spec = tabulated_multiplicative({(2, 1): 2.2250738585e-313})
+    x = 10
+    table = multiplicative_value_table(spec, x)
+    assert table[1:].tolist() == [spec_eval_brute(spec, n).real for n in range(1, x + 1)]
+    assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
+    dist = pmf(spec, OMEGA, x)
+    assert dist.values.tolist() == [0, 1, 2]
+    assert dist.probabilities.tolist() == pytest.approx([1 / 7, 6 / 7, 0.0], abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -807,22 +825,19 @@ def test_streamed_bucket_and_partial_sums_match_whole_tables(block, spec, g, x):
     gt = reference_additive_table(g, x)
     with small_blocks(block):
         streamed = bucket_sums_grid(spec, g, grid)
-        given_arrays = bucket_sums_grid(spec, g, grid, weights=w, g_values=gt)
         partials = partial_sum_grid(spec, grid)
-        given_partials = partial_sum_grid(spec, grid, values=w)
-    for xi, a, b, s, t in zip(grid, streamed, given_arrays, partials, given_partials):
+    for xi, got, s in zip(grid, streamed, partials):
         lo, sums = whole_bucket_sums(w, gt, xi)
-        for got in (a, b):
-            assert got.x == xi and got.lo == lo
-            assert got.real.tobytes() == sums[0].tobytes()
-            assert (got.imag is None) == (len(sums) == 1)
-            if got.imag is None:
-                i = int(np.argmin(w[1 : xi + 1]))
-                assert (got.min_index, got.min_weight) == (i + 1, float(w[i + 1]))
-            else:
-                assert got.imag.tobytes() == sums[1].tobytes()
+        assert got.x == xi and got.lo == lo
+        assert got.real.tobytes() == sums[0].tobytes()
+        assert (got.imag is None) == (len(sums) == 1)
+        if got.imag is None:
+            i = int(np.argmin(w[1 : xi + 1]))
+            assert (got.min_index, got.min_weight) == (i + 1, float(w[i + 1]))
+        else:
+            assert got.imag.tobytes() == sums[1].tobytes()
         want = whole_complex_sum(w[1 : xi + 1])
-        assert bits(s) == bits(want) and bits(t) == bits(want)
+        assert bits(s) == bits(want)
         assert bits(partial_sum(spec, xi)) == bits(want)
 
 
@@ -835,7 +850,6 @@ def test_streamed_direct_twisted_sums_match_whole_tables(block, spec, g, x, y):
     want = whole_complex_sum(w[1:] * np.exp(gt[1:] * complex(cmath.log(y))))
     with small_blocks(block):
         assert bits(twisted_sum(spec, y, g, x)) == bits(want)
-        assert bits(twisted_sum(spec, y, g, x, weights=w, g_values=gt)) == bits(want)
         den = whole_complex_sum(w[1:])
         if den != 0:
             assert bits(twisted_mean(spec, y, g, x)) == bits(want / den)
@@ -848,16 +862,13 @@ def test_streamed_sample_matches_whole_search(block, spec, x):
     w = reference_multiplicative_table(spec, x)
     cumulative = compensated_cumsum(w)
     with small_blocks(block):
-        table = build_weight_table(spec, x)
-        assert table.cumulative.tobytes() == cumulative.tobytes()
-        pieces = exact._cumulative_pieces(0.0, exact._ValueBlocks(spec, None, x))
+        pieces = exact._cumulative_pieces(exact._ValueBlocks(spec, None, x))
         assert np.concatenate([c for _, c in pieces]).tobytes() == cumulative.tobytes()
         for seed in (0, 1, 7, 2**63 + 5):
             bits_ = np.random.Philox(key=[np.uint64(seed & (2**64 - 1)), np.uint64(0)])
             targets = np.random.Generator(bits_).random(3000) * cumulative[x]
             want = np.searchsorted(cumulative, targets, side="right")
             assert np.array_equal(sample(spec, x, seed, 3000), want)
-            assert np.array_equal(sample(spec, x, seed, 3000, table=table), want)
 
 
 @BLOCKS
@@ -896,12 +907,8 @@ def test_streamed_errors_match_reference(block):
         )
         table = multiplicative_value_table(late_complex, x)
         assert table.tobytes() == reference_multiplicative_table(late_complex, x).tobytes()
-        assert raised(lambda: pmf(late_complex, OMEGA, x)) == (
-            ValueError, "late_complex: weight table requires real nonnegative values"
-        )
-        assert raised(lambda: sample(late_complex, x, 1, 10)) == raised(
-            lambda: build_weight_table(late_complex, x)
-        )
+        for run in (lambda: pmf(late_complex, OMEGA, x), lambda: sample(late_complex, x, 1, 10)):
+            assert raised(run) == (ValueError, "late_complex: weight table requires real nonnegative values")
         lying = AdditiveSpec("lying", lambda p, k: np.where(p == late, 0.5, 1.0), integer_valued=True)
         assert raised(lambda: pmf(unit(), lying, x)) == raised(lambda: reference_additive_table(lying, x))
 
@@ -924,8 +931,9 @@ def test_streamed_commands_are_charged_for_the_sieve_alone(monkeypatch):
     x = 10**5
     memory = (_sieve_bytes(x) + 16 * (x + 1)) // 2
     assert _sieve_bytes(x) < memory
+    want = pmf(unit(), OMEGA, x).as_dict()
     monkeypatch.setattr(sieve, "_physical_memory", lambda: memory)
-    assert pmf(unit(), OMEGA, x).values.tolist() == pmf(unit(), OMEGA, x, weights=np.ones(x + 1)).values.tolist()
+    assert pmf(unit(), OMEGA, x).as_dict() == want
     for build, spec in ((multiplicative_value_table, unit()), (additive_value_table, OMEGA)):
         with pytest.raises(ValueError, match=f"value tables to x = {x}: need about"):
             build(spec, x)
