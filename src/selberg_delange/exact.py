@@ -210,7 +210,13 @@ class _Recipe:
                 a[at] = self.op(a[at], v)
             else:
                 view = a[head[i] :: pk]
-                self.op(view, v, out=view)
+                if view.size == 1:
+                    # numpy multiplies a lone complex in place by a scalar
+                    # loop that rounds unlike its vector loop, so a step
+                    # hitting one n of a block would round by the block size
+                    view[...] = self.op(view, v)
+                else:
+                    self.op(view, v, out=view)
         if self.tail < len(self.steps):
             # op.at applies its positions in order, so each n still sees the steps in order
             moduli = self.moduli[self.tail :]
@@ -275,7 +281,8 @@ def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: List[int], l
             pk *= p
         if complex_from is None and any(v.imag != 0.0 for v in values):
             complex_from = len(steps)
-        ratios = [] if has_zero else [v / prev for v, prev in zip(values, [complex(1.0)] + values[:-1])]
+        # f(p) itself, as the gather of the large primes applies it, then f(p^k)/f(p^(k-1))
+        ratios = [] if has_zero else values[:1] + [v / prev for v, prev in zip(values[1:], values)]
         if has_zero or not all(cmath.isfinite(r) for r in ratios):
             # multiply on the exact-exponent classes p^k || n; a ratio
             # after a zero, or past a tiny value, is not finite

@@ -444,22 +444,23 @@ def reference_multiplicative_table(spec, x):
             pk *= p
         if not np.iscomplexobj(w) and any(v.imag != 0.0 for v in values):
             w = w.astype(np.complex128)
+        # every product is taken out of place: numpy multiplies a lone
+        # complex in place by a scalar loop that rounds unlike its vector loop
         # a ratio after a zero, or past a tiny value, is not finite
-        if any(v == 0 for v in values) or not all(
-            cmath.isfinite(v / prev) for v, prev in zip(values, [complex(1.0)] + values[:-1])
-        ):
+        if any(v == 0 for v in values) or not all(cmath.isfinite(v / prev) for v, prev in zip(values[1:], values)):
             for k, v in enumerate(values, start=1):
                 idx = np.arange(p**k, x + 1, p**k)
                 if p ** (k + 1) <= x:
                     idx = idx[idx % p ** (k + 1) != 0]
-                w[idx] *= v if np.iscomplexobj(w) else v.real
+                w[idx] = w[idx] * (v if np.iscomplexobj(w) else v.real)
             continue
-        prev = complex(1.0)
+        # f(p) itself, then the ratios f(p^k)/f(p^(k-1))
+        prev = None
         pk = p
         for v in values:
-            ratio = v / prev
+            ratio = v if prev is None else v / prev
             if ratio != 1.0:
-                w[pk::pk] *= ratio if np.iscomplexobj(w) else ratio.real
+                w[pk::pk] = w[pk::pk] * (ratio if np.iscomplexobj(w) else ratio.real)
             prev = v
             pk *= p
     return w
