@@ -14,7 +14,6 @@ import cmath
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .euler import (
@@ -33,7 +32,7 @@ from .exact import (
     sums_to_csv,
     twisted_mean,
 )
-from .funcs import AdditiveSpec, MultiplicativeSpec, parse_additive, parse_multiplicative
+from .funcs import parse_additive, parse_multiplicative
 from .stats import (
     clt_report,
     clt_report_to_dict,
@@ -74,11 +73,15 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"expected a number like 0.3 or 0.1+0.2j, got {text!r}")
 
 
-def _x_grid_arg(text: str) -> Tuple[int, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
+def _grid(text: str, name: str, parse) -> tuple:
+    parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
-        raise argparse.ArgumentTypeError("empty x grid")
-    return tuple(_int_arg(p.strip()) for p in parts)
+        raise argparse.ArgumentTypeError(f"empty {name} grid")
+    return tuple(parse(p) for p in parts)
+
+
+def _x_grid_arg(text: str) -> Tuple[int, ...]:
+    return _grid(text, "x", _int_arg)
 
 
 def _z_grid_arg(text: str) -> Tuple[complex, ...]:
@@ -90,106 +93,43 @@ def _z_grid_arg(text: str) -> Tuple[complex, ...]:
         if n < 1:
             raise argparse.ArgumentTypeError("circle:N needs N >= 1")
         return tuple(cmath.exp(2j * cmath.pi * j / n) for j in range(n))
-    return tuple(_complex_arg(p) for p in body.split(",") if p.strip())
+    return _grid(text, "z", _complex_arg)
 
 
 def _float_grid_arg(text: str) -> Tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return _grid(text, "y", float)
 
 
-@dataclass
-class RunConfig:
-    """Fully parsed invocation; specs are validated before heavy work."""
-
-    alpha: MultiplicativeSpec
-    g: AdditiveSpec
-    spec_text: str
-    g_text: str
-    cutoff: int = DEFAULT_PRIME_CUTOFF
-    tol: float = DEFAULT_FACTOR_TOL
-    x: Optional[int] = None
-    x_grid: Optional[Tuple[int, ...]] = None
-    z: complex = 0j
-    z_grid: Tuple[complex, ...] = ()
-    y: Optional[complex] = None
-    s: float = 2.0
-    rho: Optional[complex] = None
-    y_grid: Tuple[float, ...] = DEFAULT_Y_GRID
-    seed: int = 0
-    stream: int = 0
-    count: int = 10
-    c0: Optional[float] = None
-    substitute_at_one: bool = True
-    output: Optional[str] = None
-    fmt: str = "csv"
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        spec_text = getattr(args, "spec", "unit")
-        g_text = getattr(args, "g", "omega")
-        alpha = parse_multiplicative(spec_text)
-        g = parse_additive(g_text)
-        return RunConfig(
-            alpha=alpha,
-            g=g,
-            spec_text=spec_text,
-            g_text=g_text,
-            cutoff=getattr(args, "cutoff", DEFAULT_PRIME_CUTOFF),
-            tol=getattr(args, "tol", DEFAULT_FACTOR_TOL),
-            x=getattr(args, "x", None),
-            x_grid=getattr(args, "x_grid", None),
-            z=getattr(args, "z", 0j),
-            z_grid=getattr(args, "z_grid", None) or (),
-            y=getattr(args, "y", None),
-            s=getattr(args, "s", 2.0),
-            rho=getattr(args, "rho", None),
-            y_grid=getattr(args, "y_grid", None) or DEFAULT_Y_GRID,
-            seed=getattr(args, "seed", 0),
-            stream=getattr(args, "stream", 0),
-            count=getattr(args, "count", 10),
-            c0=getattr(args, "c0", None),
-            substitute_at_one=not getattr(args, "no_s1_substitution", False),
-            output=getattr(args, "output", None),
-            fmt=getattr(args, "fmt", "csv"),
-        )
-
-    def require_x(self) -> int:
-        if self.x is None:
-            raise ValueError("this command needs --x")
-        if self.x < 1:
-            raise ValueError(f"--x must be >= 1, got {self.x}")
-        return self.x
-
-    def xs(self) -> Tuple[int, ...]:
-        if self.x_grid:
-            return self.x_grid
-        if self.x is not None:
-            return (self.x,)
-        return DEFAULT_X_GRID
+def _require_x(x: Optional[int]) -> int:
+    if x is None:
+        raise ValueError("this command needs --x")
+    if x < 1:
+        raise ValueError(f"--x must be >= 1, got {x}")
+    return x
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    _emit_chunks(cfg, (text,))
+def _emit(args: argparse.Namespace, text: str) -> None:
+    _emit_chunks(args, (text,))
 
 
-def _emit_chunks(cfg: RunConfig, chunks: Iterable[str]) -> None:
+def _emit_chunks(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     """Write the chunks in order, to --output or stdout."""
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
 
 
-def _emit_json(cfg: RunConfig, obj) -> None:
-    _emit(cfg, json.dumps(obj, indent=2) + "\n")
+def _emit_json(args: argparse.Namespace, obj) -> None:
+    _emit(args, json.dumps(obj, indent=2) + "\n")
 
 
-def cmd_lambda0(cfg: RunConfig) -> None:
-    res = lambda0(cfg.alpha, prime_cutoff=cfg.cutoff, tol=cfg.tol)
-    if cfg.fmt == "json":
+def cmd_lambda0(args: argparse.Namespace) -> None:
+    res = lambda0(args.alpha, prime_cutoff=args.cutoff, tol=args.tol)
+    if args.fmt == "json":
         _emit_json(
-            cfg,
+            args,
             {
                 "lambda0_re": res.value.real,
                 "lambda0_im": res.value.imag,
@@ -205,54 +145,51 @@ def cmd_lambda0(cfg: RunConfig) -> None:
         f"prime_cutoff = {res.prime_cutoff}",
         f"k_cutoff = {res.k_cutoff}",
     ]
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
 
 
-def cmd_psi(cfg: RunConfig) -> None:
-    value = psi(cfg.alpha, cfg.z, cfg.g, prime_cutoff=cfg.cutoff, tol=cfg.tol)
-    if cfg.fmt == "json":
-        _emit_json(cfg, {"z_re": cfg.z.real, "z_im": cfg.z.imag, "psi_re": value.real, "psi_im": value.imag})
+def cmd_psi(args: argparse.Namespace) -> None:
+    value = psi(args.alpha, args.z, args.additive, prime_cutoff=args.cutoff, tol=args.tol)
+    if args.fmt == "json":
+        _emit_json(args, {"z_re": args.z.real, "z_im": args.z.imag, "psi_re": value.real, "psi_im": value.imag})
         return
-    _emit(cfg, f"psi = {_fmt(value)}\n")
+    _emit(args, f"psi = {_fmt(value)}\n")
 
 
-def cmd_sum(cfg: RunConfig) -> None:
-    xs = sorted(cfg.x_grid or (cfg.require_x(),))
-    rows = list(zip(xs, partial_sum_grid(cfg.alpha, xs)))
-    if not cfg.x_grid:
+def cmd_sum(args: argparse.Namespace) -> None:
+    xs = sorted(args.x_grid or (_require_x(args.x),))
+    rows = list(zip(xs, partial_sum_grid(args.alpha, xs)))
+    if not args.x_grid:
         x, value = rows[0]
-        if cfg.fmt == "json":
-            _emit_json(cfg, {"x": x, "sum_re": value.real, "sum_im": value.imag})
+        if args.fmt == "json":
+            _emit_json(args, {"x": x, "sum_re": value.real, "sum_im": value.imag})
             return
-        _emit(cfg, f"sum = {_fmt(value)}\n")
+        _emit(args, f"sum = {_fmt(value)}\n")
         return
-    if cfg.fmt == "json":
-        _emit_json(cfg, {"rows": [{"x": x, "sum_re": v.real, "sum_im": v.imag} for x, v in rows]})
+    if args.fmt == "json":
+        _emit_json(args, {"rows": [{"x": x, "sum_re": v.real, "sum_im": v.imag} for x, v in rows]})
         return
-    _emit(cfg, sums_to_csv(rows))
+    _emit(args, sums_to_csv(rows))
 
 
-def cmd_mgf(cfg: RunConfig) -> None:
-    x = cfg.require_x()
-    if cfg.y is not None:
-        y = cfg.y
-    else:
-        y = cmath.exp(cfg.z)
+def cmd_mgf(args: argparse.Namespace) -> None:
+    x = _require_x(args.x)
+    y = args.y if args.y is not None else cmath.exp(args.z)
     if y == 0:
         raise ValueError("--y must be nonzero")
-    value = twisted_mean(cfg.alpha, y, cfg.g, x)
-    if cfg.fmt == "json":
-        _emit_json(cfg, {"x": x, "y_re": y.real, "y_im": y.imag, "mgf_re": value.real, "mgf_im": value.imag})
+    value = twisted_mean(args.alpha, y, args.additive, x)
+    if args.fmt == "json":
+        _emit_json(args, {"x": x, "y_re": y.real, "y_im": y.imag, "mgf_re": value.real, "mgf_im": value.imag})
         return
-    _emit(cfg, f"mgf = {_fmt(value)}\n")
+    _emit(args, f"mgf = {_fmt(value)}\n")
 
 
-def cmd_pmf(cfg: RunConfig) -> None:
-    x = cfg.require_x()
-    dist = pmf(cfg.alpha, cfg.g, x)
-    if cfg.fmt == "json":
+def cmd_pmf(args: argparse.Namespace) -> None:
+    x = _require_x(args.x)
+    dist = pmf(args.alpha, args.additive, x)
+    if args.fmt == "json":
         _emit_json(
-            cfg,
+            args,
             {
                 "x": dist.x,
                 "pmf": {str(m): q for m, q in dist.as_dict().items()},
@@ -261,64 +198,64 @@ def cmd_pmf(cfg: RunConfig) -> None:
             },
         )
         return
-    _emit(cfg, distribution_to_csv(dist))
+    _emit(args, distribution_to_csv(dist))
 
 
-def cmd_sample(cfg: RunConfig) -> None:
-    x = cfg.require_x()
-    if cfg.count < 1:
-        raise ValueError(f"--count must be >= 1, got {cfg.count}")
-    draws = sample(cfg.alpha, x, cfg.seed, cfg.count, stream=cfg.stream)
-    if cfg.fmt == "json":
-        _emit_json(cfg, {"x": x, "seed": cfg.seed, "stream": cfg.stream, "draws": draws.tolist()})
+def cmd_sample(args: argparse.Namespace) -> None:
+    x = _require_x(args.x)
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    draws = sample(args.alpha, x, args.seed, args.count, stream=args.stream)
+    if args.fmt == "json":
+        _emit_json(args, {"x": x, "seed": args.seed, "stream": args.stream, "draws": draws.tolist()})
         return
-    _emit_chunks(cfg, ("\n".join(map(str, draws[i : i + _DRAWS_PER_WRITE].tolist())) + "\n"
-                       for i in range(0, draws.size, _DRAWS_PER_WRITE)))
+    _emit_chunks(args, ("\n".join(map(str, draws[i : i + _DRAWS_PER_WRITE].tolist())) + "\n"
+                        for i in range(0, draws.size, _DRAWS_PER_WRITE)))
 
 
-def cmd_clt(cfg: RunConfig) -> None:
-    x = cfg.require_x()
-    report = clt_report(cfg.alpha, cfg.g, cfg.rho, x, cfg.y_grid)
-    if cfg.fmt == "json":
-        _emit_json(cfg, clt_report_to_dict(report))
+def cmd_clt(args: argparse.Namespace) -> None:
+    x = _require_x(args.x)
+    report = clt_report(args.alpha, args.additive, args.rho, x, args.y_grid)
+    if args.fmt == "json":
+        _emit_json(args, clt_report_to_dict(report))
         return
     head = f"# x={report.x} kolmogorov_distance={report.kolmogorov_distance:.15g}\n"
-    _emit(cfg, head + tail_pairs_to_csv(report.tail_pairs))
+    _emit(args, head + tail_pairs_to_csv(report.tail_pairs))
 
 
-def cmd_ldp(cfg: RunConfig) -> None:
-    xs = sorted(cfg.x_grid or (cfg.require_x(),))
-    buckets = bucket_sums_grid(cfg.alpha, cfg.g, xs)
+def cmd_ldp(args: argparse.Namespace) -> None:
+    xs = sorted(args.x_grid or (_require_x(args.x),))
+    buckets = bucket_sums_grid(args.alpha, args.additive, xs)
     rows = [
         (x, ldp_predict(
-            cfg.alpha, cfg.g, cfg.rho, x, cfg.s, substitute_at_one=cfg.substitute_at_one,
-            dist=sums.distribution(), prime_cutoff=cfg.cutoff, tol=cfg.tol,
+            args.alpha, args.additive, args.rho, x, args.s,
+            dist=sums.distribution(), prime_cutoff=args.cutoff, tol=args.tol,
         ))
         for x, sums in zip(xs, buckets)
     ]
-    if not cfg.x_grid:
+    if not args.x_grid:
         pred = rows[0][1]
-        if cfg.fmt == "json":
-            _emit_json(cfg, ldp_prediction_to_dict(pred))
+        if args.fmt == "json":
+            _emit_json(args, ldp_prediction_to_dict(pred))
             return
         lines = [f"{key} = {value:.15g}" for key, value in ldp_prediction_to_dict(pred).items()]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
         return
-    if cfg.fmt == "json":
-        _emit_json(cfg, {"rows": [dict(ldp_prediction_to_dict(p), x=x) for x, p in rows]})
+    if args.fmt == "json":
+        _emit_json(args, {"rows": [dict(ldp_prediction_to_dict(p), x=x) for x, p in rows]})
         return
     lines = ["x,exact_tail,predicted_tail,ratio"]
     for x, pred in rows:
         lines.append(f"{x},{pred.exact_tail:.15g},{pred.predicted_tail:.15g},{pred.ratio:.15g}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
 
 
-def cmd_check(cfg: RunConfig) -> None:
-    c0 = cfg.c0 if cfg.c0 is not None else cfg.alpha.c0
-    report = check_admissibility_pp(cfg.alpha, c0=c0, tol=cfg.tol)
-    if cfg.fmt == "json":
+def cmd_check(args: argparse.Namespace) -> None:
+    c0 = args.c0 if args.c0 is not None else args.alpha.c0
+    report = check_admissibility_pp(args.alpha, c0=c0, tol=args.tol)
+    if args.fmt == "json":
         _emit_json(
-            cfg,
+            args,
             {
                 "c0": report.c0,
                 "verdict": report.verdict,
@@ -340,26 +277,25 @@ def cmd_check(cfg: RunConfig) -> None:
             else "increment_exponent = none"
         ),
     ]
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
 
 
-def cmd_report(cfg: RunConfig) -> None:
+def cmd_report(args: argparse.Namespace) -> None:
     """Full convergence study: lambda0, psi grid, residual trend, CLT, LDP."""
-    if cfg.fmt != "json":
+    if args.fmt != "json":
         raise ValueError("report emits json only; use --format json")
-    xs = tuple(sorted(cfg.xs()))
+    xs = tuple(sorted(args.x_grid or ((args.x,) if args.x is not None else DEFAULT_X_GRID)))
     if xs[0] < 16:
         raise ValueError(f"report x grid needs x >= 16, got {xs[0]}")
-    zs = cfg.z_grid or _z_grid_arg("circle:16")
     # one pass over the value tables serves all residuals and the pmf
-    buckets = bucket_sums_grid(cfg.alpha, cfg.g, xs)
+    buckets = bucket_sums_grid(args.alpha, args.additive, xs)
 
-    lam = lambda0(cfg.alpha, prime_cutoff=cfg.cutoff, tol=cfg.tol)
-    rho = cfg.rho if cfg.rho is not None else cfg.alpha.rho
+    lam = lambda0(args.alpha, prime_cutoff=args.cutoff, tol=args.tol)
+    rho = args.rho if args.rho is not None else args.alpha.rho
 
     psi_values = []
-    for z in zs:
-        value = psi(cfg.alpha, z, cfg.g, prime_cutoff=cfg.cutoff, tol=cfg.tol)
+    for z in args.z_grid:
+        value = psi(args.alpha, z, args.additive, prime_cutoff=args.cutoff, tol=args.tol)
         psi_values.append((z, value))
 
     residual_table = []
@@ -374,32 +310,25 @@ def cmd_report(cfg: RunConfig) -> None:
     for x, sums in zip(xs, buckets):
         dist = sums.distribution()
         clt_rows.append(
-            clt_report_to_dict(clt_report(cfg.alpha, cfg.g, cfg.rho, x, cfg.y_grid, dist=dist))
+            clt_report_to_dict(clt_report(args.alpha, args.additive, args.rho, x, args.y_grid, dist=dist))
         )
         pred = ldp_predict(
-            cfg.alpha,
-            cfg.g,
-            cfg.rho,
-            x,
-            cfg.s,
-            substitute_at_one=cfg.substitute_at_one,
-            dist=dist,
-            prime_cutoff=cfg.cutoff,
-            tol=cfg.tol,
+            args.alpha, args.additive, args.rho, x, args.s,
+            dist=dist, prime_cutoff=args.cutoff, tol=args.tol,
         )
         ldp_rows.append(dict(ldp_prediction_to_dict(pred), x=x))
 
     payload = {
         "config": {
-            "spec": cfg.spec_text,
-            "g": cfg.g_text,
+            "spec": args.spec,
+            "g": args.g,
             "x_grid": list(xs),
-            "z_grid": [[z.real, z.imag] for z in zs],
-            "cutoff": cfg.cutoff,
-            "tol": cfg.tol,
-            "s": cfg.s,
-            "y_grid": list(cfg.y_grid),
-            "seed": cfg.seed,
+            "z_grid": [[z.real, z.imag] for z in args.z_grid],
+            "cutoff": args.cutoff,
+            "tol": args.tol,
+            "s": args.s,
+            "y_grid": list(args.y_grid),
+            "seed": args.seed,
         },
         "lambda0": {
             "value_re": lam.value.real,
@@ -416,16 +345,43 @@ def cmd_report(cfg: RunConfig) -> None:
         "clt": clt_rows,
         "ldp": ldp_rows,
     }
-    _emit_json(cfg, payload)
+    _emit_json(args, payload)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--spec", default="unit", help="multiplicative spec, e.g. theta_omega:2.5")
-    parser.add_argument("--g", default="omega", help="additive function: omega | big_omega | table:<path>")
-    parser.add_argument("--cutoff", type=_int_arg, default=DEFAULT_PRIME_CUTOFF, help="Euler product prime cutoff")
-    parser.add_argument("--tol", type=float, default=DEFAULT_FACTOR_TOL, help="local factor truncation tolerance")
-    parser.add_argument("--output", default=None, help="write output to this file instead of stdout")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+# each command registers --spec, --output, --format and its own flags
+_FLAGS = {
+    "--g": dict(default="omega", help="additive function: omega | big_omega | table:<path>"),
+    "--cutoff": dict(type=_int_arg, default=DEFAULT_PRIME_CUTOFF, help="Euler product prime cutoff"),
+    "--tol": dict(type=float, default=DEFAULT_FACTOR_TOL, help="local factor truncation tolerance"),
+    "--x": dict(type=_int_arg),
+    "--x-grid": dict(type=_x_grid_arg),
+    "--y": dict(type=_complex_arg),
+    "--z": dict(type=_complex_arg, default=0j),
+    "--z-grid": dict(type=_z_grid_arg, default="circle:16"),
+    "--s": dict(type=float, default=2.0),
+    "--rho": dict(type=_complex_arg),
+    "--y-grid": dict(type=_float_grid_arg, default=DEFAULT_Y_GRID),
+    "--seed": dict(type=_int_arg, default=0),
+    "--stream": dict(type=_int_arg, default=0),
+    "--count": dict(type=_int_arg, default=10),
+    "--c0": dict(type=float),
+}
+
+_COMMANDS = (
+    ("lambda0", cmd_lambda0, "Euler-product constant of a spec", ("--cutoff", "--tol")),
+    ("psi", cmd_psi, "limiting function psi(z)", ("--g", "--cutoff", "--tol", "--z")),
+    ("sum", cmd_sum, "exact partial sum of f(n) for n <= x", ("--x", "--x-grid")),
+    ("mgf", cmd_mgf, "exact E[y^{g(N)}] (or e^{z g(N)} via --z)", ("--g", "--x", "--y", "--z")),
+    ("pmf", cmd_pmf, "exact distribution of g(N) for N <= x", ("--g", "--x")),
+    ("sample", cmd_sample, "reproducible draws of N with P(N=n) ~ alpha(n)",
+     ("--x", "--seed", "--stream", "--count")),
+    ("clt", cmd_clt, "normal approximation report for g(N)", ("--g", "--x", "--rho", "--y-grid")),
+    ("ldp", cmd_ldp, "large-deviation prediction vs exact tail",
+     ("--g", "--cutoff", "--tol", "--x", "--x-grid", "--s", "--rho")),
+    ("check", cmd_check, "admissibility++ diagnostics", ("--tol", "--c0")),
+    ("report", cmd_report, "full convergence study as one JSON artifact",
+     ("--g", "--cutoff", "--tol", "--x-grid", "--x", "--z-grid", "--s", "--rho", "--y-grid", "--seed")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,85 +391,26 @@ def build_parser() -> argparse.ArgumentParser:
         "exact sieve-scale sums and Euler-product asymptotics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lambda0", help="Euler-product constant of a spec")
-    _add_common(p)
-    p.set_defaults(func=cmd_lambda0)
-
-    p = sub.add_parser("psi", help="limiting function psi(z)")
-    _add_common(p)
-    p.add_argument("--z", type=_complex_arg, default=0j)
-    p.set_defaults(func=cmd_psi)
-
-    p = sub.add_parser("sum", help="exact partial sum of f(n) for n <= x")
-    _add_common(p)
-    p.add_argument("--x", type=_int_arg, default=None)
-    p.add_argument("--x-grid", type=_x_grid_arg, default=None)
-    p.set_defaults(func=cmd_sum)
-
-    p = sub.add_parser("mgf", help="exact E[y^{g(N)}] (or e^{z g(N)} via --z)")
-    _add_common(p)
-    p.add_argument("--x", type=_int_arg, default=None)
-    p.add_argument("--y", type=_complex_arg, default=None)
-    p.add_argument("--z", type=_complex_arg, default=0j)
-    p.set_defaults(func=cmd_mgf)
-
-    p = sub.add_parser("pmf", help="exact distribution of g(N) for N <= x")
-    _add_common(p)
-    p.add_argument("--x", type=_int_arg, default=None)
-    p.set_defaults(func=cmd_pmf)
-
-    p = sub.add_parser("sample", help="reproducible draws of N with P(N=n) ~ alpha(n)")
-    _add_common(p)
-    p.add_argument("--x", type=_int_arg, default=None)
-    p.add_argument("--seed", type=_int_arg, default=0)
-    p.add_argument("--stream", type=_int_arg, default=0)
-    p.add_argument("--count", type=_int_arg, default=10)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("clt", help="normal approximation report for g(N)")
-    _add_common(p)
-    p.add_argument("--x", type=_int_arg, default=None)
-    p.add_argument("--rho", type=_complex_arg, default=None)
-    p.add_argument("--y-grid", type=_float_grid_arg, default=None)
-    p.set_defaults(func=cmd_clt)
-
-    p = sub.add_parser("ldp", help="large-deviation prediction vs exact tail")
-    _add_common(p)
-    p.add_argument("--x", type=_int_arg, default=None)
-    p.add_argument("--x-grid", type=_x_grid_arg, default=None)
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--rho", type=_complex_arg, default=None)
-    p.add_argument("--no-s1-substitution", action="store_true",
-                   help="raise at s=1 instead of substituting psi'(0)")
-    p.set_defaults(func=cmd_ldp)
-
-    p = sub.add_parser("check", help="admissibility++ diagnostics")
-    _add_common(p)
-    p.add_argument("--c0", type=float, default=None)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("report", help="full convergence study as one JSON artifact")
-    _add_common(p)
-    p.add_argument("--x-grid", type=_x_grid_arg, default=None)
-    p.add_argument("--x", type=_int_arg, default=None)
-    p.add_argument("--z-grid", type=_z_grid_arg, default=None)
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--rho", type=_complex_arg, default=None)
-    p.add_argument("--y-grid", type=_float_grid_arg, default=None)
-    p.add_argument("--seed", type=_int_arg, default=0)
-    p.add_argument("--no-s1-substitution", action="store_true")
-    p.set_defaults(func=cmd_report, fmt="json")
+    for name, func, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--spec", default="unit", help="multiplicative spec, e.g. theta_omega:2.5")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--output", default=None, help="write output to this file instead of stdout")
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=func)
+    sub.choices["report"].set_defaults(fmt="json")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        args.func(cfg)
+        # specs are checked before any heavy work
+        args.alpha = parse_multiplicative(args.spec)
+        args.additive = parse_additive(args.g) if "g" in args else None
+        args.func(args)
     except ArithmeticError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

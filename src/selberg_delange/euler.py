@@ -141,9 +141,7 @@ def local_factor(spec: MultiplicativeSpec, p: int, s, tol: float = DEFAULT_FACTO
     """
     if p < 2:
         raise ValueError(f"p must be a prime >= 2, got {p}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    value, _ = _local_factor_terms(spec, int(p), complex(s), tol)
+    value, _ = _local_factor_terms(spec, int(p), complex(s), _check_tol(tol))
     return value
 
 
@@ -350,6 +348,13 @@ def _check_cutoff(prime_cutoff) -> int:
     return P
 
 
+def _check_tol(tol) -> float:
+    t = float(tol)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"tol must be positive, got {tol}")
+    return t
+
+
 # Euler products are memoised per process: psi shares its denominator
 # across z, and ldp shares psi across x.  Specs are frozen and compare
 # value_at by identity, so a hit always means the same function.
@@ -381,7 +386,7 @@ def lambda0(
         integer (within snap tolerance) or some local factor vanishes.
         Results are memoised per process on (spec, cutoff, tol).
     """
-    return _memoised(_lambda0_cached, _lambda0, spec, _check_cutoff(prime_cutoff), float(tol))
+    return _memoised(_lambda0_cached, _lambda0, spec, _check_cutoff(prime_cutoff), _check_tol(tol))
 
 
 def _factors_at_one(spec: MultiplicativeSpec, P: int, tol: float) -> Optional[_LocalFactors]:
@@ -440,7 +445,7 @@ def psi(
         DegenerateSpecError: lambda0(alpha) = 0.
     """
     z = complex(z)
-    return _memoised(_psi_cached, _psi, alpha, z, g, _check_cutoff(prime_cutoff), float(tol))
+    return _memoised(_psi_cached, _psi, alpha, z, g, _check_cutoff(prime_cutoff), _check_tol(tol))
 
 
 def _psi(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec, P: int, tol: float) -> complex:
@@ -457,7 +462,7 @@ _psi_cached = lru_cache(maxsize=_MEMO_SIZE)(_psi)
 
 def _psi_prime(alpha: MultiplicativeSpec, g: AdditiveSpec, prime_cutoff: int, tol: float) -> complex:
     """psi'(0) for stats.psi_prime_at_zero, memoised per process like psi."""
-    return _memoised(_psi_prime_cached, _log_derivative, alpha, g, _check_cutoff(prime_cutoff), float(tol))
+    return _memoised(_psi_prime_cached, _log_derivative, alpha, g, _check_cutoff(prime_cutoff), _check_tol(tol))
 
 
 def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int, tol: float) -> complex:
@@ -513,6 +518,7 @@ def g_compensated(
     s = complex(s)
     rho = complex(rho)
     P = _check_cutoff(prime_cutoff)
+    tol = _check_tol(tol)
     sigma = s.real
     if sigma <= 1.0 - spec.c0:
         raise DomainError(
@@ -576,6 +582,7 @@ def check_admissibility_pp(
     """
     if not (0.0 < c0 < 1.0):
         raise ValueError(f"c0 must lie in (0,1), got {c0}")
+    tol = _check_tol(tol)
     grid = sorted(set(int(P) for P in (p_grid if p_grid is not None else _DEFAULT_P_GRID)))
     if len(grid) < 3:
         raise ValueError("p_grid needs at least 3 cutoffs for a trend fit")

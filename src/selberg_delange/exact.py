@@ -193,6 +193,8 @@ class _Recipe:
     gather_primes: np.ndarray
     gather_values: object
 
+    # an overflowing weight is reported by the finite-total checks
+    @np.errstate(over="ignore")
     def block(self, lo: int, hi: int, gather: Callable) -> np.ndarray:
         size = hi - lo
         a = np.full(size, self.start, dtype=self.dtype)
@@ -487,6 +489,8 @@ def partial_sum_grid(spec: MultiplicativeSpec, xs: Sequence[int]) -> List[comple
     """partial_sum at every x in xs, from one pass over the blocks."""
     grid = _grid(xs)
     sums = _grid_sums(_ValueBlocks(spec, None, grid[-1]), grid, _alpha_parts)
+    for x in grid:
+        _check_finite_total(spec, x, _as_complex(sums[x]))
     return [_as_complex(sums[int(x)]) for x in xs]
 
 

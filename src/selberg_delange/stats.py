@@ -96,7 +96,6 @@ def ldp_predict(
     rho: Optional[float],
     x: int,
     s: float,
-    substitute_at_one: bool = True,
     dist: Optional[DistributionTable] = None,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
     tol: float = DEFAULT_FACTOR_TOL,
@@ -105,14 +104,12 @@ def ldp_predict(
 
     predicted_tail = exp(-rho ln ln x eta*(s)) psi(ln s)/(1 - 1/s); the
     exact tail sums pmf buckets from ceil(s rho ln ln x) upward.  At
-    s = 1 the prefactor psi(ln s)/(1 - 1/s) is 1/0; with
-    substitute_at_one the stated replacement psi'(0) is used (a warning
-    is logged since psi(0) = 1 makes the unsubstituted ratio diverge),
-    otherwise s = 1 raises.
+    s = 1 the prefactor psi(ln s)/(1 - 1/s) is 1/0, so the stated
+    replacement psi'(0) is used (a warning is logged since psi(0) = 1
+    makes the unsubstituted ratio diverge).
 
     Raises:
-        DomainError: s <= 0, ln s outside the strip of g, or s = 1
-            without substitution.
+        DomainError: s <= 0 or ln s outside the strip of g.
         ValueError: x < 16 or non-real rho.
     """
     s = float(s)
@@ -135,8 +132,6 @@ def ldp_predict(
     rate = eta_star(s)
     t_x = rho * math.log(math.log(x))
     if s == 1.0:
-        if not substitute_at_one:
-            raise DomainError("prefactor psi(ln s)/(1 - 1/s) diverges at s = 1")
         logger.warning(
             "s = 1: replacing the divergent prefactor psi(0)/(1 - 1/s) by psi'(0)"
         )

@@ -264,6 +264,49 @@ def test_no_cache_flag(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pmf", "--x", "10", "--cutoff", "1000"],
+        ["sample", "--x", "10", "--g", "big_omega"],
+        ["sum", "--x", "10", "--tol", "1e-12"],
+        ["lambda0", "--g", "table:missing"],
+        ["check", "--cutoff", "1000"],
+        ["ldp", "--x", "1000", "--no-s1-substitution"],
+    ],
+    ids=["pmf-cutoff", "sample-g", "sum-tol", "lambda0-g", "check-cutoff", "ldp-no-s1"],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lambda0", "psi", "check"])
+def test_tol_must_be_finite_and_positive(capsys, command):
+    for tol in ("nan", "inf", "0", "-1"):
+        code, out, err = run_cli(capsys, [command, "--spec", "theta_omega:2", "--tol", tol])
+        assert (code, out) == (2, "")
+        assert "tol must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["clt", "--x", "100", "--y-grid", ""], "y"),
+        (["report", "--z-grid", ""], "z"),
+    ],
+    ids=["clt-y-grid", "report-z-grid"],
+)
+def test_empty_grid_exits_two(capsys, argv, flag):
+    # as an empty --x-grid does
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    assert f"empty {flag} grid" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 
@@ -335,11 +378,11 @@ def test_mgf_zero_normalizing_sum_exits_two(capsys):
     assert "zero normalizing sum on [1, 2]" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
-    [["pmf"], ["sample", "--count", "5"], ["mgf", "--y", "2"]],
-    ids=["pmf", "sample", "mgf"],
+    [["pmf"], ["sample", "--count", "5"], ["mgf", "--y", "2"], ["sum"]],
+    ids=["pmf", "sample", "mgf", "sum"],
 )
 def test_overflowing_total_weight_exits_two(capsys, argv):
     # alpha(6) = 1e400 overflows: no empty pmf, no draw outside [1, x], no nan

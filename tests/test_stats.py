@@ -264,11 +264,6 @@ def test_ldp_predict_substitution_at_one(caplog):
     assert pred.predicted_tail == pytest.approx(want, rel=1e-9)
 
 
-def test_ldp_predict_refuses_one_without_substitution():
-    with pytest.raises(DomainError):
-        ldp_predict(unit(), OMEGA, 1.0, 10**4, 1.0, substitute_at_one=False)
-
-
 def test_ldp_predict_domain_errors():
     with pytest.raises(DomainError):
         ldp_predict(unit(), OMEGA, 1.0, 10**4, 0.0)
