@@ -5,7 +5,8 @@ Two complementary engines over the same objects:
 * exact: sieve-scale tables of f(n) for n <= x, giving partial sums,
   moment generating functions, probability mass functions, and samples
   of g(N) where P(N = n) is proportional to a multiplicative weight.
-* asymptotic: truncated compensated Euler products, giving the
+* asymptotic: compensated Euler products, closed beyond their prime
+  cutoff by the prime zeta function where the spec allows, giving the
   limiting constant lambda0, the limiting function psi(z), central
   limit normalization, and precise large-deviation predictions.
 
@@ -55,6 +56,7 @@ from .funcs import (
     OMEGA,
     AdditiveSpec,
     GrowthBound,
+    LocalSeries,
     MultiplicativeSpec,
     StripDomain,
     euler_phi_over_n,
@@ -97,6 +99,7 @@ __all__ = [
     "EulerProductResult",
     "FULL_PLANE",
     "GrowthBound",
+    "LocalSeries",
     "LdpPrediction",
     "MultiplicativeSpec",
     "OMEGA",

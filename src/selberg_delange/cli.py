@@ -44,7 +44,7 @@ from .stats import (
 DEFAULT_X_GRID = (1000, 10000, 100000, 1000000)
 DEFAULT_Y_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 # sd sample formats and writes its draws this many at a time
-_DRAWS_PER_WRITE = 1 << 16
+_DRAWS_PER_WRITE = 1 << 12
 
 
 def _fmt(value) -> str:

@@ -1,10 +1,24 @@
-"""Truncated Euler products: local factors, leading constants, limits.
+"""Euler products: local factors, leading constants, limits.
 
 Everything here reduces to products over primes p <= P of local factors
 (1 - p^{-s})^rho (1 + F_p(s)), where F_p(s) = sum_k f(p^k) p^{-ks} is
 truncated using the spec's geometric growth envelope.  Products are
 accumulated in log space (exact summation of per-prime logs) so that
 10^6 factors neither underflow nor lose relative accuracy.
+
+At s = 1 the primes above the cutoff are not dropped when the spec
+declares a local series (funcs.LocalSeries).  The log of a local factor
+is then a power series sum_j a_j u^j in u = 1/p whose coefficients do
+not depend on p, so the primes p > P add sum_j a_j P_{>P}(j), where
+P_{>P}(j) = sum_{p>P} p^{-j} is the tail of the prime zeta function,
+
+    P(j) = sum_k mu(k)/k log zeta(kj)
+
+minus its primes p <= P (H. Cohen, "High precision computation of
+Hardy-Littlewood constants", 1998; Ettahri, Ramare and Surel, Math.
+Comp. 2021).  The cutoff then sizes the head, and tail_estimate bounds
+what is left: the truncated j series, the per-prime truncation tol of
+the head and the rounding.
 
 The leading constant at s = 1,
 
@@ -24,7 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import fsum
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,9 +49,9 @@ from .errors import (
     PoleError,
 )
 from .exact import multiplicative_value_table
-from .funcs import AdditiveSpec, MultiplicativeSpec, OMEGA, _prime_power_values, twist
+from .funcs import AdditiveSpec, LocalSeries, MultiplicativeSpec, OMEGA, _prime_power_values, twist
 from .sieve import prime_array
-from .special import digamma, gamma
+from .special import digamma, gamma, zeta_minus_one
 
 DEFAULT_PRIME_CUTOFF = 10**6
 DEFAULT_FACTOR_TOL = 1e-14
@@ -51,17 +65,23 @@ _K_HARD_CAP = 100_000
 
 @dataclass(frozen=True)
 class EulerProductResult:
-    """Value of a truncated Euler product plus truncation metadata.
+    """Value of an Euler product plus truncation metadata.
 
-    k_cutoff is the largest per-prime series length used; tail_estimate
-    is a heuristic bound on |log value - log true value| from the
-    discarded primes p > prime_cutoff (0 when the value is exactly 0).
+    prime_cutoff is the last prime of the head, the primes summed one by
+    one; k_cutoff is the largest per-prime series length used there.
+    tail_estimate bounds |log value - log true value| (0 when the value
+    is exactly 0).  It adds three parts: the primes p > prime_cutoff
+    (the truncated j series of a completed product, or the whole tail of
+    a plain one), tol per head prime over |1 + F_p| where that is below
+    1, and the rounding.  completed tells whether the primes above
+    prime_cutoff were closed by the prime-zeta tail.
     """
 
     value: complex
     prime_cutoff: int
     k_cutoff: int
     tail_estimate: float
+    completed: bool = False
 
 
 @dataclass(frozen=True)
@@ -369,6 +389,182 @@ def _memoised(cached, compute, *key):
     return cached(*key)
 
 
+# special.gamma's documented relative error for |z| <= 50
+_GAMMA_REL_ERR = 1e-12
+_ULP = 2.0**-53
+
+
+def _head_bound(spec: MultiplicativeSpec, rho: complex, factors: _LocalFactors, tol: float, total: complex) -> float:
+    """Bound on the log error of the head product over the primes p <= P.
+
+    Each truncated series F_p is within tol of the true one, which moves
+    log(1 + F_p) by at most tol / |1 + F_p|; over n primes that is at
+    most tol n / min(1, min_p |1 + F_p|).  Rounding: every term is
+    within a few ulps of |rho|/p or of (K_p + 4) ulps of |F_p|, where
+    |F_p| <= C r/(p - r) <= 3 C r/p for p >= 3, and sum_{p<=P} 1/p is
+    below ln ln P + 0.2615 + 1/ln^2 P (Rosser and Schoenfeld, 1962);
+    then the exp and 1/Gamma(rho).
+    """
+    worst = max(1.0, 1.0 / float(np.hypot(1.0 + factors.F_re, factors.F_im).min()))
+    n = len(factors.primes)
+    log_p = math.log(int(factors.primes[-1]))
+    reciprocal_sum = math.log(log_p) + 0.2615 + 1.0 / log_p**2
+    C, r = spec.growth.C, spec.growth.r
+    F_sum = C * r * (1.0 / (2.0 - r) + 3.0 * reciprocal_sum)
+    rounding = _ULP * (4.0 * abs(rho) * reciprocal_sum + (factors.k_max + 4) * worst * F_sum)
+    rounding += 4.0 * _ULP * (1.0 + abs(total)) + _GAMMA_REL_ERR
+    return tol * n * worst + rounding
+
+
+# The completed products: coefficients are read up to u^j with j at least
+# _SERIES_MIN_POWER (so the root estimate of their growth sees a few of
+# them) and at most _SERIES_MAX_POWER; contributions below _NEGLIGIBLE are
+# bounded, not computed.
+_SERIES_MIN_POWER = 6
+_SERIES_MAX_POWER = 60
+_NEGLIGIBLE = 2.0**-64
+
+
+class _Completion(NamedTuple):
+    """sum_{p>P} of a log local factor, and a bound on its error."""
+
+    value: complex
+    error: float
+
+
+def _mobius(k: int) -> int:
+    mu, d = 1, 2
+    while d * d <= k:
+        if k % d == 0:
+            k //= d
+            if k % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if k > 1 else mu
+
+
+@lru_cache(maxsize=None)
+def _prime_zeta(j: int) -> float:
+    """P(j) = sum_p p^{-j} = sum_k mu(k)/k log zeta(kj), for j >= 2.
+
+    zeta(kj) - 1 carries full relative accuracy, so P(j) does too; the
+    terms stop where 2^{-kj} falls below 2^-64 P(j).
+    """
+    terms = []
+    for k in range(1, 66 // j + 2):
+        mu = _mobius(k)
+        if mu:
+            terms.append(mu * _log_zeta(k * j) / k)
+    return fsum(terms)
+
+
+@lru_cache(maxsize=None)
+def _log_zeta(s: int) -> float:
+    """log zeta(s), shared by the P(j) whose Mobius sums meet at s."""
+    return math.log1p(zeta_minus_one(s).real)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _prime_zeta_tail(P: int, j: int) -> float:
+    """P_{>P}(j) = sum_{p>P} p^{-j}: P(j) minus an fsum over the primes p <= P.
+
+    Memoised per (P, j), so that the products of one run share it.
+    """
+    u = 1.0 / prime_array(P)
+    power = u.copy()
+    for _ in range(j - 1):
+        power *= u
+    return _prime_zeta(j) - fsum(power.tolist())
+
+
+def _series_powers(coeffs: Callable[[int], Tuple], weight: Optional[Callable[[int], float]] = None):
+    """Yield (F_m, G_m), m = 1, 2, ...: the coefficients of u^m in
+    F(u) = sum_k f(p^k) u^k and G(u) = sum_k weight(k) f(p^k) u^k, where
+    f(p^k) = sum_i coeffs(k)[i] u^i and u = 1/p."""
+    rows = []
+    while True:
+        rows.append(coeffs(len(rows) + 1))
+        m = len(rows)
+        F = G = 0j
+        for k in range(1, m + 1):
+            row = rows[k - 1]
+            if m - k < len(row):
+                F += row[m - k]
+                if weight is not None:
+                    G += weight(k) * row[m - k]
+        yield F, G
+
+
+def _log_factor_coefficients(series: LocalSeries, rho: complex) -> Iterator[complex]:
+    """a_1, a_2, ... of rho log(1 - u) + log(1 + F(u)) = sum_m a_m u^m.
+
+    log(1 + F) = L solves (1 + F) L' = F', so
+    m L_m = m F_m - sum_{i<m} i L_i F_{m-i}.
+    """
+    F, L = [0j], [0j]
+    for m, (F_m, _) in enumerate(_series_powers(series.coeffs), start=1):
+        F.append(F_m)
+        L.append(F_m - sum((i * L[i] * F[m - i] for i in range(1, m)), 0j) / m)
+        yield L[m] - rho / m
+
+
+def _log_derivative_coefficients(series: LocalSeries, weight, c: float, rho: complex) -> Iterator[complex]:
+    """b_1, b_2, ... of c rho log(1 - u) + G(u)/(1 + F(u)) = sum_m b_m u^m.
+
+    Q = G/(1 + F) solves Q_m = G_m - sum_{i<m} F_i Q_{m-i}.
+    """
+    F, Q = [0j], [0j]
+    for m, (F_m, G_m) in enumerate(_series_powers(series.coeffs, weight), start=1):
+        F.append(F_m)
+        Q.append(G_m - sum((F[i] * Q[m - i] for i in range(1, m)), 0j))
+        yield Q[m] - c * rho / m
+
+
+def _close_tail(coefficients: Iterator[complex], P: int, R0: float) -> Optional[_Completion]:
+    """sum_{j>=2} a_j P_{>P}(j): the primes above P of sum_j a_j p^{-j}.
+
+    a_1 must vanish, or the sum over primes diverges.  A term goes in
+    when its bound |a_j| P^{1-j}/(j-1) (sum_{n>P} n^{-j} <= P^{1-j}/(j-1))
+    exceeds both _NEGLIGIBLE and the rounding of P_{>P}(j); otherwise
+    the bound goes into the error.  Past the last j read, |a_j| is taken
+    to be at most (2R)^j, R being the larger of R0 and the root-test
+    estimate max |a_i|^{1/i} so far.  None when a_1 != 0, or when that
+    remainder is still above _NEGLIGIBLE at _SERIES_MAX_POWER.
+    """
+    if next(coefficients) != 0:
+        return None
+    re, im, error, R = [], [], 0.0, R0
+    for j, a in enumerate(coefficients, start=2):
+        mag = abs(a)
+        if mag:
+            R = max(R, mag ** (1.0 / j))
+        bound = mag * float(P) ** (1 - j) / (j - 1)
+        # P_{>P}(j) is within (j + 17) ulps of P(j) <= 2^{1-j} (zeta - 1
+        # to 5 ulps, u^j to j + 1); a_j within j ulps of the (2R)^j it is
+        # built from
+        noise = (j + 17) * _ULP * (mag * 2.0 ** (1 - j) + (2.0 * R) ** j * float(P) ** (1 - j))
+        if bound <= max(noise, _NEGLIGIBLE):
+            error += bound
+        else:
+            term = a * _prime_zeta_tail(P, j)
+            re.append(term.real)
+            im.append(term.imag)
+            error += noise
+        q = 2.0 * R / P
+        if j >= _SERIES_MIN_POWER and q < 0.5:
+            rest = P * q ** (j + 1) / (j * (1.0 - q))
+            if rest <= _NEGLIGIBLE:
+                return _Completion(complex(fsum(re), fsum(im)), error + rest)
+        if j >= _SERIES_MAX_POWER:
+            return None
+
+
+def _completes(series: Optional[LocalSeries], P: int, *exceptional: int) -> bool:
+    """Whether a product over the primes above P can be closed by the series."""
+    return series is not None and all(p <= P for p in (*series.exceptional_primes, *exceptional))
+
+
 def lambda0(
     spec: MultiplicativeSpec,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
@@ -378,7 +574,9 @@ def lambda0(
 
     Args:
         spec: multiplicative function with growth ratio r < 2.
-        prime_cutoff: include primes p <= prime_cutoff (>= 100).
+        prime_cutoff: the head, the primes p <= prime_cutoff (>= 100)
+            summed one by one; the primes above it are closed by the
+            prime-zeta tail when spec has a local series.
         tol: per-factor truncation tolerance.
 
     Returns:
@@ -386,7 +584,7 @@ def lambda0(
         integer (within snap tolerance) or some local factor vanishes.
         Results are memoised per process on (spec, cutoff, tol).
     """
-    return _memoised(_lambda0_cached, _lambda0, spec, _check_cutoff(prime_cutoff), _check_tol(tol))
+    return _memoised(_lambda0_cached, _lambda0, spec, _check_cutoff(prime_cutoff), _check_tol(tol), True)
 
 
 def _factors_at_one(spec: MultiplicativeSpec, P: int, tol: float) -> Optional[_LocalFactors]:
@@ -411,7 +609,15 @@ def _factors_at_one(spec: MultiplicativeSpec, P: int, tol: float) -> Optional[_L
     return _local_factors(spec, complex(1.0), P, tol, "1")
 
 
-def _lambda0(spec: MultiplicativeSpec, P: int, tol: float) -> EulerProductResult:
+def _completion(spec: MultiplicativeSpec, rho: complex, P: int) -> Optional[_Completion]:
+    """The primes p > P of lambda0's log product, or None for a plain product."""
+    if not _completes(spec.series, P):
+        return None
+    return _close_tail(_log_factor_coefficients(spec.series, rho), P, spec.growth.r)
+
+
+def _lambda0(spec: MultiplicativeSpec, P: int, tol: float, complete: bool = True) -> EulerProductResult:
+    """lambda0, closed by the prime-zeta tail when complete and the spec allows it."""
     factors = _factors_at_one(spec, P, tol)
     if factors is None or factors.vanished:
         k_max = factors.k_max if factors else 0
@@ -419,12 +625,20 @@ def _lambda0(spec: MultiplicativeSpec, P: int, tol: float) -> EulerProductResult
     rho = complex(spec.rho)
     comp = _map_float(math.log1p, -1.0 / factors.primes)
     total = _log_product(rho, comp, 0.0, factors)
+    tail = _completion(spec, rho, P) if complete else None
+    if tail is None:
+        c1, eps = spec.prime_deviation
+        truncation = _second_order_constant(spec, rho) * _prime_tail_scale(P, 2.0)
+        if c1 > 0.0:
+            truncation += c1 * _prime_tail_scale(P, 1.0 + eps)
+    else:
+        total += tail.value
+        truncation = tail.error
     value = cmath.exp(total) / gamma(rho)
-    c1, eps = spec.prime_deviation
-    tail = _second_order_constant(spec, rho) * _prime_tail_scale(P, 2.0)
-    if c1 > 0.0:
-        tail += c1 * _prime_tail_scale(P, 1.0 + eps)
-    return EulerProductResult(value=value, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=tail)
+    tail_estimate = truncation + _head_bound(spec, rho, factors, tol, total)
+    return EulerProductResult(
+        value=value, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=tail_estimate, completed=tail is not None
+    )
 
 
 _lambda0_cached = lru_cache(maxsize=_MEMO_SIZE)(_lambda0)
@@ -449,11 +663,17 @@ def psi(
 
 
 def _psi(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec, P: int, tol: float) -> complex:
+    """The ratio of two products closed alike: both completed, or both
+    plain when either cannot be completed (a twist by a table g, say),
+    so that the tails above P cancel in the ratio instead of adding."""
     den = lambda0(alpha, P, tol)
     if den.value == 0:
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
     twisted = twist(alpha, cmath.exp(z), g)
     num = lambda0(twisted, P, tol)
+    if num.completed != den.completed:
+        den = _memoised(_lambda0_cached, _lambda0, alpha, P, tol, False)
+        num = _memoised(_lambda0_cached, _lambda0, twisted, P, tol, False)
     return num.value / den.value
 
 
@@ -466,13 +686,15 @@ def _psi_prime(alpha: MultiplicativeSpec, g: AdditiveSpec, prime_cutoff: int, to
 
 
 def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int, tol: float) -> complex:
-    """d/dz log lambda0(exp-twist of alpha) at z = 0, over the primes p <= P.
+    """d/dz log lambda0(exp-twist of alpha) at z = 0.
 
-    The closed form of stats.psi_prime_at_zero, from two kernel passes:
-    F_p comes with the s = 1 factors, and G_p is truncated where the
-    tail of its envelope (a + b k) C (r/p)^k is <= tol, with
-    (a, b) = g.power_bound.  Logs go through the math library, as in
-    lambda0, so the printed value does not depend on numpy's SIMD.
+    The closed form of stats.psi_prime_at_zero, from two kernel passes
+    over the primes p <= P: F_p comes with the s = 1 factors, and G_p is
+    truncated where the tail of its envelope (a + b k) C (r/p)^k is
+    <= tol, with (a, b) = g.power_bound.  Logs go through the math
+    library, as in lambda0, so the printed value does not depend on
+    numpy's SIMD.  When alpha has a local series and g a k_value, the
+    primes p > P add sum_j b_j P_{>P}(j), as in lambda0.
     """
     factors = _factors_at_one(alpha, P, tol)
     if factors is None or factors.vanished:
@@ -493,6 +715,11 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int, tol: flo
     comp = _map_float(math.log1p, -1.0 / primes)
     terms = c * rho * comp + (G_re + 1j * G_im) / (1.0 + factors.F_re + 1j * factors.F_im)
     total = complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
+    if g.k_value is not None and _completes(alpha.series, P, *g.exceptional_primes):
+        coefficients = _log_derivative_coefficients(alpha.series, g.k_value, c, rho)
+        tail = _close_tail(coefficients, P, alpha.growth.r)
+        if tail is not None:
+            total += tail.value
     return total - c * rho * digamma(rho)
 
 

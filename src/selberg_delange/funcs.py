@@ -7,6 +7,11 @@ window, and a geometric growth envelope |f(p^k)| <= C * r^k that makes
 every series truncation computable.  Additive functions carry the
 analogous data for exponential twists y^g.
 
+Every built-in multiplicative spec except `perturbed` also declares its
+local series: f(p^k) as a short polynomial in 1/p whose coefficients do
+not depend on p.  The Euler products use it to close the product over
+the primes above their cutoff in closed form.
+
 Built-in families:
     unit                 f(n) = 1
     theta_omega(theta)   f(n) = theta^omega(n)
@@ -65,6 +70,19 @@ FULL_PLANE = StripDomain(-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
+class LocalSeries:
+    """f(p^k) = sum_i coeffs(k)[i] p^(-i) at every prime p outside
+    exceptional_primes, with coefficients that do not depend on p.
+
+    coeffs(k) returns a short tuple for each k >= 1; coeffs is compared
+    by identity, like value_at.
+    """
+
+    coeffs: Callable[[int], Tuple[complex, ...]]
+    exceptional_primes: Tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
 class MultiplicativeSpec:
     """A multiplicative function given by its prime-power values.
 
@@ -81,6 +99,12 @@ class MultiplicativeSpec:
     exists (it does for every built-in), and prime_deviation = (c1, eps)
     bounds |f(p) - prime_coeff| <= c1 * p^(-eps); both feed
     Euler-product tail estimates.
+
+    series is the optional LocalSeries of the same values, declared by
+    every built-in but `perturbed`.  It must agree with value_at; the
+    Euler products use it only for the primes above their cutoff, and
+    only when no exceptional prime lies there.  A spec without one keeps
+    the plain truncated product.
     """
 
     name: str
@@ -90,6 +114,7 @@ class MultiplicativeSpec:
     growth: GrowthBound
     prime_coeff: complex = None  # defaults to rho
     prime_deviation: Tuple[float, float] = _DEVIATION_NONE
+    series: Optional[LocalSeries] = None
 
     def __post_init__(self):
         if not (0.0 < self.c0 < 1.0):
@@ -112,7 +137,9 @@ class AdditiveSpec:
     exp-twists y^g (y = e^z) stays valid.  prime_value is the generic
     value g(p) taken at every prime outside the finite set
     exceptional_primes (1 for omega and Omega, 0 for tables), or None
-    when g declares no such value.
+    when g declares no such value.  k_value(k) is g(p^k) when that value
+    is the same at every prime (1 for omega, k for Omega), else None; it
+    carries a local series through twists and psi'(0).
     """
 
     name: str
@@ -123,6 +150,7 @@ class AdditiveSpec:
     nonnegative: bool = True
     prime_value: Optional[float] = None
     exceptional_primes: Tuple[int, ...] = ()
+    k_value: Optional[Callable[[int], int]] = None
 
 
 OMEGA = AdditiveSpec(
@@ -133,6 +161,7 @@ OMEGA = AdditiveSpec(
     integer_valued=True,
     nonnegative=True,
     prime_value=1,
+    k_value=lambda k: 1,
 )
 
 # exponential twists of Omega stay controlled only for Re z < ln(2)/2,
@@ -145,6 +174,7 @@ BIG_OMEGA = AdditiveSpec(
     integer_valued=True,
     nonnegative=True,
     prime_value=1,
+    k_value=lambda k: k,
 )
 
 
@@ -169,7 +199,8 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec, rho=None) -> Multiplica
     tables give rho); the finitely many exceptional primes of g enter
     the prime deviation bound, as in tabulated_multiplicative.  For a g
     without a generic prime value the caller must pass the twisted
-    average explicitly.
+    average explicitly.  A twist by a g with a k_value maps alpha's
+    local series to a series: it multiplies coeffs(k) by y^k_value(k).
 
     Raises:
         ValueError: y == 0, or rho omitted for a g without prime_value.
@@ -203,6 +234,15 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec, rho=None) -> Multiplica
     else:
         rho = complex(rho)
         prime_coeff = rho
+    series = None
+    if alpha.series is not None and g.k_value is not None:
+        alpha_coeffs, k_value = alpha.series.coeffs, g.k_value
+
+        def coeffs(k):
+            scale = cpow(y, k_value(k))
+            return tuple(scale * c for c in alpha_coeffs(k))
+
+        series = LocalSeries(coeffs, alpha.series.exceptional_primes)
     return MultiplicativeSpec(
         name=f"twist({alpha.name}, y={y.real:g}{y.imag:+g}j, g={g.name})",
         value_at=value_at,
@@ -211,7 +251,13 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec, rho=None) -> Multiplica
         growth=GrowthBound(C=alpha.growth.C * m**a, r=alpha.growth.r * m**b),
         prime_coeff=prime_coeff,
         prime_deviation=(c1, eps),
+        series=series,
     )
+
+
+def _constant_series(coeffs: Tuple, exceptional_primes: Tuple[int, ...] = ()) -> LocalSeries:
+    """The series whose coefficients are the same for every k."""
+    return LocalSeries(lambda k: coeffs, exceptional_primes)
 
 
 def unit() -> MultiplicativeSpec:
@@ -222,6 +268,7 @@ def unit() -> MultiplicativeSpec:
         rho=1.0,
         c0=0.25,
         growth=GrowthBound(1.0, 1.0),
+        series=_constant_series((1.0,)),
     )
 
 
@@ -236,6 +283,7 @@ def theta_omega(theta) -> MultiplicativeSpec:
         rho=value,
         c0=0.25,
         growth=GrowthBound(abs(theta), 1.0),
+        series=_constant_series((value,)),
     )
 
 
@@ -259,6 +307,7 @@ def geometric_B(B: float, c0: Optional[float] = None) -> MultiplicativeSpec:
         rho=B,
         c0=c0,
         growth=GrowthBound(1.0, B),
+        series=LocalSeries(lambda k: (B**k,)),
     )
 
 
@@ -322,6 +371,7 @@ def tau_rho(rho) -> MultiplicativeSpec:
         rho=rho,
         c0=0.25,
         growth=GrowthBound(C, r),
+        series=LocalSeries(lambda k: (_binomial_series_coeff(rho, k),)),
     )
 
 
@@ -335,6 +385,7 @@ def euler_phi_over_n() -> MultiplicativeSpec:
         growth=GrowthBound(1.0, 1.0),
         prime_coeff=1.0,
         prime_deviation=(1.0, 1.0),
+        series=_constant_series((1.0, -1.0)),
     )
 
 
@@ -387,6 +438,7 @@ def tabulated_multiplicative(
         growth=growth,
         prime_coeff=default,
         prime_deviation=(dev, 1.0),
+        series=_constant_series((default,), tuple(sorted({p for p, _ in table}))),
     )
 
 

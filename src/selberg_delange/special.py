@@ -3,7 +3,7 @@
 Provides Gamma and its logarithmic derivative digamma on the complex
 plane (Lanczos approximation and asymptotic series, each with
 reflection), the Riemann zeta function restricted to Re s > 1
-(Euler-Maclaurin summation), and principal-branch power/log helpers
+(Euler-Maclaurin summation, also as zeta(s) - 1), and principal-branch power/log helpers
 tuned for factors close to 1.
 """
 
@@ -141,12 +141,30 @@ def zeta(s) -> complex:
     Raises:
         DomainError: Re s <= 1.
     """
+    return _euler_maclaurin(s, 1)
+
+
+def zeta_minus_one(s) -> complex:
+    """zeta(s) - 1 = sum_{n>=2} n^{-s}, to full relative accuracy.
+
+    The same summation as zeta without its leading 1, so it keeps its
+    relative accuracy when zeta(s) - 1 is far below an ulp of 1, as it
+    is for large Re s.
+
+    Raises:
+        DomainError: Re s <= 1.
+    """
+    return _euler_maclaurin(s, 2)
+
+
+def _euler_maclaurin(s, start: int) -> complex:
+    """sum_{n>=start} n^{-s}: terms below N, then the Euler-Maclaurin tail."""
     s = _as_finite_complex(s, "s")
     if s.real <= 1.0:
         raise DomainError(f"zeta implemented only for Re s > 1, got Re s = {s.real:g}")
     n_cut = max(24, int(1.3 * abs(s)) + 8)
     acc = 0j
-    for n in range(1, n_cut):
+    for n in range(start, n_cut):
         acc += complex(n) ** (-s)
     acc += complex(n_cut) ** (1.0 - s) / (s - 1.0)
     n_pow = complex(n_cut) ** (-s)

@@ -6,8 +6,8 @@ exp(-rho ln ln x eta*(s)) psi(ln s)/(1 - 1/s), and clt_report measures
 the Kolmogorov distance between the standardized additive statistic and
 a standard normal.  At s = 1 the prefactor is replaced by psi'(0),
 which psi_prime_at_zero computes in closed form as the logarithmic
-derivative of the truncated Euler product (a digamma term plus one sum
-over the primes).
+derivative of the Euler product (a digamma term plus one sum over the
+primes, closed by the prime-zeta tail when alpha has a local series).
 """
 
 from __future__ import annotations
@@ -58,18 +58,20 @@ def psi_prime_at_zero(
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
     tol: float = DEFAULT_FACTOR_TOL,
 ) -> complex:
-    """psi'(0), the logarithmic derivative of the truncated Euler product.
+    """psi'(0), the logarithmic derivative of the Euler product.
 
     psi(0) = 1, so psi'(0) is d/dz log lambda0(exp-twist of alpha) at
     z = 0: with rho = alpha.rho and c = g.prime_value,
 
         psi'(0) = -c rho digamma(rho)
-                  + sum_{p <= P} [c rho log(1 - 1/p) + G_p / (1 + F_p)],
+                  + sum_p [c rho log(1 - 1/p) + G_p / (1 + F_p)],
 
     where F_p = sum_k alpha(p^k) p^{-k} and
     G_p = sum_k g(p^k) alpha(p^k) p^{-k}.  It is the constant term of
     the mean of g(N) (Mertens' constant 0.26150 for unit and omega).
-    Two kernel passes over the primes, memoised per process.
+    Two kernel passes over the primes p <= P, memoised per process; when
+    alpha has a local series and g a k_value (omega, Omega), the primes
+    above P are closed by the prime-zeta tail, otherwise dropped.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.

@@ -44,3 +44,31 @@ def additive_eval_brute(g, n: int) -> complex:
     for p, k in trial_factorize(n):
         acc += complex(g.value_at(p, k))
     return acc
+
+
+def small_primes(limit: int):
+    return [p for p in range(2, limit) if trial_factorize(p) == ((p, 1),)]
+
+
+def prime_zeta_tail(j, split=200):
+    """sum over primes p >= split of p^-j, from mpmath.primezeta."""
+    import mpmath
+
+    return mpmath.primezeta(j) - mpmath.fsum(mpmath.mpf(p) ** (-j) for p in small_primes(split))
+
+
+def geometric_b_lambda0(B, split=200):
+    """lambda0 of geometric_B:B from mpmath, written like bench/oracle.py.
+
+        log lambda0 = -log Gamma(B) + sum_p [B log(1 - 1/p) - log(1 - B/p)].
+
+    Primes p < split are summed directly.  For the rest, expanding both
+    logs in powers of 1/p gives sum_{j>=2} (B^j - B)/j P_{>=split}(j).
+    Needs mpmath.dps set by the caller.
+    """
+    import mpmath
+
+    B = mpmath.mpf(B)
+    head = mpmath.fsum(B * mpmath.log(1 - mpmath.mpf(1) / p) - mpmath.log(1 - B / p) for p in small_primes(split))
+    tail = mpmath.nsum(lambda j: (B**j - B) / j * prime_zeta_tail(j, split), [2, mpmath.inf])
+    return mpmath.exp(head + tail) / mpmath.gamma(B)

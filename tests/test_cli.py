@@ -26,14 +26,27 @@ def run_cli(capsys, argv):
 
 
 def test_lambda0_golden(capsys):
+    # the completed product: 6/pi^2 = 0.6079271018540266... (mpmath) is
+    # within its tail_estimate, which bounds tol = 1e-14 per head prime
     code, out, _ = run_cli(capsys, ["lambda0", "--spec", "theta_omega:2"])
     assert code == 0
     assert out == (
-        "lambda0 = 0.607927143040184\n"
-        "tail_estimate = 1.15811861840867e-06\n"
+        "lambda0 = 0.607927101837503\n"
+        "tail_estimate = 7.86096029624777e-10\n"
         "prime_cutoff = 1000000\n"
         "k_cutoff = 48\n"
     )
+
+
+def test_perturbed_keeps_the_plain_product(capsys):
+    # perturbed declares no local series, so its lambda0 and psi print the
+    # bits of the plain product over p <= 2000; only tail_estimate gains
+    # the head term
+    _, out, _ = run_cli(capsys, ["lambda0", "--spec", "perturbed:a=1,eps=0.5", "--cutoff", "2000"])
+    assert out.splitlines()[0] == "lambda0 = 1.93807758704282"
+    assert out.splitlines()[1] == "tail_estimate = 0.00680463403610786"
+    _, out, _ = run_cli(capsys, ["psi", "--spec", "perturbed:a=1,eps=0.5", "--z", "0.5", "--cutoff", "2000"])
+    assert out == "psi = 1.06500991931634\n"
 
 
 def test_psi_golden(capsys):

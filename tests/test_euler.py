@@ -1,8 +1,10 @@
 import cmath
 import dataclasses
+import functools
 import math
 from math import fsum
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,9 @@ from selberg_delange.funcs import (
 )
 from selberg_delange.sieve import prime_array
 from selberg_delange.special import clog1p, cpow, gamma, zeta
+from selberg_delange.stats import psi_prime_at_zero
+
+from conftest import geometric_b_lambda0, prime_zeta_tail
 
 # ---------------------------------------------------------------------------
 # local_factor
@@ -334,9 +339,15 @@ def reference_log_product(spec, s, rho, P, tol, at_one):
 
 
 def reference_lambda0(spec, P, tol=euler.DEFAULT_FACTOR_TOL):
+    """The scalar head, closed by the same prime-zeta tail as lambda0."""
     rho = complex(spec.rho)
     total, k_max = reference_log_product(spec, complex(1.0), rho, P, tol, at_one=True)
-    return (0j if total is None else cmath.exp(total) / gamma(rho)), k_max
+    if total is None:
+        return 0j, k_max
+    tail = euler._completion(spec, rho, P)
+    if tail is not None:
+        total += tail.value
+    return cmath.exp(total) / gamma(rho), k_max
 
 
 def reference_g_compensated(spec, s, rho, P, tol=euler.DEFAULT_FACTOR_TOL):
@@ -589,3 +600,118 @@ def test_psi_with_additive_table_matches_closed_form():
         tail = lambda0(twist(unit(), 2.0, g), P).tail_estimate + lambda0(unit(), P).tail_estimate
         assert abs(got - exact) <= tail
         assert abs(got - exact) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# products completed by the prime-zeta tail
+
+
+@pytest.mark.parametrize("j", [2, 3, 5, 8, 13, 21])
+@pytest.mark.parametrize("P", [100, 2000])
+def test_prime_zeta_tail_against_mpmath(P, j):
+    with mpmath.workdps(40):
+        want = prime_zeta_tail(j, P + 1)
+        primezeta = float(mpmath.primezeta(j))
+    got = euler._prime_zeta_tail(P, j)
+    # within the rounding that _close_tail charges for it
+    assert primezeta <= 2.0 ** (1 - j)
+    assert abs(got - want) <= (j + 17) * 2.0**-53 * primezeta
+    assert euler._prime_zeta(j) == pytest.approx(primezeta, rel=4e-16)
+
+
+@functools.lru_cache(maxsize=None)
+def completed_references():
+    with mpmath.workdps(30):
+        geometric = float(geometric_b_lambda0(1.5))
+    return [
+        (unit(), 1.0),
+        (theta_omega(2), 6.0 / math.pi**2),
+        (euler_phi_over_n(), 6.0 / math.pi**2),
+        (tau_rho(0.5), 1.0 / math.sqrt(math.pi)),
+        (geometric_B(1.5), geometric),
+    ]
+
+
+@pytest.mark.parametrize("P", [100, 2000])
+@pytest.mark.parametrize("index", range(5), ids=["unit", "theta_omega:2", "euler_phi_over_n", "tau_rho:0.5", "geometric_B:1.5"])
+def test_completed_lambda0_against_mpmath(index, P):
+    spec, want = completed_references()[index]
+    result = lambda0(spec, P)
+    assert result.completed
+    assert abs(result.value - want) <= result.tail_estimate
+    assert abs(cmath.log(result.value / want)) <= result.tail_estimate
+    assert abs(result.value - want) <= 1e-11 * want
+
+
+# Mertens' constant, and psi'(0) of geometric_B:1.5 with Big Omega from
+# bench/oracle.py (mpmath)
+MERTENS = 0.26149721284764278
+PSI_PRIME_B15 = 2.48470013326603764695
+
+
+@pytest.mark.parametrize("P", [100, 2000])
+def test_completed_psi_prime_against_mpmath(P):
+    for alpha, g, want in ((unit(), OMEGA, MERTENS), (geometric_B(1.5), BIG_OMEGA, PSI_PRIME_B15)):
+        got = psi_prime_at_zero(alpha, g, P)
+        assert got.imag == 0.0
+        assert abs(got.real - want) <= 1e-11 * want
+
+
+def series_value(spec, p, k):
+    return sum(c * float(p) ** -i for i, c in enumerate(spec.series.coeffs(k)))
+
+
+SERIES_SPECS = st.one_of(
+    st.just(unit()),
+    st.just(euler_phi_over_n()),
+    st.just(TABLE),
+    st.floats(0.1, 3.0).map(theta_omega),
+    st.tuples(st.floats(0.1, 3.0), st.floats(-3.0, 3.0)).map(lambda t: theta_omega(complex(*t))),
+    st.floats(0.1, 1.9).map(geometric_B),
+    st.floats(0.1, 4.0).map(tau_rho),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=SERIES_SPECS,
+    g=st.sampled_from([None, OMEGA, BIG_OMEGA]),
+    y=st.sampled_from([0.5, 2.0, cmath.exp(1j)]),
+    p=st.sampled_from(prime_array(1000).tolist()),
+    k=st.integers(1, 10),
+)
+def test_local_series_matches_value_at(spec, g, y, p, k):
+    if g is not None:
+        spec = twist(spec, y, g)
+    if p in spec.series.exceptional_primes:
+        return
+    want = complex(spec.value_at(p, k))
+    assert series_value(spec, p, k) == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
+def test_which_specs_carry_a_series():
+    assert TABLE.series.exceptional_primes == (2, 3, 7)
+    assert series_value(TABLE, 5, 3) == 1.0
+    table_g = tabulated_additive({(3, 1): 1.0})
+    for spec in (perturbed(1, 0.5), MOD4, twist(unit(), 2.0, table_g)):
+        assert spec.series is None
+        assert not lambda0(spec, 1000).completed
+    # a table prime above the cutoff keeps the plain product
+    late = tabulated_multiplicative({(101, 1): 0.5})
+    assert not lambda0(late, 100).completed
+    assert lambda0(late, 101).completed
+    # so does a series whose coefficients grow like 29^j, too fast for
+    # primes just above 100 (1 + F_p = (p + 29)/(p - 1))
+    assert not lambda0(theta_omega(30), 100).completed
+    assert lambda0(theta_omega(30), 2000).completed
+
+
+def test_specs_without_a_series_keep_their_bits():
+    # the plain products these printed before the prime-zeta tail
+    hand = MultiplicativeSpec("hand", lambda p, k: 2.0, rho=2.0, c0=0.25, growth=GrowthBound(2.0, 1.0))
+    assert repr(lambda0(hand, 2000).value) == "(0.6079625535691769+0j)"
+    assert repr(psi(hand, 0.5, prime_cutoff=2000)) == "(0.13623935242864404+0j)"
+    assert repr(psi(hand, complex(0.25, 1.0), BIG_OMEGA, prime_cutoff=2000)) == "(0.7370679383875274-4.953749201026149j)"
+    # psi of a twist by a table g stays a ratio of two plain products
+    g = tabulated_additive({(3, 1): 1.0, (5, 2): 2.0})
+    assert repr(psi(theta_omega(2), 0.7, g, prime_cutoff=2000)) == "(1.555923207180146+0j)"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,18 @@ def test_prime_array_matches_trial_division(P):
     assert got.dtype == np.int64
     assert not got.flags.writeable
     assert got.tolist() == want
-    if P >= 2:
-        assert _sieve_bytes(P) >= P + 1 + 8 * len(want)
+
+
+@pytest.mark.parametrize("P", [10**4, 10**6, 10**7])
+def test_sieve_bytes_cover_the_traced_peak(P):
+    # the memory guard charges prime_array for what it really allocates
+    tracemalloc.start()
+    try:
+        prime_array.__wrapped__(P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _sieve_bytes(P) >= peak
 
 
 def test_omega_and_big_omega():

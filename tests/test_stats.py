@@ -164,17 +164,14 @@ def test_psi_prime_at_zero_closed_forms():
     mertens = 0.2614972128476427837554268386
     assert psi_prime_at_zero(unit(), OMEGA).real == pytest.approx(mertens, abs=1e-7)
     # geometric_B(B) and Omega: B (-digamma(B) + sum_p [log(1 - 1/p) + 1/(p - B)]),
-    # each local series truncated at 1e-14
-    B, P = mpmath.mpf(3) / 2, 5000
-    head = mpmath.fsum(mpmath.log(1 - mpmath.mpf(1) / p) + 1 / (p - B) for p in prime_array(P).tolist())
-    want = float(B * (-mpmath.digamma(B) + head))
-    assert psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, P) == pytest.approx(want, abs=1e-11)
+    # each local series of the head p <= P truncated at 1e-14, the primes
+    # above P closed by the prime-zeta tail
+    want = PSI_PRIME_B15
+    assert psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, 5000) == pytest.approx(want, abs=1e-11)
     # F_p and G_p each stop where their tails are <= tol, and here
     # 1/|1 + F_p| + |G_p|/|1 + F_p|^2 <= 1, so each prime is off by <= tol;
     # G_p needs its envelope k (r/p)^k for that, not (r/p)^k
     P = 100
-    head = mpmath.fsum(mpmath.log(1 - mpmath.mpf(1) / p) + 1 / (p - B) for p in prime_array(P).tolist())
-    want = float(B * (-mpmath.digamma(B) + head))
     for tol in (1e-6, 1e-8, 1e-10):
         got = psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, P, tol).real
         assert abs(got - want) <= tol * len(prime_array(P))
