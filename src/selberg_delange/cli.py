@@ -13,6 +13,7 @@ import argparse
 import cmath
 import json
 import logging
+import math
 import sys
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -61,7 +62,7 @@ def _int_arg(text: str) -> int:
     except ValueError:
         pass
     v = float(text)
-    if v != int(v):
+    if not math.isfinite(v) or v != int(v):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(v)
 
@@ -96,8 +97,15 @@ def _z_grid_arg(text: str) -> Tuple[complex, ...]:
     return _grid(text, "z", _complex_arg)
 
 
+def _finite_float_arg(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
+
+
 def _float_grid_arg(text: str) -> Tuple[float, ...]:
-    return _grid(text, "y", float)
+    return _grid(text, "y", _finite_float_arg)
 
 
 def _require_x(x: Optional[int]) -> int:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import fsum
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -131,28 +131,6 @@ def _series_length(C: float, q: float, tol: float, p: int) -> int:
     return K
 
 
-def _local_factor_terms(
-    spec: MultiplicativeSpec, p: int, s: complex, tol: float
-) -> Tuple[complex, int]:
-    sigma = s.real
-    p_sigma = float(p) ** sigma
-    q = spec.growth.r / p_sigma
-    K = _series_length(spec.growth.C, q, tol, p)
-    if K == 0:
-        return 0j, 0
-    if s.imag == 0.0:
-        t = complex(1.0 / p_sigma)
-    else:
-        t = cmath.exp(-s * math.log(p))
-    value_at = spec.value_at
-    acc = 0j
-    cur = t
-    for k in range(1, K + 1):
-        acc += value_at(p, k) * cur
-        cur *= t
-    return acc, K
-
-
 def local_factor(spec: MultiplicativeSpec, p: int, s, tol: float = DEFAULT_FACTOR_TOL) -> complex:
     """F_p(s) = sum_{k>=1} f(p^k) p^{-ks}, truncated to tail <= tol.
 
@@ -161,8 +139,16 @@ def local_factor(spec: MultiplicativeSpec, p: int, s, tol: float = DEFAULT_FACTO
     """
     if p < 2:
         raise ValueError(f"p must be a prime >= 2, got {p}")
-    value, _ = _local_factor_terms(spec, int(p), complex(s), _check_tol(tol))
-    return value
+    p, s, tol = int(p), complex(s), _check_tol(tol)
+    p_sigma = float(p) ** s.real
+    K = _series_length(spec.growth.C, spec.growth.r / p_sigma, tol, p)
+    t = complex(1.0 / p_sigma) if s.imag == 0.0 else cmath.exp(-s * math.log(p))
+    acc = 0j
+    cur = t
+    for k in range(1, K + 1):
+        acc += spec.value_at(p, k) * cur
+        cur *= t
+    return acc
 
 
 def _prime_tail_scale(P: int, u: float) -> float:
@@ -180,8 +166,9 @@ def _second_order_constant(spec: MultiplicativeSpec, rho: complex) -> float:
 class _LocalFactors(NamedTuple):
     """Local series F_p(s) over the primes p <= P, as float64 columns.
 
-    vanished marks that 1 + F_p(s) = 0 at primes[-1], so the product is
-    exactly 0; k_max then counts the primes up to that one.
+    k_max is the series length at the first prime, the longest of the
+    head (see _series_lengths).  vanished marks that 1 + F_p(s) = 0 at
+    primes[-1], so the product is exactly 0.
     """
 
     primes: np.ndarray
@@ -207,86 +194,80 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
 
 def _series_lengths(
     primes: np.ndarray, q: np.ndarray, C: float, tol: float, envelope: Tuple[float, float] = (1.0, 0.0)
-) -> Tuple[np.ndarray, Optional[ArithmeticError]]:
-    """Per-prime series lengths under the envelope (a + b k) C q^k.
+) -> Tuple[List[int], int, Optional[ArithmeticError]]:
+    """The staircase of series lengths under the envelope (a + b k) C q^k.
 
     K_p is the smallest K >= 1 whose tail bound
     C q^{K+1}/(1-q) (a + b(K+1) + b q/(1-q)) is <= tol; the default
     envelope (1, 0) is the geometric tail of _series_length and rounds
-    exactly as it does.  K stops before the first prime whose series
-    fails, and that failure is returned as well (None if there is none).
+    exactly as it does.  q = r/p^sigma falls as p grows, and with b >= 0
+    and a + b >= 0 so does the bound; so K_p never rises with p, and the
+    primes whose series reaches k are a prefix of the head.  Returns
+    (counts, cut, failure): counts[k-1] is the length of that prefix
+    (so K_p = len(counts) at the first prime), the head stops at cut,
+    the index of the first prime whose series fails, and failure is that
+    error (None if there is none).
     """
-    fail = len(primes)
+    cut = len(primes)
     failure = None
     diverging = np.flatnonzero(q >= 1.0)
     if len(diverging):
-        fail = int(diverging[0])
-        p, qf = int(primes[fail]), float(q[fail])
+        cut = int(diverging[0])
+        p, qf = int(primes[cut]), float(q[cut])
         failure = DivergentLocalFactorError(
             f"local factor diverges at p={p}: growth ratio {C:g}*{qf:g}^k does not decay",
             prime=p,
         )
-    q = q[:fail]
-    K = np.zeros(fail, dtype=np.int64)
     if C == 0.0:
-        return K, failure
+        return [], cut, failure
     a, b = envelope
-    K[:] = 1
+    q = q[:cut]
     geo = C * q * q / (1.0 - q)
     base = a + b * q / (1.0 - q)
-    live = np.flatnonzero(geo * (base + b * 2) > tol)
-    geo, q_live, base = geo[live], q[live], base[live]
-    k = 1
-    while len(live):
-        k += 1
-        if k > _K_HARD_CAP:
-            fail = int(live[0])
-            p = int(primes[fail])
+    counts, n = [], cut
+    while n:
+        if len(counts) == _K_HARD_CAP:
+            p = int(primes[0])
             failure = DivergentLocalFactorError(
                 f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p
             )
-            return K[:fail], failure
-        K[live] = k
-        geo = geo * q_live
-        keep = geo * (base + b * (k + 1)) > tol
-        live, geo, q_live, base = live[keep], geo[keep], q_live[keep], base[keep]
-    return K, failure
+            return [], 0, failure
+        counts.append(n)
+        n = int(np.count_nonzero(geo * (base[:n] + b * (len(counts) + 1)) > tol))
+        geo = geo[:n] * q[:n]
+    return counts, cut, failure
 
 
-def _powers(values: Callable, primes: np.ndarray, K: np.ndarray, *columns: np.ndarray):
-    """Yield (live, values(p, k), columns) for k = 1, 2, ...
+def _powers(values: Callable, primes: np.ndarray, counts: Sequence[int], *columns: np.ndarray):
+    """Yield (n, values(p, k), columns) for k = 1, ..., len(counts).
 
-    live indexes the primes whose series reaches k (K_p >= k); values
-    gets them as an object array of Python ints, once per power k, and
-    returns a complex128 array of their shape.  The columns are copies
-    cut to the live rows; update them in place to carry state from one
-    power to the next.
+    The primes whose series reaches k are the first n = counts[k-1] of
+    the head; values gets them as a slice of one object array of Python
+    ints and returns a complex128 array of their shape.  The columns are
+    the first n rows of one copy of each input column; update them in
+    place to carry state from one power to the next.
     """
-    live = np.flatnonzero(K >= 1)
-    p_live = np.array(primes[live].tolist(), dtype=object)
-    columns = [c[live] for c in columns]
-    k = 1
-    while len(live):
-        yield live, values(p_live, k), columns
-        k += 1
-        keep = K[live] >= k
-        if not keep.all():
-            live, p_live = live[keep], p_live[keep]
-            columns = [c[keep] for c in columns]
+    head = counts[0] if counts else 0
+    p_obj = np.array(primes[:head].tolist(), dtype=object)
+    columns = [c[:head].copy() for c in columns]
+    for k, n in enumerate(counts, start=1):
+        yield n, values(p_obj[:n], k), [c[:n] for c in columns]
 
 
 @np.errstate(all="ignore")  # Python float arithmetic does not warn either
-def _power_series(values: Callable, primes: np.ndarray, K: np.ndarray, t_re, t_im) -> Tuple[np.ndarray, np.ndarray]:
+def _power_series(
+    values: Callable, primes: np.ndarray, counts: Sequence[int], t_re, t_im
+) -> Tuple[np.ndarray, np.ndarray]:
     """sum_{k <= K_p} values(p, k) t_p^k for every prime, as float64 columns.
 
     acc += value * cur; cur *= t, one power at a time, with the complex
     products spelled out in float64 so that they round exactly as
     Python's complex arithmetic does.
     """
-    S_re, S_im = np.zeros(len(K)), np.zeros(len(K))
-    for live, v, (tr, ti, cur_re, cur_im) in _powers(values, primes, K, t_re, t_im, t_re, t_im):
-        S_re[live] += v.real * cur_re - v.imag * cur_im
-        S_im[live] += v.real * cur_im + v.imag * cur_re
+    S_re, S_im = np.zeros(len(primes)), np.zeros(len(primes))
+    for n, v, (tr, ti, cur_re, cur_im) in _powers(values, primes, counts, t_re, t_im, t_re, t_im):
+        S_re[:n] += v.real * cur_re - v.imag * cur_im
+        S_im[:n] += v.real * cur_im + v.imag * cur_re
         cur_re[:], cur_im[:] = cur_re * tr - cur_im * ti, cur_re * ti + cur_im * tr
     return S_re, S_im
 
@@ -295,9 +276,9 @@ def _power_series(values: Callable, primes: np.ndarray, K: np.ndarray, t_re, t_i
 def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at: str) -> _LocalFactors:
     """F_p(s) for every prime p <= P, bit-identical to local_factor.
 
-    One value_at call per power k covers every prime whose series
-    reaches k.  Failures act at the first prime that trips one, in the
-    order the scalar path meets them: series divergence, then a
+    One value_at call per power k covers the prefix of the head whose
+    series reaches k.  Failures act at the first prime that trips one,
+    in the order the scalar path meets them: series divergence, then a
     vanishing factor (returned, not raised), then the log branch cut,
     then a non-finite series.
 
@@ -311,16 +292,15 @@ def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at:
     p_sigma = primes.astype(np.float64)
     if s.real != 1.0:  # pow(p, 1.0) is p exactly
         p_sigma = _map_float(math.pow, p_sigma, s.real)
-    K, failure = _series_lengths(primes, spec.growth.r / p_sigma, spec.growth.C, tol)
-    fail = len(K)
-    primes = primes[:fail]
+    counts, cut, failure = _series_lengths(primes, spec.growth.r / p_sigma, spec.growth.C, tol)
+    primes = primes[:cut]
     if s.imag == 0.0:
-        t_re = 1.0 / p_sigma[:fail]
-        t_im = np.zeros(fail)
+        t_re = 1.0 / p_sigma[:cut]
+        t_im = np.zeros(cut)
     else:
         t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
         t_re, t_im = t.real, t.imag
-    F_re, F_im = _power_series(partial(_prime_power_values, spec.value_at), primes, K, t_re, t_im)
+    F_re, F_im = _power_series(partial(_prime_power_values, spec.value_at), primes, counts, t_re, t_im)
 
     w_re = 1.0 + F_re
     zero = (w_re == 0.0) & (F_im == 0.0)
@@ -330,9 +310,8 @@ def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at:
     if len(first):
         i = int(first[0])
         p = int(primes[i])
-        k_max = int(K[: i + 1].max())
         if zero[i]:
-            return _LocalFactors(primes[: i + 1], F_re, F_im, t_re, t_im, k_max, True)
+            return _LocalFactors(primes[: i + 1], F_re, F_im, t_re, t_im, len(counts), True)
         if pole[i]:
             raise PoleError(
                 f"local factor 1 + F_p({at}) = {float(w_re[i]):g} hits the log branch cut at p={p}",
@@ -341,8 +320,7 @@ def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at:
         raise ValueError(f"a must have finite components, got {complex(F_re[i], F_im[i])!r}")
     if failure is not None:
         raise failure
-    k_max = int(K.max()) if len(K) else 0
-    return _LocalFactors(primes, F_re, F_im, t_re, t_im, k_max, False)
+    return _LocalFactors(primes, F_re, F_im, t_re, t_im, len(counts), False)
 
 
 def _clog1p(re, im) -> Tuple[np.ndarray, np.ndarray]:
@@ -584,7 +562,7 @@ def lambda0(
         integer (within snap tolerance) or some local factor vanishes.
         Results are memoised per process on (spec, cutoff, tol).
     """
-    return _memoised(_lambda0_cached, _lambda0, spec, _check_cutoff(prime_cutoff), _check_tol(tol), True)
+    return _memoised(_lambda0_cached, _lambda0, spec, _check_cutoff(prime_cutoff), _check_tol(tol))
 
 
 def _factors_at_one(spec: MultiplicativeSpec, P: int, tol: float) -> Optional[_LocalFactors]:
@@ -616,8 +594,8 @@ def _completion(spec: MultiplicativeSpec, rho: complex, P: int) -> Optional[_Com
     return _close_tail(_log_factor_coefficients(spec.series, rho), P, spec.growth.r)
 
 
-def _lambda0(spec: MultiplicativeSpec, P: int, tol: float, complete: bool = True) -> EulerProductResult:
-    """lambda0, closed by the prime-zeta tail when complete and the spec allows it."""
+def _lambda0(spec: MultiplicativeSpec, P: int, tol: float) -> EulerProductResult:
+    """lambda0, closed by the prime-zeta tail when the spec allows it."""
     factors = _factors_at_one(spec, P, tol)
     if factors is None or factors.vanished:
         k_max = factors.k_max if factors else 0
@@ -625,7 +603,7 @@ def _lambda0(spec: MultiplicativeSpec, P: int, tol: float, complete: bool = True
     rho = complex(spec.rho)
     comp = _map_float(math.log1p, -1.0 / factors.primes)
     total = _log_product(rho, comp, 0.0, factors)
-    tail = _completion(spec, rho, P) if complete else None
+    tail = _completion(spec, rho, P)
     if tail is None:
         c1, eps = spec.prime_deviation
         truncation = _second_order_constant(spec, rho) * _prime_tail_scale(P, 2.0)
@@ -672,8 +650,8 @@ def _psi(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec, P: int, tol: fl
     twisted = twist(alpha, cmath.exp(z), g)
     num = lambda0(twisted, P, tol)
     if num.completed != den.completed:
-        den = _memoised(_lambda0_cached, _lambda0, alpha, P, tol, False)
-        num = _memoised(_lambda0_cached, _lambda0, twisted, P, tol, False)
+        den = lambda0(replace(alpha, series=None), P, tol)
+        num = lambda0(replace(twisted, series=None), P, tol)
     return num.value / den.value
 
 
@@ -703,14 +681,14 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int, tol: flo
     if c is None:
         raise ValueError(f"additive spec {g.name!r} has no generic prime value; psi'(0) needs one")
     primes = factors.primes
-    K, failure = _series_lengths(primes, alpha.growth.r / primes, alpha.growth.C, tol, g.power_bound)
+    counts, _, failure = _series_lengths(primes, alpha.growth.r / primes, alpha.growth.C, tol, g.power_bound)
     if failure is not None:
         raise failure
 
     def values(p, k):
         return _prime_power_values(g.value_at, p, k) * _prime_power_values(alpha.value_at, p, k)
 
-    G_re, G_im = _power_series(values, primes, K, factors.t_re, factors.t_im)
+    G_re, G_im = _power_series(values, primes, counts, factors.t_re, factors.t_im)
     rho = complex(alpha.rho)
     comp = _map_float(math.log1p, -1.0 / primes)
     terms = c * rho * comp + (G_re + 1j * G_im) / (1.0 + factors.F_re + 1j * factors.F_im)
@@ -832,15 +810,15 @@ def check_admissibility_pp(
     # round as the per-prime loop did
     primes = prime_array(grid[-1])
     p_beta = _map_float(math.pow, primes.astype(np.float64), beta)
-    K, failure = _series_lengths(primes, r / p_beta, C, tol)
+    counts, _, failure = _series_lengths(primes, r / p_beta, C, tol)
     if failure is not None:
         raise failure
     inner = np.zeros(len(primes))
     values = partial(_prime_power_values, spec.value_at)
-    for live, v, (pb, weight) in _powers(values, primes, K, p_beta, np.ones(len(primes))):
+    for n, v, (pb, weight) in _powers(values, primes, counts, p_beta, np.ones(len(primes))):
         weight /= pb
         magnitude = np.abs(v.real) if not v.imag.any() else _map_float(math.hypot, v.real, v.imag)
-        inner[live] += magnitude * weight
+        inner[:n] += magnitude * weight
     squares = (inner * inner).tolist()
     ends = np.searchsorted(primes, grid, side="right").tolist()
     partials = [(P, fsum(squares[:end])) for P, end in zip(grid, ends)]

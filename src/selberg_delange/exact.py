@@ -796,6 +796,10 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if not 0 <= stream < 2**64:
+        raise ValueError(f"stream must lie in [0, 2**64), got {stream}")
+    # the uniforms, their argsort order and the sorted copy
+    _require_memory(24 * count, f"{count} draws")
     blocks = _ValueBlocks(alpha, None, x)
     lows = [(0.0, 0)]  # the least weight of each block, and its first n
 

@@ -130,8 +130,10 @@ class MultiplicativeSpec:
 class AdditiveSpec:
     """An additive function given by its prime-power values.
 
-    power_bound = (a, b) asserts |g(p^k)| <= a + b*k; nonnegative marks
-    that all values are real and >= 0 (true for omega and Omega), which
+    power_bound = (a, b) asserts |g(p^k)| <= a + b*k; a and b are
+    finite with b >= 0 and a + b >= 0, so that the bound is >= 0 at
+    every k >= 1 and never falls as k grows.  nonnegative marks that
+    all values are real and >= 0 (true for omega and Omega), which
     tightens twisted growth bounds.  strip is the horizontal strip of
     twist parameters z on which the limiting-function analysis of
     exp-twists y^g (y = e^z) stays valid.  prime_value is the generic
@@ -151,6 +153,12 @@ class AdditiveSpec:
     prime_value: Optional[float] = None
     exceptional_primes: Tuple[int, ...] = ()
     k_value: Optional[Callable[[int], int]] = None
+
+    def __post_init__(self):
+        a, b = self.power_bound
+        if not (math.isfinite(a) and math.isfinite(b) and b >= 0.0 and a + b >= 0.0):
+            raise ValueError(f"power_bound (a, b) needs finite a and b with b >= 0 and a + b >= 0, "
+                             f"got {self.power_bound}")
 
 
 OMEGA = AdditiveSpec(

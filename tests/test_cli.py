@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import selberg_delange
-from selberg_delange import cli, exact
+from selberg_delange import cli, exact, sieve
 from selberg_delange.cli import main
 
 SAMPLE_ARGS = ["sample", "--spec", "unit", "--x", "10", "--seed", "7", "--count", "5"]
@@ -318,6 +318,50 @@ def test_empty_grid_exits_two(capsys, argv, flag):
         main(argv)
     assert exc_info.value.code == 2
     assert f"empty {flag} grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "--x", "1e400"],
+        ["lambda0", "--cutoff", "1e400"],
+        ["sample", "--x", "100", "--count", "1e400"],
+        ["sum", "--x-grid", "1e3,1e400"],
+    ],
+    ids=["sum-x", "lambda0-cutoff", "sample-count", "sum-x-grid"],
+)
+def test_overflowing_integer_flags_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected an integer, got '1e400'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_y_grid_exits_two(capsys, value):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["clt", "--x", "100", "--y-grid", f"0,{value}"])
+    assert exc_info.value.code == 2
+    assert f"expected a finite number, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stream", ["-1", str(2**64)])
+def test_sample_stream_out_of_range_exits_two(capsys, stream):
+    code, out, err = run_cli(capsys, ["sample", "--x", "100", "--count", "3", "--stream", stream])
+    assert (code, out) == (2, "")
+    assert err == f"error: stream must lie in [0, 2**64), got {stream}\n"
+
+
+def test_sample_count_beyond_memory_exits_two(capsys, monkeypatch):
+    # 24 bytes a draw: 10**5 draws need 2.4 MB, more than the 1 MiB here;
+    # the guard acts before anything is drawn
+    monkeypatch.setattr(sieve, "_physical_memory", lambda: 2**20)
+    code, out, err = run_cli(capsys, ["sample", "--x", "100", "--count", "100000"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 100000 draws: need about")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ import dataclasses
 import functools
 import math
 from math import fsum
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selberg_delange.errors import (
@@ -482,6 +483,55 @@ def test_kernel_matches_reference_on_random_specs(spec, tw, P, s):
         assert outcome(lambda: lambda0(spec, P)) == outcome(lambda: reference_lambda0(spec, P))
 
 
+def per_prime_lengths(counts, cut):
+    """K_p for each of the first cut primes, from the staircase counts."""
+    K = np.zeros(cut, dtype=np.int64)
+    for n in counts:
+        K[:n] += 1
+    return K
+
+
+def scalar_series_lengths(primes, q, C, tol):
+    """euler._series_length prime by prime, up to the first failure."""
+    lengths = []
+    for p, qp in zip(primes.tolist(), q.tolist()):
+        try:
+            lengths.append(euler._series_length(C, qp, tol, p))
+        except DivergentLocalFactorError as exc:
+            return lengths, exc
+    return lengths, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    C=st.floats(0.0, 10.0),
+    r=st.floats(0.0, 2.0, exclude_max=True),
+    sigma=st.sampled_from([1.0, 0.5, 0.2, 0.05]),
+    tol=st.floats(1e-16, 1e-2),
+    P=st.integers(2, 3000),
+    cap=st.sampled_from([euler._K_HARD_CAP, 4, 12]),
+)
+@example(C=1.0, r=1.9999, sigma=1.0, tol=1e-14, P=100, cap=euler._K_HARD_CAP)  # past the cap at p = 2
+@example(C=1.0, r=1.5, sigma=0.5, tol=1e-14, P=100, cap=euler._K_HARD_CAP)  # diverges at p = 2
+@example(C=1.0, r=0.5, sigma=1.0, tol=1e-3, P=100, cap=4)  # K_2 = 5, one past the cap
+def test_staircase_matches_the_scalar_series_length(C, r, sigma, tol, P, cap):
+    # the staircase expanded to one K per prime is the scalar K_p at
+    # every head prime, and a failure stops it at the same prime; the
+    # small caps put some K_p right at the hard cap
+    primes = prime_array(P)
+    q = r / euler._map_float(math.pow, primes.astype(np.float64), sigma)
+    with mock.patch.object(euler, "_K_HARD_CAP", cap):
+        counts, cut, failure = euler._series_lengths(primes, q, C, tol)
+        want, want_failure = scalar_series_lengths(primes, q, C, tol)
+    assert per_prime_lengths(counts, cut).tolist() == want
+    assert counts == sorted(counts, reverse=True) and 0 not in counts
+    if want_failure is None:
+        assert failure is None
+    else:
+        assert (type(failure), failure.prime, str(failure)) == (
+            type(want_failure), want_failure.prime, str(want_failure))
+
+
 @pytest.mark.parametrize("envelope", [(1.0, 0.0), (0.0, 1.0), (2.0, 0.5), (0.0, 0.0)])
 def test_series_lengths_match_the_envelope_tail(envelope):
     # K_p is the smallest K >= 1 with sum_{k>K} (a + b k) C q^k <= tol;
@@ -490,7 +540,8 @@ def test_series_lengths_match_the_envelope_tail(envelope):
     C, tol = 1.5, 1e-12
     primes = prime_array(200)
     q = 1.9 / primes
-    K, failure = euler._series_lengths(primes, q, C, tol, envelope)
+    counts, cut, failure = euler._series_lengths(primes, q, C, tol, envelope)
+    K = per_prime_lengths(counts, cut)
     assert failure is None
     def tail(qp, K0):
         return fsum((a + b * k) * C * qp**k for k in range(K0 + 1, K0 + 2000))

@@ -329,3 +329,19 @@ def test_parse_additive_errors(tmp_path):
     notprime.write_text("4 1 2\n")
     with pytest.raises(SpecGrammarError):
         parse_additive(f"table:{notprime}")
+
+
+@pytest.mark.parametrize(
+    "bound", [(1.0, -0.5), (-2.0, 1.0), (math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]
+)
+def test_power_bound_must_bound_every_power(bound):
+    # a + b k >= 0 at every k >= 1 needs b >= 0 and a + b >= 0
+    with pytest.raises(ValueError, match="power_bound"):
+        AdditiveSpec(name="bad", value_at=lambda p, k: 1, power_bound=bound)
+
+
+def test_power_bounds_of_the_built_in_additive_specs():
+    assert (OMEGA.power_bound, BIG_OMEGA.power_bound) == ((1.0, 0.0), (0.0, 1.0))
+    assert tabulated_additive({(2, 1): -3.0, (3, 2): 1.0}).power_bound == (3.0, 0.0)
+    assert tabulated_additive({}).power_bound == (0.0, 0.0)
+    assert AdditiveSpec(name="edge", value_at=lambda p, k: k - 0.5, power_bound=(-0.5, 1.0)).power_bound == (-0.5, 1.0)
