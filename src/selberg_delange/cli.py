@@ -5,6 +5,14 @@ distribution studies, and report emission.  Every command prints with
 15 significant digits and is deterministic for a fixed configuration
 and seed.  Exit codes: 0 success, 2 configuration error (bad grammar,
 bad domain), 3 numeric error (pole or divergence).
+
+Each cmd_* computes its result and returns (record, text) without any
+I/O.  record is the document --format json prints (or a callable that
+builds it, so sd sample lists its draws only when JSON is asked for);
+text is the default rendering, a string or an iterable of chunks, or
+None for a command in _JSON_ONLY.  main alone picks the format, rejects
+csv for a json-only command before any work, and writes to --output or
+stdout.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import json
 import logging
 import math
 import sys
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .euler import (
     DEFAULT_FACTOR_TOL,
@@ -46,6 +54,8 @@ DEFAULT_X_GRID = (1000, 10000, 100000, 1000000)
 DEFAULT_Y_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 # sd sample formats and writes its draws this many at a time
 _DRAWS_PER_WRITE = 1 << 12
+# commands whose one rendering is their JSON record
+_JSON_ONLY = ("report",)
 
 
 def _fmt(value) -> str:
@@ -69,9 +79,12 @@ def _int_arg(text: str) -> int:
 
 def _complex_arg(text: str) -> complex:
     try:
-        return complex(text.strip().replace(" ", ""))
+        z = complex(text.strip().replace(" ", ""))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number like 0.3 or 0.1+0.2j, got {text!r}")
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected a finite number like 0.3 or 0.1+0.2j, got {text!r}")
+    return z
 
 
 def _grid(text: str, name: str, parse) -> tuple:
@@ -116,122 +129,83 @@ def _require_x(x: Optional[int]) -> int:
     return x
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    _emit_chunks(args, (text,))
-
-
-def _emit_chunks(args: argparse.Namespace, chunks: Iterable[str]) -> None:
-    """Write the chunks in order, to --output or stdout."""
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
-
-
-def _emit_json(args: argparse.Namespace, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2) + "\n")
-
-
-def cmd_lambda0(args: argparse.Namespace) -> None:
+def cmd_lambda0(args: argparse.Namespace):
     res = lambda0(args.alpha, prime_cutoff=args.cutoff, tol=args.tol)
-    if args.fmt == "json":
-        _emit_json(
-            args,
-            {
-                "lambda0_re": res.value.real,
-                "lambda0_im": res.value.imag,
-                "tail_estimate": res.tail_estimate,
-                "prime_cutoff": res.prime_cutoff,
-                "k_cutoff": res.k_cutoff,
-            },
-        )
-        return
+    record = {
+        "lambda0_re": res.value.real,
+        "lambda0_im": res.value.imag,
+        "tail_estimate": res.tail_estimate,
+        "prime_cutoff": res.prime_cutoff,
+        "k_cutoff": res.k_cutoff,
+    }
     lines = [
         f"lambda0 = {_fmt(res.value)}",
         f"tail_estimate = {_fmt(res.tail_estimate)}",
         f"prime_cutoff = {res.prime_cutoff}",
         f"k_cutoff = {res.k_cutoff}",
     ]
-    _emit(args, "\n".join(lines) + "\n")
+    return record, "\n".join(lines) + "\n"
 
 
-def cmd_psi(args: argparse.Namespace) -> None:
+def cmd_psi(args: argparse.Namespace):
     value = psi(args.alpha, args.z, args.additive, prime_cutoff=args.cutoff, tol=args.tol)
-    if args.fmt == "json":
-        _emit_json(args, {"z_re": args.z.real, "z_im": args.z.imag, "psi_re": value.real, "psi_im": value.imag})
-        return
-    _emit(args, f"psi = {_fmt(value)}\n")
+    record = {"z_re": args.z.real, "z_im": args.z.imag, "psi_re": value.real, "psi_im": value.imag}
+    return record, f"psi = {_fmt(value)}\n"
 
 
-def cmd_sum(args: argparse.Namespace) -> None:
+def cmd_sum(args: argparse.Namespace):
     xs = sorted(args.x_grid or (_require_x(args.x),))
     rows = list(zip(xs, partial_sum_grid(args.alpha, xs)))
     if not args.x_grid:
         x, value = rows[0]
-        if args.fmt == "json":
-            _emit_json(args, {"x": x, "sum_re": value.real, "sum_im": value.imag})
-            return
-        _emit(args, f"sum = {_fmt(value)}\n")
-        return
-    if args.fmt == "json":
-        _emit_json(args, {"rows": [{"x": x, "sum_re": v.real, "sum_im": v.imag} for x, v in rows]})
-        return
-    _emit(args, sums_to_csv(rows))
+        return {"x": x, "sum_re": value.real, "sum_im": value.imag}, f"sum = {_fmt(value)}\n"
+    return {"rows": [{"x": x, "sum_re": v.real, "sum_im": v.imag} for x, v in rows]}, sums_to_csv(rows)
 
 
-def cmd_mgf(args: argparse.Namespace) -> None:
+def cmd_mgf(args: argparse.Namespace):
     x = _require_x(args.x)
     y = args.y if args.y is not None else cmath.exp(args.z)
     if y == 0:
         raise ValueError("--y must be nonzero")
     value = twisted_mean(args.alpha, y, args.additive, x)
-    if args.fmt == "json":
-        _emit_json(args, {"x": x, "y_re": y.real, "y_im": y.imag, "mgf_re": value.real, "mgf_im": value.imag})
-        return
-    _emit(args, f"mgf = {_fmt(value)}\n")
+    record = {"x": x, "y_re": y.real, "y_im": y.imag, "mgf_re": value.real, "mgf_im": value.imag}
+    return record, f"mgf = {_fmt(value)}\n"
 
 
-def cmd_pmf(args: argparse.Namespace) -> None:
+def cmd_pmf(args: argparse.Namespace):
     x = _require_x(args.x)
     dist = pmf(args.alpha, args.additive, x)
-    if args.fmt == "json":
-        _emit_json(
-            args,
-            {
-                "x": dist.x,
-                "pmf": {str(m): q for m, q in dist.as_dict().items()},
-                "mean": dist.mean,
-                "variance": dist.variance,
-            },
-        )
-        return
-    _emit(args, distribution_to_csv(dist))
+    record = {
+        "x": dist.x,
+        "pmf": {str(m): q for m, q in dist.as_dict().items()},
+        "mean": dist.mean,
+        "variance": dist.variance,
+    }
+    return record, distribution_to_csv(dist)
 
 
-def cmd_sample(args: argparse.Namespace) -> None:
+def cmd_sample(args: argparse.Namespace):
     x = _require_x(args.x)
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     draws = sample(args.alpha, x, args.seed, args.count, stream=args.stream)
-    if args.fmt == "json":
-        _emit_json(args, {"x": x, "seed": args.seed, "stream": args.stream, "draws": draws.tolist()})
-        return
-    _emit_chunks(args, ("\n".join(map(str, draws[i : i + _DRAWS_PER_WRITE].tolist())) + "\n"
-                        for i in range(0, draws.size, _DRAWS_PER_WRITE)))
+
+    def record():
+        return {"x": x, "seed": args.seed, "stream": args.stream, "draws": draws.tolist()}
+
+    chunks = ("\n".join(map(str, draws[i : i + _DRAWS_PER_WRITE].tolist())) + "\n"
+              for i in range(0, draws.size, _DRAWS_PER_WRITE))
+    return record, chunks
 
 
-def cmd_clt(args: argparse.Namespace) -> None:
+def cmd_clt(args: argparse.Namespace):
     x = _require_x(args.x)
     report = clt_report(args.alpha, args.additive, args.rho, x, args.y_grid)
-    if args.fmt == "json":
-        _emit_json(args, clt_report_to_dict(report))
-        return
     head = f"# x={report.x} kolmogorov_distance={report.kolmogorov_distance:.15g}\n"
-    _emit(args, head + tail_pairs_to_csv(report.tail_pairs))
+    return clt_report_to_dict(report), head + tail_pairs_to_csv(report.tail_pairs)
 
 
-def cmd_ldp(args: argparse.Namespace) -> None:
+def cmd_ldp(args: argparse.Namespace):
     xs = sorted(args.x_grid or (_require_x(args.x),))
     buckets = bucket_sums_grid(args.alpha, args.additive, xs)
     rows = [
@@ -242,38 +216,25 @@ def cmd_ldp(args: argparse.Namespace) -> None:
         for x, sums in zip(xs, buckets)
     ]
     if not args.x_grid:
-        pred = rows[0][1]
-        if args.fmt == "json":
-            _emit_json(args, ldp_prediction_to_dict(pred))
-            return
-        lines = [f"{key} = {value:.15g}" for key, value in ldp_prediction_to_dict(pred).items()]
-        _emit(args, "\n".join(lines) + "\n")
-        return
-    if args.fmt == "json":
-        _emit_json(args, {"rows": [dict(ldp_prediction_to_dict(p), x=x) for x, p in rows]})
-        return
+        record = ldp_prediction_to_dict(rows[0][1])
+        return record, "".join(f"{key} = {value:.15g}\n" for key, value in record.items())
     lines = ["x,exact_tail,predicted_tail,ratio"]
     for x, pred in rows:
         lines.append(f"{x},{pred.exact_tail:.15g},{pred.predicted_tail:.15g},{pred.ratio:.15g}")
-    _emit(args, "\n".join(lines) + "\n")
+    return {"rows": [dict(ldp_prediction_to_dict(p), x=x) for x, p in rows]}, "\n".join(lines) + "\n"
 
 
-def cmd_check(args: argparse.Namespace) -> None:
+def cmd_check(args: argparse.Namespace):
     c0 = args.c0 if args.c0 is not None else args.alpha.c0
     report = check_admissibility_pp(args.alpha, c0=c0, tol=args.tol)
-    if args.fmt == "json":
-        _emit_json(
-            args,
-            {
-                "c0": report.c0,
-                "verdict": report.verdict,
-                "witness": report.witness,
-                "abscissa_estimate": report.abscissa_estimate,
-                "increment_exponent": report.increment_exponent,
-                "square_sum_partials": [[p, v] for p, v in report.square_sum_partials],
-            },
-        )
-        return
+    record = {
+        "c0": report.c0,
+        "verdict": report.verdict,
+        "witness": report.witness,
+        "abscissa_estimate": report.abscissa_estimate,
+        "increment_exponent": report.increment_exponent,
+        "square_sum_partials": [[p, v] for p, v in report.square_sum_partials],
+    }
     lines = [
         f"verdict = {report.verdict}",
         f"c0 = {report.c0:.15g}",
@@ -285,13 +246,11 @@ def cmd_check(args: argparse.Namespace) -> None:
             else "increment_exponent = none"
         ),
     ]
-    _emit(args, "\n".join(lines) + "\n")
+    return record, "\n".join(lines) + "\n"
 
 
-def cmd_report(args: argparse.Namespace) -> None:
+def cmd_report(args: argparse.Namespace):
     """Full convergence study: lambda0, psi grid, residual trend, CLT, LDP."""
-    if args.fmt != "json":
-        raise ValueError("report emits json only; use --format json")
     xs = tuple(sorted(args.x_grid or ((args.x,) if args.x is not None else DEFAULT_X_GRID)))
     if xs[0] < 16:
         raise ValueError(f"report x grid needs x >= 16, got {xs[0]}")
@@ -353,7 +312,7 @@ def cmd_report(args: argparse.Namespace) -> None:
         "clt": clt_rows,
         "ldp": ldp_rows,
     }
-    _emit_json(args, payload)
+    return payload, None
 
 
 # each command registers --spec, --output, --format and its own flags
@@ -405,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--output", default=None, help="write output to this file instead of stdout")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                       default="json" if name in _JSON_ONLY else "csv")
         p.set_defaults(func=func)
-    sub.choices["report"].set_defaults(fmt="json")
     return parser
 
 
@@ -415,10 +374,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
+        if args.fmt != "json" and args.command in _JSON_ONLY:
+            raise ValueError(f"{args.command} emits json only; use --format json")
         # specs are checked before any heavy work
         args.alpha = parse_multiplicative(args.spec)
         args.additive = parse_additive(args.g) if "g" in args else None
-        args.func(args)
+        record, text = args.func(args)
+        if args.fmt == "json":
+            chunks = (json.dumps(record() if callable(record) else record, indent=2) + "\n",)
+        else:
+            chunks = (text,) if isinstance(text, str) else text
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
     except ArithmeticError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -24,6 +24,7 @@ plus explicit (p,k) -> value tables for both kinds.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -117,6 +118,8 @@ class MultiplicativeSpec:
     series: Optional[LocalSeries] = None
 
     def __post_init__(self):
+        if not cmath.isfinite(complex(self.rho)):
+            raise ValueError(f"rho must be finite, got {self.rho}")
         if not (0.0 < self.c0 < 1.0):
             raise ValueError(f"c0 must lie in (0,1), got {self.c0}")
         if self.prime_coeff is None:
@@ -358,10 +361,16 @@ def tau_rho(rho) -> MultiplicativeSpec:
 
     The prime-power value is the generalized binomial C(rho+k-1, k),
     the coefficient forced by the binomial series for (1-p^(-s))^(-rho).
+
+    Raises:
+        ValueError: rho is not finite, or a coefficient the growth
+        envelope scans overflows float64.
     """
     rho = complex(rho)
     if rho.imag == 0.0:
         rho = rho.real
+    if not cmath.isfinite(rho):
+        raise ValueError(f"tau_rho needs a finite rho, got {_format_param(rho)}")
 
     def value_at(p, k):
         return _binomial_series_coeff(rho, k)
@@ -372,7 +381,13 @@ def tau_rho(rho) -> MultiplicativeSpec:
     k_scan = max(80, int(10.0 * (abs(rho) + 1.0)))
     C = 1.0
     for k in range(1, k_scan + 1):
-        C = max(C, abs(_binomial_series_coeff(rho, k)) / r**k)
+        coeff = abs(_binomial_series_coeff(rho, k))
+        if not math.isfinite(coeff):
+            raise ValueError(f"tau_rho: rho = {_format_param(rho)} overflows C(rho+k-1, k) at k = {k}")
+        try:
+            C = max(C, coeff / r**k)
+        except OverflowError:
+            break  # r**k exceeds every double: no finite coefficient lifts C >= 1 from here on
     return MultiplicativeSpec(
         name=f"tau_rho:{_format_param(rho)}",
         value_at=value_at,
@@ -529,8 +544,8 @@ def parse_multiplicative(text: str) -> MultiplicativeSpec:
     """Parse the CLI spec grammar into a MultiplicativeSpec.
 
     Raises:
-        SpecGrammarError: unknown name or malformed parameters, with the
-        offending column in the message.
+        SpecGrammarError: unknown name, malformed parameters or values the
+        spec's constructor rejects, with the offending column in the message.
     """
     body = text.strip()
     name, sep, rest = body.partition(":")
@@ -574,6 +589,13 @@ def parse_multiplicative(text: str) -> MultiplicativeSpec:
         if entries and name != "tabulated":
             raise _grammar_error(text, 1, f"prime-power entries only apply to 'tabulated', not {name}")
 
+    def construct(column, make, *params, **options):
+        """make(*params, **options), with its ValueError reported at column."""
+        try:
+            return make(*params, **options)
+        except ValueError as exc:
+            raise _grammar_error(text, column, str(exc)) from None
+
     if name == "unit":
         no_extras()
         if positional:
@@ -588,30 +610,24 @@ def parse_multiplicative(text: str) -> MultiplicativeSpec:
         no_extras(n_positional=1)
         if len(positional) != 1:
             raise _grammar_error(text, 1, "theta_omega needs exactly one parameter, e.g. theta_omega:2.5")
-        return theta_omega(positional[0][0])
+        return construct(positional[0][1], theta_omega, positional[0][0])
     if name == "tau_rho":
         no_extras(n_positional=1)
         if len(positional) != 1:
             raise _grammar_error(text, 1, "tau_rho needs exactly one parameter, e.g. tau_rho:2")
-        return tau_rho(positional[0][0])
+        return construct(positional[0][1], tau_rho, positional[0][0])
     if name == "geometric_B":
         no_extras(allowed_keys=("c0",), n_positional=1)
         if len(positional) != 1:
             raise _grammar_error(text, 1, "geometric_B needs one parameter, e.g. geometric_B:1.5")
-        try:
-            return geometric_B(positional[0][0], c0=keywords.get("c0"))
-        except ValueError as exc:
-            raise _grammar_error(text, positional[0][1], str(exc)) from None
+        return construct(positional[0][1], geometric_B, positional[0][0], c0=keywords.get("c0"))
     if name == "perturbed":
         no_extras(allowed_keys=("a", "eps"))
         if positional:
             raise _grammar_error(text, positional[0][1], "perturbed takes key=value parameters only")
         if "a" not in keywords or "eps" not in keywords:
             raise _grammar_error(text, 1, "perturbed needs a=... and eps=..., e.g. perturbed:a=1,eps=0.5")
-        try:
-            return perturbed(keywords["a"], keywords["eps"])
-        except ValueError as exc:
-            raise _grammar_error(text, 1, str(exc)) from None
+        return construct(1, perturbed, keywords["a"], keywords["eps"])
     # tabulated
     no_extras(allowed_keys=("rho", "c0", "default", "C", "r"))
     if positional:
@@ -620,17 +636,16 @@ def parse_multiplicative(text: str) -> MultiplicativeSpec:
     if ("C" in keywords) != ("r" in keywords):
         raise _grammar_error(text, 1, "tabulated growth needs both C= and r=")
     if "C" in keywords:
-        growth = GrowthBound(keywords["C"], keywords["r"])
-    try:
-        return tabulated_multiplicative(
-            entries,
-            default=keywords.get("default", 1.0),
-            rho=keywords.get("rho"),
-            c0=keywords.get("c0", 0.25),
-            growth=growth,
-        )
-    except ValueError as exc:
-        raise _grammar_error(text, 1, str(exc)) from None
+        growth = construct(1, GrowthBound, keywords["C"], keywords["r"])
+    return construct(
+        1,
+        tabulated_multiplicative,
+        entries,
+        default=keywords.get("default", 1.0),
+        rho=keywords.get("rho"),
+        c0=keywords.get("c0", 0.25),
+        growth=growth,
+    )
 
 
 def parse_additive(text: str) -> AdditiveSpec:

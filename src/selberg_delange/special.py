@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from .errors import DomainError, PoleError
 
@@ -32,27 +31,26 @@ _LANCZOS_COEFFS = (
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# Bernoulli numbers B_2 .. B_24 as exact rationals.  B_{2j}/(2j)! gives
-# the Euler-Maclaurin correction terms: twelve terms with N >= 24 leave a
-# remainder far below double-precision noise for |s| <= 60.  B_{2j}/(2j)
-# gives the asymptotic series of digamma, whose twelfth term is below
-# 4e-21 once |z| >= 10.
-_B2J = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
+# Bernoulli numbers B_2 .. B_24 are 1/6, -1/30, 1/42, -1/30, 5/66,
+# -691/2730, 7/6, -3617/510, 43867/798, -174611/330, 854513/138 and
+# -236364091/2730.  B_{2j}/(2j)! gives the Euler-Maclaurin correction
+# terms: twelve terms with N >= 24 leave a remainder far below
+# double-precision noise for |s| <= 60.  B_{2j}/(2j) gives the asymptotic
+# series of digamma, whose twelfth term is below 4e-21 once |z| >= 10.
+# Both are written as the doubles nearest those rationals, so importing
+# this module loads neither fractions nor decimal.
+_EM_COEFFS = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
 )
-_EM_COEFFS = tuple(float(b / math.factorial(2 * j)) for j, b in enumerate(_B2J, start=1))
-_DIGAMMA_COEFFS = tuple(float(b / (2 * j)) for j, b in enumerate(_B2J, start=1))
+_DIGAMMA_COEFFS = (
+    0.08333333333333333, -0.008333333333333333, 0.003968253968253968,
+    -0.004166666666666667, 0.007575757575757576, -0.021092796092796094,
+    0.08333333333333333, -0.4432598039215686, 3.0539543302701198,
+    -26.456212121212122, 281.46014492753625, -3607.5105463980462,
+)
 _DIGAMMA_ASYMPTOTIC_RE = 10.0
 
 

@@ -80,6 +80,25 @@ def psi_prime_at_zero(
     return _psi_prime(alpha, g, prime_cutoff, tol)
 
 
+def _mean_scale(alpha: MultiplicativeSpec, rho: Optional[complex], x: int) -> Tuple[float, float]:
+    """(rho, rho ln ln x), the mean scale both tail comparisons share.
+
+    rho defaults to alpha.rho and must be real, with rho ln ln x finite.
+
+    Raises:
+        DomainError: rho is not real, or rho ln ln x is not finite.
+        ValueError: x < 16.
+    """
+    if x < 16:
+        raise ValueError(f"x must be >= 16 so ln ln x >= 1, got {x}")
+    rho = complex(alpha.rho if rho is None else rho)
+    t_x = rho.real * math.log(math.log(x))
+    if rho.imag != 0.0 or not math.isfinite(t_x):
+        shown = rho if rho.imag else rho.real
+        raise DomainError(f"tail comparisons need a real rho with rho ln ln x finite, got rho = {shown} at x = {x}")
+    return rho.real, t_x
+
+
 @dataclass(frozen=True)
 class LdpPrediction:
     """Large-deviation comparison at slope s: P(g >= s rho ln ln x)."""
@@ -111,20 +130,14 @@ def ldp_predict(
     makes the unsubstituted ratio diverge).
 
     Raises:
-        DomainError: s <= 0 or ln s outside the strip of g.
-        ValueError: x < 16 or non-real rho.
+        DomainError: s <= 0, ln s outside the strip of g, or rho not
+        real with rho ln ln x finite.
+        ValueError: x < 16.
     """
     s = float(s)
     if not s > 0.0:
         raise DomainError(f"ldp_predict requires s > 0, got {s}")
-    if x < 16:
-        raise ValueError(f"x must be >= 16 so ln ln x >= 1, got {x}")
-    if rho is None:
-        rho = alpha.rho
-    rho = complex(rho)
-    if rho.imag != 0.0:
-        raise ValueError(f"rho must be real for tail comparisons, got {rho}")
-    rho = rho.real
+    _, t_x = _mean_scale(alpha, rho, x)
     h = math.log(s)
     if s != 1.0 and not g.strip.contains(h):
         raise DomainError(
@@ -132,7 +145,6 @@ def ldp_predict(
             f"need {math.exp(g.strip.c):g} < s < {math.exp(min(g.strip.d, 700.0)):g}"
         )
     rate = eta_star(s)
-    t_x = rho * math.log(math.log(x))
     if s == 1.0:
         logger.warning(
             "s = 1: replacing the divergent prefactor psi(0)/(1 - 1/s) by psi'(0)"
@@ -174,20 +186,15 @@ def clt_report(
     1 - Phi(y)) for each y in y_grid.
 
     Raises:
-        DomainError: rho <= 0 (the standardization needs a positive scale).
+        DomainError: rho not real with rho ln ln x finite, or rho <= 0
+        (the standardization needs a positive scale).
         ValueError: x < 16.
     """
-    if x < 16:
-        raise ValueError(f"x must be >= 16 so ln ln x >= 1, got {x}")
-    if rho is None:
-        rho = alpha.rho
-    rho = complex(rho)
-    if rho.imag != 0.0 or not rho.real > 0.0:
-        raise DomainError(f"clt_report requires real rho > 0, got {rho}")
-    rho = rho.real
+    rho, t_x = _mean_scale(alpha, rho, x)
+    if not rho > 0.0:
+        raise DomainError(f"clt_report requires rho > 0, got {rho}")
     if dist is None:
         dist = pmf(alpha, g, x)
-    t_x = rho * math.log(math.log(x))
     sigma = math.sqrt(t_x)
     atoms = (dist.values.astype(np.float64) - t_x) / sigma
     cdf = np.minimum(np.cumsum(dist.probabilities), 1.0)

@@ -10,9 +10,14 @@ import pytest
 import selberg_delange
 from selberg_delange import cli, exact, sieve
 from selberg_delange.cli import main
+from selberg_delange.funcs import parse_additive, parse_multiplicative
 
 SAMPLE_ARGS = ["sample", "--spec", "unit", "--x", "10", "--seed", "7", "--count", "5"]
 SAMPLE_GOLDEN = "9\n3\n5\n5\n1\n"
+SMALL_REPORT_ARGS = [
+    "report", "--spec", "unit", "--g", "omega", "--x-grid", "1e3,1e4", "--z-grid", "circle:4",
+    "--y-grid", "0,1", "--cutoff", "2000",
+]
 
 
 def run_cli(capsys, argv):
@@ -106,6 +111,106 @@ def test_check_golden(capsys):
     )
 
 
+def test_check_golden_with_increment_exponent(capsys):
+    assert run_cli(capsys, ["check", "--spec", "unit"]) == (
+        0,
+        "verdict = consistent\n"
+        "c0 = 0.25\n"
+        "witness = none\n"
+        "abscissa_estimate = 1.6\n"
+        "increment_exponent = -0.597119553191925\n",
+        "",
+    )
+
+
+CLT_ARGS = ["clt", "--spec", "unit", "--x", "1000", "--y-grid", "0,1"]
+LDP_ARGS = ["ldp", "--spec", "unit", "--x", "1000", "--cutoff", "2000"]
+LDP_GRID_ARGS = ["ldp", "--spec", "unit", "--x-grid", "100,1000", "--cutoff", "2000"]
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (CLT_ARGS, "# x=1000 kolmogorov_distance=0.325321272365513\n"
+                   "y,exact,gaussian\n0,0.806,0.5\n1,0.023,0.158655253931457\n"),
+        (LDP_ARGS, "s = 2\nh = 0.693147180559945\nrate = 0.386294361119891\n"
+                   "predicted_tail = 0.57630232587593\nexact_tail = 0.023\nratio = 0.0399096081471508\n"),
+        (LDP_GRID_ARGS, "x,exact_tail,predicted_tail,ratio\n100,0,0.67402100775636,0\n"
+                        "1000,0.023,0.57630232587593,0.0399096081471508\n"),
+    ],
+    ids=["clt", "ldp", "ldp-grid"],
+)
+def test_csv_goldens(capsys, argv, golden):
+    # the default format and an explicit --format csv print the same bytes
+    assert run_cli(capsys, argv) == (0, golden, "")
+    assert run_cli(capsys, argv + ["--format", "csv"]) == (0, golden, "")
+
+
+def _ldp_record(predicted_tail, exact_tail, ratio):
+    return {"s": 2.0, "h": 0.6931471805599453, "rate": 0.3862943611198906,
+            "predicted_tail": predicted_tail, "exact_tail": exact_tail, "ratio": ratio}
+
+
+# byte-exact: each record's repr-exact floats and key order, as json.dumps(indent=2) prints them
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["lambda0", "--spec", "theta_omega:2", "--cutoff", "2000"],
+         {"lambda0_re": 0.607927101853772, "lambda0_im": 0.0, "tail_estimate": 4.125379707211092e-12,
+          "prime_cutoff": 2000, "k_cutoff": 48}),
+        (["psi", "--spec", "theta_omega:2", "--z", "0.5", "--cutoff", "2000"],
+         {"z_re": 0.5, "z_im": 0.0, "psi_re": 0.13621721259411945, "psi_im": 0.0}),
+        (["mgf", "--spec", "unit", "--g", "omega", "--x", "10", "--y", "2"],
+         {"x": 10, "y_re": 2.0, "y_im": 0.0, "mgf_re": 2.3, "mgf_im": 0.0}),
+        (["check", "--spec", "geometric_B:1.9,c0=0.1"],
+         {"c0": 0.1, "verdict": "inconsistent", "witness": 2, "abscissa_estimate": 1.8,
+          "increment_exponent": None, "square_sum_partials": []}),
+        (["sum", "--spec", "theta_omega:2", "--x", "10"], {"x": 10, "sum_re": 23.0, "sum_im": 0.0}),
+        (["sum", "--spec", "unit", "--x-grid", "10,100"],
+         {"rows": [{"x": 10, "sum_re": 10.0, "sum_im": 0.0}, {"x": 100, "sum_re": 100.0, "sum_im": 0.0}]}),
+        (CLT_ARGS, {"x": 1000, "kolmogorov_distance": 0.3253212723655125,
+                    "tail_pairs": [[0.0, 0.806, 0.5], [1.0, 0.023, 0.15865525393145707]]}),
+        (LDP_ARGS, _ldp_record(0.57630232587593, 0.023, 0.039909608147150846)),
+        (LDP_GRID_ARGS, {"rows": [dict(_ldp_record(0.6740210077563601, 0.0, 0.0), x=100),
+                                  dict(_ldp_record(0.57630232587593, 0.023, 0.039909608147150846), x=1000)]}),
+        (SAMPLE_ARGS, {"x": 10, "seed": 7, "stream": 0, "draws": [9, 3, 5, 5, 1]}),
+    ],
+    ids=["lambda0", "psi", "mgf", "check", "sum", "sum-grid", "clt", "ldp", "ldp-grid", "sample"],
+)
+def test_json_goldens(capsys, argv, golden):
+    assert run_cli(capsys, argv + ["--format", "json"]) == (0, json.dumps(golden, indent=2) + "\n", "")
+
+
+def test_small_report_golden(capsys):
+    golden = (Path(__file__).parent / "report_golden.json").read_text(encoding="utf-8")
+    assert run_cli(capsys, SMALL_REPORT_ARGS) == (0, golden, "")
+    assert run_cli(capsys, SMALL_REPORT_ARGS + ["--format", "json"]) == (0, golden, "")
+
+
+def test_commands_return_record_and_text_and_write_nothing(capsys):
+    # every command hands its rendering to main, which alone writes
+    argvs = [
+        ["lambda0", "--cutoff", "100"], ["psi", "--cutoff", "100"], ["sum", "--x", "10"],
+        ["mgf", "--x", "10", "--y", "2"], ["pmf", "--x", "10"], SAMPLE_ARGS, CLT_ARGS,
+        LDP_ARGS, ["check"], SMALL_REPORT_ARGS,
+    ]
+    assert sorted(argv[0] for argv in argvs) == sorted(name for name, *_ in cli._COMMANDS)
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        args.alpha = parse_multiplicative(args.spec)
+        args.additive = parse_additive(args.g) if "g" in args else None
+        record, text = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        if argv[0] in cli._JSON_ONLY:
+            assert text is None
+        elif argv[0] == "sample":
+            # the draws' list is built only when the record is asked for
+            assert callable(record) and record()["draws"] == [9, 3, 5, 5, 1]
+            assert "".join(text) == SAMPLE_GOLDEN
+        else:
+            assert isinstance(record, dict) and isinstance(text, str)
+
+
 def test_repeat_runs_are_byte_identical(capsys):
     argv = ["psi", "--spec", "theta_omega:2", "--z", "0.5", "--cutoff", "2000"]
     _, first, _ = run_cli(capsys, argv)
@@ -150,6 +255,68 @@ def test_exit_code_report_rejects_csv(capsys):
     code, _, err = run_cli(capsys, ["report", "--spec", "unit", "--format", "csv"])
     assert code == 2
     assert "json" in err
+
+
+def test_report_csv_fails_before_any_table(work_counts, capsys):
+    argv = ["report", "--x-grid", "1000,3000", "--cutoff", "2000", "--format", "csv"]
+    assert run_cli(capsys, argv) == (2, "", "error: report emits json only; use --format json\n")
+    assert work_counts == Counter()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["clt", "--x", "100", "--rho", "inf"], "--rho", "inf"),
+        (["report", "--x-grid", "100,1000", "--rho", "inf", "--cutoff", "100"], "--rho", "inf"),
+        (["ldp", "--x", "1000", "--rho", "inf", "--s", "2"], "--rho", "inf"),
+        (["clt", "--x", "100", "--rho", "nan"], "--rho", "nan"),
+        (["ldp", "--x", "1000", "--rho", "nan", "--s", "2"], "--rho", "nan"),
+        (["psi", "--z", "nan+1j"], "--z", "nan+1j"),
+        (["mgf", "--x", "10", "--y", "1+infj"], "--y", "1+infj"),
+        (["report", "--z-grid", "1,inf"], "--z-grid", "inf"),
+    ],
+    ids=["clt-rho-inf", "report-rho-inf", "ldp-rho-inf", "clt-rho-nan", "ldp-rho-nan", "psi-z", "mgf-y",
+         "report-z-grid"],
+)
+def test_non_finite_complex_flags_exit_two(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    # argparse's usage block, then one error line
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"sd {argv[0]}: error: argument {flag}: expected a finite number like 0.3 or 0.1+0.2j, got {value!r}"
+    ]
+    assert "Warning" not in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rho_overflowing_the_mean_scale_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["ldp", "--x", "1000", "--rho", "1e308", "--s", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: tail comparisons need a real rho with rho ln ln x finite, got rho = 1e+308 at x = 1000\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec, column, message",
+    [
+        ("tau_rho:nan", 9, "tau_rho needs a finite rho, got nan"),
+        ("tau_rho:inf", 9, "tau_rho needs a finite rho, got inf"),
+        ("tau_rho:1e4", 9, "tau_rho: rho = 10000 overflows C(rho+k-1, k) at k = 135"),
+        ("tabulated:rho=nan", 1, "rho must be finite, got nan"),
+        ("tabulated:rho=inf", 1, "rho must be finite, got inf"),
+        ("theta_omega:inf", 13, "growth constant C must be finite and >= 0, got inf"),
+        ("tabulated:C=-1,r=1", 1, "growth constant C must be finite and >= 0, got -1.0"),
+    ],
+    ids=["tau_rho-nan", "tau_rho-inf", "tau_rho-1e4", "tabulated-rho-nan", "tabulated-rho-inf", "theta_omega-inf",
+         "tabulated-C"],
+)
+def test_non_finite_or_overflowing_spec_parameters_exit_two(capsys, spec, column, message):
+    code, out, err = run_cli(capsys, ["lambda0", "--spec", spec, "--cutoff", "100"])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad spec {spec!r} at column {column}: {message}\n"
 
 
 def test_exit_code_x_beyond_memory(capsys):

@@ -215,6 +215,22 @@ def test_spec_validation():
         MultiplicativeSpec("bad", lambda p, k: 1.0, rho=1.0, c0=1.5, growth=GrowthBound(1, 1))
 
 
+@pytest.mark.parametrize("rho", [math.inf, math.nan, complex(1.0, math.inf)], ids=["inf", "nan", "imag-inf"])
+def test_non_finite_rho_is_rejected(rho):
+    with pytest.raises(ValueError, match="rho must be finite"):
+        MultiplicativeSpec("bad", lambda p, k: 1.0, rho=rho, c0=0.25, growth=GrowthBound(1, 1))
+    with pytest.raises(ValueError, match="tau_rho needs a finite rho"):
+        tau_rho(rho)
+
+
+def test_tau_rho_envelope_scan_stops_at_the_first_overflow():
+    # C(rho+k-1, k) first overflows float64 at k = 135 for rho = 1e4
+    with pytest.raises(ValueError, match=r"rho = 10000 overflows C\(rho\+k-1, k\) at k = 135"):
+        tau_rho(1e4)
+    # for rho = -400 every coefficient is finite; the scan ends where 1.25^k overflows
+    assert math.isfinite(tau_rho(-400).growth.C)
+
+
 def test_tabulated_multiplicative():
     spec = tabulated_multiplicative({(2, 1): 0.5, (2, 2): 0.25}, default=1.0)
     assert spec.value_at(2, 1) == 0.5

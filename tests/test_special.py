@@ -1,10 +1,17 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import selberg_delange
+from selberg_delange import special
 from selberg_delange.errors import DomainError, PoleError
 from selberg_delange.sieve import prime_array
 from selberg_delange.special import cexpm1, clog1p, cpow, digamma, gamma, zeta
@@ -211,3 +218,31 @@ def test_cexpm1_tiny_argument_accuracy():
     assert got == pytest.approx(want, rel=1e-12)
     # naive exp(z) - 1 loses most digits here; the guard is the whole point
     assert abs(got - z) <= 1e-25
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli coefficients as float literals
+
+
+def test_bernoulli_coefficients_are_the_nearest_doubles():
+    b2j = (
+        Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+        Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+        Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
+        Fraction(-236364091, 2730),
+    )
+    em = tuple(float(b / math.factorial(2 * j)) for j, b in enumerate(b2j, start=1))
+    dg = tuple(float(b / (2 * j)) for j, b in enumerate(b2j, start=1))
+    assert [c.hex() for c in special._EM_COEFFS] == [c.hex() for c in em]
+    assert [c.hex() for c in special._DIGAMMA_COEFFS] == [c.hex() for c in dg]
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    src = Path(selberg_delange.__file__).resolve().parents[1]
+    code = "import sys, selberg_delange.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -336,6 +337,19 @@ def test_clt_report_domain_errors():
         clt_report(unit(), OMEGA, -1.0, 10**4, [0.0])
     with pytest.raises(ValueError):
         clt_report(unit(), OMEGA, 1.0, 10, [0.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan, 1e308], ids=["inf", "-inf", "nan", "1e308"])
+def test_tail_comparisons_reject_a_rho_without_a_finite_scale(rho):
+    # rho ln ln x must be finite: no numpy warning, no nan threshold
+    dist = pmf(unit(), OMEGA, 1000)
+    for call in (
+        lambda: clt_report(unit(), OMEGA, rho, 1000, [0.0], dist=dist),
+        lambda: ldp_predict(unit(), OMEGA, rho, 1000, 2.0, dist=dist, prime_cutoff=100),
+    ):
+        with pytest.raises(DomainError, match=re.escape(f"got rho = {rho} at x = 1000")):
+            call()
 
 
 # ---------------------------------------------------------------------------
