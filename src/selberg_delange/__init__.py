@@ -27,7 +27,6 @@ from .euler import (
     check_admissibility_pp,
     g_compensated,
     lambda0,
-    local_factor,
     psi,
 )
 from .exact import (
@@ -125,7 +124,6 @@ __all__ = [
     "geometric_B",
     "lambda0",
     "ldp_predict",
-    "local_factor",
     "mgf_exact",
     "mod_poisson_residual",
     "multiplicative_value_table",

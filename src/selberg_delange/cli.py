@@ -130,7 +130,7 @@ def _require_x(x: Optional[int]) -> int:
 
 
 def cmd_lambda0(args: argparse.Namespace):
-    res = lambda0(args.alpha, prime_cutoff=args.cutoff, tol=args.tol)
+    res = lambda0(args.alpha, prime_cutoff=args.cutoff)
     record = {
         "lambda0_re": res.value.real,
         "lambda0_im": res.value.imag,
@@ -148,7 +148,7 @@ def cmd_lambda0(args: argparse.Namespace):
 
 
 def cmd_psi(args: argparse.Namespace):
-    value = psi(args.alpha, args.z, args.additive, prime_cutoff=args.cutoff, tol=args.tol)
+    value = psi(args.alpha, args.z, args.additive, prime_cutoff=args.cutoff)
     record = {"z_re": args.z.real, "z_im": args.z.imag, "psi_re": value.real, "psi_im": value.imag}
     return record, f"psi = {_fmt(value)}\n"
 
@@ -200,7 +200,7 @@ def cmd_sample(args: argparse.Namespace):
 
 def cmd_clt(args: argparse.Namespace):
     x = _require_x(args.x)
-    report = clt_report(args.alpha, args.additive, args.rho, x, args.y_grid)
+    report = clt_report(args.alpha, args.additive, x, args.y_grid)
     head = f"# x={report.x} kolmogorov_distance={report.kolmogorov_distance:.15g}\n"
     return clt_report_to_dict(report), head + tail_pairs_to_csv(report.tail_pairs)
 
@@ -209,10 +209,7 @@ def cmd_ldp(args: argparse.Namespace):
     xs = sorted(args.x_grid or (_require_x(args.x),))
     buckets = bucket_sums_grid(args.alpha, args.additive, xs)
     rows = [
-        (x, ldp_predict(
-            args.alpha, args.additive, args.rho, x, args.s,
-            dist=sums.distribution(), prime_cutoff=args.cutoff, tol=args.tol,
-        ))
+        (x, ldp_predict(args.alpha, args.additive, x, args.s, dist=sums.distribution(), prime_cutoff=args.cutoff))
         for x, sums in zip(xs, buckets)
     ]
     if not args.x_grid:
@@ -225,8 +222,7 @@ def cmd_ldp(args: argparse.Namespace):
 
 
 def cmd_check(args: argparse.Namespace):
-    c0 = args.c0 if args.c0 is not None else args.alpha.c0
-    report = check_admissibility_pp(args.alpha, c0=c0, tol=args.tol)
+    report = check_admissibility_pp(args.alpha, c0=args.alpha.c0)
     record = {
         "c0": report.c0,
         "verdict": report.verdict,
@@ -251,38 +247,32 @@ def cmd_check(args: argparse.Namespace):
 
 def cmd_report(args: argparse.Namespace):
     """Full convergence study: lambda0, psi grid, residual trend, CLT, LDP."""
-    xs = tuple(sorted(args.x_grid or ((args.x,) if args.x is not None else DEFAULT_X_GRID)))
+    xs = tuple(sorted(args.x_grid or DEFAULT_X_GRID))
     if xs[0] < 16:
         raise ValueError(f"report x grid needs x >= 16, got {xs[0]}")
     # one pass over the value tables serves all residuals and the pmf
     buckets = bucket_sums_grid(args.alpha, args.additive, xs)
 
-    lam = lambda0(args.alpha, prime_cutoff=args.cutoff, tol=args.tol)
-    rho = args.rho if args.rho is not None else args.alpha.rho
+    lam = lambda0(args.alpha, prime_cutoff=args.cutoff)
 
     psi_values = []
     for z in args.z_grid:
-        value = psi(args.alpha, z, args.additive, prime_cutoff=args.cutoff, tol=args.tol)
+        value = psi(args.alpha, z, args.additive, prime_cutoff=args.cutoff)
         psi_values.append((z, value))
 
     residual_table = []
     for x, sums in zip(xs, buckets):
         worst = 0.0
         for z, limit in psi_values:
-            worst = max(worst, abs(sums.residual(z, rho) - limit))
+            worst = max(worst, abs(sums.residual(z) - limit))
         residual_table.append({"x": x, "max_abs_residual": worst})
 
     clt_rows = []
     ldp_rows = []
     for x, sums in zip(xs, buckets):
         dist = sums.distribution()
-        clt_rows.append(
-            clt_report_to_dict(clt_report(args.alpha, args.additive, args.rho, x, args.y_grid, dist=dist))
-        )
-        pred = ldp_predict(
-            args.alpha, args.additive, args.rho, x, args.s,
-            dist=dist, prime_cutoff=args.cutoff, tol=args.tol,
-        )
+        clt_rows.append(clt_report_to_dict(clt_report(args.alpha, args.additive, x, args.y_grid, dist=dist)))
+        pred = ldp_predict(args.alpha, args.additive, x, args.s, dist=dist, prime_cutoff=args.cutoff)
         ldp_rows.append(dict(ldp_prediction_to_dict(pred), x=x))
 
     payload = {
@@ -292,7 +282,7 @@ def cmd_report(args: argparse.Namespace):
             "x_grid": list(xs),
             "z_grid": [[z.real, z.imag] for z in args.z_grid],
             "cutoff": args.cutoff,
-            "tol": args.tol,
+            "tol": DEFAULT_FACTOR_TOL,
             "s": args.s,
             "y_grid": list(args.y_grid),
             "seed": args.seed,
@@ -319,35 +309,31 @@ def cmd_report(args: argparse.Namespace):
 _FLAGS = {
     "--g": dict(default="omega", help="additive function: omega | big_omega | table:<path>"),
     "--cutoff": dict(type=_int_arg, default=DEFAULT_PRIME_CUTOFF, help="Euler product prime cutoff"),
-    "--tol": dict(type=float, default=DEFAULT_FACTOR_TOL, help="local factor truncation tolerance"),
     "--x": dict(type=_int_arg),
     "--x-grid": dict(type=_x_grid_arg),
     "--y": dict(type=_complex_arg),
     "--z": dict(type=_complex_arg, default=0j),
     "--z-grid": dict(type=_z_grid_arg, default="circle:16"),
     "--s": dict(type=float, default=2.0),
-    "--rho": dict(type=_complex_arg),
     "--y-grid": dict(type=_float_grid_arg, default=DEFAULT_Y_GRID),
     "--seed": dict(type=_int_arg, default=0),
     "--stream": dict(type=_int_arg, default=0),
     "--count": dict(type=_int_arg, default=10),
-    "--c0": dict(type=float),
 }
 
 _COMMANDS = (
-    ("lambda0", cmd_lambda0, "Euler-product constant of a spec", ("--cutoff", "--tol")),
-    ("psi", cmd_psi, "limiting function psi(z)", ("--g", "--cutoff", "--tol", "--z")),
+    ("lambda0", cmd_lambda0, "Euler-product constant of a spec", ("--cutoff",)),
+    ("psi", cmd_psi, "limiting function psi(z)", ("--g", "--cutoff", "--z")),
     ("sum", cmd_sum, "exact partial sum of f(n) for n <= x", ("--x", "--x-grid")),
     ("mgf", cmd_mgf, "exact E[y^{g(N)}] (or e^{z g(N)} via --z)", ("--g", "--x", "--y", "--z")),
     ("pmf", cmd_pmf, "exact distribution of g(N) for N <= x", ("--g", "--x")),
     ("sample", cmd_sample, "reproducible draws of N with P(N=n) ~ alpha(n)",
      ("--x", "--seed", "--stream", "--count")),
-    ("clt", cmd_clt, "normal approximation report for g(N)", ("--g", "--x", "--rho", "--y-grid")),
-    ("ldp", cmd_ldp, "large-deviation prediction vs exact tail",
-     ("--g", "--cutoff", "--tol", "--x", "--x-grid", "--s", "--rho")),
-    ("check", cmd_check, "admissibility++ diagnostics", ("--tol", "--c0")),
+    ("clt", cmd_clt, "normal approximation report for g(N)", ("--g", "--x", "--y-grid")),
+    ("ldp", cmd_ldp, "large-deviation prediction vs exact tail", ("--g", "--cutoff", "--x", "--x-grid", "--s")),
+    ("check", cmd_check, "admissibility++ diagnostics", ()),
     ("report", cmd_report, "full convergence study as one JSON artifact",
-     ("--g", "--cutoff", "--tol", "--x-grid", "--x", "--z-grid", "--s", "--rho", "--y-grid", "--seed")),
+     ("--g", "--cutoff", "--x-grid", "--z-grid", "--s", "--y-grid", "--seed")),
 )
 
 
@@ -359,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, flags in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        # flags are spelled in full, so a deleted flag never reads as one it
+        # prefixes (report's old --x as --x-grid)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--spec", default="unit", help="multiplicative spec, e.g. theta_omega:2.5")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])

@@ -17,8 +17,8 @@ P_{>P}(j) = sum_{p>P} p^{-j} is the tail of the prime zeta function,
 minus its primes p <= P (H. Cohen, "High precision computation of
 Hardy-Littlewood constants", 1998; Ettahri, Ramare and Surel, Math.
 Comp. 2021).  The cutoff then sizes the head, and tail_estimate bounds
-what is left: the truncated j series, the per-prime truncation tol of
-the head and the rounding.
+what is left: the truncated j series, the per-prime truncation
+DEFAULT_FACTOR_TOL of the head and the rounding.
 
 The leading constant at s = 1,
 
@@ -54,6 +54,8 @@ from .sieve import prime_array
 from .special import digamma, gamma, zeta_minus_one
 
 DEFAULT_PRIME_CUTOFF = 10**6
+# every local series stops where its tail bound is <= this; the kernels
+# read it when they run, and the memo keys leave it out
 DEFAULT_FACTOR_TOL = 1e-14
 
 # rho values this close to a nonpositive integer trigger the exact-zero
@@ -72,9 +74,9 @@ class EulerProductResult:
     tail_estimate bounds |log value - log true value| (0 when the value
     is exactly 0).  It adds three parts: the primes p > prime_cutoff
     (the truncated j series of a completed product, or the whole tail of
-    a plain one), tol per head prime over |1 + F_p| where that is below
-    1, and the rounding.  completed tells whether the primes above
-    prime_cutoff were closed by the prime-zeta tail.
+    a plain one), DEFAULT_FACTOR_TOL per head prime over |1 + F_p| where
+    that is below 1, and the rounding.  completed tells whether the
+    primes above prime_cutoff were closed by the prime-zeta tail.
     """
 
     value: complex
@@ -108,47 +110,6 @@ def _is_snapped_nonpositive_integer(z: complex) -> bool:
         return False
     nearest = round(z.real)
     return nearest <= 0 and abs(z.real - nearest) <= _INTEGER_SNAP_TOL
-
-
-def _series_length(C: float, q: float, tol: float, p: int) -> int:
-    """Smallest K with geometric tail C q^{K+1}/(1-q) <= tol."""
-    if q >= 1.0:
-        raise DivergentLocalFactorError(
-            f"local factor diverges at p={p}: growth ratio {C:g}*{q:g}^k does not decay",
-            prime=p,
-        )
-    if C == 0.0:
-        return 0
-    K = 1
-    bound = C * q * q / (1.0 - q)
-    while bound > tol:
-        K += 1
-        bound *= q
-        if K > _K_HARD_CAP:
-            raise DivergentLocalFactorError(
-                f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p
-            )
-    return K
-
-
-def local_factor(spec: MultiplicativeSpec, p: int, s, tol: float = DEFAULT_FACTOR_TOL) -> complex:
-    """F_p(s) = sum_{k>=1} f(p^k) p^{-ks}, truncated to tail <= tol.
-
-    Raises:
-        DivergentLocalFactorError: p^{Re s} <= growth ratio r.
-    """
-    if p < 2:
-        raise ValueError(f"p must be a prime >= 2, got {p}")
-    p, s, tol = int(p), complex(s), _check_tol(tol)
-    p_sigma = float(p) ** s.real
-    K = _series_length(spec.growth.C, spec.growth.r / p_sigma, tol, p)
-    t = complex(1.0 / p_sigma) if s.imag == 0.0 else cmath.exp(-s * math.log(p))
-    acc = 0j
-    cur = t
-    for k in range(1, K + 1):
-        acc += spec.value_at(p, k) * cur
-        cur *= t
-    return acc
 
 
 def _prime_tail_scale(P: int, u: float) -> float:
@@ -185,7 +146,7 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
 
     numpy's own log1p, atan2 and power may differ from libm in the last
     ulp, which would change printed values; mapping keeps every term
-    bit-identical to the scalar local_factor path.
+    bit-identical to a per-prime loop in Python floats.
     """
     n = max(np.size(c) for c in columns)
     lists = [np.broadcast_to(c, (n,)).tolist() for c in columns]
@@ -199,10 +160,10 @@ def _series_lengths(
 
     K_p is the smallest K >= 1 whose tail bound
     C q^{K+1}/(1-q) (a + b(K+1) + b q/(1-q)) is <= tol; the default
-    envelope (1, 0) is the geometric tail of _series_length and rounds
-    exactly as it does.  q = r/p^sigma falls as p grows, and with b >= 0
-    and a + b >= 0 so does the bound; so K_p never rises with p, and the
-    primes whose series reaches k are a prefix of the head.  Returns
+    envelope (1, 0) gives the geometric tail C q^{K+1}/(1-q).
+    q = r/p^sigma falls as p grows, and with b >= 0 and a + b >= 0 so
+    does the bound; so K_p never rises with p, and the primes whose
+    series reaches k are a prefix of the head.  Returns
     (counts, cut, failure): counts[k-1] is the length of that prefix
     (so K_p = len(counts) at the first prime), the head stops at cut,
     the index of the first prime whose series fails, and failure is that
@@ -273,8 +234,10 @@ def _power_series(
 
 
 @np.errstate(all="ignore")  # Python float arithmetic does not warn either
-def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at: str) -> _LocalFactors:
-    """F_p(s) for every prime p <= P, bit-identical to local_factor.
+def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, at: str) -> _LocalFactors:
+    """F_p(s) for every prime p <= P, each series cut where its tail
+    bound is <= DEFAULT_FACTOR_TOL; bit-identical to the scalar
+    local_factor oracle of tests/test_euler.py.
 
     One value_at call per power k covers the prefix of the head whose
     series reaches k.  Failures act at the first prime that trips one,
@@ -292,7 +255,7 @@ def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, tol: float, at:
     p_sigma = primes.astype(np.float64)
     if s.real != 1.0:  # pow(p, 1.0) is p exactly
         p_sigma = _map_float(math.pow, p_sigma, s.real)
-    counts, cut, failure = _series_lengths(primes, spec.growth.r / p_sigma, spec.growth.C, tol)
+    counts, cut, failure = _series_lengths(primes, spec.growth.r / p_sigma, spec.growth.C, DEFAULT_FACTOR_TOL)
     primes = primes[:cut]
     if s.imag == 0.0:
         t_re = 1.0 / p_sigma[:cut]
@@ -346,13 +309,6 @@ def _check_cutoff(prime_cutoff) -> int:
     return P
 
 
-def _check_tol(tol) -> float:
-    t = float(tol)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"tol must be positive, got {tol}")
-    return t
-
-
 # Euler products are memoised per process: psi shares its denominator
 # across z, and ldp shares psi across x.  Specs are frozen and compare
 # value_at by identity, so a hit always means the same function.
@@ -372,16 +328,16 @@ _GAMMA_REL_ERR = 1e-12
 _ULP = 2.0**-53
 
 
-def _head_bound(spec: MultiplicativeSpec, rho: complex, factors: _LocalFactors, tol: float, total: complex) -> float:
+def _head_bound(spec: MultiplicativeSpec, rho: complex, factors: _LocalFactors, total: complex) -> float:
     """Bound on the log error of the head product over the primes p <= P.
 
-    Each truncated series F_p is within tol of the true one, which moves
-    log(1 + F_p) by at most tol / |1 + F_p|; over n primes that is at
-    most tol n / min(1, min_p |1 + F_p|).  Rounding: every term is
-    within a few ulps of |rho|/p or of (K_p + 4) ulps of |F_p|, where
-    |F_p| <= C r/(p - r) <= 3 C r/p for p >= 3, and sum_{p<=P} 1/p is
-    below ln ln P + 0.2615 + 1/ln^2 P (Rosser and Schoenfeld, 1962);
-    then the exp and 1/Gamma(rho).
+    Each truncated series F_p is within tol = DEFAULT_FACTOR_TOL of the
+    true one, which moves log(1 + F_p) by at most tol / |1 + F_p|; over
+    n primes that is at most tol n / min(1, min_p |1 + F_p|).  Rounding:
+    every term is within a few ulps of |rho|/p or of (K_p + 4) ulps of
+    |F_p|, where |F_p| <= C r/(p - r) <= 3 C r/p for p >= 3, and
+    sum_{p<=P} 1/p is below ln ln P + 0.2615 + 1/ln^2 P (Rosser and
+    Schoenfeld, 1962); then the exp and 1/Gamma(rho).
     """
     worst = max(1.0, 1.0 / float(np.hypot(1.0 + factors.F_re, factors.F_im).min()))
     n = len(factors.primes)
@@ -391,7 +347,7 @@ def _head_bound(spec: MultiplicativeSpec, rho: complex, factors: _LocalFactors, 
     F_sum = C * r * (1.0 / (2.0 - r) + 3.0 * reciprocal_sum)
     rounding = _ULP * (4.0 * abs(rho) * reciprocal_sum + (factors.k_max + 4) * worst * F_sum)
     rounding += 4.0 * _ULP * (1.0 + abs(total)) + _GAMMA_REL_ERR
-    return tol * n * worst + rounding
+    return DEFAULT_FACTOR_TOL * n * worst + rounding
 
 
 # The completed products: coefficients are read up to u^j with j at least
@@ -543,11 +499,7 @@ def _completes(series: Optional[LocalSeries], P: int, *exceptional: int) -> bool
     return series is not None and all(p <= P for p in (*series.exceptional_primes, *exceptional))
 
 
-def lambda0(
-    spec: MultiplicativeSpec,
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-    tol: float = DEFAULT_FACTOR_TOL,
-) -> EulerProductResult:
+def lambda0(spec: MultiplicativeSpec, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductResult:
     """Leading Euler-product constant of spec at s = 1.
 
     Args:
@@ -555,17 +507,16 @@ def lambda0(
         prime_cutoff: the head, the primes p <= prime_cutoff (>= 100)
             summed one by one; the primes above it are closed by the
             prime-zeta tail when spec has a local series.
-        tol: per-factor truncation tolerance.
 
     Returns:
         EulerProductResult; value is exactly 0 when rho is a nonpositive
         integer (within snap tolerance) or some local factor vanishes.
-        Results are memoised per process on (spec, cutoff, tol).
+        Results are memoised per process on (spec, cutoff).
     """
-    return _memoised(_lambda0_cached, _lambda0, spec, _check_cutoff(prime_cutoff), _check_tol(tol))
+    return _memoised(_lambda0_cached, _lambda0, spec, _check_cutoff(prime_cutoff))
 
 
-def _factors_at_one(spec: MultiplicativeSpec, P: int, tol: float) -> Optional[_LocalFactors]:
+def _factors_at_one(spec: MultiplicativeSpec, P: int) -> Optional[_LocalFactors]:
     """The local factors F_p(1), or None when rho is a nonpositive integer.
 
     Raises:
@@ -584,7 +535,7 @@ def _factors_at_one(spec: MultiplicativeSpec, P: int, tol: float) -> Optional[_L
             f"spec {spec.name!r} declares prime value {spec.prime_coeff} != rho {spec.rho}; "
             "the s=1 Euler product diverges"
         )
-    return _local_factors(spec, complex(1.0), P, tol, "1")
+    return _local_factors(spec, complex(1.0), P, "1")
 
 
 def _completion(spec: MultiplicativeSpec, rho: complex, P: int) -> Optional[_Completion]:
@@ -594,9 +545,9 @@ def _completion(spec: MultiplicativeSpec, rho: complex, P: int) -> Optional[_Com
     return _close_tail(_log_factor_coefficients(spec.series, rho), P, spec.growth.r)
 
 
-def _lambda0(spec: MultiplicativeSpec, P: int, tol: float) -> EulerProductResult:
+def _lambda0(spec: MultiplicativeSpec, P: int) -> EulerProductResult:
     """lambda0, closed by the prime-zeta tail when the spec allows it."""
-    factors = _factors_at_one(spec, P, tol)
+    factors = _factors_at_one(spec, P)
     if factors is None or factors.vanished:
         k_max = factors.k_max if factors else 0
         return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=k_max, tail_estimate=0.0)
@@ -613,7 +564,7 @@ def _lambda0(spec: MultiplicativeSpec, P: int, tol: float) -> EulerProductResult
         total += tail.value
         truncation = tail.error
     value = cmath.exp(total) / gamma(rho)
-    tail_estimate = truncation + _head_bound(spec, rho, factors, tol, total)
+    tail_estimate = truncation + _head_bound(spec, rho, factors, total)
     return EulerProductResult(
         value=value, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=tail_estimate, completed=tail is not None
     )
@@ -627,7 +578,6 @@ def psi(
     z,
     g: AdditiveSpec = OMEGA,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-    tol: float = DEFAULT_FACTOR_TOL,
 ) -> complex:
     """Limiting function psi(z) = lambda0(exp-twist of alpha) / lambda0(alpha).
 
@@ -637,51 +587,53 @@ def psi(
         DegenerateSpecError: lambda0(alpha) = 0.
     """
     z = complex(z)
-    return _memoised(_psi_cached, _psi, alpha, z, g, _check_cutoff(prime_cutoff), _check_tol(tol))
+    return _memoised(_psi_cached, _psi, alpha, z, g, _check_cutoff(prime_cutoff))
 
 
-def _psi(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec, P: int, tol: float) -> complex:
+def _psi(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec, P: int) -> complex:
     """The ratio of two products closed alike: both completed, or both
     plain when either cannot be completed (a twist by a table g, say),
     so that the tails above P cancel in the ratio instead of adding."""
-    den = lambda0(alpha, P, tol)
+    den = lambda0(alpha, P)
     if den.value == 0:
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
     twisted = twist(alpha, cmath.exp(z), g)
-    num = lambda0(twisted, P, tol)
+    num = lambda0(twisted, P)
     if num.completed != den.completed:
-        den = lambda0(replace(alpha, series=None), P, tol)
-        num = lambda0(replace(twisted, series=None), P, tol)
+        den = lambda0(replace(alpha, series=None), P)
+        num = lambda0(replace(twisted, series=None), P)
     return num.value / den.value
 
 
 _psi_cached = lru_cache(maxsize=_MEMO_SIZE)(_psi)
 
 
-def _psi_prime(alpha: MultiplicativeSpec, g: AdditiveSpec, prime_cutoff: int, tol: float) -> complex:
+def _psi_prime(alpha: MultiplicativeSpec, g: AdditiveSpec, prime_cutoff: int) -> complex:
     """psi'(0) for stats.psi_prime_at_zero, memoised per process like psi."""
-    return _memoised(_psi_prime_cached, _log_derivative, alpha, g, _check_cutoff(prime_cutoff), _check_tol(tol))
+    return _memoised(_psi_prime_cached, _log_derivative, alpha, g, _check_cutoff(prime_cutoff))
 
 
-def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int, tol: float) -> complex:
+def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> complex:
     """d/dz log lambda0(exp-twist of alpha) at z = 0.
 
     The closed form of stats.psi_prime_at_zero, from two kernel passes
     over the primes p <= P: F_p comes with the s = 1 factors, and G_p is
     truncated where the tail of its envelope (a + b k) C (r/p)^k is
-    <= tol, with (a, b) = g.power_bound.  Logs go through the math
+    <= DEFAULT_FACTOR_TOL, with (a, b) = g.power_bound.  Logs go through the math
     library, as in lambda0, so the printed value does not depend on
     numpy's SIMD.  When alpha has a local series and g a k_value, the
     primes p > P add sum_j b_j P_{>P}(j), as in lambda0.
     """
-    factors = _factors_at_one(alpha, P, tol)
+    factors = _factors_at_one(alpha, P)
     if factors is None or factors.vanished:
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
     c = g.prime_value
     if c is None:
         raise ValueError(f"additive spec {g.name!r} has no generic prime value; psi'(0) needs one")
     primes = factors.primes
-    counts, _, failure = _series_lengths(primes, alpha.growth.r / primes, alpha.growth.C, tol, g.power_bound)
+    counts, _, failure = _series_lengths(
+        primes, alpha.growth.r / primes, alpha.growth.C, DEFAULT_FACTOR_TOL, g.power_bound
+    )
     if failure is not None:
         raise failure
 
@@ -709,7 +661,6 @@ def g_compensated(
     s,
     rho,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-    tol: float = DEFAULT_FACTOR_TOL,
 ) -> EulerProductResult:
     """Compensated product prod_{p<=P} (1-p^{-s})^rho (1 + F_p(s)).
 
@@ -723,13 +674,12 @@ def g_compensated(
     s = complex(s)
     rho = complex(rho)
     P = _check_cutoff(prime_cutoff)
-    tol = _check_tol(tol)
     sigma = s.real
     if sigma <= 1.0 - spec.c0:
         raise DomainError(
             f"g_compensated needs Re s > 1 - c0 = {1.0 - spec.c0:g}, got Re s = {sigma:g}"
         )
-    factors = _local_factors(spec, s, P, tol, f"{s}")
+    factors = _local_factors(spec, s, P, f"{s}")
     if factors.vanished:
         return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0)
     if s.imag == 0.0:
@@ -774,7 +724,6 @@ def check_admissibility_pp(
     spec: MultiplicativeSpec,
     c0: float,
     p_grid: Optional[Sequence[int]] = None,
-    tol: float = DEFAULT_FACTOR_TOL,
 ) -> AdmissibilityReport:
     """Probe the square-summability condition at exponent 1 - c0.
 
@@ -787,7 +736,6 @@ def check_admissibility_pp(
     """
     if not (0.0 < c0 < 1.0):
         raise ValueError(f"c0 must lie in (0,1), got {c0}")
-    tol = _check_tol(tol)
     grid = sorted(set(int(P) for P in (p_grid if p_grid is not None else _DEFAULT_P_GRID)))
     if len(grid) < 3:
         raise ValueError("p_grid needs at least 3 cutoffs for a trend fit")
@@ -810,7 +758,7 @@ def check_admissibility_pp(
     # round as the per-prime loop did
     primes = prime_array(grid[-1])
     p_beta = _map_float(math.pow, primes.astype(np.float64), beta)
-    counts, _, failure = _series_lengths(primes, r / p_beta, C, tol)
+    counts, _, failure = _series_lengths(primes, r / p_beta, C, DEFAULT_FACTOR_TOL)
     if failure is not None:
         raise failure
     inner = np.zeros(len(primes))

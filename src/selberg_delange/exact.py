@@ -553,11 +553,11 @@ def _mean(alpha: MultiplicativeSpec, x: int, num: complex, den: complex) -> comp
     return num / den
 
 
-def _poisson_factor(x: int, z: complex, rho: complex) -> complex:
-    """exp(-rho ln ln x (e^z - 1)), the mod-Poisson normalization."""
+def _poisson_factor(alpha: MultiplicativeSpec, x: int, z: complex) -> complex:
+    """exp(-rho ln ln x (e^z - 1)), rho = alpha.rho: the mod-Poisson normalization."""
     if x < 3:
         raise ValueError(f"x must be >= 3 for ln ln x > 0, got {x}")
-    return cmath.exp(-(rho * math.log(math.log(x))) * cexpm1(z))
+    return cmath.exp(-(complex(alpha.rho) * math.log(math.log(x))) * cexpm1(z))
 
 
 @dataclass(frozen=True)
@@ -597,11 +597,10 @@ class BucketSums:
         """E[y^{g(N)}] for N weighted by alpha on 1..x."""
         return _mean(self.alpha, self.x, self.twisted_sum(y), self.total())
 
-    def residual(self, z, rho=None) -> complex:
+    def residual(self, z) -> complex:
         """psi_x(z); see mod_poisson_residual."""
         z = complex(z)
-        rho = complex(self.alpha.rho) if rho is None else complex(rho)
-        return _poisson_factor(self.x, z, rho) * self.mean(cmath.exp(z))
+        return _poisson_factor(self.alpha, self.x, z) * self.mean(cmath.exp(z))
 
     def distribution(self) -> DistributionTable:
         """The pmf of g(N); see pmf.
@@ -838,14 +837,9 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
     return draws
 
 
-def mod_poisson_residual(
-    alpha: MultiplicativeSpec,
-    g: AdditiveSpec,
-    x: int,
-    z,
-    rho=None,
-) -> complex:
-    """Normalized MGF psi_x(z) = exp(-rho ln ln x (e^z - 1)) E[e^{z g(N)}].
+def mod_poisson_residual(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int, z) -> complex:
+    """Normalized MGF psi_x(z) = exp(-rho ln ln x (e^z - 1)) E[e^{z g(N)}],
+    with rho = alpha.rho.
 
     As x grows this converges to the limiting function psi(z); the
     difference from psi is the object of the convergence studies.
@@ -854,8 +848,7 @@ def mod_poisson_residual(
         ValueError: x < 3 (ln ln x must be positive).
     """
     z = complex(z)
-    rho = complex(alpha.rho) if rho is None else complex(rho)
-    return _poisson_factor(x, z, rho) * mgf_exact(alpha, g, x, z)
+    return _poisson_factor(alpha, x, z) * mgf_exact(alpha, g, x, z)
 
 
 def distribution_to_csv(dist: DistributionTable) -> str:

@@ -202,23 +202,24 @@ def _prime_power_values(value_at, primes: np.ndarray, k: int) -> np.ndarray:
         return np.array([value_at(p, k) for p in primes.tolist()], dtype=np.complex128)
 
 
-def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec, rho=None) -> MultiplicativeSpec:
+def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
     """The twisted function n -> y^g(n) * alpha(n).
 
     The average value of the twist is y^c * alpha.rho, where c is the
     generic prime value g.prime_value (omega and Omega give y * rho,
     tables give rho); the finitely many exceptional primes of g enter
-    the prime deviation bound, as in tabulated_multiplicative.  For a g
-    without a generic prime value the caller must pass the twisted
-    average explicitly.  A twist by a g with a k_value maps alpha's
-    local series to a series: it multiplies coeffs(k) by y^k_value(k).
+    the prime deviation bound, as in tabulated_multiplicative.  A twist
+    by a g with a k_value maps alpha's local series to a series: it
+    multiplies coeffs(k) by y^k_value(k).
 
     Raises:
-        ValueError: y == 0, or rho omitted for a g without prime_value.
+        ValueError: y == 0, or g declares no generic prime value.
     """
     y = complex(y)
     if y == 0:
         raise ValueError("twist parameter y must be nonzero")
+    if g.prime_value is None:
+        raise ValueError(f"additive spec {g.name!r} has no generic prime value, so its twist has no rho")
     alpha_value = alpha.value_at
     g_value = g.value_at
 
@@ -228,39 +229,27 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec, rho=None) -> Multiplica
     a, b = g.power_bound
     m = max(1.0, abs(y)) if g.nonnegative else max(abs(y), 1.0 / abs(y))
     c1, eps = alpha.prime_deviation
-    c1 = c1 * m ** (a + b)
-    if rho is None:
-        if g.prime_value is None:
-            raise ValueError(
-                f"additive spec {g.name!r} has no generic prime value; pass the twisted rho explicitly"
-            )
-        scale = cpow(y, g.prime_value)
-        rho = scale * complex(alpha.rho)
-        prime_coeff = scale * complex(alpha.prime_coeff)
-        c1 += max(
-            (abs(cpow(y, g_value(p, 1)) - scale) * abs(alpha_value(p, 1)) * p**eps
-             for p in g.exceptional_primes),
-            default=0.0,
-        )
-    else:
-        rho = complex(rho)
-        prime_coeff = rho
+    scale = cpow(y, g.prime_value)
+    c1 = c1 * m ** (a + b) + max(
+        (abs(cpow(y, g_value(p, 1)) - scale) * abs(alpha_value(p, 1)) * p**eps for p in g.exceptional_primes),
+        default=0.0,
+    )
     series = None
     if alpha.series is not None and g.k_value is not None:
         alpha_coeffs, k_value = alpha.series.coeffs, g.k_value
 
         def coeffs(k):
-            scale = cpow(y, k_value(k))
-            return tuple(scale * c for c in alpha_coeffs(k))
+            y_k = cpow(y, k_value(k))
+            return tuple(y_k * c for c in alpha_coeffs(k))
 
         series = LocalSeries(coeffs, alpha.series.exceptional_primes)
     return MultiplicativeSpec(
         name=f"twist({alpha.name}, y={y.real:g}{y.imag:+g}j, g={g.name})",
         value_at=value_at,
-        rho=rho,
+        rho=scale * complex(alpha.rho),
         c0=alpha.c0,
         growth=GrowthBound(C=alpha.growth.C * m**a, r=alpha.growth.r * m**b),
-        prime_coeff=prime_coeff,
+        prime_coeff=scale * complex(alpha.prime_coeff),
         prime_deviation=(c1, eps),
         series=series,
     )

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .euler import DEFAULT_FACTOR_TOL, DEFAULT_PRIME_CUTOFF, _psi_prime, psi
+from .euler import DEFAULT_PRIME_CUTOFF, _psi_prime, psi
 from .exact import DistributionTable, pmf
 from .funcs import OMEGA, AdditiveSpec, MultiplicativeSpec
 from .special import cexpm1
@@ -56,7 +56,6 @@ def psi_prime_at_zero(
     alpha: MultiplicativeSpec,
     g: AdditiveSpec = OMEGA,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-    tol: float = DEFAULT_FACTOR_TOL,
 ) -> complex:
     """psi'(0), the logarithmic derivative of the Euler product.
 
@@ -77,26 +76,29 @@ def psi_prime_at_zero(
         DegenerateSpecError: lambda0(alpha) = 0.
         ValueError: g has no generic prime value.
     """
-    return _psi_prime(alpha, g, prime_cutoff, tol)
+    return _psi_prime(alpha, g, prime_cutoff)
 
 
-def _mean_scale(alpha: MultiplicativeSpec, rho: Optional[complex], x: int) -> Tuple[float, float]:
-    """(rho, rho ln ln x), the mean scale both tail comparisons share.
+def _mean_scale(alpha: MultiplicativeSpec, x: int) -> float:
+    """rho ln ln x, rho = alpha.rho: the mean scale both tail comparisons share.
 
-    rho defaults to alpha.rho and must be real, with rho ln ln x finite.
+    rho must be real and > 0, with rho ln ln x finite: the tail threshold
+    and the standardization need a positive, finite scale.
 
     Raises:
-        DomainError: rho is not real, or rho ln ln x is not finite.
+        DomainError: rho is not real, rho <= 0, or rho ln ln x is not finite.
         ValueError: x < 16.
     """
     if x < 16:
         raise ValueError(f"x must be >= 16 so ln ln x >= 1, got {x}")
-    rho = complex(alpha.rho if rho is None else rho)
+    rho = complex(alpha.rho)
     t_x = rho.real * math.log(math.log(x))
     if rho.imag != 0.0 or not math.isfinite(t_x):
         shown = rho if rho.imag else rho.real
         raise DomainError(f"tail comparisons need a real rho with rho ln ln x finite, got rho = {shown} at x = {x}")
-    return rho.real, t_x
+    if not rho.real > 0.0:
+        raise DomainError(f"tail comparisons need rho > 0, got rho = {rho.real} at x = {x}")
+    return t_x
 
 
 @dataclass(frozen=True)
@@ -114,30 +116,30 @@ class LdpPrediction:
 def ldp_predict(
     alpha: MultiplicativeSpec,
     g: AdditiveSpec,
-    rho: Optional[float],
     x: int,
     s: float,
     dist: Optional[DistributionTable] = None,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-    tol: float = DEFAULT_FACTOR_TOL,
 ) -> LdpPrediction:
     """Compare the exact tail P(g(N) >= s rho ln ln x) with its prediction.
 
-    predicted_tail = exp(-rho ln ln x eta*(s)) psi(ln s)/(1 - 1/s); the
-    exact tail sums pmf buckets from ceil(s rho ln ln x) upward.  At
-    s = 1 the prefactor psi(ln s)/(1 - 1/s) is 1/0, so the stated
-    replacement psi'(0) is used (a warning is logged since psi(0) = 1
-    makes the unsubstituted ratio diverge).
+    predicted_tail = exp(-rho ln ln x eta*(s)) psi(ln s)/(1 - 1/s), with
+    rho = alpha.rho; the exact tail sums pmf buckets from
+    ceil(s rho ln ln x) upward.  At s = 1 the prefactor
+    psi(ln s)/(1 - 1/s) is 1/0, so the stated replacement psi'(0) is
+    used (a warning is logged since psi(0) = 1 makes the unsubstituted
+    ratio diverge).
 
     Raises:
-        DomainError: s <= 0, ln s outside the strip of g, or rho not
-        real with rho ln ln x finite.
+        DomainError: s <= 0, ln s outside the strip of g, s so large that
+        exp(-rho ln ln x eta*(s)) underflows to 0, or rho not real and
+        > 0 with rho ln ln x finite; all before any Euler product.
         ValueError: x < 16.
     """
     s = float(s)
     if not s > 0.0:
         raise DomainError(f"ldp_predict requires s > 0, got {s}")
-    _, t_x = _mean_scale(alpha, rho, x)
+    t_x = _mean_scale(alpha, x)
     h = math.log(s)
     if s != 1.0 and not g.strip.contains(h):
         raise DomainError(
@@ -145,15 +147,18 @@ def ldp_predict(
             f"need {math.exp(g.strip.c):g} < s < {math.exp(min(g.strip.d, 700.0)):g}"
         )
     rate = eta_star(s)
+    decay = math.exp(-t_x * rate)
+    if decay == 0.0:
+        raise DomainError(f"s = {s:g} underflows exp(-rho ln ln x eta*(s)) to 0 at x = {x}")
     if s == 1.0:
         logger.warning(
             "s = 1: replacing the divergent prefactor psi(0)/(1 - 1/s) by psi'(0)"
         )
-        prefactor = psi_prime_at_zero(alpha, g, prime_cutoff, tol).real
+        prefactor = psi_prime_at_zero(alpha, g, prime_cutoff).real
     else:
-        value = psi(alpha, h, g, prime_cutoff=prime_cutoff, tol=tol)
+        value = psi(alpha, h, g, prime_cutoff=prime_cutoff)
         prefactor = value.real / (1.0 - 1.0 / s)
-    predicted = math.exp(-t_x * rate) * prefactor
+    predicted = decay * prefactor
     if dist is None:
         dist = pmf(alpha, g, x)
     exact = dist.tail_probability(s * t_x)
@@ -175,7 +180,6 @@ class CltReport:
 def clt_report(
     alpha: MultiplicativeSpec,
     g: AdditiveSpec,
-    rho: Optional[float],
     x: int,
     y_grid: Sequence[float],
     dist: Optional[DistributionTable] = None,
@@ -183,16 +187,13 @@ def clt_report(
     """Kolmogorov distance and tail pairs against the standard normal.
 
     tail_pairs holds (y, exact P(g >= rho ln ln x + y sqrt(rho ln ln x)),
-    1 - Phi(y)) for each y in y_grid.
+    1 - Phi(y)) for each y in y_grid, with rho = alpha.rho.
 
     Raises:
-        DomainError: rho not real with rho ln ln x finite, or rho <= 0
-        (the standardization needs a positive scale).
+        DomainError: rho not real and > 0 with rho ln ln x finite.
         ValueError: x < 16.
     """
-    rho, t_x = _mean_scale(alpha, rho, x)
-    if not rho > 0.0:
-        raise DomainError(f"clt_report requires rho > 0, got {rho}")
+    t_x = _mean_scale(alpha, x)
     if dist is None:
         dist = pmf(alpha, g, x)
     sigma = math.sqrt(t_x)

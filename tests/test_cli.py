@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -267,17 +268,11 @@ def test_report_csv_fails_before_any_table(work_counts, capsys):
 @pytest.mark.parametrize(
     "argv, flag, value",
     [
-        (["clt", "--x", "100", "--rho", "inf"], "--rho", "inf"),
-        (["report", "--x-grid", "100,1000", "--rho", "inf", "--cutoff", "100"], "--rho", "inf"),
-        (["ldp", "--x", "1000", "--rho", "inf", "--s", "2"], "--rho", "inf"),
-        (["clt", "--x", "100", "--rho", "nan"], "--rho", "nan"),
-        (["ldp", "--x", "1000", "--rho", "nan", "--s", "2"], "--rho", "nan"),
         (["psi", "--z", "nan+1j"], "--z", "nan+1j"),
         (["mgf", "--x", "10", "--y", "1+infj"], "--y", "1+infj"),
         (["report", "--z-grid", "1,inf"], "--z-grid", "inf"),
     ],
-    ids=["clt-rho-inf", "report-rho-inf", "ldp-rho-inf", "clt-rho-nan", "ldp-rho-nan", "psi-z", "mgf-y",
-         "report-z-grid"],
+    ids=["psi-z", "mgf-y", "report-z-grid"],
 )
 def test_non_finite_complex_flags_exit_two(capsys, argv, flag, value):
     with pytest.raises(SystemExit) as exc_info:
@@ -293,9 +288,28 @@ def test_non_finite_complex_flags_exit_two(capsys, argv, flag, value):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rho_overflowing_the_mean_scale_exits_two(capsys):
-    code, out, err = run_cli(capsys, ["ldp", "--x", "1000", "--rho", "1e308", "--s", "2"])
+    # rho is the spec's; tabulated may override it
+    code, out, err = run_cli(capsys, ["ldp", "--spec", "tabulated:rho=1e308", "--x", "1000", "--s", "2"])
     assert (code, out) == (2, "")
     assert err == "error: tail comparisons need a real rho with rho ln ln x finite, got rho = 1e+308 at x = 1000\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", ["200", "1000", "1e300"])
+def test_ldp_slope_underflowing_the_prediction_exits_two(capsys, s):
+    # exp(-ln ln 1000 eta*(s)) is 0 in float64: rejected before any product
+    code, out, err = run_cli(capsys, ["ldp", "--x", "1000", "--cutoff", "100", "--s", s])
+    assert (code, out) == (2, "")
+    assert err == f"error: s = {float(s):g} underflows exp(-rho ln ln x eta*(s)) to 0 at x = 1000\n"
+    # at s = 100 the factor is still a normal float
+    code, out, _ = run_cli(capsys, ["ldp", "--x", "1000", "--cutoff", "100", "--s", "100"])
+    assert code == 0 and "predicted_tail = 0\n" in out
+
+
+def test_ldp_with_a_nonpositive_rho_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["ldp", "--spec", "theta_omega:0", "--x", "1000"])
+    assert (code, out) == (2, "")
+    assert err == "error: tail comparisons need rho > 0, got rho = 0.0 at x = 1000\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -463,12 +477,65 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["lambda0", "psi", "check"])
-def test_tol_must_be_finite_and_positive(capsys, command):
-    for tol in ("nan", "inf", "0", "-1"):
-        code, out, err = run_cli(capsys, [command, "--spec", "theta_omega:2", "--tol", tol])
-        assert (code, out) == (2, "")
-        assert "tol must be positive" in err
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["lambda0", "--tol", "1e-12"], "--tol"),
+        (["clt", "--x", "100", "--rho", "1"], "--rho"),
+        (["check", "--c0", "0.2"], "--c0"),
+        (["report", "--x", "1000"], "--x"),
+        (["lambda0", "--spec", "theta_omega:2", "--tol", "nan"], "--tol"),
+        (["psi", "--spec", "theta_omega:2", "--tol", "nan"], "--tol"),
+        (["check", "--spec", "theta_omega:2", "--tol", "nan"], "--tol"),
+        (["clt", "--x", "100", "--rho", "inf"], "--rho"),
+        (["report", "--x-grid", "100,1000", "--rho", "inf", "--cutoff", "100"], "--rho"),
+        (["ldp", "--x", "1000", "--rho", "inf", "--s", "2"], "--rho"),
+        (["clt", "--x", "100", "--rho", "nan"], "--rho"),
+        (["ldp", "--x", "1000", "--rho", "nan", "--s", "2"], "--rho"),
+        (["report", "--x-g", "1000"], "--x-g"),
+    ],
+    ids=["lambda0-tol-1e-12", "clt-rho-1", "check-c0", "report-x", "lambda0-tol", "psi-tol", "check-tol",
+         "clt-rho-inf", "report-rho-inf", "ldp-rho-inf", "clt-rho-nan", "ldp-rho-nan", "report-x-g"],
+)
+def test_deleted_flags_exit_two(capsys, argv, flag):
+    # the tolerance is a constant, rho and c0 come from the spec, and report
+    # reads --x-grid only; flags are spelled in full, so none of these
+    # reaches a command as another flag
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    value = argv[argv.index(flag) + 1]
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        f"sd: error: unrecognized arguments: {flag} {value}"
+    ]
+
+
+# every flag slot each command registers, --spec, --output and --format included
+COMMAND_FLAGS = {
+    "lambda0": ["--spec", "--cutoff", "--output", "--format"],
+    "psi": ["--spec", "--g", "--cutoff", "--z", "--output", "--format"],
+    "sum": ["--spec", "--x", "--x-grid", "--output", "--format"],
+    "mgf": ["--spec", "--g", "--x", "--y", "--z", "--output", "--format"],
+    "pmf": ["--spec", "--g", "--x", "--output", "--format"],
+    "sample": ["--spec", "--x", "--seed", "--stream", "--count", "--output", "--format"],
+    "clt": ["--spec", "--g", "--x", "--y-grid", "--output", "--format"],
+    "ldp": ["--spec", "--g", "--cutoff", "--x", "--x-grid", "--s", "--output", "--format"],
+    "check": ["--spec", "--output", "--format"],
+    "report": ["--spec", "--g", "--cutoff", "--x-grid", "--z-grid", "--s", "--y-grid", "--seed", "--output", "--format"],
+}
+
+
+def test_each_command_registers_exactly_its_flags():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {
+        name: [opt for a in parser._actions if not isinstance(a, argparse._HelpAction) for opt in a.option_strings]
+        for name, parser in sub.choices.items()
+    }
+    assert registered == COMMAND_FLAGS
+    assert sum(map(len, COMMAND_FLAGS.values())) == 61
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from selberg_delange.euler import (
     check_admissibility_pp,
     g_compensated,
     lambda0,
-    local_factor,
     psi,
 )
 from selberg_delange.exact import multiplicative_value_table
@@ -51,7 +50,46 @@ from selberg_delange.stats import psi_prime_at_zero
 from conftest import geometric_b_lambda0, prime_zeta_tail
 
 # ---------------------------------------------------------------------------
-# local_factor
+# the scalar oracle: one local factor at a time, in Python floats
+
+
+def series_length(C: float, q: float, tol: float, p: int) -> int:
+    """Smallest K with geometric tail C q^{K+1}/(1-q) <= tol."""
+    if q >= 1.0:
+        raise DivergentLocalFactorError(
+            f"local factor diverges at p={p}: growth ratio {C:g}*{q:g}^k does not decay",
+            prime=p,
+        )
+    if C == 0.0:
+        return 0
+    K = 1
+    bound = C * q * q / (1.0 - q)
+    while bound > tol:
+        K += 1
+        bound *= q
+        if K > euler._K_HARD_CAP:
+            raise DivergentLocalFactorError(
+                f"local factor at p={p} needs more than {euler._K_HARD_CAP} terms", prime=p
+            )
+    return K
+
+
+def local_factor(spec, p: int, s, tol: float = euler.DEFAULT_FACTOR_TOL) -> complex:
+    """F_p(s) = sum_{k>=1} f(p^k) p^{-ks}, truncated to tail <= tol."""
+    if p < 2:
+        raise ValueError(f"p must be a prime >= 2, got {p}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive, got {tol}")
+    p, s = int(p), complex(s)
+    p_sigma = float(p) ** s.real
+    K = series_length(spec.growth.C, spec.growth.r / p_sigma, tol, p)
+    t = complex(1.0 / p_sigma) if s.imag == 0.0 else cmath.exp(-s * math.log(p))
+    acc = 0j
+    cur = t
+    for k in range(1, K + 1):
+        acc += spec.value_at(p, k) * cur
+        cur *= t
+    return acc
 
 
 def test_local_factor_closed_forms():
@@ -320,7 +358,7 @@ def reference_log_product(spec, s, rho, P, tol, at_one):
     re_parts, im_parts, k_max = [], [], 0
     for p in prime_array(P).tolist():
         q = spec.growth.r / float(p) ** s.real
-        k_max = max(k_max, euler._series_length(spec.growth.C, q, tol, p))
+        k_max = max(k_max, series_length(spec.growth.C, q, tol, p))
         F = local_factor(spec, p, s, tol)
         w = 1.0 + F
         if w == 0:
@@ -492,11 +530,11 @@ def per_prime_lengths(counts, cut):
 
 
 def scalar_series_lengths(primes, q, C, tol):
-    """euler._series_length prime by prime, up to the first failure."""
+    """series_length prime by prime, up to the first failure."""
     lengths = []
     for p, qp in zip(primes.tolist(), q.tolist()):
         try:
-            lengths.append(euler._series_length(C, qp, tol, p))
+            lengths.append(series_length(C, qp, tol, p))
         except DivergentLocalFactorError as exc:
             return lengths, exc
     return lengths, None
@@ -562,7 +600,7 @@ def reference_square_sum_partials(spec, c0, grid, tol=euler.DEFAULT_FACTOR_TOL):
         while p > next_cut:
             partials.append((next_cut, fsum(acc_parts)))
             next_cut = next(grid_iter)
-        K = euler._series_length(C, r / float(p) ** beta, tol, p)
+        K = series_length(C, r / float(p) ** beta, tol, p)
         inner = 0.0
         weight = 1.0
         for k in range(1, K + 1):
@@ -598,7 +636,7 @@ def test_memo_accepts_numpy_scalars_and_float_cutoff():
     spec = theta_omega(1.5)
     want = lambda0(spec, 3000).value
     assert lambda0(spec, 3000.0).value == want
-    assert lambda0(spec, np.int64(3000), np.float64(1e-14)).value == want
+    assert lambda0(spec, np.int64(3000)).value == want
     z = 0.25
     want = psi(spec, z, prime_cutoff=3000)
     assert psi(spec, np.float64(z), prime_cutoff=3000.0) == want
@@ -611,11 +649,11 @@ def test_memo_hit_equals_fresh_computation():
     hits = euler._lambda0_cached.cache_info().hits
     second = lambda0(spec, 4000)
     assert euler._lambda0_cached.cache_info().hits == hits + 1
-    fresh = euler._lambda0(spec, 4000, euler.DEFAULT_FACTOR_TOL)
+    fresh = euler._lambda0(spec, 4000)
     assert second == first == fresh
     z = complex(0.2, 0.4)
     cached = [psi(spec, z, prime_cutoff=4000) for _ in range(2)]
-    fresh = euler._psi(spec, z, OMEGA, 4000, euler.DEFAULT_FACTOR_TOL)
+    fresh = euler._psi(spec, z, OMEGA, 4000)
     assert cached == [fresh, fresh]
 
 
@@ -626,7 +664,7 @@ def test_memo_never_shares_entries_across_value_at():
     for first, second in ((a, b), (b, a)):
         assert lambda0(first, 2000).value != lambda0(second, 2000).value
         assert psi(first, 0.3, prime_cutoff=2000) != psi(second, 0.3, prime_cutoff=2000)
-    assert lambda0(b, 2000) == euler._lambda0(b, 2000, euler.DEFAULT_FACTOR_TOL)
+    assert lambda0(b, 2000) == euler._lambda0(b, 2000)
 
 
 def test_memo_skips_unhashable_specs():

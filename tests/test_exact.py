@@ -405,8 +405,10 @@ def test_mod_poisson_residual_manual_composition():
 
 
 def test_mod_poisson_residual_rho_override():
+    # the residual normalizes by the rho the spec declares: unit weights
+    # whose tabulated spec overrides rho to 0 keep their plain mgf
     x, z = 5000, 0.3
-    got = mod_poisson_residual(unit(), OMEGA, x, z, rho=0.0)
+    got = mod_poisson_residual(tabulated_multiplicative({}, rho=0.0), OMEGA, x, z)
     assert got == pytest.approx(mgf_exact(unit(), OMEGA, x, z), rel=1e-13)
 
 

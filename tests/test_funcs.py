@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -96,11 +97,12 @@ def test_twist_rejects_zero():
 
 
 def test_twist_varying_additive_needs_explicit_rho():
-    # a custom g that declares no generic prime value
+    # a custom g that declares no generic prime value gives no twisted rho
     g = AdditiveSpec("custom", lambda p, k: 1.0 if p == 2 else 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no generic prime value"):
         twist(unit(), 2, g)
-    spec = twist(unit(), 2, g, rho=4.0)
+    # declaring g(p) = 2 outside p = 2 makes it explicit: rho = 2^2 * 1
+    spec = twist(unit(), 2, dataclasses.replace(g, prime_value=2.0, exceptional_primes=(2,)))
     assert spec.rho == 4.0
     assert spec.value_at(3, 1) == 4
 

@@ -1,8 +1,12 @@
-"""The README's library example runs as written, at a smaller x."""
+"""The README's library example runs as written, at a smaller x, and its
+command-line section names only flags that sd registers."""
 
+import argparse
 import math
 import re
 from pathlib import Path
+
+from selberg_delange.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +23,14 @@ def test_readme_library_example_runs(capsys):
     # psi(ln 2) for unit weights is prod_p (1 - 1/p^2) = 6/pi^2
     assert abs(complex(limit) - 6.0 / math.pi**2) < 1e-6
     assert float(gap) < 0.1
+
+
+def test_readme_command_line_flags_are_registered():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n## Command line\n")
+    section = text[start : text.index("\n## ", start + 1)]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {opt for parser in sub.choices.values() for a in parser._actions for opt in a.option_strings}
+    assert "--x-grid" in named
+    assert named <= registered, f"README names flags no command registers: {sorted(named - registered)}"

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -171,10 +172,12 @@ def test_psi_prime_at_zero_closed_forms():
     assert psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, 5000) == pytest.approx(want, abs=1e-11)
     # F_p and G_p each stop where their tails are <= tol, and here
     # 1/|1 + F_p| + |G_p|/|1 + F_p|^2 <= 1, so each prime is off by <= tol;
-    # G_p needs its envelope k (r/p)^k for that, not (r/p)^k
+    # G_p needs its envelope k (r/p)^k for that, not (r/p)^k.  The
+    # uncached kernel reads the tolerance when it runs
     P = 100
     for tol in (1e-6, 1e-8, 1e-10):
-        got = psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, P, tol).real
+        with mock.patch.object(euler, "DEFAULT_FACTOR_TOL", tol):
+            got = euler._log_derivative(geometric_B(1.5), BIG_OMEGA, P).real
         assert abs(got - want) <= tol * len(prime_array(P))
     # a table g = 1 at p = 2 only: G_2 / (1 + F_2) = (1/2) / 2 is the whole sum
     g = tabulated_additive({(2, 1): 1.0})
@@ -216,9 +219,9 @@ def test_psi_prime_at_zero_is_memoised():
     first = psi_prime_at_zero(spec, OMEGA, 4000)
     hits = euler._psi_prime_cached.cache_info().hits
     for x in (10**3, 10**4):
-        ldp_predict(spec, OMEGA, None, x, 1.0, prime_cutoff=4000)
+        ldp_predict(spec, OMEGA, x, 1.0, prime_cutoff=4000)
     assert euler._psi_prime_cached.cache_info().hits == hits + 2
-    assert first == euler._log_derivative(spec, OMEGA, 4000, euler.DEFAULT_FACTOR_TOL)
+    assert first == euler._log_derivative(spec, OMEGA, 4000)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +231,7 @@ def test_psi_prime_at_zero_is_memoised():
 def test_ldp_predict_fields_and_exact_tail():
     x = 10**4
     dist = pmf(unit(), OMEGA, x)
-    pred = ldp_predict(unit(), OMEGA, 1.0, x, 2.0, dist=dist)
+    pred = ldp_predict(unit(), OMEGA, x, 2.0, dist=dist)
     assert isinstance(pred, LdpPrediction)
     assert pred.s == 2.0
     assert pred.h == pytest.approx(math.log(2.0), rel=1e-15)
@@ -245,7 +248,7 @@ def test_ldp_predict_fields_and_exact_tail():
 
 def test_ldp_predict_prefactor_composition():
     x, s = 10**4, 2.0
-    pred = ldp_predict(unit(), OMEGA, 1.0, x, s)
+    pred = ldp_predict(unit(), OMEGA, x, s)
     t_x = math.log(math.log(x))
     want = math.exp(-t_x * eta_star(s)) * psi(unit(), math.log(s)).real / (1.0 - 1.0 / s)
     assert pred.predicted_tail == pytest.approx(want, rel=1e-12)
@@ -254,7 +257,7 @@ def test_ldp_predict_prefactor_composition():
 def test_ldp_predict_substitution_at_one(caplog):
     x = 10**4
     with caplog.at_level(logging.WARNING, logger="selberg_delange.stats"):
-        pred = ldp_predict(unit(), OMEGA, 1.0, x, 1.0)
+        pred = ldp_predict(unit(), OMEGA, x, 1.0)
     assert any("s = 1" in record.message for record in caplog.records)
     assert pred.rate == 0.0
     # with eta*(1) = 0 the prediction collapses to the slope of psi at 0
@@ -264,27 +267,50 @@ def test_ldp_predict_substitution_at_one(caplog):
 
 def test_ldp_predict_domain_errors():
     with pytest.raises(DomainError):
-        ldp_predict(unit(), OMEGA, 1.0, 10**4, 0.0)
+        ldp_predict(unit(), OMEGA, 10**4, 0.0)
     with pytest.raises(DomainError):
-        ldp_predict(unit(), OMEGA, 1.0, 10**4, -2.0)
+        ldp_predict(unit(), OMEGA, 10**4, -2.0)
 
 
 def test_ldp_predict_big_omega_strip():
     # Omega twists only control slopes s < sqrt(2)
-    pred = ldp_predict(unit(), BIG_OMEGA, 1.0, 10**4, 1.3)
+    pred = ldp_predict(unit(), BIG_OMEGA, 10**4, 1.3)
     assert pred.predicted_tail > 0.0
     with pytest.raises(DomainError) as exc_info:
-        ldp_predict(unit(), BIG_OMEGA, 1.0, 10**4, 1.5)
+        ldp_predict(unit(), BIG_OMEGA, 10**4, 1.5)
     assert "1.41421" in str(exc_info.value)
     with pytest.raises(DomainError):
-        ldp_predict(unit(), BIG_OMEGA, 1.0, 10**4, math.sqrt(2.0))
+        ldp_predict(unit(), BIG_OMEGA, 10**4, math.sqrt(2.0))
 
 
 def test_ldp_predict_validation():
     with pytest.raises(ValueError):
-        ldp_predict(unit(), OMEGA, 1.0, 10, 2.0)
+        ldp_predict(unit(), OMEGA, 10, 2.0)
     with pytest.raises(ValueError):
-        ldp_predict(unit(), OMEGA, complex(1.0, 0.5), 10**4, 2.0)
+        ldp_predict(theta_omega(complex(1.0, 0.5)), OMEGA, 10**4, 2.0)
+
+
+def no_euler_product():
+    """Patch the Euler kernel's entry points so that any product fails."""
+    fail = AssertionError("an Euler product was computed")
+    return mock.patch.multiple(euler, _factors_at_one=mock.Mock(side_effect=fail),
+                               _local_factors=mock.Mock(side_effect=fail))
+
+
+def test_ldp_predict_rejects_a_nonpositive_rho_before_any_product():
+    # rho = 0 puts the threshold s rho ln ln x at 0, so every n would count
+    dist = pmf(unit(), OMEGA, 1000)
+    with no_euler_product(), pytest.raises(DomainError, match=re.escape("need rho > 0, got rho = 0.0 at x = 1000")):
+        ldp_predict(tabulated_multiplicative({}, default=0.0), OMEGA, 1000, 2.0, dist=dist)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", [200.0, 1000.0, 1e300])
+def test_ldp_predict_rejects_an_underflowing_slope_before_any_product(s):
+    # exp(-ln ln 1000 eta*(s)) is 0 in float64 for these s
+    dist = pmf(unit(), OMEGA, 1000)
+    with no_euler_product(), pytest.raises(DomainError, match=re.escape(f"s = {s:g} underflows")):
+        ldp_predict(unit(), OMEGA, 1000, s, dist=dist, prime_cutoff=100)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +319,7 @@ def test_ldp_predict_validation():
 
 def test_clt_report_fields_and_extreme_y():
     x = 10**4
-    report = clt_report(unit(), OMEGA, 1.0, x, [-10.0, 0.0, 10.0])
+    report = clt_report(unit(), OMEGA, x, [-10.0, 0.0, 10.0])
     assert isinstance(report, CltReport)
     assert report.x == x
     assert 0.0 <= report.kolmogorov_distance <= 1.0
@@ -309,7 +335,7 @@ def test_clt_report_fields_and_extreme_y():
 def test_clt_report_matches_brute_force_distance():
     x = 2000
     dist = pmf(unit(), OMEGA, x)
-    report = clt_report(unit(), OMEGA, 1.0, x, [0.0], dist=dist)
+    report = clt_report(unit(), OMEGA, x, [0.0], dist=dist)
     t_x = math.log(math.log(x))
     sigma = math.sqrt(t_x)
     # plain-python two-sided sup over the jump points of the step CDF
@@ -325,28 +351,34 @@ def test_clt_report_matches_brute_force_distance():
 
 
 def test_clt_report_distance_shrinks_with_x():
-    d1 = clt_report(unit(), OMEGA, 1.0, 10**3, [0.0]).kolmogorov_distance
-    d2 = clt_report(unit(), OMEGA, 1.0, 10**4, [0.0]).kolmogorov_distance
+    d1 = clt_report(unit(), OMEGA, 10**3, [0.0]).kolmogorov_distance
+    d2 = clt_report(unit(), OMEGA, 10**4, [0.0]).kolmogorov_distance
     assert d2 < d1
 
 
 def test_clt_report_domain_errors():
     with pytest.raises(DomainError):
-        clt_report(unit(), OMEGA, 0.0, 10**4, [0.0])
+        clt_report(theta_omega(0.0), OMEGA, 10**4, [0.0])
     with pytest.raises(DomainError):
-        clt_report(unit(), OMEGA, -1.0, 10**4, [0.0])
+        clt_report(theta_omega(-1.0), OMEGA, 10**4, [0.0])
     with pytest.raises(ValueError):
-        clt_report(unit(), OMEGA, 1.0, 10, [0.0])
+        clt_report(unit(), OMEGA, 10, [0.0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan, 1e308], ids=["inf", "-inf", "nan", "1e308"])
 def test_tail_comparisons_reject_a_rho_without_a_finite_scale(rho):
-    # rho ln ln x must be finite: no numpy warning, no nan threshold
+    # rho ln ln x must be finite: no numpy warning, no nan threshold.  rho
+    # is the spec's, and a spec already refuses a rho that is not finite
+    if not math.isfinite(rho):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            tabulated_multiplicative({}, rho=rho)
+        return
+    alpha = tabulated_multiplicative({}, rho=rho)
     dist = pmf(unit(), OMEGA, 1000)
     for call in (
-        lambda: clt_report(unit(), OMEGA, rho, 1000, [0.0], dist=dist),
-        lambda: ldp_predict(unit(), OMEGA, rho, 1000, 2.0, dist=dist, prime_cutoff=100),
+        lambda: clt_report(alpha, OMEGA, 1000, [0.0], dist=dist),
+        lambda: ldp_predict(alpha, OMEGA, 1000, 2.0, dist=dist, prime_cutoff=100),
     ):
         with pytest.raises(DomainError, match=re.escape(f"got rho = {rho} at x = 1000")):
             call()
@@ -357,7 +389,7 @@ def test_tail_comparisons_reject_a_rho_without_a_finite_scale(rho):
 
 
 def test_clt_report_to_dict():
-    report = clt_report(unit(), OMEGA, 1.0, 10**3, [0.0, 1.0])
+    report = clt_report(unit(), OMEGA, 10**3, [0.0, 1.0])
     payload = clt_report_to_dict(report)
     assert set(payload) == {"x", "kolmogorov_distance", "tail_pairs"}
     assert payload["x"] == 10**3
@@ -366,7 +398,7 @@ def test_clt_report_to_dict():
 
 
 def test_ldp_prediction_to_dict():
-    pred = ldp_predict(unit(), OMEGA, 1.0, 10**4, 2.0)
+    pred = ldp_predict(unit(), OMEGA, 10**4, 2.0)
     payload = ldp_prediction_to_dict(pred)
     assert set(payload) == {"s", "h", "rate", "predicted_tail", "exact_tail", "ratio"}
     assert payload["s"] == 2.0
