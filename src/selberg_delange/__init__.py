@@ -28,6 +28,7 @@ from .euler import (
     g_compensated,
     lambda0,
     psi,
+    psi_grid,
 )
 from .exact import (
     BucketSums,
@@ -136,6 +137,7 @@ __all__ = [
     "pmf",
     "prime_array",
     "psi",
+    "psi_grid",
     "psi_prime_at_zero",
     "sample",
     "sums_to_csv",

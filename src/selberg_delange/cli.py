@@ -31,6 +31,7 @@ from .euler import (
     check_admissibility_pp,
     lambda0,
     psi,
+    psi_grid,
 )
 from .exact import (
     bucket_sums_grid,
@@ -49,6 +50,7 @@ from .stats import (
     ldp_prediction_to_dict,
     tail_pairs_to_csv,
 )
+from .stats import logger as stats_logger
 
 DEFAULT_X_GRID = (1000, 10000, 100000, 1000000)
 DEFAULT_Y_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -253,12 +255,9 @@ def cmd_report(args: argparse.Namespace):
     # one pass over the value tables serves all residuals and the pmf
     buckets = bucket_sums_grid(args.alpha, args.additive, xs)
 
+    # one kernel pass for the grid and its denominator, lambda0(alpha)
+    psi_values = list(zip(args.z_grid, psi_grid(args.alpha, args.z_grid, args.additive, prime_cutoff=args.cutoff)))
     lam = lambda0(args.alpha, prime_cutoff=args.cutoff)
-
-    psi_values = []
-    for z in args.z_grid:
-        value = psi(args.alpha, z, args.additive, prime_cutoff=args.cutoff)
-        psi_values.append((z, value))
 
     residual_table = []
     for x, sums in zip(xs, buckets):
@@ -361,6 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(message)s")
     args = build_parser().parse_args(argv)
+    # a warning that each x of a grid repeats (ldp's s = 1) is logged once per command
+    seen = set()
+
+    def once(record: logging.LogRecord) -> bool:
+        first = record.getMessage() not in seen
+        seen.add(record.getMessage())
+        return first
+
+    stats_logger.addFilter(once)
     try:
         if args.fmt != "json" and args.command in _JSON_ONLY:
             raise ValueError(f"{args.command} emits json only; use --format json")
@@ -383,6 +391,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        stats_logger.removeFilter(once)
     return 0
 
 

@@ -4,7 +4,10 @@ Everything here reduces to products over primes p <= P of local factors
 (1 - p^{-s})^rho (1 + F_p(s)), where F_p(s) = sum_k f(p^k) p^{-ks} is
 truncated using the spec's geometric growth envelope.  Products are
 accumulated in log space (exact summation of per-prime logs) so that
-10^6 factors neither underflow nor lose relative accuracy.
+10^6 factors neither underflow nor lose relative accuracy.  One kernel
+pass evaluates a stack of products as rows over one column of primes:
+psi_grid puts lambda0(alpha) and the twist of every z in one pass, and
+psi'(0) its series F_p and G_p.
 
 At s = 1 the primes above the cutoff are not dropped when the spec
 declares a local series (funcs.LocalSeries).  The log of a local factor
@@ -35,10 +38,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import fsum
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -124,21 +129,45 @@ def _second_order_constant(spec: MultiplicativeSpec, rho: complex) -> float:
     return 2.0 * (abs(rho) + (C * r) ** 2 + C * r * r)
 
 
-class _LocalFactors(NamedTuple):
-    """Local series F_p(s) over the primes p <= P, as float64 columns.
+class _Row(NamedTuple):
+    """One product of a kernel pass: its values and its growth envelope.
 
-    k_max is the series length at the first prime, the longest of the
-    head (see _series_lengths).  vanished marks that 1 + F_p(s) = 0 at
-    primes[-1], so the product is exactly 0.
+    values(p, k) gives f(p^k) over an object array of primes, as a
+    complex128 array of their shape or a 0-d one for all of them (see
+    funcs._prime_power_values).  The series at p stops where the tail of
+    (a + b k) C (r/p^sigma)^k is <= DEFAULT_FACTOR_TOL, with
+    (a, b) = envelope.
+    """
+
+    values: Callable
+    C: float
+    r: float
+    envelope: Tuple[float, float] = (1.0, 0.0)
+
+
+def _spec_row(spec: MultiplicativeSpec) -> _Row:
+    return _Row(partial(_prime_power_values, spec.value_at), spec.growth.C, spec.growth.r)
+
+
+class _LocalFactors(NamedTuple):
+    """One row's series F_p(s) over its head primes, as float64 columns.
+
+    The head stops at the first prime whose series fails, and failure is
+    that error (None if there is none).  k_max is the series length at
+    the first prime, the longest of the head (see _series_lengths).
+    t_re and t_im are the power column p^{-s}, with t_im None for a real
+    s.  vanished marks that 1 + F_p(s) = 0 at primes[-1], so the product
+    is exactly 0 (see _checked).
     """
 
     primes: np.ndarray
     F_re: np.ndarray
     F_im: np.ndarray
     t_re: np.ndarray
-    t_im: np.ndarray
+    t_im: Optional[np.ndarray]
     k_max: int
-    vanished: bool
+    failure: Optional[ArithmeticError]
+    vanished: bool = False
 
 
 def _map_float(fn: Callable, *columns) -> np.ndarray:
@@ -153,97 +182,169 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
     return np.fromiter(map(fn, *lists), dtype=np.float64, count=n)
 
 
+@np.errstate(all="ignore")  # entries past a row's cut or count are masked out
 def _series_lengths(
-    primes: np.ndarray, q: np.ndarray, C: float, tol: float, envelope: Tuple[float, float] = (1.0, 0.0)
-) -> Tuple[List[int], int, Optional[ArithmeticError]]:
-    """The staircase of series lengths under the envelope (a + b k) C q^k.
+    primes: np.ndarray, q: np.ndarray, C: Sequence[float], tol: float, envelopes: Sequence[Tuple[float, float]]
+) -> List[Tuple[List[int], int, Optional[ArithmeticError]]]:
+    """The staircases of series lengths of a stack of rows.
 
+    Row i has the ratios q[i] = r_i/p^sigma over the primes and the
+    envelope (a + b k) C q^k with C = C[i] and (a, b) = envelopes[i].
     K_p is the smallest K >= 1 whose tail bound
-    C q^{K+1}/(1-q) (a + b(K+1) + b q/(1-q)) is <= tol; the default
-    envelope (1, 0) gives the geometric tail C q^{K+1}/(1-q).
-    q = r/p^sigma falls as p grows, and with b >= 0 and a + b >= 0 so
-    does the bound; so K_p never rises with p, and the primes whose
-    series reaches k are a prefix of the head.  Returns
-    (counts, cut, failure): counts[k-1] is the length of that prefix
-    (so K_p = len(counts) at the first prime), the head stops at cut,
-    the index of the first prime whose series fails, and failure is that
-    error (None if there is none).
+    C q^{K+1}/(1-q) (a + b(K+1) + b q/(1-q)) is <= tol; the envelope
+    (1, 0) gives the geometric tail C q^{K+1}/(1-q).  q falls as p
+    grows, and with b >= 0 and a + b >= 0 so does the bound; so K_p
+    never rises with p, and the primes whose series reaches k are a
+    prefix of the head.  Returns (counts, cut, failure) per row:
+    counts[k-1] is the length of that prefix (so K_p = len(counts) at
+    the first prime), the head stops at cut, the index of the first
+    prime whose series fails, and failure is that error (None if there
+    is none).  The rows share one loop over k, over the longest prefix
+    still counting; each row counts within its own prefix.
     """
-    cut = len(primes)
-    failure = None
-    diverging = np.flatnonzero(q >= 1.0)
-    if len(diverging):
-        cut = int(diverging[0])
-        p, qf = int(primes[cut]), float(q[cut])
-        failure = DivergentLocalFactorError(
-            f"local factor diverges at p={p}: growth ratio {C:g}*{qf:g}^k does not decay",
-            prime=p,
-        )
-    if C == 0.0:
-        return [], cut, failure
-    a, b = envelope
-    q = q[:cut]
-    geo = C * q * q / (1.0 - q)
-    base = a + b * q / (1.0 - q)
-    counts, n = [], cut
-    while n:
-        if len(counts) == _K_HARD_CAP:
-            p = int(primes[0])
-            failure = DivergentLocalFactorError(
-                f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p
+    C = np.asarray(C, dtype=np.float64)
+    a, b = np.asarray(envelopes, dtype=np.float64).T[:, :, None]
+    diverging = q >= 1.0
+    cuts = np.where(diverging.any(axis=1), diverging.argmax(axis=1), q.shape[1]).tolist()
+    failures = [None] * len(cuts)
+    for i, cut in enumerate(cuts):
+        if cut < q.shape[1]:
+            p, qf = int(primes[cut]), float(q[i, cut])
+            failures[i] = DivergentLocalFactorError(
+                f"local factor diverges at p={p}: growth ratio {float(C[i]):g}*{qf:g}^k does not decay",
+                prime=p,
             )
-            return [], 0, failure
-        counts.append(n)
-        n = int(np.count_nonzero(geo * (base[:n] + b * (len(counts) + 1)) > tol))
-        geo = geo[:n] * q[:n]
-    return counts, cut, failure
-
-
-def _powers(values: Callable, primes: np.ndarray, counts: Sequence[int], *columns: np.ndarray):
-    """Yield (n, values(p, k), columns) for k = 1, ..., len(counts).
-
-    The primes whose series reaches k are the first n = counts[k-1] of
-    the head; values gets them as a slice of one object array of Python
-    ints and returns a complex128 array of their shape.  The columns are
-    the first n rows of one copy of each input column; update them in
-    place to carry state from one power to the next.
-    """
-    head = counts[0] if counts else 0
-    p_obj = np.array(primes[:head].tolist(), dtype=object)
-    columns = [c[:head].copy() for c in columns]
-    for k, n in enumerate(counts, start=1):
-        yield n, values(p_obj[:n], k), [c[:n] for c in columns]
+    geo = C[:, None] * q * q / (1.0 - q)
+    base = a + b * q / (1.0 - q)
+    column = np.arange(q.shape[1])
+    n = np.where(C != 0.0, cuts, 0)
+    width = int(n.max(initial=0))
+    steps = []
+    while width:
+        if len(steps) == _K_HARD_CAP:
+            p = int(primes[0])
+            for i in np.flatnonzero(n).tolist():
+                cuts[i] = 0
+                failures[i] = DivergentLocalFactorError(
+                    f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p
+                )
+            break
+        steps.append(n)
+        geo = geo[:, :width]
+        live = geo * (base[:, :width] + b * (len(steps) + 1)) > tol
+        live &= column[:width] < n[:, None]
+        n = live.sum(axis=1)
+        width = int(n.max())
+        geo = geo[:, :width] * q[:, :width]
+    steps = np.array(steps, dtype=np.int64).reshape(-1, len(cuts)).T
+    return [
+        ([] if cut == 0 else counts[counts > 0].tolist(), cut, failure)
+        for counts, cut, failure in zip(steps, cuts, failures)
+    ]
 
 
 @np.errstate(all="ignore")  # Python float arithmetic does not warn either
 def _power_series(
-    values: Callable, primes: np.ndarray, counts: Sequence[int], t_re, t_im
-) -> Tuple[np.ndarray, np.ndarray]:
-    """sum_{k <= K_p} values(p, k) t_p^k for every prime, as float64 columns.
+    rows: Sequence[_Row], primes: np.ndarray, staircases: Sequence[Sequence[int]], t_re, t_im=None
+) -> Tuple[np.ndarray, np.ndarray, List[Optional[Exception]]]:
+    """sum_{k <= K_p} values(p, k) t_p^k for every row and prime, as
+    float64 arrays of shape (rows, primes).
 
-    acc += value * cur; cur *= t, one power at a time, with the complex
-    products spelled out in float64 so that they round exactly as
-    Python's complex arithmetic does.
+    One loop over k serves the stack.  The primes' object array and the
+    power column cur = t_p^k are shared, and row i adds its terms only
+    to the first staircases[i][k-1] primes: a where= mask against the
+    union of the staircases.  acc += value * cur; cur *= t, one power at
+    a time, with the complex products spelled out in float64 so that
+    they round exactly as Python's complex arithmetic does.  With t_im
+    None the column is real and its zero imaginary half is skipped; a
+    row whose sums come out non-finite is redone with the zeros, so that
+    its NaNs fall where they would.  Also returns, per row, the
+    ArithmeticError or ValueError its values raised (None if none).
     """
-    S_re, S_im = np.zeros(len(primes)), np.zeros(len(primes))
-    for n, v, (tr, ti, cur_re, cur_im) in _powers(values, primes, counts, t_re, t_im, t_re, t_im):
-        S_re[:n] += v.real * cur_re - v.imag * cur_im
-        S_im[:n] += v.real * cur_im + v.imag * cur_re
-        cur_re[:], cur_im[:] = cur_re * tr - cur_im * ti, cur_re * ti + cur_im * tr
-    return S_re, S_im
+    lengths = np.zeros((max(map(len, staircases), default=0), len(rows)), dtype=np.int64)
+    for i, counts in enumerate(staircases):
+        lengths[: len(counts), i] = counts
+    union = lengths.max(axis=1, initial=0).tolist()
+    head = union[0] if union else 0
+    S_re, S_im = np.zeros((len(rows), len(primes))), np.zeros((len(rows), len(primes)))
+    errors: List[Optional[Exception]] = [None] * len(rows)
+    p_obj = np.array(primes[:head].tolist(), dtype=object)
+    column = np.arange(head)
+    cur_re = t_re[:head].copy()
+    cur_im = None if t_im is None else t_im[:head].copy()
+    for k, (n, live) in enumerate(zip(union, lengths), start=1):
+        values: List = [0j] * len(rows)
+        for i, m in enumerate(live.tolist()):
+            if m and errors[i] is None:
+                try:
+                    values[i] = rows[i].values(p_obj[:m], k)
+                except (ArithmeticError, ValueError) as exc:
+                    errors[i] = exc
+        if all(getattr(v, "ndim", 0) == 0 for v in values):  # one value per row: a column
+            V = np.array(values, dtype=np.complex128)[:, None]
+        else:
+            V = np.zeros((len(rows), n), dtype=np.complex128)
+            for i, (v, m) in enumerate(zip(values, live.tolist())):
+                V[i, :m] = v
+        where = column[:n] < live[:, None]
+        acc_re, acc_im, cr = S_re[:, :n], S_im[:, :n], cur_re[:n]
+        if cur_im is None:
+            np.add(acc_re, V.real * cr, out=acc_re, where=where)
+            np.add(acc_im, V.imag * cr, out=acc_im, where=where)
+            cr *= t_re[:n]
+        else:
+            ci, tr, ti = cur_im[:n], t_re[:n], t_im[:n]
+            np.add(acc_re, V.real * cr - V.imag * ci, out=acc_re, where=where)
+            np.add(acc_im, V.real * ci + V.imag * cr, out=acc_im, where=where)
+            cr[:], ci[:] = cr * tr - ci * ti, cr * ti + ci * tr
+    if t_im is None:
+        for i in np.flatnonzero(~(np.isfinite(S_re) & np.isfinite(S_im)).all(axis=1)).tolist():
+            row = _power_series([rows[i]], primes, [staircases[i]], t_re, np.zeros(len(t_re)))
+            S_re[i], S_im[i] = row[0][0], row[1][0]
+    return S_re, S_im, errors
 
 
-@np.errstate(all="ignore")  # Python float arithmetic does not warn either
-def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, at: str) -> _LocalFactors:
-    """F_p(s) for every prime p <= P, each series cut where its tail
-    bound is <= DEFAULT_FACTOR_TOL; bit-identical to the scalar
-    local_factor oracle of tests/test_euler.py.
+def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_LocalFactors, Exception]]:
+    """F_p(s) of each row for every prime p <= P, in one kernel pass.
 
-    One value_at call per power k covers the prefix of the head whose
-    series reaches k.  Failures act at the first prime that trips one,
-    in the order the scalar path meets them: series divergence, then a
-    vanishing factor (returned, not raised), then the log branch cut,
-    then a non-finite series.
+    Each series is cut where its tail bound is <= DEFAULT_FACTOR_TOL,
+    bit-identical to the scalar local_factor oracle of
+    tests/test_euler.py.  One values call per row and power k covers the
+    prefix of the head whose series reaches k.  A row whose values raise
+    gets that error in its place; _checked reads the other failures.
+    """
+    primes = prime_array(P)
+    p_sigma = primes.astype(np.float64)
+    if s.real != 1.0:  # pow(p, 1.0) is p exactly
+        p_sigma = _map_float(math.pow, p_sigma, s.real)
+    r = np.array([row.r for row in rows], dtype=np.float64)
+    staircases = _series_lengths(
+        primes, r[:, None] / p_sigma, [row.C for row in rows], DEFAULT_FACTOR_TOL, [row.envelope for row in rows]
+    )
+    head = max((cut for _, cut, _ in staircases), default=0)
+    primes = primes[:head]
+    if s.imag == 0.0:
+        t_re, t_im = 1.0 / p_sigma[:head], None
+    else:
+        t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
+        t_re, t_im = t.real, t.imag
+    S_re, S_im, errors = _power_series(rows, primes, [counts for counts, _, _ in staircases], t_re, t_im)
+    return [
+        error if error is not None else _LocalFactors(
+            primes[:cut], F_re[:cut], F_im[:cut], t_re[:cut], None if t_im is None else t_im[:cut], len(counts), failure
+        )
+        for (counts, cut, failure), F_re, F_im, error in zip(staircases, S_re, S_im, errors)
+    ]
+
+
+@np.errstate(all="ignore")
+def _checked(factors: Union[_LocalFactors, Exception], at: str) -> _LocalFactors:
+    """The row as local factors 1 + F_p(at), each a valid log.
+
+    Failures act at the first prime that trips one, in the order the
+    scalar path meets them: the row's values raising, then at each
+    prime a vanishing factor (returned with vanished set, not raised),
+    the log branch cut or a non-finite series, then series divergence.
 
     Raises:
         DivergentLocalFactorError: growth ratio >= p^{Re s}, or more
@@ -251,20 +352,8 @@ def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, at: str) -> _Lo
         PoleError: 1 + F_p(s) real and negative.
         ValueError: F_p(s) not finite.
     """
-    primes = prime_array(P)
-    p_sigma = primes.astype(np.float64)
-    if s.real != 1.0:  # pow(p, 1.0) is p exactly
-        p_sigma = _map_float(math.pow, p_sigma, s.real)
-    counts, cut, failure = _series_lengths(primes, spec.growth.r / p_sigma, spec.growth.C, DEFAULT_FACTOR_TOL)
-    primes = primes[:cut]
-    if s.imag == 0.0:
-        t_re = 1.0 / p_sigma[:cut]
-        t_im = np.zeros(cut)
-    else:
-        t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
-        t_re, t_im = t.real, t.imag
-    F_re, F_im = _power_series(partial(_prime_power_values, spec.value_at), primes, counts, t_re, t_im)
-
+    factors = _raised(factors)
+    F_re, F_im = factors.F_re, factors.F_im
     w_re = 1.0 + F_re
     zero = (w_re == 0.0) & (F_im == 0.0)
     pole = (F_im == 0.0) & (w_re < 0.0)
@@ -272,18 +361,34 @@ def _local_factors(spec: MultiplicativeSpec, s: complex, P: int, at: str) -> _Lo
     first = np.flatnonzero(zero | pole | bad)
     if len(first):
         i = int(first[0])
-        p = int(primes[i])
+        p = int(factors.primes[i])
         if zero[i]:
-            return _LocalFactors(primes[: i + 1], F_re, F_im, t_re, t_im, len(counts), True)
+            return factors._replace(primes=factors.primes[: i + 1], vanished=True)
         if pole[i]:
             raise PoleError(
                 f"local factor 1 + F_p({at}) = {float(w_re[i]):g} hits the log branch cut at p={p}",
                 prime=p,
             )
         raise ValueError(f"a must have finite components, got {complex(F_re[i], F_im[i])!r}")
-    if failure is not None:
-        raise failure
-    return _LocalFactors(primes, F_re, F_im, t_re, t_im, len(counts), False)
+    if factors.failure is not None:
+        raise factors.failure
+    return factors
+
+
+def _attempt(fn: Callable, *args):
+    """fn(*args), or the ArithmeticError or ValueError it raises: a row's
+    result, which fails without stopping the other rows."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return exc
+
+
+def _raised(result):
+    """result, or raise it when it is an exception held for its row."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _clog1p(re, im) -> Tuple[np.ndarray, np.ndarray]:
@@ -313,14 +418,69 @@ def _check_cutoff(prime_cutoff) -> int:
 # across z, and ldp shares psi across x.  Specs are frozen and compare
 # value_at by identity, so a hit always means the same function.
 _MEMO_SIZE = 256
+_MISS = object()
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 
-def _memoised(cached, compute, *key):
-    try:
-        hash(key)
-    except TypeError:  # a spec with an unhashable field
-        return compute(*key)
-    return cached(*key)
+class _Memo:
+    """A per-process LRU memo of compute(*key), like functools.lru_cache,
+    that also serves a batch: many() computes the keys it misses in one
+    call, so that the products of one kernel pass are stored one by one.
+    A key with an unhashable part is never stored.
+    """
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+        self.entries: OrderedDict = OrderedDict()
+        self.lock = threading.Lock()
+        self.hits = self.misses = 0
+
+    def get(self, key: tuple):
+        with self.lock:
+            try:
+                self.entries.move_to_end(key)
+            except (KeyError, TypeError):  # TypeError: an unhashable part
+                self.misses += 1
+                return _MISS
+            self.hits += 1
+            return self.entries[key]
+
+    def put(self, key: tuple, value) -> None:
+        with self.lock:
+            try:
+                self.entries[key] = value
+            except TypeError:
+                return
+            self.entries.move_to_end(key)
+            if len(self.entries) > _MEMO_SIZE:
+                self.entries.popitem(last=False)
+
+    def __call__(self, *key):
+        value = self.get(key)
+        if value is _MISS:
+            value = self.compute(*key)
+            self.put(key, value)
+        return value
+
+    def many(self, keys: Sequence[tuple], batch: Callable) -> List:
+        """The value of each key, or the exception it raised: the stored
+        ones, and the others from batch(the keys missed), which returns
+        one of either per key; the values are stored."""
+        values = [self.get(key) for key in keys]
+        todo = [i for i, value in enumerate(values) if value is _MISS]
+        for i, value in zip(todo, batch([keys[i] for i in todo]) if todo else ()):
+            values[i] = value
+            if not isinstance(value, Exception):
+                self.put(keys[i], value)
+        return values
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, _MEMO_SIZE, len(self.entries))
+
+    def cache_clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.hits = self.misses = 0
 
 
 # special.gamma's documented relative error for |z| <= 50
@@ -513,11 +673,12 @@ def lambda0(spec: MultiplicativeSpec, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) 
         integer (within snap tolerance) or some local factor vanishes.
         Results are memoised per process on (spec, cutoff).
     """
-    return _memoised(_lambda0_cached, _lambda0, spec, _check_cutoff(prime_cutoff))
+    return _lambda0_cached(spec, _check_cutoff(prime_cutoff))
 
 
-def _factors_at_one(spec: MultiplicativeSpec, P: int) -> Optional[_LocalFactors]:
-    """The local factors F_p(1), or None when rho is a nonpositive integer.
+def _factors_at_one(spec: MultiplicativeSpec) -> bool:
+    """Whether the s = 1 product of spec needs its local factors: False
+    when rho is a nonpositive integer, which makes the product 0.
 
     Raises:
         DivergentLocalFactorError: growth ratio r >= 2.
@@ -525,7 +686,7 @@ def _factors_at_one(spec: MultiplicativeSpec, P: int) -> Optional[_LocalFactors]
     """
     rho = complex(spec.rho)
     if _is_snapped_nonpositive_integer(rho):
-        return None
+        return False
     if spec.growth.r >= 2.0:
         raise DivergentLocalFactorError(
             f"growth ratio r={spec.growth.r:g} >= 2 diverges at p=2, s=1", prime=2
@@ -535,7 +696,7 @@ def _factors_at_one(spec: MultiplicativeSpec, P: int) -> Optional[_LocalFactors]
             f"spec {spec.name!r} declares prime value {spec.prime_coeff} != rho {spec.rho}; "
             "the s=1 Euler product diverges"
         )
-    return _local_factors(spec, complex(1.0), P, "1")
+    return True
 
 
 def _completion(spec: MultiplicativeSpec, rho: complex, P: int) -> Optional[_Completion]:
@@ -545,14 +706,33 @@ def _completion(spec: MultiplicativeSpec, rho: complex, P: int) -> Optional[_Com
     return _close_tail(_log_factor_coefficients(spec.series, rho), P, spec.growth.r)
 
 
-def _lambda0(spec: MultiplicativeSpec, P: int) -> EulerProductResult:
-    """lambda0, closed by the prime-zeta tail when the spec allows it."""
-    factors = _factors_at_one(spec, P)
-    if factors is None or factors.vanished:
-        k_max = factors.k_max if factors else 0
-        return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=k_max, tail_estimate=0.0)
+def _lambda0_batch(specs: Sequence[MultiplicativeSpec], P: int) -> List[Union[EulerProductResult, Exception]]:
+    """lambda0 of each spec, closed by the prime-zeta tail when the spec
+    allows it, from one kernel pass over the primes p <= P.
+
+    The specs are the rows of the pass and share the compensator
+    log1p(-1/p).  Each row keeps its own checks: one that fails gets
+    its ArithmeticError or ValueError in its place, and the other rows
+    are what they are alone.
+    """
+    results = [_attempt(_factors_at_one, spec) for spec in specs]
+    todo = [i for i, needed in enumerate(results) if needed is True]
+    for i, needed in enumerate(results):
+        if needed is False:
+            results[i] = EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=0, tail_estimate=0.0)
+    if todo:
+        comp = _map_float(math.log1p, -1.0 / prime_array(P))
+        for i, factors in zip(todo, _local_factors([_spec_row(specs[i]) for i in todo], complex(1.0), P)):
+            results[i] = _attempt(_lambda0_result, specs[i], P, factors, comp)
+    return results
+
+
+def _lambda0_result(spec: MultiplicativeSpec, P: int, factors, comp: np.ndarray) -> EulerProductResult:
+    """lambda0 from the row's unchecked local factors and the compensator."""
+    factors = _checked(factors, "1")
+    if factors.vanished:
+        return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0)
     rho = complex(spec.rho)
-    comp = _map_float(math.log1p, -1.0 / factors.primes)
     total = _log_product(rho, comp, 0.0, factors)
     tail = _completion(spec, rho, P)
     if tail is None:
@@ -570,7 +750,12 @@ def _lambda0(spec: MultiplicativeSpec, P: int) -> EulerProductResult:
     )
 
 
-_lambda0_cached = lru_cache(maxsize=_MEMO_SIZE)(_lambda0)
+def _lambda0(spec: MultiplicativeSpec, P: int) -> EulerProductResult:
+    """lambda0 computed afresh: the pass of one row."""
+    return _raised(_lambda0_batch([spec], P)[0])
+
+
+_lambda0_cached = _Memo(_lambda0)
 
 
 def psi(
@@ -581,69 +766,115 @@ def psi(
 ) -> complex:
     """Limiting function psi(z) = lambda0(exp-twist of alpha) / lambda0(alpha).
 
-    Memoised per process, like lambda0.
+    psi_grid of the one z: the twist, and lambda0(alpha) unless it is
+    memoised, are the two rows of one kernel pass.  Memoised per
+    process, like lambda0; each value psi_grid computed is a hit here.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
     """
-    z = complex(z)
-    return _memoised(_psi_cached, _psi, alpha, z, g, _check_cutoff(prime_cutoff))
+    return psi_grid(alpha, (z,), g, prime_cutoff)[0]
+
+
+def psi_grid(
+    alpha: MultiplicativeSpec,
+    zs: Sequence,
+    g: AdditiveSpec = OMEGA,
+    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
+) -> List[complex]:
+    """psi(z) for each z of zs, from one kernel pass.
+
+    The products no earlier call memoised, lambda0(alpha) and the twist
+    of each z, are the rows of one pass over the primes p <= cutoff, and
+    each psi(z) goes into the per-process memo that psi reads.  The
+    values are bit-identical to psi(z) alone.  A failing z raises what
+    psi(z) alone raises, the first in the order of zs, after the values
+    of the others are memoised.
+
+    Raises:
+        DegenerateSpecError: lambda0(alpha) = 0.
+    """
+    P = _check_cutoff(prime_cutoff)
+    keys = [(alpha, complex(z), g, P) for z in zs]
+    values = _psi_cached.many(keys, lambda missed: _psi_batch(alpha, [key[1] for key in missed], g, P))
+    return [_raised(value) for value in values]
+
+
+def _psi_batch(alpha: MultiplicativeSpec, zs: Sequence[complex], g: AdditiveSpec, P: int) -> List:
+    """psi at each z, or the error it raises there, from one pass.
+
+    Each value is the ratio of two products closed alike: both
+    completed, or both plain when either cannot be completed (a twist by
+    a table g, say), so that the tails above P cancel in the ratio
+    instead of adding.  Raises what lambda0(alpha) raises, for every z.
+    """
+    twisted = [_attempt(lambda: twist(alpha, cmath.exp(z), g)) for z in zs]
+    specs = [alpha] + [spec for spec in twisted if not isinstance(spec, Exception)]
+    den, *nums = _lambda0_cached.many(
+        [(spec, P) for spec in specs], lambda missed: _lambda0_batch([key[0] for key in missed], P)
+    )
+    den = _raised(den)
+    if den.value == 0:
+        raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
+    nums = iter(nums)
+    values = []
+    for spec in twisted:
+        num = spec if isinstance(spec, Exception) else next(nums)
+        if isinstance(num, Exception):
+            values.append(num)
+        elif num.completed != den.completed:
+            plain = lambda0(replace(spec, series=None), P)
+            values.append(plain.value / lambda0(replace(alpha, series=None), P).value)
+        else:
+            values.append(num.value / den.value)
+    return values
 
 
 def _psi(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec, P: int) -> complex:
-    """The ratio of two products closed alike: both completed, or both
-    plain when either cannot be completed (a twist by a table g, say),
-    so that the tails above P cancel in the ratio instead of adding."""
-    den = lambda0(alpha, P)
-    if den.value == 0:
-        raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
-    twisted = twist(alpha, cmath.exp(z), g)
-    num = lambda0(twisted, P)
-    if num.completed != den.completed:
-        den = lambda0(replace(alpha, series=None), P)
-        num = lambda0(replace(twisted, series=None), P)
-    return num.value / den.value
+    """psi computed afresh from the memoised products: the batch of one."""
+    return _raised(_psi_batch(alpha, [z], g, P)[0])
 
 
-_psi_cached = lru_cache(maxsize=_MEMO_SIZE)(_psi)
+_psi_cached = _Memo(_psi)
 
 
 def _psi_prime(alpha: MultiplicativeSpec, g: AdditiveSpec, prime_cutoff: int) -> complex:
     """psi'(0) for stats.psi_prime_at_zero, memoised per process like psi."""
-    return _memoised(_psi_prime_cached, _log_derivative, alpha, g, _check_cutoff(prime_cutoff))
+    return _psi_prime_cached(alpha, g, _check_cutoff(prime_cutoff))
 
 
 def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> complex:
     """d/dz log lambda0(exp-twist of alpha) at z = 0.
 
-    The closed form of stats.psi_prime_at_zero, from two kernel passes
-    over the primes p <= P: F_p comes with the s = 1 factors, and G_p is
-    truncated where the tail of its envelope (a + b k) C (r/p)^k is
-    <= DEFAULT_FACTOR_TOL, with (a, b) = g.power_bound.  Logs go through the math
-    library, as in lambda0, so the printed value does not depend on
-    numpy's SIMD.  When alpha has a local series and g a k_value, the
-    primes p > P add sum_j b_j P_{>P}(j), as in lambda0.
+    The closed form of stats.psi_prime_at_zero, from one kernel pass
+    over the primes p <= P with two rows: F_p, the s = 1 factors, and
+    G_p = sum_k g(p^k) alpha(p^k) p^{-k}, truncated where the tail of
+    its envelope (a + b k) C (r/p)^k is <= DEFAULT_FACTOR_TOL, with
+    (a, b) = g.power_bound.  Logs go through the math library, as in
+    lambda0, so the printed value does not depend on numpy's SIMD.  When
+    alpha has a local series and g a k_value, the primes p > P add
+    sum_j b_j P_{>P}(j), as in lambda0.
     """
-    factors = _factors_at_one(alpha, P)
-    if factors is None or factors.vanished:
+    if not _factors_at_one(alpha):
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
-    c = g.prime_value
-    if c is None:
-        raise ValueError(f"additive spec {g.name!r} has no generic prime value; psi'(0) needs one")
-    primes = factors.primes
-    counts, _, failure = _series_lengths(
-        primes, alpha.growth.r / primes, alpha.growth.C, DEFAULT_FACTOR_TOL, g.power_bound
-    )
-    if failure is not None:
-        raise failure
 
     def values(p, k):
         return _prime_power_values(g.value_at, p, k) * _prime_power_values(alpha.value_at, p, k)
 
-    G_re, G_im = _power_series(values, primes, counts, factors.t_re, factors.t_im)
+    G_row = _Row(values, alpha.growth.C, alpha.growth.r, g.power_bound)
+    F, G = _local_factors([_spec_row(alpha), G_row], complex(1.0), P)
+    factors = _checked(F, "1")
+    if factors.vanished:
+        raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
+    c = g.prime_value
+    if c is None:
+        raise ValueError(f"additive spec {g.name!r} has no generic prime value; psi'(0) needs one")
+    G = _raised(G)
+    if G.failure is not None:
+        raise G.failure
     rho = complex(alpha.rho)
-    comp = _map_float(math.log1p, -1.0 / primes)
-    terms = c * rho * comp + (G_re + 1j * G_im) / (1.0 + factors.F_re + 1j * factors.F_im)
+    comp = _map_float(math.log1p, -1.0 / factors.primes)
+    terms = c * rho * comp + (G.F_re + 1j * G.F_im) / (1.0 + factors.F_re + 1j * factors.F_im)
     total = complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
     if g.k_value is not None and _completes(alpha.series, P, *g.exceptional_primes):
         coefficients = _log_derivative_coefficients(alpha.series, g.k_value, c, rho)
@@ -653,7 +884,7 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
     return total - c * rho * digamma(rho)
 
 
-_psi_prime_cached = lru_cache(maxsize=_MEMO_SIZE)(_log_derivative)
+_psi_prime_cached = _Memo(_log_derivative)
 
 
 def g_compensated(
@@ -679,7 +910,7 @@ def g_compensated(
         raise DomainError(
             f"g_compensated needs Re s > 1 - c0 = {1.0 - spec.c0:g}, got Re s = {sigma:g}"
         )
-    factors = _local_factors(spec, s, P, f"{s}")
+    factors = _checked(_local_factors([_spec_row(spec)], s, P)[0], f"{s}")
     if factors.vanished:
         return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0)
     if s.imag == 0.0:
@@ -758,15 +989,18 @@ def check_admissibility_pp(
     # round as the per-prime loop did
     primes = prime_array(grid[-1])
     p_beta = _map_float(math.pow, primes.astype(np.float64), beta)
-    counts, _, failure = _series_lengths(primes, r / p_beta, C, DEFAULT_FACTOR_TOL)
+    [(counts, _, failure)] = _series_lengths(primes, (r / p_beta)[None], [C], DEFAULT_FACTOR_TOL, [(1.0, 0.0)])
     if failure is not None:
         raise failure
     inner = np.zeros(len(primes))
-    values = partial(_prime_power_values, spec.value_at)
-    for n, v, (pb, weight) in _powers(values, primes, counts, p_beta, np.ones(len(primes))):
-        weight /= pb
+    head = counts[0] if counts else 0
+    p_obj = np.array(primes[:head].tolist(), dtype=object)
+    weight = np.ones(head)
+    for k, n in enumerate(counts, start=1):
+        v = _prime_power_values(spec.value_at, p_obj[:n], k)
+        weight[:n] /= p_beta[:n]
         magnitude = np.abs(v.real) if not v.imag.any() else _map_float(math.hypot, v.real, v.imag)
-        inner[:n] += magnitude * weight
+        inner[:n] += magnitude * weight[:n]
     squares = (inner * inner).tolist()
     ends = np.searchsorted(primes, grid, side="right").tolist()
     partials = [(P, fsum(squares[:end])) for P, end in zip(grid, ends)]

@@ -192,12 +192,14 @@ BIG_OMEGA = AdditiveSpec(
 def _prime_power_values(value_at, primes: np.ndarray, k: int) -> np.ndarray:
     """value_at(p, k) over an object array of primes, as complex128.
 
-    value_at may return a scalar or an array of the primes' shape; one
-    that raises TypeError or ValueError on an array is evaluated one
-    prime at a time.
+    value_at may return a scalar, kept as a 0-d array that broadcasts
+    against the primes, or an array of the primes' shape; one that
+    raises TypeError or ValueError on an array is evaluated one prime at
+    a time.
     """
     try:
-        return np.broadcast_to(np.asarray(value_at(primes, k), dtype=np.complex128), primes.shape)
+        values = np.asarray(value_at(primes, k), dtype=np.complex128)
+        return values if values.ndim == 0 else np.broadcast_to(values, primes.shape)
     except (TypeError, ValueError):
         return np.array([value_at(p, k) for p in primes.tolist()], dtype=np.complex128)
 

@@ -12,10 +12,11 @@ primes, closed by the prime-zeta tail when alpha has a local series).
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import DomainError
 from .euler import DEFAULT_PRIME_CUTOFF, _psi_prime, psi
 from .exact import DistributionTable, pmf
 from .funcs import OMEGA, AdditiveSpec, MultiplicativeSpec
-from .special import cexpm1
+from .special import cexpm1, cpow, gamma
 
 logger = logging.getLogger(__name__)
 
@@ -101,6 +102,17 @@ def _mean_scale(alpha: MultiplicativeSpec, x: int) -> float:
     return t_x
 
 
+def _largest_s(holds: Callable[[float], bool], upper: float) -> float:
+    """Where holds, true at s = 1 and false from some s on, turns false in
+    [1, upper] (upper if it holds there), by bisection on ln s."""
+    if holds(upper):
+        return upper
+    lo, hi = 0.0, math.log(upper)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if holds(math.exp(mid)) else (lo, mid)
+    return math.exp(hi)
+
+
 @dataclass(frozen=True)
 class LdpPrediction:
     """Large-deviation comparison at slope s: P(g >= s rho ln ln x)."""
@@ -132,8 +144,10 @@ def ldp_predict(
 
     Raises:
         DomainError: s <= 0, ln s outside the strip of g, s so large that
-        exp(-rho ln ln x eta*(s)) underflows to 0, or rho not real and
-        > 0 with rho ln ln x finite; all before any Euler product.
+        exp(-rho ln ln x eta*(s)) underflows to 0 or that Gamma of the
+        twisted rho in psi(ln s) overflows, or rho not real and > 0 with
+        rho ln ln x finite; all before any Euler product.  The strip
+        and Gamma messages state the largest s that works.
         ValueError: x < 16.
     """
     s = float(s)
@@ -141,15 +155,37 @@ def ldp_predict(
         raise DomainError(f"ldp_predict requires s > 0, got {s}")
     t_x = _mean_scale(alpha, x)
     h = math.log(s)
+
+    def decays(v: float) -> bool:
+        return math.exp(-t_x * eta_star(v)) > 0.0
+
+    def twist_gamma_is_finite(v: float) -> bool:
+        # psi(ln v) divides by Gamma of the twist's rho, rho v^c with
+        # c = g.prime_value, computed here as funcs.twist computes it
+        if g.prime_value is None:  # twist itself rejects g
+            return True
+        try:
+            gamma(cpow(cmath.exp(complex(math.log(v))), g.prime_value) * complex(alpha.rho))
+        except (OverflowError, ValueError):  # ValueError: rho v^c is not finite
+            return False
+        return True
+
     if s != 1.0 and not g.strip.contains(h):
+        upper = math.exp(min(g.strip.d, 700.0))
+        upper = min(_largest_s(decays, upper), _largest_s(twist_gamma_is_finite, upper))
         raise DomainError(
             f"s = {s:g} puts ln s = {h:g} outside the strip of {g.name}; "
-            f"need {math.exp(g.strip.c):g} < s < {math.exp(min(g.strip.d, 700.0)):g}"
+            f"need {math.exp(g.strip.c):g} < s < {upper:g}"
         )
     rate = eta_star(s)
     decay = math.exp(-t_x * rate)
     if decay == 0.0:
         raise DomainError(f"s = {s:g} underflows exp(-rho ln ln x eta*(s)) to 0 at x = {x}")
+    if s != 1.0 and not twist_gamma_is_finite(s):
+        raise DomainError(
+            f"s = {s:g} overflows Gamma(rho s^c) in psi(ln s), with c = {g.prime_value:g} for {g.name}; "
+            f"need s < {_largest_s(twist_gamma_is_finite, s):g}"
+        )
     if s == 1.0:
         logger.warning(
             "s = 1: replacing the divergent prefactor psi(0)/(1 - 1/s) by psi'(0)"

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import selberg_delange
-from selberg_delange import cli, exact, sieve
+from selberg_delange import cli, euler, exact, sieve
 from selberg_delange.cli import main
 from selberg_delange.funcs import parse_additive, parse_multiplicative
 
@@ -304,6 +305,62 @@ def test_ldp_slope_underflowing_the_prediction_exits_two(capsys, s):
     # at s = 100 the factor is still a normal float
     code, out, _ = run_cli(capsys, ["ldp", "--x", "1000", "--cutoff", "100", "--s", "100"])
     assert code == 0 and "predicted_tail = 0\n" in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ldp_slope_overflowing_gamma_exits_two(capsys):
+    # at x = 16 the factor exp(-ln ln x eta*(s)) is still positive past
+    # s = 171.83, where Gamma(s) of the omega twist in psi(ln s) overflows
+    code, out, err = run_cli(capsys, ["ldp", "--x", "16", "--cutoff", "100", "--s", "175"])
+    assert (code, out) == (2, "")
+    assert err == "error: s = 175 overflows Gamma(rho s^c) in psi(ln s), with c = 1 for omega; need s < 171.83\n"
+    # just below the limit the printed values are what they were
+    code, out, _ = run_cli(capsys, ["ldp", "--x", "16", "--cutoff", "100", "--s", "170"])
+    assert (code, out) == (
+        0, "s = 170\nh = 5.13579843705026\nrate = 704.085734298545\npredicted_tail = 0\nexact_tail = 0\nratio = inf\n"
+    )
+    assert run_cli(capsys, ["ldp", "--x", "16", "--cutoff", "100", "--s", "171.82"])[0] == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--x", "1000", "--s", "inf"], "s = inf puts ln s = inf outside the strip of omega; need 0 < s < 105.19"),
+        (["--x", "16", "--s", "inf"], "s = inf puts ln s = inf outside the strip of omega; need 0 < s < 171.83"),
+        (["--x", "10000", "--g", "big_omega", "--s", "1.5"],
+         "s = 1.5 puts ln s = 0.405465 outside the strip of big_omega; need 0 < s < 1.41421"),
+    ],
+    ids=["underflow-limit", "overflow-limit", "strip-limit"],
+)
+def test_ldp_strip_message_states_the_usable_range(capsys, argv, message):
+    # the upper end is the least of the strip's, the underflow limit at
+    # this x and the Gamma overflow limit
+    code, out, err = run_cli(capsys, ["ldp", "--cutoff", "100"] + argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_ldp_usable_range_ends_where_the_message_says(capsys):
+    # 105.19 is the underflow limit at x = 1000
+    assert run_cli(capsys, ["ldp", "--x", "1000", "--cutoff", "100", "--s", "105.19"])[0] == 0
+    code, _, err = run_cli(capsys, ["ldp", "--x", "1000", "--cutoff", "100", "--s", "105.2"])
+    assert code == 2 and "underflows" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ldp", "--s", "1", "--x-grid", "1e4,1e5", "--cutoff", "1000"],
+        ["report", "--s", "1", "--x-grid", "1e3,1e4", "--cutoff", "1000", "--z-grid", "circle:2"],
+    ],
+    ids=["ldp", "report"],
+)
+def test_s_one_warning_is_logged_once_per_command(capsys, caplog, argv):
+    for _ in range(2):  # and again for the next command
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="selberg_delange.stats"):
+            assert run_cli(capsys, argv)[0] == 0
+        assert [record.message.startswith("s = 1:") for record in caplog.records] == [True]
 
 
 def test_ldp_with_a_nonpositive_rho_exits_two(capsys):
@@ -689,3 +746,22 @@ def test_pmf_with_a_subnormal_prime_power_value(capsys):
     code, out, err = run_cli(capsys, ["pmf", "--spec", "tabulated:2^1=2.2250738585e-313", "--x", "10"])
     assert (code, err) == (0, "")
     assert out == "value,probability\n0,0.142857142857143\n1,0.857142857142857\n2,6.35735388156138e-314\n"
+
+
+def test_report_grid_products_share_one_kernel_pass(monkeypatch, capsys):
+    # lambda0(alpha) and the 16 twists of circle:16 are the rows of one
+    # pass of the power loop; ldp's psi(ln 2) at s = 2 makes the only other
+    rows_per_pass = []
+    power_series = euler._power_series
+
+    def counted(rows, *args):
+        rows_per_pass.append(len(rows))
+        return power_series(rows, *args)
+
+    monkeypatch.setattr(euler, "_power_series", counted)
+    for memo in (euler._lambda0_cached, euler._psi_cached, euler._psi_prime_cached):
+        memo.cache_clear()
+    argv = ["report", "--spec", "theta_omega:2", "--x-grid", "1e3,1e4", "--z-grid", "circle:16", "--cutoff", "3000"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert rows_per_pass == [17, 1]

@@ -493,6 +493,7 @@ BUILTIN_SPECS = st.one_of(
     st.floats(0.1, 4.0).map(tau_rho),
     st.tuples(st.floats(0.5, 2.0), st.floats(0.2, 2.0)).map(lambda t: perturbed(*t)),
 )
+BUILTIN_SPECS_FOR_GRIDS = st.one_of(BUILTIN_SPECS, st.just(TABLE), st.just(MOD4))
 TWISTS = st.one_of(
     st.none(),
     st.tuples(st.floats(0.3, 2.0), st.floats(-math.pi, math.pi)).map(
@@ -519,6 +520,187 @@ def test_kernel_matches_reference_on_random_specs(spec, tw, P, s):
         assert lambda0(spec, P).value == 0j
     else:
         assert outcome(lambda: lambda0(spec, P)) == outcome(lambda: reference_lambda0(spec, P))
+
+
+# ---------------------------------------------------------------------------
+# stacked rows: one kernel pass for many products
+
+
+def factor_bits(factors):
+    """Every array and number of one row of a pass, or the error in its place."""
+    if isinstance(factors, Exception):
+        return type(factors), str(factors)
+    arrays = (factors.primes, factors.F_re, factors.F_im, factors.t_re, factors.t_im)
+    failure = factors.failure
+    return (tuple(None if a is None else a.tobytes() for a in arrays), factors.k_max,
+            None if failure is None else (type(failure), str(failure)))
+
+
+def result_bits(result):
+    """outcome() of a product the batch returned, error or value."""
+    if isinstance(result, Exception):
+        return type(result), getattr(result, "prime", None)
+    return outcome(lambda: result)
+
+
+STACK_SPECS = ORACLE_SPECS + [twist(unit(), y, OMEGA) for y in CIRCLE_Y]
+# the specs whose value_at gives one value for all primes, so that every
+# power of the pass is a column of one value per row
+COLUMN_SPECS = [spec for spec in STACK_SPECS if np.ndim(euler._spec_row(spec).values(np.array([2, 3], dtype=object), 1)) == 0]
+
+
+def assert_stack_equals_rows_alone(specs, s, P):
+    rows = [euler._spec_row(spec) for spec in specs]
+    stacked = euler._local_factors(rows, complex(s), P)
+    assert len(stacked) == len(rows)
+    for row, got in zip(rows, stacked):
+        assert factor_bits(got) == factor_bits(euler._local_factors([row], complex(s), P)[0])
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 1.1, complex(1.5, 1.0)])
+@pytest.mark.parametrize("stack", ["all", "columns"])
+def test_stacked_rows_equal_each_row_alone(stack, s):
+    # the series, staircases and power columns of a stack are those of
+    # each row in a pass of its own, to the last bit
+    assert len(COLUMN_SPECS) >= 12
+    assert_stack_equals_rows_alone(STACK_SPECS if stack == "all" else COLUMN_SPECS, s, 3000)
+
+
+def test_a_row_that_diverges_at_the_first_prime_stays_out_of_the_stack():
+    # at s = 0.8 geometric_B:1.9 diverges at p = 2 (1.9/2^0.8 >= 1) but not
+    # at p >= 3; unit's series runs past a cap of 12 terms
+    with mock.patch.object(euler, "_K_HARD_CAP", 12):
+        assert_stack_equals_rows_alone([geometric_B(1.9, c0=0.45), unit(), theta_omega(0.5)], 0.8, 1000)
+
+
+def test_stacked_lambda0_matches_each_row_and_the_scalar_reference():
+    P = 3000
+    results = euler._lambda0_batch(STACK_SPECS, P)
+    for spec, result in zip(STACK_SPECS, results):
+        want = outcome(lambda: euler._lambda0(spec, P))
+        assert result_bits(result) == want
+        assert want == outcome(lambda: reference_lambda0(spec, P))
+        if not isinstance(result, Exception):
+            assert result == euler._lambda0(spec, P)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{(2, 1): math.nan}, {(3, 1): -math.inf}, {(3, 2): math.inf}, {(5, 1): complex(0.5, math.inf)},
+     {(5, 1): complex(-math.inf, 0.0)}],
+    ids=["nan", "-inf", "inf", "inf-imag", "-inf-complex"],
+)
+def test_non_finite_values_fail_as_the_scalar_path(entries):
+    # the real power column skips the zero imaginary half, whose products
+    # with a non-finite value are NaN: the row is redone with it, so the
+    # error and its message are the scalar path's, in a stack or alone
+    spec = tabulated_multiplicative(entries, growth=GrowthBound(1.0, 1.0))
+    with pytest.raises(ValueError) as want:
+        reference_lambda0(spec, 200)
+    for specs in ([spec], [unit(), spec, theta_omega(2)]):
+        results = euler._lambda0_batch(specs, 200)
+        got = results[specs.index(spec)]
+        assert (type(got), str(got)) == (type(want.value), str(want.value))
+        assert all(result == euler._lambda0(other, 200) for other, result in zip(specs, results) if other is not spec)
+
+
+def clear_memos():
+    for memo in (euler._lambda0_cached, euler._psi_cached, euler._psi_prime_cached):
+        memo.cache_clear()
+
+
+def psi_alone(alpha, z, g, P):
+    """psi(z) from passes of one row each: the denominator, then the twist."""
+    clear_memos()
+    try:
+        lambda0(alpha, P)
+    except (ArithmeticError, ValueError):
+        pass
+    try:
+        return psi(alpha, z, g, P)
+    except (ArithmeticError, ValueError) as exc:
+        return exc
+
+
+def psi_bits(value):
+    if isinstance(value, Exception):
+        return type(value), getattr(value, "prime", None), str(value)
+    return repr(complex(value))
+
+
+GRID_Z = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=BUILTIN_SPECS_FOR_GRIDS,
+    zs=st.lists(GRID_Z, min_size=1, max_size=5),
+    g=st.sampled_from([OMEGA, BIG_OMEGA]),
+    P=st.integers(100, 2000),
+)
+def test_psi_grid_matches_psi_alone(alpha, zs, g, P):
+    # one pass for the grid gives psi(z) alone at every z, or raises what
+    # the first failing z raises alone
+    want = [psi_alone(alpha, z, g, P) for z in zs]
+    clear_memos()
+    try:
+        got = euler.psi_grid(alpha, zs, g, P)
+    except (ArithmeticError, ValueError) as exc:
+        first = next(w for w in want if isinstance(w, Exception))
+        assert psi_bits(exc) == psi_bits(first)
+    else:
+        assert [psi_bits(v) for v in got] == [psi_bits(w) for w in want]
+
+
+def test_failing_rows_leave_the_others_unchanged():
+    # f(2) = -1: twisting by y = 2 makes 1 + F_2 = 0 (the product is 0),
+    # by y = 3 makes it -1/2 (a pole at p = 2); Omega twists by |y| >= 2
+    # have growth ratio >= 2 (divergence)
+    alpha = tabulated_multiplicative({(2, 1): -1.0, **{(2, k): 0.0 for k in range(2, 60)}})
+    P = 1000
+    vanishing, pole, diverging = math.log(2.0), math.log(3.0), complex(0.8, 0.3)
+    zs = [0.25, vanishing, complex(0.1, 2.0), pole, -0.5, diverging, 0.4]
+    g_of = {diverging: BIG_OMEGA}
+    specs = [alpha] + [twist(alpha, cmath.exp(z), g_of.get(z, OMEGA)) for z in zs]
+    results = euler._lambda0_batch(specs, P)
+    for spec, result in zip(specs, results):
+        assert result_bits(result) == outcome(lambda: euler._lambda0(spec, P))
+    assert result_bits(results[2]) == ("0.0", "0.0", 48)
+    assert result_bits(results[4]) == (PoleError, 2)
+    assert result_bits(results[6]) == (DivergentLocalFactorError, 2)
+    # psi over the grid raises the pole, the first failing z, as psi(pole)
+    # alone does; every other z is stored, and psi alone equals it
+    # e^-800 underflows to 0, which twist rejects
+    omega_zs = [z for z in zs if z != diverging] + [-800.0]
+    want = {z: psi_bits(psi_alone(alpha, z, OMEGA, P)) for z in omega_zs}
+    assert want[vanishing] == "0j"
+    assert want[-800.0][0] is ValueError
+    clear_memos()
+    with pytest.raises(PoleError) as exc_info:
+        euler.psi_grid(alpha, omega_zs, OMEGA, P)
+    assert psi_bits(exc_info.value) == want[pole]
+    for z in omega_zs:
+        if z in (pole, -800.0):
+            continue
+        hits = euler._psi_cached.cache_info().hits
+        assert psi_bits(psi(alpha, z, OMEGA, P)) == want[z]
+        assert euler._psi_cached.cache_info().hits == hits + 1
+
+
+def test_psi_grid_stores_each_value_for_psi():
+    spec, P = theta_omega(1.25), 1500
+    zs = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
+    want = [psi_bits(psi_alone(spec, z, OMEGA, P)) for z in zs]
+    clear_memos()
+    values = euler.psi_grid(spec, zs, OMEGA, P)
+    assert [psi_bits(value) for value in values] == want
+    hits = euler._lambda0_cached.cache_info().hits
+    assert lambda0(spec, P) == euler._lambda0(spec, P)  # the denominator was stored too
+    assert euler._lambda0_cached.cache_info().hits == hits + 1
+    for z, value in zip(zs, values):
+        hits = euler._psi_cached.cache_info().hits
+        assert psi(spec, z, prime_cutoff=P) == value
+        assert euler._psi_cached.cache_info().hits == hits + 1
 
 
 def per_prime_lengths(counts, cut):
@@ -559,7 +741,7 @@ def test_staircase_matches_the_scalar_series_length(C, r, sigma, tol, P, cap):
     primes = prime_array(P)
     q = r / euler._map_float(math.pow, primes.astype(np.float64), sigma)
     with mock.patch.object(euler, "_K_HARD_CAP", cap):
-        counts, cut, failure = euler._series_lengths(primes, q, C, tol)
+        [(counts, cut, failure)] = euler._series_lengths(primes, q[None], [C], tol, [(1.0, 0.0)])
         want, want_failure = scalar_series_lengths(primes, q, C, tol)
     assert per_prime_lengths(counts, cut).tolist() == want
     assert counts == sorted(counts, reverse=True) and 0 not in counts
@@ -578,7 +760,7 @@ def test_series_lengths_match_the_envelope_tail(envelope):
     C, tol = 1.5, 1e-12
     primes = prime_array(200)
     q = 1.9 / primes
-    counts, cut, failure = euler._series_lengths(primes, q, C, tol, envelope)
+    [(counts, cut, failure)] = euler._series_lengths(primes, q[None], [C], tol, [envelope])
     K = per_prime_lengths(counts, cut)
     assert failure is None
     def tail(qp, K0):

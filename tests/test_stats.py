@@ -224,6 +224,21 @@ def test_psi_prime_at_zero_is_memoised():
     assert first == euler._log_derivative(spec, OMEGA, 4000)
 
 
+def test_psi_prime_at_zero_is_one_kernel_pass():
+    # F_p and G_p are the two rows of one pass of the power loop
+    rows_per_pass = []
+    power_series = euler._power_series
+
+    def counted(rows, *args):
+        rows_per_pass.append(len(rows))
+        return power_series(rows, *args)
+
+    with mock.patch.object(euler, "_power_series", counted):
+        got = euler._log_derivative(geometric_B(1.5), BIG_OMEGA, 20000)
+    assert rows_per_pass == [2]
+    assert got == psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, 20000)
+
+
 # ---------------------------------------------------------------------------
 # large deviations
 
@@ -311,6 +326,16 @@ def test_ldp_predict_rejects_an_underflowing_slope_before_any_product(s):
     dist = pmf(unit(), OMEGA, 1000)
     with no_euler_product(), pytest.raises(DomainError, match=re.escape(f"s = {s:g} underflows")):
         ldp_predict(unit(), OMEGA, 1000, s, dist=dist, prime_cutoff=100)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", [171.9, 173.5, 175.0])
+def test_ldp_predict_rejects_an_overflowing_gamma_before_any_product(s):
+    # at x = 16 exp(-ln ln x eta*(s)) is positive up to s = 175.16, but
+    # Gamma(s), the rho of the omega twist of unit in psi(ln s), is not
+    dist = pmf(unit(), OMEGA, 16)
+    with no_euler_product(), pytest.raises(DomainError, match=re.escape(f"s = {s:g} overflows Gamma")):
+        ldp_predict(unit(), OMEGA, 16, s, dist=dist, prime_cutoff=100)
 
 
 # ---------------------------------------------------------------------------
