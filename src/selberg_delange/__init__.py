@@ -38,7 +38,6 @@ from .exact import (
     bucket_sums_grid,
     compensated_cumsum,
     compensated_sum,
-    distribution_to_csv,
     mgf_exact,
     mod_poisson_residual,
     multiplicative_value_table,
@@ -46,7 +45,6 @@ from .exact import (
     partial_sum_grid,
     pmf,
     sample,
-    sums_to_csv,
     twisted_mean,
     twisted_sum,
 )
@@ -116,7 +114,6 @@ __all__ = [
     "compensated_cumsum",
     "compensated_sum",
     "cpow",
-    "distribution_to_csv",
     "eta",
     "eta_star",
     "euler_phi_over_n",
@@ -140,7 +137,6 @@ __all__ = [
     "psi_grid",
     "psi_prime_at_zero",
     "sample",
-    "sums_to_csv",
     "tabulated_additive",
     "tabulated_multiplicative",
     "tau_rho",

@@ -12,7 +12,8 @@ builds it, so sd sample lists its draws only when JSON is asked for);
 text is the default rendering, a string or an iterable of chunks, or
 None for a command in _JSON_ONLY.  main alone picks the format, rejects
 csv for a json-only command before any work, and writes to --output or
-stdout.
+stdout.  Every text rendering comes from this module: tables through
+_csv and scalar results through _lines.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence, Tuple
 
 from .euler import (
@@ -33,23 +35,9 @@ from .euler import (
     psi,
     psi_grid,
 )
-from .exact import (
-    bucket_sums_grid,
-    distribution_to_csv,
-    partial_sum_grid,
-    pmf,
-    sample,
-    sums_to_csv,
-    twisted_mean,
-)
+from .exact import bucket_sums_grid, partial_sum_grid, pmf, sample, twisted_mean
 from .funcs import parse_additive, parse_multiplicative
-from .stats import (
-    clt_report,
-    clt_report_to_dict,
-    ldp_predict,
-    ldp_prediction_to_dict,
-    tail_pairs_to_csv,
-)
+from .stats import clt_report, ldp_predict
 from .stats import logger as stats_logger
 
 DEFAULT_X_GRID = (1000, 10000, 100000, 1000000)
@@ -66,6 +54,22 @@ def _fmt(value) -> str:
     if z.imag == 0.0:
         return f"{z.real:.15g}"
     return f"{z.real:.15g}{z.imag:+.15g}j"
+
+
+def _csv(header: str, rows) -> str:
+    """header, then one line per row with every number at .15g (ints as plain digits)."""
+    lines = [header] + [",".join(f"{v:.15g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _lines(**values) -> str:
+    """One key = value line each: None as none, ints and strings as they are, other numbers by _fmt."""
+    def shown(v):
+        if v is None:
+            return "none"
+        return str(v) if isinstance(v, (int, str)) else _fmt(v)
+
+    return "".join(f"{key} = {shown(v)}\n" for key, v in values.items())
 
 
 def _int_arg(text: str) -> int:
@@ -140,19 +144,14 @@ def cmd_lambda0(args: argparse.Namespace):
         "prime_cutoff": res.prime_cutoff,
         "k_cutoff": res.k_cutoff,
     }
-    lines = [
-        f"lambda0 = {_fmt(res.value)}",
-        f"tail_estimate = {_fmt(res.tail_estimate)}",
-        f"prime_cutoff = {res.prime_cutoff}",
-        f"k_cutoff = {res.k_cutoff}",
-    ]
-    return record, "\n".join(lines) + "\n"
+    return record, _lines(lambda0=res.value, tail_estimate=res.tail_estimate, prime_cutoff=res.prime_cutoff,
+                          k_cutoff=res.k_cutoff)
 
 
 def cmd_psi(args: argparse.Namespace):
     value = psi(args.alpha, args.z, args.additive, prime_cutoff=args.cutoff)
     record = {"z_re": args.z.real, "z_im": args.z.imag, "psi_re": value.real, "psi_im": value.imag}
-    return record, f"psi = {_fmt(value)}\n"
+    return record, _lines(psi=value)
 
 
 def cmd_sum(args: argparse.Namespace):
@@ -160,30 +159,31 @@ def cmd_sum(args: argparse.Namespace):
     rows = list(zip(xs, partial_sum_grid(args.alpha, xs)))
     if not args.x_grid:
         x, value = rows[0]
-        return {"x": x, "sum_re": value.real, "sum_im": value.imag}, f"sum = {_fmt(value)}\n"
-    return {"rows": [{"x": x, "sum_re": v.real, "sum_im": v.imag} for x, v in rows]}, sums_to_csv(rows)
+        return {"x": x, "sum_re": value.real, "sum_im": value.imag}, _lines(sum=value)
+    text = _csv("x,sum_re,sum_im", ((x, v.real, v.imag) for x, v in rows))
+    return {"rows": [{"x": x, "sum_re": v.real, "sum_im": v.imag} for x, v in rows]}, text
 
 
 def cmd_mgf(args: argparse.Namespace):
     x = _require_x(args.x)
-    y = args.y if args.y is not None else cmath.exp(args.z)
-    if y == 0:
-        raise ValueError("--y must be nonzero")
-    value = twisted_mean(args.alpha, y, args.additive, x)
+    given = f"--y = {_fmt(args.y)}" if args.y is not None else f"--z = {_fmt(args.z)}"
+    try:
+        y = args.y if args.y is not None else cmath.exp(args.z)
+        if y == 0:
+            raise ValueError("--y must be nonzero" if args.y is not None else f"{given}: e^z underflows float64 to 0")
+        value = twisted_mean(args.alpha, y, args.additive, x)
+    except OverflowError:
+        raise ValueError(f"{given}: e^z or E[y^g(N)] overflows float64") from None
     record = {"x": x, "y_re": y.real, "y_im": y.imag, "mgf_re": value.real, "mgf_im": value.imag}
-    return record, f"mgf = {_fmt(value)}\n"
+    return record, _lines(mgf=value)
 
 
 def cmd_pmf(args: argparse.Namespace):
     x = _require_x(args.x)
     dist = pmf(args.alpha, args.additive, x)
-    record = {
-        "x": dist.x,
-        "pmf": {str(m): q for m, q in dist.as_dict().items()},
-        "mean": dist.mean,
-        "variance": dist.variance,
-    }
-    return record, distribution_to_csv(dist)
+    pairs = list(zip(dist.values.tolist(), dist.probabilities.tolist()))
+    record = {"x": dist.x, "pmf": {str(m): q for m, q in pairs}, "mean": dist.mean, "variance": dist.variance}
+    return record, _csv("value,probability", pairs)
 
 
 def cmd_sample(args: argparse.Namespace):
@@ -204,7 +204,7 @@ def cmd_clt(args: argparse.Namespace):
     x = _require_x(args.x)
     report = clt_report(args.alpha, args.additive, x, args.y_grid)
     head = f"# x={report.x} kolmogorov_distance={report.kolmogorov_distance:.15g}\n"
-    return clt_report_to_dict(report), head + tail_pairs_to_csv(report.tail_pairs)
+    return asdict(report), head + _csv("y,exact,gaussian", report.tail_pairs)
 
 
 def cmd_ldp(args: argparse.Namespace):
@@ -215,12 +215,10 @@ def cmd_ldp(args: argparse.Namespace):
         for x, sums in zip(xs, buckets)
     ]
     if not args.x_grid:
-        record = ldp_prediction_to_dict(rows[0][1])
-        return record, "".join(f"{key} = {value:.15g}\n" for key, value in record.items())
-    lines = ["x,exact_tail,predicted_tail,ratio"]
-    for x, pred in rows:
-        lines.append(f"{x},{pred.exact_tail:.15g},{pred.predicted_tail:.15g},{pred.ratio:.15g}")
-    return {"rows": [dict(ldp_prediction_to_dict(p), x=x) for x, p in rows]}, "\n".join(lines) + "\n"
+        record = asdict(rows[0][1])
+        return record, _lines(**record)
+    text = _csv("x,exact_tail,predicted_tail,ratio", ((x, p.exact_tail, p.predicted_tail, p.ratio) for x, p in rows))
+    return {"rows": [dict(asdict(p), x=x) for x, p in rows]}, text
 
 
 def cmd_check(args: argparse.Namespace):
@@ -233,18 +231,8 @@ def cmd_check(args: argparse.Namespace):
         "increment_exponent": report.increment_exponent,
         "square_sum_partials": [[p, v] for p, v in report.square_sum_partials],
     }
-    lines = [
-        f"verdict = {report.verdict}",
-        f"c0 = {report.c0:.15g}",
-        f"witness = {report.witness if report.witness is not None else 'none'}",
-        f"abscissa_estimate = {report.abscissa_estimate:.15g}",
-        (
-            f"increment_exponent = {report.increment_exponent:.15g}"
-            if report.increment_exponent is not None
-            else "increment_exponent = none"
-        ),
-    ]
-    return record, "\n".join(lines) + "\n"
+    return record, _lines(verdict=report.verdict, c0=report.c0, witness=report.witness,
+                          abscissa_estimate=report.abscissa_estimate, increment_exponent=report.increment_exponent)
 
 
 def cmd_report(args: argparse.Namespace):
@@ -270,9 +258,9 @@ def cmd_report(args: argparse.Namespace):
     ldp_rows = []
     for x, sums in zip(xs, buckets):
         dist = sums.distribution()
-        clt_rows.append(clt_report_to_dict(clt_report(args.alpha, args.additive, x, args.y_grid, dist=dist)))
+        clt_rows.append(asdict(clt_report(args.alpha, args.additive, x, args.y_grid, dist=dist)))
         pred = ldp_predict(args.alpha, args.additive, x, args.s, dist=dist, prime_cutoff=args.cutoff)
-        ldp_rows.append(dict(ldp_prediction_to_dict(pred), x=x))
+        ldp_rows.append(dict(asdict(pred), x=x))
 
     payload = {
         "config": {
@@ -284,7 +272,7 @@ def cmd_report(args: argparse.Namespace):
             "tol": DEFAULT_FACTOR_TOL,
             "s": args.s,
             "y_grid": list(args.y_grid),
-            "seed": args.seed,
+            "seed": 0,
         },
         "lambda0": {
             "value_re": lam.value.real,
@@ -332,7 +320,7 @@ _COMMANDS = (
     ("ldp", cmd_ldp, "large-deviation prediction vs exact tail", ("--g", "--cutoff", "--x", "--x-grid", "--s")),
     ("check", cmd_check, "admissibility++ diagnostics", ()),
     ("report", cmd_report, "full convergence study as one JSON artifact",
-     ("--g", "--cutoff", "--x-grid", "--z-grid", "--s", "--y-grid", "--seed")),
+     ("--g", "--cutoff", "--x-grid", "--z-grid", "--s", "--y-grid")),
 )
 
 

@@ -56,7 +56,7 @@ from .errors import (
 from .exact import multiplicative_value_table
 from .funcs import AdditiveSpec, LocalSeries, MultiplicativeSpec, OMEGA, _prime_power_values, twist
 from .sieve import prime_array
-from .special import digamma, gamma, zeta_minus_one
+from .special import cpow, digamma, gamma, zeta_minus_one
 
 DEFAULT_PRIME_CUTOFF = 10**6
 # every local series stops where its tail bound is <= this; the kernels
@@ -793,11 +793,47 @@ def psi_grid(
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
+        DomainError: the twist at z leaves float64 range (_exp_twist).
     """
     P = _check_cutoff(prime_cutoff)
     keys = [(alpha, complex(z), g, P) for z in zs]
     values = _psi_cached.many(keys, lambda missed: _psi_batch(alpha, [key[1] for key in missed], g, P))
     return [_raised(value) for value in values]
+
+
+def _twist_is_finite(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> bool:
+    """Whether the twist of alpha by e^z stays in float64 range: e^z is
+    finite and nonzero, and so is Gamma of the twist's rho, rho e^(c z)
+    with c = g.prime_value, computed as funcs.twist computes it.  psi(z)
+    divides by that Gamma unless the rho is a nonpositive integer, whose
+    product is 0.  A g without a prime value passes: twist rejects it.
+    """
+    if g.prime_value is None:
+        return True
+    try:
+        y = cmath.exp(z)
+        if y == 0:
+            return False
+        rho = cpow(y, g.prime_value) * complex(alpha.rho)
+        if cmath.isfinite(rho) and not _is_snapped_nonpositive_integer(rho):
+            gamma(rho)
+        return cmath.isfinite(rho)
+    except OverflowError:
+        return False
+
+
+def _exp_twist(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> MultiplicativeSpec:
+    """twist(alpha, e^z, g), rejected before its product when it leaves float64 range.
+
+    Raises:
+        DomainError: not _twist_is_finite(alpha, z, g).
+    """
+    if not _twist_is_finite(alpha, z, g):
+        raise DomainError(
+            f"z = {z:g} takes the twist out of float64 range: e^z underflows to 0, or e^z or "
+            f"Gamma(rho e^(c z)) overflows, with c = {g.prime_value:g} for {g.name}"
+        )
+    return twist(alpha, cmath.exp(z), g)
 
 
 def _psi_batch(alpha: MultiplicativeSpec, zs: Sequence[complex], g: AdditiveSpec, P: int) -> List:
@@ -808,7 +844,7 @@ def _psi_batch(alpha: MultiplicativeSpec, zs: Sequence[complex], g: AdditiveSpec
     a table g, say), so that the tails above P cancel in the ratio
     instead of adding.  Raises what lambda0(alpha) raises, for every z.
     """
-    twisted = [_attempt(lambda: twist(alpha, cmath.exp(z), g)) for z in zs]
+    twisted = [_attempt(_exp_twist, alpha, z, g) for z in zs]
     specs = [alpha] + [spec for spec in twisted if not isinstance(spec, Exception)]
     den, *nums = _lambda0_cached.many(
         [(spec, P) for spec in specs], lambda missed: _lambda0_batch([key[0] for key in missed], P)

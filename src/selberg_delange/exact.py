@@ -509,9 +509,6 @@ class DistributionTable:
     mean: float
     variance: float
 
-    def as_dict(self) -> Dict[int, float]:
-        return {int(m): float(q) for m, q in zip(self.values, self.probabilities)}
-
     def tail_probability(self, threshold: float) -> float:
         """P(g >= threshold), summing pmf buckets from ceil(threshold) up."""
         cut = math.ceil(threshold)
@@ -737,11 +734,17 @@ def twisted_mean(alpha: MultiplicativeSpec, y, g: AdditiveSpec, x: int) -> compl
     Raises:
         ValueError: the sum of the weights on [1, x] overflows.
         DegenerateSpecError: the weights sum to 0 on [1, x].
+        OverflowError: the mean is not finite (y^g(n) overflows).
     """
     y = _twist_base(y)
     if g.integer_valued:
-        return bucket_sums(alpha, g, x).mean(y)
-    return _mean(alpha, x, *_direct_twisted_sums(alpha, y, g, x))
+        value = bucket_sums(alpha, g, x).mean(y)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            value = _mean(alpha, x, *_direct_twisted_sums(alpha, y, g, x))
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{alpha.name}: E[y^g(N)] on [1, {x}] overflows float64 at y = {y}")
+    return value
 
 
 def mgf_exact(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int, z) -> complex:
@@ -850,19 +853,3 @@ def mod_poisson_residual(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int, z) 
     z = complex(z)
     return _poisson_factor(alpha, x, z) * mgf_exact(alpha, g, x, z)
 
-
-def distribution_to_csv(dist: DistributionTable) -> str:
-    """CSV rendering with header value,probability."""
-    lines = ["value,probability"]
-    for m, q in zip(dist.values.tolist(), dist.probabilities.tolist()):
-        lines.append(f"{m},{q:.15g}")
-    return "\n".join(lines) + "\n"
-
-
-def sums_to_csv(rows: Sequence[Tuple[int, complex]]) -> str:
-    """CSV rendering with header x,sum_re,sum_im."""
-    lines = ["x,sum_re,sum_im"]
-    for x, value in rows:
-        value = complex(value)
-        lines.append(f"{x},{value.real:.15g},{value.imag:.15g}")
-    return "\n".join(lines) + "\n"

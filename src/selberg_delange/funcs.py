@@ -16,7 +16,7 @@ Built-in families:
     unit                 f(n) = 1
     theta_omega(theta)   f(n) = theta^omega(n)
     geometric_B(B)       f(p^k) = B^k
-    perturbed(a, eps)    f(p^k) = a + coeff(p,k), |coeff| <= p^(-eps k)
+    perturbed(a, eps)    f(p^k) = a + p^(-eps k)
     tau_rho(rho)         Dirichlet coefficients of zeta^rho
     euler_phi_over_n     f(p^k) = 1 - 1/p   (phi(n)/n)
 plus explicit (p,k) -> value tables for both kinds.
@@ -313,24 +313,17 @@ def geometric_B(B: float, c0: Optional[float] = None) -> MultiplicativeSpec:
     )
 
 
-def perturbed(a, eps: float, coeff: Optional[Callable[[int, int], complex]] = None) -> MultiplicativeSpec:
-    """f(p^k) = a + coeff(p, k) with |coeff(p, k)| <= p^(-eps k); rho = a.
-
-    The default perturbation is coeff(p, k) = p^(-eps k) itself.  A
-    custom coeff must respect the bound; it is trusted here and probed
-    empirically by the admissibility checker.
-    """
+def perturbed(a, eps: float) -> MultiplicativeSpec:
+    """f(p^k) = a + p^(-eps k); rho = a."""
     a = complex(a)
     if a.imag == 0.0:
         a = a.real
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError(f"perturbed needs eps > 0, got {eps}")
-    if coeff is None:
-        coeff = lambda p, k: p ** (-eps * k)
     return MultiplicativeSpec(
         name=f"perturbed:a={_format_param(a)},eps={eps:g}",
-        value_at=lambda p, k: a + coeff(p, k),
+        value_at=lambda p, k: a + p ** (-eps * k),
         rho=a,
         c0=min(0.25, eps / 2.0),
         growth=GrowthBound(abs(a) + 1.0, 1.0),

@@ -12,19 +12,18 @@ primes, closed by the prime-zeta tail when alpha has a local series).
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError
-from .euler import DEFAULT_PRIME_CUTOFF, _psi_prime, psi
+from .euler import DEFAULT_PRIME_CUTOFF, _psi_prime, _twist_is_finite, psi
 from .exact import DistributionTable, pmf
 from .funcs import OMEGA, AdditiveSpec, MultiplicativeSpec
-from .special import cexpm1, cpow, gamma
+from .special import cexpm1
 
 logger = logging.getLogger(__name__)
 
@@ -69,9 +68,10 @@ def psi_prime_at_zero(
     where F_p = sum_k alpha(p^k) p^{-k} and
     G_p = sum_k g(p^k) alpha(p^k) p^{-k}.  It is the constant term of
     the mean of g(N) (Mertens' constant 0.26150 for unit and omega).
-    Two kernel passes over the primes p <= P, memoised per process; when
-    alpha has a local series and g a k_value (omega, Omega), the primes
-    above P are closed by the prime-zeta tail, otherwise dropped.
+    One kernel pass over the primes p <= P, with F_p and G_p as its two
+    rows, memoised per process; when alpha has a local series and g a
+    k_value (omega, Omega), the primes above P are closed by the
+    prime-zeta tail, otherwise dropped.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
@@ -160,15 +160,7 @@ def ldp_predict(
         return math.exp(-t_x * eta_star(v)) > 0.0
 
     def twist_gamma_is_finite(v: float) -> bool:
-        # psi(ln v) divides by Gamma of the twist's rho, rho v^c with
-        # c = g.prime_value, computed here as funcs.twist computes it
-        if g.prime_value is None:  # twist itself rejects g
-            return True
-        try:
-            gamma(cpow(cmath.exp(complex(math.log(v))), g.prime_value) * complex(alpha.rho))
-        except (OverflowError, ValueError):  # ValueError: rho v^c is not finite
-            return False
-        return True
+        return _twist_is_finite(alpha, math.log(v), g)
 
     if s != 1.0 and not g.strip.contains(h):
         upper = math.exp(min(g.strip.d, 700.0))
@@ -246,29 +238,3 @@ def clt_report(
         pairs.append((y, exact, 1.0 - normal_cdf(y)))
     return CltReport(x=int(x), kolmogorov_distance=distance, tail_pairs=tuple(pairs))
 
-
-def clt_report_to_dict(report: CltReport) -> Dict:
-    return {
-        "x": report.x,
-        "kolmogorov_distance": report.kolmogorov_distance,
-        "tail_pairs": [[y, exact, gauss] for (y, exact, gauss) in report.tail_pairs],
-    }
-
-
-def ldp_prediction_to_dict(pred: LdpPrediction) -> Dict:
-    return {
-        "s": pred.s,
-        "h": pred.h,
-        "rate": pred.rate,
-        "predicted_tail": pred.predicted_tail,
-        "exact_tail": pred.exact_tail,
-        "ratio": pred.ratio,
-    }
-
-
-def tail_pairs_to_csv(pairs: Sequence[Tuple[float, float, float]]) -> str:
-    """CSV rendering of (y, exact, gaussian) triples."""
-    lines = ["y,exact,gaussian"]
-    for y, exact, gauss in pairs:
-        lines.append(f"{y:.15g},{exact:.15g},{gauss:.15g}")
-    return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import pytest
 import selberg_delange
 from selberg_delange import cli, euler, exact, sieve
 from selberg_delange.cli import main
-from selberg_delange.funcs import parse_additive, parse_multiplicative
+from selberg_delange.funcs import parse_additive, parse_multiplicative, theta_omega
 
 SAMPLE_ARGS = ["sample", "--spec", "unit", "--x", "10", "--seed", "7", "--count", "5"]
 SAMPLE_GOLDEN = "9\n3\n5\n5\n1\n"
@@ -26,6 +26,14 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_command(argv):
+    """(record, text) of the command argv names, as main receives them."""
+    args = cli.build_parser().parse_args(argv)
+    args.alpha = parse_multiplicative(args.spec)
+    args.additive = parse_additive(args.g) if "g" in args else None
+    return args.func(args)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +76,29 @@ def test_mgf_golden(capsys):
     )
     assert code == 0
     assert out == "mgf = 2.3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["psi", "--spec", "unit", "--z", "0.3+0.4j", "--cutoff", "2000"], "psi = 1.23195806420885-0.162588471701035j\n"),
+        (["mgf", "--spec", "theta_omega:2", "--x", "1000", "--y", "0.5+0.5j"],
+         "mgf = -0.0898335672749148+0.352717064367355j\n"),
+        (["lambda0", "--spec", "cplx", "--cutoff", "2000"],
+         "lambda0 = 7.41050111866652+4.25427512249216j\ntail_estimate = 4.10788322849767e-12\n"
+         "prime_cutoff = 2000\nk_cutoff = 48\n"),
+        (["sum", "--spec", "cplx", "--x-grid", "10,100,1e4"],
+         "x,sum_re,sum_im\n10,0.5,13.5\n100,-119.5,118.5\n10000,-17671.375,-5624.625\n"),
+    ],
+    ids=["psi", "mgf", "lambda0", "sum-grid"],
+)
+def test_complex_text_goldens(capsys, monkeypatch, argv, golden):
+    # complex values print as re+imj in a key = value line and as two
+    # columns in a csv row; the spec grammar takes real parameters only,
+    # so "cplx" stands for theta_omega(0.5+1.5j) here
+    parse = cli.parse_multiplicative
+    monkeypatch.setattr(cli, "parse_multiplicative", lambda text: theta_omega(0.5 + 1.5j) if text == "cplx" else parse(text))
+    assert run_cli(capsys, argv) == (0, golden, "")
 
 
 def test_pmf_golden_csv(capsys):
@@ -167,6 +198,15 @@ def _ldp_record(predicted_tail, exact_tail, ratio):
         (["check", "--spec", "geometric_B:1.9,c0=0.1"],
          {"c0": 0.1, "verdict": "inconsistent", "witness": 2, "abscissa_estimate": 1.8,
           "increment_exponent": None, "square_sum_partials": []}),
+        (["check", "--spec", "unit"],
+         {"c0": 0.25, "verdict": "consistent", "witness": None, "abscissa_estimate": 1.6,
+          "increment_exponent": -0.5971195531919247,
+          "square_sum_partials": [[2000, 3.226977521802788], [4000, 3.228618890845206], [8000, 3.229690921674401],
+                                  [16000, 3.230395901145719], [32000, 3.2308537946985383],
+                                  [64000, 3.231161349653808], [128000, 3.2313640329871376],
+                                  [256000, 3.231499509122478], [512000, 3.2315899932801626]]}),
+        (["pmf", "--spec", "unit", "--g", "omega", "--x", "10"],
+         {"x": 10, "pmf": {"0": 0.1, "1": 0.7, "2": 0.2}, "mean": 1.1, "variance": 0.29000000000000004}),
         (["sum", "--spec", "theta_omega:2", "--x", "10"], {"x": 10, "sum_re": 23.0, "sum_im": 0.0}),
         (["sum", "--spec", "unit", "--x-grid", "10,100"],
          {"rows": [{"x": 10, "sum_re": 10.0, "sum_im": 0.0}, {"x": 100, "sum_re": 100.0, "sum_im": 0.0}]}),
@@ -177,7 +217,7 @@ def _ldp_record(predicted_tail, exact_tail, ratio):
                                   dict(_ldp_record(0.57630232587593, 0.023, 0.039909608147150846), x=1000)]}),
         (SAMPLE_ARGS, {"x": 10, "seed": 7, "stream": 0, "draws": [9, 3, 5, 5, 1]}),
     ],
-    ids=["lambda0", "psi", "mgf", "check", "sum", "sum-grid", "clt", "ldp", "ldp-grid", "sample"],
+    ids=["lambda0", "psi", "mgf", "check", "check-unit", "pmf", "sum", "sum-grid", "clt", "ldp", "ldp-grid", "sample"],
 )
 def test_json_goldens(capsys, argv, golden):
     assert run_cli(capsys, argv + ["--format", "json"]) == (0, json.dumps(golden, indent=2) + "\n", "")
@@ -198,10 +238,7 @@ def test_commands_return_record_and_text_and_write_nothing(capsys):
     ]
     assert sorted(argv[0] for argv in argvs) == sorted(name for name, *_ in cli._COMMANDS)
     for argv in argvs:
-        args = cli.build_parser().parse_args(argv)
-        args.alpha = parse_multiplicative(args.spec)
-        args.additive = parse_additive(args.g) if "g" in args else None
-        record, text = args.func(args)
+        record, text = run_command(argv)
         assert capsys.readouterr() == ("", "")
         if argv[0] in cli._JSON_ONLY:
             assert text is None
@@ -219,6 +256,51 @@ def test_repeat_runs_are_byte_identical(capsys):
     _, second, _ = run_cli(capsys, argv)
     assert first == second
     assert first.startswith("psi = ")
+
+
+# ---------------------------------------------------------------------------
+# the two writers and the records
+
+
+def test_csv_writer_pmf():
+    dist = exact.pmf(parse_multiplicative("unit"), parse_additive("omega"), 10)
+    pairs = zip(dist.values.tolist(), dist.probabilities.tolist())
+    assert cli._csv("value,probability", pairs) == "value,probability\n0,0.1\n1,0.7\n2,0.2\n"
+
+
+def test_csv_writer_sums():
+    rows = [(10, complex(23.0, 0.0)), (100, complex(1.5, -2.25))]
+    want = "x,sum_re,sum_im\n10,23,0\n100,1.5,-2.25\n"
+    assert cli._csv("x,sum_re,sum_im", ((x, v.real, v.imag) for x, v in rows)) == want
+
+
+def test_csv_writer_tail_pairs():
+    pairs = [(0.0, 0.5, 0.5), (1.0, 0.125, 0.158655253931457)]
+    assert cli._csv("y,exact,gaussian", pairs) == "y,exact,gaussian\n0,0.5,0.5\n1,0.125,0.158655253931457\n"
+
+
+def test_lines_writer():
+    text = cli._lines(verdict="consistent", witness=None, k_cutoff=48, c0=0.25, value=complex(1.5, -2.25), psi=1 + 0j)
+    assert text == "verdict = consistent\nwitness = none\nk_cutoff = 48\nc0 = 0.25\nvalue = 1.5-2.25j\npsi = 1\n"
+
+
+def test_pmf_record():
+    record, _ = run_command(["pmf", "--spec", "unit", "--g", "omega", "--x", "10"])
+    assert record["pmf"] == pytest.approx({"0": 0.1, "1": 0.7, "2": 0.2})
+
+
+def test_clt_record():
+    record, _ = run_command(["clt", "--spec", "unit", "--x", "1000", "--y-grid", "0,1"])
+    assert set(record) == {"x", "kolmogorov_distance", "tail_pairs"}
+    assert record["x"] == 10**3
+    assert len(record["tail_pairs"]) == 2
+    assert record["tail_pairs"][0][0] == 0.0
+
+
+def test_ldp_record():
+    record, _ = run_command(["ldp", "--spec", "unit", "--x", "1e4", "--s", "2"])
+    assert set(record) == {"s", "h", "rate", "predicted_tail", "exact_tail", "ratio"}
+    assert record["s"] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +633,15 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
         (["clt", "--x", "100", "--rho", "nan"], "--rho"),
         (["ldp", "--x", "1000", "--rho", "nan", "--s", "2"], "--rho"),
         (["report", "--x-g", "1000"], "--x-g"),
+        (["report", "--seed", "1"], "--seed"),
     ],
     ids=["lambda0-tol-1e-12", "clt-rho-1", "check-c0", "report-x", "lambda0-tol", "psi-tol", "check-tol",
-         "clt-rho-inf", "report-rho-inf", "ldp-rho-inf", "clt-rho-nan", "ldp-rho-nan", "report-x-g"],
+         "clt-rho-inf", "report-rho-inf", "ldp-rho-inf", "clt-rho-nan", "ldp-rho-nan", "report-x-g", "report-seed"],
 )
 def test_deleted_flags_exit_two(capsys, argv, flag):
-    # the tolerance is a constant, rho and c0 come from the spec, and report
-    # reads --x-grid only; flags are spelled in full, so none of these
-    # reaches a command as another flag
+    # the tolerance is a constant, rho and c0 come from the spec, report
+    # reads --x-grid only and draws nothing; flags are spelled in full, so
+    # none of these reaches a command as another flag
     with pytest.raises(SystemExit) as exc_info:
         main(argv)
     assert exc_info.value.code == 2
@@ -581,7 +664,7 @@ COMMAND_FLAGS = {
     "clt": ["--spec", "--g", "--x", "--y-grid", "--output", "--format"],
     "ldp": ["--spec", "--g", "--cutoff", "--x", "--x-grid", "--s", "--output", "--format"],
     "check": ["--spec", "--output", "--format"],
-    "report": ["--spec", "--g", "--cutoff", "--x-grid", "--z-grid", "--s", "--y-grid", "--seed", "--output", "--format"],
+    "report": ["--spec", "--g", "--cutoff", "--x-grid", "--z-grid", "--s", "--y-grid", "--output", "--format"],
 }
 
 
@@ -592,7 +675,7 @@ def test_each_command_registers_exactly_its_flags():
         for name, parser in sub.choices.items()
     }
     assert registered == COMMAND_FLAGS
-    assert sum(map(len, COMMAND_FLAGS.values())) == 61
+    assert sum(map(len, COMMAND_FLAGS.values())) == 60
 
 
 @pytest.mark.parametrize(
@@ -724,6 +807,46 @@ def test_mgf_zero_normalizing_sum_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "zero normalizing sum on [1, 2]" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--y", "1e200"], "--y = 1e+200: e^z or E[y^g(N)] overflows float64"),
+        (["--z", "700"], "--z = 700: e^z or E[y^g(N)] overflows float64"),
+        (["--z", "1000"], "--z = 1000: e^z or E[y^g(N)] overflows float64"),
+        (["--z", "-1000"], "--z = -1000: e^z underflows float64 to 0"),
+    ],
+    ids=["y-1e200", "z-700", "z-1000", "z-minus-1000"],
+)
+def test_mgf_out_of_float_range_exits_two(capsys, argv, message):
+    # the flag given is named; at --z -700 and --y 1e-200 the mean is still 0.1
+    assert run_cli(capsys, ["mgf", "--x", "10"] + argv) == (2, "", f"error: {message}\n")
+    assert run_cli(capsys, ["mgf", "--x", "10", "--z", "-700"]) == (0, "mgf = 0.1\n", "")
+    assert run_cli(capsys, ["mgf", "--x", "10", "--y", "1e-200"]) == (0, "mgf = 0.1\n", "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, z",
+    [
+        (["psi", "--z", "6"], "6+0j"),
+        (["psi", "--z", "400"], "400+0j"),
+        (["psi", "--z", "-1000"], "-1000+0j"),
+        (["report", "--z-grid", "0.5,6,7", "--x-grid", "100"], "6+0j"),
+    ],
+    ids=["psi-6", "psi-400", "psi-minus-1000", "report-grid"],
+)
+def test_psi_twist_out_of_float_range_exits_two(capsys, argv, z):
+    # Gamma(e^z) of the omega twist of unit overflows past z = 5.14, e^z
+    # itself past 709.78, and it underflows to 0 below -745; the first such
+    # z of a grid is named
+    message = (f"z = {z} takes the twist out of float64 range: e^z underflows to 0, "
+               "or e^z or Gamma(rho e^(c z)) overflows, with c = 1 for omega")
+    assert run_cli(capsys, argv + ["--cutoff", "100"]) == (2, "", f"error: {message}\n")
+    # below the limit the printed value is what it was
+    assert run_cli(capsys, ["psi", "--z", "5", "--cutoff", "100"]) == (0, "psi = 0\n", "")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

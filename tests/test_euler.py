@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import functools
 import math
+import re
 from math import fsum
 from unittest import mock
 
@@ -670,11 +671,11 @@ def test_failing_rows_leave_the_others_unchanged():
     assert result_bits(results[6]) == (DivergentLocalFactorError, 2)
     # psi over the grid raises the pole, the first failing z, as psi(pole)
     # alone does; every other z is stored, and psi alone equals it
-    # e^-800 underflows to 0, which twist rejects
+    # e^-800 underflows to 0, which the twist step rejects
     omega_zs = [z for z in zs if z != diverging] + [-800.0]
     want = {z: psi_bits(psi_alone(alpha, z, OMEGA, P)) for z in omega_zs}
     assert want[vanishing] == "0j"
-    assert want[-800.0][0] is ValueError
+    assert want[-800.0][0] is DomainError
     clear_memos()
     with pytest.raises(PoleError) as exc_info:
         euler.psi_grid(alpha, omega_zs, OMEGA, P)
@@ -685,6 +686,38 @@ def test_failing_rows_leave_the_others_unchanged():
         hits = euler._psi_cached.cache_info().hits
         assert psi_bits(psi(alpha, z, OMEGA, P)) == want[z]
         assert euler._psi_cached.cache_info().hits == hits + 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z", [6.0, 400.0, 1000.0, -1000.0, complex(5.2, 0.1)])
+def test_twist_out_of_float_range_is_rejected_before_its_product(z):
+    # Gamma(e^z), the rho of the omega twist of unit, overflows past
+    # z = 5.147; e^z overflows past 709.78 and is 0 below -745
+    assert not euler._twist_is_finite(unit(), complex(z), OMEGA)
+    rows = []
+    local_factors = euler._local_factors
+
+    def counted(stack, *args):
+        rows.append(len(stack))
+        return local_factors(stack, *args)
+
+    clear_memos()
+    message = f"z = {complex(z):g} takes the twist out of float64 range"
+    with mock.patch.object(euler, "_local_factors", counted), pytest.raises(DomainError, match=re.escape(message)):
+        psi(unit(), z, prime_cutoff=100)
+    assert rows == [1]  # lambda0(unit) alone: the twist has no row
+
+
+def test_psi_and_ldp_read_one_twist_predicate():
+    # ldp's "need s < 171.83" for omega is where psi(ln s) is refused too;
+    # a rho that snaps to a nonpositive integer needs no Gamma
+    assert euler._twist_is_finite(unit(), math.log(171.82), OMEGA)
+    assert not euler._twist_is_finite(unit(), math.log(171.84), OMEGA)
+    with pytest.raises(DomainError):
+        psi(unit(), math.log(171.84), prime_cutoff=100)
+    assert psi(unit(), complex(math.log(200.0), math.pi), prime_cutoff=100) == 0j
+    # a g without a prime value is left to twist, which names it
+    assert euler._twist_is_finite(unit(), 1000.0, dataclasses.replace(OMEGA, prime_value=None))
 
 
 def test_psi_grid_stores_each_value_for_psi():

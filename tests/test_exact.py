@@ -19,7 +19,6 @@ from selberg_delange.exact import (
     bucket_sums_grid,
     compensated_cumsum,
     compensated_sum,
-    distribution_to_csv,
     mgf_exact,
     mod_poisson_residual,
     multiplicative_value_table,
@@ -27,7 +26,6 @@ from selberg_delange.exact import (
     partial_sum_grid,
     pmf,
     sample,
-    sums_to_csv,
     twisted_mean,
     twisted_sum,
 )
@@ -265,6 +263,20 @@ def test_twisted_sum_rejects_zero_y():
         twisted_sum(unit(), 0.0, OMEGA, 10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "y, g",
+    [(1e200, OMEGA), (cmath.exp(700), OMEGA), (1e200, tabulated_additive({(2, 1): 2.5}))],
+    ids=["omega-1e200", "omega-e700", "fractional-1e200"],
+)
+def test_twisted_mean_raises_where_y_to_the_g_overflows(y, g):
+    # y^2 or y^2.5 at n = 6 or 2 is beyond float64: an error, not nan
+    with pytest.raises(OverflowError, match=r"E\[y\^g\(N\)\] on \[1, 10\] overflows float64"):
+        twisted_mean(unit(), y, g, 10)
+    # a y whose powers stay finite is unchanged
+    assert twisted_mean(unit(), 1e100, OMEGA, 10) == pytest.approx((1 + 7e100 + 2e200) / 10, rel=1e-15)
+
+
 def test_mgf_exact_examples():
     assert mgf_exact(unit(), OMEGA, 10, math.log(2.0)) == pytest.approx(2.3, rel=1e-14)
     assert mgf_exact(unit(), OMEGA, 100, 0.0) == pytest.approx(1.0, rel=1e-14)
@@ -280,7 +292,6 @@ def test_pmf_small_example():
     assert dist.probabilities.tolist() == pytest.approx([0.1, 0.7, 0.2], abs=1e-15)
     assert dist.mean == pytest.approx(1.1, abs=1e-14)
     assert dist.variance == pytest.approx(0.29, abs=1e-14)
-    assert dist.as_dict() == pytest.approx({0: 0.1, 1: 0.7, 2: 0.2})
 
 
 def test_pmf_tail_probability():
@@ -410,20 +421,6 @@ def test_mod_poisson_residual_rho_override():
     x, z = 5000, 0.3
     got = mod_poisson_residual(tabulated_multiplicative({}, rho=0.0), OMEGA, x, z)
     assert got == pytest.approx(mgf_exact(unit(), OMEGA, x, z), rel=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# exporters
-
-
-def test_distribution_to_csv():
-    dist = pmf(unit(), OMEGA, 10)
-    assert distribution_to_csv(dist) == "value,probability\n0,0.1\n1,0.7\n2,0.2\n"
-
-
-def test_sums_to_csv():
-    rows = [(10, complex(23.0, 0.0)), (100, complex(1.5, -2.25))]
-    assert sums_to_csv(rows) == "x,sum_re,sum_im\n10,23,0\n100,1.5,-2.25\n"
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +619,8 @@ def test_bucket_sums_api():
     assert buckets.twisted_sum(0.5) == twisted_sum(theta_omega(2), 0.5, OMEGA, x)
     assert buckets.mean(2.0) == twisted_mean(theta_omega(2), 2.0, OMEGA, x)
     assert buckets.residual(0.3) == mod_poisson_residual(theta_omega(2), OMEGA, x, 0.3)
-    assert buckets.distribution().as_dict() == pmf(theta_omega(2), OMEGA, x).as_dict()
+    got, want = buckets.distribution(), pmf(theta_omega(2), OMEGA, x)
+    assert (got.values.tolist(), got.probabilities.tolist()) == (want.values.tolist(), want.probabilities.tolist())
     complex_buckets = bucket_sums(theta_omega(1j), OMEGA, 100)
     assert complex_buckets.imag is not None
     assert complex_buckets.total() == pytest.approx(partial_sum(theta_omega(1j), 100), abs=1e-12)
@@ -934,9 +932,10 @@ def test_streamed_commands_are_charged_for_the_sieve_alone(monkeypatch):
     x = 10**5
     memory = (_sieve_bytes(x) + 16 * (x + 1)) // 2
     assert _sieve_bytes(x) < memory
-    want = pmf(unit(), OMEGA, x).as_dict()
+    want = pmf(unit(), OMEGA, x)
     monkeypatch.setattr(sieve, "_physical_memory", lambda: memory)
-    assert pmf(unit(), OMEGA, x).as_dict() == want
+    got = pmf(unit(), OMEGA, x)
+    assert (got.values.tolist(), got.probabilities.tolist()) == (want.values.tolist(), want.probabilities.tolist())
     for build, spec in ((multiplicative_value_table, unit()), (additive_value_table, OMEGA)):
         with pytest.raises(ValueError, match=f"value tables to x = {x}: need about"):
             build(spec, x)

@@ -36,14 +36,11 @@ from selberg_delange.stats import (
     CltReport,
     LdpPrediction,
     clt_report,
-    clt_report_to_dict,
     eta,
     eta_star,
     ldp_predict,
-    ldp_prediction_to_dict,
     normal_cdf,
     psi_prime_at_zero,
-    tail_pairs_to_csv,
 )
 
 mpmath.mp.dps = 30
@@ -407,29 +404,3 @@ def test_tail_comparisons_reject_a_rho_without_a_finite_scale(rho):
     ):
         with pytest.raises(DomainError, match=re.escape(f"got rho = {rho} at x = 1000")):
             call()
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_clt_report_to_dict():
-    report = clt_report(unit(), OMEGA, 10**3, [0.0, 1.0])
-    payload = clt_report_to_dict(report)
-    assert set(payload) == {"x", "kolmogorov_distance", "tail_pairs"}
-    assert payload["x"] == 10**3
-    assert len(payload["tail_pairs"]) == 2
-    assert payload["tail_pairs"][0][0] == 0.0
-
-
-def test_ldp_prediction_to_dict():
-    pred = ldp_predict(unit(), OMEGA, 10**4, 2.0)
-    payload = ldp_prediction_to_dict(pred)
-    assert set(payload) == {"s", "h", "rate", "predicted_tail", "exact_tail", "ratio"}
-    assert payload["s"] == 2.0
-
-
-def test_tail_pairs_to_csv():
-    pairs = [(0.0, 0.5, 0.5), (1.0, 0.125, 0.158655253931457)]
-    want = "y,exact,gaussian\n0,0.5,0.5\n1,0.125,0.158655253931457\n"
-    assert tail_pairs_to_csv(pairs) == want
