@@ -228,11 +228,11 @@ def cmd_check(args: argparse.Namespace):
         "verdict": report.verdict,
         "witness": report.witness,
         "abscissa_estimate": report.abscissa_estimate,
-        "increment_exponent": report.increment_exponent,
+        "reason": report.reason,
         "square_sum_partials": [[p, v] for p, v in report.square_sum_partials],
     }
     return record, _lines(verdict=report.verdict, c0=report.c0, witness=report.witness,
-                          abscissa_estimate=report.abscissa_estimate, increment_exponent=report.increment_exponent)
+                          abscissa_estimate=report.abscissa_estimate, reason=report.reason)
 
 
 def cmd_report(args: argparse.Namespace):

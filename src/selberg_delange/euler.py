@@ -53,7 +53,6 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .exact import multiplicative_value_table
 from .funcs import AdditiveSpec, LocalSeries, MultiplicativeSpec, OMEGA, _prime_power_values, twist
 from .sieve import prime_array
 from .special import cpow, digamma, gamma, zeta_minus_one
@@ -93,12 +92,12 @@ class EulerProductResult:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Numeric diagnostics for the square-summability condition.
-
-    square_sum_partials holds (P, sum over p <= P of the squared inner
-    series at exponent 1 - c0); the verdict is read off the power-law
-    slope of successive increments, with witness set to the smallest
-    prime whose inner series outright diverges.
+    """The square-summability condition at exponent 1 - c0, decided from
+    the spec's prime data by check_admissibility_pp: the verdict
+    ("consistent", "inconsistent" or "inconclusive"), the witness prime
+    (2 or None), abscissa_estimate, and reason, which names the rule
+    that decided.  square_sum_partials is evidence the verdict does not
+    read: (P, sum over p <= P of the squared inner series).
     """
 
     c0: float
@@ -106,7 +105,7 @@ class AdmissibilityReport:
     witness: Optional[int]
     abscissa_estimate: float
     square_sum_partials: List[Tuple[int, float]]
-    increment_exponent: Optional[float]
+    reason: str
 
 
 def _is_snapped_nonpositive_integer(z: complex) -> bool:
@@ -964,65 +963,39 @@ def g_compensated(
 
 
 _DEFAULT_P_GRID = tuple(2000 * 2**i for i in range(9))
-_DEFAULT_SIGMA_GRID = tuple(round(2.0 - 0.1 * i, 10) for i in range(10))  # 2.0 .. 1.1
-_ABSCISSA_N = 1 << 16
 
 
-def _abscissa_estimate(spec: MultiplicativeSpec, sigma_grid: Sequence[float]) -> float:
-    """Smallest tested sigma at which sum |f(n)| n^{-sigma} looks stable."""
-    mags = np.abs(multiplicative_value_table(spec, _ABSCISSA_N))
-    n_pows = np.arange(_ABSCISSA_N + 1, dtype=np.float64)
-    n_pows[0] = 1.0
-    best = math.inf
-    for sigma in sorted(sigma_grid, reverse=True):
-        terms = mags * n_pows ** (-float(sigma))
-        full = float(terms.sum())
-        half = float(terms[: _ABSCISSA_N // 2 + 1].sum())
-        if not math.isfinite(full):
-            break
-        if abs(full - half) <= 1e-3 * max(1.0, abs(full)):
-            best = float(sigma)
-        else:
-            break
-    return best
-
-
-def check_admissibility_pp(
-    spec: MultiplicativeSpec,
-    c0: float,
-    p_grid: Optional[Sequence[int]] = None,
-) -> AdmissibilityReport:
-    """Probe the square-summability condition at exponent 1 - c0.
-
-    Computes partial sums over p <= P of (sum_k |f(p^k)| p^{-k(1-c0)})^2
-    on a grid of cutoffs and fits a power law to the increments:
-    decaying increments (exponent < -0.1) are consistent with
-    convergence, growing increments are not, and anything in between is
-    inconclusive.  A prime whose inner series already fails to decay
-    geometrically is reported as an inconsistency witness outright.
-    """
-    if not (0.0 < c0 < 1.0):
-        raise ValueError(f"c0 must lie in (0,1), got {c0}")
-    grid = sorted(set(int(P) for P in (p_grid if p_grid is not None else _DEFAULT_P_GRID)))
-    if len(grid) < 3:
-        raise ValueError("p_grid needs at least 3 cutoffs for a trend fit")
-    beta = 1.0 - c0
+def _admissibility_rule(spec: MultiplicativeSpec, beta: float) -> Tuple[str, Optional[int], float, str]:
+    """verdict, witness, abscissa_estimate and reason of check_admissibility_pp."""
+    a = abs(complex(spec.prime_coeff))
+    c1, eps = spec.prime_deviation
     C, r = spec.growth.C, spec.growth.r
-    abscissa = _abscissa_estimate(spec, _DEFAULT_SIGMA_GRID)
-    # the inner ratio q = r / p^beta is decreasing in p, so the smallest
-    # prime is the only candidate witness
+    if a > 0.0:
+        abscissa = max(1.0, math.log2(r))
+    else:
+        abscissa = max([math.log2(r)] + [0.5] * (C > 0.0) + [1.0 - eps] * (c1 > 0.0))
     if r >= 2.0**beta:
-        return AdmissibilityReport(
-            c0=c0,
-            verdict="inconsistent",
-            witness=2,
-            abscissa_estimate=abscissa,
-            square_sum_partials=[],
-            increment_exponent=None,
-        )
-    # inner_p = sum_k |f(p^k)| p^{-k beta}, one power k at a time over all
-    # primes; weight /= p^beta and the fsum of each prefix of squares
-    # round as the per-prime loop did
+        return "inconsistent", 2, abscissa, f"growth ratio r = {r:g} >= 2^(1-c0): the bound at p = 2 does not decay"
+    if a > 0.0:
+        if beta > 0.5:
+            return "consistent", None, abscissa, f"|f(p)| -> {a:g} > 0 and c0 < 1/2: sum_p p^(-2(1-c0)) converges"
+        return "inconsistent", None, abscissa, f"|f(p)| -> {a:g} > 0 and c0 >= 1/2: sum_p p^(-2(1-c0)) diverges"
+    if c1 > 0.0 and eps + beta <= 0.5:
+        return "inconclusive", None, abscissa, "f(p) -> 0, and its upper bound c1 p^-eps is not square-summable"
+    if C > 0.0 and beta <= 0.25:
+        reason = "f(p) -> 0, and its upper bound C r^2 p^(-2(1-c0)) is not square-summable"
+        return "inconclusive", None, abscissa, reason
+    return "consistent", None, abscissa, "f(p) -> 0, and its bounds c1 p^-eps, C r^2 p^(-2(1-c0)) are square-summable"
+
+
+def _square_sum_partials(spec: MultiplicativeSpec, beta: float, grid: Sequence[int]) -> List[Tuple[int, float]]:
+    """(P, sum over p <= P of inner_p^2) for each P of grid, where
+    inner_p = sum_k |f(p^k)| p^{-k beta}.  Raises ArithmeticError where
+    an inner series overflows or needs more than _K_HARD_CAP terms.
+    """
+    C, r = spec.growth.C, spec.growth.r
+    # one power k at a time over all primes; weight /= p^beta and the fsum
+    # of each prefix of squares round as a per-prime loop does
     primes = prime_array(grid[-1])
     p_beta = _map_float(math.pow, primes.astype(np.float64), beta)
     [(counts, _, failure)] = _series_lengths(primes, (r / p_beta)[None], [C], DEFAULT_FACTOR_TOL, [(1.0, 0.0)])
@@ -1039,35 +1012,50 @@ def check_admissibility_pp(
         inner[:n] += magnitude * weight[:n]
     squares = (inner * inner).tolist()
     ends = np.searchsorted(primes, grid, side="right").tolist()
-    partials = [(P, fsum(squares[:end])) for P, end in zip(grid, ends)]
-    increments = [
-        (math.sqrt(lo * hi), t_hi - t_lo)
-        for (lo, t_lo), (hi, t_hi) in zip(partials, partials[1:])
-    ]
-    positive = [(m, d) for m, d in increments if d > 0.0]
-    if not positive:
-        return AdmissibilityReport(
-            c0=c0,
-            verdict="consistent",
-            witness=None,
-            abscissa_estimate=abscissa,
-            square_sum_partials=partials,
-            increment_exponent=None,
-        )
-    xs = np.log([m for m, _ in positive])
-    ys = np.log([d for _, d in positive])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(positive) >= 2 else 0.0
-    if slope < -0.1:
-        verdict = "consistent"
-    elif slope > 0.0:
-        verdict = "inconsistent"
-    else:
-        verdict = "inconclusive"
+    return [(P, fsum(squares[:end])) for P, end in zip(grid, ends)]
+
+
+def check_admissibility_pp(
+    spec: MultiplicativeSpec,
+    c0: float,
+    p_grid: Optional[Sequence[int]] = None,
+) -> AdmissibilityReport:
+    """Decide whether sum_p (sum_k |f(p^k)| p^{-k beta})^2 converges at
+    beta = 1 - c0 from a = |prime_coeff|, (c1, eps) = prime_deviation and
+    (C, r) = growth alone (Tenenbaum, Introduction to Analytic and
+    Probabilistic Number Theory, Ch. II.5):
+
+    - r >= 2^beta: inconsistent, with witness 2.
+    - a > 0: the inner series is |f(p)| p^-beta + O(C r^2 p^{-2 beta})
+      with |f(p)| -> a, so it is consistent iff c0 < 1/2; the abscissa of
+      sum |f(n)| n^-sigma is max(1, log2 r).
+    - a = 0: consistent when (c1 = 0 or eps + beta > 1/2) and (C = 0 or
+      beta > 1/4), else inconclusive, as those are upper bounds; the
+      abscissa is at most max(log2 r, 1/2 if C > 0, 1 - eps if c1 > 0).
+
+    square_sum_partials, the sums over p <= P for each P of p_grid
+    (default 2000 * 2^i, i < 9), is left empty when there is a witness or
+    an inner series fails (overflow, or more than _K_HARD_CAP terms); the
+    reason then says which.
+    """
+    if not (0.0 < c0 < 1.0):
+        raise ValueError(f"c0 must lie in (0,1), got {c0}")
+    grid = sorted(set(int(P) for P in (p_grid if p_grid is not None else _DEFAULT_P_GRID)))
+    if not grid:
+        raise ValueError("p_grid needs at least one cutoff")
+    beta = 1.0 - c0
+    verdict, witness, abscissa, reason = _admissibility_rule(spec, beta)
+    partials = []
+    if witness is None:
+        try:
+            partials = _square_sum_partials(spec, beta, grid)
+        except ArithmeticError as exc:
+            reason += f"; no square_sum_partials, an inner series raised {type(exc).__name__}: {exc}"
     return AdmissibilityReport(
         c0=c0,
         verdict=verdict,
-        witness=None,
+        witness=witness,
         abscissa_estimate=abscissa,
         square_sum_partials=partials,
-        increment_exponent=slope,
+        reason=reason,
     )

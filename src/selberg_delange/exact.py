@@ -721,11 +721,20 @@ def bucket_sums(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int) -> BucketSum
 
 
 def twisted_sum(alpha: MultiplicativeSpec, y, g: AdditiveSpec, x: int) -> complex:
-    """Exact sum of y^{g(n)} alpha(n) over 1 <= n <= x."""
+    """Exact sum of y^{g(n)} alpha(n) over 1 <= n <= x.
+
+    Raises:
+        OverflowError: the sum is not finite (y^g(n) overflows).
+    """
     y = _twist_base(y)
     if g.integer_valued:
-        return bucket_sums(alpha, g, x).twisted_sum(y)
-    return _direct_twisted_sums(alpha, y, g, x)[0]
+        value = bucket_sums(alpha, g, x).twisted_sum(y)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            value = _direct_twisted_sums(alpha, y, g, x)[0]
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{alpha.name}: sum of y^g(n) alpha(n) on [1, {x}] overflows float64 at y = {y}")
+    return value
 
 
 def twisted_mean(alpha: MultiplicativeSpec, y, g: AdditiveSpec, x: int) -> complex:

@@ -132,6 +132,10 @@ def test_sum_golden_single_and_grid(capsys):
     assert out == "x,sum_re,sum_im\n10,10,0\n100,100,0\n"
 
 
+CHECK_WITNESS_REASON = "growth ratio r = 1.9 >= 2^(1-c0): the bound at p = 2 does not decay"
+CHECK_UNIT_REASON = "|f(p)| -> 1 > 0 and c0 < 1/2: sum_p p^(-2(1-c0)) converges"
+
+
 def test_check_golden(capsys):
     code, out, _ = run_cli(capsys, ["check", "--spec", "geometric_B:1.9,c0=0.1"])
     assert code == 0
@@ -139,21 +143,31 @@ def test_check_golden(capsys):
         "verdict = inconsistent\n"
         "c0 = 0.1\n"
         "witness = 2\n"
-        "abscissa_estimate = 1.8\n"
-        "increment_exponent = none\n"
+        "abscissa_estimate = 1\n"
+        f"reason = {CHECK_WITNESS_REASON}\n"
     )
 
 
-def test_check_golden_with_increment_exponent(capsys):
+def test_check_golden_consistent(capsys):
     assert run_cli(capsys, ["check", "--spec", "unit"]) == (
         0,
         "verdict = consistent\n"
         "c0 = 0.25\n"
         "witness = none\n"
-        "abscissa_estimate = 1.6\n"
-        "increment_exponent = -0.597119553191925\n",
+        "abscissa_estimate = 1\n"
+        f"reason = {CHECK_UNIT_REASON}\n",
         "",
     )
+
+
+def test_check_keeps_its_verdict_when_the_evidence_overflows(capsys):
+    # at c0 = 0.4 the inner series at p = 2 needs 1.5^k past k = 1751
+    code, out, err = run_cli(capsys, ["check", "--spec", "geometric_B:1.5,c0=0.4", "--format", "json"])
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["verdict"], record["witness"], record["square_sum_partials"]) == ("consistent", None, [])
+    assert record["reason"].startswith("|f(p)| -> 1.5 > 0 and c0 < 1/2: sum_p p^(-2(1-c0)) converges; "
+                                       "no square_sum_partials, an inner series raised OverflowError: ")
 
 
 CLT_ARGS = ["clt", "--spec", "unit", "--x", "1000", "--y-grid", "0,1"]
@@ -196,11 +210,11 @@ def _ldp_record(predicted_tail, exact_tail, ratio):
         (["mgf", "--spec", "unit", "--g", "omega", "--x", "10", "--y", "2"],
          {"x": 10, "y_re": 2.0, "y_im": 0.0, "mgf_re": 2.3, "mgf_im": 0.0}),
         (["check", "--spec", "geometric_B:1.9,c0=0.1"],
-         {"c0": 0.1, "verdict": "inconsistent", "witness": 2, "abscissa_estimate": 1.8,
-          "increment_exponent": None, "square_sum_partials": []}),
+         {"c0": 0.1, "verdict": "inconsistent", "witness": 2, "abscissa_estimate": 1.0,
+          "reason": CHECK_WITNESS_REASON, "square_sum_partials": []}),
         (["check", "--spec", "unit"],
-         {"c0": 0.25, "verdict": "consistent", "witness": None, "abscissa_estimate": 1.6,
-          "increment_exponent": -0.5971195531919247,
+         {"c0": 0.25, "verdict": "consistent", "witness": None, "abscissa_estimate": 1.0,
+          "reason": CHECK_UNIT_REASON,
           "square_sum_partials": [[2000, 3.226977521802788], [4000, 3.228618890845206], [8000, 3.229690921674401],
                                   [16000, 3.230395901145719], [32000, 3.2308537946985383],
                                   [64000, 3.231161349653808], [128000, 3.2313640329871376],

@@ -1,9 +1,11 @@
+import ast
 import cmath
 import dataclasses
 import functools
 import math
 import re
 from math import fsum
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -36,6 +38,7 @@ from selberg_delange.funcs import (
     MultiplicativeSpec,
     euler_phi_over_n,
     geometric_B,
+    parse_multiplicative,
     perturbed,
     tabulated_additive,
     tabulated_multiplicative,
@@ -294,7 +297,7 @@ def test_admissibility_consistent_specs():
         assert isinstance(report, AdmissibilityReport)
         assert report.verdict == "consistent"
         assert report.witness is None
-        assert report.increment_exponent < -0.1
+        assert report.reason.endswith("and c0 < 1/2: sum_p p^(-2(1-c0)) converges")
         assert len(report.square_sum_partials) == 9
         partials = [v for _, v in report.square_sum_partials]
         assert partials == sorted(partials)
@@ -304,8 +307,13 @@ def test_admissibility_divergent_factor_names_witness():
     report = check_admissibility_pp(geometric_B(1.9, c0=0.1), c0=0.1)
     assert report.verdict == "inconsistent"
     assert report.witness == 2
-    assert report.increment_exponent is None
+    assert report.reason.startswith("growth ratio r = 1.9 >= 2^(1-c0)")
     assert len(report.square_sum_partials) == 0
+
+
+def increments(report):
+    partials = [v for _, v in report.square_sum_partials]
+    return [hi - lo for lo, hi in zip(partials, partials[1:])]
 
 
 def test_admissibility_growing_square_sums_without_witness():
@@ -314,13 +322,15 @@ def test_admissibility_growing_square_sums_without_witness():
     report = check_admissibility_pp(theta_omega(2), c0=0.6)
     assert report.verdict == "inconsistent"
     assert report.witness is None
-    assert report.increment_exponent > 0.0
+    steps = increments(report)
+    assert steps[-1] > steps[0] > 0.0
 
 
-def test_admissibility_borderline_is_inconclusive():
-    report = check_admissibility_pp(unit(), c0=0.52)
-    assert report.verdict == "inconclusive"
-    assert -0.1 <= report.increment_exponent <= 0.0
+def test_admissibility_borderline_is_inconsistent():
+    # |f(p)| -> 1 makes the square sum sum_p p^(-2(1-c0)), divergent from c0 = 1/2 on
+    for c0 in (0.5, 0.51, 0.52):
+        report = check_admissibility_pp(unit(), c0=c0)
+        assert (report.verdict, report.witness) == ("inconsistent", None)
 
 
 def test_admissibility_near_threshold_consistent():
@@ -329,11 +339,11 @@ def test_admissibility_near_threshold_consistent():
 
 
 def test_admissibility_abscissa_estimate_bounds():
+    # the abscissa of sum n^-sigma and of every spec with |f(p)| -> a > 0 and r < 2 is 1
     unit_report = check_admissibility_pp(unit(), c0=0.25)
-    assert 1.0 < unit_report.abscissa_estimate <= 2.0
+    assert unit_report.abscissa_estimate == 1.0
     heavy = check_admissibility_pp(geometric_B(1.9, c0=0.1), c0=0.1)
-    assert 1.0 < heavy.abscissa_estimate <= 2.0
-    assert heavy.abscissa_estimate >= unit_report.abscissa_estimate
+    assert heavy.abscissa_estimate == 1.0
 
 
 def test_admissibility_validation():
@@ -342,7 +352,87 @@ def test_admissibility_validation():
     with pytest.raises(ValueError):
         check_admissibility_pp(unit(), c0=0.0)
     with pytest.raises(ValueError):
-        check_admissibility_pp(unit(), c0=0.25, p_grid=[100, 200])
+        check_admissibility_pp(unit(), c0=0.25, p_grid=[])
+
+
+def test_admissibility_evidence_overflow_keeps_the_verdict():
+    # the inner series at p = 2 needs 1.5^k past k = 1751 for c0 in about [0.39, 0.415)
+    for c0 in (0.39, 0.4, 0.41):
+        report = check_admissibility_pp(geometric_B(1.5), c0=c0)
+        assert (report.verdict, report.witness, report.square_sum_partials) == ("consistent", None, [])
+        assert "no square_sum_partials, an inner series raised OverflowError" in report.reason
+
+
+# spec -> (a = |f(p)| limit > 0, edge, abscissa).  With a > 0 the verdict is
+# consistent below c0 = 1/2 and inconsistent from there on, and the edge is the
+# first c0 of the sweep with witness 2, where r >= 2^(1-c0) (c0 >= 1 - log2 r).
+# With a = 0 the edge is the first inconclusive c0.
+SWEEP = {
+    "unit": (True, None, 1.0),
+    "theta_omega:2": (True, None, 1.0),
+    "theta_omega:0.5": (True, None, 1.0),
+    "geometric_B:1.5": (True, 0.42, 1.0),
+    "geometric_B:1.9": (True, 0.08, 1.0),
+    "perturbed:a=1,eps=0.5": (True, None, 1.0),
+    "tau_rho:0.5": (True, 0.68, 1.0),
+    "tau_rho:3": (True, 0.68, 1.0),
+    "euler_phi_over_n": (True, None, 1.0),
+    "tabulated": (True, None, 1.0),
+    "theta_omega:0": (False, None, 0.0),  # C = c1 = 0: nothing left to bound, and log2 r = 0
+    "tabulated:default=0,3^1=2": (False, 0.75, 0.5),  # C = 2 needs 1 - c0 > 1/4; c1 = 6, eps = 1
+}
+
+
+def sweep_expectation(text, c0):
+    positive, edge, abscissa = SWEEP[text]
+    past_edge = edge is not None and c0 >= edge
+    if not positive:
+        return ("inconclusive" if past_edge else "consistent"), None, abscissa
+    if past_edge:
+        return "inconsistent", 2, abscissa
+    return ("consistent" if c0 < 0.5 else "inconsistent"), None, abscissa
+
+
+@pytest.mark.parametrize("text", SWEEP)
+def test_admissibility_rule_sweep(text):
+    # the rule reads only the spec's prime data; the evidence, which can take
+    # thousands of terms per prime near the witness edge, is checked below
+    spec = parse_multiplicative(text)
+    for c0 in (i / 100 for i in range(1, 100)):
+        verdict, witness, abscissa, _ = euler._admissibility_rule(spec, 1.0 - c0)
+        assert (verdict, witness, abscissa) == sweep_expectation(text, c0), c0
+
+
+@pytest.mark.parametrize("text", SWEEP)
+def test_admissibility_verdict_agrees_with_the_evidence(text):
+    # the square sums converge where the rule says consistent and diverge
+    # where it says inconsistent: their increments per doubling of P fall
+    # or grow (increments all 0 when f vanishes at all but finitely many p)
+    spec = parse_multiplicative(text)
+    for c0 in (0.25, 0.35, 0.6, 0.75):
+        report = check_admissibility_pp(spec, c0=c0)
+        assert (report.verdict, report.witness, report.abscissa_estimate) == sweep_expectation(text, c0)
+        if report.witness is not None:
+            assert report.square_sum_partials == []
+            continue
+        first, *_, last = increments(report)
+        if report.verdict == "consistent":
+            assert last < first or first == last == 0.0, c0
+        if report.verdict == "inconsistent":
+            assert last > first, c0
+
+
+def test_euler_imports_nothing_from_exact():
+    # the Euler products and the admissibility check read the specs, not the exact value tables
+    tree = ast.parse(Path(euler.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("exact" in name.split(".") for name in names), ast.dump(node)
 
 
 # ---------------------------------------------------------------------------

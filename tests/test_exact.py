@@ -273,8 +273,11 @@ def test_twisted_mean_raises_where_y_to_the_g_overflows(y, g):
     # y^2 or y^2.5 at n = 6 or 2 is beyond float64: an error, not nan
     with pytest.raises(OverflowError, match=r"E\[y\^g\(N\)\] on \[1, 10\] overflows float64"):
         twisted_mean(unit(), y, g, 10)
+    with pytest.raises(OverflowError, match=r"sum of y\^g\(n\) alpha\(n\) on \[1, 10\] overflows float64"):
+        twisted_sum(unit(), y, g, 10)
     # a y whose powers stay finite is unchanged
     assert twisted_mean(unit(), 1e100, OMEGA, 10) == pytest.approx((1 + 7e100 + 2e200) / 10, rel=1e-15)
+    assert twisted_sum(unit(), 1e100, OMEGA, 10) == pytest.approx(1 + 7e100 + 2e200, rel=1e-15)
 
 
 def test_mgf_exact_examples():
