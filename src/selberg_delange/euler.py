@@ -681,7 +681,6 @@ def _factors_at_one(spec: MultiplicativeSpec) -> bool:
 
     Raises:
         DivergentLocalFactorError: growth ratio r >= 2.
-        DegenerateSpecError: the prime value differs from rho.
     """
     rho = complex(spec.rho)
     if _is_snapped_nonpositive_integer(rho):
@@ -689,11 +688,6 @@ def _factors_at_one(spec: MultiplicativeSpec) -> bool:
     if spec.growth.r >= 2.0:
         raise DivergentLocalFactorError(
             f"growth ratio r={spec.growth.r:g} >= 2 diverges at p=2, s=1", prime=2
-        )
-    if abs(complex(spec.prime_coeff) - rho) > _INTEGER_SNAP_TOL:
-        raise DegenerateSpecError(
-            f"spec {spec.name!r} declares prime value {spec.prime_coeff} != rho {spec.rho}; "
-            "the s=1 Euler product diverges"
         )
     return True
 
@@ -925,20 +919,21 @@ _psi_prime_cached = _Memo(_log_derivative)
 def g_compensated(
     spec: MultiplicativeSpec,
     s,
-    rho,
+    *,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
 ) -> EulerProductResult:
-    """Compensated product prod_{p<=P} (1-p^{-s})^rho (1 + F_p(s)).
+    """Compensated product prod_{p<=P} (1-p^{-s})^rho (1 + F_p(s)), rho = spec.rho.
 
     Certified for Re s > 1; allowed down to Re s > 1 - c0 with the tail
-    estimate degrading to a heuristic (possibly infinite).
+    estimate degrading to a heuristic (infinite where the prime deviation
+    bound c1 p^(-eps) is not summable at Re s).
 
     Raises:
         DomainError: Re s <= 1 - c0.
         DivergentLocalFactorError / PoleError: per-prime failures.
     """
     s = complex(s)
-    rho = complex(rho)
+    rho = complex(spec.rho)
     P = _check_cutoff(prime_cutoff)
     sigma = s.real
     if sigma <= 1.0 - spec.c0:
@@ -955,8 +950,8 @@ def g_compensated(
     comp_re, comp_im = _clog1p(-t_re, -t_im)
     value = cmath.exp(_log_product(rho, comp_re, comp_im, factors))
     c1, eps = spec.prime_deviation
-    tail = _second_order_constant(spec, rho) * _prime_tail_scale(P, 2.0 * sigma)
-    tail += abs(complex(spec.prime_coeff) - rho) * _prime_tail_scale(P, sigma)
+    second = _second_order_constant(spec, rho)
+    tail = second * _prime_tail_scale(P, 2.0 * sigma) if second > 0.0 else 0.0
     if c1 > 0.0:
         tail += c1 * _prime_tail_scale(P, sigma + eps)
     return EulerProductResult(value=value, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=tail)
@@ -967,7 +962,7 @@ _DEFAULT_P_GRID = tuple(2000 * 2**i for i in range(9))
 
 def _admissibility_rule(spec: MultiplicativeSpec, beta: float) -> Tuple[str, Optional[int], float, str]:
     """verdict, witness, abscissa_estimate and reason of check_admissibility_pp."""
-    a = abs(complex(spec.prime_coeff))
+    a = abs(complex(spec.rho))
     c1, eps = spec.prime_deviation
     C, r = spec.growth.C, spec.growth.r
     if a > 0.0:
@@ -1015,13 +1010,9 @@ def _square_sum_partials(spec: MultiplicativeSpec, beta: float, grid: Sequence[i
     return [(P, fsum(squares[:end])) for P, end in zip(grid, ends)]
 
 
-def check_admissibility_pp(
-    spec: MultiplicativeSpec,
-    c0: float,
-    p_grid: Optional[Sequence[int]] = None,
-) -> AdmissibilityReport:
+def check_admissibility_pp(spec: MultiplicativeSpec, c0: float) -> AdmissibilityReport:
     """Decide whether sum_p (sum_k |f(p^k)| p^{-k beta})^2 converges at
-    beta = 1 - c0 from a = |prime_coeff|, (c1, eps) = prime_deviation and
+    beta = 1 - c0 from a = |rho|, (c1, eps) = prime_deviation and
     (C, r) = growth alone (Tenenbaum, Introduction to Analytic and
     Probabilistic Number Theory, Ch. II.5):
 
@@ -1033,22 +1024,19 @@ def check_admissibility_pp(
       beta > 1/4), else inconclusive, as those are upper bounds; the
       abscissa is at most max(log2 r, 1/2 if C > 0, 1 - eps if c1 > 0).
 
-    square_sum_partials, the sums over p <= P for each P of p_grid
-    (default 2000 * 2^i, i < 9), is left empty when there is a witness or
-    an inner series fails (overflow, or more than _K_HARD_CAP terms); the
-    reason then says which.
+    square_sum_partials, the sums over p <= P for each P of
+    _DEFAULT_P_GRID (2000 * 2^i, i < 9), is left empty when there is a
+    witness or an inner series fails (overflow, or more than _K_HARD_CAP
+    terms); the reason then says which.
     """
     if not (0.0 < c0 < 1.0):
         raise ValueError(f"c0 must lie in (0,1), got {c0}")
-    grid = sorted(set(int(P) for P in (p_grid if p_grid is not None else _DEFAULT_P_GRID)))
-    if not grid:
-        raise ValueError("p_grid needs at least one cutoff")
     beta = 1.0 - c0
     verdict, witness, abscissa, reason = _admissibility_rule(spec, beta)
     partials = []
     if witness is None:
         try:
-            partials = _square_sum_partials(spec, beta, grid)
+            partials = _square_sum_partials(spec, beta, _DEFAULT_P_GRID)
         except ArithmeticError as exc:
             reason += f"; no square_sum_partials, an inner series raised {type(exc).__name__}: {exc}"
     return AdmissibilityReport(

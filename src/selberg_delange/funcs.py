@@ -96,10 +96,10 @@ class MultiplicativeSpec:
     TypeError or ValueError on an array (a table lookup, an `if` on p)
     is evaluated one prime at a time instead.
 
-    prime_coeff is the exact constant value of f(p) at primes when one
-    exists (it does for every built-in), and prime_deviation = (c1, eps)
-    bounds |f(p) - prime_coeff| <= c1 * p^(-eps); both feed
-    Euler-product tail estimates.
+    rho is the value f(p) tends to over the primes, so that
+    sum f(n) n^-s = zeta(s)^rho G(s); prime_deviation = (c1, eps) bounds
+    |f(p) - rho| <= c1 * p^(-eps), and feeds Euler-product tail
+    estimates.
 
     series is the optional LocalSeries of the same values, declared by
     every built-in but `perturbed`.  It must agree with value_at; the
@@ -113,7 +113,6 @@ class MultiplicativeSpec:
     rho: complex
     c0: float
     growth: GrowthBound
-    prime_coeff: complex = None  # defaults to rho
     prime_deviation: Tuple[float, float] = _DEVIATION_NONE
     series: Optional[LocalSeries] = None
 
@@ -122,8 +121,6 @@ class MultiplicativeSpec:
             raise ValueError(f"rho must be finite, got {self.rho}")
         if not (0.0 < self.c0 < 1.0):
             raise ValueError(f"c0 must lie in (0,1), got {self.c0}")
-        if self.prime_coeff is None:
-            object.__setattr__(self, "prime_coeff", complex(self.rho))
         c1, eps = self.prime_deviation
         if c1 < 0.0 or eps <= 0.0:
             raise ValueError(f"prime_deviation needs c1 >= 0 and eps > 0, got {self.prime_deviation}")
@@ -212,7 +209,8 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
     tables give rho); the finitely many exceptional primes of g enter
     the prime deviation bound, as in tabulated_multiplicative.  A twist
     by a g with a k_value maps alpha's local series to a series: it
-    multiplies coeffs(k) by y^k_value(k).
+    multiplies coeffs(k) by y^k_value(k), and its exceptional primes are
+    those of alpha's series and those of g.
 
     Raises:
         ValueError: y == 0, or g declares no generic prime value.
@@ -244,14 +242,13 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
             y_k = cpow(y, k_value(k))
             return tuple(y_k * c for c in alpha_coeffs(k))
 
-        series = LocalSeries(coeffs, alpha.series.exceptional_primes)
+        series = LocalSeries(coeffs, tuple(sorted({*alpha.series.exceptional_primes, *g.exceptional_primes})))
     return MultiplicativeSpec(
         name=f"twist({alpha.name}, y={y.real:g}{y.imag:+g}j, g={g.name})",
         value_at=value_at,
         rho=scale * complex(alpha.rho),
         c0=alpha.c0,
         growth=GrowthBound(C=alpha.growth.C * m**a, r=alpha.growth.r * m**b),
-        prime_coeff=scale * complex(alpha.prime_coeff),
         prime_deviation=(c1, eps),
         series=series,
     )
@@ -327,7 +324,6 @@ def perturbed(a, eps: float) -> MultiplicativeSpec:
         rho=a,
         c0=min(0.25, eps / 2.0),
         growth=GrowthBound(abs(a) + 1.0, 1.0),
-        prime_coeff=a,
         prime_deviation=(1.0, eps),
     )
 
@@ -390,7 +386,6 @@ def euler_phi_over_n() -> MultiplicativeSpec:
         rho=1.0,
         c0=0.25,
         growth=GrowthBound(1.0, 1.0),
-        prime_coeff=1.0,
         prime_deviation=(1.0, 1.0),
         series=_constant_series((1.0, -1.0)),
     )
@@ -409,16 +404,15 @@ def tabulated_multiplicative(
     entries: Dict[Tuple[int, int], complex],
     default=1.0,
     *,
-    rho=None,
     c0: float = 0.25,
-    growth: Optional[GrowthBound] = None,
     name: str = "tabulated",
 ) -> MultiplicativeSpec:
     """Explicit (p, k) -> value table; unlisted prime powers take default.
 
     default must be a constant here (callable defaults would defeat the
-    automatic growth and tail metadata).  rho defaults to the default
-    value itself, which is f(p) at every prime outside the table.
+    automatic growth and tail metadata).  rho is default, the value f(p)
+    takes at every prime outside the table, and the growth envelope is
+    C = max |value|, r = 1.
     """
     default = complex(default)
     if default.imag == 0.0:
@@ -428,11 +422,7 @@ def tabulated_multiplicative(
         if k < 1 or not _is_prime_small(p):
             raise ValueError(f"table key ({p},{k}) is not a (prime, k>=1) pair")
         table[(int(p), int(k))] = complex(v)
-    if rho is None:
-        rho = default
-    if growth is None:
-        cap = max([abs(default)] + [abs(v) for v in table.values()])
-        growth = GrowthBound(max(cap, 1e-300), 1.0)
+    cap = max([abs(default)] + [abs(v) for v in table.values()])
     dev = 0.0
     for (p, k), v in table.items():
         if k == 1:
@@ -440,10 +430,9 @@ def tabulated_multiplicative(
     return MultiplicativeSpec(
         name=name,
         value_at=lambda p, k: table.get((p, k), default),
-        rho=rho,
+        rho=default,
         c0=c0,
-        growth=growth,
-        prime_coeff=default,
+        growth=GrowthBound(max(cap, 1e-300), 1.0),
         prime_deviation=(dev, 1.0),
         series=_constant_series((default,), tuple(sorted({p for p, _ in table}))),
     )
@@ -491,7 +480,7 @@ def _format_param(v) -> str:
 #
 # e.g.  "unit", "theta_omega:2.5", "geometric_B:1.5,c0=0.2",
 #       "perturbed:a=1,eps=0.5", "tau_rho:3",
-#       "tabulated:rho=1,default=1,2^1=0.5,2^2=0.25"
+#       "tabulated:default=1,2^1=0.5,2^2=0.25"
 # ---------------------------------------------------------------------------
 
 _SPEC_NAMES = (
@@ -613,22 +602,11 @@ def parse_multiplicative(text: str) -> MultiplicativeSpec:
             raise _grammar_error(text, 1, "perturbed needs a=... and eps=..., e.g. perturbed:a=1,eps=0.5")
         return construct(1, perturbed, keywords["a"], keywords["eps"])
     # tabulated
-    no_extras(allowed_keys=("rho", "c0", "default", "C", "r"))
+    no_extras(allowed_keys=("c0", "default"))
     if positional:
         raise _grammar_error(text, positional[0][1], "tabulated takes key=value parameters only")
-    growth = None
-    if ("C" in keywords) != ("r" in keywords):
-        raise _grammar_error(text, 1, "tabulated growth needs both C= and r=")
-    if "C" in keywords:
-        growth = construct(1, GrowthBound, keywords["C"], keywords["r"])
     return construct(
-        1,
-        tabulated_multiplicative,
-        entries,
-        default=keywords.get("default", 1.0),
-        rho=keywords.get("rho"),
-        c0=keywords.get("c0", 0.25),
-        growth=growth,
+        1, tabulated_multiplicative, entries, default=keywords.get("default", 1.0), c0=keywords.get("c0", 0.25)
     )
 
 

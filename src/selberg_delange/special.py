@@ -77,6 +77,8 @@ def gamma(z) -> complex:
 
     Raises:
         PoleError: z is a nonpositive integer.
+        OverflowError: Gamma(z) is not finite in float64 (real z above
+            about 171.62).
     """
     z = _as_finite_complex(z, "z")
     if _is_nonpositive_integer(z):
@@ -89,7 +91,10 @@ def gamma(z) -> complex:
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
         acc += c / (w + i)
     t = w + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * cmath.exp((w + 0.5) * cmath.log(t) - t) * acc
+    value = _SQRT_TWO_PI * cmath.exp((w + 0.5) * cmath.log(t) - t) * acc
+    if not cmath.isfinite(value):
+        raise OverflowError(f"gamma({z:g}) overflows float64")
+    return value
 
 
 def digamma(z) -> complex:

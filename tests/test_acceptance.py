@@ -124,10 +124,10 @@ def test_criterion_01_euler_product_constant():
 
 def test_criterion_02_compensated_product():
     target = 90.0 / math.pi**4
-    got = g_compensated(theta_omega(2), 2.0, 2.0).value
+    got = g_compensated(theta_omega(2), 2.0).value
     err_theta = abs(got - target)
     errs_tau = {
-        rho: abs(g_compensated(tau_rho(rho), 2.0, rho).value - 1.0) for rho in (0.5, 2.0, 3.0)
+        rho: abs(g_compensated(tau_rho(rho), 2.0).value - 1.0) for rho in (0.5, 2.0, 3.0)
     }
     worst_tau = max(errs_tau.values())
     ok = err_theta <= 1e-8 and worst_tau <= 1e-8

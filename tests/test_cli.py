@@ -329,9 +329,10 @@ def test_exit_code_bad_spec(capsys):
 
 
 def test_exit_code_numeric_failure(capsys):
-    code, _, err = run_cli(capsys, ["lambda0", "--spec", "tabulated:2^1=1,C=1,r=2"])
+    # f(2) = -4 puts the local factor at p = 2 on the log branch cut
+    code, _, err = run_cli(capsys, ["lambda0", "--spec", "tabulated:2^1=-4"])
     assert code == 3
-    assert "diverges" in err
+    assert err == "numeric error: local factor 1 + F_p(1) = -0.5 hits the log branch cut at p=2\n"
 
 
 def test_exit_code_strip_violation(capsys):
@@ -385,8 +386,8 @@ def test_non_finite_complex_flags_exit_two(capsys, argv, flag, value):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rho_overflowing_the_mean_scale_exits_two(capsys):
-    # rho is the spec's; tabulated may override it
-    code, out, err = run_cli(capsys, ["ldp", "--spec", "tabulated:rho=1e308", "--x", "1000", "--s", "2"])
+    # rho is the spec's: theta for theta_omega
+    code, out, err = run_cli(capsys, ["clt", "--spec", "theta_omega:1e308", "--x", "1000"])
     assert (code, out) == (2, "")
     assert err == "error: tail comparisons need a real rho with rho ln ln x finite, got rho = 1e+308 at x = 1000\n"
 
@@ -406,16 +407,18 @@ def test_ldp_slope_underflowing_the_prediction_exits_two(capsys, s):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ldp_slope_overflowing_gamma_exits_two(capsys):
     # at x = 16 the factor exp(-ln ln x eta*(s)) is still positive past
-    # s = 171.83, where Gamma(s) of the omega twist in psi(ln s) overflows
-    code, out, err = run_cli(capsys, ["ldp", "--x", "16", "--cutoff", "100", "--s", "175"])
-    assert (code, out) == (2, "")
-    assert err == "error: s = 175 overflows Gamma(rho s^c) in psi(ln s), with c = 1 for omega; need s < 171.83\n"
+    # s = 171.624, where Gamma(s) of the omega twist in psi(ln s) overflows
+    for s in ("175", "171.82"):
+        code, out, err = run_cli(capsys, ["ldp", "--x", "16", "--cutoff", "100", "--s", s])
+        assert (code, out) == (2, "")
+        assert err == (f"error: s = {s} overflows Gamma(rho s^c) in psi(ln s), with c = 1 for omega; "
+                       "need s < 171.624\n")
     # just below the limit the printed values are what they were
     code, out, _ = run_cli(capsys, ["ldp", "--x", "16", "--cutoff", "100", "--s", "170"])
     assert (code, out) == (
         0, "s = 170\nh = 5.13579843705026\nrate = 704.085734298545\npredicted_tail = 0\nexact_tail = 0\nratio = inf\n"
     )
-    assert run_cli(capsys, ["ldp", "--x", "16", "--cutoff", "100", "--s", "171.82"])[0] == 0
+    assert run_cli(capsys, ["ldp", "--x", "16", "--cutoff", "100", "--s", "171.62"])[0] == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -423,7 +426,7 @@ def test_ldp_slope_overflowing_gamma_exits_two(capsys):
     "argv, message",
     [
         (["--x", "1000", "--s", "inf"], "s = inf puts ln s = inf outside the strip of omega; need 0 < s < 105.19"),
-        (["--x", "16", "--s", "inf"], "s = inf puts ln s = inf outside the strip of omega; need 0 < s < 171.83"),
+        (["--x", "16", "--s", "inf"], "s = inf puts ln s = inf outside the strip of omega; need 0 < s < 171.624"),
         (["--x", "10000", "--g", "big_omega", "--s", "1.5"],
          "s = 1.5 puts ln s = 0.405465 outside the strip of big_omega; need 0 < s < 1.41421"),
     ],
@@ -472,18 +475,36 @@ def test_ldp_with_a_nonpositive_rho_exits_two(capsys):
         ("tau_rho:nan", 9, "tau_rho needs a finite rho, got nan"),
         ("tau_rho:inf", 9, "tau_rho needs a finite rho, got inf"),
         ("tau_rho:1e4", 9, "tau_rho: rho = 10000 overflows C(rho+k-1, k) at k = 135"),
-        ("tabulated:rho=nan", 1, "rho must be finite, got nan"),
-        ("tabulated:rho=inf", 1, "rho must be finite, got inf"),
+        # a tabulated spec's rho is its default, and its envelope C is max |value|
+        ("tabulated:default=nan", 1, "growth constant C must be finite and >= 0, got nan"),
+        ("tabulated:default=inf", 1, "growth constant C must be finite and >= 0, got inf"),
         ("theta_omega:inf", 13, "growth constant C must be finite and >= 0, got inf"),
-        ("tabulated:C=-1,r=1", 1, "growth constant C must be finite and >= 0, got -1.0"),
     ],
-    ids=["tau_rho-nan", "tau_rho-inf", "tau_rho-1e4", "tabulated-rho-nan", "tabulated-rho-inf", "theta_omega-inf",
-         "tabulated-C"],
+    ids=["tau_rho-nan", "tau_rho-inf", "tau_rho-1e4", "tabulated-rho-nan", "tabulated-rho-inf", "theta_omega-inf"],
 )
 def test_non_finite_or_overflowing_spec_parameters_exit_two(capsys, spec, column, message):
     code, out, err = run_cli(capsys, ["lambda0", "--spec", spec, "--cutoff", "100"])
     assert (code, out) == (2, "")
     assert err == f"error: bad spec {spec!r} at column {column}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ("tabulated:rho=1", "rho"),
+        ("tabulated:C=1", "C"),
+        ("tabulated:r=1", "r"),
+        ("tabulated:C=-1,r=1", "C"),
+        # an envelope below f(2^k) = 5 would cut the series at p = 2 too early
+        ("tabulated:2^1=5,2^2=5,2^3=5,2^4=5,2^5=5,C=1e-3,r=0.01", "C"),
+    ],
+    ids=["rho", "C", "r", "C-r", "C-r-too-small"],
+)
+def test_deleted_tabulated_keys_exit_two(capsys, spec, key):
+    # a tabulated spec's rho and growth envelope are read off its values
+    code, out, err = run_cli(capsys, ["lambda0", "--spec", spec, "--cutoff", "1000"])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad spec {spec!r} at column 1: unexpected key {key!r} for tabulated\n"
 
 
 def test_exit_code_x_beyond_memory(capsys):

@@ -159,16 +159,10 @@ def test_lambda0_stabilizes_within_tail_estimate():
 
 
 def test_lambda0_rejects_divergent_growth():
-    spec = tabulated_multiplicative({(2, 1): 1.0}, growth=GrowthBound(1.0, 2.0))
+    spec = MultiplicativeSpec("heavy", lambda p, k: 1.0, rho=1.0, c0=0.25, growth=GrowthBound(1.0, 2.0))
     with pytest.raises(DivergentLocalFactorError) as exc_info:
         lambda0(spec)
     assert exc_info.value.prime == 2
-
-
-def test_lambda0_rejects_inconsistent_prime_average():
-    spec = tabulated_multiplicative({}, default=1.0, rho=2.0)
-    with pytest.raises(DegenerateSpecError):
-        lambda0(spec)
 
 
 def test_lambda0_negative_local_factor_is_pole():
@@ -224,43 +218,68 @@ def test_psi_undefined_when_lambda0_vanishes():
 
 def test_g_compensated_theta_two_at_two():
     # the compensated product telescopes to 1/zeta(2s); at s=2 that is 90/pi^4
-    result = g_compensated(theta_omega(2), 2.0, 2.0)
+    result = g_compensated(theta_omega(2), 2.0)
     assert result.value == pytest.approx(90.0 / math.pi**4, abs=1e-8)
 
 
 def test_g_compensated_tau_rho_is_identically_one():
     for rho in (0.5, 2.0, 3.0):
-        result = g_compensated(tau_rho(rho), 2.0, rho)
+        result = g_compensated(tau_rho(rho), 2.0)
         assert result.value == pytest.approx(1.0, abs=1e-8)
-        off_axis = g_compensated(tau_rho(rho), complex(1.5, 1.0), rho)
+        off_axis = g_compensated(tau_rho(rho), complex(1.5, 1.0))
         assert off_axis.value == pytest.approx(1.0, abs=1e-8)
 
 
 def test_g_compensated_conjugate_symmetry():
     s = complex(1.5, 2.0)
-    a = g_compensated(theta_omega(2), s, 2.0).value
-    b = g_compensated(theta_omega(2), s.conjugate(), 2.0).value
+    a = g_compensated(theta_omega(2), s).value
+    b = g_compensated(theta_omega(2), s.conjugate()).value
     assert a == pytest.approx(b.conjugate(), rel=1e-12)
 
 
 def test_g_compensated_domain_boundary():
     with pytest.raises(DomainError):
-        g_compensated(unit(), 0.7, 1.0)
+        g_compensated(unit(), 0.7)
     # just inside the strip Re s > 1 - c0 = 0.75 it evaluates
-    result = g_compensated(unit(), 0.76, 1.0)
+    result = g_compensated(unit(), 0.76)
     assert math.isfinite(abs(result.value))
+
+
+@pytest.mark.parametrize("s", [0.76, 0.9, 1.0, complex(1.0, 3.0)])
+def test_g_compensated_tail_is_finite_on_the_whole_strip(s):
+    # for Re s in (1 - c0, 1] the tail is the second-order term
+    # 2(|rho| + (C r)^2 + C r^2) P^(1-2 sigma)/((2 sigma - 1) ln P) alone
+    P = 1000
+    result = g_compensated(unit(), s, prime_cutoff=P)
+    sigma = complex(s).real
+    want = 6.0 * P ** (1.0 - 2.0 * sigma) / ((2.0 * sigma - 1.0) * math.log(P))
+    assert result.tail_estimate == pytest.approx(want, rel=1e-15)
+    assert 0.0 < result.tail_estimate < math.inf
+
+
+def test_g_compensated_tail_of_a_spec_with_nothing_to_bound_is_zero():
+    # rho = C = c1 = 0 leaves no term, even where 2 Re s <= 1 makes the
+    # prime sum of the second-order term infinite
+    zero = MultiplicativeSpec("zero", lambda p, k: 0.0, rho=0.0, c0=0.9, growth=GrowthBound(0.0, 1.0))
+    assert g_compensated(zero, 0.3, prime_cutoff=1000).tail_estimate == 0.0
+
+
+def test_g_compensated_takes_the_cutoff_by_keyword_only():
+    # an old positional rho must not land in the cutoff slot
+    with pytest.raises(TypeError):
+        g_compensated(unit(), 2.0, 1000)
 
 
 def test_g_compensated_divergent_local_factor():
     with pytest.raises(DivergentLocalFactorError) as exc_info:
-        g_compensated(geometric_B(1.9, c0=0.45), 0.8, 1.9)
+        g_compensated(geometric_B(1.9, c0=0.45), 0.8)
     assert exc_info.value.prime == 2
 
 
 def test_g_compensated_negative_local_factor_is_pole():
     spec = tabulated_multiplicative({(2, 1): -4.0}, default=1.0)
     with pytest.raises(PoleError) as exc_info:
-        g_compensated(spec, 1.5, 1.0)
+        g_compensated(spec, 1.5)
     assert exc_info.value.prime == 2
 
 
@@ -283,7 +302,8 @@ def test_g_compensated_matches_dirichlet_partial_sums(spec, rho):
     n[0] = 1.0
     values = multiplicative_value_table(spec, N)
     partial = complex(np.sum(values[1:] * n[1:] ** (-s)))
-    predicted = g_compensated(spec, s, rho).value * cpow(zeta(s), rho)
+    assert spec.rho == rho
+    predicted = g_compensated(spec, s).value * cpow(zeta(s), rho)
     assert partial == pytest.approx(predicted, abs=1e-5)
 
 
@@ -351,8 +371,6 @@ def test_admissibility_validation():
         check_admissibility_pp(unit(), c0=1.5)
     with pytest.raises(ValueError):
         check_admissibility_pp(unit(), c0=0.0)
-    with pytest.raises(ValueError):
-        check_admissibility_pp(unit(), c0=0.25, p_grid=[])
 
 
 def test_admissibility_evidence_overflow_keeps_the_verdict():
@@ -480,8 +498,8 @@ def reference_lambda0(spec, P, tol=euler.DEFAULT_FACTOR_TOL):
     return cmath.exp(total) / gamma(rho), k_max
 
 
-def reference_g_compensated(spec, s, rho, P, tol=euler.DEFAULT_FACTOR_TOL):
-    total, k_max = reference_log_product(spec, complex(s), complex(rho), P, tol, at_one=False)
+def reference_g_compensated(spec, s, P, tol=euler.DEFAULT_FACTOR_TOL):
+    total, k_max = reference_log_product(spec, complex(s), complex(spec.rho), P, tol, at_one=False)
     return (0j if total is None else cmath.exp(total)), k_max
 
 
@@ -541,8 +559,8 @@ def test_kernel_matches_scalar_reference_to_the_last_bit(spec):
     P = 3000
     assert outcome(lambda: lambda0(spec, P)) == outcome(lambda: reference_lambda0(spec, P))
     for s in (2.0, 1.1, complex(1.5, 1.0)):
-        got = outcome(lambda: g_compensated(spec, s, spec.rho, P))
-        assert got == outcome(lambda: reference_g_compensated(spec, s, spec.rho, P))
+        got = outcome(lambda: g_compensated(spec, s, prime_cutoff=P))
+        assert got == outcome(lambda: reference_g_compensated(spec, s, P))
 
 
 def test_fallback_specs_do_not_broadcast():
@@ -562,16 +580,16 @@ def test_kernel_errors_act_at_the_same_prime_as_the_reference():
     got = lambda0(zero_first, 1000)
     assert got.value == 0j and got.tail_estimate == 0.0
     assert outcome(lambda: got) == outcome(lambda: reference_lambda0(zero_first, 1000))
-    assert outcome(lambda: g_compensated(pole_at_3, 1.0, 1.0, 1000)) == (PoleError, 3)
-    assert outcome(lambda: reference_g_compensated(pole_at_3, 1.0, 1.0, 1000)) == (PoleError, 3)
+    assert outcome(lambda: g_compensated(pole_at_3, 1.0, prime_cutoff=1000)) == (PoleError, 3)
+    assert outcome(lambda: reference_g_compensated(pole_at_3, 1.0, 1000)) == (PoleError, 3)
     # growth ratio above 2^0.8 diverges at p = 2; just below 2^s the
     # series needs more than the hard cap of terms
     heavy = geometric_B(1.9, c0=0.45)
     for s in (0.8, math.log2(1.9 / 0.99995)):
         with pytest.raises(DivergentLocalFactorError) as got_info:
-            g_compensated(heavy, s, 1.9, 1000)
+            g_compensated(heavy, s, prime_cutoff=1000)
         with pytest.raises(DivergentLocalFactorError) as want_info:
-            reference_g_compensated(heavy, s, 1.9, 1000)
+            reference_g_compensated(heavy, s, 1000)
         assert got_info.value.prime == want_info.value.prime == 2
         assert str(got_info.value) == str(want_info.value)
 
@@ -605,8 +623,8 @@ def test_kernel_matches_reference_on_random_specs(spec, tw, P, s):
     if tw is not None:
         spec = twist(spec, *tw)
     if s is not None:
-        got = outcome(lambda: g_compensated(spec, s, spec.rho, P))
-        assert got == outcome(lambda: reference_g_compensated(spec, s, spec.rho, P))
+        got = outcome(lambda: g_compensated(spec, s, prime_cutoff=P))
+        assert got == outcome(lambda: reference_g_compensated(spec, s, P))
     elif euler._is_snapped_nonpositive_integer(spec.rho):
         assert lambda0(spec, P).value == 0j
     else:
@@ -685,7 +703,10 @@ def test_non_finite_values_fail_as_the_scalar_path(entries):
     # the real power column skips the zero imaginary half, whose products
     # with a non-finite value are NaN: the row is redone with it, so the
     # error and its message are the scalar path's, in a stack or alone
-    spec = tabulated_multiplicative(entries, growth=GrowthBound(1.0, 1.0))
+    # a table whose envelope C = 1 ignores its non-finite entry, so that the
+    # kernel, not the envelope, meets it
+    spec = MultiplicativeSpec("table", lambda p, k: entries.get((p, k), 1.0), rho=1.0, c0=0.25,
+                              growth=GrowthBound(1.0, 1.0))
     with pytest.raises(ValueError) as want:
         reference_lambda0(spec, 200)
     for specs in ([spec], [unit(), spec, theta_omega(2)]):
@@ -799,12 +820,12 @@ def test_twist_out_of_float_range_is_rejected_before_its_product(z):
 
 
 def test_psi_and_ldp_read_one_twist_predicate():
-    # ldp's "need s < 171.83" for omega is where psi(ln s) is refused too;
+    # ldp's "need s < 171.624" for omega is where psi(ln s) is refused too;
     # a rho that snaps to a nonpositive integer needs no Gamma
-    assert euler._twist_is_finite(unit(), math.log(171.82), OMEGA)
-    assert not euler._twist_is_finite(unit(), math.log(171.84), OMEGA)
+    assert euler._twist_is_finite(unit(), math.log(171.62), OMEGA)
+    assert not euler._twist_is_finite(unit(), math.log(171.63), OMEGA)
     with pytest.raises(DomainError):
-        psi(unit(), math.log(171.84), prime_cutoff=100)
+        psi(unit(), math.log(171.63), prime_cutoff=100)
     assert psi(unit(), complex(math.log(200.0), math.pi), prime_cutoff=100) == 0j
     # a g without a prime value is left to twist, which names it
     assert euler._twist_is_finite(unit(), 1000.0, dataclasses.replace(OMEGA, prime_value=None))
@@ -921,7 +942,8 @@ def reference_square_sum_partials(spec, c0, grid, tol=euler.DEFAULT_FACTOR_TOL):
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
 def test_admissibility_partials_match_scalar_reference(spec):
     for c0, grid in ((0.25, [1, 2, 100, 1000, 3000]), (0.45, [50, 500, 2500])):
-        report = check_admissibility_pp(spec, c0=c0, p_grid=grid)
+        with mock.patch.object(euler, "_DEFAULT_P_GRID", tuple(grid)):
+            report = check_admissibility_pp(spec, c0=c0)
         if report.verdict == "inconsistent" and report.witness == 2:
             continue
         assert report.square_sum_partials == reference_square_sum_partials(spec, c0, grid)
@@ -1098,6 +1120,20 @@ def test_which_specs_carry_a_series():
     # primes just above 100 (1 + F_p = (p + 29)/(p - 1))
     assert not lambda0(theta_omega(30), 100).completed
     assert lambda0(theta_omega(30), 2000).completed
+
+
+def test_a_twist_keeps_the_exceptional_primes_of_g():
+    # omega with g(101) = 10: the series y^1 is wrong at p = 101, so a
+    # product whose cutoff leaves 101 in the tail stays plain, and its
+    # estimate covers the true value
+    g = AdditiveSpec("omega_101", lambda p, k: np.where(p == 101, 10, 1), power_bound=(10.0, 0.0),
+                     integer_valued=True, prime_value=1, exceptional_primes=(101,), k_value=lambda k: 1)
+    spec = twist(unit(), math.exp(0.5), g)
+    assert spec.series.exceptional_primes == (101,)
+    assert twist(TABLE, 2.0, g).series.exceptional_primes == (2, 3, 7, 101)
+    coarse, fine = lambda0(spec, 100), lambda0(spec, 10**4)
+    assert not coarse.completed and fine.completed
+    assert abs(coarse.value - fine.value) <= coarse.tail_estimate
 
 
 def test_specs_without_a_series_keep_their_bits():

@@ -418,12 +418,12 @@ def test_mod_poisson_residual_manual_composition():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_mod_poisson_residual_rho_override():
-    # the residual normalizes by the rho the spec declares: unit weights
-    # whose tabulated spec overrides rho to 0 keep their plain mgf
+def test_mod_poisson_residual_normalizes_by_the_spec_rho():
+    # theta_omega(2) declares rho = 2, so its residual scales ln ln x by 2
     x, z = 5000, 0.3
-    got = mod_poisson_residual(tabulated_multiplicative({}, rho=0.0), OMEGA, x, z)
-    assert got == pytest.approx(mgf_exact(unit(), OMEGA, x, z), rel=1e-13)
+    got = mod_poisson_residual(theta_omega(2), OMEGA, x, z)
+    want = cmath.exp(-2.0 * math.log(math.log(x)) * (cmath.exp(z) - 1.0)) * mgf_exact(theta_omega(2), OMEGA, x, z)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -111,7 +112,7 @@ def test_twist_by_additive_table_uses_generic_value_zero():
     g = tabulated_additive({(2, 1): 1.0, (3, 1): 2.0})
     assert (g.prime_value, g.exceptional_primes) == (0.0, (2, 3))
     spec = twist(theta_omega(1.5), 2, g)
-    assert spec.rho == spec.prime_coeff == 1.5
+    assert spec.rho == 1.5
     assert spec.value_at(3, 1) == 6
     assert spec.value_at(11, 1) == 1.5
     # |f(3) - 1.5| = 4.5 = c1 * 3^-1 needs c1 >= 13.5
@@ -156,31 +157,44 @@ def test_euler_phi_over_n_values():
         assert got == pytest.approx(phi_over_n, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        unit(),
-        theta_omega(2.5),
-        geometric_B(1.7),
-        perturbed(1.0, 0.5),
-        tau_rho(3),
-        tau_rho(-1.5),
-        euler_phi_over_n(),
-    ],
-    ids=lambda s: s.name,
-)
+BUILTINS = [
+    unit(),
+    theta_omega(2.5),
+    theta_omega(complex(1.5, 0.5)),
+    geometric_B(1.7),
+    perturbed(1.0, 0.5),
+    tau_rho(3),
+    tau_rho(-1.5),
+    euler_phi_over_n(),
+    tabulated_multiplicative({(2, 1): 0.5, (3, 2): 2.0, (7, 1): 1.5}),
+    tabulated_multiplicative({(3, 1): 2.0, (5, 3): -4.0}, default=complex(0.0, 0.5), name="tabulated_complex"),
+]
+TWISTS = [
+    twist(spec, y, g)
+    for spec in (unit(), geometric_B(1.5), tabulated_multiplicative({(2, 1): 0.5, (3, 2): 2.0}))
+    for y, g in ((cmath.exp(complex(0.5, 1.0)), OMEGA), (0.5, OMEGA), (1.2, BIG_OMEGA), (complex(0.3, 0.6), BIG_OMEGA))
+]
+
+
+@pytest.mark.parametrize("spec", BUILTINS + TWISTS, ids=lambda s: s.name)
 def test_growth_envelope_holds(spec):
     C, r = spec.growth.C, spec.growth.r
-    for p in (2, 3, 5, 97):
+    for p in (2, 3, 5, 7, 97):
         for k in range(1, 13):
             assert abs(spec.value_at(p, k)) <= C * r**k * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("spec", [s for s in BUILTINS + TWISTS if s.series is not None], ids=lambda s: s.name)
+def test_rho_is_the_series_value_at_the_primes(spec):
+    # f(p) -> rho over the primes: the series' constant term at k = 1
+    assert complex(spec.rho) == complex(spec.series.coeffs(1)[0])
 
 
 def test_prime_deviation_bound_holds():
     for spec in (perturbed(1.0, 0.5), euler_phi_over_n()):
         c1, eps = spec.prime_deviation
         for p in (2, 3, 5, 101, 997):
-            assert abs(spec.value_at(p, 1) - spec.prime_coeff) <= c1 * p**-eps * (1 + 1e-12)
+            assert abs(spec.value_at(p, 1) - spec.rho) <= c1 * p**-eps * (1 + 1e-12)
 
 
 def test_growth_bound_validation():
@@ -267,7 +281,7 @@ GRAMMAR_ROUND_TRIPS = [
     ("geometric_B:1.5,c0=0.2", 8, 3.375),
     ("tau_rho:2", 12, 6.0),
     ("euler_phi_over_n", 10, 0.4),
-    ("tabulated:rho=1,default=1,2^1=0.5,2^2=0.25", 12, 0.25),
+    ("tabulated:default=1,2^1=0.5,2^2=0.25", 12, 0.25),
 ]
 
 
@@ -297,7 +311,7 @@ GRAMMAR_ERRORS = [
     ("geometric_B:2.5", "B in (0, 2)"),
     ("tabulated:default=1,default=2", "duplicate key"),
     ("tabulated:4^1=2", "not a (prime, k>=1) pair"),
-    ("tabulated:2^1=0.5,C=2", "both C= and r="),
+    ("tabulated:2^1=0.5,C=2", "unexpected key 'C' for tabulated"),
     ("perturbed:a=1", "eps=..."),
     ("theta_omega:1,2", "column 15"),
     ("theta_omega:", "empty parameter list"),

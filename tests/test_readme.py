@@ -1,5 +1,6 @@
-"""The README's library example runs as written, at a smaller x, and its
-command-line section names only flags that sd registers."""
+"""The README's library example runs as written, at a smaller x, its
+command-line section names only flags that sd registers, and every line
+of its weight spec grammar parses."""
 
 import argparse
 import math
@@ -7,6 +8,7 @@ import re
 from pathlib import Path
 
 from selberg_delange.cli import build_parser
+from selberg_delange.funcs import parse_multiplicative
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +36,15 @@ def test_readme_command_line_flags_are_registered():
     registered = {opt for parser in sub.choices.values() for a in parser._actions for opt in a.option_strings}
     assert "--x-grid" in named
     assert named <= registered, f"README names flags no command registers: {sorted(named - registered)}"
+
+
+def test_readme_spec_grammar_lines_parse():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n### Weight spec grammar\n")
+    block = re.search(r"```text\n(.*?)```", text[start:], re.S).group(1)
+    specs = [line.split()[0] for line in block.splitlines() if line.strip()]
+    assert len(specs) == 7
+    for spec in specs:
+        # an optional part in [brackets] parses both without and with it
+        for form in (re.sub(r"\[.*?\]", "", spec), re.sub(r"\[(.*?)\]", r"\1", spec)):
+            parse_multiplicative(form)

@@ -68,6 +68,15 @@ def test_gamma_rejects_non_finite():
         gamma(complex(1.0, float("inf")))
 
 
+@pytest.mark.parametrize("z", [171.63, 171.82, complex(171.7, 1e-3), 180.0])
+def test_gamma_raises_where_it_overflows(z):
+    # Gamma(171.62) is still below the largest double; past it the Lanczos
+    # product is inf (or inf+nanj), never a value
+    assert math.isfinite(abs(gamma(171.62)))
+    with pytest.raises(OverflowError):
+        gamma(z)
+
+
 # ---------------------------------------------------------------------------
 # digamma
 

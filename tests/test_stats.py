@@ -24,6 +24,7 @@ from selberg_delange.funcs import (
     OMEGA,
     AdditiveSpec,
     GrowthBound,
+    MultiplicativeSpec,
     geometric_B,
     tabulated_additive,
     tabulated_multiplicative,
@@ -199,7 +200,8 @@ def test_psi_prime_at_zero_errors():
         with pytest.raises(DegenerateSpecError):
             psi_prime_at_zero(alpha, OMEGA, 1000)
     with pytest.raises(DivergentLocalFactorError) as exc_info:
-        psi_prime_at_zero(tabulated_multiplicative({}, growth=GrowthBound(1.0, 2.0)), OMEGA, 1000)
+        heavy = MultiplicativeSpec("heavy", lambda p, k: 1.0, rho=1.0, c0=0.25, growth=GrowthBound(1.0, 2.0))
+        psi_prime_at_zero(heavy, OMEGA, 1000)
     assert exc_info.value.prime == 2
     with pytest.raises(PoleError) as exc_info:
         psi_prime_at_zero(tabulated_multiplicative({(3, 1): -4.0}), OMEGA, 1000)
@@ -394,9 +396,9 @@ def test_tail_comparisons_reject_a_rho_without_a_finite_scale(rho):
     # is the spec's, and a spec already refuses a rho that is not finite
     if not math.isfinite(rho):
         with pytest.raises(ValueError, match="rho must be finite"):
-            tabulated_multiplicative({}, rho=rho)
+            MultiplicativeSpec("bad", lambda p, k: rho, rho=rho, c0=0.25, growth=GrowthBound(1.0, 1.0))
         return
-    alpha = tabulated_multiplicative({}, rho=rho)
+    alpha = tabulated_multiplicative({}, default=rho)
     dist = pmf(unit(), OMEGA, 1000)
     for call in (
         lambda: clt_report(alpha, OMEGA, 1000, [0.0], dist=dist),
