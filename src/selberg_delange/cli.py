@@ -35,10 +35,9 @@ from .euler import (
     psi,
     psi_grid,
 )
-from .exact import bucket_sums_grid, partial_sum_grid, pmf, sample, twisted_mean
+from .exact import bucket_sums, bucket_sums_grid, partial_sum_grid, pmf, sample, twisted_mean
 from .funcs import parse_additive, parse_multiplicative
 from .stats import clt_report, ldp_predict
-from .stats import logger as stats_logger
 
 DEFAULT_X_GRID = (1000, 10000, 100000, 1000000)
 DEFAULT_Y_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -202,18 +201,15 @@ def cmd_sample(args: argparse.Namespace):
 
 def cmd_clt(args: argparse.Namespace):
     x = _require_x(args.x)
-    report = clt_report(args.alpha, args.additive, x, args.y_grid)
+    report = clt_report(bucket_sums(args.alpha, args.additive, x), args.y_grid)
     head = f"# x={report.x} kolmogorov_distance={report.kolmogorov_distance:.15g}\n"
     return asdict(report), head + _csv("y,exact,gaussian", report.tail_pairs)
 
 
 def cmd_ldp(args: argparse.Namespace):
     xs = sorted(args.x_grid or (_require_x(args.x),))
-    buckets = bucket_sums_grid(args.alpha, args.additive, xs)
-    rows = [
-        (x, ldp_predict(args.alpha, args.additive, x, args.s, dist=sums.distribution(), prime_cutoff=args.cutoff))
-        for x, sums in zip(xs, buckets)
-    ]
+    predictions = ldp_predict(bucket_sums_grid(args.alpha, args.additive, xs), args.s, prime_cutoff=args.cutoff)
+    rows = list(zip(xs, predictions))
     if not args.x_grid:
         record = asdict(rows[0][1])
         return record, _lines(**record)
@@ -254,13 +250,9 @@ def cmd_report(args: argparse.Namespace):
             worst = max(worst, abs(sums.residual(z) - limit))
         residual_table.append({"x": x, "max_abs_residual": worst})
 
-    clt_rows = []
-    ldp_rows = []
-    for x, sums in zip(xs, buckets):
-        dist = sums.distribution()
-        clt_rows.append(asdict(clt_report(args.alpha, args.additive, x, args.y_grid, dist=dist)))
-        pred = ldp_predict(args.alpha, args.additive, x, args.s, dist=dist, prime_cutoff=args.cutoff)
-        ldp_rows.append(dict(asdict(pred), x=x))
+    clt_rows = [asdict(clt_report(sums, args.y_grid)) for sums in buckets]
+    predictions = ldp_predict(buckets, args.s, prime_cutoff=args.cutoff)
+    ldp_rows = [dict(asdict(pred), x=x) for x, pred in zip(xs, predictions)]
 
     payload = {
         "config": {
@@ -348,15 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(message)s")
     args = build_parser().parse_args(argv)
-    # a warning that each x of a grid repeats (ldp's s = 1) is logged once per command
-    seen = set()
-
-    def once(record: logging.LogRecord) -> bool:
-        first = record.getMessage() not in seen
-        seen.add(record.getMessage())
-        return first
-
-    stats_logger.addFilter(once)
     try:
         if args.fmt != "json" and args.command in _JSON_ONLY:
             raise ValueError(f"{args.command} emits json only; use --format json")
@@ -379,8 +362,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        stats_logger.removeFilter(once)
     return 0
 
 

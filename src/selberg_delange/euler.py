@@ -255,10 +255,9 @@ def _power_series(
     union of the staircases.  acc += value * cur; cur *= t, one power at
     a time, with the complex products spelled out in float64 so that
     they round exactly as Python's complex arithmetic does.  With t_im
-    None the column is real and its zero imaginary half is skipped; a
-    row whose sums come out non-finite is redone with the zeros, so that
-    its NaNs fall where they would.  Also returns, per row, the
-    ArithmeticError or ValueError its values raised (None if none).
+    None the column is real and its zero imaginary half is skipped.
+    Also returns, per row, the ArithmeticError or ValueError its values
+    raised (None if none).
     """
     lengths = np.zeros((max(map(len, staircases), default=0), len(rows)), dtype=np.int64)
     for i, counts in enumerate(staircases):
@@ -296,10 +295,6 @@ def _power_series(
             np.add(acc_re, V.real * cr - V.imag * ci, out=acc_re, where=where)
             np.add(acc_im, V.real * ci + V.imag * cr, out=acc_im, where=where)
             cr[:], ci[:] = cr * tr - ci * ti, cr * ti + ci * tr
-    if t_im is None:
-        for i in np.flatnonzero(~(np.isfinite(S_re) & np.isfinite(S_im)).all(axis=1)).tolist():
-            row = _power_series([rows[i]], primes, [staircases[i]], t_re, np.zeros(len(t_re)))
-            S_re[i], S_im[i] = row[0][0], row[1][0]
     return S_re, S_im, errors
 
 
@@ -340,10 +335,10 @@ def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_Loca
 def _checked(factors: Union[_LocalFactors, Exception], at: str) -> _LocalFactors:
     """The row as local factors 1 + F_p(at), each a valid log.
 
-    Failures act at the first prime that trips one, in the order the
-    scalar path meets them: the row's values raising, then at each
-    prime a vanishing factor (returned with vanished set, not raised),
-    the log branch cut or a non-finite series, then series divergence.
+    Failures act at the first prime that trips one: the row's values
+    raising, then at each prime a non-finite series, a vanishing factor
+    (returned with vanished set, not raised) or the log branch cut, then
+    series divergence.
 
     Raises:
         DivergentLocalFactorError: growth ratio >= p^{Re s}, or more
@@ -361,14 +356,14 @@ def _checked(factors: Union[_LocalFactors, Exception], at: str) -> _LocalFactors
     if len(first):
         i = int(first[0])
         p = int(factors.primes[i])
+        if bad[i]:
+            raise ValueError(f"local factor 1 + F_p({at}) is not finite at p={p}")
         if zero[i]:
             return factors._replace(primes=factors.primes[: i + 1], vanished=True)
-        if pole[i]:
-            raise PoleError(
-                f"local factor 1 + F_p({at}) = {float(w_re[i]):g} hits the log branch cut at p={p}",
-                prime=p,
-            )
-        raise ValueError(f"a must have finite components, got {complex(F_re[i], F_im[i])!r}")
+        raise PoleError(
+            f"local factor 1 + F_p({at}) = {float(w_re[i]):g} hits the log branch cut at p={p}",
+            prime=p,
+        )
     if factors.failure is not None:
         raise factors.failure
     return factors
@@ -413,9 +408,10 @@ def _check_cutoff(prime_cutoff) -> int:
     return P
 
 
-# Euler products are memoised per process: psi shares its denominator
-# across z, and ldp shares psi across x.  Specs are frozen and compare
-# value_at by identity, so a hit always means the same function.
+# lambda0 is memoised per process: the products of one kernel pass serve
+# psi's denominator, sd report's lambda0 block and ldp's psi(ln s).
+# Specs are frozen and compare value_at by identity, so a hit always
+# means the same function.
 _MEMO_SIZE = 256
 _MISS = object()
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
@@ -760,8 +756,7 @@ def psi(
     """Limiting function psi(z) = lambda0(exp-twist of alpha) / lambda0(alpha).
 
     psi_grid of the one z: the twist, and lambda0(alpha) unless it is
-    memoised, are the two rows of one kernel pass.  Memoised per
-    process, like lambda0; each value psi_grid computed is a hit here.
+    memoised, are the two rows of one kernel pass.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
@@ -778,20 +773,16 @@ def psi_grid(
     """psi(z) for each z of zs, from one kernel pass.
 
     The products no earlier call memoised, lambda0(alpha) and the twist
-    of each z, are the rows of one pass over the primes p <= cutoff, and
-    each psi(z) goes into the per-process memo that psi reads.  The
-    values are bit-identical to psi(z) alone.  A failing z raises what
-    psi(z) alone raises, the first in the order of zs, after the values
-    of the others are memoised.
+    of each z, are the rows of one pass over the primes p <= cutoff.
+    The values are bit-identical to psi(z) alone.  A failing z raises
+    what psi(z) alone raises, the first in the order of zs.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
         DomainError: the twist at z leaves float64 range (_exp_twist).
     """
     P = _check_cutoff(prime_cutoff)
-    keys = [(alpha, complex(z), g, P) for z in zs]
-    values = _psi_cached.many(keys, lambda missed: _psi_batch(alpha, [key[1] for key in missed], g, P))
-    return [_raised(value) for value in values]
+    return [_raised(value) for value in _psi_batch(alpha, [complex(z) for z in zs], g, P)]
 
 
 def _twist_is_finite(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> bool:
@@ -859,19 +850,6 @@ def _psi_batch(alpha: MultiplicativeSpec, zs: Sequence[complex], g: AdditiveSpec
     return values
 
 
-def _psi(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec, P: int) -> complex:
-    """psi computed afresh from the memoised products: the batch of one."""
-    return _raised(_psi_batch(alpha, [z], g, P)[0])
-
-
-_psi_cached = _Memo(_psi)
-
-
-def _psi_prime(alpha: MultiplicativeSpec, g: AdditiveSpec, prime_cutoff: int) -> complex:
-    """psi'(0) for stats.psi_prime_at_zero, memoised per process like psi."""
-    return _psi_prime_cached(alpha, g, _check_cutoff(prime_cutoff))
-
-
 def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> complex:
     """d/dz log lambda0(exp-twist of alpha) at z = 0.
 
@@ -902,18 +880,18 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
     if G.failure is not None:
         raise G.failure
     rho = complex(alpha.rho)
-    comp = _map_float(math.log1p, -1.0 / factors.primes)
-    terms = c * rho * comp + (G.F_re + 1j * G.F_im) / (1.0 + factors.F_re + 1j * factors.F_im)
-    total = complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
+    # G_p / (1 + F_p) + c rho log(1 - 1/p) in place, and fsum reads the
+    # columns directly: fewer temporaries over the primes, the same bits
+    terms = G.F_re + 1j * G.F_im
+    terms /= 1.0 + factors.F_re + 1j * factors.F_im
+    terms += c * rho * _map_float(math.log1p, -1.0 / factors.primes)
+    total = complex(fsum(terms.real), fsum(terms.imag))
     if g.k_value is not None and _completes(alpha.series, P, *g.exceptional_primes):
         coefficients = _log_derivative_coefficients(alpha.series, g.k_value, c, rho)
         tail = _close_tail(coefficients, P, alpha.growth.r)
         if tail is not None:
             total += tail.value
     return total - c * rho * digamma(rho)
-
-
-_psi_prime_cached = _Memo(_log_derivative)
 
 
 def g_compensated(

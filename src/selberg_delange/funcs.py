@@ -400,6 +400,15 @@ def _is_prime_small(p: int) -> bool:
     return True
 
 
+def _table_key(p: int, k: int, v) -> Tuple[int, int]:
+    """(p, k) as ints, once p is prime, k >= 1 and the entry's value v is finite."""
+    if k < 1 or not _is_prime_small(p):
+        raise ValueError(f"table key ({p},{k}) is not a (prime, k>=1) pair")
+    if not cmath.isfinite(complex(v)):
+        raise ValueError(f"table entry {p}^{k} = {v} is not finite")
+    return int(p), int(k)
+
+
 def tabulated_multiplicative(
     entries: Dict[Tuple[int, int], complex],
     default=1.0,
@@ -412,16 +421,16 @@ def tabulated_multiplicative(
     default must be a constant here (callable defaults would defeat the
     automatic growth and tail metadata).  rho is default, the value f(p)
     takes at every prime outside the table, and the growth envelope is
-    C = max |value|, r = 1.
+    C = max |value|, r = 1.  default and the values must be finite.
     """
+    if not cmath.isfinite(complex(default)):
+        raise ValueError(f"default = {default} is not finite")
     default = complex(default)
     if default.imag == 0.0:
         default = default.real
     table = {}
     for (p, k), v in entries.items():
-        if k < 1 or not _is_prime_small(p):
-            raise ValueError(f"table key ({p},{k}) is not a (prime, k>=1) pair")
-        table[(int(p), int(k))] = complex(v)
+        table[_table_key(p, k, v)] = complex(v)
     cap = max([abs(default)] + [abs(v) for v in table.values()])
     dev = 0.0
     for (p, k), v in table.items():
@@ -449,9 +458,7 @@ def tabulated_additive(
     """
     table = {}
     for (p, k), v in entries.items():
-        if k < 1 or not _is_prime_small(p):
-            raise ValueError(f"table key ({p},{k}) is not a (prime, k>=1) pair")
-        table[(int(p), int(k))] = float(v)
+        table[_table_key(p, k, v)] = float(v)
     values = list(table.values())
     cap = max((abs(v) for v in values), default=0.0)
     return AdditiveSpec(
@@ -641,6 +648,8 @@ def parse_additive(text: str) -> AdditiveSpec:
                         raise SpecGrammarError(
                             f"{path}:{lineno}: expected 'p k value', got {raw.strip()!r}"
                         ) from None
+                    if not math.isfinite(v):
+                        raise SpecGrammarError(f"{path}:{lineno}: value {parts[2]} is not finite")
                     entries[(p, k)] = v
         except OSError as exc:
             raise SpecGrammarError(f"cannot read additive table {path!r}: {exc}") from None

@@ -8,6 +8,9 @@ a standard normal.  At s = 1 the prefactor is replaced by psi'(0),
 which psi_prime_at_zero computes in closed form as the logarithmic
 derivative of the Euler product (a digamma term plus one sum over the
 primes, closed by the prime-zeta tail when alpha has a local series).
+Both comparisons take the exact side's bucket sums (exact.BucketSums)
+and read alpha, g and x from them, so a law is never compared at an x
+or a spec other than its own.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError
-from .euler import DEFAULT_PRIME_CUTOFF, _psi_prime, _twist_is_finite, psi
-from .exact import DistributionTable, pmf
+from .euler import DEFAULT_PRIME_CUTOFF, _check_cutoff, _log_derivative, _twist_is_finite, psi
+from .exact import BucketSums
 from .funcs import OMEGA, AdditiveSpec, MultiplicativeSpec
 from .special import cexpm1
 
@@ -69,15 +72,15 @@ def psi_prime_at_zero(
     G_p = sum_k g(p^k) alpha(p^k) p^{-k}.  It is the constant term of
     the mean of g(N) (Mertens' constant 0.26150 for unit and omega).
     One kernel pass over the primes p <= P, with F_p and G_p as its two
-    rows, memoised per process; when alpha has a local series and g a
-    k_value (omega, Omega), the primes above P are closed by the
-    prime-zeta tail, otherwise dropped.
+    rows; when alpha has a local series and g a k_value (omega, Omega),
+    the primes above P are closed by the prime-zeta tail, otherwise
+    dropped.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
         ValueError: g has no generic prime value.
     """
-    return _psi_prime(alpha, g, prime_cutoff)
+    return _log_derivative(alpha, g, _check_cutoff(prime_cutoff))
 
 
 def _mean_scale(alpha: MultiplicativeSpec, x: int) -> float:
@@ -125,34 +128,9 @@ class LdpPrediction:
     ratio: float
 
 
-def ldp_predict(
-    alpha: MultiplicativeSpec,
-    g: AdditiveSpec,
-    x: int,
-    s: float,
-    dist: Optional[DistributionTable] = None,
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-) -> LdpPrediction:
-    """Compare the exact tail P(g(N) >= s rho ln ln x) with its prediction.
-
-    predicted_tail = exp(-rho ln ln x eta*(s)) psi(ln s)/(1 - 1/s), with
-    rho = alpha.rho; the exact tail sums pmf buckets from
-    ceil(s rho ln ln x) upward.  At s = 1 the prefactor
-    psi(ln s)/(1 - 1/s) is 1/0, so the stated replacement psi'(0) is
-    used (a warning is logged since psi(0) = 1 makes the unsubstituted
-    ratio diverge).
-
-    Raises:
-        DomainError: s <= 0, ln s outside the strip of g, s so large that
-        exp(-rho ln ln x eta*(s)) underflows to 0 or that Gamma of the
-        twisted rho in psi(ln s) overflows, or rho not real and > 0 with
-        rho ln ln x finite; all before any Euler product.  The strip
-        and Gamma messages state the largest s that works.
-        ValueError: x < 16.
-    """
-    s = float(s)
-    if not s > 0.0:
-        raise DomainError(f"ldp_predict requires s > 0, got {s}")
+def _checked_decay(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int, s: float) -> Tuple[float, float]:
+    """rho ln ln x and exp(-rho ln ln x eta*(s)), once s passes ldp's checks at x:
+    the mean scale, the strip of g, no underflow and a finite Gamma."""
     t_x = _mean_scale(alpha, x)
     h = math.log(s)
 
@@ -165,12 +143,8 @@ def ldp_predict(
     if s != 1.0 and not g.strip.contains(h):
         upper = math.exp(min(g.strip.d, 700.0))
         upper = min(_largest_s(decays, upper), _largest_s(twist_gamma_is_finite, upper))
-        raise DomainError(
-            f"s = {s:g} puts ln s = {h:g} outside the strip of {g.name}; "
-            f"need {math.exp(g.strip.c):g} < s < {upper:g}"
-        )
-    rate = eta_star(s)
-    decay = math.exp(-t_x * rate)
+        raise DomainError(f"s = {s:g} puts ln s = {h:g} outside the strip of {g.name}; need 1 <= s < {upper:g}")
+    decay = math.exp(-t_x * eta_star(s))
     if decay == 0.0:
         raise DomainError(f"s = {s:g} underflows exp(-rho ln ln x eta*(s)) to 0 at x = {x}")
     if s != 1.0 and not twist_gamma_is_finite(s):
@@ -178,22 +152,61 @@ def ldp_predict(
             f"s = {s:g} overflows Gamma(rho s^c) in psi(ln s), with c = {g.prime_value:g} for {g.name}; "
             f"need s < {_largest_s(twist_gamma_is_finite, s):g}"
         )
+    return t_x, decay
+
+
+def _prefactor(alpha: MultiplicativeSpec, g: AdditiveSpec, s: float, prime_cutoff: int) -> float:
+    """psi(ln s)/(1 - 1/s), or psi'(0) at s = 1, where that quotient is 1/0."""
     if s == 1.0:
-        logger.warning(
-            "s = 1: replacing the divergent prefactor psi(0)/(1 - 1/s) by psi'(0)"
+        logger.warning("s = 1: replacing the divergent prefactor psi(0)/(1 - 1/s) by psi'(0)")
+        return psi_prime_at_zero(alpha, g, prime_cutoff).real
+    return psi(alpha, math.log(s), g, prime_cutoff=prime_cutoff).real / (1.0 - 1.0 / s)
+
+
+def ldp_predict(
+    grid: Sequence[BucketSums], s: float, *, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
+) -> List[LdpPrediction]:
+    """Compare the exact tail P(g(N) >= s rho ln ln x) with its prediction
+    at each x of grid, the bucket sums of one alpha and one g.
+
+    predicted_tail = exp(-rho ln ln x eta*(s)) psi(ln s)/(1 - 1/s), with
+    rho = alpha.rho; the exact tail sums pmf buckets from
+    ceil(s rho ln ln x) upward.  The prefactor psi(ln s)/(1 - 1/s)
+    belongs to the upper tail and does not depend on x: it is computed
+    once, after the first x passes its checks and yields its
+    distribution.  At s = 1 it is 1/0, so the stated replacement psi'(0)
+    is used (a warning is logged since psi(0) = 1 makes the
+    unsubstituted ratio diverge).
+
+    Raises:
+        DomainError: s < 1, ln s outside the strip of g, s so large that
+        exp(-rho ln ln x eta*(s)) underflows to 0 or that Gamma of the
+        twisted rho in psi(ln s) overflows, or rho not real and > 0 with
+        rho ln ln x finite; all before the distribution and any Euler
+        product at that x.  The strip and Gamma messages state the
+        largest s that works.
+        ValueError: grid mixes specs, or an x < 16; what
+        BucketSums.distribution raises.
+    """
+    s = float(s)
+    if not s >= 1.0:
+        raise DomainError(f"ldp compares the upper tail and needs s >= 1, got {s:g}")
+    if any((sums.alpha, sums.g) != (grid[0].alpha, grid[0].g) for sums in grid):
+        raise ValueError("ldp_predict needs the bucket sums of one alpha and one g")
+    h, rate = math.log(s), eta_star(s)
+    prefactor = None
+    predictions = []
+    for sums in grid:
+        t_x, decay = _checked_decay(sums.alpha, sums.g, sums.x, s)
+        exact = sums.distribution().tail_probability(s * t_x)
+        if prefactor is None:
+            prefactor = _prefactor(sums.alpha, sums.g, s, prime_cutoff)
+        predicted = decay * prefactor
+        ratio = exact / predicted if predicted != 0.0 else math.inf
+        predictions.append(
+            LdpPrediction(s=s, h=h, rate=rate, predicted_tail=predicted, exact_tail=exact, ratio=ratio)
         )
-        prefactor = psi_prime_at_zero(alpha, g, prime_cutoff).real
-    else:
-        value = psi(alpha, h, g, prime_cutoff=prime_cutoff)
-        prefactor = value.real / (1.0 - 1.0 / s)
-    predicted = decay * prefactor
-    if dist is None:
-        dist = pmf(alpha, g, x)
-    exact = dist.tail_probability(s * t_x)
-    ratio = exact / predicted if predicted != 0.0 else math.inf
-    return LdpPrediction(
-        s=s, h=h, rate=rate, predicted_tail=predicted, exact_tail=exact, ratio=ratio
-    )
+    return predictions
 
 
 @dataclass(frozen=True)
@@ -205,25 +218,20 @@ class CltReport:
     tail_pairs: Tuple[Tuple[float, float, float], ...]
 
 
-def clt_report(
-    alpha: MultiplicativeSpec,
-    g: AdditiveSpec,
-    x: int,
-    y_grid: Sequence[float],
-    dist: Optional[DistributionTable] = None,
-) -> CltReport:
-    """Kolmogorov distance and tail pairs against the standard normal.
+def clt_report(sums: BucketSums, y_grid: Sequence[float]) -> CltReport:
+    """Kolmogorov distance and tail pairs against the standard normal, for
+    the alpha, g and x of sums.
 
     tail_pairs holds (y, exact P(g >= rho ln ln x + y sqrt(rho ln ln x)),
     1 - Phi(y)) for each y in y_grid, with rho = alpha.rho.
 
     Raises:
-        DomainError: rho not real and > 0 with rho ln ln x finite.
-        ValueError: x < 16.
+        DomainError: rho not real and > 0 with rho ln ln x finite; before
+        the distribution.
+        ValueError: x < 16; what BucketSums.distribution raises.
     """
-    t_x = _mean_scale(alpha, x)
-    if dist is None:
-        dist = pmf(alpha, g, x)
+    t_x = _mean_scale(sums.alpha, sums.x)
+    dist = sums.distribution()
     sigma = math.sqrt(t_x)
     atoms = (dist.values.astype(np.float64) - t_x) / sigma
     cdf = np.minimum(np.cumsum(dist.probabilities), 1.0)
@@ -236,5 +244,4 @@ def clt_report(
         y = float(y)
         exact = dist.tail_probability(t_x + y * sigma)
         pairs.append((y, exact, 1.0 - normal_cdf(y)))
-    return CltReport(x=int(x), kolmogorov_distance=distance, tail_pairs=tuple(pairs))
-
+    return CltReport(x=sums.x, kolmogorov_distance=distance, tail_pairs=tuple(pairs))

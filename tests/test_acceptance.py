@@ -243,10 +243,7 @@ def test_criterion_05_mgf_pmf_duality():
 
 def test_criterion_06_central_limit_distance(unit_buckets):
     rho = 1.0
-    distances = [
-        clt_report(unit(), OMEGA, x, [0.0], dist=unit_buckets[x].distribution()).kolmogorov_distance
-        for x in X_GRID
-    ]
+    distances = [clt_report(unit_buckets[x], [0.0]).kolmogorov_distance for x in X_GRID]
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
     scaled = [d * math.sqrt(rho * math.log(math.log(x))) for d, x in zip(distances, X_GRID)]
     at_rate = scaled[-1] <= scaled[0]
@@ -268,7 +265,7 @@ def test_criterion_06_central_limit_distance(unit_buckets):
 
 def test_criterion_07_large_deviation_ratio(unit_buckets):
     rho, s = 1.0, 2.0
-    preds = [ldp_predict(unit(), OMEGA, x, s, dist=unit_buckets[x].distribution()) for x in X_GRID]
+    preds = ldp_predict([unit_buckets[x] for x in X_GRID], s)
     ratios = [p.ratio for p in preds]
     gaps = [abs(r - 1.0) for r in ratios]
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))

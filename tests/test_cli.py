@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import selberg_delange
-from selberg_delange import cli, euler, exact, sieve
+from selberg_delange import cli, euler, exact, sieve, stats
 from selberg_delange.cli import main
 from selberg_delange.funcs import parse_additive, parse_multiplicative, theta_omega
 
@@ -341,7 +341,7 @@ def test_exit_code_strip_violation(capsys):
         ["ldp", "--spec", "unit", "--g", "big_omega", "--x", "1000", "--s", "1.5"],
     )
     assert code == 2
-    assert "need 0 < s < 1.41421" in err
+    assert "need 1 <= s < 1.41421" in err
 
 
 def test_exit_code_missing_x(capsys):
@@ -425,10 +425,10 @@ def test_ldp_slope_overflowing_gamma_exits_two(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--x", "1000", "--s", "inf"], "s = inf puts ln s = inf outside the strip of omega; need 0 < s < 105.19"),
-        (["--x", "16", "--s", "inf"], "s = inf puts ln s = inf outside the strip of omega; need 0 < s < 171.624"),
+        (["--x", "1000", "--s", "inf"], "s = inf puts ln s = inf outside the strip of omega; need 1 <= s < 105.19"),
+        (["--x", "16", "--s", "inf"], "s = inf puts ln s = inf outside the strip of omega; need 1 <= s < 171.624"),
         (["--x", "10000", "--g", "big_omega", "--s", "1.5"],
-         "s = 1.5 puts ln s = 0.405465 outside the strip of big_omega; need 0 < s < 1.41421"),
+         "s = 1.5 puts ln s = 0.405465 outside the strip of big_omega; need 1 <= s < 1.41421"),
     ],
     ids=["underflow-limit", "overflow-limit", "strip-limit"],
 )
@@ -469,15 +469,52 @@ def test_ldp_with_a_nonpositive_rho_exits_two(capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["clt", "ldp"])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("theta_omega:-1", "tail comparisons need rho > 0, got rho = -1.0 at x = 1000"),
+        ("theta_omega:1e308", "tail comparisons need a real rho with rho ln ln x finite, got rho = 1e+308 at x = 1000"),
+    ],
+    ids=["negative-rho", "overflowing-scale"],
+)
+def test_tail_comparisons_check_the_mean_scale_before_the_distribution(capsys, command, spec, message):
+    # the distribution would fail too (a negative weight, an overflowing
+    # total); clt and ldp name the mean scale alike
+    assert run_cli(capsys, [command, "--spec", spec, "--x", "1000"]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("s", ["0.5", "0.999", "0", "-1"])
+def test_ldp_rejects_a_lower_tail_slope_before_any_product(monkeypatch, capsys, s):
+    # psi(ln s)/(1 - 1/s) is the upper tail's prefactor: at s = 0.5 it
+    # printed predicted_tail = -0.413678169390149
+    def no_product(*args):
+        raise AssertionError("an Euler product was computed")
+
+    for name in ("_local_factors", "_factors_at_one"):
+        monkeypatch.setattr(euler, name, no_product)
+    argv = ["ldp", "--x", "1e6", "--s", s, "--cutoff", "1000"]
+    message = f"ldp compares the upper tail and needs s >= 1, got {float(s):g}"
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_report_computes_every_clt_row_before_the_ldp_rows(capsys):
+    # alpha(1009) = -1 fails the distribution at x = 1e4 only, and s = 200
+    # underflows ldp's decay at x = 1e3: the clt row at 1e4 comes first
+    argv = ["report", "--spec", "tabulated:1009^1=-1", "--x-grid", "1e3,1e4", "--cutoff", "1000", "--s", "200"]
+    assert run_cli(capsys, argv) == (2, "", "error: tabulated: negative weight alpha(1009) = -1\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "spec, column, message",
     [
         ("tau_rho:nan", 9, "tau_rho needs a finite rho, got nan"),
         ("tau_rho:inf", 9, "tau_rho needs a finite rho, got inf"),
         ("tau_rho:1e4", 9, "tau_rho: rho = 10000 overflows C(rho+k-1, k) at k = 135"),
-        # a tabulated spec's rho is its default, and its envelope C is max |value|
-        ("tabulated:default=nan", 1, "growth constant C must be finite and >= 0, got nan"),
-        ("tabulated:default=inf", 1, "growth constant C must be finite and >= 0, got inf"),
+        # a tabulated spec's rho is its default, which must be finite like its entries
+        ("tabulated:default=nan", 1, "default = nan is not finite"),
+        ("tabulated:default=inf", 1, "default = inf is not finite"),
         ("theta_omega:inf", 13, "growth constant C must be finite and >= 0, got inf"),
     ],
     ids=["tau_rho-nan", "tau_rho-inf", "tau_rho-1e4", "tabulated-rho-nan", "tabulated-rho-inf", "theta_omega-inf"],
@@ -539,6 +576,27 @@ def test_psi_with_one_row_additive_table(tmp_path, capsys):
     assert code == 0
     assert out.startswith("psi = ")
     assert float(out.split("=")[1]) == pytest.approx(1.25, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--spec", "tabulated:2^1=nan"],
+         "bad spec 'tabulated:2^1=nan' at column 1: table entry 2^1 = nan is not finite"),
+        (["lambda0", "--spec", "tabulated:3^2=-inf", "--cutoff", "100"],
+         "bad spec 'tabulated:3^2=-inf' at column 1: table entry 3^2 = -inf is not finite"),
+        (["ldp", "--g", "table:{table}", "--x", "100", "--cutoff", "100"], "{table}:2: value inf is not finite"),
+        (["mgf", "--g", "table:{table}", "--x", "100", "--y", "2"], "{table}:2: value inf is not finite"),
+    ],
+    ids=["check-entry", "lambda0-entry", "ldp-table-row", "mgf-table-row"],
+)
+def test_non_finite_table_values_exit_two(tmp_path, capsys, argv, message):
+    # refused where the table is read, not met later as a verdict, a kernel
+    # error or a failed int conversion
+    table = tmp_path / "g.txt"
+    table.write_text("2 1 1\n3 1 inf\n")
+    argv = [arg.format(table=table) for arg in argv]
+    assert run_cli(capsys, argv) == (2, "", f"error: {message.format(table=table)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -917,9 +975,30 @@ def test_report_grid_products_share_one_kernel_pass(monkeypatch, capsys):
         return power_series(rows, *args)
 
     monkeypatch.setattr(euler, "_power_series", counted)
-    for memo in (euler._lambda0_cached, euler._psi_cached, euler._psi_prime_cached):
-        memo.cache_clear()
+    euler._lambda0_cached.cache_clear()
     argv = ["report", "--spec", "theta_omega:2", "--x-grid", "1e3,1e4", "--z-grid", "circle:16", "--cutoff", "3000"]
     code, _, err = run_cli(capsys, argv)
     assert code == 0, err
     assert rows_per_pass == [17, 1]
+
+
+def test_ldp_grid_at_s_one_computes_psi_prime_once(monkeypatch, capsys):
+    # psi'(0) does not depend on x: one closed form, one kernel pass with
+    # the two rows F_p and G_p, for the whole grid
+    rows_per_pass, derivatives = [], []
+    power_series, log_derivative = euler._power_series, stats._log_derivative
+
+    def counted(rows, *args):
+        rows_per_pass.append(len(rows))
+        return power_series(rows, *args)
+
+    def counted_derivative(*args):
+        derivatives.append(args)
+        return log_derivative(*args)
+
+    monkeypatch.setattr(euler, "_power_series", counted)
+    monkeypatch.setattr(stats, "_log_derivative", counted_derivative)
+    euler._lambda0_cached.cache_clear()
+    code, _, err = run_cli(capsys, ["ldp", "--s", "1", "--x-grid", "1e3,1e4,1e5", "--cutoff", "1000"])
+    assert code == 0, err
+    assert (len(derivatives), rows_per_pass) == (1, [2])

@@ -700,25 +700,25 @@ def test_stacked_lambda0_matches_each_row_and_the_scalar_reference():
     ids=["nan", "-inf", "inf", "inf-imag", "-inf-complex"],
 )
 def test_non_finite_values_fail_as_the_scalar_path(entries):
-    # the real power column skips the zero imaginary half, whose products
-    # with a non-finite value are NaN: the row is redone with it, so the
-    # error and its message are the scalar path's, in a stack or alone
-    # a table whose envelope C = 1 ignores its non-finite entry, so that the
-    # kernel, not the envelope, meets it
+    # a hand-built spec whose envelope C = 1 ignores its non-finite entry,
+    # so that the kernel, not the envelope, meets it: a ValueError as on
+    # the scalar path, naming the prime, in a stack or alone.  The real
+    # power column skips the zero imaginary half, so -inf stays real, and
+    # non-finite is checked before the log branch cut
     spec = MultiplicativeSpec("table", lambda p, k: entries.get((p, k), 1.0), rho=1.0, c0=0.25,
                               growth=GrowthBound(1.0, 1.0))
-    with pytest.raises(ValueError) as want:
+    with pytest.raises(ValueError):
         reference_lambda0(spec, 200)
+    [(p, _)] = entries
     for specs in ([spec], [unit(), spec, theta_omega(2)]):
         results = euler._lambda0_batch(specs, 200)
         got = results[specs.index(spec)]
-        assert (type(got), str(got)) == (type(want.value), str(want.value))
+        assert (type(got), str(got)) == (ValueError, f"local factor 1 + F_p(1) is not finite at p={p}")
         assert all(result == euler._lambda0(other, 200) for other, result in zip(specs, results) if other is not spec)
 
 
 def clear_memos():
-    for memo in (euler._lambda0_cached, euler._psi_cached, euler._psi_prime_cached):
-        memo.cache_clear()
+    euler._lambda0_cached.cache_clear()
 
 
 def psi_alone(alpha, z, g, P):
@@ -781,8 +781,8 @@ def test_failing_rows_leave_the_others_unchanged():
     assert result_bits(results[4]) == (PoleError, 2)
     assert result_bits(results[6]) == (DivergentLocalFactorError, 2)
     # psi over the grid raises the pole, the first failing z, as psi(pole)
-    # alone does; every other z is stored, and psi alone equals it
-    # e^-800 underflows to 0, which the twist step rejects
+    # alone does, and psi alone gives every other z what it gives in a
+    # stack; e^-800 underflows to 0, which the twist step rejects
     omega_zs = [z for z in zs if z != diverging] + [-800.0]
     want = {z: psi_bits(psi_alone(alpha, z, OMEGA, P)) for z in omega_zs}
     assert want[vanishing] == "0j"
@@ -794,9 +794,7 @@ def test_failing_rows_leave_the_others_unchanged():
     for z in omega_zs:
         if z in (pole, -800.0):
             continue
-        hits = euler._psi_cached.cache_info().hits
         assert psi_bits(psi(alpha, z, OMEGA, P)) == want[z]
-        assert euler._psi_cached.cache_info().hits == hits + 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -831,7 +829,7 @@ def test_psi_and_ldp_read_one_twist_predicate():
     assert euler._twist_is_finite(unit(), 1000.0, dataclasses.replace(OMEGA, prime_value=None))
 
 
-def test_psi_grid_stores_each_value_for_psi():
+def test_psi_grid_stores_its_products_for_lambda0():
     spec, P = theta_omega(1.25), 1500
     zs = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
     want = [psi_bits(psi_alone(spec, z, OMEGA, P)) for z in zs]
@@ -842,9 +840,7 @@ def test_psi_grid_stores_each_value_for_psi():
     assert lambda0(spec, P) == euler._lambda0(spec, P)  # the denominator was stored too
     assert euler._lambda0_cached.cache_info().hits == hits + 1
     for z, value in zip(zs, values):
-        hits = euler._psi_cached.cache_info().hits
         assert psi(spec, z, prime_cutoff=P) == value
-        assert euler._psi_cached.cache_info().hits == hits + 1
 
 
 def per_prime_lengths(counts, cut):
@@ -980,7 +976,8 @@ def test_memo_hit_equals_fresh_computation():
     assert second == first == fresh
     z = complex(0.2, 0.4)
     cached = [psi(spec, z, prime_cutoff=4000) for _ in range(2)]
-    fresh = euler._psi(spec, z, OMEGA, 4000)
+    clear_memos()
+    fresh = psi(spec, z, prime_cutoff=4000)
     assert cached == [fresh, fresh]
 
 

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -271,6 +272,19 @@ def test_tabulated_additive():
     assert not frac.integer_valued
     signed = tabulated_additive({(2, 1): -1.0})
     assert not signed.nonnegative
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.5, math.inf)], ids=repr)
+def test_tables_refuse_non_finite_values(value):
+    # refused at construction, naming the entry or the default, before the
+    # envelope C = max |value| or a kernel pass can meet it
+    with pytest.raises(ValueError, match=re.escape(f"table entry 3^2 = {value} is not finite")):
+        tabulated_multiplicative({(2, 1): 0.5, (3, 2): value})
+    with pytest.raises(ValueError, match=re.escape(f"default = {value} is not finite")):
+        tabulated_multiplicative({}, default=value)
+    if not isinstance(value, complex):
+        with pytest.raises(ValueError, match=re.escape(f"table entry 3^2 = {value} is not finite")):
+            tabulated_additive({(3, 2): value})
 
 
 GRAMMAR_ROUND_TRIPS = [

@@ -1,6 +1,7 @@
-"""The README's library example runs as written, at a smaller x, its
-command-line section names only flags that sd registers, and every line
-of its weight spec grammar parses."""
+"""The README's library example runs as written, at a smaller x and with
+the documented signatures of the tail comparisons, its command-line
+section names only flags that sd registers, and every line of its weight
+spec grammar parses."""
 
 import argparse
 import math
@@ -19,12 +20,18 @@ def test_readme_library_example_runs(capsys):
     code = blocks[0]
     assert "x = 10**6\n" in code
     exec(compile(code.replace("x = 10**6\n", "x = 10**4\n"), str(README), "exec"), {})
-    mean, limit, gap = capsys.readouterr().out.split()
+    mean, limit, gap, x, distance, ratio = capsys.readouterr().out.split()
     # omega(N) for N <= 1e4 has mean ln ln x + 0.26 = 2.48 up to O(1/ln x)
     assert 2.0 < float(mean) < 3.0
     # psi(ln 2) for unit weights is prod_p (1 - 1/p^2) = 6/pi^2
     assert abs(complex(limit) - 6.0 / math.pi**2) < 1e-6
     assert float(gap) < 0.1
+    # the tail comparisons label their law with the x of the sums: the
+    # Kolmogorov distance of omega(N) at 1e4 is 0.313, and the ldp ratio
+    # at s = 2 lies far below 1 (README, criterion 7)
+    assert int(x) == 10**4
+    assert 0.25 < float(distance) < 0.35
+    assert 0.0 < float(ratio) < 0.1
 
 
 def test_readme_command_line_flags_are_registered():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from selberg_delange import euler
+from selberg_delange import euler, exact, stats
 from selberg_delange.errors import (
     DegenerateSpecError,
     DivergentLocalFactorError,
@@ -18,7 +18,7 @@ from selberg_delange.errors import (
     PoleError,
 )
 from selberg_delange.euler import psi
-from selberg_delange.exact import pmf
+from selberg_delange.exact import bucket_sums, bucket_sums_grid
 from selberg_delange.funcs import (
     BIG_OMEGA,
     OMEGA,
@@ -213,14 +213,16 @@ def test_psi_prime_at_zero_errors():
         psi_prime_at_zero(unit(), OMEGA, 50)
 
 
-def test_psi_prime_at_zero_is_memoised():
+def test_ldp_predict_computes_psi_prime_once_per_grid():
+    # psi'(0) does not depend on x: one closed form serves every x at s = 1
     spec = theta_omega(0.75)
-    first = psi_prime_at_zero(spec, OMEGA, 4000)
-    hits = euler._psi_prime_cached.cache_info().hits
-    for x in (10**3, 10**4):
-        ldp_predict(spec, OMEGA, x, 1.0, prime_cutoff=4000)
-    assert euler._psi_prime_cached.cache_info().hits == hits + 2
-    assert first == euler._log_derivative(spec, OMEGA, 4000)
+    grid = bucket_sums_grid(spec, OMEGA, [10**3, 10**4])
+    with mock.patch.object(stats, "_log_derivative", wraps=euler._log_derivative) as computed:
+        preds = ldp_predict(grid, 1.0, prime_cutoff=4000)
+    assert computed.call_count == 1
+    # at s = 1 the decay exp(-rho ln ln x eta*(1)) is 1
+    want = euler._log_derivative(spec, OMEGA, 4000).real
+    assert [pred.predicted_tail for pred in preds] == [want, want]
 
 
 def test_psi_prime_at_zero_is_one_kernel_pass():
@@ -244,8 +246,9 @@ def test_psi_prime_at_zero_is_one_kernel_pass():
 
 def test_ldp_predict_fields_and_exact_tail():
     x = 10**4
-    dist = pmf(unit(), OMEGA, x)
-    pred = ldp_predict(unit(), OMEGA, x, 2.0, dist=dist)
+    sums = bucket_sums(unit(), OMEGA, x)
+    dist = sums.distribution()
+    [pred] = ldp_predict([sums], 2.0)
     assert isinstance(pred, LdpPrediction)
     assert pred.s == 2.0
     assert pred.h == pytest.approx(math.log(2.0), rel=1e-15)
@@ -262,7 +265,7 @@ def test_ldp_predict_fields_and_exact_tail():
 
 def test_ldp_predict_prefactor_composition():
     x, s = 10**4, 2.0
-    pred = ldp_predict(unit(), OMEGA, x, s)
+    [pred] = ldp_predict([bucket_sums(unit(), OMEGA, x)], s)
     t_x = math.log(math.log(x))
     want = math.exp(-t_x * eta_star(s)) * psi(unit(), math.log(s)).real / (1.0 - 1.0 / s)
     assert pred.predicted_tail == pytest.approx(want, rel=1e-12)
@@ -271,7 +274,7 @@ def test_ldp_predict_prefactor_composition():
 def test_ldp_predict_substitution_at_one(caplog):
     x = 10**4
     with caplog.at_level(logging.WARNING, logger="selberg_delange.stats"):
-        pred = ldp_predict(unit(), OMEGA, x, 1.0)
+        [pred] = ldp_predict([bucket_sums(unit(), OMEGA, x)], 1.0)
     assert any("s = 1" in record.message for record in caplog.records)
     assert pred.rate == 0.0
     # with eta*(1) = 0 the prediction collapses to the slope of psi at 0
@@ -280,28 +283,40 @@ def test_ldp_predict_substitution_at_one(caplog):
 
 
 def test_ldp_predict_domain_errors():
-    with pytest.raises(DomainError):
-        ldp_predict(unit(), OMEGA, 10**4, 0.0)
-    with pytest.raises(DomainError):
-        ldp_predict(unit(), OMEGA, 10**4, -2.0)
+    # the prefactor psi(ln s)/(1 - 1/s) belongs to the upper tail: a slope
+    # below 1 is refused before any product, whatever the x
+    sums = bucket_sums(unit(), OMEGA, 10**4)
+    for s in (0.0, -2.0, 0.5, 0.999, math.nan):
+        with no_euler_product(), pytest.raises(DomainError, match=re.escape(f"needs s >= 1, got {s:g}")):
+            ldp_predict([sums], s)
 
 
 def test_ldp_predict_big_omega_strip():
     # Omega twists only control slopes s < sqrt(2)
-    pred = ldp_predict(unit(), BIG_OMEGA, 10**4, 1.3)
+    sums = bucket_sums(unit(), BIG_OMEGA, 10**4)
+    [pred] = ldp_predict([sums], 1.3)
     assert pred.predicted_tail > 0.0
     with pytest.raises(DomainError) as exc_info:
-        ldp_predict(unit(), BIG_OMEGA, 10**4, 1.5)
-    assert "1.41421" in str(exc_info.value)
+        ldp_predict([sums], 1.5)
+    assert "need 1 <= s < 1.41421" in str(exc_info.value)
     with pytest.raises(DomainError):
-        ldp_predict(unit(), BIG_OMEGA, 10**4, math.sqrt(2.0))
+        ldp_predict([sums], math.sqrt(2.0))
 
 
 def test_ldp_predict_validation():
     with pytest.raises(ValueError):
-        ldp_predict(unit(), OMEGA, 10, 2.0)
+        ldp_predict([bucket_sums(unit(), OMEGA, 10)], 2.0)
     with pytest.raises(ValueError):
-        ldp_predict(theta_omega(complex(1.0, 0.5)), OMEGA, 10**4, 2.0)
+        ldp_predict([bucket_sums(theta_omega(complex(1.0, 0.5)), OMEGA, 10**4)], 2.0)
+
+
+def test_ldp_predict_rejects_a_grid_that_mixes_specs():
+    # one alpha and one g per grid, or its one prefactor would be wrong
+    first = bucket_sums(unit(), OMEGA, 1000)
+    for other in (bucket_sums(theta_omega(2), OMEGA, 10**4), bucket_sums(unit(), BIG_OMEGA, 10**4)):
+        with no_euler_product(), pytest.raises(ValueError, match="one alpha and one g"):
+            ldp_predict([first, other], 2.0)
+    assert ldp_predict([], 2.0) == []
 
 
 def no_euler_product():
@@ -313,18 +328,18 @@ def no_euler_product():
 
 def test_ldp_predict_rejects_a_nonpositive_rho_before_any_product():
     # rho = 0 puts the threshold s rho ln ln x at 0, so every n would count
-    dist = pmf(unit(), OMEGA, 1000)
+    sums = bucket_sums(tabulated_multiplicative({}, default=0.0), OMEGA, 1000)
     with no_euler_product(), pytest.raises(DomainError, match=re.escape("need rho > 0, got rho = 0.0 at x = 1000")):
-        ldp_predict(tabulated_multiplicative({}, default=0.0), OMEGA, 1000, 2.0, dist=dist)
+        ldp_predict([sums], 2.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s", [200.0, 1000.0, 1e300])
 def test_ldp_predict_rejects_an_underflowing_slope_before_any_product(s):
     # exp(-ln ln 1000 eta*(s)) is 0 in float64 for these s
-    dist = pmf(unit(), OMEGA, 1000)
+    sums = bucket_sums(unit(), OMEGA, 1000)
     with no_euler_product(), pytest.raises(DomainError, match=re.escape(f"s = {s:g} underflows")):
-        ldp_predict(unit(), OMEGA, 1000, s, dist=dist, prime_cutoff=100)
+        ldp_predict([sums], s, prime_cutoff=100)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -332,9 +347,9 @@ def test_ldp_predict_rejects_an_underflowing_slope_before_any_product(s):
 def test_ldp_predict_rejects_an_overflowing_gamma_before_any_product(s):
     # at x = 16 exp(-ln ln x eta*(s)) is positive up to s = 175.16, but
     # Gamma(s), the rho of the omega twist of unit in psi(ln s), is not
-    dist = pmf(unit(), OMEGA, 16)
+    sums = bucket_sums(unit(), OMEGA, 16)
     with no_euler_product(), pytest.raises(DomainError, match=re.escape(f"s = {s:g} overflows Gamma")):
-        ldp_predict(unit(), OMEGA, 16, s, dist=dist, prime_cutoff=100)
+        ldp_predict([sums], s, prime_cutoff=100)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +358,7 @@ def test_ldp_predict_rejects_an_overflowing_gamma_before_any_product(s):
 
 def test_clt_report_fields_and_extreme_y():
     x = 10**4
-    report = clt_report(unit(), OMEGA, x, [-10.0, 0.0, 10.0])
+    report = clt_report(bucket_sums(unit(), OMEGA, x), [-10.0, 0.0, 10.0])
     assert isinstance(report, CltReport)
     assert report.x == x
     assert 0.0 <= report.kolmogorov_distance <= 1.0
@@ -358,8 +373,9 @@ def test_clt_report_fields_and_extreme_y():
 
 def test_clt_report_matches_brute_force_distance():
     x = 2000
-    dist = pmf(unit(), OMEGA, x)
-    report = clt_report(unit(), OMEGA, x, [0.0], dist=dist)
+    sums = bucket_sums(unit(), OMEGA, x)
+    dist = sums.distribution()
+    report = clt_report(sums, [0.0])
     t_x = math.log(math.log(x))
     sigma = math.sqrt(t_x)
     # plain-python two-sided sup over the jump points of the step CDF
@@ -375,18 +391,34 @@ def test_clt_report_matches_brute_force_distance():
 
 
 def test_clt_report_distance_shrinks_with_x():
-    d1 = clt_report(unit(), OMEGA, 10**3, [0.0]).kolmogorov_distance
-    d2 = clt_report(unit(), OMEGA, 10**4, [0.0]).kolmogorov_distance
+    grid = bucket_sums_grid(unit(), OMEGA, [10**3, 10**4])
+    d1, d2 = (clt_report(sums, [0.0]).kolmogorov_distance for sums in grid)
     assert d2 < d1
 
 
 def test_clt_report_domain_errors():
     with pytest.raises(DomainError):
-        clt_report(theta_omega(0.0), OMEGA, 10**4, [0.0])
+        clt_report(bucket_sums(theta_omega(0.0), OMEGA, 10**4), [0.0])
     with pytest.raises(DomainError):
-        clt_report(theta_omega(-1.0), OMEGA, 10**4, [0.0])
+        clt_report(bucket_sums(theta_omega(-1.0), OMEGA, 10**4), [0.0])
     with pytest.raises(ValueError):
-        clt_report(unit(), OMEGA, 10, [0.0])
+        clt_report(bucket_sums(unit(), OMEGA, 10), [0.0])
+
+
+def test_tail_comparisons_read_the_sums_they_are_given():
+    # alpha, g and x come from the bucket sums: no value table is built,
+    # and the report is labelled with the x of its law
+    grid = bucket_sums_grid(theta_omega(2), BIG_OMEGA, [1000, 5000])
+    fail = mock.Mock(side_effect=AssertionError("a value table was built"))
+    with mock.patch.object(exact, "_ValueBlocks", fail):
+        reports = [clt_report(sums, [0.0, 1.0]) for sums in grid]
+        preds = ldp_predict(grid, 1.3, prime_cutoff=1000)
+    assert [report.x for report in reports] == [1000, 5000]
+    for sums, report, pred in zip(grid, reports, preds):
+        dist = sums.distribution()
+        t_x = 2.0 * math.log(math.log(sums.x))
+        assert report.tail_pairs[0][1] == dist.tail_probability(t_x)
+        assert pred.exact_tail == dist.tail_probability(1.3 * t_x)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -398,11 +430,10 @@ def test_tail_comparisons_reject_a_rho_without_a_finite_scale(rho):
         with pytest.raises(ValueError, match="rho must be finite"):
             MultiplicativeSpec("bad", lambda p, k: rho, rho=rho, c0=0.25, growth=GrowthBound(1.0, 1.0))
         return
-    alpha = tabulated_multiplicative({}, default=rho)
-    dist = pmf(unit(), OMEGA, 1000)
+    sums = bucket_sums(tabulated_multiplicative({}, default=rho), OMEGA, 1000)
     for call in (
-        lambda: clt_report(alpha, OMEGA, 1000, [0.0], dist=dist),
-        lambda: ldp_predict(alpha, OMEGA, 1000, 2.0, dist=dist, prime_cutoff=100),
+        lambda: clt_report(sums, [0.0]),
+        lambda: ldp_predict([sums], 2.0, prime_cutoff=100),
     ):
         with pytest.raises(DomainError, match=re.escape(f"got rho = {rho} at x = 1000")):
             call()
