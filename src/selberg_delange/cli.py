@@ -37,7 +37,7 @@ from .euler import (
 )
 from .exact import bucket_sums, bucket_sums_grid, partial_sum_grid, pmf, sample, twisted_mean
 from .funcs import parse_additive, parse_multiplicative
-from .stats import clt_report, ldp_predict
+from .stats import _checked_decay, _checked_slope, _mean_scale, clt_report, ldp_predict
 
 DEFAULT_X_GRID = (1000, 10000, 100000, 1000000)
 DEFAULT_Y_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -201,6 +201,7 @@ def cmd_sample(args: argparse.Namespace):
 
 def cmd_clt(args: argparse.Namespace):
     x = _require_x(args.x)
+    _mean_scale(args.alpha, x)  # clt_report's check, made before the table pass
     report = clt_report(bucket_sums(args.alpha, args.additive, x), args.y_grid)
     head = f"# x={report.x} kolmogorov_distance={report.kolmogorov_distance:.15g}\n"
     return asdict(report), head + _csv("y,exact,gaussian", report.tail_pairs)
@@ -208,6 +209,9 @@ def cmd_clt(args: argparse.Namespace):
 
 def cmd_ldp(args: argparse.Namespace):
     xs = sorted(args.x_grid or (_require_x(args.x),))
+    s = _checked_slope(args.s)
+    for x in xs:  # ldp_predict's checks at each x, made before the table pass
+        _checked_decay(args.alpha, args.additive, x, s)
     predictions = ldp_predict(bucket_sums_grid(args.alpha, args.additive, xs), args.s, prime_cutoff=args.cutoff)
     rows = list(zip(xs, predictions))
     if not args.x_grid:

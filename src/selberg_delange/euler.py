@@ -41,7 +41,7 @@ import math
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from math import fsum
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -53,7 +53,7 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .funcs import AdditiveSpec, LocalSeries, MultiplicativeSpec, OMEGA, _prime_power_values, twist
+from .funcs import AdditiveSpec, LocalSeries, MultiplicativeSpec, OMEGA, _prime_power_values, stated_value, twist
 from .sieve import prime_array
 from .special import cpow, digamma, gamma, zeta_minus_one
 
@@ -131,9 +131,10 @@ def _second_order_constant(spec: MultiplicativeSpec, rho: complex) -> float:
 class _Row(NamedTuple):
     """One product of a kernel pass: its values and its growth envelope.
 
-    values(p, k) gives f(p^k) over an object array of primes, as a
-    complex128 array of their shape or a 0-d one for all of them (see
-    funcs._prime_power_values).  The series at p stops where the tail of
+    values(k, primes, objects) gives f(p^k) over a prefix of the head
+    primes, as a complex128 array of their shape or a 0-d one for all of
+    them (see _spec_values); objects() is the head as an object array of
+    Python ints, built on first use.  The series at p stops where the tail of
     (a + b k) C (r/p^sigma)^k is <= DEFAULT_FACTOR_TOL, with
     (a, b) = envelope.
     """
@@ -144,8 +145,18 @@ class _Row(NamedTuple):
     envelope: Tuple[float, float] = (1.0, 0.0)
 
 
+def _spec_values(spec, k: int, primes: np.ndarray, objects: Callable[[], np.ndarray]) -> np.ndarray:
+    """f(p^k) or g(p^k) over the primes: the value spec states at them all
+    (funcs.stated_value) as a 0-d complex128 array, else value_at over
+    the first len(primes) entries of objects()."""
+    value = stated_value(spec, k, int(primes[0]), int(primes[-1]))
+    if value is None:
+        return _prime_power_values(spec.value_at, objects()[: len(primes)], k)
+    return np.asarray(value, dtype=np.complex128)
+
+
 def _spec_row(spec: MultiplicativeSpec) -> _Row:
-    return _Row(partial(_prime_power_values, spec.value_at), spec.growth.C, spec.growth.r)
+    return _Row(partial(_spec_values, spec), spec.growth.C, spec.growth.r)
 
 
 class _LocalFactors(NamedTuple):
@@ -249,8 +260,9 @@ def _power_series(
     """sum_{k <= K_p} values(p, k) t_p^k for every row and prime, as
     float64 arrays of shape (rows, primes).
 
-    One loop over k serves the stack.  The primes' object array and the
-    power column cur = t_p^k are shared, and row i adds its terms only
+    One loop over k serves the stack.  The power column cur = t_p^k is
+    shared, and so is the primes' object array, built only when a row
+    reads value_at rather than a stated value; row i adds its terms only
     to the first staircases[i][k-1] primes: a where= mask against the
     union of the staircases.  acc += value * cur; cur *= t, one power at
     a time, with the complex products spelled out in float64 so that
@@ -266,7 +278,7 @@ def _power_series(
     head = union[0] if union else 0
     S_re, S_im = np.zeros((len(rows), len(primes))), np.zeros((len(rows), len(primes)))
     errors: List[Optional[Exception]] = [None] * len(rows)
-    p_obj = np.array(primes[:head].tolist(), dtype=object)
+    objects = cache(lambda: np.array(primes[:head].tolist(), dtype=object))
     column = np.arange(head)
     cur_re = t_re[:head].copy()
     cur_im = None if t_im is None else t_im[:head].copy()
@@ -275,7 +287,7 @@ def _power_series(
         for i, m in enumerate(live.tolist()):
             if m and errors[i] is None:
                 try:
-                    values[i] = rows[i].values(p_obj[:m], k)
+                    values[i] = rows[i].values(k, primes[:m], objects)
                 except (ArithmeticError, ValueError) as exc:
                     errors[i] = exc
         if all(getattr(v, "ndim", 0) == 0 for v in values):  # one value per row: a column
@@ -865,8 +877,8 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
     if not _factors_at_one(alpha):
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
 
-    def values(p, k):
-        return _prime_power_values(g.value_at, p, k) * _prime_power_values(alpha.value_at, p, k)
+    def values(k, primes, objects):
+        return _spec_values(g, k, primes, objects) * _spec_values(alpha, k, primes, objects)
 
     G_row = _Row(values, alpha.growth.C, alpha.growth.r, g.power_bound)
     F, G = _local_factors([_spec_row(alpha), G_row], complex(1.0), P)
@@ -976,10 +988,10 @@ def _square_sum_partials(spec: MultiplicativeSpec, beta: float, grid: Sequence[i
         raise failure
     inner = np.zeros(len(primes))
     head = counts[0] if counts else 0
-    p_obj = np.array(primes[:head].tolist(), dtype=object)
+    objects = cache(lambda: np.array(primes[:head].tolist(), dtype=object))
     weight = np.ones(head)
     for k, n in enumerate(counts, start=1):
-        v = _prime_power_values(spec.value_at, p_obj[:n], k)
+        v = _spec_values(spec, k, primes[:n], objects)
         weight[:n] /= p_beta[:n]
         magnitude = np.abs(v.real) if not v.imag.any() else _map_float(math.hypot, v.real, v.imag)
         inner[:n] += magnitude * weight[:n]

@@ -9,15 +9,28 @@ factoring each n and applying its prime powers in increasing order.
 The last steps, whose moduli hit few n of a block each, are applied by
 one ufunc.at, which keeps their order.  Every n <= x has at most one
 prime factor q above sqrt(x), and the sweep would apply it last, so
-those primes take one value_at(q, 1) per chunk of primes, evaluated
-once per table, and one gather per block: for each m, the q with m q in
+those primes take one gather per block: for each m, the q with m q in
 [lo, hi) form one contiguous run of the primes, found by two
-searchsorted calls over every m at once.  Each n gets the same
+searchsorted calls per chunk of m.  Each n gets the same
 multiplications in the same order as a sweep of every prime over the
 whole table, so every block is bit-identical to the slice of that
 table.  Every exact result reads these blocks, built from the specs;
 multiplicative_value_table and additive_value_table write them into one
 array for callers that want the whole table.
+
+Values.  The tables read each value the spec states (funcs.stated_value)
+and call value_at only where it states none.  Above sqrt(x) that is one
+scalar for a spec with a one-term series, omega or Omega, so no array
+over those primes is built, and a value of 1 (0 for g) gathers nothing;
+a spec that states none there (perturbed, phi(n)/n, a table with a
+prime above sqrt(x)) takes one value_at(q, 1) per chunk of primes, once
+per table.  A pass allocates its working arrays once: the tables, the
+complex copy of a promoted one, the tail's positions and the gather's
+index and offsets.  It fills the runs of the tail and of the gather in
+groups of _TEMP_ITEMS entries, so no temporary grows with x (malloc
+returns a larger one to the system after every block, to be faulted in
+again at the next).  A yielded block is valid until the next is
+requested.
 
 Buckets.  For integer-valued g every exact statistic of g(N) is a
 function of the sums S_m(x) = sum of alpha(n) over n <= x with
@@ -49,7 +62,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateSpecError, DomainError
-from .funcs import AdditiveSpec, MultiplicativeSpec, _prime_power_values
+from .funcs import AdditiveSpec, MultiplicativeSpec, _prime_power_values, stated_value
 from .sieve import _require_memory, _sieve_bytes, prime_array
 from .special import cexpm1, cpow
 
@@ -64,6 +77,11 @@ _BLOCK = 1 << 16
 
 # primes per value_at call for the primes above sqrt(x)
 _PRIME_CHUNK = 4096
+
+# entries per temporary of the tail and the gather (int64: 64 KiB), so
+# that a pass, which allocates its block arrays once, does not hand
+# memory back to the system and fault it in again at every block
+_TEMP_ITEMS = 8192
 
 # sweep steps of a modulus at least this large hit few n of a block each,
 # so one op.at per block applies them cheaper than a slice each
@@ -115,9 +133,10 @@ class _PrefixSums:
         self.total = 0.0
         self.comp = 0.0
 
-    def __call__(self, a: np.ndarray) -> np.ndarray:
+    def __call__(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The prefix sums of the next piece a, written into out (which may be a)."""
         n = a.size
-        out = np.empty(n, dtype=np.float64)
+        out = np.empty(n, dtype=np.float64) if out is None else out
         m = (n // _CHUNK) * _CHUNK
         total, comp = self.total, self.comp
         if m:
@@ -161,12 +180,56 @@ def _large_prime_values(value_at, primes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _large_values(spec, large: np.ndarray) -> np.ndarray:
+    """The values at the primes above sqrt(x): the one value spec states
+    there as a 0-d complex128 array, or _large_prime_values."""
+    value = stated_value(spec, 1, int(large[0]), int(large[-1])) if len(large) else None
+    if value is None:
+        return _large_prime_values(spec.value_at, large)
+    return np.asarray(value, dtype=np.complex128)
+
+
+def _swept_values(spec, small: List[int]) -> Callable[[int, int], object]:
+    """value(p, k), f(p^k) or g(p^k), for the swept primes p in small: the
+    value spec states at all of them, read once per k, else the value it
+    states at p, else value_at(p, k)."""
+    everywhere: Dict[int, object] = {}
+
+    def value(p: int, k: int):
+        if k not in everywhere:
+            everywhere[k] = stated_value(spec, k, small[0], small[-1])
+        v = everywhere[k]
+        if v is None:
+            v = stated_value(spec, k, p, p)
+        return spec.value_at(p, k) if v is None else v
+
+    return value
+
+
 def _compact(values: np.ndarray):
     """values[0] when there are entries and all have the same bits, else values."""
     if not values.size:
         return values
     raw = np.ascontiguousarray(values).view(np.int64).reshape(values.size, -1)
     return values[0] if (raw == raw[0]).all() else values
+
+
+class _Work:
+    """A recipe's working arrays for one pass of blocks of at most `block`
+    n, allocated once: the table, its complex128 copy once promoted, and
+    the positions of the tail."""
+
+    def __init__(self, recipe: "_Recipe", block: int):
+        self.table = np.empty(block, dtype=recipe.dtype)
+        self.complex: Optional[np.ndarray] = None
+        self.tail = np.empty(int(((block - 1) // recipe.moduli[recipe.tail :] + 1).sum()), dtype=np.int64)
+
+    def promoted(self, a: np.ndarray) -> np.ndarray:
+        if self.complex is None:
+            self.complex = np.empty(self.table.size, dtype=np.complex128)
+        out = self.complex[: a.size]
+        out[...] = a
+        return out
 
 
 @dataclass(frozen=True)
@@ -195,16 +258,17 @@ class _Recipe:
 
     # an overflowing weight is reported by the finite-total checks
     @np.errstate(over="ignore")
-    def block(self, lo: int, hi: int, gather: Callable) -> np.ndarray:
+    def block(self, lo: int, hi: int, gather: Callable, work: _Work) -> np.ndarray:
         size = hi - lo
-        a = np.full(size, self.start, dtype=self.dtype)
+        a = work.table[:size]
+        a.fill(self.start)
         firsts = -lo % self.moduli
         head = firsts[: self.tail].tolist()
         promote = len(self.steps) + 1 if self.complex_from is None else self.complex_from
         # most steps of the larger prime powers have no multiple in the block
         for i in [i for i, first in enumerate(head) if first < size]:
             if i >= promote and a.dtype != np.complex128:
-                a = a.astype(np.complex128)
+                a = work.promoted(a)
             pk, nxt, v = self.steps[i]
             if nxt:
                 at = np.arange(head[i], size, pk)
@@ -224,11 +288,11 @@ class _Recipe:
             moduli = self.moduli[self.tail :]
             counts = np.maximum((size - 1 - firsts[self.tail :]) // moduli + 1, 0)
             values = self.tail_values if np.ndim(self.tail_values) == 0 else np.repeat(self.tail_values, counts)
-            self.op.at(a, _runs(firsts[self.tail :], moduli, counts), values)
+            self.op.at(a, _runs(firsts[self.tail :], moduli, counts, work.tail), values)
         if promote <= len(self.steps) and a.dtype != np.complex128:
-            a = a.astype(np.complex128)
+            a = work.promoted(a)
         if len(self.gather_primes):
-            at, index = gather(self.gather_primes)
+            at, index = gather(self.gather_primes, lo, hi)
             values = self.gather_values if np.ndim(self.gather_values) == 0 else self.gather_values[index]
             if a.dtype == np.complex128:
                 a[at] = self.op(a[at], values)  # op.at rounds complex products differently
@@ -237,20 +301,41 @@ class _Recipe:
         return a
 
 
-def _runs(starts: np.ndarray, steps: Optional[np.ndarray], counts: np.ndarray) -> np.ndarray:
-    """starts[i] + j steps[i] (steps 1 when None) for j < counts[i], run after run."""
-    out = np.arange(int(counts.sum()), dtype=np.int64)
-    out -= np.repeat(np.cumsum(counts) - counts, counts)
-    if steps is not None:
-        out *= np.repeat(steps, counts)
-    out += np.repeat(starts, counts)
-    return out
+def _groups(ends: np.ndarray) -> Iterator[Tuple[int, int, int, int]]:
+    """(i, j, e, f) for consecutive groups of runs: runs i..j-1 fill
+    entries e..f-1, where run i ends at entry ends[i].  A group holds
+    about _TEMP_ITEMS entries (a longer run makes a group of its own), so
+    the temporaries that fill it do not grow with x or the block."""
+    total = int(ends[-1]) if ends.size else 0
+    i = e = 0
+    for j in np.searchsorted(ends, np.arange(_TEMP_ITEMS, total, _TEMP_ITEMS), side="right").tolist() + [ends.size]:
+        if j > i:
+            f = int(ends[j - 1])
+            yield i, j, e, f
+            i, e = j, f
+
+
+def _runs(starts: np.ndarray, steps: np.ndarray, counts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """starts[i] + j steps[i] for j < counts[i], run after run, written into out."""
+    ends = np.cumsum(counts)
+    # entry e of run i is e steps[i] + starts[i] - (ends[i] - counts[i]) steps[i]
+    bases = starts - (ends - counts) * steps
+    for i, j, e, f in _groups(ends):
+        group = out[e:f]
+        np.multiply(np.arange(e, f), np.repeat(steps[i:j], counts[i:j]), out=group)
+        group += np.repeat(bases[i:j], counts[i:j])
+    return out[: int(ends[-1]) if ends.size else 0]
 
 
 def _recipe(start, dtype, op, steps, complex_from, large, values, keep) -> _Recipe:
-    """The _Recipe of a sweep and of the gather of the large primes where keep holds."""
-    if not keep.all():
-        large, values = large[keep], values[keep]
+    """The _Recipe of a sweep and of the gather of the large primes where
+    keep holds; values and keep are 0-d for one value at them all."""
+    if keep.ndim == 0:
+        large, values = large if keep else large[:0], values[()]
+    else:
+        if not keep.all():
+            large, values = large[keep], values[keep]
+        values = _compact(values)
     moduli = np.array([pk for pk, _, _ in steps], dtype=np.int64)
     # the tail: the last steps, all of moduli >= _TAIL_MODULUS and none
     # excluding multiples, of a table still real (op.at rounds complex
@@ -261,21 +346,20 @@ def _recipe(start, dtype, op, steps, complex_from, large, values, keep) -> _Reci
         exact = [i for i, (_, nxt, _) in enumerate(steps) if nxt]
         tail = max([int(small[-1]) + 1 if small.size else 0] + [i + 1 for i in exact[-1:]])
     tail_values = _compact(np.array([v for _, _, v in steps[tail:]]))
-    return _Recipe(
-        start, dtype, op, steps, moduli, complex_from, tail, tail_values, large, _compact(values)
-    )
+    return _Recipe(start, dtype, op, steps, moduli, complex_from, tail, tail_values, large, values)
 
 
 def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: List[int], large: np.ndarray) -> _Recipe:
     """The steps of f(n) for n <= x, with the checks and the dtype of the whole table."""
     steps: List[Tuple[int, int, object]] = []
     complex_from: Optional[int] = None
+    value = _swept_values(spec, small)
     for p in small:
         values: List[complex] = []
         pk = p
         has_zero = False
         while pk <= x:
-            v = complex(spec.value_at(p, len(values) + 1))
+            v = complex(value(p, len(values) + 1))
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"{spec.name}: non-finite value at ({p},{len(values) + 1})")
             values.append(v)
@@ -298,7 +382,7 @@ def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: List[int], l
                 steps.append((pk, 0, ratio if complex_from is not None else ratio.real))
             pk *= p
     # primes above sqrt(x) divide each n <= x at most once, and last
-    values = _large_prime_values(spec.value_at, large)
+    values = _large_values(spec, large)
     bad = np.flatnonzero(~(np.isfinite(values.real) & np.isfinite(values.imag)))
     if len(bad):
         raise ValueError(f"{spec.name}: non-finite value at ({int(large[bad[0]])},1)")
@@ -325,19 +409,20 @@ def _additive_recipe(g: AdditiveSpec, x: int, small: List[int], large: np.ndarra
     """The steps of g(n) for n <= x; int64 for integer-valued g."""
     integer = g.integer_valued
     steps = []
+    value = _swept_values(g, small)
     for p in small:
         prev = 0.0
         pk = p
         k = 1
         while pk <= x:
-            v = complex(g.value_at(p, k))
+            v = complex(value(p, k))
             delta = _additive_delta(g, p, k, v, prev)
             prev = v.real
             if delta != 0.0:
                 steps.append((pk, 0, int(delta) if integer else delta))
             pk *= p
             k += 1
-    values = _large_prime_values(g.value_at, large)
+    values = _large_values(g, large)
     deltas = values.real
     suspect = values.imag != 0.0
     if integer:
@@ -345,27 +430,66 @@ def _additive_recipe(g: AdditiveSpec, x: int, small: List[int], large: np.ndarra
     first = np.flatnonzero(suspect)
     if len(first):
         i = int(first[0])
-        _additive_delta(g, int(large[i]), 1, complex(values[i]), 0.0)  # raises for this prime
-    keep = deltas != 0.0
+        _additive_delta(g, int(large[i]), 1, complex(values.flat[i]), 0.0)  # raises for this prime
     dtype = np.int64 if integer else np.float64
-    return _recipe(0, dtype, np.add, steps, None, large, deltas.astype(dtype, copy=False), keep)
+    return _recipe(0, dtype, np.add, steps, None, large, deltas.astype(dtype, copy=False), deltas != 0.0)
 
 
-def _gather_index(primes: np.ndarray, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Offsets n - lo and prime indices i of every n = m primes[i] in [lo, hi).
+def _gather_index(primes: np.ndarray, lo: int, hi: int, at: np.ndarray, index: np.ndarray,
+                  cofactors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets n - lo and prime indices i of every n = m primes[i] in [lo, hi),
+    written into at and index.
 
     Every listed prime exceeds sqrt(x) >= sqrt(n), so m < primes[i] and
     each n is hit at most once; for each m the primes in
-    [ceil(lo / m), (hi - 1) // m] are one contiguous run.
+    [ceil(lo / m), (hi - 1) // m] are one contiguous run.  The m go in
+    chunks of _TEMP_ITEMS, with the rows of cofactors: the run's first
+    index less its first entry, and the run's length and end.
     """
-    ms = np.arange(1, (hi - 1) // int(primes[0]) + 1, dtype=np.int64)
-    first = np.searchsorted(primes, -(-lo // ms), side="left")
-    counts = np.maximum(np.searchsorted(primes, (hi - 1) // ms, side="right") - first, 0)
-    index = _runs(first, None, counts)
-    at = primes[index]
-    at *= np.repeat(ms, counts)
+    top = (hi - 1) // int(primes[0])
+    size = 0
+    for start in range(1, top + 1, _TEMP_ITEMS):
+        ms = np.arange(start, min(start + _TEMP_ITEMS, top + 1), dtype=np.int64)
+        bases, counts, ends = cofactors[:, : ms.size]
+        np.floor_divide(-lo, ms, out=bases)
+        np.negative(bases, out=bases)
+        bases[...] = np.searchsorted(primes, bases, side="left")
+        np.floor_divide(hi - 1, ms, out=counts)
+        counts[...] = np.searchsorted(primes, counts, side="right")
+        np.maximum(counts - bases, 0, out=counts)
+        np.cumsum(counts, out=ends)
+        bases -= ends
+        bases += counts
+        for i, j, e, f in _groups(ends):
+            group = index[size + e : size + f]
+            np.add(np.arange(e, f), np.repeat(bases[i:j], counts[i:j]), out=group)
+            offsets = at[size + e : size + f]
+            np.take(primes, group, out=offsets, mode="clip")
+            offsets *= np.repeat(ms[i:j], counts[i:j])
+        size += int(ends[-1])
+    at = at[:size]
     at -= lo
-    return at, index
+    return at, index[:size]
+
+
+class _Gather:
+    """_gather_index for one pass, in arrays allocated once (np.empty:
+    pages are touched only as blocks fill them).  A block's index is kept
+    for the other side of the pass while it gathers the same list of
+    primes in the same block.
+    """
+
+    def __init__(self, block: int):
+        self.arrays = (np.empty(block, dtype=np.int64), np.empty(block, dtype=np.int64),
+                       np.empty((3, _TEMP_ITEMS), dtype=np.int64))
+        self.key: Optional[Tuple[int, int]] = None
+        self.last: Tuple[np.ndarray, np.ndarray] = ()
+
+    def __call__(self, primes: np.ndarray, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        if self.key != (id(primes), lo):
+            self.key = (id(primes), lo)
+            self.last = _gather_index(primes, lo, hi, *self.arrays)
+        return self.last
 
 
 class _ValueBlocks:
@@ -373,7 +497,8 @@ class _ValueBlocks:
 
     A side without a spec yields None.  The constructor makes every
     check a whole-table build makes, in the same order and with the same
-    messages; each iteration is one pass.
+    messages; each iteration is one pass, which allocates its working
+    arrays once, so a yielded block is valid until the next is requested.
 
     Raises ValueError for x < 1, a prime sieve beyond physical memory, or
     a spec the tables reject.
@@ -391,20 +516,13 @@ class _ValueBlocks:
         self.g = None if g is None else _additive_recipe(g, x, small, large)
 
     def __iter__(self) -> Iterator[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]]:
-        for lo in range(1, self.x + 1, _BLOCK):
-            hi = min(lo + _BLOCK, self.x + 1)
-            # alpha and g usually gather the same primes; index them once
-            index: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-            def gather(primes):
-                if id(primes) not in index:
-                    index[id(primes)] = _gather_index(primes, lo, hi)
-                return index[id(primes)]
-
-            def side(recipe):
-                return None if recipe is None else recipe.block(lo, hi, gather)
-
-            yield lo, side(self.alpha), side(self.g)
+        block = min(_BLOCK, self.x)
+        sides = [None if recipe is None else (recipe, _Work(recipe, block)) for recipe in (self.alpha, self.g)]
+        gather = _Gather(block)
+        for lo in range(1, self.x + 1, block):
+            hi = min(lo + block, self.x + 1)
+            w, gt = (None if side is None else side[0].block(lo, hi, gather, side[1]) for side in sides)
+            yield lo, w, gt
 
 
 def _whole_table(alpha: Optional[MultiplicativeSpec], g: Optional[AdditiveSpec], x: int) -> np.ndarray:
@@ -775,20 +893,27 @@ def _cumulative_pieces(blocks) -> Iterator[Tuple[int, np.ndarray]]:
     """(n, cumulative[n : n + len]) piece by piece, cumulative = compensated_cumsum(w[0..x]), w[0] = 0.
 
     The prefix-sum chunks start at n = 0 and the blocks at n = 1, so each
-    piece carries the last weight of its block over to the next.
+    piece carries the weights past its last whole chunk over to the next.
+    The pieces are summed in place in one array allocated at the first
+    block, so, like a block, a piece is valid until the next is requested.
     """
     prefix = _PrefixSums()
-    carry = np.zeros(1)
+    run = np.zeros(1)
+    carry = 1  # run[:carry] holds the weights carried over; w[0] = 0 first
     n = 0
     for _, w, _ in blocks:
-        run = np.concatenate((carry, w))
-        m = (run.size // _CHUNK) * _CHUNK
+        if run.size < carry + w.size:
+            run = np.concatenate((run[:carry], np.empty(w.size + _CHUNK)))
+        piece = run[: carry + w.size]
+        piece[carry:] = w
+        m = (piece.size // _CHUNK) * _CHUNK
         if m:
-            yield n, prefix(run[:m])
+            yield n, prefix(piece[:m], out=piece[:m])
             n += m
-        carry = run[m:]
-    if carry.size:
-        yield n, prefix(carry)
+            run[: piece.size - m] = piece[m:]
+        carry = piece.size - m
+    if carry:
+        yield n, prefix(run[:carry], out=run[:carry])
 
 
 def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int = 0) -> np.ndarray:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -88,9 +88,10 @@ class MultiplicativeSpec:
     """A multiplicative function given by its prime-power values.
 
     value_at(p, k) must be pure; instances are immutable and safe to
-    share across threads, and Euler products memoise on them.  The
-    Euler-product kernel calls value_at once per power k with p a numpy
-    object array of Python int primes, so that Python arithmetic on p
+    share across threads, and Euler products memoise on them.  Where the
+    spec states no value (see series), the Euler-product kernel calls
+    value_at once per power k with p a numpy object array of Python int
+    primes, so that Python arithmetic on p
     acts elementwise and rounds as the scalar call does; it may return
     a scalar or an array of p's shape.  A value_at that raises
     TypeError or ValueError on an array (a table lookup, an `if` on p)
@@ -102,10 +103,13 @@ class MultiplicativeSpec:
     estimates.
 
     series is the optional LocalSeries of the same values, declared by
-    every built-in but `perturbed`.  It must agree with value_at; the
-    Euler products use it only for the primes above their cutoff, and
-    only when no exceptional prime lies there.  A spec without one keeps
-    the plain truncated product.
+    every built-in but `perturbed`.  The Euler products close the primes
+    above their cutoff with it when no exceptional prime lies there (a
+    spec without one keeps the plain truncated product).  Where it has
+    one coefficient at k, that coefficient is the value f(p^k) the spec
+    states (stated_value): the exact value tables and the Euler kernel
+    read it in place of value_at at every prime of a range free of
+    exceptional primes, so it must agree with value_at bit for bit.
     """
 
     name: str
@@ -141,7 +145,11 @@ class AdditiveSpec:
     exceptional_primes (1 for omega and Omega, 0 for tables), or None
     when g declares no such value.  k_value(k) is g(p^k) when that value
     is the same at every prime (1 for omega, k for Omega), else None; it
-    carries a local series through twists and psi'(0).
+    carries a local series through twists and psi'(0).  Both are values
+    the spec states (stated_value): the exact value tables and the Euler
+    kernel read them in place of value_at at every prime of a range
+    free of exceptional primes, so they must agree with value_at bit
+    for bit.
     """
 
     name: str
@@ -184,6 +192,28 @@ BIG_OMEGA = AdditiveSpec(
     prime_value=1,
     k_value=lambda k: k,
 )
+
+
+def stated_value(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, lo: int, hi: int):
+    """The value spec states at p^k for every prime p in [lo, hi], or None.
+
+    A multiplicative spec states the coefficient of a series with one
+    coefficient at k; an additive spec states k_value(k), or prime_value
+    at k = 1; either only when none of its exceptional primes lies in
+    [lo, hi].  The engines read this value in place of value_at, so an
+    error the series raises acts where value_at's would.
+    """
+    if isinstance(spec, MultiplicativeSpec):
+        series = spec.series
+        if series is None or any(lo <= q <= hi for q in series.exceptional_primes):
+            return None
+        coeffs = series.coeffs(k)
+        return coeffs[0] if len(coeffs) == 1 else None
+    if any(lo <= q <= hi for q in spec.exceptional_primes):
+        return None
+    if spec.k_value is not None:
+        return spec.k_value(k)
+    return spec.prime_value if k == 1 else None
 
 
 def _prime_power_values(value_at, primes: np.ndarray, k: int) -> np.ndarray:

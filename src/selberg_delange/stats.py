@@ -163,6 +163,14 @@ def _prefactor(alpha: MultiplicativeSpec, g: AdditiveSpec, s: float, prime_cutof
     return psi(alpha, math.log(s), g, prime_cutoff=prime_cutoff).real / (1.0 - 1.0 / s)
 
 
+def _checked_slope(s: float) -> float:
+    """s as a float, once ldp's upper tail allows it (s >= 1)."""
+    s = float(s)
+    if not s >= 1.0:
+        raise DomainError(f"ldp compares the upper tail and needs s >= 1, got {s:g}")
+    return s
+
+
 def ldp_predict(
     grid: Sequence[BucketSums], s: float, *, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
 ) -> List[LdpPrediction]:
@@ -188,9 +196,7 @@ def ldp_predict(
         ValueError: grid mixes specs, or an x < 16; what
         BucketSums.distribution raises.
     """
-    s = float(s)
-    if not s >= 1.0:
-        raise DomainError(f"ldp compares the upper tail and needs s >= 1, got {s:g}")
+    s = _checked_slope(s)
     if any((sums.alpha, sums.g) != (grid[0].alpha, grid[0].g) for sums in grid):
         raise ValueError("ldp_predict needs the bucket sums of one alpha and one g")
     h, rate = math.log(s), eta_star(s)

@@ -484,6 +484,31 @@ def test_tail_comparisons_check_the_mean_scale_before_the_distribution(capsys, c
     assert run_cli(capsys, [command, "--spec", spec, "--x", "1000"]) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["clt", "--spec", "theta_omega:-1", "--x", "1e7"], "tail comparisons need rho > 0, got rho = -1.0 at x = 10000000"),
+        (["clt", "--x", "10"], "x must be >= 16 so ln ln x >= 1, got 10"),
+        (["ldp", "--spec", "theta_omega:-1", "--x-grid", "1e6,1e7", "--s", "1.5"],
+         "tail comparisons need rho > 0, got rho = -1.0 at x = 1000000"),
+        (["ldp", "--x-grid", "1e3,1e7", "--s", "200"], "s = 200 underflows exp(-rho ln ln x eta*(s)) to 0 at x = 1000"),
+        (["ldp", "--g", "big_omega", "--x-grid", "1e3,1e7", "--s", "1.5"],
+         "s = 1.5 puts ln s = 0.405465 outside the strip of big_omega; need 1 <= s < 1.41421"),
+        (["ldp", "--x", "1e7", "--s", "0.5"], "ldp compares the upper tail and needs s >= 1, got 0.5"),
+    ],
+    ids=["clt-rho", "clt-small-x", "ldp-rho", "ldp-underflow", "ldp-strip", "ldp-lower-tail"],
+)
+def test_tail_checks_come_before_the_table_pass(monkeypatch, capsys, argv, message):
+    # clt and ldp fail in start-up time, with the messages clt_report and
+    # ldp_predict give, before any value table is built
+    def no_tables(*args):
+        raise AssertionError("a value table was built")
+
+    for name in ("__init__", "__iter__"):
+        monkeypatch.setattr(exact._ValueBlocks, name, no_tables)
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("s", ["0.5", "0.999", "0", "-1"])
 def test_ldp_rejects_a_lower_tail_slope_before_any_product(monkeypatch, capsys, s):
     # psi(ln s)/(1 - 1/s) is the upper tail's prefactor: at s = 0.5 it

@@ -35,6 +35,7 @@ from selberg_delange.funcs import (
     OMEGA,
     AdditiveSpec,
     GrowthBound,
+    LocalSeries,
     MultiplicativeSpec,
     euler_phi_over_n,
     geometric_B,
@@ -653,9 +654,13 @@ def result_bits(result):
 
 
 STACK_SPECS = ORACLE_SPECS + [twist(unit(), y, OMEGA) for y in CIRCLE_Y]
-# the specs whose value_at gives one value for all primes, so that every
+# the specs whose values give one value for all primes, so that every
 # power of the pass is a column of one value per row
-COLUMN_SPECS = [spec for spec in STACK_SPECS if np.ndim(euler._spec_row(spec).values(np.array([2, 3], dtype=object), 1)) == 0]
+TWO_THREE = np.array([2, 3])
+COLUMN_SPECS = [
+    spec for spec in STACK_SPECS
+    if np.ndim(euler._spec_row(spec).values(1, TWO_THREE, lambda: TWO_THREE.astype(object))) == 0
+]
 
 
 def assert_stack_equals_rows_alone(specs, s, P):
@@ -982,7 +987,8 @@ def test_memo_hit_equals_fresh_computation():
 
 
 def test_memo_never_shares_entries_across_value_at():
-    a = theta_omega(2)
+    # no series: a series states the values, and the kernel reads it in place of value_at
+    a = dataclasses.replace(theta_omega(2), series=None)
     b = dataclasses.replace(a, value_at=lambda p, k: 1.5)
     assert a != b
     for first, second in ((a, b), (b, a)):
@@ -1142,3 +1148,69 @@ def test_specs_without_a_series_keep_their_bits():
     # psi of a twist by a table g stays a ratio of two plain products
     g = tabulated_additive({(3, 1): 1.0, (5, 2): 2.0})
     assert repr(psi(theta_omega(2), 0.7, g, prime_cutoff=2000)) == "(1.555923207180146+0j)"
+
+
+# ---------------------------------------------------------------------------
+# stated values: a row whose series has one coefficient at k, and no
+# exceptional prime in the head, reads it in place of value_at
+
+
+def counted(spec):
+    """spec with a value_at that counts its calls, as bench/trace_child.py builds one."""
+    calls = []
+
+    def value_at(p, k):
+        calls.append(k)
+        return spec.value_at(p, k)
+
+    return dataclasses.replace(spec, value_at=value_at), calls
+
+
+STATING_SPECS = [unit(), theta_omega(2.5), theta_omega(complex(1.5, 0.5)), geometric_B(1.5), tau_rho(0.5),
+                 tau_rho(3), tabulated_multiplicative({(10007, 1): 2.0}, default=1.5)]
+
+
+@pytest.mark.parametrize("spec", STATING_SPECS, ids=lambda s: s.name)
+def test_the_kernel_makes_no_value_at_call_for_a_stated_spec(spec):
+    P = 2000
+    alpha, calls = counted(spec)
+    for g in (OMEGA, BIG_OMEGA):
+        g_spy, g_calls = counted(g)
+        clear_memos()
+        want = (outcome(lambda: lambda0(spec, P)), euler.psi_grid(spec, [-0.3, 0.5j], g, P),
+                psi_prime_at_zero(spec, g, P))
+        clear_memos()
+        got = (outcome(lambda: lambda0(alpha, P)), euler.psi_grid(alpha, [-0.3, 0.5j], g_spy, P),
+               psi_prime_at_zero(alpha, g_spy, P))
+        assert repr(got) == repr(want)
+        assert g_calls == []
+    assert calls == []
+    # a two-term series states no value: phi(n)/n reads value_at once per power
+    phi, calls = counted(euler_phi_over_n())
+    lambda0(phi, P)
+    assert calls == list(range(1, len(calls) + 1))
+
+
+def test_a_raising_coefficient_fails_its_row_where_value_at_would():
+    # f(p^k) = 0.5 for k < 3 and an error above, stated by the series and
+    # given by value_at alike; a series with an exceptional prime in the
+    # head leaves every prime to value_at
+    def value(k):
+        if k >= 3:
+            raise ValueError(f"no value at k = {k}")
+        return 0.5
+
+    base = MultiplicativeSpec("k3", lambda p, k: value(k), rho=0.5, c0=0.25, growth=GrowthBound(1.0, 1.0))
+    stated = dataclasses.replace(base, series=LocalSeries(lambda k: (value(k),)))
+    late = dataclasses.replace(base, series=LocalSeries(lambda k: (value(k),), (3,)))
+    for P in (100, 2000):
+        want = outcome(lambda: lambda0(base, P))
+        assert want == (ValueError, None)
+        for spec in (stated, late):
+            clear_memos()
+            assert outcome(lambda: lambda0(spec, P)) == want
+            assert outcome(lambda: g_compensated(spec, 1.5, prime_cutoff=P)) == want
+        clear_memos()
+        stack = euler._lambda0_batch([theta_omega(2), stated, unit()], P)
+        assert [type(r) for r in stack] == [EulerProductResult, ValueError, EulerProductResult]
+        assert str(stack[1]) == "no value at k = 3"

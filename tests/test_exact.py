@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import dataclasses
 import math
 import tracemalloc
 
@@ -34,6 +35,7 @@ from selberg_delange.funcs import (
     OMEGA,
     AdditiveSpec,
     GrowthBound,
+    LocalSeries,
     MultiplicativeSpec,
     euler_phi_over_n,
     geometric_B,
@@ -715,6 +717,122 @@ def test_gather_non_integer_delta_at_large_prime():
     )
 
 
+# ---------------------------------------------------------------------------
+# stated values: where a spec states its value at every prime of a range,
+# the tables read it and call no value_at
+
+
+def counted(spec):
+    """spec with a value_at that counts its calls, as bench/trace_child.py builds one."""
+    calls = []
+
+    def value_at(p, k):
+        calls.append((p, k))
+        return spec.value_at(p, k)
+
+    return dataclasses.replace(spec, value_at=value_at), calls
+
+
+# 101^2 = 10201: at x = 10200 the table prime 101 is gathered, at 10201 swept
+@pytest.mark.parametrize("x", [1000, 10200, 10201, 30000])
+@pytest.mark.parametrize("prime", [7, 101])
+def test_table_primes_on_either_side_of_sqrt_x(prime, x):
+    spec = tabulated_multiplicative({(prime, 1): 3.0, (prime, 2): 0.5, (2, 3): 0.25}, default=1.5)
+    table = multiplicative_value_table(spec, x)
+    assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
+    g = tabulated_additive({(prime, 1): 2.0, (prime, 2): -1.0, (3, 1): 1.0})
+    gt = additive_value_table(g, x)
+    assert gt.tobytes() == reference_additive_table(g, x).tobytes()
+    assert gt[1:].tolist() == [int(additive_eval_brute(g, n).real) for n in range(1, x + 1)]
+    # f and g(p) are stated at every prime but the table's, where
+    # value_at gives them (and g(p^k), k >= 2, which a table g does not
+    # state); a table prime above sqrt(x) leaves the primes there to value_at
+    for s in (spec, g):
+        spy, calls = counted(s)
+        build = multiplicative_value_table if s is spec else additive_value_table
+        assert build(spy, x).tobytes() == build(s, x).tobytes()
+        swept = {p for p, k in calls if np.ndim(p) == 0 and p * p <= x and (k == 1 or s is spec)}
+        assert swept <= {prime, 2, 3}
+        assert any(np.ndim(p) for p, _ in calls) == (prime * prime > x)
+
+
+def stated_everywhere_but_small(name, value, x, **kwargs):
+    """A spec whose series states `value` at the primes above sqrt(x) and
+    whose table primes (exceptional, so value_at gives them) are the rest."""
+    small = tuple(prime_array(math.isqrt(x)).tolist())
+
+    def value_at(p, k):
+        return np.where(p <= small[-1], 1.0, value)
+
+    if kwargs:
+        return AdditiveSpec(name, value_at, prime_value=value, exceptional_primes=small, **kwargs)
+    series = LocalSeries(lambda k: (value,), small)
+    return MultiplicativeSpec(name, value_at, rho=1.0, c0=0.25, growth=GrowthBound(2.0, 1.0), series=series)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (stated_everywhere_but_small("inf", math.inf, 1000), "inf: non-finite value at (37,1)"),
+        (stated_everywhere_but_small("nan", complex(1.0, math.nan), 1000), "nan: non-finite value at (37,1)"),
+        (stated_everywhere_but_small("cplx", 1j, 1000, integer_valued=False), "cplx: tables require real values, got 1j at (37,1)"),
+        (stated_everywhere_but_small("half", 0.5, 1000, integer_valued=True),
+         "half declared integer-valued but g(37^1) jumps by 0.5"),
+    ],
+    ids=["non-finite", "non-finite-imag", "complex", "non-integer"],
+)
+def test_a_bad_stated_value_names_the_first_large_prime(spec, message):
+    build, reference = (
+        (multiplicative_value_table, reference_multiplicative_table)
+        if isinstance(spec, MultiplicativeSpec) else (additive_value_table, reference_additive_table)
+    )
+    assert raised(lambda: build(spec, 1000)) == (ValueError, message)
+    assert raised(lambda: reference(spec, 1000)) == (ValueError, message)
+
+
+def test_stated_values_promote_and_gather_as_value_at_does():
+    # a complex value stated above sqrt(x) promotes the table before the gather;
+    # a stated 1 (0 for g) gathers nothing
+    for value in (2j, 1.0, 0.5):
+        spec = stated_everywhere_but_small("late", value, 1000)
+        table = multiplicative_value_table(spec, 1000)
+        assert table.dtype == (np.complex128 if value == 2j else np.float64)
+        assert table.tobytes() == reference_multiplicative_table(spec, 1000).tobytes()
+    g = stated_everywhere_but_small("zero", 0.0, 1000, integer_valued=True)
+    assert additive_value_table(g, 1000).tobytes() == reference_additive_table(g, 1000).tobytes()
+
+
+STATING_SPECS = [unit(), theta_omega(2), theta_omega(0.5 + 1.5j), theta_omega(-1), geometric_B(1.5), tau_rho(0.5),
+                 tabulated_multiplicative({(10007, 1): 2.0}, default=1.5)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec", STATING_SPECS, ids=lambda s: s.name)
+def test_exact_sums_make_no_value_at_call_for_a_stated_spec(spec):
+    x = 5000
+    alpha, calls = counted(spec)
+    for g in (OMEGA, BIG_OMEGA):
+        g_spy, g_calls = counted(g)
+        assert bucket_sums(alpha, g_spy, x).real.tobytes() == bucket_sums(spec, g, x).real.tobytes()
+        assert raised(lambda: pmf(alpha, g_spy, x)) == raised(lambda: pmf(spec, g, x))
+        assert g_calls == []
+    assert raised(lambda: sample(alpha, x, 1, 100)) == raised(lambda: sample(spec, x, 1, 100))
+    assert calls == []
+
+
+def test_a_two_term_series_states_no_value():
+    # phi(n)/n has f(p^k) = 1 - 1/p: its series (1, -1) states no single
+    # value, so value_at gives the table, once per prime power below
+    # sqrt(x) and once per chunk of the primes above
+    x = 5000
+    alpha, calls = counted(euler_phi_over_n())
+    bucket_sums(alpha, OMEGA, x)
+    small = prime_array(math.isqrt(x)).tolist()
+    assert calls[:-1] == [(p, k) for p in small for k in range(1, 20) if p**k <= x]
+    (large, k) = calls[-1]
+    assert k == 1 and large.tolist() == prime_array(x)[len(small) :].tolist()
+
+
 def test_tiny_prime_power_value_takes_exact_exponent_steps():
     # f(2) is subnormal, so the ratio f(4)/f(2) overflows; the sweep then
     # multiplies by f(2^k) on the n with 2^k || n instead
@@ -866,8 +984,9 @@ def test_streamed_sample_matches_whole_search(block, spec, x):
     w = reference_multiplicative_table(spec, x)
     cumulative = compensated_cumsum(w)
     with small_blocks(block):
+        # a piece is valid until the next is requested
         pieces = exact._cumulative_pieces(exact._ValueBlocks(spec, None, x))
-        assert np.concatenate([c for _, c in pieces]).tobytes() == cumulative.tobytes()
+        assert np.concatenate([c.copy() for _, c in pieces]).tobytes() == cumulative.tobytes()
         for seed in (0, 1, 7, 2**63 + 5):
             bits_ = np.random.Philox(key=[np.uint64(seed & (2**64 - 1)), np.uint64(0)])
             targets = np.random.Generator(bits_).random(3000) * cumulative[x]
