@@ -41,7 +41,7 @@ import math
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from math import fsum
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -53,7 +53,7 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .funcs import AdditiveSpec, LocalSeries, MultiplicativeSpec, OMEGA, _prime_power_values, stated_value, twist
+from .funcs import AdditiveSpec, LocalSeries, MultiplicativeSpec, OMEGA, prime_power_values, twist
 from .sieve import prime_array
 from .special import cpow, digamma, gamma, zeta_minus_one
 
@@ -131,10 +131,9 @@ def _second_order_constant(spec: MultiplicativeSpec, rho: complex) -> float:
 class _Row(NamedTuple):
     """One product of a kernel pass: its values and its growth envelope.
 
-    values(k, primes, objects) gives f(p^k) over a prefix of the head
-    primes, as a complex128 array of their shape or a 0-d one for all of
-    them (see _spec_values); objects() is the head as an object array of
-    Python ints, built on first use.  The series at p stops where the tail of
+    values(k, primes) gives f(p^k) over a prefix of the head primes, as
+    funcs.prime_power_values does: an array of their shape, or a 0-d one
+    for all of them.  The series at p stops where the tail of
     (a + b k) C (r/p^sigma)^k is <= DEFAULT_FACTOR_TOL, with
     (a, b) = envelope.
     """
@@ -145,18 +144,8 @@ class _Row(NamedTuple):
     envelope: Tuple[float, float] = (1.0, 0.0)
 
 
-def _spec_values(spec, k: int, primes: np.ndarray, objects: Callable[[], np.ndarray]) -> np.ndarray:
-    """f(p^k) or g(p^k) over the primes: the value spec states at them all
-    (funcs.stated_value) as a 0-d complex128 array, else value_at over
-    the first len(primes) entries of objects()."""
-    value = stated_value(spec, k, int(primes[0]), int(primes[-1]))
-    if value is None:
-        return _prime_power_values(spec.value_at, objects()[: len(primes)], k)
-    return np.asarray(value, dtype=np.complex128)
-
-
 def _spec_row(spec: MultiplicativeSpec) -> _Row:
-    return _Row(partial(_spec_values, spec), spec.growth.C, spec.growth.r)
+    return _Row(partial(prime_power_values, spec), spec.growth.C, spec.growth.r)
 
 
 class _LocalFactors(NamedTuple):
@@ -261,13 +250,12 @@ def _power_series(
     float64 arrays of shape (rows, primes).
 
     One loop over k serves the stack.  The power column cur = t_p^k is
-    shared, and so is the primes' object array, built only when a row
-    reads value_at rather than a stated value; row i adds its terms only
-    to the first staircases[i][k-1] primes: a where= mask against the
-    union of the staircases.  acc += value * cur; cur *= t, one power at
-    a time, with the complex products spelled out in float64 so that
-    they round exactly as Python's complex arithmetic does.  With t_im
-    None the column is real and its zero imaginary half is skipped.
+    shared; row i adds its terms only to the first staircases[i][k-1]
+    primes: a where= mask against the union of the staircases.
+    acc += value * cur; cur *= t, one power at a time, with the complex
+    products spelled out in float64 so that they round exactly as
+    Python's complex arithmetic does.  With t_im None the column is real
+    and its zero imaginary half is skipped.
     Also returns, per row, the ArithmeticError or ValueError its values
     raised (None if none).
     """
@@ -278,7 +266,6 @@ def _power_series(
     head = union[0] if union else 0
     S_re, S_im = np.zeros((len(rows), len(primes))), np.zeros((len(rows), len(primes)))
     errors: List[Optional[Exception]] = [None] * len(rows)
-    objects = cache(lambda: np.array(primes[:head].tolist(), dtype=object))
     column = np.arange(head)
     cur_re = t_re[:head].copy()
     cur_im = None if t_im is None else t_im[:head].copy()
@@ -287,7 +274,7 @@ def _power_series(
         for i, m in enumerate(live.tolist()):
             if m and errors[i] is None:
                 try:
-                    values[i] = rows[i].values(k, primes[:m], objects)
+                    values[i] = rows[i].values(k, primes[:m])
                 except (ArithmeticError, ValueError) as exc:
                     errors[i] = exc
         if all(getattr(v, "ndim", 0) == 0 for v in values):  # one value per row: a column
@@ -422,8 +409,8 @@ def _check_cutoff(prime_cutoff) -> int:
 
 # lambda0 is memoised per process: the products of one kernel pass serve
 # psi's denominator, sd report's lambda0 block and ldp's psi(ln s).
-# Specs are frozen and compare value_at by identity, so a hit always
-# means the same function.
+# Specs are frozen and compare their functions by identity, so a hit
+# always means the same function.
 _MEMO_SIZE = 256
 _MISS = object()
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
@@ -876,18 +863,19 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
     """
     if not _factors_at_one(alpha):
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
+    c = g.prime_value
+    if c is None:
+        raise ValueError(f"additive spec {g.name!r} has no generic prime value; psi'(0) needs one")
 
-    def values(k, primes, objects):
-        return _spec_values(g, k, primes, objects) * _spec_values(alpha, k, primes, objects)
+    def values(k, primes):  # complex products, as g(p^k) alpha(p^k) rounds in Python
+        g_values, alpha_values = prime_power_values(g, k, primes), prime_power_values(alpha, k, primes)
+        return np.multiply(g_values, alpha_values, dtype=np.complex128)
 
     G_row = _Row(values, alpha.growth.C, alpha.growth.r, g.power_bound)
     F, G = _local_factors([_spec_row(alpha), G_row], complex(1.0), P)
     factors = _checked(F, "1")
     if factors.vanished:
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
-    c = g.prime_value
-    if c is None:
-        raise ValueError(f"additive spec {g.name!r} has no generic prime value; psi'(0) needs one")
     G = _raised(G)
     if G.failure is not None:
         raise G.failure
@@ -987,11 +975,9 @@ def _square_sum_partials(spec: MultiplicativeSpec, beta: float, grid: Sequence[i
     if failure is not None:
         raise failure
     inner = np.zeros(len(primes))
-    head = counts[0] if counts else 0
-    objects = cache(lambda: np.array(primes[:head].tolist(), dtype=object))
-    weight = np.ones(head)
+    weight = np.ones(counts[0] if counts else 0)
     for k, n in enumerate(counts, start=1):
-        v = _spec_values(spec, k, primes[:n], objects)
+        v = prime_power_values(spec, k, primes[:n])
         weight[:n] /= p_beta[:n]
         magnitude = np.abs(v.real) if not v.imag.any() else _map_float(math.hypot, v.real, v.imag)
         inner[:n] += magnitude * weight[:n]

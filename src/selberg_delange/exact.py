@@ -18,19 +18,19 @@ table.  Every exact result reads these blocks, built from the specs;
 multiplicative_value_table and additive_value_table write them into one
 array for callers that want the whole table.
 
-Values.  The tables read each value the spec states (funcs.stated_value)
-and call value_at only where it states none.  Above sqrt(x) that is one
-scalar for a spec with a one-term series, omega or Omega, so no array
-over those primes is built, and a value of 1 (0 for g) gathers nothing;
-a spec that states none there (perturbed, phi(n)/n, a table with a
-prime above sqrt(x)) takes one value_at(q, 1) per chunk of primes, once
-per table.  A pass allocates its working arrays once: the tables, the
-complex copy of a promoted one, the tail's positions and the gather's
-index and offsets.  It fills the runs of the tail and of the gather in
-groups of _TEMP_ITEMS entries, so no temporary grows with x (malloc
-returns a larger one to the system after every block, to be faulted in
-again at the next).  A yielded block is valid until the next is
-requested.
+Values.  Every prime-power value comes from funcs.prime_power_values,
+once per power k over the swept primes with p^k <= x and once over the
+primes above sqrt(x); the checks then run prime by prime, so an error
+names the first (p, k) the sweep would reach.  A spec that states its
+value (a one-term series, omega or Omega) gives one scalar there unless
+one of its exceptional primes lies among them, so no array over the
+large primes is built, and a value of 1 (0 for g) gathers nothing.  A
+pass allocates its working arrays once: the tables, the complex copy of
+a promoted one, the tail's positions and the gather's index and
+offsets.  It fills the runs of the tail and of the gather in groups of
+_TEMP_ITEMS entries, so no temporary grows with x (malloc returns a
+larger one to the system after every block, to be faulted in again at
+the next).  A yielded block is valid until the next is requested.
 
 Buckets.  For integer-valued g every exact statistic of g(N) is a
 function of the sums S_m(x) = sum of alpha(n) over n <= x with
@@ -62,7 +62,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateSpecError, DomainError
-from .funcs import AdditiveSpec, MultiplicativeSpec, _prime_power_values, stated_value
+from .funcs import AdditiveSpec, MultiplicativeSpec, prime_power_values
 from .sieve import _require_memory, _sieve_bytes, prime_array
 from .special import cexpm1, cpow
 
@@ -74,9 +74,6 @@ _BUCKET_CHUNK = 4096
 
 # n per value-table block: a multiple of _BUCKET_CHUNK (and so of _CHUNK)
 _BLOCK = 1 << 16
-
-# primes per value_at call for the primes above sqrt(x)
-_PRIME_CHUNK = 4096
 
 # entries per temporary of the tail and the gather (int64: 64 KiB), so
 # that a pass, which allocates its block arrays once, does not hand
@@ -164,46 +161,16 @@ def compensated_cumsum(values) -> np.ndarray:
 # value tables in blocks
 
 
-def _large_prime_values(value_at, primes: np.ndarray) -> np.ndarray:
-    """value_at(q, 1) for every listed q, one call per _PRIME_CHUNK primes.
-
-    float64 while every imaginary part is +0.0, complex128 otherwise, so
-    the values convert back to exactly what one complex128 call gives.
-    """
-    out = np.empty(len(primes), dtype=np.float64)
-    for start in range(0, len(primes), _PRIME_CHUNK):
-        chunk = primes[start : start + _PRIME_CHUNK]
-        values = _prime_power_values(value_at, np.array(chunk.tolist(), dtype=object), 1)
-        if not np.iscomplexobj(out) and (values.imag.any() or np.signbit(values.imag).any()):
-            out = out.astype(np.complex128)
-        out[start : start + len(chunk)] = values if np.iscomplexobj(out) else values.real
-    return out
-
-
-def _large_values(spec, large: np.ndarray) -> np.ndarray:
-    """The values at the primes above sqrt(x): the one value spec states
-    there as a 0-d complex128 array, or _large_prime_values."""
-    value = stated_value(spec, 1, int(large[0]), int(large[-1])) if len(large) else None
-    if value is None:
-        return _large_prime_values(spec.value_at, large)
-    return np.asarray(value, dtype=np.complex128)
-
-
-def _swept_values(spec, small: List[int]) -> Callable[[int, int], object]:
-    """value(p, k), f(p^k) or g(p^k), for the swept primes p in small: the
-    value spec states at all of them, read once per k, else the value it
-    states at p, else value_at(p, k)."""
-    everywhere: Dict[int, object] = {}
-
-    def value(p: int, k: int):
-        if k not in everywhere:
-            everywhere[k] = stated_value(spec, k, small[0], small[-1])
-        v = everywhere[k]
-        if v is None:
-            v = stated_value(spec, k, p, p)
-        return spec.value_at(p, k) if v is None else v
-
-    return value
+def _swept_rows(spec, x: int, small: np.ndarray) -> List[List]:
+    """[f(p), f(p^2), ...] up to the last p^k <= x, or g's, for each swept
+    prime p of small, from one prime_power_values call per power k."""
+    columns: List[List] = []
+    primes = powers = small.tolist()
+    while powers:  # the p^k <= x, a prefix of the primes
+        values = prime_power_values(spec, len(columns) + 1, small[: len(powers)])
+        columns.append(values.tolist() if values.ndim else [values.item()] * len(powers))
+        powers = [q * p for q, p in zip(powers, primes) if q * p <= x]
+    return [[column[i] for column in columns if i < len(column)] for i in range(len(primes))]
 
 
 def _compact(values: np.ndarray):
@@ -349,22 +316,16 @@ def _recipe(start, dtype, op, steps, complex_from, large, values, keep) -> _Reci
     return _Recipe(start, dtype, op, steps, moduli, complex_from, tail, tail_values, large, values)
 
 
-def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: List[int], large: np.ndarray) -> _Recipe:
+def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: np.ndarray, large: np.ndarray) -> _Recipe:
     """The steps of f(n) for n <= x, with the checks and the dtype of the whole table."""
     steps: List[Tuple[int, int, object]] = []
     complex_from: Optional[int] = None
-    value = _swept_values(spec, small)
-    for p in small:
-        values: List[complex] = []
-        pk = p
-        has_zero = False
-        while pk <= x:
-            v = complex(value(p, len(values) + 1))
+    for p, row in zip(small.tolist(), _swept_rows(spec, x, small)):
+        values = [complex(v) for v in row]
+        for k, v in enumerate(values, start=1):
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"{spec.name}: non-finite value at ({p},{len(values) + 1})")
-            values.append(v)
-            has_zero = has_zero or v == 0
-            pk *= p
+                raise ValueError(f"{spec.name}: non-finite value at ({p},{k})")
+        has_zero = any(v == 0 for v in values)
         if complex_from is None and any(v.imag != 0.0 for v in values):
             complex_from = len(steps)
         # f(p) itself, as the gather of the large primes applies it, then f(p^k)/f(p^(k-1))
@@ -382,7 +343,7 @@ def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: List[int], l
                 steps.append((pk, 0, ratio if complex_from is not None else ratio.real))
             pk *= p
     # primes above sqrt(x) divide each n <= x at most once, and last
-    values = _large_values(spec, large)
+    values = prime_power_values(spec, 1, large)
     bad = np.flatnonzero(~(np.isfinite(values.real) & np.isfinite(values.imag)))
     if len(bad):
         raise ValueError(f"{spec.name}: non-finite value at ({int(large[bad[0]])},1)")
@@ -405,24 +366,20 @@ def _additive_delta(g: AdditiveSpec, p: int, k: int, v: complex, prev: float) ->
     return delta
 
 
-def _additive_recipe(g: AdditiveSpec, x: int, small: List[int], large: np.ndarray) -> _Recipe:
+def _additive_recipe(g: AdditiveSpec, x: int, small: np.ndarray, large: np.ndarray) -> _Recipe:
     """The steps of g(n) for n <= x; int64 for integer-valued g."""
     integer = g.integer_valued
     steps = []
-    value = _swept_values(g, small)
-    for p in small:
+    for p, row in zip(small.tolist(), _swept_rows(g, x, small)):
         prev = 0.0
         pk = p
-        k = 1
-        while pk <= x:
-            v = complex(value(p, k))
+        for k, v in enumerate(map(complex, row), start=1):
             delta = _additive_delta(g, p, k, v, prev)
             prev = v.real
             if delta != 0.0:
                 steps.append((pk, 0, int(delta) if integer else delta))
             pk *= p
-            k += 1
-    values = _large_values(g, large)
+    values = prime_power_values(g, 1, large)
     deltas = values.real
     suspect = values.imag != 0.0
     if integer:
@@ -511,7 +468,7 @@ class _ValueBlocks:
         _require_memory(_sieve_bytes(x), f"value tables to x = {x}")
         primes = prime_array(x)
         split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
-        small, large = primes[:split].tolist(), primes[split:]
+        small, large = primes[:split], primes[split:]
         self.alpha = None if alpha is None else _multiplicative_recipe(alpha, x, small, large)
         self.g = None if g is None else _additive_recipe(g, x, small, large)
 

@@ -88,14 +88,9 @@ class MultiplicativeSpec:
     """A multiplicative function given by its prime-power values.
 
     value_at(p, k) must be pure; instances are immutable and safe to
-    share across threads, and Euler products memoise on them.  Where the
-    spec states no value (see series), the Euler-product kernel calls
-    value_at once per power k with p a numpy object array of Python int
-    primes, so that Python arithmetic on p
-    acts elementwise and rounds as the scalar call does; it may return
-    a scalar or an array of p's shape.  A value_at that raises
-    TypeError or ValueError on an array (a table lookup, an `if` on p)
-    is evaluated one prime at a time instead.
+    share across threads, and Euler products memoise on them.  Both
+    engines read the values through prime_power_values, which calls
+    value_at only where the spec states none, as it describes.
 
     rho is the value f(p) tends to over the primes, so that
     sum f(n) n^-s = zeta(s)^rho G(s); prime_deviation = (c1, eps) bounds
@@ -107,9 +102,10 @@ class MultiplicativeSpec:
     above their cutoff with it when no exceptional prime lies there (a
     spec without one keeps the plain truncated product).  Where it has
     one coefficient at k, that coefficient is the value f(p^k) the spec
-    states (stated_value): the exact value tables and the Euler kernel
-    read it in place of value_at at every prime of a range free of
-    exceptional primes, so it must agree with value_at bit for bit.
+    states at every prime outside the exceptional primes, read there in
+    place of value_at, so the two must agree bit for bit.  Construction
+    compares them at k = 1 at the least prime above the exceptional
+    primes, and raises ValueError where their complex128 bits differ.
     """
 
     name: str
@@ -128,6 +124,7 @@ class MultiplicativeSpec:
         c1, eps = self.prime_deviation
         if c1 < 0.0 or eps <= 0.0:
             raise ValueError(f"prime_deviation needs c1 >= 0 and eps > 0, got {self.prime_deviation}")
+        _check_stated_value(self)
 
 
 @dataclass(frozen=True)
@@ -146,10 +143,10 @@ class AdditiveSpec:
     when g declares no such value.  k_value(k) is g(p^k) when that value
     is the same at every prime (1 for omega, k for Omega), else None; it
     carries a local series through twists and psi'(0).  Both are values
-    the spec states (stated_value): the exact value tables and the Euler
-    kernel read them in place of value_at at every prime of a range
-    free of exceptional primes, so they must agree with value_at bit
-    for bit.
+    the spec states at every prime outside exceptional_primes, read there
+    in place of value_at (see prime_power_values), so they must agree
+    with it bit for bit; construction compares them at k = 1 as
+    MultiplicativeSpec does.
     """
 
     name: str
@@ -167,6 +164,105 @@ class AdditiveSpec:
         if not (math.isfinite(a) and math.isfinite(b) and b >= 0.0 and a + b >= 0.0):
             raise ValueError(f"power_bound (a, b) needs finite a and b with b >= 0 and a + b >= 0, "
                              f"got {self.power_bound}")
+        _check_stated_value(self)
+
+
+# primes per value_at call where a spec states no value
+_PRIMES_PER_CALL = 4096
+
+
+def _stated(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int) -> Tuple[object, Tuple[int, ...]]:
+    """The value spec states at p^k for every prime p outside its
+    exceptional primes, or None, and those primes: the coefficient of a
+    series with one coefficient at k, or k_value(k), or prime_value at k = 1."""
+    if isinstance(spec, MultiplicativeSpec):
+        if spec.series is None:
+            return None, ()
+        coeffs = spec.series.coeffs(k)
+        return (coeffs[0] if len(coeffs) == 1 else None), spec.series.exceptional_primes
+    value = spec.k_value(k) if spec.k_value is not None else spec.prime_value if k == 1 else None
+    return value, spec.exceptional_primes
+
+
+def _stored(values: np.ndarray) -> np.ndarray:
+    """complex128 values as float64 when every imaginary part is +0.0,
+    the one double whose bits are all zero."""
+    if np.count_nonzero(values.imag.view(np.int64)):
+        return values
+    return np.ascontiguousarray(values.real)
+
+
+def _check_stated_value(spec: Union[MultiplicativeSpec, AdditiveSpec]) -> None:
+    """value_at(q, 1) against the value spec states at q, the least prime
+    above its exceptional primes, where it states one: equal when their
+    complex128 bits are."""
+    value, exceptional = _stated(spec, 1)
+    if value is None:
+        return
+    q = max(exceptional, default=1) + 1
+    while not _is_prime_small(q):
+        q += 1
+    given = spec.value_at(q, 1)
+    if np.complex128(given).tobytes() != np.complex128(value).tobytes():
+        raise ValueError(f"{spec.name}: value_at({q}, 1) = {given} but the spec states {value} there")
+
+
+def prime_power_values(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, primes: np.ndarray) -> np.ndarray:
+    """f(p^k), or g(p^k), at every prime p of the sorted int64 array
+    primes: the one source of prime-power values for both engines.
+
+    Where the spec states a value at k (see _stated), every prime but
+    its exceptional primes takes it, and value_at(q, k) is called at each
+    exceptional prime q among primes, with q a Python int.  Where it
+    states none, value_at(p, k) is called once per _PRIMES_PER_CALL
+    primes with p a numpy object array of Python ints, so that Python
+    arithmetic on p acts elementwise and rounds as the scalar call
+    does; it may return a scalar or an array of p's shape.  A value_at
+    that raises TypeError or ValueError on an array (a table lookup, an
+    `if` on p) is called one prime at a time instead.
+
+    Returns a 0-d array where one stated value holds at every prime,
+    else an array of the primes' shape; float64 while every imaginary
+    part is +0.0, else complex128.
+    """
+    if not len(primes):
+        return np.empty(0)
+    value, exceptional = _stated(spec, k)
+    if value is None:
+        return _called_values(spec.value_at, k, primes)
+    where = np.searchsorted(primes, exceptional).tolist() if exceptional else []
+    inside = [(i, q) for i, q in zip(where, exceptional) if i < len(primes) and primes[i] == q]
+    values = _stored(np.array([value] + [spec.value_at(q, k) for _, q in inside], dtype=np.complex128))
+    if not inside:
+        return values[0, ...]
+    out = np.full(len(primes), values[0], dtype=values.dtype)
+    out[[i for i, _ in inside]] = values[1:]
+    return out
+
+
+def _called_values(value_at, k: int, primes: np.ndarray) -> np.ndarray:
+    """value_at(p, k) at every listed prime, as prime_power_values states."""
+    out = np.empty(len(primes))
+    for start in range(0, len(primes), _PRIMES_PER_CALL):
+        chunk = primes[start : start + _PRIMES_PER_CALL].astype(object)
+        try:
+            values = np.broadcast_to(np.asarray(value_at(chunk, k), dtype=np.complex128), chunk.shape)
+        except (TypeError, ValueError):
+            values = np.array([value_at(p, k) for p in chunk.tolist()], dtype=np.complex128)
+        values = _stored(values)
+        if np.iscomplexobj(values) and not np.iscomplexobj(out):
+            out = out.astype(np.complex128)
+        out[start : start + len(chunk)] = values
+    return out
+
+
+def _is_prime_small(p: int) -> bool:
+    if p < 2:
+        return False
+    for q in range(2, math.isqrt(p) + 1):
+        if p % q == 0:
+            return False
+    return True
 
 
 OMEGA = AdditiveSpec(
@@ -192,43 +288,6 @@ BIG_OMEGA = AdditiveSpec(
     prime_value=1,
     k_value=lambda k: k,
 )
-
-
-def stated_value(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, lo: int, hi: int):
-    """The value spec states at p^k for every prime p in [lo, hi], or None.
-
-    A multiplicative spec states the coefficient of a series with one
-    coefficient at k; an additive spec states k_value(k), or prime_value
-    at k = 1; either only when none of its exceptional primes lies in
-    [lo, hi].  The engines read this value in place of value_at, so an
-    error the series raises acts where value_at's would.
-    """
-    if isinstance(spec, MultiplicativeSpec):
-        series = spec.series
-        if series is None or any(lo <= q <= hi for q in series.exceptional_primes):
-            return None
-        coeffs = series.coeffs(k)
-        return coeffs[0] if len(coeffs) == 1 else None
-    if any(lo <= q <= hi for q in spec.exceptional_primes):
-        return None
-    if spec.k_value is not None:
-        return spec.k_value(k)
-    return spec.prime_value if k == 1 else None
-
-
-def _prime_power_values(value_at, primes: np.ndarray, k: int) -> np.ndarray:
-    """value_at(p, k) over an object array of primes, as complex128.
-
-    value_at may return a scalar, kept as a 0-d array that broadcasts
-    against the primes, or an array of the primes' shape; one that
-    raises TypeError or ValueError on an array is evaluated one prime at
-    a time.
-    """
-    try:
-        values = np.asarray(value_at(primes, k), dtype=np.complex128)
-        return values if values.ndim == 0 else np.broadcast_to(values, primes.shape)
-    except (TypeError, ValueError):
-        return np.array([value_at(p, k) for p in primes.tolist()], dtype=np.complex128)
 
 
 def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
@@ -421,15 +480,6 @@ def euler_phi_over_n() -> MultiplicativeSpec:
     )
 
 
-def _is_prime_small(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, math.isqrt(p) + 1):
-        if p % q == 0:
-            return False
-    return True
-
-
 def _table_key(p: int, k: int, v) -> Tuple[int, int]:
     """(p, k) as ints, once p is prime, k >= 1 and the entry's value v is finite."""
     if k < 1 or not _is_prime_small(p):
@@ -491,6 +541,8 @@ def tabulated_additive(
         table[_table_key(p, k, v)] = float(v)
     values = list(table.values())
     cap = max((abs(v) for v in values), default=0.0)
+    # a -0.0 entry is exceptional too: only +0.0 has the bits of the generic value
+    exceptional = [p for (p, k), v in table.items() if k == 1 and (v != 0.0 or math.copysign(1.0, v) < 0)]
     return AdditiveSpec(
         name=name,
         value_at=lambda p, k: table.get((p, k), 0.0),
@@ -499,7 +551,7 @@ def tabulated_additive(
         integer_valued=all(v == int(v) for v in values),
         nonnegative=all(v >= 0.0 for v in values),
         prime_value=0.0,
-        exceptional_primes=tuple(sorted(p for (p, k), v in table.items() if k == 1 and v != 0.0)),
+        exceptional_primes=tuple(sorted(exceptional)),
     )
 
 

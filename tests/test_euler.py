@@ -41,6 +41,7 @@ from selberg_delange.funcs import (
     geometric_B,
     parse_multiplicative,
     perturbed,
+    prime_power_values,
     tabulated_additive,
     tabulated_multiplicative,
     tau_rho,
@@ -659,7 +660,7 @@ STACK_SPECS = ORACLE_SPECS + [twist(unit(), y, OMEGA) for y in CIRCLE_Y]
 TWO_THREE = np.array([2, 3])
 COLUMN_SPECS = [
     spec for spec in STACK_SPECS
-    if np.ndim(euler._spec_row(spec).values(1, TWO_THREE, lambda: TWO_THREE.astype(object))) == 0
+    if np.ndim(euler._spec_row(spec).values(1, TWO_THREE)) == 0
 ]
 
 
@@ -820,6 +821,21 @@ def test_twist_out_of_float_range_is_rejected_before_its_product(z):
     with mock.patch.object(euler, "_local_factors", counted), pytest.raises(DomainError, match=re.escape(message)):
         psi(unit(), z, prime_cutoff=100)
     assert rows == [1]  # lambda0(unit) alone: the twist has no row
+
+
+def test_psi_prime_at_zero_refuses_a_g_without_prime_value_before_its_pass():
+    rows = []
+    local_factors = euler._local_factors
+
+    def counted(stack, *args):
+        rows.append(len(stack))
+        return local_factors(stack, *args)
+
+    custom = AdditiveSpec(name="custom", value_at=lambda p, k: 1)
+    with mock.patch.object(euler, "_local_factors", counted), pytest.raises(ValueError) as exc_info:
+        psi_prime_at_zero(unit(), custom, 1000)
+    assert str(exc_info.value) == "additive spec 'custom' has no generic prime value; psi'(0) needs one"
+    assert rows == []
 
 
 def test_psi_and_ldp_read_one_twist_predicate():
@@ -1156,14 +1172,17 @@ def test_specs_without_a_series_keep_their_bits():
 
 
 def counted(spec):
-    """spec with a value_at that counts its calls, as bench/trace_child.py builds one."""
+    """spec with a value_at that counts its calls after construction, as
+    bench/trace_child.py builds one."""
     calls = []
 
     def value_at(p, k):
-        calls.append(k)
+        calls.append((p, k))
         return spec.value_at(p, k)
 
-    return dataclasses.replace(spec, value_at=value_at), calls
+    spy = dataclasses.replace(spec, value_at=value_at)
+    calls.clear()  # the check of the stated value at construction
+    return spy, calls
 
 
 STATING_SPECS = [unit(), theta_omega(2.5), theta_omega(complex(1.5, 0.5)), geometric_B(1.5), tau_rho(0.5),
@@ -1183,18 +1202,37 @@ def test_the_kernel_makes_no_value_at_call_for_a_stated_spec(spec):
         got = (outcome(lambda: lambda0(alpha, P)), euler.psi_grid(alpha, [-0.3, 0.5j], g_spy, P),
                psi_prime_at_zero(alpha, g_spy, P))
         assert repr(got) == repr(want)
-        assert g_calls == []
-    assert calls == []
+        # the kernel calls none; each twist checks its stated value once, at k = 1
+        assert [k for _, k in g_calls] == [1, 1]
+    assert [k for _, k in calls] == [1] * 4
     # a two-term series states no value: phi(n)/n reads value_at once per power
     phi, calls = counted(euler_phi_over_n())
     lambda0(phi, P)
-    assert calls == list(range(1, len(calls) + 1))
+    assert [k for _, k in calls] == list(range(1, len(calls) + 1))
+
+
+def test_a_table_calls_value_at_only_at_its_table_prime():
+    # every other prime takes the stated default: one call per power of 2
+    # in its staircase, not one call per prime
+    spec, calls = counted(tabulated_multiplicative({(2, 1): 0.5}))
+    result = lambda0(spec, 10**4)
+    assert calls == [(2, k) for k in range(1, result.k_cutoff + 1)]
+    assert result == euler._lambda0(tabulated_multiplicative({(2, 1): 0.5}), 10**4)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_prime_power_values_match_value_at_to_the_last_bit(spec):
+    primes = prime_array(3000)
+    for k in (1, 2, 3):
+        want = np.array([complex(spec.value_at(p, k)) for p in primes.tolist()], dtype=np.complex128)
+        got = np.broadcast_to(prime_power_values(spec, k, primes), primes.shape).astype(np.complex128)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_a_raising_coefficient_fails_its_row_where_value_at_would():
     # f(p^k) = 0.5 for k < 3 and an error above, stated by the series and
     # given by value_at alike; a series with an exceptional prime in the
-    # head leaves every prime to value_at
+    # head leaves that prime to value_at
     def value(k):
         if k >= 3:
             raise ValueError(f"no value at k = {k}")

@@ -656,7 +656,7 @@ def test_twisted_mean_zero_normalizing_sum():
 
 
 # ---------------------------------------------------------------------------
-# the large-prime gather: primes above sqrt(x) take one value_at call
+# the large-prime gather: primes above sqrt(x) take one prime_power_values call
 
 
 def test_gather_non_finite_value_at_large_prime():
@@ -696,9 +696,13 @@ def test_gather_falls_back_per_prime_for_dict_lookups():
     table = multiplicative_value_table(counted, x)
     assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
     assert table[997] == 0.0 and table[101] == 3.0 and table[202] == 1.5
-    # one array call that raised, then one scalar call per prime above sqrt(x)
-    assert seen.count(np.ndarray) == 1
-    n_large = len(prime_array(x)) - len(prime_array(math.isqrt(x)))
+    # per power k of the sweep, and for the primes above sqrt(x), one
+    # array call that raised, then one scalar call per prime
+    small = prime_array(math.isqrt(x)).tolist()
+    n_large = len(prime_array(x)) - len(small)
+    n_powers = x.bit_length() - 1  # 2^10 <= 2000 < 2^11
+    assert seen.count(np.ndarray) == n_powers + 1
+    assert seen.count(int) == sum(1 for p in small for k in range(1, n_powers + 1) if p**k <= x) + n_large
     assert seen[-n_large:] == [int] * n_large
 
 
@@ -723,14 +727,17 @@ def test_gather_non_integer_delta_at_large_prime():
 
 
 def counted(spec):
-    """spec with a value_at that counts its calls, as bench/trace_child.py builds one."""
+    """spec with a value_at that counts its calls after construction, as
+    bench/trace_child.py builds one."""
     calls = []
 
     def value_at(p, k):
         calls.append((p, k))
         return spec.value_at(p, k)
 
-    return dataclasses.replace(spec, value_at=value_at), calls
+    spy = dataclasses.replace(spec, value_at=value_at)
+    calls.clear()  # the check of the stated value at construction
+    return spy, calls
 
 
 # 101^2 = 10201: at x = 10200 the table prime 101 is gathered, at 10201 swept
@@ -745,15 +752,14 @@ def test_table_primes_on_either_side_of_sqrt_x(prime, x):
     assert gt.tobytes() == reference_additive_table(g, x).tobytes()
     assert gt[1:].tolist() == [int(additive_eval_brute(g, n).real) for n in range(1, x + 1)]
     # f and g(p) are stated at every prime but the table's, where
-    # value_at gives them (and g(p^k), k >= 2, which a table g does not
-    # state); a table prime above sqrt(x) leaves the primes there to value_at
-    for s in (spec, g):
-        spy, calls = counted(s)
-        build = multiplicative_value_table if s is spec else additive_value_table
-        assert build(spy, x).tobytes() == build(s, x).tobytes()
-        swept = {p for p, k in calls if np.ndim(p) == 0 and p * p <= x and (k == 1 or s is spec)}
-        assert swept <= {prime, 2, 3}
-        assert any(np.ndim(p) for p, _ in calls) == (prime * prime > x)
+    # value_at gives them, below sqrt(x) or above it alike; a table g
+    # states no g(p^k), k >= 2, so value_at gives those everywhere
+    spy, calls = counted(spec)
+    assert multiplicative_value_table(spy, x).tobytes() == table.tobytes()
+    assert sorted(calls) == [(p, k) for p in (2, prime) for k in range(1, 20) if p**k <= x]
+    g_spy, g_calls = counted(g)
+    assert additive_value_table(g_spy, x).tobytes() == gt.tobytes()
+    assert sorted((p, k) for p, k in g_calls if k == 1) == [(3, 1), (prime, 1)]
 
 
 def stated_everywhere_but_small(name, value, x, **kwargs):
@@ -820,17 +826,28 @@ def test_exact_sums_make_no_value_at_call_for_a_stated_spec(spec):
     assert calls == []
 
 
+def test_a_table_prime_above_sqrt_x_is_the_one_value_at_call():
+    # every other prime takes the stated default, swept or gathered
+    spec = tabulated_multiplicative({(1009, 1): 0.5})
+    alpha, calls = counted(spec)
+    x = 10**6
+    assert bucket_sums(alpha, OMEGA, x).real.tobytes() == bucket_sums(spec, OMEGA, x).real.tobytes()
+    assert calls == [(1009, 1)]
+
+
 def test_a_two_term_series_states_no_value():
     # phi(n)/n has f(p^k) = 1 - 1/p: its series (1, -1) states no single
-    # value, so value_at gives the table, once per prime power below
-    # sqrt(x) and once per chunk of the primes above
+    # value, so value_at gives the table over object arrays of Python
+    # ints: once per power k over the swept primes with p^k <= x, then
+    # once per chunk of the primes above sqrt(x)
     x = 5000
     alpha, calls = counted(euler_phi_over_n())
     bucket_sums(alpha, OMEGA, x)
     small = prime_array(math.isqrt(x)).tolist()
-    assert calls[:-1] == [(p, k) for p in small for k in range(1, 20) if p**k <= x]
-    (large, k) = calls[-1]
-    assert k == 1 and large.tolist() == prime_array(x)[len(small) :].tolist()
+    large = prime_array(x)[len(small) :].tolist()
+    want = [([p for p in small if p**k <= x], k) for k in range(1, 20) if 2**k <= x] + [(large, 1)]
+    assert [(p.tolist(), k) for p, k in calls] == want
+    assert {type(q) for p, _ in calls for q in p} == {int}
 
 
 def test_tiny_prime_power_value_takes_exact_exponent_steps():

@@ -2,9 +2,12 @@ import cmath
 import dataclasses
 import math
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import selberg_delange
 from conftest import additive_eval_brute, spec_eval_brute, trial_factorize
 from selberg_delange.errors import SpecGrammarError
 from selberg_delange.funcs import (
@@ -19,6 +22,7 @@ from selberg_delange.funcs import (
     parse_additive,
     parse_multiplicative,
     perturbed,
+    prime_power_values,
     tabulated_additive,
     tabulated_multiplicative,
     tau_rho,
@@ -27,6 +31,7 @@ from selberg_delange.funcs import (
     unit,
 )
 from selberg_delange.exact import additive_value_table, multiplicative_value_table
+from selberg_delange.sieve import prime_array
 
 
 def test_eval_multiplicative_examples():
@@ -391,3 +396,109 @@ def test_power_bounds_of_the_built_in_additive_specs():
     assert tabulated_additive({(2, 1): -3.0, (3, 2): 1.0}).power_bound == (3.0, 0.0)
     assert tabulated_additive({}).power_bound == (0.0, 0.0)
     assert AdditiveSpec(name="edge", value_at=lambda p, k: k - 0.5, power_bound=(-0.5, 1.0)).power_bound == (-0.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# prime_power_values: the one source of prime-power values
+
+
+def one_at_a_time(spec, k, primes):
+    """value_at(p, k) at each prime, called with a Python int, as complex128."""
+    return np.array([complex(spec.value_at(p, k)) for p in primes.tolist()], dtype=np.complex128)
+
+
+def complex_bits(values, primes):
+    return np.broadcast_to(values, primes.shape).astype(np.complex128).tobytes()
+
+
+def spied(spec):
+    """spec with a value_at that records (p, k) after construction."""
+    calls = []
+
+    def value_at(p, k):
+        calls.append((p, k))
+        return spec.value_at(p, k)
+
+    spy = dataclasses.replace(spec, value_at=value_at)
+    calls.clear()
+    return spy, calls
+
+
+TABLE_G = tabulated_additive({(3, 1): 1.0, (5, 2): 2.0, (101, 1): -1.0, (101, 2): 4.0})
+# exceptional primes below, at and above sqrt(x) for x around 101^2 = 10201
+TABLES = [
+    tabulated_multiplicative({(7, 1): 3.0, (7, 2): 0.5}, default=1.5),
+    tabulated_multiplicative({(101, 1): 3.0, (101, 2): 0.5, (2, 3): 0.25}, default=1.5),
+    tabulated_multiplicative({(10007, 1): 2.0 + 1.0j}, default=0.5),
+]
+
+
+@pytest.mark.parametrize("x", [1000, 10200, 10201, 30000])
+@pytest.mark.parametrize("spec", [OMEGA, BIG_OMEGA, TABLE_G, *TABLES], ids=lambda s: s.name)
+def test_prime_power_values_match_value_at_on_either_side_of_sqrt_x(spec, x):
+    # the swept primes p <= sqrt(x) and the gathered ones above, as the
+    # exact tables split them; value_at is called only at the table
+    # primes, except where a table g states no value (k >= 2)
+    primes = prime_array(x)
+    split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
+    exceptional = spec.exceptional_primes if isinstance(spec, AdditiveSpec) else spec.series.exceptional_primes
+    for part in (primes[:split], primes[split:]):
+        for k in (1, 2, 3):
+            spy, calls = spied(spec)
+            got = prime_power_values(spy, k, part)
+            assert complex_bits(got, part) == one_at_a_time(spec, k, part).tobytes()
+            if spec is TABLE_G and k >= 2:
+                continue
+            assert all(type(p) is int for p, _ in calls)
+            assert calls == [(p, k) for p in part.tolist() if p in exceptional]
+
+
+def test_prime_power_values_storage_and_chunks():
+    # a spec that states no value is called once per 4096 primes; float64
+    # holds the values while every imaginary part is +0.0
+    primes = prime_array(50000)
+    assert len(primes) > 4096
+    for value, dtype in ((1.5, np.float64), (complex(1.5, -0.0), np.complex128), (2j, np.complex128)):
+        spec = MultiplicativeSpec("late", lambda p, k: np.where(p > 45000, value, 1.5), rho=1.5, c0=0.25,
+                                  growth=GrowthBound(2.0, 1.0))
+        spy, calls = spied(spec)
+        got = prime_power_values(spy, 1, primes)
+        assert got.dtype == dtype
+        assert complex_bits(got, primes) == one_at_a_time(spec, 1, primes).tobytes()
+        assert [p.tolist() for p, _ in calls] == [primes[:4096].tolist(), primes[4096:].tolist()]
+    # one that raises on an array is called one prime at a time
+    table = tabulated_multiplicative({(3, 1): 0.5})
+    spy, calls = spied(dataclasses.replace(table, series=None))
+    assert complex_bits(prime_power_values(spy, 1, primes), primes) == one_at_a_time(table, 1, primes).tobytes()
+    assert [type(p) for p, _ in calls] == [np.ndarray, *[int] * 4096, np.ndarray, *[int] * (len(primes) - 4096)]
+    # a stated value at primes free of exceptional ones is a 0-d array
+    assert prime_power_values(table, 1, primes[2:]).shape == ()
+    assert prime_power_values(table, 1, primes[:0]).shape == (0,)
+
+
+def test_a_value_at_that_contradicts_the_stated_value_is_refused():
+    # checked at q, the least prime above the exceptional primes
+    message = "theta_omega:2: value_at(2, 1) = 1.5 but the spec states 2.0 there"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(theta_omega(2), value_at=lambda p, k: 1.5)
+    table = tabulated_multiplicative({(7, 1): 3.0})
+    with pytest.raises(ValueError, match=re.escape("value_at(11, 1) = 2.0 but the spec states 1.0 there")):
+        dataclasses.replace(table, value_at=lambda p, k: 3.0 if p == 7 else 2.0)
+    with pytest.raises(ValueError, match=re.escape("omega: value_at(2, 1) = 2 but the spec states 1 there")):
+        dataclasses.replace(OMEGA, value_at=lambda p, k: 2)
+    # where a spec states no value there is nothing to compare
+    dataclasses.replace(theta_omega(2), value_at=lambda p, k: 1.5, series=None)
+    AdditiveSpec("custom", lambda p, k: 2)
+    # a -0.0 entry of a table g is one of its exceptional primes
+    assert tabulated_additive({(3, 1): 1.0, (5, 1): -0.0}).exceptional_primes == (3, 5)
+
+
+def test_only_funcs_names_value_at():
+    # every prime-power value reaches the engines through prime_power_values
+    package = Path(selberg_delange.__file__).parent
+    modules = sorted(path for path in package.glob("*.py") if path.name != "funcs.py")
+    assert len(modules) >= 8
+    for path in modules:
+        source = path.read_text(encoding="utf-8")
+        for name in ("value_at", "stated_value", "dtype=object"):
+            assert name not in source, f"{path.name} names {name}"
