@@ -27,14 +27,7 @@ import sys
 from dataclasses import asdict
 from typing import Optional, Sequence, Tuple
 
-from .euler import (
-    DEFAULT_FACTOR_TOL,
-    DEFAULT_PRIME_CUTOFF,
-    check_admissibility_pp,
-    lambda0,
-    psi,
-    psi_grid,
-)
+from .euler import DEFAULT_FACTOR_TOL, DEFAULT_PRIME_CUTOFF, _psi_batch, check_admissibility_pp, lambda0, psi
 from .exact import bucket_sums, bucket_sums_grid, partial_sum_grid, pmf, sample, twisted_mean
 from .funcs import parse_additive, parse_multiplicative
 from .stats import _checked_decay, _checked_slope, _mean_scale, clt_report, ldp_predict
@@ -240,12 +233,13 @@ def cmd_report(args: argparse.Namespace):
     xs = tuple(sorted(args.x_grid or DEFAULT_X_GRID))
     if xs[0] < 16:
         raise ValueError(f"report x grid needs x >= 16, got {xs[0]}")
+    _checked_slope(args.s)  # ldp_predict's check, made before the table pass
     # one pass over the value tables serves all residuals and the pmf
     buckets = bucket_sums_grid(args.alpha, args.additive, xs)
 
-    # one kernel pass for the grid and its denominator, lambda0(alpha)
-    psi_values = list(zip(args.z_grid, psi_grid(args.alpha, args.z_grid, args.additive, prime_cutoff=args.cutoff)))
-    lam = lambda0(args.alpha, prime_cutoff=args.cutoff)
+    # one kernel pass for the grid and its denominator, the lambda0 block
+    lam, limits = _psi_batch(args.alpha, args.z_grid, args.additive, args.cutoff)
+    psi_values = list(zip(args.z_grid, limits))
 
     residual_table = []
     for x, sums in zip(xs, buckets):

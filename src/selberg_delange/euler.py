@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import fsum
@@ -59,7 +57,7 @@ from .special import cpow, digamma, gamma, zeta_minus_one
 
 DEFAULT_PRIME_CUTOFF = 10**6
 # every local series stops where its tail bound is <= this; the kernels
-# read it when they run, and the memo keys leave it out
+# read it when they run
 DEFAULT_FACTOR_TOL = 1e-14
 
 # rho values this close to a nonpositive integer trigger the exact-zero
@@ -407,76 +405,6 @@ def _check_cutoff(prime_cutoff) -> int:
     return P
 
 
-# lambda0 is memoised per process: the products of one kernel pass serve
-# psi's denominator, sd report's lambda0 block and ldp's psi(ln s).
-# Specs are frozen and compare their functions by identity, so a hit
-# always means the same function.
-_MEMO_SIZE = 256
-_MISS = object()
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
-
-
-class _Memo:
-    """A per-process LRU memo of compute(*key), like functools.lru_cache,
-    that also serves a batch: many() computes the keys it misses in one
-    call, so that the products of one kernel pass are stored one by one.
-    A key with an unhashable part is never stored.
-    """
-
-    def __init__(self, compute: Callable):
-        self.compute = compute
-        self.entries: OrderedDict = OrderedDict()
-        self.lock = threading.Lock()
-        self.hits = self.misses = 0
-
-    def get(self, key: tuple):
-        with self.lock:
-            try:
-                self.entries.move_to_end(key)
-            except (KeyError, TypeError):  # TypeError: an unhashable part
-                self.misses += 1
-                return _MISS
-            self.hits += 1
-            return self.entries[key]
-
-    def put(self, key: tuple, value) -> None:
-        with self.lock:
-            try:
-                self.entries[key] = value
-            except TypeError:
-                return
-            self.entries.move_to_end(key)
-            if len(self.entries) > _MEMO_SIZE:
-                self.entries.popitem(last=False)
-
-    def __call__(self, *key):
-        value = self.get(key)
-        if value is _MISS:
-            value = self.compute(*key)
-            self.put(key, value)
-        return value
-
-    def many(self, keys: Sequence[tuple], batch: Callable) -> List:
-        """The value of each key, or the exception it raised: the stored
-        ones, and the others from batch(the keys missed), which returns
-        one of either per key; the values are stored."""
-        values = [self.get(key) for key in keys]
-        todo = [i for i, value in enumerate(values) if value is _MISS]
-        for i, value in zip(todo, batch([keys[i] for i in todo]) if todo else ()):
-            values[i] = value
-            if not isinstance(value, Exception):
-                self.put(keys[i], value)
-        return values
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, _MEMO_SIZE, len(self.entries))
-
-    def cache_clear(self) -> None:
-        with self.lock:
-            self.entries.clear()
-            self.hits = self.misses = 0
-
-
 # special.gamma's documented relative error for |z| <= 50
 _GAMMA_REL_ERR = 1e-12
 _ULP = 2.0**-53
@@ -553,7 +481,7 @@ def _log_zeta(s: int) -> float:
     return math.log1p(zeta_minus_one(s).real)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=256)
 def _prime_zeta_tail(P: int, j: int) -> float:
     """P_{>P}(j) = sum_{p>P} p^{-j}: P(j) minus an fsum over the primes p <= P.
 
@@ -665,9 +593,9 @@ def lambda0(spec: MultiplicativeSpec, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) 
     Returns:
         EulerProductResult; value is exactly 0 when rho is a nonpositive
         integer (within snap tolerance) or some local factor vanishes.
-        Results are memoised per process on (spec, cutoff).
+        Each call is a kernel pass of one row.
     """
-    return _lambda0_cached(spec, _check_cutoff(prime_cutoff))
+    return _raised(_lambda0_batch([spec], _check_cutoff(prime_cutoff))[0])
 
 
 def _factors_at_one(spec: MultiplicativeSpec) -> bool:
@@ -738,14 +666,6 @@ def _lambda0_result(spec: MultiplicativeSpec, P: int, factors, comp: np.ndarray)
     )
 
 
-def _lambda0(spec: MultiplicativeSpec, P: int) -> EulerProductResult:
-    """lambda0 computed afresh: the pass of one row."""
-    return _raised(_lambda0_batch([spec], P)[0])
-
-
-_lambda0_cached = _Memo(_lambda0)
-
-
 def psi(
     alpha: MultiplicativeSpec,
     z,
@@ -754,8 +674,8 @@ def psi(
 ) -> complex:
     """Limiting function psi(z) = lambda0(exp-twist of alpha) / lambda0(alpha).
 
-    psi_grid of the one z: the twist, and lambda0(alpha) unless it is
-    memoised, are the two rows of one kernel pass.
+    psi_grid of the one z: the twist and lambda0(alpha) are the two rows
+    of one kernel pass.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
@@ -771,17 +691,16 @@ def psi_grid(
 ) -> List[complex]:
     """psi(z) for each z of zs, from one kernel pass.
 
-    The products no earlier call memoised, lambda0(alpha) and the twist
-    of each z, are the rows of one pass over the primes p <= cutoff.
-    The values are bit-identical to psi(z) alone.  A failing z raises
-    what psi(z) alone raises, the first in the order of zs.
+    lambda0(alpha) and the twist of each z are the rows of one pass over
+    the primes p <= cutoff.  The values are bit-identical to psi(z)
+    alone.  A failing z raises what psi(z) alone raises, the first in
+    the order of zs.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
         DomainError: the twist at z leaves float64 range (_exp_twist).
     """
-    P = _check_cutoff(prime_cutoff)
-    return [_raised(value) for value in _psi_batch(alpha, [complex(z) for z in zs], g, P)]
+    return _psi_batch(alpha, zs, g, prime_cutoff)[1]
 
 
 def _twist_is_finite(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> bool:
@@ -819,34 +738,37 @@ def _exp_twist(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> Multip
     return twist(alpha, cmath.exp(z), g)
 
 
-def _psi_batch(alpha: MultiplicativeSpec, zs: Sequence[complex], g: AdditiveSpec, P: int) -> List:
-    """psi at each z, or the error it raises there, from one pass.
+def _psi_batch(
+    alpha: MultiplicativeSpec, zs: Sequence, g: AdditiveSpec, prime_cutoff: int
+) -> Tuple[EulerProductResult, List[complex]]:
+    """lambda0(alpha) and psi_grid(alpha, zs, g, prime_cutoff), from one pass.
 
     Each value is the ratio of two products closed alike: both
     completed, or both plain when either cannot be completed (a twist by
     a table g, say), so that the tails above P cancel in the ratio
-    instead of adding.  Raises what lambda0(alpha) raises, for every z.
+    instead of adding.  The plain products those ratios need, of the
+    specs whose series could complete them, take one further pass.
+    Raises what lambda0(alpha) raises, for every z.
     """
-    twisted = [_attempt(_exp_twist, alpha, z, g) for z in zs]
-    specs = [alpha] + [spec for spec in twisted if not isinstance(spec, Exception)]
-    den, *nums = _lambda0_cached.many(
-        [(spec, P) for spec in specs], lambda missed: _lambda0_batch([key[0] for key in missed], P)
-    )
+    P = _check_cutoff(prime_cutoff)
+    twisted = [_attempt(_exp_twist, alpha, complex(z), g) for z in zs]
+    den, *nums = _lambda0_batch([alpha] + [spec for spec in twisted if not isinstance(spec, Exception)], P)
     den = _raised(den)
     if den.value == 0:
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
     nums = iter(nums)
-    values = []
-    for spec in twisted:
-        num = spec if isinstance(spec, Exception) else next(nums)
-        if isinstance(num, Exception):
-            values.append(num)
-        elif num.completed != den.completed:
-            plain = lambda0(replace(spec, series=None), P)
-            values.append(plain.value / lambda0(replace(alpha, series=None), P).value)
-        else:
-            values.append(num.value / den.value)
-    return values
+    results = [spec if isinstance(spec, Exception) else next(nums) for spec in twisted]
+    values = [num if isinstance(num, Exception) else num.value / den.value for num in results]
+    mismatched = [
+        i for i, num in enumerate(results) if not isinstance(num, Exception) and num.completed != den.completed
+    ]
+    if mismatched:
+        pairs = [(alpha, den)] + [(twisted[i], results[i]) for i in mismatched]
+        redo = iter(_lambda0_batch([replace(spec, series=None) for spec, _ in pairs if spec.series is not None], P))
+        plain_den, *plain = [result if spec.series is None else next(redo) for spec, result in pairs]
+        for i, num in zip(mismatched, plain):
+            values[i] = _raised(num).value / _raised(plain_den).value
+    return den, [_raised(value) for value in values]
 
 
 def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> complex:

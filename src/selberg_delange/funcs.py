@@ -88,9 +88,9 @@ class MultiplicativeSpec:
     """A multiplicative function given by its prime-power values.
 
     value_at(p, k) must be pure; instances are immutable and safe to
-    share across threads, and Euler products memoise on them.  Both
-    engines read the values through prime_power_values, which calls
-    value_at only where the spec states none, as it describes.
+    share across threads.  Both engines read the values through
+    prime_power_values, which calls value_at only where the spec states
+    none, as it describes.
 
     rho is the value f(p) tends to over the primes, so that
     sum f(n) n^-s = zeta(s)^rho G(s); prime_deviation = (c1, eps) bounds

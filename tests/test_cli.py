@@ -989,9 +989,9 @@ def test_pmf_with_a_subnormal_prime_power_value(capsys):
     assert out == "value,probability\n0,0.142857142857143\n1,0.857142857142857\n2,6.35735388156138e-314\n"
 
 
-def test_report_grid_products_share_one_kernel_pass(monkeypatch, capsys):
-    # lambda0(alpha) and the 16 twists of circle:16 are the rows of one
-    # pass of the power loop; ldp's psi(ln 2) at s = 2 makes the only other
+@pytest.fixture
+def rows_per_pass(monkeypatch):
+    """The number of rows of each pass of the power loop, in call order."""
     rows_per_pass = []
     power_series = euler._power_series
 
@@ -1000,30 +1000,117 @@ def test_report_grid_products_share_one_kernel_pass(monkeypatch, capsys):
         return power_series(rows, *args)
 
     monkeypatch.setattr(euler, "_power_series", counted)
-    euler._lambda0_cached.cache_clear()
+    return rows_per_pass
+
+
+def test_report_grid_products_share_one_kernel_pass(rows_per_pass, capsys):
+    # lambda0(alpha), the report's lambda0 block, and the 16 twists of
+    # circle:16 are the rows of one pass of the power loop; ldp's
+    # psi(ln 2) at s = 2 makes the only other, of two rows
     argv = ["report", "--spec", "theta_omega:2", "--x-grid", "1e3,1e4", "--z-grid", "circle:16", "--cutoff", "3000"]
     code, _, err = run_cli(capsys, argv)
     assert code == 0, err
-    assert rows_per_pass == [17, 1]
+    assert rows_per_pass == [17, 2]
 
 
-def test_ldp_grid_at_s_one_computes_psi_prime_once(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv, passes",
+    [
+        (["lambda0"], [1]),
+        (["psi", "--z", "0.5"], [2]),
+        (["ldp", "--x", "1e3", "--s", "2"], [2]),
+        (["ldp", "--x", "1e3", "--s", "1"], [2]),
+        (["report", "--x-grid", "1e3", "--s", "1"], [17, 2]),
+    ],
+    ids=["lambda0", "psi", "ldp-s2", "ldp-s1", "report-s1"],
+)
+def test_each_command_computes_its_products_in_its_own_passes(rows_per_pass, capsys, argv, passes):
+    # psi(z) is a pass of the twist and its denominator, and psi'(0) one
+    # of F_p and G_p; sd report at s = 1 adds psi'(0) to its grid pass
+    code, _, err = run_cli(capsys, argv[:1] + ["--spec", "theta_omega:2", "--cutoff", "3000"] + argv[1:])
+    assert code == 0, err
+    assert rows_per_pass == passes
+
+
+def test_report_with_a_table_g_adds_one_pass_for_the_plain_denominator(rows_per_pass, capsys, tmp_path):
+    # a twist by a table g has no series, so its plain product is its
+    # ratio's numerator, over alpha's plain product: one pass of one row
+    # after the grid's, and one after ldp's psi(ln 2)
+    table = tmp_path / "g.txt"
+    table.write_text("2 1 1\n3 1 1\n5 1 2\n", encoding="utf-8")
+    argv = ["report", "--spec", "theta_omega:2", "--g", f"table:{table}", "--x-grid", "1e3", "--cutoff", "3e4"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert rows_per_pass == [17, 1, 2, 1]
+    # psi on the grid, the lambda0 block and ldp's prefactor from
+    # psi(ln 2) keep their bits
+    doc = json.loads(out)
+    assert [(row["psi_re"], row["psi_im"]) for row in doc["psi_grid"][:2]] == [
+        (6.687926711320403, 0.0), (2.827788473007606, 4.10566187029648)]
+    assert (doc["psi_grid"][-1]["psi_re"], doc["psi_grid"][-1]["psi_im"]) == (2.8277884730075997, -4.105661870296482)
+    assert doc["lambda0"]["value_re"] == 0.6079271018528838
+    assert doc["ldp"][0]["predicted_tail"] == 1.437863692039272
+
+
+def test_ldp_grid_at_s_one_computes_psi_prime_once(rows_per_pass, monkeypatch, capsys):
     # psi'(0) does not depend on x: one closed form, one kernel pass with
     # the two rows F_p and G_p, for the whole grid
-    rows_per_pass, derivatives = [], []
-    power_series, log_derivative = euler._power_series, stats._log_derivative
-
-    def counted(rows, *args):
-        rows_per_pass.append(len(rows))
-        return power_series(rows, *args)
+    derivatives = []
+    log_derivative = stats._log_derivative
 
     def counted_derivative(*args):
         derivatives.append(args)
         return log_derivative(*args)
 
-    monkeypatch.setattr(euler, "_power_series", counted)
     monkeypatch.setattr(stats, "_log_derivative", counted_derivative)
-    euler._lambda0_cached.cache_clear()
     code, _, err = run_cli(capsys, ["ldp", "--s", "1", "--x-grid", "1e3,1e4,1e5", "--cutoff", "1000"])
     assert code == 0, err
     assert (len(derivatives), rows_per_pass) == (1, [2])
+
+
+@pytest.mark.parametrize("s", ["0", "0.5", "nan"])
+def test_report_checks_s_before_any_work(monkeypatch, capsys, s):
+    # ldp's refusal of s < 1 comes before the value tables and the grid pass
+    calls = []
+    bucket_sums_grid, local_factors = cli.bucket_sums_grid, euler._local_factors
+    monkeypatch.setattr(cli, "bucket_sums_grid", lambda *args: calls.append("tables") or bucket_sums_grid(*args))
+    monkeypatch.setattr(euler, "_local_factors", lambda *args: calls.append("euler") or local_factors(*args))
+    code, out, err = run_cli(capsys, ["report", "--spec", "theta_omega:2", "--s", s])
+    assert (code, out) == (2, "")
+    assert err == f"error: ldp compares the upper tail and needs s >= 1, got {float(s):g}\n"
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# traced runs: bench/run.py --trace 1 fails a pass whose stdout differs from
+# the untraced passes, or whose per-layer counts differ between two traced
+# passes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--spec", "theta_omega:2", "--g", "omega", "--x-grid", "1e3,1e4,1e5,2e5", "--cutoff", "3e4"],
+        ["ldp", "--spec", "geometric_B:1.5", "--g", "big_omega", "--s", "1", "--x-grid", "1e4,1e5", "--cutoff", "2e5"],
+    ],
+    ids=["report", "ldp"],
+)
+def test_traced_euler_workload_repeats_its_output_and_counts(tmp_path, argv):
+    # one plain run and two traced ones, side by side
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    traces = [tmp_path / "t1.json", tmp_path / "t2.json"]
+    prefixes = [("-m", "selberg_delange.cli")] + [(str(root / "bench" / "trace_child.py"), str(t)) for t in traces]
+    runs = [subprocess.Popen([sys.executable, *prefix, *argv], cwd=tmp_path, env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE) for prefix in prefixes]
+    stdouts = []
+    for run in runs:
+        out, err = run.communicate(timeout=120)
+        assert run.returncode == 0, err
+        stdouts.append(out)
+    assert stdouts[1] == stdouts[0] and stdouts[2] == stdouts[0]
+    counts = []
+    for path in traces:
+        trace = json.loads(path.read_text(encoding="utf-8"))
+        counts.append((trace["value_at_calls"], Counter(span[0] for span in trace["spans"])))
+    assert counts[0] == counts[1]

@@ -692,11 +692,11 @@ def test_stacked_lambda0_matches_each_row_and_the_scalar_reference():
     P = 3000
     results = euler._lambda0_batch(STACK_SPECS, P)
     for spec, result in zip(STACK_SPECS, results):
-        want = outcome(lambda: euler._lambda0(spec, P))
+        want = outcome(lambda: lambda0(spec, P))
         assert result_bits(result) == want
         assert want == outcome(lambda: reference_lambda0(spec, P))
         if not isinstance(result, Exception):
-            assert result == euler._lambda0(spec, P)
+            assert result == lambda0(spec, P)
 
 
 @pytest.mark.parametrize(
@@ -720,20 +720,11 @@ def test_non_finite_values_fail_as_the_scalar_path(entries):
         results = euler._lambda0_batch(specs, 200)
         got = results[specs.index(spec)]
         assert (type(got), str(got)) == (ValueError, f"local factor 1 + F_p(1) is not finite at p={p}")
-        assert all(result == euler._lambda0(other, 200) for other, result in zip(specs, results) if other is not spec)
-
-
-def clear_memos():
-    euler._lambda0_cached.cache_clear()
+        assert all(result == lambda0(other, 200) for other, result in zip(specs, results) if other is not spec)
 
 
 def psi_alone(alpha, z, g, P):
-    """psi(z) from passes of one row each: the denominator, then the twist."""
-    clear_memos()
-    try:
-        lambda0(alpha, P)
-    except (ArithmeticError, ValueError):
-        pass
+    """psi(z) alone, or the error it raises."""
     try:
         return psi(alpha, z, g, P)
     except (ArithmeticError, ValueError) as exc:
@@ -760,7 +751,6 @@ def test_psi_grid_matches_psi_alone(alpha, zs, g, P):
     # one pass for the grid gives psi(z) alone at every z, or raises what
     # the first failing z raises alone
     want = [psi_alone(alpha, z, g, P) for z in zs]
-    clear_memos()
     try:
         got = euler.psi_grid(alpha, zs, g, P)
     except (ArithmeticError, ValueError) as exc:
@@ -782,7 +772,7 @@ def test_failing_rows_leave_the_others_unchanged():
     specs = [alpha] + [twist(alpha, cmath.exp(z), g_of.get(z, OMEGA)) for z in zs]
     results = euler._lambda0_batch(specs, P)
     for spec, result in zip(specs, results):
-        assert result_bits(result) == outcome(lambda: euler._lambda0(spec, P))
+        assert result_bits(result) == outcome(lambda: lambda0(spec, P))
     assert result_bits(results[2]) == ("0.0", "0.0", 48)
     assert result_bits(results[4]) == (PoleError, 2)
     assert result_bits(results[6]) == (DivergentLocalFactorError, 2)
@@ -793,7 +783,6 @@ def test_failing_rows_leave_the_others_unchanged():
     want = {z: psi_bits(psi_alone(alpha, z, OMEGA, P)) for z in omega_zs}
     assert want[vanishing] == "0j"
     assert want[-800.0][0] is DomainError
-    clear_memos()
     with pytest.raises(PoleError) as exc_info:
         euler.psi_grid(alpha, omega_zs, OMEGA, P)
     assert psi_bits(exc_info.value) == want[pole]
@@ -816,7 +805,6 @@ def test_twist_out_of_float_range_is_rejected_before_its_product(z):
         rows.append(len(stack))
         return local_factors(stack, *args)
 
-    clear_memos()
     message = f"z = {complex(z):g} takes the twist out of float64 range"
     with mock.patch.object(euler, "_local_factors", counted), pytest.raises(DomainError, match=re.escape(message)):
         psi(unit(), z, prime_cutoff=100)
@@ -851,17 +839,14 @@ def test_psi_and_ldp_read_one_twist_predicate():
 
 
 def test_psi_grid_stores_its_products_for_lambda0():
+    # the grid's pass gives sd report its lambda0 block: the denominator
+    # row is lambda0(alpha) alone, and each value psi(z) alone
     spec, P = theta_omega(1.25), 1500
     zs = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
-    want = [psi_bits(psi_alone(spec, z, OMEGA, P)) for z in zs]
-    clear_memos()
-    values = euler.psi_grid(spec, zs, OMEGA, P)
-    assert [psi_bits(value) for value in values] == want
-    hits = euler._lambda0_cached.cache_info().hits
-    assert lambda0(spec, P) == euler._lambda0(spec, P)  # the denominator was stored too
-    assert euler._lambda0_cached.cache_info().hits == hits + 1
-    for z, value in zip(zs, values):
-        assert psi(spec, z, prime_cutoff=P) == value
+    den, values = euler._psi_batch(spec, zs, OMEGA, P)
+    assert den == lambda0(spec, P)
+    assert values == euler.psi_grid(spec, zs, OMEGA, P)
+    assert [psi_bits(value) for value in values] == [psi_bits(psi(spec, z, prime_cutoff=P)) for z in zs]
 
 
 def per_prime_lengths(counts, cut):
@@ -973,7 +958,8 @@ def test_admissibility_default_grid_matches_scalar_reference():
 
 
 # ---------------------------------------------------------------------------
-# memoised products
+# repeated products: every call computes its product afresh, and
+# gives the same bits for the same spec and cutoff
 
 
 def test_memo_accepts_numpy_scalars_and_float_cutoff():
@@ -988,18 +974,22 @@ def test_memo_accepts_numpy_scalars_and_float_cutoff():
 
 
 def test_memo_hit_equals_fresh_computation():
+    # repeated calls make a pass each, and agree to the last bit
     spec = theta_omega(0.75)
-    first = lambda0(spec, 4000)
-    hits = euler._lambda0_cached.cache_info().hits
-    second = lambda0(spec, 4000)
-    assert euler._lambda0_cached.cache_info().hits == hits + 1
-    fresh = euler._lambda0(spec, 4000)
-    assert second == first == fresh
+    rows = []
+    local_factors = euler._local_factors
+
+    def counted(stack, *args):
+        rows.append(len(stack))
+        return local_factors(stack, *args)
+
     z = complex(0.2, 0.4)
-    cached = [psi(spec, z, prime_cutoff=4000) for _ in range(2)]
-    clear_memos()
-    fresh = psi(spec, z, prime_cutoff=4000)
-    assert cached == [fresh, fresh]
+    with mock.patch.object(euler, "_local_factors", counted):
+        products = [lambda0(spec, 4000) for _ in range(3)]
+        values = [psi(spec, z, prime_cutoff=4000) for _ in range(3)]
+    assert products[0] == products[1] == products[2]
+    assert repr(values[0]) == repr(values[1]) == repr(values[2])
+    assert rows == [1, 1, 1, 2, 2, 2]
 
 
 def test_memo_never_shares_entries_across_value_at():
@@ -1010,14 +1000,15 @@ def test_memo_never_shares_entries_across_value_at():
     for first, second in ((a, b), (b, a)):
         assert lambda0(first, 2000).value != lambda0(second, 2000).value
         assert psi(first, 0.3, prime_cutoff=2000) != psi(second, 0.3, prime_cutoff=2000)
-    assert lambda0(b, 2000) == euler._lambda0(b, 2000)
 
 
 def test_memo_skips_unhashable_specs():
+    # a spec with an unhashable field computes as the hashable one does
     spec = dataclasses.replace(theta_omega(2), prime_deviation=[0.0, 1.0])
     with pytest.raises(TypeError):
         hash(spec)
     assert lambda0(spec, 2000).value == lambda0(theta_omega(2), 2000).value
+    assert psi(spec, 0.3, prime_cutoff=2000) == psi(theta_omega(2), 0.3, prime_cutoff=2000)
 
 
 # ---------------------------------------------------------------------------
@@ -1195,10 +1186,8 @@ def test_the_kernel_makes_no_value_at_call_for_a_stated_spec(spec):
     alpha, calls = counted(spec)
     for g in (OMEGA, BIG_OMEGA):
         g_spy, g_calls = counted(g)
-        clear_memos()
         want = (outcome(lambda: lambda0(spec, P)), euler.psi_grid(spec, [-0.3, 0.5j], g, P),
                 psi_prime_at_zero(spec, g, P))
-        clear_memos()
         got = (outcome(lambda: lambda0(alpha, P)), euler.psi_grid(alpha, [-0.3, 0.5j], g_spy, P),
                psi_prime_at_zero(alpha, g_spy, P))
         assert repr(got) == repr(want)
@@ -1217,7 +1206,7 @@ def test_a_table_calls_value_at_only_at_its_table_prime():
     spec, calls = counted(tabulated_multiplicative({(2, 1): 0.5}))
     result = lambda0(spec, 10**4)
     assert calls == [(2, k) for k in range(1, result.k_cutoff + 1)]
-    assert result == euler._lambda0(tabulated_multiplicative({(2, 1): 0.5}), 10**4)
+    assert result == lambda0(tabulated_multiplicative({(2, 1): 0.5}), 10**4)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
@@ -1245,10 +1234,8 @@ def test_a_raising_coefficient_fails_its_row_where_value_at_would():
         want = outcome(lambda: lambda0(base, P))
         assert want == (ValueError, None)
         for spec in (stated, late):
-            clear_memos()
             assert outcome(lambda: lambda0(spec, P)) == want
             assert outcome(lambda: g_compensated(spec, 1.5, prime_cutoff=P)) == want
-        clear_memos()
         stack = euler._lambda0_batch([theta_omega(2), stated, unit()], P)
         assert [type(r) for r in stack] == [EulerProductResult, ValueError, EulerProductResult]
         assert str(stack[1]) == "no value at k = 3"
