@@ -216,16 +216,8 @@ def cmd_ldp(args: argparse.Namespace):
 
 def cmd_check(args: argparse.Namespace):
     report = check_admissibility_pp(args.alpha, c0=args.alpha.c0)
-    record = {
-        "c0": report.c0,
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "abscissa_estimate": report.abscissa_estimate,
-        "reason": report.reason,
-        "square_sum_partials": [[p, v] for p, v in report.square_sum_partials],
-    }
-    return record, _lines(verdict=report.verdict, c0=report.c0, witness=report.witness,
-                          abscissa_estimate=report.abscissa_estimate, reason=report.reason)
+    return asdict(report), _lines(verdict=report.verdict, c0=report.c0, witness=report.witness,
+                                  abscissa_estimate=report.abscissa_estimate, reason=report.reason)
 
 
 def cmd_report(args: argparse.Namespace):
@@ -233,7 +225,9 @@ def cmd_report(args: argparse.Namespace):
     xs = tuple(sorted(args.x_grid or DEFAULT_X_GRID))
     if xs[0] < 16:
         raise ValueError(f"report x grid needs x >= 16, got {xs[0]}")
-    _checked_slope(args.s)  # ldp_predict's check, made before the table pass
+    s = _checked_slope(args.s)
+    for x in xs:  # ldp_predict's checks at each x, made before the table pass
+        _checked_decay(args.alpha, args.additive, x, s)
     # one pass over the value tables serves all residuals and the pmf
     buckets = bucket_sums_grid(args.alpha, args.additive, xs)
 

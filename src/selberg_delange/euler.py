@@ -94,15 +94,13 @@ class AdmissibilityReport:
     the spec's prime data by check_admissibility_pp: the verdict
     ("consistent", "inconsistent" or "inconclusive"), the witness prime
     (2 or None), abscissa_estimate, and reason, which names the rule
-    that decided.  square_sum_partials is evidence the verdict does not
-    read: (P, sum over p <= P of the squared inner series).
+    that decided.
     """
 
     c0: float
     verdict: str
     witness: Optional[int]
     abscissa_estimate: float
-    square_sum_partials: List[Tuple[int, float]]
     reason: str
 
 
@@ -181,18 +179,18 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
 
 @np.errstate(all="ignore")  # entries past a row's cut or count are masked out
 def _series_lengths(
-    primes: np.ndarray, q: np.ndarray, C: Sequence[float], tol: float, envelopes: Sequence[Tuple[float, float]]
+    primes: np.ndarray, q: np.ndarray, C: Sequence[float], envelopes: Sequence[Tuple[float, float]]
 ) -> List[Tuple[List[int], int, Optional[ArithmeticError]]]:
     """The staircases of series lengths of a stack of rows.
 
     Row i has the ratios q[i] = r_i/p^sigma over the primes and the
     envelope (a + b k) C q^k with C = C[i] and (a, b) = envelopes[i].
     K_p is the smallest K >= 1 whose tail bound
-    C q^{K+1}/(1-q) (a + b(K+1) + b q/(1-q)) is <= tol; the envelope
-    (1, 0) gives the geometric tail C q^{K+1}/(1-q).  q falls as p
-    grows, and with b >= 0 and a + b >= 0 so does the bound; so K_p
-    never rises with p, and the primes whose series reaches k are a
-    prefix of the head.  Returns (counts, cut, failure) per row:
+    C q^{K+1}/(1-q) (a + b(K+1) + b q/(1-q)) is <= DEFAULT_FACTOR_TOL;
+    the envelope (1, 0) gives the geometric tail C q^{K+1}/(1-q).  q
+    falls as p grows, and with b >= 0 and a + b >= 0 so does the bound;
+    so K_p never rises with p, and the primes whose series reaches k are
+    a prefix of the head.  Returns (counts, cut, failure) per row:
     counts[k-1] is the length of that prefix (so K_p = len(counts) at
     the first prime), the head stops at cut, the index of the first
     prime whose series fails, and failure is that error (None if there
@@ -228,7 +226,7 @@ def _series_lengths(
             break
         steps.append(n)
         geo = geo[:, :width]
-        live = geo * (base[:, :width] + b * (len(steps) + 1)) > tol
+        live = geo * (base[:, :width] + b * (len(steps) + 1)) > DEFAULT_FACTOR_TOL
         live &= column[:width] < n[:, None]
         n = live.sum(axis=1)
         width = int(n.max())
@@ -310,7 +308,7 @@ def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_Loca
         p_sigma = _map_float(math.pow, p_sigma, s.real)
     r = np.array([row.r for row in rows], dtype=np.float64)
     staircases = _series_lengths(
-        primes, r[:, None] / p_sigma, [row.C for row in rows], DEFAULT_FACTOR_TOL, [row.envelope for row in rows]
+        primes, r[:, None] / p_sigma, [row.C for row in rows], [row.envelope for row in rows]
     )
     head = max((cut for _, cut, _ in staircases), default=0)
     primes = primes[:head]
@@ -857,9 +855,6 @@ def g_compensated(
     return EulerProductResult(value=value, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=tail)
 
 
-_DEFAULT_P_GRID = tuple(2000 * 2**i for i in range(9))
-
-
 def _admissibility_rule(spec: MultiplicativeSpec, beta: float) -> Tuple[str, Optional[int], float, str]:
     """verdict, witness, abscissa_estimate and reason of check_admissibility_pp."""
     a = abs(complex(spec.rho))
@@ -883,31 +878,6 @@ def _admissibility_rule(spec: MultiplicativeSpec, beta: float) -> Tuple[str, Opt
     return "consistent", None, abscissa, "f(p) -> 0, and its bounds c1 p^-eps, C r^2 p^(-2(1-c0)) are square-summable"
 
 
-def _square_sum_partials(spec: MultiplicativeSpec, beta: float, grid: Sequence[int]) -> List[Tuple[int, float]]:
-    """(P, sum over p <= P of inner_p^2) for each P of grid, where
-    inner_p = sum_k |f(p^k)| p^{-k beta}.  Raises ArithmeticError where
-    an inner series overflows or needs more than _K_HARD_CAP terms.
-    """
-    C, r = spec.growth.C, spec.growth.r
-    # one power k at a time over all primes; weight /= p^beta and the fsum
-    # of each prefix of squares round as a per-prime loop does
-    primes = prime_array(grid[-1])
-    p_beta = _map_float(math.pow, primes.astype(np.float64), beta)
-    [(counts, _, failure)] = _series_lengths(primes, (r / p_beta)[None], [C], DEFAULT_FACTOR_TOL, [(1.0, 0.0)])
-    if failure is not None:
-        raise failure
-    inner = np.zeros(len(primes))
-    weight = np.ones(counts[0] if counts else 0)
-    for k, n in enumerate(counts, start=1):
-        v = prime_power_values(spec, k, primes[:n])
-        weight[:n] /= p_beta[:n]
-        magnitude = np.abs(v.real) if not v.imag.any() else _map_float(math.hypot, v.real, v.imag)
-        inner[:n] += magnitude * weight[:n]
-    squares = (inner * inner).tolist()
-    ends = np.searchsorted(primes, grid, side="right").tolist()
-    return [(P, fsum(squares[:end])) for P, end in zip(grid, ends)]
-
-
 def check_admissibility_pp(spec: MultiplicativeSpec, c0: float) -> AdmissibilityReport:
     """Decide whether sum_p (sum_k |f(p^k)| p^{-k beta})^2 converges at
     beta = 1 - c0 from a = |rho|, (c1, eps) = prime_deviation and
@@ -921,27 +891,8 @@ def check_admissibility_pp(spec: MultiplicativeSpec, c0: float) -> Admissibility
     - a = 0: consistent when (c1 = 0 or eps + beta > 1/2) and (C = 0 or
       beta > 1/4), else inconclusive, as those are upper bounds; the
       abscissa is at most max(log2 r, 1/2 if C > 0, 1 - eps if c1 > 0).
-
-    square_sum_partials, the sums over p <= P for each P of
-    _DEFAULT_P_GRID (2000 * 2^i, i < 9), is left empty when there is a
-    witness or an inner series fails (overflow, or more than _K_HARD_CAP
-    terms); the reason then says which.
     """
     if not (0.0 < c0 < 1.0):
         raise ValueError(f"c0 must lie in (0,1), got {c0}")
-    beta = 1.0 - c0
-    verdict, witness, abscissa, reason = _admissibility_rule(spec, beta)
-    partials = []
-    if witness is None:
-        try:
-            partials = _square_sum_partials(spec, beta, _DEFAULT_P_GRID)
-        except ArithmeticError as exc:
-            reason += f"; no square_sum_partials, an inner series raised {type(exc).__name__}: {exc}"
-    return AdmissibilityReport(
-        c0=c0,
-        verdict=verdict,
-        witness=witness,
-        abscissa_estimate=abscissa,
-        square_sum_partials=partials,
-        reason=reason,
-    )
+    verdict, witness, abscissa, reason = _admissibility_rule(spec, 1.0 - c0)
+    return AdmissibilityReport(c0=c0, verdict=verdict, witness=witness, abscissa_estimate=abscissa, reason=reason)

@@ -161,13 +161,12 @@ def test_check_golden_consistent(capsys):
 
 
 def test_check_keeps_its_verdict_when_the_evidence_overflows(capsys):
-    # at c0 = 0.4 the inner series at p = 2 needs 1.5^k past k = 1751
+    # at c0 = 0.4 the inner series at p = 2 needs 1.5^k past k = 1751, which
+    # overflows a float; the verdict and its reason read the spec alone
     code, out, err = run_cli(capsys, ["check", "--spec", "geometric_B:1.5,c0=0.4", "--format", "json"])
     assert (code, err) == (0, "")
-    record = json.loads(out)
-    assert (record["verdict"], record["witness"], record["square_sum_partials"]) == ("consistent", None, [])
-    assert record["reason"].startswith("|f(p)| -> 1.5 > 0 and c0 < 1/2: sum_p p^(-2(1-c0)) converges; "
-                                       "no square_sum_partials, an inner series raised OverflowError: ")
+    assert json.loads(out) == {"c0": 0.4, "verdict": "consistent", "witness": None, "abscissa_estimate": 1.0,
+                               "reason": "|f(p)| -> 1.5 > 0 and c0 < 1/2: sum_p p^(-2(1-c0)) converges"}
 
 
 CLT_ARGS = ["clt", "--spec", "unit", "--x", "1000", "--y-grid", "0,1"]
@@ -211,14 +210,10 @@ def _ldp_record(predicted_tail, exact_tail, ratio):
          {"x": 10, "y_re": 2.0, "y_im": 0.0, "mgf_re": 2.3, "mgf_im": 0.0}),
         (["check", "--spec", "geometric_B:1.9,c0=0.1"],
          {"c0": 0.1, "verdict": "inconsistent", "witness": 2, "abscissa_estimate": 1.0,
-          "reason": CHECK_WITNESS_REASON, "square_sum_partials": []}),
+          "reason": CHECK_WITNESS_REASON}),
         (["check", "--spec", "unit"],
          {"c0": 0.25, "verdict": "consistent", "witness": None, "abscissa_estimate": 1.0,
-          "reason": CHECK_UNIT_REASON,
-          "square_sum_partials": [[2000, 3.226977521802788], [4000, 3.228618890845206], [8000, 3.229690921674401],
-                                  [16000, 3.230395901145719], [32000, 3.2308537946985383],
-                                  [64000, 3.231161349653808], [128000, 3.2313640329871376],
-                                  [256000, 3.231499509122478], [512000, 3.2315899932801626]]}),
+          "reason": CHECK_UNIT_REASON}),
         (["pmf", "--spec", "unit", "--g", "omega", "--x", "10"],
          {"x": 10, "pmf": {"0": 0.1, "1": 0.7, "2": 0.2}, "mean": 1.1, "variance": 0.29000000000000004}),
         (["sum", "--spec", "theta_omega:2", "--x", "10"], {"x": 10, "sum_re": 23.0, "sum_im": 0.0}),
@@ -524,10 +519,15 @@ def test_ldp_rejects_a_lower_tail_slope_before_any_product(monkeypatch, capsys, 
 
 
 def test_report_computes_every_clt_row_before_the_ldp_rows(capsys):
-    # alpha(1009) = -1 fails the distribution at x = 1e4 only, and s = 200
-    # underflows ldp's decay at x = 1e3: the clt row at 1e4 comes first
-    argv = ["report", "--spec", "tabulated:1009^1=-1", "--x-grid", "1e3,1e4", "--cutoff", "1000", "--s", "200"]
-    assert run_cli(capsys, argv) == (2, "", "error: tabulated: negative weight alpha(1009) = -1\n")
+    # alpha(1009) = -500 fails the distribution at x = 1e4 only, and puts a
+    # negative local factor in the twist y = s = 3 of ldp's prefactor
+    # psi(ln 3), which passes ldp's checks made before any work: the clt
+    # row at 1e4 comes first, and without it ldp's row fails
+    argv = ["report", "--spec", "tabulated:1009^1=-500", "--cutoff", "2000", "--s", "3", "--z-grid", "0"]
+    assert run_cli(capsys, argv + ["--x-grid", "1e3,1e4"]) == (
+        2, "", "error: tabulated: negative weight alpha(1009) = -500\n")
+    code, _, err = run_cli(capsys, argv + ["--x-grid", "1e3"])
+    assert (code, err) == (3, "numeric error: local factor 1 + F_p(1) = -0.486617 hits the log branch cut at p=1009\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1068,17 +1068,46 @@ def test_ldp_grid_at_s_one_computes_psi_prime_once(rows_per_pass, monkeypatch, c
     assert (len(derivatives), rows_per_pass) == (1, [2])
 
 
-@pytest.mark.parametrize("s", ["0", "0.5", "nan"])
-def test_report_checks_s_before_any_work(monkeypatch, capsys, s):
-    # ldp's refusal of s < 1 comes before the value tables and the grid pass
+def count_report_work(monkeypatch):
+    """The list each value-table pass and each Euler kernel pass appends to."""
     calls = []
     bucket_sums_grid, local_factors = cli.bucket_sums_grid, euler._local_factors
     monkeypatch.setattr(cli, "bucket_sums_grid", lambda *args: calls.append("tables") or bucket_sums_grid(*args))
     monkeypatch.setattr(euler, "_local_factors", lambda *args: calls.append("euler") or local_factors(*args))
+    return calls
+
+
+@pytest.mark.parametrize("s", ["0", "0.5", "nan"])
+def test_report_checks_s_before_any_work(monkeypatch, capsys, s):
+    # ldp's refusal of s < 1 comes before the value tables and the grid pass
+    calls = count_report_work(monkeypatch)
     code, out, err = run_cli(capsys, ["report", "--spec", "theta_omega:2", "--s", s])
     assert (code, out) == (2, "")
     assert err == f"error: ldp compares the upper tail and needs s >= 1, got {float(s):g}\n"
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--spec", "theta_omega:2", "--s", "500"], "s = 500 underflows exp(-rho ln ln x eta*(s)) to 0 at x = 1000"),
+        (["--spec", "theta_omega:-2"], "tail comparisons need rho > 0, got rho = -2.0 at x = 1000"),
+        (["--spec", "theta_omega:0"], "tail comparisons need rho > 0, got rho = 0.0 at x = 1000"),
+        (["--spec", "tau_rho:-1"], "tail comparisons need rho > 0, got rho = -1.0 at x = 1000"),
+        (["--spec", "unit", "--g", "big_omega"],
+         "s = 2 puts ln s = 0.693147 outside the strip of big_omega; need 1 <= s < 1.41421"),
+    ],
+    ids=["underflow", "theta-negative", "theta-zero", "tau-negative", "strip"],
+)
+def test_report_makes_ldp_checks_at_each_x_before_any_work(monkeypatch, capsys, argv, message):
+    # the checks sd ldp makes at each x come before the value tables and the
+    # grid pass, and fail with sd ldp's message for the same input; before,
+    # these reports built every table first (--s 500), or failed later on
+    # lambda0 = 0 (rho <= 0) or on the twist's growth ratio (big_omega)
+    calls = count_report_work(monkeypatch)
+    assert run_cli(capsys, ["report"] + argv) == (2, "", f"error: {message}\n")
+    assert calls == []
+    assert run_cli(capsys, ["ldp", "--x", "1000"] + argv) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

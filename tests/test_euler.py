@@ -20,7 +20,7 @@ from selberg_delange.errors import (
     DomainError,
     PoleError,
 )
-from selberg_delange import euler
+from selberg_delange import cli, euler
 from selberg_delange.euler import (
     AdmissibilityReport,
     EulerProductResult,
@@ -313,29 +313,73 @@ def test_g_compensated_matches_dirichlet_partial_sums(spec, rho):
 # admissibility probe
 
 
+def reference_square_sum_partials(spec, c0, grid):
+    """(P, sum over p <= P of inner_p^2) for each P of grid, with
+    inner_p = sum_k |f(p^k)| p^{-k(1-c0)}: the square sums whose
+    convergence check_admissibility_pp decides, one prime and one power
+    at a time."""
+    beta = 1.0 - c0
+    C, r = spec.growth.C, spec.growth.r
+    partials, acc_parts = [], []
+    grid_iter = iter(grid)
+    next_cut = next(grid_iter)
+    for p in prime_array(grid[-1]).tolist():
+        while p > next_cut:
+            partials.append((next_cut, fsum(acc_parts)))
+            next_cut = next(grid_iter)
+        K = series_length(C, r / float(p) ** beta, euler.DEFAULT_FACTOR_TOL, p)
+        inner = 0.0
+        weight = 1.0
+        for k in range(1, K + 1):
+            weight /= float(p) ** beta
+            inner += abs(spec.value_at(p, k)) * weight
+        acc_parts.append(inner * inner)
+    partials.append((next_cut, fsum(acc_parts)))
+    for remaining in grid_iter:
+        partials.append((remaining, partials[-1][1]))
+    return partials
+
+
+# the square sums' increments per doubling of P from 2000 on fall where they
+# converge and grow where they diverge
+EVIDENCE_GRID = [2000 * 2**i for i in range(6)]
+
+
+def increments(spec, c0, grid=EVIDENCE_GRID):
+    partials = [v for _, v in reference_square_sum_partials(spec, c0, grid)]
+    return [hi - lo for lo, hi in zip(partials, partials[1:])]
+
+
+def assert_verdict_agrees_with_the_evidence(spec, c0, grid=EVIDENCE_GRID):
+    # (increments all 0 when f vanishes at all but finitely many p)
+    report = check_admissibility_pp(spec, c0=c0)
+    if report.witness is not None:
+        return report
+    first, *_, last = increments(spec, c0, grid)
+    if report.verdict == "consistent":
+        assert last < first or first == last == 0.0, c0
+    if report.verdict == "inconsistent":
+        assert last > first, c0
+    return report
+
+
 def test_admissibility_consistent_specs():
     for spec in (unit(), theta_omega(2.5), geometric_B(1.5), euler_phi_over_n(), tau_rho(3)):
         report = check_admissibility_pp(spec, c0=0.25)
         assert isinstance(report, AdmissibilityReport)
-        assert report.verdict == "consistent"
-        assert report.witness is None
+        assert dataclasses.asdict(report) == {
+            "c0": 0.25, "verdict": "consistent", "witness": None, "abscissa_estimate": 1.0, "reason": report.reason}
         assert report.reason.endswith("and c0 < 1/2: sum_p p^(-2(1-c0)) converges")
-        assert len(report.square_sum_partials) == 9
-        partials = [v for _, v in report.square_sum_partials]
-        assert partials == sorted(partials)
 
 
 def test_admissibility_divergent_factor_names_witness():
     report = check_admissibility_pp(geometric_B(1.9, c0=0.1), c0=0.1)
-    assert report.verdict == "inconsistent"
-    assert report.witness == 2
-    assert report.reason.startswith("growth ratio r = 1.9 >= 2^(1-c0)")
-    assert len(report.square_sum_partials) == 0
-
-
-def increments(report):
-    partials = [v for _, v in report.square_sum_partials]
-    return [hi - lo for lo, hi in zip(partials, partials[1:])]
+    assert dataclasses.asdict(report) == {
+        "c0": 0.1, "verdict": "inconsistent", "witness": 2, "abscissa_estimate": 1.0,
+        "reason": "growth ratio r = 1.9 >= 2^(1-c0): the bound at p = 2 does not decay"}
+    # the inner series at the witness diverges
+    with pytest.raises(DivergentLocalFactorError):
+        reference_square_sum_partials(geometric_B(1.9, c0=0.1), 0.1, [2])
 
 
 def test_admissibility_growing_square_sums_without_witness():
@@ -344,7 +388,7 @@ def test_admissibility_growing_square_sums_without_witness():
     report = check_admissibility_pp(theta_omega(2), c0=0.6)
     assert report.verdict == "inconsistent"
     assert report.witness is None
-    steps = increments(report)
+    steps = increments(theta_omega(2), 0.6)
     assert steps[-1] > steps[0] > 0.0
 
 
@@ -376,11 +420,14 @@ def test_admissibility_validation():
 
 
 def test_admissibility_evidence_overflow_keeps_the_verdict():
-    # the inner series at p = 2 needs 1.5^k past k = 1751 for c0 in about [0.39, 0.415)
+    # the inner series at p = 2 needs 1.5^k past k = 1751 for c0 in about
+    # [0.39, 0.415), which overflows a float; the verdict reads the spec alone
+    reason = "|f(p)| -> 1.5 > 0 and c0 < 1/2: sum_p p^(-2(1-c0)) converges"
     for c0 in (0.39, 0.4, 0.41):
         report = check_admissibility_pp(geometric_B(1.5), c0=c0)
-        assert (report.verdict, report.witness, report.square_sum_partials) == ("consistent", None, [])
-        assert "no square_sum_partials, an inner series raised OverflowError" in report.reason
+        assert (report.verdict, report.witness, report.reason) == ("consistent", None, reason)
+        with pytest.raises(OverflowError):
+            reference_square_sum_partials(geometric_B(1.5), c0, [2])
 
 
 # spec -> (a = |f(p)| limit > 0, edge, abscissa).  With a > 0 the verdict is
@@ -415,31 +462,49 @@ def sweep_expectation(text, c0):
 
 @pytest.mark.parametrize("text", SWEEP)
 def test_admissibility_rule_sweep(text):
-    # the rule reads only the spec's prime data; the evidence, which can take
-    # thousands of terms per prime near the witness edge, is checked below
+    # the rule reads only the spec's prime data; the square sums, which can
+    # take thousands of terms per prime near the witness edge, are checked below
     spec = parse_multiplicative(text)
     for c0 in (i / 100 for i in range(1, 100)):
-        verdict, witness, abscissa, _ = euler._admissibility_rule(spec, 1.0 - c0)
-        assert (verdict, witness, abscissa) == sweep_expectation(text, c0), c0
+        report = check_admissibility_pp(spec, c0=c0)
+        assert (report.verdict, report.witness, report.abscissa_estimate) == sweep_expectation(text, c0), c0
 
 
 @pytest.mark.parametrize("text", SWEEP)
 def test_admissibility_verdict_agrees_with_the_evidence(text):
     # the square sums converge where the rule says consistent and diverge
-    # where it says inconsistent: their increments per doubling of P fall
-    # or grow (increments all 0 when f vanishes at all but finitely many p)
+    # where it says inconsistent
     spec = parse_multiplicative(text)
     for c0 in (0.25, 0.35, 0.6, 0.75):
-        report = check_admissibility_pp(spec, c0=c0)
+        report = assert_verdict_agrees_with_the_evidence(spec, c0)
         assert (report.verdict, report.witness, report.abscissa_estimate) == sweep_expectation(text, c0)
-        if report.witness is not None:
-            assert report.square_sum_partials == []
-            continue
-        first, *_, last = increments(report)
-        if report.verdict == "consistent":
-            assert last < first or first == last == 0.0, c0
-        if report.verdict == "inconsistent":
-            assert last > first, c0
+
+
+def test_check_reads_the_spec_alone(monkeypatch, capsys):
+    # no prime is listed, no local factor computed and no value_at called,
+    # by the library over the sweep or by sd check
+    def refuse(*args):
+        raise AssertionError("sd check did work beyond the spec's prime data")
+
+    monkeypatch.setattr(euler, "prime_array", refuse)
+    monkeypatch.setattr(euler, "_local_factors", refuse)
+    for text in SWEEP:
+        spec, calls = counted(parse_multiplicative(text))
+        for c0 in (i / 100 for i in range(1, 100)):
+            check_admissibility_pp(spec, c0=c0)
+        assert calls == [], text
+    cli_calls = []
+
+    def parse_counted(text):
+        spec, calls = counted(parse_multiplicative(text))
+        cli_calls.append(calls)
+        return spec
+
+    monkeypatch.setattr(cli, "parse_multiplicative", parse_counted)
+    for text in ("unit", "geometric_B:1.5,c0=0.4", "tabulated:default=0,3^1=2"):
+        assert cli.main(["check", "--spec", text]) == 0
+        assert capsys.readouterr().err == ""
+    assert cli_calls == [[], [], []]
 
 
 def test_euler_imports_nothing_from_exact():
@@ -886,8 +951,8 @@ def test_staircase_matches_the_scalar_series_length(C, r, sigma, tol, P, cap):
     # small caps put some K_p right at the hard cap
     primes = prime_array(P)
     q = r / euler._map_float(math.pow, primes.astype(np.float64), sigma)
-    with mock.patch.object(euler, "_K_HARD_CAP", cap):
-        [(counts, cut, failure)] = euler._series_lengths(primes, q[None], [C], tol, [(1.0, 0.0)])
+    with mock.patch.object(euler, "_K_HARD_CAP", cap), mock.patch.object(euler, "DEFAULT_FACTOR_TOL", tol):
+        [(counts, cut, failure)] = euler._series_lengths(primes, q[None], [C], [(1.0, 0.0)])
         want, want_failure = scalar_series_lengths(primes, q, C, tol)
     assert per_prime_lengths(counts, cut).tolist() == want
     assert counts == sorted(counts, reverse=True) and 0 not in counts
@@ -906,7 +971,8 @@ def test_series_lengths_match_the_envelope_tail(envelope):
     C, tol = 1.5, 1e-12
     primes = prime_array(200)
     q = 1.9 / primes
-    [(counts, cut, failure)] = euler._series_lengths(primes, q[None], [C], tol, [envelope])
+    with mock.patch.object(euler, "DEFAULT_FACTOR_TOL", tol):
+        [(counts, cut, failure)] = euler._series_lengths(primes, q[None], [C], [envelope])
     K = per_prime_lengths(counts, cut)
     assert failure is None
     def tail(qp, K0):
@@ -917,44 +983,13 @@ def test_series_lengths_match_the_envelope_tail(envelope):
         assert got == 1 or tail(qp, got - 1) > tol * (1 - 1e-9), p
 
 
-def reference_square_sum_partials(spec, c0, grid, tol=euler.DEFAULT_FACTOR_TOL):
-    """The per-prime, per-power loop check_admissibility_pp replaced."""
-    beta = 1.0 - c0
-    C, r = spec.growth.C, spec.growth.r
-    partials, acc_parts = [], []
-    grid_iter = iter(grid)
-    next_cut = next(grid_iter)
-    for p in prime_array(grid[-1]).tolist():
-        while p > next_cut:
-            partials.append((next_cut, fsum(acc_parts)))
-            next_cut = next(grid_iter)
-        K = series_length(C, r / float(p) ** beta, tol, p)
-        inner = 0.0
-        weight = 1.0
-        for k in range(1, K + 1):
-            weight /= float(p) ** beta
-            inner += abs(spec.value_at(p, k)) * weight
-        acc_parts.append(inner * inner)
-    partials.append((next_cut, fsum(acc_parts)))
-    for remaining in grid_iter:
-        partials.append((remaining, partials[-1][1]))
-    return partials
-
-
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
 def test_admissibility_partials_match_scalar_reference(spec):
-    for c0, grid in ((0.25, [1, 2, 100, 1000, 3000]), (0.45, [50, 500, 2500])):
-        with mock.patch.object(euler, "_DEFAULT_P_GRID", tuple(grid)):
-            report = check_admissibility_pp(spec, c0=c0)
-        if report.verdict == "inconsistent" and report.witness == 2:
-            continue
-        assert report.square_sum_partials == reference_square_sum_partials(spec, c0, grid)
-
-
-def test_admissibility_default_grid_matches_scalar_reference():
-    spec = theta_omega(complex(1.5, 0.5))
-    report = check_admissibility_pp(spec, c0=0.25)
-    assert report.square_sum_partials == reference_square_sum_partials(spec, 0.25, euler._DEFAULT_P_GRID)
+    # the scalar reference's square sums match the rule's verdict for the
+    # oracle's specs: complex rho, twists, tables and a value_at that takes
+    # no arrays, which the sweep above does not hold
+    for c0 in (0.25, 0.6):
+        assert_verdict_agrees_with_the_evidence(spec, c0, EVIDENCE_GRID[:4])
 
 
 # ---------------------------------------------------------------------------
