@@ -27,7 +27,8 @@ import sys
 from dataclasses import asdict
 from typing import Optional, Sequence, Tuple
 
-from .euler import DEFAULT_FACTOR_TOL, DEFAULT_PRIME_CUTOFF, _psi_batch, check_admissibility_pp, lambda0, psi
+from .euler import DEFAULT_FACTOR_TOL, DEFAULT_PRIME_CUTOFF, check_admissibility_pp, lambda0, psi
+from .euler import _exp_twist, _psi_batch
 from .exact import bucket_sums, bucket_sums_grid, partial_sum_grid, pmf, sample, twisted_mean
 from .funcs import parse_additive, parse_multiplicative
 from .stats import _checked_decay, _checked_slope, _mean_scale, clt_report, ldp_predict
@@ -228,6 +229,8 @@ def cmd_report(args: argparse.Namespace):
     s = _checked_slope(args.s)
     for x in xs:  # ldp_predict's checks at each x, made before the table pass
         _checked_decay(args.alpha, args.additive, x, s)
+    for z in args.z_grid:  # and psi's at each z
+        _exp_twist(args.alpha, z, args.additive)
     # one pass over the value tables serves all residuals and the pmf
     buckets = bucket_sums_grid(args.alpha, args.additive, xs)
 

@@ -119,9 +119,9 @@ def _prime_tail_scale(P: int, u: float) -> float:
     return P ** (1.0 - u) / ((u - 1.0) * math.log(P))
 
 
-def _second_order_constant(spec: MultiplicativeSpec, rho: complex) -> float:
+def _second_order_constant(spec: MultiplicativeSpec) -> float:
     C, r = spec.growth.C, spec.growth.r
-    return 2.0 * (abs(rho) + (C * r) ** 2 + C * r * r)
+    return 2.0 * (abs(complex(spec.rho)) + (C * r) ** 2 + C * r * r)
 
 
 class _Row(NamedTuple):
@@ -388,11 +388,15 @@ def _clog1p(re, im) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _log_product(rho: complex, comp_re, comp_im, factors: _LocalFactors) -> complex:
-    """fsum over primes of rho * log(compensator) + log(1 + F_p)."""
+@np.errstate(over="ignore", invalid="ignore")  # a term out of range is raised below
+def _log_product(spec: MultiplicativeSpec, comp_re, comp_im, factors: _LocalFactors) -> complex:
+    """fsum over primes of rho * log(compensator) + log(1 + F_p); OverflowError where a term is not finite."""
+    rho = complex(spec.rho)
     L_re, L_im = _clog1p(factors.F_re, factors.F_im)
     re = rho.real * comp_re - rho.imag * comp_im + L_re
     im = rho.real * comp_im + rho.imag * comp_re + L_im
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise OverflowError(f"the log product of {spec.name} overflows float64, with rho = {spec.rho:g}")
     return complex(fsum(re.tolist()), fsum(im.tolist()))
 
 
@@ -596,20 +600,18 @@ def lambda0(spec: MultiplicativeSpec, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) 
     return _raised(_lambda0_batch([spec], _check_cutoff(prime_cutoff))[0])
 
 
-def _factors_at_one(spec: MultiplicativeSpec) -> bool:
+def _factors_at_one(spec: MultiplicativeSpec, where: str = "") -> bool:
     """Whether the s = 1 product of spec needs its local factors: False
     when rho is a nonpositive integer, which makes the product 0.
 
     Raises:
-        DivergentLocalFactorError: growth ratio r >= 2.
+        DivergentLocalFactorError: growth ratio r >= 2 (its message prefixed by where).
     """
     rho = complex(spec.rho)
     if _is_snapped_nonpositive_integer(rho):
         return False
     if spec.growth.r >= 2.0:
-        raise DivergentLocalFactorError(
-            f"growth ratio r={spec.growth.r:g} >= 2 diverges at p=2, s=1", prime=2
-        )
+        raise DivergentLocalFactorError(f"{where}growth ratio r={spec.growth.r:g} >= 2 diverges at p=2, s=1", prime=2)
     return True
 
 
@@ -647,17 +649,21 @@ def _lambda0_result(spec: MultiplicativeSpec, P: int, factors, comp: np.ndarray)
     if factors.vanished:
         return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0)
     rho = complex(spec.rho)
-    total = _log_product(rho, comp, 0.0, factors)
+    total = _log_product(spec, comp, 0.0, factors)
+    try:
+        gamma_rho = gamma(rho)
+    except OverflowError:
+        raise OverflowError(f"Gamma(rho) of {spec.name} overflows float64, with rho = {spec.rho:g}") from None
     tail = _completion(spec, rho, P)
     if tail is None:
         c1, eps = spec.prime_deviation
-        truncation = _second_order_constant(spec, rho) * _prime_tail_scale(P, 2.0)
+        truncation = _second_order_constant(spec) * _prime_tail_scale(P, 2.0)
         if c1 > 0.0:
             truncation += c1 * _prime_tail_scale(P, 1.0 + eps)
     else:
         total += tail.value
         truncation = tail.error
-    value = cmath.exp(total) / gamma(rho)
+    value = cmath.exp(total) / gamma_rho
     tail_estimate = truncation + _head_bound(spec, rho, factors, total)
     return EulerProductResult(
         value=value, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=tail_estimate, completed=tail is not None
@@ -704,17 +710,17 @@ def psi_grid(
 def _twist_is_finite(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> bool:
     """Whether the twist of alpha by e^z stays in float64 range: e^z is
     finite and nonzero, and so is Gamma of the twist's rho, rho e^(c z)
-    with c = g.prime_value, computed as funcs.twist computes it.  psi(z)
+    with c = g.k_value(1), computed as funcs.twist computes it.  psi(z)
     divides by that Gamma unless the rho is a nonpositive integer, whose
-    product is 0.  A g without a prime value passes: twist rejects it.
+    product is 0.  A g without a k_value passes: twist rejects it.
     """
-    if g.prime_value is None:
+    if g.k_value is None:
         return True
     try:
         y = cmath.exp(z)
         if y == 0:
             return False
-        rho = cpow(y, g.prime_value) * complex(alpha.rho)
+        rho = cpow(y, g.k_value(1)) * complex(alpha.rho)
         if cmath.isfinite(rho) and not _is_snapped_nonpositive_integer(rho):
             gamma(rho)
         return cmath.isfinite(rho)
@@ -723,17 +729,20 @@ def _twist_is_finite(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> 
 
 
 def _exp_twist(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> MultiplicativeSpec:
-    """twist(alpha, e^z, g), rejected before its product when it leaves float64 range.
+    """twist(alpha, e^z, g), rejected before its product when it leaves float64 range or diverges.
 
     Raises:
         DomainError: not _twist_is_finite(alpha, z, g).
+        DivergentLocalFactorError: growth ratio r >= 2, with z named.
     """
     if not _twist_is_finite(alpha, z, g):
         raise DomainError(
             f"z = {z:g} takes the twist out of float64 range: e^z underflows to 0, or e^z or "
-            f"Gamma(rho e^(c z)) overflows, with c = {g.prime_value:g} for {g.name}"
+            f"Gamma(rho e^(c z)) overflows, with c = {g.k_value(1):g} for {g.name}"
         )
-    return twist(alpha, cmath.exp(z), g)
+    spec = twist(alpha, cmath.exp(z), g)
+    _factors_at_one(spec, f"z = {z:g}, twist by {g.name}: ")
+    return spec
 
 
 def _psi_batch(
@@ -742,10 +751,10 @@ def _psi_batch(
     """lambda0(alpha) and psi_grid(alpha, zs, g, prime_cutoff), from one pass.
 
     Each value is the ratio of two products closed alike: both
-    completed, or both plain when either cannot be completed (a twist by
-    a table g, say), so that the tails above P cancel in the ratio
-    instead of adding.  The plain products those ratios need, of the
-    specs whose series could complete them, take one further pass.
+    completed, or both plain when either cannot be completed (a table
+    prime of g above P, say), so that the tails above P cancel in the
+    ratio instead of adding.  The plain products those ratios need, of
+    the products that completed, take one further pass.
     Raises what lambda0(alpha) raises, for every z.
     """
     P = _check_cutoff(prime_cutoff)
@@ -762,8 +771,8 @@ def _psi_batch(
     ]
     if mismatched:
         pairs = [(alpha, den)] + [(twisted[i], results[i]) for i in mismatched]
-        redo = iter(_lambda0_batch([replace(spec, series=None) for spec, _ in pairs if spec.series is not None], P))
-        plain_den, *plain = [result if spec.series is None else next(redo) for spec, result in pairs]
+        redo = iter(_lambda0_batch([replace(spec, series=None) for spec, result in pairs if result.completed], P))
+        plain_den, *plain = [next(redo) if result.completed else result for _, result in pairs]
         for i, num in zip(mismatched, plain):
             values[i] = _raised(num).value / _raised(plain_den).value
     return den, [_raised(value) for value in values]
@@ -778,14 +787,14 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
     its envelope (a + b k) C (r/p)^k is <= DEFAULT_FACTOR_TOL, with
     (a, b) = g.power_bound.  Logs go through the math library, as in
     lambda0, so the printed value does not depend on numpy's SIMD.  When
-    alpha has a local series and g a k_value, the primes p > P add
-    sum_j b_j P_{>P}(j), as in lambda0.
+    alpha has a local series and no exceptional prime of either lies
+    above P, the primes p > P add sum_j b_j P_{>P}(j), as in lambda0.
     """
     if not _factors_at_one(alpha):
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
-    c = g.prime_value
-    if c is None:
+    if g.k_value is None:
         raise ValueError(f"additive spec {g.name!r} has no generic prime value; psi'(0) needs one")
+    c = g.k_value(1)
 
     def values(k, primes):  # complex products, as g(p^k) alpha(p^k) rounds in Python
         g_values, alpha_values = prime_power_values(g, k, primes), prime_power_values(alpha, k, primes)
@@ -806,7 +815,7 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
     terms /= 1.0 + factors.F_re + 1j * factors.F_im
     terms += c * rho * _map_float(math.log1p, -1.0 / factors.primes)
     total = complex(fsum(terms.real), fsum(terms.imag))
-    if g.k_value is not None and _completes(alpha.series, P, *g.exceptional_primes):
+    if _completes(alpha.series, P, *g.exceptional_primes):
         coefficients = _log_derivative_coefficients(alpha.series, g.k_value, c, rho)
         tail = _close_tail(coefficients, P, alpha.growth.r)
         if tail is not None:
@@ -831,7 +840,6 @@ def g_compensated(
         DivergentLocalFactorError / PoleError: per-prime failures.
     """
     s = complex(s)
-    rho = complex(spec.rho)
     P = _check_cutoff(prime_cutoff)
     sigma = s.real
     if sigma <= 1.0 - spec.c0:
@@ -846,9 +854,9 @@ def g_compensated(
     else:
         t_re, t_im = factors.t_re, factors.t_im
     comp_re, comp_im = _clog1p(-t_re, -t_im)
-    value = cmath.exp(_log_product(rho, comp_re, comp_im, factors))
+    value = cmath.exp(_log_product(spec, comp_re, comp_im, factors))
     c1, eps = spec.prime_deviation
-    second = _second_order_constant(spec, rho)
+    second = _second_order_constant(spec)
     tail = second * _prime_tail_scale(P, 2.0 * sigma) if second > 0.0 else 0.0
     if c1 > 0.0:
         tail += c1 * _prime_tail_scale(P, sigma + eps)

@@ -22,7 +22,7 @@ Values.  Every prime-power value comes from funcs.prime_power_values,
 once per power k over the swept primes with p^k <= x and once over the
 primes above sqrt(x); the checks then run prime by prime, so an error
 names the first (p, k) the sweep would reach.  A spec that states its
-value (a one-term series, omega or Omega) gives one scalar there unless
+value (a one-term series or a k_value) gives one scalar there unless
 one of its exceptional primes lies among them, so no array over the
 large primes is built, and a value of 1 (0 for g) gathers nothing.  A
 pass allocates its working arrays once: the tables, the complex copy of

@@ -137,16 +137,14 @@ class AdditiveSpec:
     all values are real and >= 0 (true for omega and Omega), which
     tightens twisted growth bounds.  strip is the horizontal strip of
     twist parameters z on which the limiting-function analysis of
-    exp-twists y^g (y = e^z) stays valid.  prime_value is the generic
-    value g(p) taken at every prime outside the finite set
-    exceptional_primes (1 for omega and Omega, 0 for tables), or None
-    when g declares no such value.  k_value(k) is g(p^k) when that value
-    is the same at every prime (1 for omega, k for Omega), else None; it
-    carries a local series through twists and psi'(0).  Both are values
-    the spec states at every prime outside exceptional_primes, read there
-    in place of value_at (see prime_power_values), so they must agree
-    with it bit for bit; construction compares them at k = 1 as
-    MultiplicativeSpec does.
+    exp-twists y^g (y = e^z) stays valid.  k_value(k) is the value
+    g(p^k) takes at every prime p outside the finite set
+    exceptional_primes (1 for omega, k for Omega, 0 for tables), or None
+    when g states no such value; k_value(1) is g's generic prime value.
+    It gives twists their rho and carries a local series through twists
+    and psi'(0), and prime_power_values reads it in place of value_at,
+    so the two must agree bit for bit; construction compares them at
+    k = 1 as MultiplicativeSpec does.
     """
 
     name: str
@@ -155,9 +153,8 @@ class AdditiveSpec:
     power_bound: Tuple[float, float] = (1.0, 0.0)
     integer_valued: bool = False
     nonnegative: bool = True
-    prime_value: Optional[float] = None
     exceptional_primes: Tuple[int, ...] = ()
-    k_value: Optional[Callable[[int], int]] = None
+    k_value: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
         a, b = self.power_bound
@@ -174,14 +171,13 @@ _PRIMES_PER_CALL = 4096
 def _stated(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int) -> Tuple[object, Tuple[int, ...]]:
     """The value spec states at p^k for every prime p outside its
     exceptional primes, or None, and those primes: the coefficient of a
-    series with one coefficient at k, or k_value(k), or prime_value at k = 1."""
+    series with one coefficient at k, or k_value(k)."""
     if isinstance(spec, MultiplicativeSpec):
         if spec.series is None:
             return None, ()
         coeffs = spec.series.coeffs(k)
         return (coeffs[0] if len(coeffs) == 1 else None), spec.series.exceptional_primes
-    value = spec.k_value(k) if spec.k_value is not None else spec.prime_value if k == 1 else None
-    return value, spec.exceptional_primes
+    return (None if spec.k_value is None else spec.k_value(k)), spec.exceptional_primes
 
 
 def _stored(values: np.ndarray) -> np.ndarray:
@@ -268,11 +264,7 @@ def _is_prime_small(p: int) -> bool:
 OMEGA = AdditiveSpec(
     name="omega",
     value_at=lambda p, k: 1,
-    strip=FULL_PLANE,
-    power_bound=(1.0, 0.0),
     integer_valued=True,
-    nonnegative=True,
-    prime_value=1,
     k_value=lambda k: 1,
 )
 
@@ -284,8 +276,6 @@ BIG_OMEGA = AdditiveSpec(
     strip=StripDomain(-math.inf, 0.5 * math.log(2.0)),
     power_bound=(0.0, 1.0),
     integer_valued=True,
-    nonnegative=True,
-    prime_value=1,
     k_value=lambda k: k,
 )
 
@@ -294,20 +284,20 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
     """The twisted function n -> y^g(n) * alpha(n).
 
     The average value of the twist is y^c * alpha.rho, where c is the
-    generic prime value g.prime_value (omega and Omega give y * rho,
+    generic prime value g.k_value(1) (omega and Omega give y * rho,
     tables give rho); the finitely many exceptional primes of g enter
-    the prime deviation bound, as in tabulated_multiplicative.  A twist
-    by a g with a k_value maps alpha's local series to a series: it
+    the prime deviation bound, as in tabulated_multiplicative.  The
+    twist maps alpha's local series, if it has one, to a series: it
     multiplies coeffs(k) by y^k_value(k), and its exceptional primes are
     those of alpha's series and those of g.
 
     Raises:
-        ValueError: y == 0, or g declares no generic prime value.
+        ValueError: y == 0, or g states no k_value.
     """
     y = complex(y)
     if y == 0:
         raise ValueError("twist parameter y must be nonzero")
-    if g.prime_value is None:
+    if g.k_value is None:
         raise ValueError(f"additive spec {g.name!r} has no generic prime value, so its twist has no rho")
     alpha_value = alpha.value_at
     g_value = g.value_at
@@ -318,13 +308,13 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
     a, b = g.power_bound
     m = max(1.0, abs(y)) if g.nonnegative else max(abs(y), 1.0 / abs(y))
     c1, eps = alpha.prime_deviation
-    scale = cpow(y, g.prime_value)
+    scale = cpow(y, g.k_value(1))
     c1 = c1 * m ** (a + b) + max(
         (abs(cpow(y, g_value(p, 1)) - scale) * abs(alpha_value(p, 1)) * p**eps for p in g.exceptional_primes),
         default=0.0,
     )
     series = None
-    if alpha.series is not None and g.k_value is not None:
+    if alpha.series is not None:
         alpha_coeffs, k_value = alpha.series.coeffs, g.k_value
 
         def coeffs(k):
@@ -533,25 +523,22 @@ def tabulated_additive(
 ) -> AdditiveSpec:
     """Explicit (p, k) -> value additive table; unlisted values are 0.
 
-    Its generic prime value is therefore 0, and the primes p with a
-    nonzero entry at (p, 1) are its exceptional primes.
+    It states g(p^k) = 0 at every prime outside the table, and the
+    tabled primes are its exceptional primes.
     """
     table = {}
     for (p, k), v in entries.items():
         table[_table_key(p, k, v)] = float(v)
     values = list(table.values())
     cap = max((abs(v) for v in values), default=0.0)
-    # a -0.0 entry is exceptional too: only +0.0 has the bits of the generic value
-    exceptional = [p for (p, k), v in table.items() if k == 1 and (v != 0.0 or math.copysign(1.0, v) < 0)]
     return AdditiveSpec(
         name=name,
         value_at=lambda p, k: table.get((p, k), 0.0),
-        strip=FULL_PLANE,
         power_bound=(cap, 0.0),
         integer_valued=all(v == int(v) for v in values),
         nonnegative=all(v >= 0.0 for v in values),
-        prime_value=0.0,
-        exceptional_primes=tuple(sorted(exceptional)),
+        exceptional_primes=tuple(sorted({p for p, _ in table})),
+        k_value=lambda k: 0.0,
     )
 
 

@@ -63,7 +63,7 @@ def psi_prime_at_zero(
     """psi'(0), the logarithmic derivative of the Euler product.
 
     psi(0) = 1, so psi'(0) is d/dz log lambda0(exp-twist of alpha) at
-    z = 0: with rho = alpha.rho and c = g.prime_value,
+    z = 0: with rho = alpha.rho and c = g.k_value(1),
 
         psi'(0) = -c rho digamma(rho)
                   + sum_p [c rho log(1 - 1/p) + G_p / (1 + F_p)],
@@ -72,13 +72,13 @@ def psi_prime_at_zero(
     G_p = sum_k g(p^k) alpha(p^k) p^{-k}.  It is the constant term of
     the mean of g(N) (Mertens' constant 0.26150 for unit and omega).
     One kernel pass over the primes p <= P, with F_p and G_p as its two
-    rows; when alpha has a local series and g a k_value (omega, Omega),
-    the primes above P are closed by the prime-zeta tail, otherwise
-    dropped.
+    rows; when alpha has a local series and no exceptional prime of
+    alpha or g lies above P, the primes above P are closed by the
+    prime-zeta tail, otherwise dropped.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
-        ValueError: g has no generic prime value.
+        ValueError: g states no k_value, so no generic prime value.
     """
     return _log_derivative(alpha, g, _check_cutoff(prime_cutoff))
 
@@ -149,7 +149,7 @@ def _checked_decay(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int, s: float)
         raise DomainError(f"s = {s:g} underflows exp(-rho ln ln x eta*(s)) to 0 at x = {x}")
     if s != 1.0 and not twist_gamma_is_finite(s):
         raise DomainError(
-            f"s = {s:g} overflows Gamma(rho s^c) in psi(ln s), with c = {g.prime_value:g} for {g.name}; "
+            f"s = {s:g} overflows Gamma(rho s^c) in psi(ln s), with c = {g.k_value(1):g} for {g.name}; "
             f"need s < {_largest_s(twist_gamma_is_finite, s):g}"
         )
     return t_x, decay

@@ -387,6 +387,19 @@ def test_rho_overflowing_the_mean_scale_exits_two(capsys):
     assert err == "error: tail comparisons need a real rho with rho ln ln x finite, got rho = 1e+308 at x = 1000\n"
 
 
+@pytest.mark.parametrize(
+    "rho, overflows",
+    [("200", "Gamma(rho)"), ("1e+150", "Gamma(rho)"), ("1e+200", "the log product"), ("1e+308", "the log product")],
+)
+def test_a_product_out_of_float_range_names_rho_and_what_overflowed(capsys, rho, overflows):
+    # Gamma(rho) overflows past rho = 171.62, and log(1 + F_2) past about
+    # 1e154, where numpy's intermediate square overflows without a warning
+    message = f"{overflows} of theta_omega:{rho} overflows float64, with rho = {rho}"
+    for command in ("lambda0", "psi"):
+        argv = [command, "--spec", f"theta_omega:{rho}", "--cutoff", "1000"]
+        assert run_cli(capsys, argv) == (3, "", f"numeric error: {message}\n")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s", ["200", "1000", "1e300"])
 def test_ldp_slope_underflowing_the_prediction_exits_two(capsys, s):
@@ -1032,24 +1045,41 @@ def test_each_command_computes_its_products_in_its_own_passes(rows_per_pass, cap
     assert rows_per_pass == passes
 
 
-def test_report_with_a_table_g_adds_one_pass_for_the_plain_denominator(rows_per_pass, capsys, tmp_path):
-    # a twist by a table g has no series, so its plain product is its
-    # ratio's numerator, over alpha's plain product: one pass of one row
-    # after the grid's, and one after ldp's psi(ln 2)
+def report_with_a_table_g(capsys, tmp_path, rows):
+    """sd report of theta_omega:2 to x = 1e3 at cutoff 3e4, with a table g of these rows."""
     table = tmp_path / "g.txt"
-    table.write_text("2 1 1\n3 1 1\n5 1 2\n", encoding="utf-8")
+    table.write_text(rows, encoding="utf-8")
     argv = ["report", "--spec", "theta_omega:2", "--g", f"table:{table}", "--x-grid", "1e3", "--cutoff", "3e4"]
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
-    assert rows_per_pass == [17, 1, 2, 1]
+    return json.loads(out)
+
+
+def assert_table_g_report_bits(doc):
     # psi on the grid, the lambda0 block and ldp's prefactor from
-    # psi(ln 2) keep their bits
-    doc = json.loads(out)
+    # psi(ln 2), as the plain products gave them
     assert [(row["psi_re"], row["psi_im"]) for row in doc["psi_grid"][:2]] == [
         (6.687926711320403, 0.0), (2.827788473007606, 4.10566187029648)]
     assert (doc["psi_grid"][-1]["psi_re"], doc["psi_grid"][-1]["psi_im"]) == (2.8277884730075997, -4.105661870296482)
     assert doc["lambda0"]["value_re"] == 0.6079271018528838
     assert doc["ldp"][0]["predicted_tail"] == 1.437863692039272
+
+
+def test_report_with_a_table_g_adds_one_pass_for_the_plain_denominator(rows_per_pass, capsys, tmp_path):
+    # a tabled prime above the cutoff keeps each twist's product plain,
+    # so its ratio's denominator is alpha's plain product: one pass of
+    # one row after the grid's, and one after ldp's psi(ln 2)
+    doc = report_with_a_table_g(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n30011 1 1\n")
+    assert rows_per_pass == [17, 1, 2, 1]
+    assert_table_g_report_bits(doc)
+
+
+def test_report_with_a_table_g_closes_its_twists_in_two_passes(rows_per_pass, capsys, tmp_path):
+    # with every tabled prime below the cutoff each twist keeps alpha's
+    # series and completes, as alpha does: no further pass
+    doc = report_with_a_table_g(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n")
+    assert rows_per_pass == [17, 2]
+    assert_table_g_report_bits(doc)
 
 
 def test_ldp_grid_at_s_one_computes_psi_prime_once(rows_per_pass, monkeypatch, capsys):
@@ -1087,27 +1117,40 @@ def test_report_checks_s_before_any_work(monkeypatch, capsys, s):
     assert calls == []
 
 
+def ldp_twin(argv, message):
+    """A report's argv, sd ldp's at x = 1000 for the same input, and the message of both."""
+    return argv, ["ldp", "--x", "1000"] + argv, message
+
+
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, twin, message",
     [
-        (["--spec", "theta_omega:2", "--s", "500"], "s = 500 underflows exp(-rho ln ln x eta*(s)) to 0 at x = 1000"),
-        (["--spec", "theta_omega:-2"], "tail comparisons need rho > 0, got rho = -2.0 at x = 1000"),
-        (["--spec", "theta_omega:0"], "tail comparisons need rho > 0, got rho = 0.0 at x = 1000"),
-        (["--spec", "tau_rho:-1"], "tail comparisons need rho > 0, got rho = -1.0 at x = 1000"),
-        (["--spec", "unit", "--g", "big_omega"],
-         "s = 2 puts ln s = 0.693147 outside the strip of big_omega; need 1 <= s < 1.41421"),
+        ldp_twin(["--spec", "theta_omega:2", "--s", "500"],
+                 "error: s = 500 underflows exp(-rho ln ln x eta*(s)) to 0 at x = 1000"),
+        ldp_twin(["--spec", "theta_omega:-2"], "error: tail comparisons need rho > 0, got rho = -2.0 at x = 1000"),
+        ldp_twin(["--spec", "theta_omega:0"], "error: tail comparisons need rho > 0, got rho = 0.0 at x = 1000"),
+        ldp_twin(["--spec", "tau_rho:-1"], "error: tail comparisons need rho > 0, got rho = -1.0 at x = 1000"),
+        ldp_twin(["--spec", "unit", "--g", "big_omega"],
+                 "error: s = 2 puts ln s = 0.693147 outside the strip of big_omega; need 1 <= s < 1.41421"),
+        (["--spec", "unit", "--g", "big_omega", "--s", "1.3"], ["psi", "--g", "big_omega", "--z", "1"],
+         "numeric error: z = 1+0j, twist by big_omega: growth ratio r=2.71828 >= 2 diverges at p=2, s=1"),
+        (["--spec", "unit", "--z-grid", "0.5,6"], ["psi", "--z", "6"],
+         "error: z = 6+0j takes the twist out of float64 range: e^z underflows to 0, or e^z or "
+         "Gamma(rho e^(c z)) overflows, with c = 1 for omega"),
     ],
-    ids=["underflow", "theta-negative", "theta-zero", "tau-negative", "strip"],
+    ids=["underflow", "theta-negative", "theta-zero", "tau-negative", "strip", "z-growth", "z-float-range"],
 )
-def test_report_makes_ldp_checks_at_each_x_before_any_work(monkeypatch, capsys, argv, message):
-    # the checks sd ldp makes at each x come before the value tables and the
-    # grid pass, and fail with sd ldp's message for the same input; before,
-    # these reports built every table first (--s 500), or failed later on
-    # lambda0 = 0 (rho <= 0) or on the twist's growth ratio (big_omega)
+def test_report_makes_ldp_checks_at_each_x_before_any_work(monkeypatch, capsys, argv, twin, message):
+    # the checks sd ldp makes at each x, then those psi makes at each z,
+    # come before the value tables and the grid pass, and fail with the
+    # message of sd ldp at that x or of sd psi at that z; before, these
+    # reports built every table first (--s 500, z = 6), or failed later on
+    # lambda0 = 0 (rho <= 0) or on the twist's growth ratio, without its z
     calls = count_report_work(monkeypatch)
-    assert run_cli(capsys, ["report"] + argv) == (2, "", f"error: {message}\n")
+    code = 3 if message.startswith("numeric error") else 2
+    assert run_cli(capsys, ["report"] + argv) == (code, "", f"{message}\n")
     assert calls == []
-    assert run_cli(capsys, ["ldp", "--x", "1000"] + argv) == (2, "", f"error: {message}\n")
+    assert run_cli(capsys, twin) == (code, "", f"{message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -899,8 +899,8 @@ def test_psi_and_ldp_read_one_twist_predicate():
     with pytest.raises(DomainError):
         psi(unit(), math.log(171.63), prime_cutoff=100)
     assert psi(unit(), complex(math.log(200.0), math.pi), prime_cutoff=100) == 0j
-    # a g without a prime value is left to twist, which names it
-    assert euler._twist_is_finite(unit(), 1000.0, dataclasses.replace(OMEGA, prime_value=None))
+    # a g without a k_value is left to twist, which names it
+    assert euler._twist_is_finite(unit(), 1000.0, dataclasses.replace(OMEGA, k_value=None))
 
 
 def test_psi_grid_stores_its_products_for_lambda0():
@@ -1153,10 +1153,15 @@ def test_local_series_matches_value_at(spec, g, y, p, k):
 def test_which_specs_carry_a_series():
     assert TABLE.series.exceptional_primes == (2, 3, 7)
     assert series_value(TABLE, 5, 3) == 1.0
-    table_g = tabulated_additive({(3, 1): 1.0})
-    for spec in (perturbed(1, 0.5), MOD4, twist(unit(), 2.0, table_g)):
+    for spec in (perturbed(1, 0.5), MOD4):
         assert spec.series is None
         assert not lambda0(spec, 1000).completed
+    # a twist by a table g keeps alpha's series, with the tabled primes
+    # exceptional, so a tabled prime above the cutoff keeps it plain
+    twisted = twist(unit(), 2.0, tabulated_additive({(3, 1): 1.0, (1009, 2): 1.0}))
+    assert twisted.series.exceptional_primes == (3, 1009)
+    assert not lambda0(twisted, 1000).completed
+    assert lambda0(twisted, 1009).completed
     # a table prime above the cutoff keeps the plain product
     late = tabulated_multiplicative({(101, 1): 0.5})
     assert not lambda0(late, 100).completed
@@ -1172,7 +1177,7 @@ def test_a_twist_keeps_the_exceptional_primes_of_g():
     # product whose cutoff leaves 101 in the tail stays plain, and its
     # estimate covers the true value
     g = AdditiveSpec("omega_101", lambda p, k: np.where(p == 101, 10, 1), power_bound=(10.0, 0.0),
-                     integer_valued=True, prime_value=1, exceptional_primes=(101,), k_value=lambda k: 1)
+                     integer_valued=True, exceptional_primes=(101,), k_value=lambda k: 1)
     spec = twist(unit(), math.exp(0.5), g)
     assert spec.series.exceptional_primes == (101,)
     assert twist(TABLE, 2.0, g).series.exceptional_primes == (2, 3, 7, 101)
@@ -1187,8 +1192,9 @@ def test_specs_without_a_series_keep_their_bits():
     assert repr(lambda0(hand, 2000).value) == "(0.6079625535691769+0j)"
     assert repr(psi(hand, 0.5, prime_cutoff=2000)) == "(0.13623935242864404+0j)"
     assert repr(psi(hand, complex(0.25, 1.0), BIG_OMEGA, prime_cutoff=2000)) == "(0.7370679383875274-4.953749201026149j)"
-    # psi of a twist by a table g stays a ratio of two plain products
-    g = tabulated_additive({(3, 1): 1.0, (5, 2): 2.0})
+    # psi of a twist by a table g with a prime above the cutoff stays a
+    # ratio of two plain products
+    g = tabulated_additive({(3, 1): 1.0, (5, 2): 2.0, (2003, 1): 1.0})
     assert repr(psi(theta_omega(2), 0.7, g, prime_cutoff=2000)) == "(1.555923207180146+0j)"
 
 
@@ -1242,6 +1248,53 @@ def test_a_table_calls_value_at_only_at_its_table_prime():
     result = lambda0(spec, 10**4)
     assert calls == [(2, k) for k in range(1, result.k_cutoff + 1)]
     assert result == lambda0(tabulated_multiplicative({(2, 1): 0.5}), 10**4)
+
+
+# a table g with a value at a second power; 5 is 0 at 5^3 and beyond
+TABLE_G = {(2, 1): 1.0, (3, 1): 1.0, (5, 1): 2.0, (5, 2): -1.0}
+# the report's default circle, and two z off it
+TABLE_G_ZS = [cmath.exp(2j * math.pi * j / 16) for j in range(16)] + [0.5, complex(-1.0, 0.3)]
+
+
+@pytest.mark.parametrize("P", [1000, 30000])
+def test_a_table_twist_calls_value_at_only_at_its_tabled_primes(P):
+    # the twists read g's stated 0 off the table: g's value_at is called
+    # at most once per tabled prime, power and row, not once per prime
+    table = tabulated_additive(TABLE_G)
+    g, calls = counted(table)
+    values = euler.psi_grid(theta_omega(2), TABLE_G_ZS, g, P)
+    assert values == euler.psi_grid(theta_omega(2), TABLE_G_ZS, table, P)
+    powers = max(lambda0(twist(theta_omega(2), cmath.exp(z), table), P).k_cutoff for z in TABLE_G_ZS)
+    assert 0 < len(calls) <= 3 * powers * len(TABLE_G_ZS)
+
+
+def table_twist_psi(alpha_value, z):
+    """mpmath psi(z) for the twist by TABLE_G: the twist is alpha off the
+    tabled primes, so psi(z) is the product over them of
+    (1 + sum_k y^g(p^k) alpha(p^k) p^-k) / (1 + sum_k alpha(p^k) p^-k),
+    whose numerator is the denominator plus the tabled (y^g - 1) terms."""
+    with mpmath.workdps(30):
+        y = mpmath.exp(mpmath.mpc(z))
+        value = mpmath.mpf(1)
+        for p in (2, 3, 5):
+            den = 1 + mpmath.fsum(alpha_value(k) * mpmath.mpf(p) ** -k for k in range(1, 200))
+            num = den + sum((y**g - 1) * alpha_value(k) * mpmath.mpf(p) ** -k
+                            for (q, k), g in TABLE_G.items() if q == p)
+            value *= num / den
+        return complex(value)
+
+
+@pytest.mark.parametrize("P", [1000, 30000])
+@pytest.mark.parametrize(
+    "alpha, alpha_value",
+    [(theta_omega(2), lambda k: 2), (geometric_B(1.5), lambda k: mpmath.mpf(1.5) ** k), (unit(), lambda k: 1)],
+    ids=["theta_omega:2", "geometric_B:1.5", "unit"],
+)
+def test_table_twist_psi_against_mpmath(alpha, alpha_value, P):
+    got = euler.psi_grid(alpha, TABLE_G_ZS, tabulated_additive(TABLE_G), P)
+    for z, value in zip(TABLE_G_ZS, got):
+        want = table_twist_psi(alpha_value, z)
+        assert abs(value - want) <= 1e-11 * max(1.0, abs(want)), z
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)

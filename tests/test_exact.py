@@ -751,15 +751,14 @@ def test_table_primes_on_either_side_of_sqrt_x(prime, x):
     gt = additive_value_table(g, x)
     assert gt.tobytes() == reference_additive_table(g, x).tobytes()
     assert gt[1:].tolist() == [int(additive_eval_brute(g, n).real) for n in range(1, x + 1)]
-    # f and g(p) are stated at every prime but the table's, where
-    # value_at gives them, below sqrt(x) or above it alike; a table g
-    # states no g(p^k), k >= 2, so value_at gives those everywhere
+    # f and g are stated at every prime but the table's, where value_at
+    # gives them, below sqrt(x) or above it alike
     spy, calls = counted(spec)
     assert multiplicative_value_table(spy, x).tobytes() == table.tobytes()
     assert sorted(calls) == [(p, k) for p in (2, prime) for k in range(1, 20) if p**k <= x]
     g_spy, g_calls = counted(g)
     assert additive_value_table(g_spy, x).tobytes() == gt.tobytes()
-    assert sorted((p, k) for p, k in g_calls if k == 1) == [(3, 1), (prime, 1)]
+    assert sorted(g_calls) == [(p, k) for p in sorted({3, prime}) for k in range(1, 20) if p**k <= x]
 
 
 def stated_everywhere_but_small(name, value, x, **kwargs):
@@ -771,7 +770,7 @@ def stated_everywhere_but_small(name, value, x, **kwargs):
         return np.where(p <= small[-1], 1.0, value)
 
     if kwargs:
-        return AdditiveSpec(name, value_at, prime_value=value, exceptional_primes=small, **kwargs)
+        return AdditiveSpec(name, value_at, exceptional_primes=small, k_value=lambda k: value, **kwargs)
     series = LocalSeries(lambda k: (value,), small)
     return MultiplicativeSpec(name, value_at, rho=1.0, c0=0.25, growth=GrowthBound(2.0, 1.0), series=series)
 

@@ -108,15 +108,15 @@ def test_twist_varying_additive_needs_explicit_rho():
     g = AdditiveSpec("custom", lambda p, k: 1.0 if p == 2 else 2.0)
     with pytest.raises(ValueError, match="no generic prime value"):
         twist(unit(), 2, g)
-    # declaring g(p) = 2 outside p = 2 makes it explicit: rho = 2^2 * 1
-    spec = twist(unit(), 2, dataclasses.replace(g, prime_value=2.0, exceptional_primes=(2,)))
+    # declaring g(p^k) = 2 outside p = 2 makes it explicit: rho = 2^2 * 1
+    spec = twist(unit(), 2, dataclasses.replace(g, exceptional_primes=(2,), k_value=lambda k: 2.0))
     assert spec.rho == 4.0
     assert spec.value_at(3, 1) == 4
 
 
 def test_twist_by_additive_table_uses_generic_value_zero():
     g = tabulated_additive({(2, 1): 1.0, (3, 1): 2.0})
-    assert (g.prime_value, g.exceptional_primes) == (0.0, (2, 3))
+    assert (g.k_value(1), g.k_value(2), g.exceptional_primes) == (0.0, 0.0, (2, 3))
     spec = twist(theta_omega(1.5), 2, g)
     assert spec.rho == 1.5
     assert spec.value_at(3, 1) == 6
@@ -438,7 +438,7 @@ TABLES = [
 def test_prime_power_values_match_value_at_on_either_side_of_sqrt_x(spec, x):
     # the swept primes p <= sqrt(x) and the gathered ones above, as the
     # exact tables split them; value_at is called only at the table
-    # primes, except where a table g states no value (k >= 2)
+    # primes
     primes = prime_array(x)
     split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
     exceptional = spec.exceptional_primes if isinstance(spec, AdditiveSpec) else spec.series.exceptional_primes
@@ -447,8 +447,6 @@ def test_prime_power_values_match_value_at_on_either_side_of_sqrt_x(spec, x):
             spy, calls = spied(spec)
             got = prime_power_values(spy, k, part)
             assert complex_bits(got, part) == one_at_a_time(spec, k, part).tobytes()
-            if spec is TABLE_G and k >= 2:
-                continue
             assert all(type(p) is int for p, _ in calls)
             assert calls == [(p, k) for p in part.tolist() if p in exceptional]
 
@@ -489,8 +487,8 @@ def test_a_value_at_that_contradicts_the_stated_value_is_refused():
     # where a spec states no value there is nothing to compare
     dataclasses.replace(theta_omega(2), value_at=lambda p, k: 1.5, series=None)
     AdditiveSpec("custom", lambda p, k: 2)
-    # a -0.0 entry of a table g is one of its exceptional primes
-    assert tabulated_additive({(3, 1): 1.0, (5, 1): -0.0}).exceptional_primes == (3, 5)
+    # every tabled prime of a table g is exceptional, a -0.0 entry too
+    assert tabulated_additive({(3, 1): 1.0, (5, 1): -0.0, (7, 2): 0.0}).exceptional_primes == (3, 5, 7)
 
 
 def test_only_funcs_names_value_at():

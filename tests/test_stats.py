@@ -206,9 +206,9 @@ def test_psi_prime_at_zero_errors():
     with pytest.raises(PoleError) as exc_info:
         psi_prime_at_zero(tabulated_multiplicative({(3, 1): -4.0}), OMEGA, 1000)
     assert exc_info.value.prime == 3
-    no_prime_value = AdditiveSpec(name="custom", value_at=lambda p, k: 1)
+    no_k_value = AdditiveSpec(name="custom", value_at=lambda p, k: 1)
     with pytest.raises(ValueError, match="generic prime value"):
-        psi_prime_at_zero(unit(), no_prime_value, 1000)
+        psi_prime_at_zero(unit(), no_k_value, 1000)
     with pytest.raises(ValueError):
         psi_prime_at_zero(unit(), OMEGA, 50)
 
