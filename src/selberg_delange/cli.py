@@ -216,7 +216,7 @@ def cmd_ldp(args: argparse.Namespace):
 
 
 def cmd_check(args: argparse.Namespace):
-    report = check_admissibility_pp(args.alpha, c0=args.alpha.c0)
+    report = check_admissibility_pp(args.alpha)
     return asdict(report), _lines(verdict=report.verdict, c0=report.c0, witness=report.witness,
                                   abscissa_estimate=report.abscissa_estimate, reason=report.reason)
 

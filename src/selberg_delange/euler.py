@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import fsum
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -110,18 +110,6 @@ def _is_snapped_nonpositive_integer(z: complex) -> bool:
         return False
     nearest = round(z.real)
     return nearest <= 0 and abs(z.real - nearest) <= _INTEGER_SNAP_TOL
-
-
-def _prime_tail_scale(P: int, u: float) -> float:
-    """Heuristic for sum over primes p > P of p^{-u} (infinite for u <= 1)."""
-    if u <= 1.0:
-        return math.inf
-    return P ** (1.0 - u) / ((u - 1.0) * math.log(P))
-
-
-def _second_order_constant(spec: MultiplicativeSpec) -> float:
-    C, r = spec.growth.C, spec.growth.r
-    return 2.0 * (abs(complex(spec.rho)) + (C * r) ** 2 + C * r * r)
 
 
 class _Row(NamedTuple):
@@ -434,6 +422,26 @@ def _head_bound(spec: MultiplicativeSpec, rho: complex, factors: _LocalFactors, 
     return DEFAULT_FACTOR_TOL * n * worst + rounding
 
 
+def _plain_tail(spec: MultiplicativeSpec, P: int, sigma: float) -> float:
+    """Heuristic bound on the log of the primes p > P that a plain
+    product at Re s = sigma drops: the second-order terms
+    2 (|rho| + (C r)^2 + C r^2) p^{-2 sigma} and the prime deviation
+    c1 p^{-sigma-eps}, each sum over p > P of p^{-u} taken as
+    P^{1-u}/((u - 1) ln P), infinite for u <= 1.
+    """
+
+    def scale(u: float) -> float:
+        return P ** (1.0 - u) / ((u - 1.0) * math.log(P)) if u > 1.0 else math.inf
+
+    C, r = spec.growth.C, spec.growth.r
+    c1, eps = spec.prime_deviation
+    second = 2.0 * (abs(complex(spec.rho)) + C * r * (C * r) + C * r * r)  # a product overflows to inf, ** raises
+    tail = second * scale(2.0 * sigma) if second > 0.0 else 0.0
+    if c1 > 0.0:
+        tail += c1 * scale(sigma + eps)
+    return tail
+
+
 # The completed products: coefficients are read up to u^j with j at least
 # _SERIES_MIN_POWER (so the root estimate of their growth sees a few of
 # them) and at most _SERIES_MAX_POWER; contributions below _NEGLIGIBLE are
@@ -597,7 +605,7 @@ def lambda0(spec: MultiplicativeSpec, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) 
         integer (within snap tolerance) or some local factor vanishes.
         Each call is a kernel pass of one row.
     """
-    return _raised(_lambda0_batch([spec], _check_cutoff(prime_cutoff))[0])
+    return _raised(_lambda0_batch([spec], _check_cutoff(prime_cutoff))[0])[0]
 
 
 def _factors_at_one(spec: MultiplicativeSpec, where: str = "") -> bool:
@@ -622,20 +630,23 @@ def _completion(spec: MultiplicativeSpec, rho: complex, P: int) -> Optional[_Com
     return _close_tail(_log_factor_coefficients(spec.series, rho), P, spec.growth.r)
 
 
-def _lambda0_batch(specs: Sequence[MultiplicativeSpec], P: int) -> List[Union[EulerProductResult, Exception]]:
+def _lambda0_batch(
+    specs: Sequence[MultiplicativeSpec], P: int
+) -> List[Union[Tuple[EulerProductResult, complex], Exception]]:
     """lambda0 of each spec, closed by the prime-zeta tail when the spec
     allows it, from one kernel pass over the primes p <= P.
 
     The specs are the rows of the pass and share the compensator
-    log1p(-1/p).  Each row keeps its own checks: one that fails gets
-    its ArithmeticError or ValueError in its place, and the other rows
-    are what they are alone.
+    log1p(-1/p).  Each gives its result and its head, the product over
+    the primes p <= P alone (the value, when plain or 0), or the
+    ArithmeticError or ValueError of its own checks; the other rows are
+    what they are alone.
     """
     results = [_attempt(_factors_at_one, spec) for spec in specs]
     todo = [i for i, needed in enumerate(results) if needed is True]
     for i, needed in enumerate(results):
         if needed is False:
-            results[i] = EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=0, tail_estimate=0.0)
+            results[i] = EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=0, tail_estimate=0.0), 0j
     if todo:
         comp = _map_float(math.log1p, -1.0 / prime_array(P))
         for i, factors in zip(todo, _local_factors([_spec_row(specs[i]) for i in todo], complex(1.0), P)):
@@ -643,31 +654,28 @@ def _lambda0_batch(specs: Sequence[MultiplicativeSpec], P: int) -> List[Union[Eu
     return results
 
 
-def _lambda0_result(spec: MultiplicativeSpec, P: int, factors, comp: np.ndarray) -> EulerProductResult:
-    """lambda0 from the row's unchecked local factors and the compensator."""
+def _lambda0_result(spec: MultiplicativeSpec, P: int, factors, comp: np.ndarray) -> Tuple[EulerProductResult, complex]:
+    """lambda0 and its head from the row's unchecked local factors and the compensator."""
     factors = _checked(factors, "1")
     if factors.vanished:
-        return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0)
+        return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0), 0j
     rho = complex(spec.rho)
     total = _log_product(spec, comp, 0.0, factors)
     try:
         gamma_rho = gamma(rho)
     except OverflowError:
         raise OverflowError(f"Gamma(rho) of {spec.name} overflows float64, with rho = {spec.rho:g}") from None
+    head = value = cmath.exp(total) / gamma_rho
     tail = _completion(spec, rho, P)
     if tail is None:
-        c1, eps = spec.prime_deviation
-        truncation = _second_order_constant(spec) * _prime_tail_scale(P, 2.0)
-        if c1 > 0.0:
-            truncation += c1 * _prime_tail_scale(P, 1.0 + eps)
+        truncation = _plain_tail(spec, P, 1.0)
     else:
         total += tail.value
-        truncation = tail.error
-    value = cmath.exp(total) / gamma_rho
+        value, truncation = cmath.exp(total) / gamma_rho, tail.error
     tail_estimate = truncation + _head_bound(spec, rho, factors, total)
     return EulerProductResult(
         value=value, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=tail_estimate, completed=tail is not None
-    )
+    ), head
 
 
 def psi(
@@ -696,9 +704,10 @@ def psi_grid(
     """psi(z) for each z of zs, from one kernel pass.
 
     lambda0(alpha) and the twist of each z are the rows of one pass over
-    the primes p <= cutoff.  The values are bit-identical to psi(z)
-    alone.  A failing z raises what psi(z) alone raises, the first in
-    the order of zs.
+    the primes p <= cutoff, and a twist closed unlike alpha is divided
+    by it head by head (see _psi_batch).  The values are bit-identical
+    to psi(z) alone.  A failing z raises what psi(z) alone raises, the
+    first in the order of zs.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
@@ -750,32 +759,25 @@ def _psi_batch(
 ) -> Tuple[EulerProductResult, List[complex]]:
     """lambda0(alpha) and psi_grid(alpha, zs, g, prime_cutoff), from one pass.
 
-    Each value is the ratio of two products closed alike: both
-    completed, or both plain when either cannot be completed (a table
-    prime of g above P, say), so that the tails above P cancel in the
-    ratio instead of adding.  The plain products those ratios need, of
-    the products that completed, take one further pass.
+    Each value is the ratio of two products closed alike, so that the
+    tails above P cancel in the ratio instead of adding: of the values
+    when both completed or both are plain, else of the heads, the
+    products over the primes p <= P (a table prime of g above P, say,
+    leaves the twists plain).  A plain product's head is its value.
     Raises what lambda0(alpha) raises, for every z.
     """
     P = _check_cutoff(prime_cutoff)
     twisted = [_attempt(_exp_twist, alpha, complex(z), g) for z in zs]
     den, *nums = _lambda0_batch([alpha] + [spec for spec in twisted if not isinstance(spec, Exception)], P)
-    den = _raised(den)
+    den, den_head = _raised(den)
     if den.value == 0:
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
     nums = iter(nums)
-    results = [spec if isinstance(spec, Exception) else next(nums) for spec in twisted]
-    values = [num if isinstance(num, Exception) else num.value / den.value for num in results]
-    mismatched = [
-        i for i, num in enumerate(results) if not isinstance(num, Exception) and num.completed != den.completed
-    ]
-    if mismatched:
-        pairs = [(alpha, den)] + [(twisted[i], results[i]) for i in mismatched]
-        redo = iter(_lambda0_batch([replace(spec, series=None) for spec, result in pairs if result.completed], P))
-        plain_den, *plain = [next(redo) if result.completed else result for _, result in pairs]
-        for i, num in zip(mismatched, plain):
-            values[i] = _raised(num).value / _raised(plain_den).value
-    return den, [_raised(value) for value in values]
+    values = []
+    for spec in twisted:
+        num, head = _raised(spec if isinstance(spec, Exception) else next(nums))
+        values.append(num.value / den.value if num.completed == den.completed else head / den_head)
+    return den, values
 
 
 def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> complex:
@@ -855,12 +857,9 @@ def g_compensated(
         t_re, t_im = factors.t_re, factors.t_im
     comp_re, comp_im = _clog1p(-t_re, -t_im)
     value = cmath.exp(_log_product(spec, comp_re, comp_im, factors))
-    c1, eps = spec.prime_deviation
-    second = _second_order_constant(spec)
-    tail = second * _prime_tail_scale(P, 2.0 * sigma) if second > 0.0 else 0.0
-    if c1 > 0.0:
-        tail += c1 * _prime_tail_scale(P, sigma + eps)
-    return EulerProductResult(value=value, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=tail)
+    return EulerProductResult(
+        value=value, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=_plain_tail(spec, P, sigma)
+    )
 
 
 def _admissibility_rule(spec: MultiplicativeSpec, beta: float) -> Tuple[str, Optional[int], float, str]:
@@ -886,11 +885,11 @@ def _admissibility_rule(spec: MultiplicativeSpec, beta: float) -> Tuple[str, Opt
     return "consistent", None, abscissa, "f(p) -> 0, and its bounds c1 p^-eps, C r^2 p^(-2(1-c0)) are square-summable"
 
 
-def check_admissibility_pp(spec: MultiplicativeSpec, c0: float) -> AdmissibilityReport:
+def check_admissibility_pp(spec: MultiplicativeSpec) -> AdmissibilityReport:
     """Decide whether sum_p (sum_k |f(p^k)| p^{-k beta})^2 converges at
-    beta = 1 - c0 from a = |rho|, (c1, eps) = prime_deviation and
-    (C, r) = growth alone (Tenenbaum, Introduction to Analytic and
-    Probabilistic Number Theory, Ch. II.5):
+    beta = 1 - c0 from c0 = spec.c0, a = |rho|, (c1, eps) =
+    prime_deviation and (C, r) = growth alone (Tenenbaum, Introduction
+    to Analytic and Probabilistic Number Theory, Ch. II.5):
 
     - r >= 2^beta: inconsistent, with witness 2.
     - a > 0: the inner series is |f(p)| p^-beta + O(C r^2 p^{-2 beta})
@@ -900,7 +899,5 @@ def check_admissibility_pp(spec: MultiplicativeSpec, c0: float) -> Admissibility
       beta > 1/4), else inconclusive, as those are upper bounds; the
       abscissa is at most max(log2 r, 1/2 if C > 0, 1 - eps if c1 > 0).
     """
-    if not (0.0 < c0 < 1.0):
-        raise ValueError(f"c0 must lie in (0,1), got {c0}")
-    verdict, witness, abscissa, reason = _admissibility_rule(spec, 1.0 - c0)
-    return AdmissibilityReport(c0=c0, verdict=verdict, witness=witness, abscissa_estimate=abscissa, reason=reason)
+    verdict, witness, abscissa, reason = _admissibility_rule(spec, 1.0 - spec.c0)
+    return AdmissibilityReport(c0=spec.c0, verdict=verdict, witness=witness, abscissa_estimate=abscissa, reason=reason)

@@ -84,8 +84,7 @@ _TEMP_ITEMS = 8192
 # so one op.at per block applies them cheaper than a slice each
 _TAIL_MODULUS = 128
 
-# an alpha table (float64) and a g table (int64) per n, the pair every
-# exact statistic of g(N) reads
+# bytes per n of the widest whole table, a complex128 alpha table
 _TABLE_BYTES_PER_N = 16
 
 

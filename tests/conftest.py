@@ -1,8 +1,27 @@
 """Shared brute-force oracles: everything here uses trial division and
 direct summation only, independent of the package's sieve and table
-machinery."""
+machinery.  Also the rows_per_pass fixture, which counts the Euler
+kernel's passes."""
 
 from typing import Tuple
+
+import pytest
+
+from selberg_delange import euler
+
+
+@pytest.fixture
+def rows_per_pass(monkeypatch):
+    """The number of rows of each pass of the Euler power loop, in call order."""
+    rows_per_pass = []
+    power_series = euler._power_series
+
+    def counted(rows, *args):
+        rows_per_pass.append(len(rows))
+        return power_series(rows, *args)
+
+    monkeypatch.setattr(euler, "_power_series", counted)
+    return rows_per_pass
 
 
 def trial_factorize(n: int) -> Tuple[Tuple[int, int], ...]:

@@ -18,6 +18,7 @@ gives at finite x (lambda = rho ln ln x is at most 2.78 there):
   1/sqrt(2 pi s lambda) of the lattice precise-deviation theorem.
 """
 
+import dataclasses
 import math
 import sys
 import time
@@ -355,8 +356,9 @@ def test_criterion_10_sampler_goodness_of_fit():
 
 def test_criterion_11_admissibility_verdicts():
     consistent = [unit(), theta_omega(0.5), theta_omega(2), geometric_B(1.5)]
-    verdicts = {spec.name: check_admissibility_pp(spec, c0=0.25).verdict for spec in consistent}
-    bad = check_admissibility_pp(geometric_B(1.9, c0=0.1), c0=0.1)
+    verdicts = {spec.name: check_admissibility_pp(dataclasses.replace(spec, c0=0.25)).verdict
+                for spec in consistent}
+    bad = check_admissibility_pp(geometric_B(1.9, c0=0.1))
     ok = all(v == "consistent" for v in verdicts.values()) and (
         bad.verdict == "inconsistent" and bad.witness == 2
     )

@@ -1002,20 +1002,6 @@ def test_pmf_with_a_subnormal_prime_power_value(capsys):
     assert out == "value,probability\n0,0.142857142857143\n1,0.857142857142857\n2,6.35735388156138e-314\n"
 
 
-@pytest.fixture
-def rows_per_pass(monkeypatch):
-    """The number of rows of each pass of the power loop, in call order."""
-    rows_per_pass = []
-    power_series = euler._power_series
-
-    def counted(rows, *args):
-        rows_per_pass.append(len(rows))
-        return power_series(rows, *args)
-
-    monkeypatch.setattr(euler, "_power_series", counted)
-    return rows_per_pass
-
-
 def test_report_grid_products_share_one_kernel_pass(rows_per_pass, capsys):
     # lambda0(alpha), the report's lambda0 block, and the 16 twists of
     # circle:16 are the rows of one pass of the power loop; ldp's
@@ -1045,11 +1031,12 @@ def test_each_command_computes_its_products_in_its_own_passes(rows_per_pass, cap
     assert rows_per_pass == passes
 
 
-def report_with_a_table_g(capsys, tmp_path, rows):
-    """sd report of theta_omega:2 to x = 1e3 at cutoff 3e4, with a table g of these rows."""
+def table_g_run(capsys, tmp_path, rows, command="report", *args):
+    """sd report (or another command) of theta_omega:2 at cutoff 3e4, with a table g of these rows."""
     table = tmp_path / "g.txt"
     table.write_text(rows, encoding="utf-8")
-    argv = ["report", "--spec", "theta_omega:2", "--g", f"table:{table}", "--x-grid", "1e3", "--cutoff", "3e4"]
+    args = args or ("--x-grid", "1e3")
+    argv = [command, "--spec", "theta_omega:2", "--g", f"table:{table}", "--cutoff", "3e4", *args]
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
     return json.loads(out)
@@ -1065,21 +1052,38 @@ def assert_table_g_report_bits(doc):
     assert doc["ldp"][0]["predicted_tail"] == 1.437863692039272
 
 
-def test_report_with_a_table_g_adds_one_pass_for_the_plain_denominator(rows_per_pass, capsys, tmp_path):
+def test_report_with_a_table_g_divides_plain_twists_by_alpha_s_head(rows_per_pass, capsys, tmp_path):
     # a tabled prime above the cutoff keeps each twist's product plain,
-    # so its ratio's denominator is alpha's plain product: one pass of
-    # one row after the grid's, and one after ldp's psi(ln 2)
-    doc = report_with_a_table_g(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n30011 1 1\n")
-    assert rows_per_pass == [17, 1, 2, 1]
+    # so its ratio's denominator is alpha's head, the product over the
+    # primes up to the cutoff, which the pass computed before completing
+    # it: no pass beyond the grid's and ldp's psi(ln 2)
+    doc = table_g_run(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n30011 1 1\n")
+    assert rows_per_pass == [17, 2]
     assert_table_g_report_bits(doc)
+
+
+def test_psi_with_a_table_g_above_the_cutoff_is_one_pass(rows_per_pass, capsys, tmp_path):
+    # the plain twist divided by alpha's head in the one pass of two
+    # rows: the ratio of the plain products, bit for bit
+    doc = table_g_run(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n30011 1 1\n", "psi", "--z", "0.5", "--format", "json")
+    assert rows_per_pass == [2]
+    assert (doc["psi_re"], doc["psi_im"]) == (2.1570414429676594, 0.0)
 
 
 def test_report_with_a_table_g_closes_its_twists_in_two_passes(rows_per_pass, capsys, tmp_path):
     # with every tabled prime below the cutoff each twist keeps alpha's
-    # series and completes, as alpha does: no further pass
-    doc = report_with_a_table_g(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n")
+    # series and completes, as alpha does
+    doc = table_g_run(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n")
     assert rows_per_pass == [17, 2]
     assert_table_g_report_bits(doc)
+
+
+def test_lambda0_of_a_huge_table_value_above_the_cutoff_has_an_infinite_tail(capsys):
+    # f(1009) = 1e200 lies above the cutoff, so the plain product's
+    # heuristic tail holds (C r)^2 = 1e400, which overflows to inf
+    code, out, err = run_cli(capsys, ["lambda0", "--spec", "tabulated:default=1,1009^1=1e200", "--cutoff", "1000"])
+    assert (code, err) == (0, "")
+    assert out == "lambda0 = 1\ntail_estimate = inf\nprime_cutoff = 1000\nk_cutoff = 711\n"
 
 
 def test_ldp_grid_at_s_one_computes_psi_prime_once(rows_per_pass, monkeypatch, capsys):

@@ -352,7 +352,7 @@ def increments(spec, c0, grid=EVIDENCE_GRID):
 
 def assert_verdict_agrees_with_the_evidence(spec, c0, grid=EVIDENCE_GRID):
     # (increments all 0 when f vanishes at all but finitely many p)
-    report = check_admissibility_pp(spec, c0=c0)
+    report = check_admissibility_pp(dataclasses.replace(spec, c0=c0))
     if report.witness is not None:
         return report
     first, *_, last = increments(spec, c0, grid)
@@ -365,7 +365,7 @@ def assert_verdict_agrees_with_the_evidence(spec, c0, grid=EVIDENCE_GRID):
 
 def test_admissibility_consistent_specs():
     for spec in (unit(), theta_omega(2.5), geometric_B(1.5), euler_phi_over_n(), tau_rho(3)):
-        report = check_admissibility_pp(spec, c0=0.25)
+        report = check_admissibility_pp(dataclasses.replace(spec, c0=0.25))
         assert isinstance(report, AdmissibilityReport)
         assert dataclasses.asdict(report) == {
             "c0": 0.25, "verdict": "consistent", "witness": None, "abscissa_estimate": 1.0, "reason": report.reason}
@@ -373,7 +373,7 @@ def test_admissibility_consistent_specs():
 
 
 def test_admissibility_divergent_factor_names_witness():
-    report = check_admissibility_pp(geometric_B(1.9, c0=0.1), c0=0.1)
+    report = check_admissibility_pp(geometric_B(1.9, c0=0.1))
     assert dataclasses.asdict(report) == {
         "c0": 0.1, "verdict": "inconsistent", "witness": 2, "abscissa_estimate": 1.0,
         "reason": "growth ratio r = 1.9 >= 2^(1-c0): the bound at p = 2 does not decay"}
@@ -385,7 +385,7 @@ def test_admissibility_divergent_factor_names_witness():
 def test_admissibility_growing_square_sums_without_witness():
     # at c0 = 0.6 the probe exponent 1 - c0 = 0.4 puts even omega-like
     # specs outside square-summability; no single prime is to blame
-    report = check_admissibility_pp(theta_omega(2), c0=0.6)
+    report = check_admissibility_pp(dataclasses.replace(theta_omega(2), c0=0.6))
     assert report.verdict == "inconsistent"
     assert report.witness is None
     steps = increments(theta_omega(2), 0.6)
@@ -395,28 +395,28 @@ def test_admissibility_growing_square_sums_without_witness():
 def test_admissibility_borderline_is_inconsistent():
     # |f(p)| -> 1 makes the square sum sum_p p^(-2(1-c0)), divergent from c0 = 1/2 on
     for c0 in (0.5, 0.51, 0.52):
-        report = check_admissibility_pp(unit(), c0=c0)
+        report = check_admissibility_pp(dataclasses.replace(unit(), c0=c0))
         assert (report.verdict, report.witness) == ("inconsistent", None)
 
 
 def test_admissibility_near_threshold_consistent():
-    report = check_admissibility_pp(unit(), c0=0.49)
+    report = check_admissibility_pp(dataclasses.replace(unit(), c0=0.49))
     assert report.verdict == "consistent"
 
 
 def test_admissibility_abscissa_estimate_bounds():
     # the abscissa of sum n^-sigma and of every spec with |f(p)| -> a > 0 and r < 2 is 1
-    unit_report = check_admissibility_pp(unit(), c0=0.25)
+    unit_report = check_admissibility_pp(unit())
     assert unit_report.abscissa_estimate == 1.0
-    heavy = check_admissibility_pp(geometric_B(1.9, c0=0.1), c0=0.1)
+    heavy = check_admissibility_pp(geometric_B(1.9, c0=0.1))
     assert heavy.abscissa_estimate == 1.0
 
 
 def test_admissibility_validation():
-    with pytest.raises(ValueError):
-        check_admissibility_pp(unit(), c0=1.5)
-    with pytest.raises(ValueError):
-        check_admissibility_pp(unit(), c0=0.0)
+    # check_admissibility_pp reads the spec's c0, which the spec keeps in (0, 1)
+    for c0 in (1.5, 0.0):
+        with pytest.raises(ValueError, match=re.escape(f"c0 must lie in (0,1), got {c0}")):
+            dataclasses.replace(unit(), c0=c0)
 
 
 def test_admissibility_evidence_overflow_keeps_the_verdict():
@@ -424,7 +424,7 @@ def test_admissibility_evidence_overflow_keeps_the_verdict():
     # [0.39, 0.415), which overflows a float; the verdict reads the spec alone
     reason = "|f(p)| -> 1.5 > 0 and c0 < 1/2: sum_p p^(-2(1-c0)) converges"
     for c0 in (0.39, 0.4, 0.41):
-        report = check_admissibility_pp(geometric_B(1.5), c0=c0)
+        report = check_admissibility_pp(dataclasses.replace(geometric_B(1.5), c0=c0))
         assert (report.verdict, report.witness, report.reason) == ("consistent", None, reason)
         with pytest.raises(OverflowError):
             reference_square_sum_partials(geometric_B(1.5), c0, [2])
@@ -466,7 +466,7 @@ def test_admissibility_rule_sweep(text):
     # take thousands of terms per prime near the witness edge, are checked below
     spec = parse_multiplicative(text)
     for c0 in (i / 100 for i in range(1, 100)):
-        report = check_admissibility_pp(spec, c0=c0)
+        report = check_admissibility_pp(dataclasses.replace(spec, c0=c0))
         assert (report.verdict, report.witness, report.abscissa_estimate) == sweep_expectation(text, c0), c0
 
 
@@ -489,10 +489,10 @@ def test_check_reads_the_spec_alone(monkeypatch, capsys):
     monkeypatch.setattr(euler, "prime_array", refuse)
     monkeypatch.setattr(euler, "_local_factors", refuse)
     for text in SWEEP:
-        spec, calls = counted(parse_multiplicative(text))
         for c0 in (i / 100 for i in range(1, 100)):
-            check_admissibility_pp(spec, c0=c0)
-        assert calls == [], text
+            spec, calls = counted(dataclasses.replace(parse_multiplicative(text), c0=c0))
+            check_admissibility_pp(spec)
+            assert calls == [], (text, c0)
     cli_calls = []
 
     def parse_counted(text):
@@ -719,6 +719,11 @@ def result_bits(result):
     return outcome(lambda: result)
 
 
+def batch_results(specs, P):
+    """_lambda0_batch's entries without their heads: each result, or its error."""
+    return [entry if isinstance(entry, Exception) else entry[0] for entry in euler._lambda0_batch(specs, P)]
+
+
 STACK_SPECS = ORACLE_SPECS + [twist(unit(), y, OMEGA) for y in CIRCLE_Y]
 # the specs whose values give one value for all primes, so that every
 # power of the pass is a column of one value per row
@@ -754,14 +759,18 @@ def test_a_row_that_diverges_at_the_first_prime_stays_out_of_the_stack():
 
 
 def test_stacked_lambda0_matches_each_row_and_the_scalar_reference():
+    # and each head is the plain product, which the spec without its
+    # series gives: the value itself unless the product completed
     P = 3000
-    results = euler._lambda0_batch(STACK_SPECS, P)
-    for spec, result in zip(STACK_SPECS, results):
+    for spec, entry in zip(STACK_SPECS, euler._lambda0_batch(STACK_SPECS, P)):
+        result, head = (entry, None) if isinstance(entry, Exception) else entry
         want = outcome(lambda: lambda0(spec, P))
         assert result_bits(result) == want
         assert want == outcome(lambda: reference_lambda0(spec, P))
-        if not isinstance(result, Exception):
+        if head is not None:
             assert result == lambda0(spec, P)
+            plain = lambda0(dataclasses.replace(spec, series=None), P)
+            assert (repr(head), plain.completed) == (repr(plain.value), False)
 
 
 @pytest.mark.parametrize(
@@ -782,7 +791,7 @@ def test_non_finite_values_fail_as_the_scalar_path(entries):
         reference_lambda0(spec, 200)
     [(p, _)] = entries
     for specs in ([spec], [unit(), spec, theta_omega(2)]):
-        results = euler._lambda0_batch(specs, 200)
+        results = batch_results(specs, 200)
         got = results[specs.index(spec)]
         assert (type(got), str(got)) == (ValueError, f"local factor 1 + F_p(1) is not finite at p={p}")
         assert all(result == lambda0(other, 200) for other, result in zip(specs, results) if other is not spec)
@@ -835,7 +844,7 @@ def test_failing_rows_leave_the_others_unchanged():
     zs = [0.25, vanishing, complex(0.1, 2.0), pole, -0.5, diverging, 0.4]
     g_of = {diverging: BIG_OMEGA}
     specs = [alpha] + [twist(alpha, cmath.exp(z), g_of.get(z, OMEGA)) for z in zs]
-    results = euler._lambda0_batch(specs, P)
+    results = batch_results(specs, P)
     for spec, result in zip(specs, results):
         assert result_bits(result) == outcome(lambda: lambda0(spec, P))
     assert result_bits(results[2]) == ("0.0", "0.0", 48)
@@ -912,6 +921,32 @@ def test_psi_grid_stores_its_products_for_lambda0():
     assert den == lambda0(spec, P)
     assert values == euler.psi_grid(spec, zs, OMEGA, P)
     assert [psi_bits(value) for value in values] == [psi_bits(psi(spec, z, prime_cutoff=P)) for z in zs]
+
+
+@pytest.mark.parametrize(
+    "alpha, zs, g, P",
+    [
+        (theta_omega(30), [-3.0, -2.0], OMEGA, 100),
+        (theta_omega(2), [0.5, 1j, complex(-0.3, 0.7)],
+         tabulated_additive({(2, 1): 1.0, (3, 1): 1.0, (30011, 1): 1.0}), 30000),
+    ],
+    ids=["plain-denominator", "plain-twists"],
+)
+def test_psi_grid_divides_products_closed_unlike_as_their_plain_products(alpha, zs, g, P):
+    # theta_omega(30)'s series grows too fast to close just above 100,
+    # while its twists by e^-3 and e^-2 complete; a tabled prime above
+    # 30000 keeps each twist plain, while alpha completes.  The plain
+    # products of the specs without their series are the oracle for the
+    # heads that the grid's one pass divides
+    def plain(spec):
+        result = lambda0(dataclasses.replace(spec, series=None), P)
+        assert not result.completed
+        return result.value
+
+    twists = [twist(alpha, cmath.exp(z), g) for z in zs]
+    assert {lambda0(spec, P).completed for spec in twists} == {not lambda0(alpha, P).completed}
+    want = [plain(spec) / plain(alpha) for spec in twists]
+    assert [repr(v) for v in euler.psi_grid(alpha, zs, g, P)] == [repr(v) for v in want]
 
 
 def per_prime_lengths(counts, cut):
@@ -1324,6 +1359,6 @@ def test_a_raising_coefficient_fails_its_row_where_value_at_would():
         for spec in (stated, late):
             assert outcome(lambda: lambda0(spec, P)) == want
             assert outcome(lambda: g_compensated(spec, 1.5, prime_cutoff=P)) == want
-        stack = euler._lambda0_batch([theta_omega(2), stated, unit()], P)
+        stack = batch_results([theta_omega(2), stated, unit()], P)
         assert [type(r) for r in stack] == [EulerProductResult, ValueError, EulerProductResult]
         assert str(stack[1]) == "no value at k = 3"

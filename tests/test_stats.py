@@ -225,17 +225,9 @@ def test_ldp_predict_computes_psi_prime_once_per_grid():
     assert [pred.predicted_tail for pred in preds] == [want, want]
 
 
-def test_psi_prime_at_zero_is_one_kernel_pass():
+def test_psi_prime_at_zero_is_one_kernel_pass(rows_per_pass):
     # F_p and G_p are the two rows of one pass of the power loop
-    rows_per_pass = []
-    power_series = euler._power_series
-
-    def counted(rows, *args):
-        rows_per_pass.append(len(rows))
-        return power_series(rows, *args)
-
-    with mock.patch.object(euler, "_power_series", counted):
-        got = euler._log_derivative(geometric_B(1.5), BIG_OMEGA, 20000)
+    got = euler._log_derivative(geometric_B(1.5), BIG_OMEGA, 20000)
     assert rows_per_pass == [2]
     assert got == psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, 20000)
 
