@@ -20,8 +20,8 @@ P_{>P}(j) = sum_{p>P} p^{-j} is the tail of the prime zeta function,
 minus its primes p <= P (H. Cohen, "High precision computation of
 Hardy-Littlewood constants", 1998; Ettahri, Ramare and Surel, Math.
 Comp. 2021).  The cutoff then sizes the head, and tail_estimate bounds
-what is left: the truncated j series, the per-prime truncation
-DEFAULT_FACTOR_TOL of the head and the rounding.
+what is left: the truncated j series, the series truncation of the
+head, at most DEFAULT_FACTOR_TOL over all its primes, and the rounding.
 
 The leading constant at s = 1,
 
@@ -56,8 +56,9 @@ from .sieve import prime_array
 from .special import cpow, digamma, gamma, zeta_minus_one
 
 DEFAULT_PRIME_CUTOFF = 10**6
-# every local series stops where its tail bound is <= this; the kernels
-# read it when they run
+# the series truncation budget of one product: each of the n local series
+# of a pass over the primes p <= P stops where its tail bound is <= this
+# over n; the kernels read it when they run
 DEFAULT_FACTOR_TOL = 1e-14
 
 # rho values this close to a nonpositive integer trigger the exact-zero
@@ -76,9 +77,10 @@ class EulerProductResult:
     tail_estimate bounds |log value - log true value| (0 when the value
     is exactly 0).  It adds three parts: the primes p > prime_cutoff
     (the truncated j series of a completed product, or the whole tail of
-    a plain one), DEFAULT_FACTOR_TOL per head prime over |1 + F_p| where
-    that is below 1, and the rounding.  completed tells whether the
-    primes above prime_cutoff were closed by the prime-zeta tail.
+    a plain one), the truncation of the head's series, DEFAULT_FACTOR_TOL
+    over all its primes, divided by min |1 + F_p| where that is below 1,
+    and the rounding.  completed tells whether the primes above
+    prime_cutoff were closed by the prime-zeta tail.
     """
 
     value: complex
@@ -118,8 +120,8 @@ class _Row(NamedTuple):
     values(k, primes) gives f(p^k) over a prefix of the head primes, as
     funcs.prime_power_values does: an array of their shape, or a 0-d one
     for all of them.  The series at p stops where the tail of
-    (a + b k) C (r/p^sigma)^k is <= DEFAULT_FACTOR_TOL, with
-    (a, b) = envelope.
+    (a + b k) C (r/p^sigma)^k is <= DEFAULT_FACTOR_TOL / n, n the number
+    of primes of the pass, with (a, b) = envelope.
     """
 
     values: Callable
@@ -174,17 +176,21 @@ def _series_lengths(
     Row i has the ratios q[i] = r_i/p^sigma over the primes and the
     envelope (a + b k) C q^k with C = C[i] and (a, b) = envelopes[i].
     K_p is the smallest K >= 1 whose tail bound
-    C q^{K+1}/(1-q) (a + b(K+1) + b q/(1-q)) is <= DEFAULT_FACTOR_TOL;
-    the envelope (1, 0) gives the geometric tail C q^{K+1}/(1-q).  q
-    falls as p grows, and with b >= 0 and a + b >= 0 so does the bound;
-    so K_p never rises with p, and the primes whose series reaches k are
-    a prefix of the head.  Returns (counts, cut, failure) per row:
+    C q^{K+1}/(1-q) (a + b(K+1) + b q/(1-q)) is <= DEFAULT_FACTOR_TOL / n,
+    n = len(primes): the product's budget shared by its primes, so that
+    the n cuts together drop at most DEFAULT_FACTOR_TOL.  The envelope
+    (1, 0) gives the geometric tail C q^{K+1}/(1-q).  q falls as p
+    grows, and with b >= 0 and a + b >= 0 so does the bound; the
+    threshold is one number per pass, so K_p never rises with p, and the
+    primes whose series reaches k are a prefix of the head.  Returns
+    (counts, cut, failure) per row:
     counts[k-1] is the length of that prefix (so K_p = len(counts) at
     the first prime), the head stops at cut, the index of the first
     prime whose series fails, and failure is that error (None if there
     is none).  The rows share one loop over k, over the longest prefix
     still counting; each row counts within its own prefix.
     """
+    tol = DEFAULT_FACTOR_TOL / len(primes)
     C = np.asarray(C, dtype=np.float64)
     a, b = np.asarray(envelopes, dtype=np.float64).T[:, :, None]
     diverging = q >= 1.0
@@ -214,7 +220,7 @@ def _series_lengths(
             break
         steps.append(n)
         geo = geo[:, :width]
-        live = geo * (base[:, :width] + b * (len(steps) + 1)) > DEFAULT_FACTOR_TOL
+        live = geo * (base[:, :width] + b * (len(steps) + 1)) > tol
         live &= column[:width] < n[:, None]
         n = live.sum(axis=1)
         width = int(n.max())
@@ -284,8 +290,9 @@ def _power_series(
 def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_LocalFactors, Exception]]:
     """F_p(s) of each row for every prime p <= P, in one kernel pass.
 
-    Each series is cut where its tail bound is <= DEFAULT_FACTOR_TOL,
-    bit-identical to the scalar local_factor oracle of
+    Each series is cut where its tail bound is <= DEFAULT_FACTOR_TOL
+    over the number of primes p <= P (see _series_lengths), which depends
+    on P alone, bit-identical to the scalar local_factor oracle of
     tests/test_euler.py.  One values call per row and power k covers the
     prefix of the head whose series reaches k.  A row whose values raise
     gets that error in its place; _checked reads the other failures.
@@ -395,47 +402,87 @@ def _check_cutoff(prime_cutoff) -> int:
     return P
 
 
-# special.gamma's documented relative error for |z| <= 50
-_GAMMA_REL_ERR = 1e-12
 _ULP = 2.0**-53
+# special.gamma on Re z >= 1/2 against mpmath at 40 digits, over |z| <= 400
+# (beyond, Gamma leaves float64 range): at most 32 ulps of
+# 1 + |z| ln(2 + |z|), at z = 0.5 + 9.1i, where the Lanczos sum is least
+# accurate; twice that is charged
+_GAMMA_ULPS = 64.0
+
+
+def _gamma_error(z: complex) -> float:
+    """Bound on the relative error of special.gamma(z), z not a pole.
+
+    On Re z >= 1/2 it is the measured _GAMMA_ULPS ulps of
+    1 + |z| ln(2 + |z|).  Below, gamma reflects to
+    pi / (sin(pi z) Gamma(1 - z)).  Gamma(1 - z) carries the measured
+    bound (rounding 1 - z adds |1 - z| |digamma(1 - z)| <= 2 of those
+    ulps, within the margin).  The argument pi z is within 2 ulps of
+    |pi z|, which moves sin(pi z) by that times
+    |cot(pi z)| <= 1/(pi |w|) + 1, w = z - round(Re z): a term that grows
+    as z nears a pole -1, -2, ... and stays 2 ulps near 0.  Four more
+    ulps cover sin, the product and the division.
+    """
+
+    def lanczos(w: complex) -> float:
+        return _GAMMA_ULPS * _ULP * (1.0 + abs(w) * math.log(2.0 + abs(w)))
+
+    if z.real >= 0.5:
+        return lanczos(z)
+    w = z - round(z.real)
+    return lanczos(1.0 - z) + 2.0 * _ULP * abs(z) * (1.0 / abs(w) + math.pi) + 4.0 * _ULP
 
 
 def _head_bound(spec: MultiplicativeSpec, rho: complex, factors: _LocalFactors, total: complex) -> float:
     """Bound on the log error of the head product over the primes p <= P.
 
-    Each truncated series F_p is within tol = DEFAULT_FACTOR_TOL of the
-    true one, which moves log(1 + F_p) by at most tol / |1 + F_p|; over
-    n primes that is at most tol n / min(1, min_p |1 + F_p|).  Rounding:
+    Each truncated series F_p is within DEFAULT_FACTOR_TOL / n of the
+    true one, n the number of primes p <= P (see _series_lengths), which
+    moves log(1 + F_p) by at most that over |1 + F_p|; so the head moves
+    by at most DEFAULT_FACTOR_TOL / min(1, min_p |1 + F_p|).  Rounding:
     every term is within a few ulps of |rho|/p or of (K_p + 4) ulps of
     |F_p|, where |F_p| <= C r/(p - r) <= 3 C r/p for p >= 3, and
     sum_{p<=P} 1/p is below ln ln P + 0.2615 + 1/ln^2 P (Rosser and
-    Schoenfeld, 1962); then the exp and 1/Gamma(rho).
+    Schoenfeld, 1962); then the exp and 1/Gamma(rho) (_gamma_error).
     """
     worst = max(1.0, 1.0 / float(np.hypot(1.0 + factors.F_re, factors.F_im).min()))
-    n = len(factors.primes)
     log_p = math.log(int(factors.primes[-1]))
     reciprocal_sum = math.log(log_p) + 0.2615 + 1.0 / log_p**2
     C, r = spec.growth.C, spec.growth.r
     F_sum = C * r * (1.0 / (2.0 - r) + 3.0 * reciprocal_sum)
     rounding = _ULP * (4.0 * abs(rho) * reciprocal_sum + (factors.k_max + 4) * worst * F_sum)
-    rounding += 4.0 * _ULP * (1.0 + abs(total)) + _GAMMA_REL_ERR
-    return DEFAULT_FACTOR_TOL * n * worst + rounding
+    rounding += 4.0 * _ULP * (1.0 + abs(total)) + _gamma_error(rho)
+    return DEFAULT_FACTOR_TOL * worst + rounding
 
 
 def _plain_tail(spec: MultiplicativeSpec, P: int, sigma: float) -> float:
-    """Heuristic bound on the log of the primes p > P that a plain
-    product at Re s = sigma drops: the second-order terms
-    2 (|rho| + (C r)^2 + C r^2) p^{-2 sigma} and the prime deviation
-    c1 p^{-sigma-eps}, each sum over p > P of p^{-u} taken as
-    P^{1-u}/((u - 1) ln P), infinite for u <= 1.
+    """Bound on the log of the primes p > P that a plain product at
+    Re s = sigma drops, proven from the spec's bounds.
+
+    With t = p^{-s}, the log of a local factor is
+    (f(p) - rho) t + (F_p - f(p) t) + rho (log(1 - t) + t)
+    + (log(1 + F_p) - F_p).  For p > P, |t| <= tau = P^{-sigma},
+    x = r tau and |F_p| <= Phi = C x/(1 - x) by the envelope C r^k, so
+    the four parts are at most c1 p^{-sigma-eps} (the prime deviation)
+    and, times p^{-2 sigma}, C r^2/(1 - x), |rho|/(2(1 - tau)) and
+    (C r/(1 - x))^2/(2(1 - Phi)).  Each sum over p > P of p^{-u} is at
+    most 1.25506 u P^{1-u}/((u - 1) ln P): partial summation with
+    pi(t) < 1.25506 t/ln t for t > 1 (Rosser and Schoenfeld, 1962,
+    Cor. 1).  Infinite for u <= 1 or Phi >= 1.
     """
 
     def scale(u: float) -> float:
-        return P ** (1.0 - u) / ((u - 1.0) * math.log(P)) if u > 1.0 else math.inf
+        return 1.25506 * u * P ** (1.0 - u) / ((u - 1.0) * math.log(P)) if u > 1.0 else math.inf
 
     C, r = spec.growth.C, spec.growth.r
     c1, eps = spec.prime_deviation
-    second = 2.0 * (abs(complex(spec.rho)) + C * r * (C * r) + C * r * r)  # a product overflows to inf, ** raises
+    tau = P**-sigma
+    x = r * tau
+    Phi = C * x / (1.0 - x)  # x < 1: the head's series converge at p = 2 < P
+    if Phi >= 1.0:
+        return math.inf
+    lead = C * r / (1.0 - x)  # products, not **, so that overflow gives inf
+    second = C * r * r / (1.0 - x) + abs(complex(spec.rho)) / (2.0 * (1.0 - tau)) + lead * lead / (2.0 * (1.0 - Phi))
     tail = second * scale(2.0 * sigma) if second > 0.0 else 0.0
     if c1 > 0.0:
         tail += c1 * scale(sigma + eps)
@@ -786,11 +833,12 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
     The closed form of stats.psi_prime_at_zero, from one kernel pass
     over the primes p <= P with two rows: F_p, the s = 1 factors, and
     G_p = sum_k g(p^k) alpha(p^k) p^{-k}, truncated where the tail of
-    its envelope (a + b k) C (r/p)^k is <= DEFAULT_FACTOR_TOL, with
-    (a, b) = g.power_bound.  Logs go through the math library, as in
-    lambda0, so the printed value does not depend on numpy's SIMD.  When
-    alpha has a local series and no exceptional prime of either lies
-    above P, the primes p > P add sum_j b_j P_{>P}(j), as in lambda0.
+    its envelope (a + b k) C (r/p)^k is <= DEFAULT_FACTOR_TOL over the
+    number of primes, with (a, b) = g.power_bound.  Logs go through the
+    math library, as in lambda0, so the printed value does not depend on
+    numpy's SIMD.  When alpha has a local series and no exceptional prime
+    of either lies above P, the primes p > P add sum_j b_j P_{>P}(j), as
+    in lambda0.
     """
     if not _factors_at_one(alpha):
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
@@ -833,9 +881,9 @@ def g_compensated(
 ) -> EulerProductResult:
     """Compensated product prod_{p<=P} (1-p^{-s})^rho (1 + F_p(s)), rho = spec.rho.
 
-    Certified for Re s > 1; allowed down to Re s > 1 - c0 with the tail
-    estimate degrading to a heuristic (infinite where the prime deviation
-    bound c1 p^(-eps) is not summable at Re s).
+    Allowed down to Re s > 1 - c0.  tail_estimate is _plain_tail, a
+    proven bound wherever it is finite; it is infinite where 2 Re s <= 1
+    or the prime deviation bound c1 p^(-eps) is not summable at Re s.
 
     Raises:
         DomainError: Re s <= 1 - c0.

@@ -14,8 +14,9 @@ import math
 
 from .errors import DomainError, PoleError
 
-# Lanczos coefficients, g = 7, 9 terms: relative error below 1e-13 on
-# Re z >= 0.5, which reflection extends to the rest of the plane.
+# Lanczos coefficients, g = 7, 9 terms: relative error about 1e-13 at
+# worst on Re z >= 0.5 (see gamma), which reflection extends to the rest
+# of the plane.
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
     0.99999999999980993,
@@ -72,8 +73,13 @@ def gamma(z) -> complex:
         z: any finite complex number away from the poles at 0, -1, -2, ...
 
     Returns:
-        Gamma(z) as a complex number; relative error below 1e-12 for
-        |z| <= 50.
+        Gamma(z) as a complex number.  Measured against mpmath, the
+        relative error on Re z >= 1/2 is at most 32 ulps of
+        1 + |z| ln(2 + |z|) (1.3e-13 near 0.5 + 16i, 4e-14 on the real
+        axis up to 45).  Below 1/2 the reflection adds the error of
+        sin(pi z), about 2 ulps of |z| over the distance to the nearest
+        pole -1, -2, ... (5.7e-9 at z = -0.99999999).  euler._gamma_error
+        bounds both.
 
     Raises:
         PoleError: z is a nonpositive integer.

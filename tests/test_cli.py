@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import logging
 import os
@@ -42,14 +43,15 @@ def run_command(argv):
 
 def test_lambda0_golden(capsys):
     # the completed product: 6/pi^2 = 0.6079271018540266... (mpmath) is
-    # within its tail_estimate, which bounds tol = 1e-14 per head prime
+    # within its tail_estimate, which bounds the series truncation of the
+    # whole head, tol = 1e-14, and the rounding
     code, out, _ = run_cli(capsys, ["lambda0", "--spec", "theta_omega:2"])
     assert code == 0
     assert out == (
-        "lambda0 = 0.607927101837503\n"
-        "tail_estimate = 7.86096029624777e-10\n"
+        "lambda0 = 0.607927101854027\n"
+        "tail_estimate = 1.87217185311953e-13\n"
         "prime_cutoff = 1000000\n"
-        "k_cutoff = 48\n"
+        "k_cutoff = 64\n"
     )
 
 
@@ -58,10 +60,10 @@ def test_perturbed_keeps_the_plain_product(capsys):
     # bits of the plain product over p <= 2000; only tail_estimate gains
     # the head term
     _, out, _ = run_cli(capsys, ["lambda0", "--spec", "perturbed:a=1,eps=0.5", "--cutoff", "2000"])
-    assert out.splitlines()[0] == "lambda0 = 1.93807758704282"
-    assert out.splitlines()[1] == "tail_estimate = 0.00680463403610786"
+    assert out.splitlines()[0] == "lambda0 = 1.93807758704323"
+    assert out.splitlines()[1] == "tail_estimate = 0.0118204848404157"
     _, out, _ = run_cli(capsys, ["psi", "--spec", "perturbed:a=1,eps=0.5", "--z", "0.5", "--cutoff", "2000"])
-    assert out == "psi = 1.06500991931634\n"
+    assert out == "psi = 1.06500991931636\n"
 
 
 def test_psi_golden(capsys):
@@ -81,12 +83,12 @@ def test_mgf_golden(capsys):
 @pytest.mark.parametrize(
     "argv, golden",
     [
-        (["psi", "--spec", "unit", "--z", "0.3+0.4j", "--cutoff", "2000"], "psi = 1.23195806420885-0.162588471701035j\n"),
+        (["psi", "--spec", "unit", "--z", "0.3+0.4j", "--cutoff", "2000"], "psi = 1.23195806420886-0.162588471700832j\n"),
         (["mgf", "--spec", "theta_omega:2", "--x", "1000", "--y", "0.5+0.5j"],
          "mgf = -0.0898335672749148+0.352717064367355j\n"),
         (["lambda0", "--spec", "cplx", "--cutoff", "2000"],
-         "lambda0 = 7.41050111866652+4.25427512249216j\ntail_estimate = 4.10788322849767e-12\n"
-         "prime_cutoff = 2000\nk_cutoff = 48\n"),
+         "lambda0 = 7.41050111866589+4.25427512249569j\ntail_estimate = 1.20444282510255e-13\n"
+         "prime_cutoff = 2000\nk_cutoff = 56\n"),
         (["sum", "--spec", "cplx", "--x-grid", "10,100,1e4"],
          "x,sum_re,sum_im\n10,0.5,13.5\n100,-119.5,118.5\n10000,-17671.375,-5624.625\n"),
     ],
@@ -180,9 +182,9 @@ LDP_GRID_ARGS = ["ldp", "--spec", "unit", "--x-grid", "100,1000", "--cutoff", "2
         (CLT_ARGS, "# x=1000 kolmogorov_distance=0.325321272365513\n"
                    "y,exact,gaussian\n0,0.806,0.5\n1,0.023,0.158655253931457\n"),
         (LDP_ARGS, "s = 2\nh = 0.693147180559945\nrate = 0.386294361119891\n"
-                   "predicted_tail = 0.57630232587593\nexact_tail = 0.023\nratio = 0.0399096081471508\n"),
-        (LDP_GRID_ARGS, "x,exact_tail,predicted_tail,ratio\n100,0,0.67402100775636,0\n"
-                        "1000,0.023,0.57630232587593,0.0399096081471508\n"),
+                   "predicted_tail = 0.576302325875934\nexact_tail = 0.023\nratio = 0.0399096081471505\n"),
+        (LDP_GRID_ARGS, "x,exact_tail,predicted_tail,ratio\n100,0,0.674021007756365,0\n"
+                        "1000,0.023,0.576302325875934,0.0399096081471505\n"),
     ],
     ids=["clt", "ldp", "ldp-grid"],
 )
@@ -202,10 +204,10 @@ def _ldp_record(predicted_tail, exact_tail, ratio):
     "argv, golden",
     [
         (["lambda0", "--spec", "theta_omega:2", "--cutoff", "2000"],
-         {"lambda0_re": 0.607927101853772, "lambda0_im": 0.0, "tail_estimate": 4.125379707211092e-12,
-          "prime_cutoff": 2000, "k_cutoff": 48}),
+         {"lambda0_re": 0.6079271018540261, "lambda0_im": 0.0, "tail_estimate": 1.4625615077852213e-13,
+          "prime_cutoff": 2000, "k_cutoff": 56}),
         (["psi", "--spec", "theta_omega:2", "--z", "0.5", "--cutoff", "2000"],
-         {"z_re": 0.5, "z_im": 0.0, "psi_re": 0.13621721259411945, "psi_im": 0.0}),
+         {"z_re": 0.5, "z_im": 0.0, "psi_re": 0.13621721259412628, "psi_im": 0.0}),
         (["mgf", "--spec", "unit", "--g", "omega", "--x", "10", "--y", "2"],
          {"x": 10, "y_re": 2.0, "y_im": 0.0, "mgf_re": 2.3, "mgf_im": 0.0}),
         (["check", "--spec", "geometric_B:1.9,c0=0.1"],
@@ -221,9 +223,9 @@ def _ldp_record(predicted_tail, exact_tail, ratio):
          {"rows": [{"x": 10, "sum_re": 10.0, "sum_im": 0.0}, {"x": 100, "sum_re": 100.0, "sum_im": 0.0}]}),
         (CLT_ARGS, {"x": 1000, "kolmogorov_distance": 0.3253212723655125,
                     "tail_pairs": [[0.0, 0.806, 0.5], [1.0, 0.023, 0.15865525393145707]]}),
-        (LDP_ARGS, _ldp_record(0.57630232587593, 0.023, 0.039909608147150846)),
-        (LDP_GRID_ARGS, {"rows": [dict(_ldp_record(0.6740210077563601, 0.0, 0.0), x=100),
-                                  dict(_ldp_record(0.57630232587593, 0.023, 0.039909608147150846), x=1000)]}),
+        (LDP_ARGS, _ldp_record(0.5763023258759344, 0.023, 0.03990960814715054)),
+        (LDP_GRID_ARGS, {"rows": [dict(_ldp_record(0.6740210077563652, 0.0, 0.0), x=100),
+                                  dict(_ldp_record(0.5763023258759344, 0.023, 0.03990960814715054), x=1000)]}),
         (SAMPLE_ARGS, {"x": 10, "seed": 7, "stream": 0, "draws": [9, 3, 5, 5, 1]}),
     ],
     ids=["lambda0", "psi", "mgf", "check", "check-unit", "pmf", "sum", "sum-grid", "clt", "ldp", "ldp-grid", "sample"],
@@ -236,6 +238,26 @@ def test_small_report_golden(capsys):
     golden = (Path(__file__).parent / "report_golden.json").read_text(encoding="utf-8")
     assert run_cli(capsys, SMALL_REPORT_ARGS) == (0, golden, "")
     assert run_cli(capsys, SMALL_REPORT_ARGS + ["--format", "json"]) == (0, golden, "")
+
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("workload", ["euler", "tables"])
+def test_report_config_matches_the_bench_golden(workload, monkeypatch):
+    # bench/checks.py compares the config of each quick report with its
+    # golden output, so a changed printed default (tol, say) would fail
+    # every bench run; the invocation is read from bench/run.py, which
+    # this test only reads
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # run.py imports checks
+    loader = importlib.util.spec_from_file_location("bench_run", BENCH_DIR / "run.py")
+    run = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, "bench_run", run)
+    loader.loader.exec_module(run)
+    [report] = [inv for inv in run.WORKLOADS[workload].quick if inv.kind == "report"]
+    record, _ = run_command(list(report.args))
+    golden = json.loads((BENCH_DIR / "golden" / "quick" / f"{workload}.0.out").read_text(encoding="utf-8"))
+    assert record["config"] == golden["config"]
 
 
 def test_commands_return_record_and_text_and_write_nothing(capsys):
@@ -1042,14 +1064,16 @@ def table_g_run(capsys, tmp_path, rows, command="report", *args):
     return json.loads(out)
 
 
-def assert_table_g_report_bits(doc):
+def assert_table_g_report_bits(doc, last_psi_im):
     # psi on the grid, the lambda0 block and ldp's prefactor from
-    # psi(ln 2), as the plain products gave them
+    # psi(ln 2), as the plain products gave them; the last twist's
+    # imaginary part, 4.1056618702905333 (mpmath), rounds apart in its
+    # last bit when the twists close
     assert [(row["psi_re"], row["psi_im"]) for row in doc["psi_grid"][:2]] == [
-        (6.687926711320403, 0.0), (2.827788473007606, 4.10566187029648)]
-    assert (doc["psi_grid"][-1]["psi_re"], doc["psi_grid"][-1]["psi_im"]) == (2.8277884730075997, -4.105661870296482)
-    assert doc["lambda0"]["value_re"] == 0.6079271018528838
-    assert doc["ldp"][0]["predicted_tail"] == 1.437863692039272
+        (6.6879267113104115, 0.0), (2.8277884730035145, 4.105661870290538)]
+    assert (doc["psi_grid"][-1]["psi_re"], doc["psi_grid"][-1]["psi_im"]) == (2.827788473003507, last_psi_im)
+    assert doc["lambda0"]["value_re"] == 0.6079271018540262
+    assert doc["ldp"][0]["predicted_tail"] == 1.437863692037476
 
 
 def test_report_with_a_table_g_divides_plain_twists_by_alpha_s_head(rows_per_pass, capsys, tmp_path):
@@ -1059,7 +1083,7 @@ def test_report_with_a_table_g_divides_plain_twists_by_alpha_s_head(rows_per_pas
     # it: no pass beyond the grid's and ldp's psi(ln 2)
     doc = table_g_run(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n30011 1 1\n")
     assert rows_per_pass == [17, 2]
-    assert_table_g_report_bits(doc)
+    assert_table_g_report_bits(doc, -4.105661870290539)
 
 
 def test_psi_with_a_table_g_above_the_cutoff_is_one_pass(rows_per_pass, capsys, tmp_path):
@@ -1067,7 +1091,7 @@ def test_psi_with_a_table_g_above_the_cutoff_is_one_pass(rows_per_pass, capsys, 
     # rows: the ratio of the plain products, bit for bit
     doc = table_g_run(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n30011 1 1\n", "psi", "--z", "0.5", "--format", "json")
     assert rows_per_pass == [2]
-    assert (doc["psi_re"], doc["psi_im"]) == (2.1570414429676594, 0.0)
+    assert (doc["psi_re"], doc["psi_im"]) == (2.1570414429654208, 0.0)
 
 
 def test_report_with_a_table_g_closes_its_twists_in_two_passes(rows_per_pass, capsys, tmp_path):
@@ -1075,15 +1099,16 @@ def test_report_with_a_table_g_closes_its_twists_in_two_passes(rows_per_pass, ca
     # series and completes, as alpha does
     doc = table_g_run(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n")
     assert rows_per_pass == [17, 2]
-    assert_table_g_report_bits(doc)
+    assert_table_g_report_bits(doc, -4.10566187029054)
 
 
 def test_lambda0_of_a_huge_table_value_above_the_cutoff_has_an_infinite_tail(capsys):
-    # f(1009) = 1e200 lies above the cutoff, so the plain product's
-    # heuristic tail holds (C r)^2 = 1e400, which overflows to inf
+    # f(1009) = 1e200 lies above the cutoff, so the plain product's tail
+    # bound, which needs |F_p| < 1 above the cutoff, is infinite: the
+    # envelope allows |F_p| up to about C r/P = 1e197
     code, out, err = run_cli(capsys, ["lambda0", "--spec", "tabulated:default=1,1009^1=1e200", "--cutoff", "1000"])
     assert (code, err) == (0, "")
-    assert out == "lambda0 = 1\ntail_estimate = inf\nprime_cutoff = 1000\nk_cutoff = 711\n"
+    assert out == "lambda0 = 1\ntail_estimate = inf\nprime_cutoff = 1000\nk_cutoff = 719\n"
 
 
 def test_ldp_grid_at_s_one_computes_psi_prime_once(rows_per_pass, monkeypatch, capsys):

@@ -249,12 +249,19 @@ def test_g_compensated_domain_boundary():
 
 @pytest.mark.parametrize("s", [0.76, 0.9, 1.0, complex(1.0, 3.0)])
 def test_g_compensated_tail_is_finite_on_the_whole_strip(s):
-    # for Re s in (1 - c0, 1] the tail is the second-order term
-    # 2(|rho| + (C r)^2 + C r^2) P^(1-2 sigma)/((2 sigma - 1) ln P) alone
+    # for Re s in (1 - c0, 1] the tail is the second-order term alone:
+    # unit has rho = C = r = 1 and no prime deviation, so with
+    # tau = P^-sigma and Phi = tau/(1 - tau) the factor of p^(-2 sigma) is
+    # 1/(1 - tau) + 1/(2(1 - tau)) + 1/(2(1 - tau)^2 (1 - Phi)), summed
+    # over p > P as 1.25506 u P^(1-u)/((u - 1) ln P) at u = 2 sigma
     P = 1000
     result = g_compensated(unit(), s, prime_cutoff=P)
     sigma = complex(s).real
-    want = 6.0 * P ** (1.0 - 2.0 * sigma) / ((2.0 * sigma - 1.0) * math.log(P))
+    tau = P**-sigma
+    Phi = tau / (1.0 - tau)
+    second = 1.0 / (1.0 - tau) + 1.0 / (2.0 * (1.0 - tau)) + 1.0 / (2.0 * (1.0 - tau) ** 2 * (1.0 - Phi))
+    u = 2.0 * sigma
+    want = second * 1.25506 * u * P ** (1.0 - u) / ((u - 1.0) * math.log(P))
     assert result.tail_estimate == pytest.approx(want, rel=1e-15)
     assert 0.0 < result.tail_estimate < math.inf
 
@@ -524,14 +531,21 @@ def test_euler_imports_nothing_from_exact():
 # the numpy kernel against the scalar local_factor path
 
 
-def reference_log_product(spec, s, rho, P, tol, at_one):
-    """Per-prime fsum of log terms built from the scalar local_factor.
+def head_tol(P):
+    """The tolerance of each local series of a product over the primes
+    p <= P: the product's budget DEFAULT_FACTOR_TOL shared by its primes."""
+    return euler.DEFAULT_FACTOR_TOL / len(prime_array(P))
+
+
+def reference_log_product(spec, s, rho, P, at_one):
+    """Per-prime fsum of log terms built from the scalar local_factor,
+    each series cut at head_tol(P).
 
     Returns (log of the product, or None once a factor vanishes; k_max).
     at_one selects lambda0's compensator log1p(-1/p); otherwise it is
     g_compensated's clog1p(-p^{-s}).
     """
-    re_parts, im_parts, k_max = [], [], 0
+    re_parts, im_parts, k_max, tol = [], [], 0, head_tol(P)
     for p in prime_array(P).tolist():
         q = spec.growth.r / float(p) ** s.real
         k_max = max(k_max, series_length(spec.growth.C, q, tol, p))
@@ -553,10 +567,10 @@ def reference_log_product(spec, s, rho, P, tol, at_one):
     return complex(fsum(re_parts), fsum(im_parts)), k_max
 
 
-def reference_lambda0(spec, P, tol=euler.DEFAULT_FACTOR_TOL):
+def reference_lambda0(spec, P):
     """The scalar head, closed by the same prime-zeta tail as lambda0."""
     rho = complex(spec.rho)
-    total, k_max = reference_log_product(spec, complex(1.0), rho, P, tol, at_one=True)
+    total, k_max = reference_log_product(spec, complex(1.0), rho, P, at_one=True)
     if total is None:
         return 0j, k_max
     tail = euler._completion(spec, rho, P)
@@ -565,8 +579,8 @@ def reference_lambda0(spec, P, tol=euler.DEFAULT_FACTOR_TOL):
     return cmath.exp(total) / gamma(rho), k_max
 
 
-def reference_g_compensated(spec, s, P, tol=euler.DEFAULT_FACTOR_TOL):
-    total, k_max = reference_log_product(spec, complex(s), complex(spec.rho), P, tol, at_one=False)
+def reference_g_compensated(spec, s, P):
+    total, k_max = reference_log_product(spec, complex(s), complex(spec.rho), P, at_one=False)
     return (0j if total is None else cmath.exp(total)), k_max
 
 
@@ -847,7 +861,7 @@ def test_failing_rows_leave_the_others_unchanged():
     results = batch_results(specs, P)
     for spec, result in zip(specs, results):
         assert result_bits(result) == outcome(lambda: lambda0(spec, P))
-    assert result_bits(results[2]) == ("0.0", "0.0", 48)
+    assert result_bits(results[2]) == ("0.0", "0.0", 55)
     assert result_bits(results[4]) == (PoleError, 2)
     assert result_bits(results[6]) == (DivergentLocalFactorError, 2)
     # psi over the grid raises the pole, the first failing z, as psi(pole)
@@ -981,14 +995,15 @@ def scalar_series_lengths(primes, q, C, tol):
 @example(C=1.0, r=1.5, sigma=0.5, tol=1e-14, P=100, cap=euler._K_HARD_CAP)  # diverges at p = 2
 @example(C=1.0, r=0.5, sigma=1.0, tol=1e-3, P=100, cap=4)  # K_2 = 5, one past the cap
 def test_staircase_matches_the_scalar_series_length(C, r, sigma, tol, P, cap):
-    # the staircase expanded to one K per prime is the scalar K_p at
-    # every head prime, and a failure stops it at the same prime; the
-    # small caps put some K_p right at the hard cap
+    # the staircase expanded to one K per prime is the scalar K_p, cut
+    # at the budget tol over the number of primes, at every head prime,
+    # and a failure stops it at the same prime; the small caps put some
+    # K_p right at the hard cap
     primes = prime_array(P)
     q = r / euler._map_float(math.pow, primes.astype(np.float64), sigma)
     with mock.patch.object(euler, "_K_HARD_CAP", cap), mock.patch.object(euler, "DEFAULT_FACTOR_TOL", tol):
         [(counts, cut, failure)] = euler._series_lengths(primes, q[None], [C], [(1.0, 0.0)])
-        want, want_failure = scalar_series_lengths(primes, q, C, tol)
+        want, want_failure = scalar_series_lengths(primes, q, C, head_tol(P))
     assert per_prime_lengths(counts, cut).tolist() == want
     assert counts == sorted(counts, reverse=True) and 0 not in counts
     if want_failure is None:
@@ -1000,13 +1015,15 @@ def test_staircase_matches_the_scalar_series_length(C, r, sigma, tol, P, cap):
 
 @pytest.mark.parametrize("envelope", [(1.0, 0.0), (0.0, 1.0), (2.0, 0.5), (0.0, 0.0)])
 def test_series_lengths_match_the_envelope_tail(envelope):
-    # K_p is the smallest K >= 1 with sum_{k>K} (a + b k) C q^k <= tol;
-    # the tail is summed here term by term
+    # K_p is the smallest K >= 1 with sum_{k>K} (a + b k) C q^k <= tol/n,
+    # n = 46 primes, so the cuts of the whole head drop at most tol; the
+    # tail is summed here term by term
     a, b = envelope
-    C, tol = 1.5, 1e-12
+    C, budget = 1.5, 1e-12
     primes = prime_array(200)
+    tol = budget / len(primes)
     q = 1.9 / primes
-    with mock.patch.object(euler, "DEFAULT_FACTOR_TOL", tol):
+    with mock.patch.object(euler, "DEFAULT_FACTOR_TOL", budget):
         [(counts, cut, failure)] = euler._series_lengths(primes, q[None], [C], [envelope])
     K = per_prime_lengths(counts, cut)
     assert failure is None
@@ -1016,6 +1033,7 @@ def test_series_lengths_match_the_envelope_tail(envelope):
     for p, qp, got in zip(primes.tolist(), q.tolist(), K.tolist()):
         assert tail(qp, got) <= tol * (1 + 1e-9), p
         assert got == 1 or tail(qp, got - 1) > tol * (1 - 1e-9), p
+    assert fsum(tail(qp, got) for qp, got in zip(q.tolist(), K.tolist())) <= budget
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
@@ -1153,6 +1171,150 @@ def test_completed_psi_prime_against_mpmath(P):
         assert abs(got.real - want) <= 1e-11 * want
 
 
+# ---------------------------------------------------------------------------
+# each part of tail_estimate against mpmath
+
+
+def test_gamma_error_bounds_special_gamma_against_mpmath():
+    # on Re z >= 1/2 up to |z| = 400, at the worst point measured, where
+    # gamma reflects (next to the poles -1, -2, ... sin(pi z) loses
+    # accuracy like 1/dist, next to 0 it does not), and at the rho of
+    # the default circle's twists
+    rng = np.random.default_rng(0)
+    radius = np.exp(rng.uniform(math.log(0.5), math.log(400.0), 120))
+    angle = rng.uniform(-math.pi / 2, math.pi / 2, 120)
+    points = [complex(max(0.5, r * math.cos(a)), r * math.sin(a)) for r, a in zip(radius, angle)]
+    points += [complex(x, y) for x, y in zip(rng.uniform(-30.0, 0.5, 60), rng.uniform(-20.0, 20.0, 60))]
+    points += [0.05, 0.3, 1.0, 2.0, 2.5, 7.25, 45.0, 100.0, 171.5, 0.5046103864022378 + 9.121569057195403j,
+               0.5 + 15j, 18.62 - 146.5j, 3.0 + 390j]
+    points += [-0.5, -0.999999, -0.99999999, complex(-1.0, 1e-6), -2.000001, -7.0 + 1e-9, -30.000001,
+               -1e-6, 1e-7j, complex(-0.3, 0.01), -5.5, -20.5, complex(-3.7, 2.0), complex(-0.5, 10.0)]
+    points += [rho * cmath.exp(cmath.exp(2j * math.pi * j / 16)) for rho in (0.5, 1.0, 2.0, 2.5) for j in range(16)]
+    with mpmath.workdps(40):
+        for z in points:
+            try:
+                got = gamma(z)
+            except OverflowError:  # past float64 range, which gamma refuses
+                continue
+            want = mpmath.gamma(mpmath.mpc(z))
+            err = float(abs((mpmath.mpc(got) - want) / want))
+            assert err <= euler._gamma_error(complex(z)), z
+    # at theta_omega:2's rho the bound is a few dozen ulps; next to -1 it
+    # covers the 5.7e-9 that reflection loses there
+    assert euler._gamma_error(2.0 + 0j) < 3e-14
+    assert euler._gamma_error(-0.99999999 + 0j) > 5.7e-9
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("a", [1, 2])
+def test_plain_tail_bounds_the_primes_up_to_a_longer_product(a, eps):
+    # perturbed has no series, so its products stay plain: the primes
+    # between P and 1e6 move the log product by no more than the proven
+    # bound at P on all the primes above P
+    spec = perturbed(a, eps)
+    longer = lambda0(spec, 10**6)
+    for P in (10**3, 10**4, 10**5):
+        result = lambda0(spec, P)
+        assert not result.completed
+        assert abs(cmath.log(result.value / longer.value)) <= result.tail_estimate
+
+
+@pytest.mark.parametrize("P", [10**3, 3 * 10**4, 2 * 10**5, 10**6])
+def test_lambda0_keeps_full_precision_at_every_cutoff(P):
+    # the head's series drop at most DEFAULT_FACTOR_TOL over all its
+    # primes, however many: at the per-prime tolerance the error grew to
+    # 1.7e-11 at 1e6
+    result = lambda0(theta_omega(2), P)
+    assert abs(result.value - 6.0 / math.pi**2) <= 2e-15
+    assert abs(result.value - 6.0 / math.pi**2) <= result.tail_estimate <= 3e-13
+
+
+@pytest.mark.parametrize("P", [10**3, 3 * 10**4, 2 * 10**5])
+def test_psi_prime_keeps_full_precision_at_every_cutoff(P):
+    # 12.98, 11.91 and 10.85 digits at the per-prime tolerance
+    got = psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, P)
+    assert abs(got.real - PSI_PRIME_B15) <= 3e-15 * PSI_PRIME_B15
+
+
+MP_HEAD = prime_array(1000).tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def mp_prime_zeta_tail(j):
+    """sum_{p > 1000} p^-j from mpmath.primezeta, at 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.primezeta(j) - mpmath.fsum(mpmath.mpf(p) ** -j for p in MP_HEAD)
+
+
+def mp_log_product(spec, s):
+    """log prod_p (1 - p^-s)^rho (1 + sum_k f(p^k) p^-ks) at an integer
+    s >= 1, for a spec with a local series, in mpmath at 40 digits.
+
+    The primes p <= 1000 one by one, each series summed until its
+    envelope C (r/p^s)^k falls below 1e-36 (value_at at the exceptional
+    primes); the rest as sum_m b_m P_{>1000}(m), with b_m the
+    coefficients of the log factor in v = 1/p, read from the series.
+    """
+    with mpmath.workdps(40):
+        rho = mpmath.mpmathify(complex(spec.rho))
+        series, C, r = spec.series, spec.growth.C, spec.growth.r
+
+        def f(p, k):
+            if p in series.exceptional_primes:
+                return mpmath.mpmathify(complex(spec.value_at(p, k)))
+            return mpmath.fsum(mpmath.mpmathify(complex(c)) * mpmath.mpf(p) ** -i for i, c in enumerate(series.coeffs(k)))
+
+        head = []
+        for p in MP_HEAD:
+            K = 1
+            while C * (r / p**s) ** K > 1e-36:
+                K += 1
+            F = mpmath.fsum(f(p, k) * mpmath.mpf(p) ** (-k * s) for k in range(1, K + 1))
+            head.append(rho * mpmath.log(1 - mpmath.mpf(p) ** -s) + mpmath.log(1 + F))
+        M = 60
+        G = [mpmath.mpf(0)] * (M + 1)
+        for k in range(1, M // s + 1):
+            for i, c in enumerate(series.coeffs(k)):
+                if s * k + i <= M:
+                    G[s * k + i] += mpmath.mpmathify(complex(c))
+        L = [mpmath.mpf(0)] * (M + 1)
+        for m in range(1, M + 1):
+            L[m] = G[m] - mpmath.fsum(i * L[i] * G[m - i] for i in range(1, m)) / m
+        b = [L[m] - (rho * s / m if m % s == 0 else 0) for m in range(2, M + 1)]
+        return mpmath.fsum(head) + mpmath.fsum(b_m * mp_prime_zeta_tail(m) for m, b_m in enumerate(b, start=2))
+
+
+SERIES_ORACLE_SPECS = [spec for spec in ORACLE_SPECS if spec.series is not None]
+
+
+@pytest.mark.parametrize("spec", SERIES_ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_products_meet_mpmath_within_their_tail_estimate(spec):
+    # lambda0, completed, and g_compensated at s = 2, plain, at cutoffs
+    # 1e3 and 3e4: |log value - log mpmath| <= tail_estimate
+    with mpmath.workdps(40):
+        want_lambda0 = complex(mpmath.exp(mp_log_product(spec, 1)) / mpmath.gamma(mpmath.mpmathify(complex(spec.rho))))
+        want_g = complex(mpmath.exp(mp_log_product(spec, 2)))
+    for P in (10**3, 3 * 10**4):
+        result = lambda0(spec, P)
+        assert result.completed
+        assert abs(cmath.log(result.value / want_lambda0)) <= result.tail_estimate
+        result = g_compensated(spec, 2.0, prime_cutoff=P)
+        assert abs(cmath.log(result.value / want_g)) <= result.tail_estimate
+
+
+@pytest.mark.parametrize("alpha", [theta_omega(2), euler_phi_over_n(), TABLE], ids=lambda spec: spec.name)
+def test_psi_meets_mpmath_within_its_two_tail_estimates(alpha):
+    with mpmath.workdps(40):
+        den = mpmath.exp(mp_log_product(alpha, 1)) / mpmath.gamma(mpmath.mpmathify(complex(alpha.rho)))
+        for y in CIRCLE_Y:
+            spec = twist(alpha, y, OMEGA)
+            num = mpmath.exp(mp_log_product(spec, 1)) / mpmath.gamma(mpmath.mpmathify(complex(spec.rho)))
+            want = complex(num / den)
+            for P in (10**3, 3 * 10**4):
+                bound = lambda0(spec, P).tail_estimate + lambda0(alpha, P).tail_estimate
+                assert abs(cmath.log(psi(alpha, cmath.log(y), OMEGA, P) / want)) <= bound
+
+
 def series_value(spec, p, k):
     return sum(c * float(p) ** -i for i, c in enumerate(spec.series.coeffs(k)))
 
@@ -1222,15 +1384,17 @@ def test_a_twist_keeps_the_exceptional_primes_of_g():
 
 
 def test_specs_without_a_series_keep_their_bits():
-    # the plain products these printed before the prime-zeta tail
+    # the plain products over p <= 2000, with no prime-zeta tail; mpmath
+    # gives 0.60796255356943152, 0.13623935242865095,
+    # 0.73706793838601589 - 4.9537492010252961j and 1.555923207179697
     hand = MultiplicativeSpec("hand", lambda p, k: 2.0, rho=2.0, c0=0.25, growth=GrowthBound(2.0, 1.0))
-    assert repr(lambda0(hand, 2000).value) == "(0.6079625535691769+0j)"
-    assert repr(psi(hand, 0.5, prime_cutoff=2000)) == "(0.13623935242864404+0j)"
-    assert repr(psi(hand, complex(0.25, 1.0), BIG_OMEGA, prime_cutoff=2000)) == "(0.7370679383875274-4.953749201026149j)"
+    assert repr(lambda0(hand, 2000).value) == "(0.607962553569431+0j)"
+    assert repr(psi(hand, 0.5, prime_cutoff=2000)) == "(0.1362393524286509+0j)"
+    assert repr(psi(hand, complex(0.25, 1.0), BIG_OMEGA, prime_cutoff=2000)) == "(0.737067938386017-4.953749201025303j)"
     # psi of a twist by a table g with a prime above the cutoff stays a
     # ratio of two plain products
     g = tabulated_additive({(3, 1): 1.0, (5, 2): 2.0, (2003, 1): 1.0})
-    assert repr(psi(theta_omega(2), 0.7, g, prime_cutoff=2000)) == "(1.555923207180146+0j)"
+    assert repr(psi(theta_omega(2), 0.7, g, prime_cutoff=2000)) == "(1.5559232071796985+0j)"
 
 
 # ---------------------------------------------------------------------------

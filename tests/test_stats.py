@@ -32,7 +32,6 @@ from selberg_delange.funcs import (
     theta_omega,
     unit,
 )
-from selberg_delange.sieve import prime_array
 from selberg_delange.stats import (
     CltReport,
     LdpPrediction,
@@ -164,19 +163,20 @@ def test_psi_prime_at_zero_closed_forms():
     mertens = 0.2614972128476427837554268386
     assert psi_prime_at_zero(unit(), OMEGA).real == pytest.approx(mertens, abs=1e-7)
     # geometric_B(B) and Omega: B (-digamma(B) + sum_p [log(1 - 1/p) + 1/(p - B)]),
-    # each local series of the head p <= P truncated at 1e-14, the primes
-    # above P closed by the prime-zeta tail
+    # the local series of the head p <= P truncated within 1e-14 over all
+    # its primes, the primes above P closed by the prime-zeta tail
     want = PSI_PRIME_B15
     assert psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, 5000) == pytest.approx(want, abs=1e-11)
-    # F_p and G_p each stop where their tails are <= tol, and here
-    # 1/|1 + F_p| + |G_p|/|1 + F_p|^2 <= 1, so each prime is off by <= tol;
-    # G_p needs its envelope k (r/p)^k for that, not (r/p)^k.  The
-    # uncached kernel reads the tolerance when it runs
+    # F_p and G_p each stop where their tails are <= tol/n over the n
+    # primes p <= P, and here 1/|1 + F_p| + |G_p|/|1 + F_p|^2 <= 1, so each
+    # prime is off by <= tol/n and the sum by <= tol; G_p needs its
+    # envelope k (r/p)^k for that, not (r/p)^k.  The kernel reads the
+    # tolerance when it runs
     P = 100
     for tol in (1e-6, 1e-8, 1e-10):
         with mock.patch.object(euler, "DEFAULT_FACTOR_TOL", tol):
             got = euler._log_derivative(geometric_B(1.5), BIG_OMEGA, P).real
-        assert abs(got - want) <= tol * len(prime_array(P))
+        assert abs(got - want) <= tol
     # a table g = 1 at p = 2 only: G_2 / (1 + F_2) = (1/2) / 2 is the whole sum
     g = tabulated_additive({(2, 1): 1.0})
     assert psi_prime_at_zero(unit(), g, 1000) == pytest.approx(0.25, abs=1e-14)
