@@ -10,8 +10,9 @@ Two complementary engines over the same objects:
   limiting constant lambda0, the limiting function psi(z), central
   limit normalization, and precise large-deviation predictions.
 
-The two sides meet in the normalized residual psi_x(z) - psi(z), whose
-decay is the convergence statement the test suite verifies.
+The two sides meet in the normalized residual psi_x(z) - psi(z), with
+psi_x(z) from BucketSums.residual and psi(z) from psi, whose decay is
+the convergence statement the test suite verifies.
 """
 
 from .errors import (
@@ -33,20 +34,12 @@ from .euler import (
 from .exact import (
     BucketSums,
     DistributionTable,
-    additive_value_table,
     bucket_sums,
     bucket_sums_grid,
-    compensated_cumsum,
-    compensated_sum,
-    mgf_exact,
-    mod_poisson_residual,
-    multiplicative_value_table,
-    partial_sum,
     partial_sum_grid,
     pmf,
     sample,
     twisted_mean,
-    twisted_sum,
 )
 from .funcs import (
     BIG_OMEGA,
@@ -104,15 +97,12 @@ __all__ = [
     "PoleError",
     "SpecGrammarError",
     "StripDomain",
-    "additive_value_table",
     "bucket_sums",
     "bucket_sums_grid",
     "cexpm1",
     "check_admissibility_pp",
     "clog1p",
     "clt_report",
-    "compensated_cumsum",
-    "compensated_sum",
     "cpow",
     "eta",
     "eta_star",
@@ -122,13 +112,9 @@ __all__ = [
     "geometric_B",
     "lambda0",
     "ldp_predict",
-    "mgf_exact",
-    "mod_poisson_residual",
-    "multiplicative_value_table",
     "normal_cdf",
     "parse_additive",
     "parse_multiplicative",
-    "partial_sum",
     "partial_sum_grid",
     "perturbed",
     "pmf",
@@ -143,7 +129,6 @@ __all__ = [
     "theta_omega",
     "twist",
     "twisted_mean",
-    "twisted_sum",
     "unit",
     "zeta",
 ]

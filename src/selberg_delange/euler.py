@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import fsum
@@ -375,12 +376,16 @@ def _raised(result):
     return result
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a square out of range takes the hypot below
 def _clog1p(re, im) -> Tuple[np.ndarray, np.ndarray]:
     """special.clog1p over arrays, elementwise bit-identical to it."""
-    return (
-        0.5 * _map_float(math.log1p, 2.0 * re + re * re + im * im),
-        _map_float(math.atan2, im, 1.0 + re),
-    )
+    square = 2.0 * re + re * re + im * im
+    L_re = 0.5 * _map_float(math.log1p, square)
+    wide = np.flatnonzero(~np.isfinite(square))
+    if wide.size:
+        re_w, im_w = (np.broadcast_to(c, square.shape)[wide] for c in (re, im))
+        L_re[wide] = _map_float(lambda a, b: math.log(math.hypot(1.0 + a, b)), re_w, im_w)
+    return L_re, _map_float(math.atan2, im, 1.0 + re)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a term out of range is raised below
@@ -390,9 +395,13 @@ def _log_product(spec: MultiplicativeSpec, comp_re, comp_im, factors: _LocalFact
     L_re, L_im = _clog1p(factors.F_re, factors.F_im)
     re = rho.real * comp_re - rho.imag * comp_im + L_re
     im = rho.real * comp_im + rho.imag * comp_re + L_im
+    overflow = OverflowError(f"the log product of {spec.name} overflows float64, with rho = {spec.rho:g}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise OverflowError(f"the log product of {spec.name} overflows float64, with rho = {spec.rho:g}")
-    return complex(fsum(re.tolist()), fsum(im.tolist()))
+        raise overflow
+    try:
+        return complex(fsum(re.tolist()), fsum(im.tolist()))
+    except OverflowError:  # finite terms whose sum is not
+        raise overflow from None
 
 
 def _check_cutoff(prime_cutoff) -> int:
@@ -766,9 +775,11 @@ def psi_grid(
 def _twist_is_finite(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> bool:
     """Whether the twist of alpha by e^z stays in float64 range: e^z is
     finite and nonzero, and so is Gamma of the twist's rho, rho e^(c z)
-    with c = g.k_value(1), computed as funcs.twist computes it.  psi(z)
-    divides by that Gamma unless the rho is a nonpositive integer, whose
-    product is 0.  A g without a k_value passes: twist rejects it.
+    with c = g.k_value(1), computed as funcs.twist computes it, with a
+    modulus no less than the least normal float (a subnormal Gamma has
+    lost its digits, and psi is then nan).  psi(z) divides by that Gamma
+    unless the rho is a nonpositive integer, whose product is 0.  A g
+    without a k_value passes: twist rejects it.
     """
     if g.k_value is None:
         return True
@@ -778,7 +789,7 @@ def _twist_is_finite(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> 
             return False
         rho = cpow(y, g.k_value(1)) * complex(alpha.rho)
         if cmath.isfinite(rho) and not _is_snapped_nonpositive_integer(rho):
-            gamma(rho)
+            return abs(gamma(rho)) >= sys.float_info.min
         return cmath.isfinite(rho)
     except OverflowError:
         return False

@@ -14,9 +14,8 @@ those primes take one gather per block: for each m, the q with m q in
 searchsorted calls per chunk of m.  Each n gets the same
 multiplications in the same order as a sweep of every prime over the
 whole table, so every block is bit-identical to the slice of that
-table.  Every exact result reads these blocks, built from the specs;
-multiplicative_value_table and additive_value_table write them into one
-array for callers that want the whole table.
+table.  Every exact result reads these blocks, built from the specs, and
+none holds more than a block of them.
 
 Values.  Every prime-power value comes from funcs.prime_power_values,
 once per power k over the swept primes with p^k <= x and once over the
@@ -36,8 +35,8 @@ Buckets.  For integer-valued g every exact statistic of g(N) is a
 function of the sums S_m(x) = sum of alpha(n) over n <= x with
 g(n) = m: the twisted sum is sum_m y^m S_m, the normalizing sum is
 sum_m S_m, and the pmf is S_m over that total.  bucket_sums_grid makes
-one pass over the blocks for a whole x grid; twisted_sum, mgf_exact,
-mod_poisson_residual and pmf then cost O(#buckets), about 25.
+one pass over the blocks for a whole x grid; each statistic BucketSums
+gives then costs O(#buckets), about 25.
 Non-integer g keeps the direct sum of exp(g(n) log y) alpha(n).
 
 All reductions run through fixed chunks aligned at n = 1 (n = 0 for
@@ -84,16 +83,6 @@ _TEMP_ITEMS = 8192
 # so one op.at per block applies them cheaper than a slice each
 _TAIL_MODULUS = 128
 
-# bytes per n of the widest whole table, a complex128 alpha table
-_TABLE_BYTES_PER_N = 16
-
-
-def compensated_sum(values) -> float:
-    """Sum a real array: pairwise blocks finished with exact fsum."""
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    return _finish_sum([], a, a.size)
-
-
 def _fsum(values: List[float]) -> float:
     """math.fsum, or the float sum (inf or nan) where fsum raises because the sum overflows."""
     try:
@@ -109,7 +98,9 @@ def _chunk_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _finish_sum(chunk_sums: List[np.ndarray], a: np.ndarray, end: int) -> float:
-    """compensated_sum of a sequence whose earlier blocks gave chunk_sums and that ends with a[:end]."""
+    """The sum of a sequence whose earlier blocks gave chunk_sums and that
+    ends with a[:end]: pairwise sums of its _CHUNK-blocks, finished with
+    exact fsum."""
     m = (end // _CHUNK) * _CHUNK
     partials = np.concatenate(chunk_sums + [_chunk_sums(a[:m])]).tolist()
     if m < end:
@@ -118,11 +109,10 @@ def _finish_sum(chunk_sums: List[np.ndarray], a: np.ndarray, end: int) -> float:
 
 
 class _PrefixSums:
-    """compensated_cumsum of a sequence fed in pieces.
-
-    The running offset is compensated once per _CHUNK-block, so cutting
-    the sequence into pieces of whole blocks (all but the last) leaves
-    every prefix sum unchanged.
+    """Prefix sums of a sequence fed in pieces, with the running offset
+    compensated once per _CHUNK-block, so cutting the sequence into
+    pieces of whole blocks (all but the last) leaves every prefix sum
+    unchanged.
     """
 
     def __init__(self):
@@ -149,11 +139,6 @@ class _PrefixSums:
             out[m:] = np.cumsum(a[m:]) + total
         self.total, self.comp = total, comp
         return out
-
-
-def compensated_cumsum(values) -> np.ndarray:
-    """Prefix sums with per-block compensation of the running offset."""
-    return _PrefixSums()(np.ascontiguousarray(values, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +437,10 @@ class _ValueBlocks:
     """alpha(n) and g(n) for 1 <= n <= x as blocks (lo, alpha[lo:hi], g[lo:hi]).
 
     A side without a spec yields None.  The constructor makes every
-    check a whole-table build makes, in the same order and with the same
-    messages; each iteration is one pass, which allocates its working
-    arrays once, so a yielded block is valid until the next is requested.
+    check of the values, in the order a sweep of the whole table meets
+    them, before any block is built; each iteration is one pass, which
+    allocates its working arrays once, so a yielded block is valid until
+    the next is requested.
 
     Raises ValueError for x < 1, a prime sieve beyond physical memory, or
     a spec the tables reject.
@@ -481,42 +467,6 @@ class _ValueBlocks:
             yield lo, w, gt
 
 
-def _whole_table(alpha: Optional[MultiplicativeSpec], g: Optional[AdditiveSpec], x: int) -> np.ndarray:
-    """Entries 0..x of the one table asked for, written block by block; entry 0 is 0."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    _require_memory(_TABLE_BYTES_PER_N * (x + 1) + _sieve_bytes(x), f"value tables to x = {x}")
-    out = np.empty(0)
-    for lo, w, gt in _ValueBlocks(alpha, g, x):
-        block = gt if w is None else w
-        if lo == 1:
-            out = np.empty(x + 1, dtype=block.dtype)
-            out[0] = 0
-        out[lo : lo + block.size] = block
-    return out
-
-
-def multiplicative_value_table(spec: MultiplicativeSpec, x: int) -> np.ndarray:
-    """Array of f(n) for 0 <= n <= x (entry 0 is 0, entry 1 is 1).
-
-    The blocks of the streamed tables written into one array; the
-    result is exactly the per-n product of prime-power values.  Returns
-    float64 when every prime-power value is real, complex128 otherwise.
-    Raises ValueError for x < 1 or when the array and the prime sieve
-    exceed physical memory.
-    """
-    return _whole_table(spec, None, x)
-
-
-def additive_value_table(g: AdditiveSpec, x: int) -> np.ndarray:
-    """Array of g(n) for 0 <= n <= x; int64 for integer-valued g.
-
-    Built like multiplicative_value_table.  Raises ValueError for x < 1
-    or x beyond physical memory.
-    """
-    return _whole_table(None, g, x)
-
-
 # ---------------------------------------------------------------------------
 # one pass over the blocks for a grid of x
 
@@ -536,7 +486,7 @@ def _ends(grid: List[int], lo: int, size: int) -> List[int]:
 
 
 def _grid_sums(blocks: _ValueBlocks, grid: List[int], parts: Callable) -> Dict[int, List[float]]:
-    """compensated_sum over 1 <= n <= x of each real sequence parts(w, gt) gives, for every grid x."""
+    """_finish_sum over 1 <= n <= x of each real sequence parts(w, gt) gives, for every grid x."""
     done: Optional[List[List[np.ndarray]]] = None
     out = {}
     for lo, w, gt in blocks:
@@ -560,17 +510,12 @@ def _as_complex(sums: Sequence[float]) -> complex:
 
 
 def partial_sum_grid(spec: MultiplicativeSpec, xs: Sequence[int]) -> List[complex]:
-    """partial_sum at every x in xs, from one pass over the blocks."""
+    """Exact sum of f(n) over 1 <= n <= x at every x in xs, from one pass over the blocks."""
     grid = _grid(xs)
     sums = _grid_sums(_ValueBlocks(spec, None, grid[-1]), grid, _alpha_parts)
     for x in grid:
         _check_finite_total(spec, x, _as_complex(sums[x]))
     return [_as_complex(sums[int(x)]) for x in xs]
-
-
-def partial_sum(spec: MultiplicativeSpec, x: int) -> complex:
-    """Exact sum of f(n) over 1 <= n <= x."""
-    return partial_sum_grid(spec, (x,))[0]
 
 
 @dataclass(frozen=True)
@@ -669,7 +614,15 @@ class BucketSums:
         return _mean(self.alpha, self.x, self.twisted_sum(y), self.total())
 
     def residual(self, z) -> complex:
-        """psi_x(z); see mod_poisson_residual."""
+        """Normalized MGF psi_x(z) = exp(-rho ln ln x (e^z - 1)) E[e^{z g(N)}],
+        with rho = alpha.rho.
+
+        As x grows this converges to the limiting function psi(z); the
+        difference from psi is the object of the convergence studies.
+
+        Raises:
+            ValueError: x < 3 (ln ln x must be positive).
+        """
         z = complex(z)
         return _poisson_factor(self.alpha, self.x, z) * self.mean(cmath.exp(z))
 
@@ -794,23 +747,6 @@ def bucket_sums(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int) -> BucketSum
     return bucket_sums_grid(alpha, g, (x,))[0]
 
 
-def twisted_sum(alpha: MultiplicativeSpec, y, g: AdditiveSpec, x: int) -> complex:
-    """Exact sum of y^{g(n)} alpha(n) over 1 <= n <= x.
-
-    Raises:
-        OverflowError: the sum is not finite (y^g(n) overflows).
-    """
-    y = _twist_base(y)
-    if g.integer_valued:
-        value = bucket_sums(alpha, g, x).twisted_sum(y)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-            value = _direct_twisted_sums(alpha, y, g, x)[0]
-    if not cmath.isfinite(value):
-        raise OverflowError(f"{alpha.name}: sum of y^g(n) alpha(n) on [1, {x}] overflows float64 at y = {y}")
-    return value
-
-
 def twisted_mean(alpha: MultiplicativeSpec, y, g: AdditiveSpec, x: int) -> complex:
     """E[y^{g(N)}] for N weighted by alpha on 1..x (exact).
 
@@ -830,11 +766,6 @@ def twisted_mean(alpha: MultiplicativeSpec, y, g: AdditiveSpec, x: int) -> compl
     return value
 
 
-def mgf_exact(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int, z) -> complex:
-    """E[exp(z g(N))] for N weighted by alpha on 1..x (exact)."""
-    return twisted_mean(alpha, cmath.exp(complex(z)), g, x)
-
-
 def pmf(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int) -> DistributionTable:
     """Exact probability mass function of g(N) under the alpha weights.
 
@@ -846,7 +777,7 @@ def pmf(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int) -> DistributionTable
 
 
 def _cumulative_pieces(blocks) -> Iterator[Tuple[int, np.ndarray]]:
-    """(n, cumulative[n : n + len]) piece by piece, cumulative = compensated_cumsum(w[0..x]), w[0] = 0.
+    """(n, cumulative[n : n + len]) piece by piece, cumulative = _PrefixSums()(w[0..x]), w[0] = 0.
 
     The prefix-sum chunks start at n = 0 and the blocks at n = 1, so each
     piece carries the weights past its last whole chunk over to the next.
@@ -928,18 +859,3 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
     draws = targets.view(np.int64)  # the targets are spent; their buffer takes the draws
     draws[order] = found
     return draws
-
-
-def mod_poisson_residual(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int, z) -> complex:
-    """Normalized MGF psi_x(z) = exp(-rho ln ln x (e^z - 1)) E[e^{z g(N)}],
-    with rho = alpha.rho.
-
-    As x grows this converges to the limiting function psi(z); the
-    difference from psi is the object of the convergence studies.
-
-    Raises:
-        ValueError: x < 3 (ln ln x must be positive).
-    """
-    z = complex(z)
-    return _poisson_factor(alpha, x, z) * mgf_exact(alpha, g, x, z)
-

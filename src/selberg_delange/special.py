@@ -242,8 +242,11 @@ def clog1p(a) -> complex:
     re, im = a.real, a.imag
     if im == 0.0 and re <= -1.0:
         raise DomainError(f"clog1p branch cut: 1 + a = {1.0 + re:g}")
-    # |1+a|^2 = 1 + (2 re + re^2 + im^2), real log1p keeps accuracy
-    return complex(0.5 * math.log1p(2.0 * re + re * re + im * im), math.atan2(im, 1.0 + re))
+    # |1+a|^2 = 1 + (2 re + re^2 + im^2), real log1p keeps accuracy; where
+    # that sum overflows, |1+a| itself is still finite
+    square = 2.0 * re + re * re + im * im
+    log_abs = 0.5 * math.log1p(square) if math.isfinite(square) else math.log(math.hypot(1.0 + re, im))
+    return complex(log_abs, math.atan2(im, 1.0 + re))
 
 
 def cexpm1(z) -> complex:

@@ -1,13 +1,16 @@
-"""Shared brute-force oracles: everything here uses trial division and
-direct summation only, independent of the package's sieve and table
-machinery.  Also the rows_per_pass fixture, which counts the Euler
-kernel's passes."""
+"""Shared brute-force oracles: everything here but whole_table uses
+trial division and direct summation only, independent of the package's
+sieve and table machinery.  whole_table writes the package's streamed
+value tables into one array; checked against these oracles, it is the
+tests' reference for the tables.  Also the rows_per_pass fixture, which
+counts the Euler kernel's passes."""
 
 from typing import Tuple
 
+import numpy as np
 import pytest
 
-from selberg_delange import euler
+from selberg_delange import euler, exact
 
 
 @pytest.fixture
@@ -91,3 +94,10 @@ def geometric_b_lambda0(B, split=200):
     head = mpmath.fsum(B * mpmath.log(1 - mpmath.mpf(1) / p) - mpmath.log(1 - B / p) for p in small_primes(split))
     tail = mpmath.nsum(lambda j: (B**j - B) / j * prime_zeta_tail(j, split), [2, mpmath.inf])
     return mpmath.exp(head + tail) / mpmath.gamma(B)
+
+
+def whole_table(alpha, g, x: int) -> np.ndarray:
+    """Entries 0..x of the value table of alpha, or of g when alpha is
+    None, from the blocks of exact._ValueBlocks; entry 0 is 0."""
+    blocks = [(gt if w is None else w).copy() for _, w, gt in exact._ValueBlocks(alpha, g, x)]
+    return np.concatenate([np.zeros(1, dtype=blocks[0].dtype)] + blocks)

@@ -28,16 +28,9 @@ import pytest
 from scipy import optimize
 from scipy import stats as scistats
 
-from conftest import trial_factorize
+from conftest import trial_factorize, whole_table
 from selberg_delange.euler import check_admissibility_pp, g_compensated, lambda0, psi
-from selberg_delange.exact import (
-    additive_value_table,
-    bucket_sums_grid,
-    multiplicative_value_table,
-    partial_sum,
-    pmf,
-    sample,
-)
+from selberg_delange.exact import bucket_sums_grid, partial_sum_grid, pmf, sample
 from selberg_delange.funcs import (
     OMEGA,
     euler_phi_over_n,
@@ -147,7 +140,7 @@ def test_criterion_03_sieve_vs_trial_division():
     checkpoints = (1, 10, 100, 1000, limit)
     worst = 0.0
     for spec in (unit(), theta_omega(2), geometric_B(1.5), euler_phi_over_n()):
-        table = multiplicative_value_table(spec, limit)
+        table = whole_table(spec, None, limit)
         brute = np.empty(limit + 1)
         brute[0] = 0.0
         for n in range(1, limit + 1):
@@ -158,8 +151,7 @@ def test_criterion_03_sieve_vs_trial_division():
         rel = np.abs(table - brute) / np.maximum(np.abs(brute), 1e-300)
         rel[0] = 0.0
         worst = max(worst, float(rel.max()))
-        for x in checkpoints:
-            lhs = partial_sum(spec, x)
+        for x, lhs in zip(checkpoints, partial_sum_grid(spec, checkpoints)):
             rhs = math.fsum(brute[1 : x + 1].tolist())
             worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     elapsed = time.perf_counter() - start
@@ -221,12 +213,12 @@ def test_criterion_04_residual_convergence(unit_buckets):
 def test_criterion_05_mgf_pmf_duality():
     x = 10**6
     worst = 0.0
-    om = additive_value_table(OMEGA, x)[1:]
+    om = whole_table(None, OMEGA, x)[1:]
     for spec in (unit(), theta_omega(2.5)):
         dist = pmf(spec, OMEGA, x)
         # the mgf as a term-by-term compensated sum over whole tables,
         # independent of the buckets the pmf is read from
-        w = multiplicative_value_table(spec, x)[1:]
+        w = whole_table(spec, None, x)[1:]
         total = math.fsum(w.tolist())
         for y in (0.5, 1.0, 2.0):
             direct = math.fsum((w * y**om).tolist()) / total
@@ -340,7 +332,7 @@ def test_criterion_10_sampler_goodness_of_fit():
     draws = sample(unit(), x, seed=seed, count=10**6)
     again = sample(unit(), x, seed=seed, count=10**6)
     identical = draws.tobytes() == again.tobytes()
-    labels = additive_value_table(OMEGA, x)[draws]
+    labels = whole_table(None, OMEGA, x)[draws]
     observed = np.bincount(labels, minlength=int(dist.values.max()) + 1)[dist.values]
     expected = dist.probabilities * draws.size
     chi2 = float(((observed - expected) ** 2 / expected).sum())

@@ -411,15 +411,27 @@ def test_rho_overflowing_the_mean_scale_exits_two(capsys):
 
 @pytest.mark.parametrize(
     "rho, overflows",
-    [("200", "Gamma(rho)"), ("1e+150", "Gamma(rho)"), ("1e+200", "the log product"), ("1e+308", "the log product")],
+    [("200", "Gamma(rho)"), ("1e+150", "Gamma(rho)"), ("1e+200", "Gamma(rho)"), ("1e+308", "the log product")],
 )
 def test_a_product_out_of_float_range_names_rho_and_what_overflowed(capsys, rho, overflows):
-    # Gamma(rho) overflows past rho = 171.62, and log(1 + F_2) past about
-    # 1e154, where numpy's intermediate square overflows without a warning
+    # Gamma(rho) overflows past rho = 171.62.  log(1 + F_2) stays finite
+    # where |1 + F_2|^2 overflows (past about 1e154), so at 1e+200 it is
+    # still Gamma; at 1e+308 the terms rho log(1 - 1/p) are finite, but
+    # their sum is not
     message = f"{overflows} of theta_omega:{rho} overflows float64, with rho = {rho}"
     for command in ("lambda0", "psi"):
         argv = [command, "--spec", f"theta_omega:{rho}", "--cutoff", "1000"]
         assert run_cli(capsys, argv) == (3, "", f"numeric error: {message}\n")
+
+
+def test_a_table_value_whose_square_overflows_keeps_a_finite_log(capsys):
+    # 1 + F_2 = 1 + 1e200/2 + 1/4 + 1/8 + ... and every other factor is 1,
+    # so lambda0 = (1 - 1/2)(1 + F_2) = 2.5e199 + 0.75; |1 + F_2|^2
+    # overflowed, and this exited 3 with "the log product overflows"
+    code, out, err = run_cli(capsys, ["lambda0", "--spec", "tabulated:default=1,2^1=1e200", "--cutoff", "1000"])
+    assert (code, err) == (0, "")
+    assert out.startswith("lambda0 = ")
+    assert float(out.splitlines()[0].split(" = ")[1]) == pytest.approx(2.5e199 + 0.75, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -908,22 +920,12 @@ def test_module_invocation_subprocess():
 
 # ---------------------------------------------------------------------------
 # work counts: each command streams its value tables in as few passes as
-# it needs and never builds a whole table
+# it needs
 
 
 @pytest.fixture
 def work_counts(monkeypatch):
     counts = Counter()
-    for name in ("multiplicative_value_table", "additive_value_table"):
-        fn = getattr(exact, name)
-
-        def counted(*args, _name=name, _fn=fn, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(exact, name, counted)
-        if hasattr(cli, name):
-            monkeypatch.setattr(cli, name, counted)
     one_pass = exact._ValueBlocks.__iter__
 
     def counted_pass(self):
@@ -988,13 +990,16 @@ def test_mgf_out_of_float_range_exits_two(capsys, argv, message):
         (["psi", "--z", "400"], "400+0j"),
         (["psi", "--z", "-1000"], "-1000+0j"),
         (["report", "--z-grid", "0.5,6,7", "--x-grid", "100"], "6+0j"),
+        (["psi", "--z", "6.5+1.5j"], "6.5+1.5j"),
+        (["report", "--z-grid", "0.5,6.5+1.5j", "--x-grid", "100"], "6.5+1.5j"),
     ],
-    ids=["psi-6", "psi-400", "psi-minus-1000", "report-grid"],
+    ids=["psi-6", "psi-400", "psi-minus-1000", "report-grid", "psi-gamma-subnormal", "report-gamma-subnormal"],
 )
 def test_psi_twist_out_of_float_range_exits_two(capsys, argv, z):
     # Gamma(e^z) of the omega twist of unit overflows past z = 5.14, e^z
     # itself past 709.78, and it underflows to 0 below -745; the first such
-    # z of a grid is named
+    # z of a grid is named.  At z = 6.5+1.5j, Gamma(47.05+663.5i) is the
+    # subnormal 1.1e-321-9.3e-322j, and psi printed nan+nanj
     message = (f"z = {z} takes the twist out of float64 range: e^z underflows to 0, "
                "or e^z or Gamma(rho e^(c z)) overflows, with c = 1 for omega")
     assert run_cli(capsys, argv + ["--cutoff", "100"]) == (2, "", f"error: {message}\n")
@@ -1166,8 +1171,12 @@ def ldp_twin(argv, message):
         (["--spec", "unit", "--z-grid", "0.5,6"], ["psi", "--z", "6"],
          "error: z = 6+0j takes the twist out of float64 range: e^z underflows to 0, or e^z or "
          "Gamma(rho e^(c z)) overflows, with c = 1 for omega"),
+        (["--spec", "unit", "--z-grid", "0.5,6.5+1.5j"], ["psi", "--z", "6.5+1.5j"],
+         "error: z = 6.5+1.5j takes the twist out of float64 range: e^z underflows to 0, or e^z or "
+         "Gamma(rho e^(c z)) overflows, with c = 1 for omega"),
     ],
-    ids=["underflow", "theta-negative", "theta-zero", "tau-negative", "strip", "z-growth", "z-float-range"],
+    ids=["underflow", "theta-negative", "theta-zero", "tau-negative", "strip", "z-growth", "z-float-range",
+         "z-gamma-subnormal"],
 )
 def test_report_makes_ldp_checks_at_each_x_before_any_work(monkeypatch, capsys, argv, twin, message):
     # the checks sd ldp makes at each x, then those psi makes at each z,

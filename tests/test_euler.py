@@ -29,7 +29,6 @@ from selberg_delange.euler import (
     lambda0,
     psi,
 )
-from selberg_delange.exact import multiplicative_value_table
 from selberg_delange.funcs import (
     BIG_OMEGA,
     OMEGA,
@@ -53,7 +52,7 @@ from selberg_delange.sieve import prime_array
 from selberg_delange.special import clog1p, cpow, gamma, zeta
 from selberg_delange.stats import psi_prime_at_zero
 
-from conftest import geometric_b_lambda0, prime_zeta_tail
+from conftest import geometric_b_lambda0, prime_zeta_tail, whole_table
 
 # ---------------------------------------------------------------------------
 # the scalar oracle: one local factor at a time, in Python floats
@@ -309,7 +308,7 @@ def test_g_compensated_matches_dirichlet_partial_sums(spec, rho):
     N = 50000
     n = np.arange(N + 1, dtype=np.float64)
     n[0] = 1.0
-    values = multiplicative_value_table(spec, N)
+    values = whole_table(spec, None, N)
     partial = complex(np.sum(values[1:] * n[1:] ** (-s)))
     assert spec.rho == rho
     predicted = g_compensated(spec, s).value * cpow(zeta(s), rho)
@@ -529,6 +528,16 @@ def test_euler_imports_nothing_from_exact():
 
 # ---------------------------------------------------------------------------
 # the numpy kernel against the scalar local_factor path
+
+
+@pytest.mark.parametrize("im", [np.array([0.25, 1e200, 0.0, 3.0, 1e250, 1e308, 0.0]), 1.0], ids=["array", "scalar"])
+def test_kernel_clog1p_is_the_scalar_one_where_the_square_overflows(im):
+    # log|1 + F| from log1p of 2 re + re^2 + im^2 while that is finite,
+    # else from hypot(1 + re, im); both bit for bit as special.clog1p
+    re = np.array([0.5, 1e-3, 1e200, -1e200, 1e160, 1e308, -0.25])
+    L_re, L_im = euler._clog1p(re, im)
+    want = [clog1p(complex(a, b)) for a, b in zip(re.tolist(), np.broadcast_to(im, re.shape).tolist())]
+    assert (L_re.tolist(), L_im.tolist()) == ([w.real for w in want], [w.imag for w in want])
 
 
 def head_tol(P):

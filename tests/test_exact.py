@@ -3,32 +3,25 @@ import contextlib
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import additive_eval_brute, spec_eval_brute, trial_big_omega, trial_omega
+from conftest import additive_eval_brute, spec_eval_brute, trial_big_omega, trial_omega, whole_table
 from selberg_delange import exact, sieve
 from selberg_delange.errors import DegenerateSpecError, DomainError
 from selberg_delange.exact import (
     BucketSums,
     DistributionTable,
-    additive_value_table,
     bucket_sums,
     bucket_sums_grid,
-    compensated_cumsum,
-    compensated_sum,
-    mgf_exact,
-    mod_poisson_residual,
-    multiplicative_value_table,
-    partial_sum,
     partial_sum_grid,
     pmf,
     sample,
     twisted_mean,
-    twisted_sum,
 )
 from selberg_delange.funcs import (
     BIG_OMEGA,
@@ -60,7 +53,7 @@ def test_compensated_sum_same_sign_is_fsum_accurate():
     rng = np.random.default_rng(1)
     data = rng.random(50000) * 10.0 ** rng.integers(-6, 6, size=50000)
     want = math.fsum(data.tolist())
-    assert compensated_sum(data) == pytest.approx(want, rel=1e-15)
+    assert exact._finish_sum([], data, data.size) == pytest.approx(want, rel=1e-15)
 
 
 @pytest.mark.parametrize("size", [0, 1, 1023, 1024, 1025, 4096 + 17])
@@ -71,13 +64,13 @@ def test_compensated_sum_error_scales_with_l1_norm(size):
     data = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size=size)
     want = math.fsum(data.tolist())
     budget = 1e-14 * float(np.abs(data).sum()) + 1e-300
-    assert abs(compensated_sum(data) - want) <= budget
+    assert abs(exact._finish_sum([], data, data.size) - want) <= budget
 
 
 def test_compensated_cumsum_prefixes():
     rng = np.random.default_rng(7)
     data = rng.standard_normal(3000) * 10.0 ** rng.integers(-6, 10, size=3000)
-    cum = compensated_cumsum(data)
+    cum = exact._PrefixSums()(data)
     assert cum.shape == data.shape
     for idx in (0, 1, 511, 1024, 2047, 2999):
         assert cum[idx] == pytest.approx(math.fsum(data[: idx + 1].tolist()), rel=1e-14, abs=1e-8)
@@ -101,7 +94,7 @@ def test_compensated_cumsum_prefixes():
     ids=lambda s: s.name,
 )
 def test_multiplicative_value_table_matches_brute(spec):
-    table = multiplicative_value_table(spec, 1000)
+    table = whole_table(spec, None, 1000)
     assert table[0] == 0
     assert table[1] == 1
     for n in range(1, 1001):
@@ -110,8 +103,8 @@ def test_multiplicative_value_table_matches_brute(spec):
 
 
 def test_multiplicative_value_table_dtypes():
-    assert multiplicative_value_table(unit(), 100).dtype == np.float64
-    assert multiplicative_value_table(theta_omega(1j), 100).dtype == np.complex128
+    assert whole_table(unit(), None, 100).dtype == np.float64
+    assert whole_table(theta_omega(1j), None, 100).dtype == np.complex128
 
 
 def test_multiplicative_value_table_rejects_non_finite():
@@ -119,21 +112,21 @@ def test_multiplicative_value_table_rejects_non_finite():
         "bad", lambda p, k: math.inf, rho=1.0, c0=0.25, growth=GrowthBound(1.0, 1.0)
     )
     with pytest.raises(ValueError):
-        multiplicative_value_table(bad, 100)
+        whole_table(bad, None, 100)
 
 
 def test_value_tables_reject_x_beyond_memory():
     # the estimate is checked before anything is allocated
-    for build, spec in ((multiplicative_value_table, unit()), (additive_value_table, OMEGA)):
+    for alpha, g in ((unit(), None), (None, OMEGA)):
         with pytest.raises(ValueError, match="value tables to x = 10000000000000: need about"):
-            build(spec, 10**13)
+            whole_table(alpha, g, 10**13)
     with pytest.raises(ValueError, match="value tables to x = 10000000000000"):
         pmf(unit(), OMEGA, 10**13)
 
 
 def test_additive_value_table_matches_trial_division():
-    om = additive_value_table(OMEGA, 2000)
-    big = additive_value_table(BIG_OMEGA, 2000)
+    om = whole_table(None, OMEGA, 2000)
+    big = whole_table(None, BIG_OMEGA, 2000)
     assert om.dtype == np.int64
     assert big.dtype == np.int64
     for n in range(1, 2001):
@@ -143,7 +136,7 @@ def test_additive_value_table_matches_trial_division():
 
 def test_additive_value_table_fractional_values():
     g = tabulated_additive({(2, 1): 0.5, (3, 2): 1.25})
-    table = additive_value_table(g, 100)
+    table = whole_table(None, g, 100)
     assert table.dtype == np.float64
     for n in range(1, 101):
         assert table[n] == pytest.approx(additive_eval_brute(g, n), abs=1e-15)
@@ -152,10 +145,38 @@ def test_additive_value_table_fractional_values():
 def test_additive_value_table_rejects_bad_specs():
     complex_g = AdditiveSpec("cplx", lambda p, k: 1j, integer_valued=False)
     with pytest.raises(ValueError):
-        additive_value_table(complex_g, 50)
+        whole_table(None, complex_g, 50)
     lying = AdditiveSpec("lying", lambda p, k: 0.5, integer_valued=True)
     with pytest.raises(ValueError):
-        additive_value_table(lying, 50)
+        whole_table(None, lying, 50)
+
+
+# every built-in family, and a table with a zero and a prime above sqrt(1e4)
+BUILT_INS = [
+    unit(), theta_omega(2.5), theta_omega(0.5 + 1.5j), geometric_B(1.5), tau_rho(0.5), euler_phi_over_n(),
+    perturbed(1.0, 0.5), tabulated_multiplicative({(2, 1): 0.0, (3, 1): 2.0, (101, 1): 0.5}, default=1.5),
+    OMEGA, BIG_OMEGA, tabulated_additive({(2, 1): 1.0, (3, 2): 2.0, (101, 1): 3.0}),
+]
+# a sweep multiplies by f(p), then by f(p^k)/f(p^(k-1)); where that ratio
+# rounds, n with p^2 | n differ from trial division in the last bit
+ROUNDED_RATIOS = {tau_rho(0.5).name, perturbed(1.0, 0.5).name}
+
+
+@pytest.mark.parametrize("spec", BUILT_INS, ids=lambda s: s.name)
+def test_whole_table_matches_trial_division(monkeypatch, spec):
+    # whole_table is the tests' reference for the streamed tables
+    x = 10**4
+    additive = isinstance(spec, AdditiveSpec)
+    brute = additive_eval_brute if additive else spec_eval_brute
+    want = np.array([0j] + [brute(spec, n) for n in range(1, x + 1)])
+    for block in (exact._BLOCK, 1000):
+        monkeypatch.setattr(exact, "_BLOCK", block)
+        got = whole_table(None, spec, x) if additive else whole_table(spec, None, x)
+        if spec.name in ROUNDED_RATIOS:
+            assert got == pytest.approx(want.real, rel=1e-15, abs=0.0)
+        else:
+            expected = want if got.dtype == np.complex128 else want.real.astype(got.dtype)
+            assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +212,7 @@ def test_sample_and_pmf_reject_complex_weights():
         lambda spec, x: sample(spec, x, 1, 5),
         lambda spec, x: pmf(spec, OMEGA, x),
         lambda spec, x: twisted_mean(spec, 2.0, OMEGA, x),
-        lambda spec, x: mgf_exact(spec, tabulated_additive({(2, 1): 0.5}), x, 0.1),
+        lambda spec, x: twisted_mean(spec, cmath.exp(0.1), tabulated_additive({(2, 1): 0.5}), x),
     ],
     ids=["sample", "pmf", "mean", "direct-mean"],
 )
@@ -206,8 +227,8 @@ def test_overflowing_total_weight_is_rejected(run, spec, x):
 
 def test_partial_sum_enumeration_examples():
     # sum over n <= 10 of 2^omega(n): 1+2+2+2+2+4+2+2+2+4
-    assert partial_sum(theta_omega(2), 10) == pytest.approx(23.0, rel=1e-14)
-    assert partial_sum(unit(), 50) == pytest.approx(50.0, rel=1e-14)
+    assert partial_sum_grid(theta_omega(2), [10])[0] == pytest.approx(23.0, rel=1e-14)
+    assert partial_sum_grid(unit(), [50])[0] == pytest.approx(50.0, rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -219,33 +240,34 @@ def test_partial_sum_matches_brute_force(spec):
     for x in (1, 7, 30, 50):
         want_re = math.fsum(spec_eval_brute(spec, n).real for n in range(1, x + 1))
         want_im = math.fsum(spec_eval_brute(spec, n).imag for n in range(1, x + 1))
-        got = partial_sum(spec, x)
+        got = partial_sum_grid(spec, [x])[0]
         assert got == pytest.approx(complex(want_re, want_im), rel=1e-13, abs=1e-13)
 
 
 def test_partial_sum_validation():
     with pytest.raises(ValueError):
-        partial_sum(unit(), 0)
+        partial_sum_grid(unit(), [0])
 
 
 def test_twisted_sum_enumeration_example():
     # sum over n <= 4 of 0.5^Omega(n) = 1 + 0.5 + 0.5 + 0.25
-    got = twisted_sum(unit(), 0.5, BIG_OMEGA, 4)
+    got = bucket_sums(unit(), BIG_OMEGA, 4).twisted_sum(0.5)
     assert got == pytest.approx(2.25, rel=1e-14)
 
 
 def test_twisted_sum_matches_brute_force():
+    buckets = bucket_sums(theta_omega(1.5), OMEGA, 40)
     for y in (2.0, 0.5, -1.0, complex(0.3, 0.8)):
         want = 0j
         for n in range(1, 41):
             want += y ** trial_omega(n) * spec_eval_brute(theta_omega(1.5), n)
-        got = twisted_sum(theta_omega(1.5), y, OMEGA, 40)
+        got = buckets.twisted_sum(y)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_twisted_sum_negative_base_integer_g():
     # (-1)^Omega(n) is the Liouville function; its partial sums are exact
-    got = twisted_sum(unit(), -1.0, BIG_OMEGA, 20)
+    got = bucket_sums(unit(), BIG_OMEGA, 20).twisted_sum(-1.0)
     want = sum((-1) ** trial_big_omega(n) for n in range(1, 21))
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -253,16 +275,18 @@ def test_twisted_sum_negative_base_integer_g():
 def test_twisted_sum_branch_cut_for_fractional_g():
     g = tabulated_additive({(2, 1): 0.5})
     with pytest.raises(DomainError):
-        twisted_sum(unit(), -2.0, g, 20)
+        twisted_mean(unit(), -2.0, g, 20)
     # positive base is fine
-    got = twisted_sum(unit(), 2.0, g, 4)
-    want = 1.0 + 2.0**0.5 + 1.0 + 1.0
+    got = twisted_mean(unit(), 2.0, g, 4)
+    want = (1.0 + 2.0**0.5 + 1.0 + 1.0) / 4
     assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_twisted_sum_rejects_zero_y():
     with pytest.raises(ValueError):
-        twisted_sum(unit(), 0.0, OMEGA, 10)
+        bucket_sums(unit(), OMEGA, 10).twisted_sum(0.0)
+    with pytest.raises(ValueError):
+        twisted_mean(unit(), 0.0, tabulated_additive({(2, 1): 0.5}), 10)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -275,16 +299,15 @@ def test_twisted_mean_raises_where_y_to_the_g_overflows(y, g):
     # y^2 or y^2.5 at n = 6 or 2 is beyond float64: an error, not nan
     with pytest.raises(OverflowError, match=r"E\[y\^g\(N\)\] on \[1, 10\] overflows float64"):
         twisted_mean(unit(), y, g, 10)
-    with pytest.raises(OverflowError, match=r"sum of y\^g\(n\) alpha\(n\) on \[1, 10\] overflows float64"):
-        twisted_sum(unit(), y, g, 10)
     # a y whose powers stay finite is unchanged
     assert twisted_mean(unit(), 1e100, OMEGA, 10) == pytest.approx((1 + 7e100 + 2e200) / 10, rel=1e-15)
-    assert twisted_sum(unit(), 1e100, OMEGA, 10) == pytest.approx(1 + 7e100 + 2e200, rel=1e-15)
+    assert bucket_sums(unit(), OMEGA, 10).twisted_sum(1e100) == pytest.approx(1 + 7e100 + 2e200, rel=1e-15)
 
 
 def test_mgf_exact_examples():
-    assert mgf_exact(unit(), OMEGA, 10, math.log(2.0)) == pytest.approx(2.3, rel=1e-14)
-    assert mgf_exact(unit(), OMEGA, 100, 0.0) == pytest.approx(1.0, rel=1e-14)
+    # E[e^{z omega(N)}] at z = ln 2 and z = 0
+    assert twisted_mean(unit(), cmath.exp(math.log(2.0)), OMEGA, 10) == pytest.approx(2.3, rel=1e-14)
+    assert bucket_sums(unit(), OMEGA, 100).mean(cmath.exp(0.0)) == pytest.approx(1.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +353,11 @@ def test_pmf_rejects_non_integer_or_negative_g():
 
 def test_mgf_pmf_duality():
     # E[e^{z g}] as a term-by-term sum over whole tables, through the pmf,
-    # and from mgf_exact agree to near machine precision
+    # and from twisted_mean agree to near machine precision
     x = 10**4
-    om = additive_value_table(OMEGA, x)[1:]
+    om = whole_table(None, OMEGA, x)[1:]
     for spec in (unit(), theta_omega(2.5)):
-        w = multiplicative_value_table(spec, x)[1:]
+        w = whole_table(spec, None, x)[1:]
         dist = pmf(spec, OMEGA, x)
         for z in (math.log(0.5), math.log(2.0), complex(0.3, 1.0)):
             terms = w * np.exp(complex(z) * om)
@@ -344,7 +367,7 @@ def test_mgf_pmf_duality():
                 for m, q in zip(dist.values.tolist(), dist.probabilities.tolist())
             )
             assert abs(direct - via_pmf) < 1e-12
-            assert abs(direct - mgf_exact(spec, OMEGA, x, z)) < 1e-12
+            assert abs(direct - twisted_mean(spec, cmath.exp(z), OMEGA, x)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +391,7 @@ def test_sample_reproducible_and_stream_independent():
 def test_sample_equals_unsorted_search():
     # sample searches the targets in sorted order; each draw must be the
     # one a plain searchsorted over the targets as drawn gives
-    cumulative = compensated_cumsum(multiplicative_value_table(geometric_B(1.5), 10**5))
+    cumulative = exact._PrefixSums()(whole_table(geometric_B(1.5), None, 10**5))
     for seed, stream in ((0, 0), (1, 0), (7, 3), (2**63 + 5, 1)):
         bits = np.random.Philox(key=[np.uint64(seed & (2**64 - 1)), np.uint64(stream)])
         targets = np.random.Generator(bits).random(5000) * cumulative[-1]
@@ -392,7 +415,7 @@ def test_sample_empirical_frequencies():
     spec = theta_omega(2)
     dist = pmf(spec, OMEGA, x)
     draws = sample(spec, x, seed=2024, count=200000)
-    om = additive_value_table(OMEGA, x)
+    om = whole_table(None, OMEGA, x)
     empirical = float(np.mean(om[draws]))
     sigma = math.sqrt(dist.variance / draws.size)
     assert abs(empirical - dist.mean) < 4.0 * sigma
@@ -403,28 +426,29 @@ def test_sample_empirical_frequencies():
 
 
 def test_mod_poisson_residual_at_zero_is_one():
-    assert mod_poisson_residual(unit(), OMEGA, 1000, 0.0) == 1.0
-    assert mod_poisson_residual(unit(), OMEGA, 3, 0.0) == 1.0
+    assert bucket_sums(unit(), OMEGA, 1000).residual(0.0) == 1.0
+    assert bucket_sums(unit(), OMEGA, 3).residual(0.0) == 1.0
 
 
 def test_mod_poisson_residual_rejects_tiny_x():
-    with pytest.raises(ValueError):
-        mod_poisson_residual(unit(), OMEGA, 2, 0.5)
+    with pytest.raises(ValueError, match=r"x must be >= 3 for ln ln x > 0, got 2"):
+        bucket_sums(unit(), OMEGA, 2).residual(0.5)
 
 
 def test_mod_poisson_residual_manual_composition():
     x, z = 5000, complex(0.2, 0.4)
-    got = mod_poisson_residual(unit(), OMEGA, x, z)
+    got = bucket_sums(unit(), OMEGA, x).residual(z)
     t_x = math.log(math.log(x))
-    want = cmath.exp(-t_x * (cmath.exp(z) - 1.0)) * mgf_exact(unit(), OMEGA, x, z)
+    want = cmath.exp(-t_x * (cmath.exp(z) - 1.0)) * twisted_mean(unit(), cmath.exp(z), OMEGA, x)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_mod_poisson_residual_normalizes_by_the_spec_rho():
     # theta_omega(2) declares rho = 2, so its residual scales ln ln x by 2
     x, z = 5000, 0.3
-    got = mod_poisson_residual(theta_omega(2), OMEGA, x, z)
-    want = cmath.exp(-2.0 * math.log(math.log(x)) * (cmath.exp(z) - 1.0)) * mgf_exact(theta_omega(2), OMEGA, x, z)
+    got = bucket_sums(theta_omega(2), OMEGA, x).residual(z)
+    mean = twisted_mean(theta_omega(2), cmath.exp(z), OMEGA, x)
+    want = cmath.exp(-2.0 * math.log(math.log(x)) * (cmath.exp(z) - 1.0)) * mean
     assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -546,11 +570,11 @@ def oracle_sample(x):
 @settings(max_examples=60, deadline=None)
 @given(spec=MULTIPLICATIVE, g=ADDITIVE, x=XS)
 def test_two_part_tables_match_per_prime_sweep(spec, g, x):
-    w = multiplicative_value_table(spec, x)
+    w = whole_table(spec, None, x)
     want = reference_multiplicative_table(spec, x)
     assert w.dtype == want.dtype
     assert w.tobytes() == want.tobytes()
-    gt = additive_value_table(g, x)
+    gt = whole_table(None, g, x)
     want = reference_additive_table(g, x)
     assert gt.dtype == want.dtype
     assert gt.tobytes() == want.tobytes()
@@ -565,7 +589,7 @@ def direct_twisted_sum(w, gt, y, x):
     lo = int(g_slice.min())
     ladder = np.array([cpow(y, m) for m in range(lo, int(g_slice.max()) + 1)], dtype=np.complex128)
     terms = w[1 : x + 1] * ladder[g_slice - lo]
-    return complex(compensated_sum(terms.real), compensated_sum(terms.imag)), float(np.abs(terms).sum())
+    return complex(whole_sum(terms.real), whole_sum(terms.imag)), float(np.abs(terms).sum())
 
 
 CIRCLE_16 = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
@@ -581,19 +605,19 @@ BUCKET_TOL = 2 * 4096 * 2.0**-53
 @settings(max_examples=40, deadline=None)
 @given(spec=MULTIPLICATIVE, g=INTEGER_ADDITIVE, x=XS, real_y=REAL_Y)
 def test_bucketed_sums_match_direct_sums(spec, g, x, real_y):
-    w = multiplicative_value_table(spec, x)
-    gt = additive_value_table(g, x)
+    w = whole_table(spec, None, x)
+    gt = whole_table(None, g, x)
     buckets = bucket_sums(spec, g, x)
     den, den_l1 = direct_twisted_sum(w, gt, 1.0, x)
     assert abs(buckets.total() - den) <= BUCKET_TOL * den_l1
     for y in CIRCLE_16 + [real_y]:
         num, num_l1 = direct_twisted_sum(w, gt, y, x)
-        got = twisted_sum(spec, y, g, x)
+        got = buckets.twisted_sum(y)
         assert abs(got - num) <= BUCKET_TOL * num_l1
         if den == 0:
             continue
         mgf = num / den
-        got = mgf_exact(spec, g, x, cmath.log(y))
+        got = buckets.mean(y)
         bound = BUCKET_TOL * (num_l1 + abs(mgf) * den_l1) / abs(den) + 1e-15 * abs(mgf)
         assert abs(got - mgf) <= bound
 
@@ -603,12 +627,12 @@ def test_bucketed_sums_match_direct_sums(spec, g, x, real_y):
 # f(2) subnormal: the ratio f(4)/f(2) overflows
 @example(spec=tabulated_multiplicative({(2, 1): 2.2250738585e-313}), g=OMEGA, x=10)
 def test_bucketed_pmf_matches_direct_sums(spec, g, x):
-    w = multiplicative_value_table(spec, x)
-    gt = additive_value_table(g, x)
-    total = compensated_sum(w[1:])
+    w = whole_table(spec, None, x)
+    gt = whole_table(None, g, x)
+    total = whole_sum(w[1:])
     dist = pmf(spec, g, x)
     for m, q in zip(dist.values.tolist(), dist.probabilities.tolist()):
-        bucket = compensated_sum(w[1:][gt[1:] == m])
+        bucket = whole_sum(w[1:][gt[1:] == m])
         assert abs(q - bucket / total) <= BUCKET_TOL * q + 1e-16
     # every bucket of positive weight is listed, and nothing else
     support = [m for m in np.unique(gt[1:]).tolist() if w[1:][gt[1:] == m].sum() > 0]
@@ -620,15 +644,16 @@ def test_bucket_sums_api():
     buckets = bucket_sums(theta_omega(2), OMEGA, x)
     assert isinstance(buckets, BucketSums)
     assert buckets.x == x and buckets.lo == 0 and buckets.imag is None
-    assert buckets.total() == partial_sum(theta_omega(2), x)
-    assert buckets.twisted_sum(0.5) == twisted_sum(theta_omega(2), 0.5, OMEGA, x)
+    assert buckets.total() == partial_sum_grid(theta_omega(2), [x])[0]
+    assert buckets.twisted_sum(1.0) == buckets.total()
     assert buckets.mean(2.0) == twisted_mean(theta_omega(2), 2.0, OMEGA, x)
-    assert buckets.residual(0.3) == mod_poisson_residual(theta_omega(2), OMEGA, x, 0.3)
+    poisson = exact._poisson_factor(theta_omega(2), x, 0.3)
+    assert buckets.residual(0.3) == poisson * twisted_mean(theta_omega(2), cmath.exp(0.3), OMEGA, x)
     got, want = buckets.distribution(), pmf(theta_omega(2), OMEGA, x)
     assert (got.values.tolist(), got.probabilities.tolist()) == (want.values.tolist(), want.probabilities.tolist())
     complex_buckets = bucket_sums(theta_omega(1j), OMEGA, 100)
     assert complex_buckets.imag is not None
-    assert complex_buckets.total() == pytest.approx(partial_sum(theta_omega(1j), 100), abs=1e-12)
+    assert complex_buckets.total() == pytest.approx(partial_sum_grid(theta_omega(1j), [100])[0], abs=1e-12)
     with pytest.raises(ValueError, match="real nonnegative"):
         complex_buckets.distribution()
     with pytest.raises(ValueError, match="not integer-valued"):
@@ -639,7 +664,7 @@ def test_signed_integer_g_buckets_below_zero():
     g = tabulated_additive({(2, 1): -1.0, (3, 1): 2.0})
     buckets = bucket_sums(unit(), g, 12)
     assert buckets.lo == -1  # g(2) = g(10) = -1; unlisted g(2^k), k >= 2, are 0
-    got = twisted_sum(unit(), 2.0, g, 12)
+    got = buckets.twisted_sum(2.0)
     want = sum(2.0 ** additive_eval_brute(g, n).real for n in range(1, 13))
     assert got == pytest.approx(want, rel=1e-14)
     with pytest.raises(ValueError, match="negative values"):
@@ -652,7 +677,7 @@ def test_twisted_mean_zero_normalizing_sum():
     with pytest.raises(DegenerateSpecError, match=r"zero normalizing sum on \[1, 2\]"):
         twisted_mean(signed, 2.0, OMEGA, 2)
     with pytest.raises(DegenerateSpecError, match=r"zero normalizing sum on \[1, 2\]"):
-        mgf_exact(signed, tabulated_additive({(2, 1): 0.5}), 2, 0.1)
+        twisted_mean(signed, cmath.exp(0.1), tabulated_additive({(2, 1): 0.5}), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +690,8 @@ def test_gather_non_finite_value_at_large_prime():
         growth=GrowthBound(1.0, 1.0),
     )
     with pytest.raises(ValueError, match=r"^bad: non-finite value at \(97,1\)$"):
-        multiplicative_value_table(bad, 200)
-    assert raised(lambda: multiplicative_value_table(bad, 200)) == raised(
+        whole_table(bad, None, 200)
+    assert raised(lambda: whole_table(bad, None, 200)) == raised(
         lambda: reference_multiplicative_table(bad, 200)
     )
 
@@ -677,7 +702,7 @@ def test_gather_promotes_to_complex_at_large_prime():
         growth=GrowthBound(2.0, 1.0),
     )
     x = 1000
-    table = multiplicative_value_table(spec, x)
+    table = whole_table(spec, None, x)
     assert table.dtype == np.complex128
     assert table[101] == 2j and table[202] == 3j
     assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
@@ -693,7 +718,7 @@ def test_gather_falls_back_per_prime_for_dict_lookups():
 
     counted = MultiplicativeSpec("counted", value_at, rho=1.25, c0=0.25, growth=spec.growth)
     x = 2000
-    table = multiplicative_value_table(counted, x)
+    table = whole_table(counted, None, x)
     assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
     assert table[997] == 0.0 and table[101] == 3.0 and table[202] == 1.5
     # per power k of the sweep, and for the primes above sqrt(x), one
@@ -711,12 +736,12 @@ def test_gather_non_integer_delta_at_large_prime():
         "lying", lambda p, k: np.where(p == 101, 0.5, 1.0), integer_valued=True
     )
     with pytest.raises(ValueError, match=r"^lying declared integer-valued but g\(101\^1\) jumps by 0.5$"):
-        additive_value_table(lying, 1000)
-    assert raised(lambda: additive_value_table(lying, 1000)) == raised(
+        whole_table(None, lying, 1000)
+    assert raised(lambda: whole_table(None, lying, 1000)) == raised(
         lambda: reference_additive_table(lying, 1000)
     )
     complex_late = AdditiveSpec("cplx", lambda p, k: np.where(p == 103, 1j, 1.0))
-    assert raised(lambda: additive_value_table(complex_late, 1000)) == raised(
+    assert raised(lambda: whole_table(None, complex_late, 1000)) == raised(
         lambda: reference_additive_table(complex_late, 1000)
     )
 
@@ -745,19 +770,19 @@ def counted(spec):
 @pytest.mark.parametrize("prime", [7, 101])
 def test_table_primes_on_either_side_of_sqrt_x(prime, x):
     spec = tabulated_multiplicative({(prime, 1): 3.0, (prime, 2): 0.5, (2, 3): 0.25}, default=1.5)
-    table = multiplicative_value_table(spec, x)
+    table = whole_table(spec, None, x)
     assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
     g = tabulated_additive({(prime, 1): 2.0, (prime, 2): -1.0, (3, 1): 1.0})
-    gt = additive_value_table(g, x)
+    gt = whole_table(None, g, x)
     assert gt.tobytes() == reference_additive_table(g, x).tobytes()
     assert gt[1:].tolist() == [int(additive_eval_brute(g, n).real) for n in range(1, x + 1)]
     # f and g are stated at every prime but the table's, where value_at
     # gives them, below sqrt(x) or above it alike
     spy, calls = counted(spec)
-    assert multiplicative_value_table(spy, x).tobytes() == table.tobytes()
+    assert whole_table(spy, None, x).tobytes() == table.tobytes()
     assert sorted(calls) == [(p, k) for p in (2, prime) for k in range(1, 20) if p**k <= x]
     g_spy, g_calls = counted(g)
-    assert additive_value_table(g_spy, x).tobytes() == gt.tobytes()
+    assert whole_table(None, g_spy, x).tobytes() == gt.tobytes()
     assert sorted(g_calls) == [(p, k) for p in sorted({3, prime}) for k in range(1, 20) if p**k <= x]
 
 
@@ -787,11 +812,11 @@ def stated_everywhere_but_small(name, value, x, **kwargs):
     ids=["non-finite", "non-finite-imag", "complex", "non-integer"],
 )
 def test_a_bad_stated_value_names_the_first_large_prime(spec, message):
-    build, reference = (
-        (multiplicative_value_table, reference_multiplicative_table)
-        if isinstance(spec, MultiplicativeSpec) else (additive_value_table, reference_additive_table)
-    )
-    assert raised(lambda: build(spec, 1000)) == (ValueError, message)
+    if isinstance(spec, MultiplicativeSpec):
+        build, reference = partial(whole_table, spec, None), reference_multiplicative_table
+    else:
+        build, reference = partial(whole_table, None, spec), reference_additive_table
+    assert raised(lambda: build(1000)) == (ValueError, message)
     assert raised(lambda: reference(spec, 1000)) == (ValueError, message)
 
 
@@ -800,11 +825,11 @@ def test_stated_values_promote_and_gather_as_value_at_does():
     # a stated 1 (0 for g) gathers nothing
     for value in (2j, 1.0, 0.5):
         spec = stated_everywhere_but_small("late", value, 1000)
-        table = multiplicative_value_table(spec, 1000)
+        table = whole_table(spec, None, 1000)
         assert table.dtype == (np.complex128 if value == 2j else np.float64)
         assert table.tobytes() == reference_multiplicative_table(spec, 1000).tobytes()
     g = stated_everywhere_but_small("zero", 0.0, 1000, integer_valued=True)
-    assert additive_value_table(g, 1000).tobytes() == reference_additive_table(g, 1000).tobytes()
+    assert whole_table(None, g, 1000).tobytes() == reference_additive_table(g, 1000).tobytes()
 
 
 STATING_SPECS = [unit(), theta_omega(2), theta_omega(0.5 + 1.5j), theta_omega(-1), geometric_B(1.5), tau_rho(0.5),
@@ -854,7 +879,7 @@ def test_tiny_prime_power_value_takes_exact_exponent_steps():
     # multiplies by f(2^k) on the n with 2^k || n instead
     spec = tabulated_multiplicative({(2, 1): 2.2250738585e-313})
     x = 10
-    table = multiplicative_value_table(spec, x)
+    table = whole_table(spec, None, x)
     assert table[1:].tolist() == [spec_eval_brute(spec, n).real for n in range(1, x + 1)]
     assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
     dist = pmf(spec, OMEGA, x)
@@ -946,8 +971,8 @@ def small_blocks(block):
 @given(spec=STREAM_MULTIPLICATIVE, g=st.one_of(ADDITIVE, SIGNED_INTEGER_TABLES.map(tabulated_additive)), x=STREAM_XS)
 def test_streamed_tables_match_per_prime_sweep(block, spec, g, x):
     with small_blocks(block):
-        w = multiplicative_value_table(spec, x)
-        gt = additive_value_table(g, x)
+        w = whole_table(spec, None, x)
+        gt = whole_table(None, g, x)
     want = reference_multiplicative_table(spec, x)
     assert w.dtype == want.dtype and w.tobytes() == want.tobytes()
     want = reference_additive_table(g, x)
@@ -976,7 +1001,7 @@ def test_streamed_bucket_and_partial_sums_match_whole_tables(block, spec, g, x):
             assert got.imag.tobytes() == sums[1].tobytes()
         want = whole_complex_sum(w[1 : xi + 1])
         assert bits(s) == bits(want)
-        assert bits(partial_sum(spec, xi)) == bits(want)
+        assert bits(partial_sum_grid(spec, [xi])[0]) == bits(want)
 
 
 @BLOCKS
@@ -986,9 +1011,9 @@ def test_streamed_direct_twisted_sums_match_whole_tables(block, spec, g, x, y):
     w = reference_multiplicative_table(spec, x)
     gt = reference_additive_table(g, x)
     want = whole_complex_sum(w[1:] * np.exp(gt[1:] * complex(cmath.log(y))))
+    den = whole_complex_sum(w[1:])
     with small_blocks(block):
-        assert bits(twisted_sum(spec, y, g, x)) == bits(want)
-        den = whole_complex_sum(w[1:])
+        assert [bits(s) for s in exact._direct_twisted_sums(spec, complex(y), g, x)] == [bits(want), bits(den)]
         if den != 0:
             assert bits(twisted_mean(spec, y, g, x)) == bits(want / den)
 
@@ -998,7 +1023,7 @@ def test_streamed_direct_twisted_sums_match_whole_tables(block, spec, g, x, y):
 @given(spec=st.one_of(NONNEGATIVE, STREAM_MULTIPLICATIVE.filter(lambda s: s.name == "tabulated")), x=STREAM_XS)
 def test_streamed_sample_matches_whole_search(block, spec, x):
     w = reference_multiplicative_table(spec, x)
-    cumulative = compensated_cumsum(w)
+    cumulative = exact._PrefixSums()(w)
     with small_blocks(block):
         # a piece is valid until the next is requested
         pieces = exact._cumulative_pieces(exact._ValueBlocks(spec, None, x))
@@ -1018,7 +1043,7 @@ def test_streamed_tables_keep_the_order_of_the_steps(block, spec):
     # tables take every step as a slice
     x = 5 * 10**4
     with small_blocks(block):
-        table = multiplicative_value_table(spec, x)
+        table = whole_table(spec, None, x)
     assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
 
 
@@ -1034,8 +1059,8 @@ def test_streamed_errors_match_reference(block):
     assert want == (ValueError, f"bad: non-finite value at ({late},1)")
     with small_blocks(block):
         for run in (
-            lambda: multiplicative_value_table(bad, x),
-            lambda: partial_sum(bad, x),
+            lambda: whole_table(bad, None, x),
+            lambda: partial_sum_grid(bad, [x])[0],
             lambda: pmf(bad, OMEGA, x),
             lambda: sample(bad, x, 1, 10),
         ):
@@ -1044,7 +1069,7 @@ def test_streamed_errors_match_reference(block):
             "late_complex", lambda p, k: np.where(p == late, 2j, 1.5), rho=1.5, c0=0.25,
             growth=GrowthBound(2.0, 1.0),
         )
-        table = multiplicative_value_table(late_complex, x)
+        table = whole_table(late_complex, None, x)
         assert table.tobytes() == reference_multiplicative_table(late_complex, x).tobytes()
         for run in (lambda: pmf(late_complex, OMEGA, x), lambda: sample(late_complex, x, 1, 10)):
             assert raised(run) == (ValueError, "late_complex: weight table requires real nonnegative values")
@@ -1067,13 +1092,16 @@ def test_pmf_streams_in_bounded_memory():
 
 
 def test_streamed_commands_are_charged_for_the_sieve_alone(monkeypatch):
+    # a pass holds a block at a time, so memory for the prime sieve is
+    # enough for every exact result, and a byte less is not
     x = 10**5
-    memory = (_sieve_bytes(x) + 16 * (x + 1)) // 2
-    assert _sieve_bytes(x) < memory
     want = pmf(unit(), OMEGA, x)
-    monkeypatch.setattr(sieve, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(sieve, "_physical_memory", lambda: _sieve_bytes(x))
     got = pmf(unit(), OMEGA, x)
     assert (got.values.tolist(), got.probabilities.tolist()) == (want.values.tolist(), want.probabilities.tolist())
-    for build, spec in ((multiplicative_value_table, unit()), (additive_value_table, OMEGA)):
+    assert partial_sum_grid(unit(), [x]) == [float(x)]
+    assert sample(unit(), x, 1, 10).size == 10
+    monkeypatch.setattr(sieve, "_physical_memory", lambda: _sieve_bytes(x) - 1)
+    for run in (lambda: pmf(unit(), OMEGA, x), lambda: partial_sum_grid(unit(), [x]), lambda: sample(unit(), x, 1, 10)):
         with pytest.raises(ValueError, match=f"value tables to x = {x}: need about"):
-            build(spec, x)
+            run()

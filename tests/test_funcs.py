@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import selberg_delange
-from conftest import additive_eval_brute, spec_eval_brute, trial_factorize
+from conftest import additive_eval_brute, spec_eval_brute, trial_factorize, whole_table
 from selberg_delange.errors import SpecGrammarError
 from selberg_delange.funcs import (
     BIG_OMEGA,
@@ -30,31 +30,30 @@ from selberg_delange.funcs import (
     twist,
     unit,
 )
-from selberg_delange.exact import additive_value_table, multiplicative_value_table
 from selberg_delange.sieve import prime_array
 
 
 def test_eval_multiplicative_examples():
     # f(n) read off the value table at its last entry
-    assert multiplicative_value_table(unit(), 60)[60] == 1
-    assert multiplicative_value_table(theta_omega(2), 12)[12] == 4
-    assert multiplicative_value_table(geometric_B(1.5), 8)[8] == 3.375
-    assert multiplicative_value_table(unit(), 1)[1] == 1
+    assert whole_table(unit(), None, 60)[60] == 1
+    assert whole_table(theta_omega(2), None, 12)[12] == 4
+    assert whole_table(geometric_B(1.5), None, 8)[8] == 3.375
+    assert whole_table(unit(), None, 1)[1] == 1
 
 
 def test_eval_matches_trial_division_oracle():
     for spec in (theta_omega(2), geometric_B(1.5), euler_phi_over_n(), tau_rho(2)):
-        table = multiplicative_value_table(spec, 499)
+        table = whole_table(spec, None, 499)
         for n in range(1, 500):
             want = spec_eval_brute(spec, n)
             assert table[n] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_eval_additive_examples():
-    assert additive_value_table(OMEGA, 12)[12] == 2
-    assert additive_value_table(BIG_OMEGA, 12)[12] == 3
-    assert additive_value_table(OMEGA, 1)[1] == 0
-    assert additive_value_table(BIG_OMEGA, 1)[1] == 0
+    assert whole_table(None, OMEGA, 12)[12] == 2
+    assert whole_table(None, BIG_OMEGA, 12)[12] == 3
+    assert whole_table(None, OMEGA, 1)[1] == 0
+    assert whole_table(None, BIG_OMEGA, 1)[1] == 0
 
 
 @pytest.mark.parametrize(
@@ -72,7 +71,7 @@ def test_eval_additive_examples():
     ids=lambda s: s.name,
 )
 def test_multiplicativity_on_coprime_pairs(spec):
-    values = multiplicative_value_table(spec, 1000)
+    values = whole_table(spec, None, 1000)
     for n in range(2, 101):
         for m in range(2, 101):
             if math.gcd(n, m) != 1 or n * m > 1000:

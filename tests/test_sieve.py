@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import trial_big_omega, trial_factorize, trial_omega
-from selberg_delange.exact import additive_value_table, multiplicative_value_table
+from conftest import trial_big_omega, trial_factorize, trial_omega, whole_table
 from selberg_delange.funcs import BIG_OMEGA, OMEGA, unit
 from selberg_delange.sieve import _sieve_bytes, prime_array
 
@@ -40,8 +39,8 @@ def test_sieve_bytes_cover_the_traced_peak(P):
 
 def test_omega_and_big_omega():
     # omega and Omega of n, read off the additive value tables
-    om = additive_value_table(OMEGA, 3000)
-    big = additive_value_table(BIG_OMEGA, 3000)
+    om = whole_table(None, OMEGA, 3000)
+    big = whole_table(None, BIG_OMEGA, 3000)
     assert om[12] == 2
     assert big[12] == 3
     assert om[1] == 0
@@ -55,9 +54,9 @@ def test_omega_and_big_omega():
 
 def test_minimal_sieve():
     # x = 1 has no primes at all; x = 2 has one above sqrt(x)
-    assert multiplicative_value_table(unit(), 1).tolist() == [0.0, 1.0]
-    assert additive_value_table(OMEGA, 1).tolist() == [0, 0]
-    assert additive_value_table(OMEGA, 2).tolist() == [0, 0, 1]
+    assert whole_table(unit(), None, 1).tolist() == [0.0, 1.0]
+    assert whole_table(None, OMEGA, 1).tolist() == [0, 0]
+    assert whole_table(None, OMEGA, 2).tolist() == [0, 0, 1]
 
 
 def test_prime_array_rejects_sieve_beyond_memory():

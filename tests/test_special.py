@@ -204,6 +204,13 @@ def test_clog1p_small_argument_accuracy():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [1e200, complex(-1e200, 3.0), complex(1e160, 1e250), complex(1e308, 1e308)])
+def test_clog1p_where_the_square_of_one_plus_a_overflows(a):
+    # |1 + a|^2 overflows past about 1e154; |1 + a| itself does not
+    want = complex(mpmath.log(mpmath.mpc(1) + mpmath.mpc(a.real, a.imag)))
+    assert clog1p(a) == pytest.approx(want, rel=1e-15)
+
+
 def test_clog1p_branch_cut():
     with pytest.raises(DomainError):
         clog1p(-1.0)
