@@ -11,9 +11,9 @@ I/O.  record is the document --format json prints (or a callable that
 builds it, so sd sample lists its draws only when JSON is asked for);
 text is the default rendering, a string or an iterable of chunks, or
 None for a command in _JSON_ONLY.  main alone picks the format, rejects
-csv for a json-only command before any work, and writes to --output or
-stdout.  Every text rendering comes from this module: tables through
-_csv and scalar results through _lines.
+csv for a json-only command before any work, and writes to stdout; the
+CLI writes no files.  Every text rendering comes from this module:
+tables through _csv and scalar results through _lines.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import logging
 import math
 import sys
 from dataclasses import asdict
@@ -279,7 +278,7 @@ def cmd_report(args: argparse.Namespace):
     return payload, None
 
 
-# each command registers --spec, --output, --format and its own flags
+# each command registers --spec, --format and its own flags
 _FLAGS = {
     "--g": dict(default="omega", help="additive function: omega | big_omega | table:<path>"),
     "--cutoff": dict(type=_int_arg, default=DEFAULT_PRIME_CUTOFF, help="Euler product prime cutoff"),
@@ -325,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", default="unit", help="multiplicative spec, e.g. theta_omega:2.5")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.add_argument("--output", default=None, help="write output to this file instead of stdout")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="json" if name in _JSON_ONLY else "csv")
         p.set_defaults(func=func)
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
         if args.fmt != "json" and args.command in _JSON_ONLY:
@@ -346,11 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             chunks = (json.dumps(record() if callable(record) else record, indent=2) + "\n",)
         else:
             chunks = (text,) if isinstance(text, str) else text
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.writelines(chunks)
-        else:
-            sys.stdout.writelines(chunks)
+        sys.stdout.writelines(chunks)
     except ArithmeticError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -140,7 +140,8 @@ class _LocalFactors(NamedTuple):
 
     The head stops at the first prime whose series fails, and failure is
     that error (None if there is none).  k_max is the series length at
-    the first prime, the longest of the head (see _series_lengths).
+    the first prime, the longest of the head: the number of nonzero
+    counts in the row's column of _series_lengths.
     t_re and t_im are the power column p^{-s}, with t_im None for a real
     s.  vanished marks that 1 + F_p(s) = 0 at primes[-1], so the product
     is exactly 0 (see _checked).
@@ -171,7 +172,7 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
 @np.errstate(all="ignore")  # entries past a row's cut or count are masked out
 def _series_lengths(
     primes: np.ndarray, q: np.ndarray, C: Sequence[float], envelopes: Sequence[Tuple[float, float]]
-) -> List[Tuple[List[int], int, Optional[ArithmeticError]]]:
+) -> Tuple[np.ndarray, List[int], List[Optional[ArithmeticError]]]:
     """The staircases of series lengths of a stack of rows.
 
     Row i has the ratios q[i] = r_i/p^sigma over the primes and the
@@ -184,12 +185,13 @@ def _series_lengths(
     grows, and with b >= 0 and a + b >= 0 so does the bound; the
     threshold is one number per pass, so K_p never rises with p, and the
     primes whose series reaches k are a prefix of the head.  Returns
-    (counts, cut, failure) per row:
-    counts[k-1] is the length of that prefix (so K_p = len(counts) at
-    the first prime), the head stops at cut, the index of the first
-    prime whose series fails, and failure is that error (None if there
-    is none).  The rows share one loop over k, over the longest prefix
-    still counting; each row counts within its own prefix.
+    (lengths, cuts, failures): lengths is the int64 count matrix of
+    shape (k, rows), whose entry [k-1, i] is the length of that prefix
+    for row i (so K_p at the first prime is the number of nonzero counts
+    in column i), and row i's head stops at cuts[i], the index of the
+    first prime whose series fails, with failures[i] that error (None if
+    there is none).  The rows share one loop over k, over the longest
+    prefix still counting; each row counts within its own prefix.
     """
     tol = DEFAULT_FACTOR_TOL / len(primes)
     C = np.asarray(C, dtype=np.float64)
@@ -226,23 +228,21 @@ def _series_lengths(
         n = live.sum(axis=1)
         width = int(n.max())
         geo = geo[:, :width] * q[:, :width]
-    steps = np.array(steps, dtype=np.int64).reshape(-1, len(cuts)).T
-    return [
-        ([] if cut == 0 else counts[counts > 0].tolist(), cut, failure)
-        for counts, cut, failure in zip(steps, cuts, failures)
-    ]
+    lengths = np.array(steps, dtype=np.int64).reshape(-1, len(cuts)) * (np.array(cuts) > 0)
+    return lengths[: np.count_nonzero(lengths.any(axis=1))], cuts, failures
 
 
 @np.errstate(all="ignore")  # Python float arithmetic does not warn either
 def _power_series(
-    rows: Sequence[_Row], primes: np.ndarray, staircases: Sequence[Sequence[int]], t_re, t_im=None
+    rows: Sequence[_Row], primes: np.ndarray, lengths: np.ndarray, t_re, t_im=None
 ) -> Tuple[np.ndarray, np.ndarray, List[Optional[Exception]]]:
     """sum_{k <= K_p} values(p, k) t_p^k for every row and prime, as
     float64 arrays of shape (rows, primes).
 
     One loop over k serves the stack.  The power column cur = t_p^k is
-    shared; row i adds its terms only to the first staircases[i][k-1]
-    primes: a where= mask against the union of the staircases.
+    shared; row i adds its terms only to the first lengths[k-1, i]
+    primes, lengths being the count matrix of _series_lengths: a where=
+    mask against the union of the staircases.
     acc += value * cur; cur *= t, one power at a time, with the complex
     products spelled out in float64 so that they round exactly as
     Python's complex arithmetic does.  With t_im None the column is real
@@ -250,9 +250,6 @@ def _power_series(
     Also returns, per row, the ArithmeticError or ValueError its values
     raised (None if none).
     """
-    lengths = np.zeros((max(map(len, staircases), default=0), len(rows)), dtype=np.int64)
-    for i, counts in enumerate(staircases):
-        lengths[: len(counts), i] = counts
     union = lengths.max(axis=1, initial=0).tolist()
     head = union[0] if union else 0
     S_re, S_im = np.zeros((len(rows), len(primes))), np.zeros((len(rows), len(primes)))
@@ -303,22 +300,23 @@ def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_Loca
     if s.real != 1.0:  # pow(p, 1.0) is p exactly
         p_sigma = _map_float(math.pow, p_sigma, s.real)
     r = np.array([row.r for row in rows], dtype=np.float64)
-    staircases = _series_lengths(
+    lengths, cuts, failures = _series_lengths(
         primes, r[:, None] / p_sigma, [row.C for row in rows], [row.envelope for row in rows]
     )
-    head = max((cut for _, cut, _ in staircases), default=0)
+    head = max(cuts, default=0)
     primes = primes[:head]
     if s.imag == 0.0:
         t_re, t_im = 1.0 / p_sigma[:head], None
     else:
         t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
         t_re, t_im = t.real, t.imag
-    S_re, S_im, errors = _power_series(rows, primes, [counts for counts, _, _ in staircases], t_re, t_im)
+    S_re, S_im, errors = _power_series(rows, primes, lengths, t_re, t_im)
+    k_max = np.count_nonzero(lengths, axis=0).tolist()
     return [
         error if error is not None else _LocalFactors(
-            primes[:cut], F_re[:cut], F_im[:cut], t_re[:cut], None if t_im is None else t_im[:cut], len(counts), failure
+            primes[:cut], F_re[:cut], F_im[:cut], t_re[:cut], None if t_im is None else t_im[:cut], k, failure
         )
-        for (counts, cut, failure), F_re, F_im, error in zip(staircases, S_re, S_im, errors)
+        for cut, failure, k, F_re, F_im, error in zip(cuts, failures, k_max, S_re, S_im, errors)
     ]
 
 
@@ -804,8 +802,9 @@ def _exp_twist(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> Multip
     """
     if not _twist_is_finite(alpha, z, g):
         raise DomainError(
-            f"z = {z:g} takes the twist out of float64 range: e^z underflows to 0, or e^z or "
-            f"Gamma(rho e^(c z)) overflows, with c = {g.k_value(1):g} for {g.name}"
+            f"z = {z:g} takes the twist out of float64 range: e^z underflows to 0 or overflows, or "
+            f"|Gamma(rho e^(c z))| overflows or falls below the least normal float, with c = {g.k_value(1):g} "
+            f"for {g.name}"
         )
     spec = twist(alpha, cmath.exp(z), g)
     _factors_at_one(spec, f"z = {z:g}, twist by {g.name}: ")

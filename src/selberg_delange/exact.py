@@ -569,6 +569,17 @@ def _mean(alpha: MultiplicativeSpec, x: int, num: complex, den: complex) -> comp
     return num / den
 
 
+def _finite(alpha: MultiplicativeSpec, x: int, y: complex, value: complex) -> complex:
+    """value, a sum or mean of y^g(n) alpha(n) on [1, x], once it is finite.
+
+    Raises:
+        OverflowError: it is not (y^g(n) overflows).
+    """
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{alpha.name}: E[y^g(N)] on [1, {x}] overflows float64 at y = {y}")
+    return value
+
+
 def _poisson_factor(alpha: MultiplicativeSpec, x: int, z: complex) -> complex:
     """exp(-rho ln ln x (e^z - 1)), rho = alpha.rho: the mod-Poisson normalization."""
     if x < 3:
@@ -600,18 +611,33 @@ class BucketSums:
         imag = 0.0 if self.imag is None else _fsum(self.imag.tolist())
         return complex(_fsum(self.real.tolist()), imag)
 
-    def twisted_sum(self, y) -> complex:
-        """sum of y^{g(n)} alpha(n) over 1 <= n <= x, as sum_m y^m S_m."""
-        y = _twist_base(y)
+    def _sum(self, y: complex) -> complex:
+        """sum_m y^m S_m, finite or not."""
         sums = self.real.tolist()
         if self.imag is not None:
             sums = [complex(a, b) for a, b in zip(sums, self.imag.tolist())]
         terms = [cpow(y, m) * s for m, s in enumerate(sums, start=self.lo)]
-        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        return complex(_fsum([t.real for t in terms]), _fsum([t.imag for t in terms]))
+
+    def twisted_sum(self, y) -> complex:
+        """sum of y^{g(n)} alpha(n) over 1 <= n <= x, as sum_m y^m S_m.
+
+        Raises:
+            OverflowError: the sum is not finite (y^g(n) overflows).
+        """
+        y = _twist_base(y)
+        return _finite(self.alpha, self.x, y, self._sum(y))
 
     def mean(self, y) -> complex:
-        """E[y^{g(N)}] for N weighted by alpha on 1..x."""
-        return _mean(self.alpha, self.x, self.twisted_sum(y), self.total())
+        """E[y^{g(N)}] for N weighted by alpha on 1..x.
+
+        Raises:
+            ValueError: the sum of the weights on [1, x] overflows.
+            DegenerateSpecError: the weights sum to 0 on [1, x].
+            OverflowError: the mean is not finite (y^g(n) overflows).
+        """
+        y = _twist_base(y)
+        return _finite(self.alpha, self.x, y, _mean(self.alpha, self.x, self._sum(y), self.total()))
 
     def residual(self, z) -> complex:
         """Normalized MGF psi_x(z) = exp(-rho ln ln x (e^z - 1)) E[e^{z g(N)}],
@@ -621,10 +647,12 @@ class BucketSums:
         difference from psi is the object of the convergence studies.
 
         Raises:
-            ValueError: x < 3 (ln ln x must be positive).
+            ValueError: x < 3 (ln ln x must be positive), or mean's.
+            OverflowError: the residual is not finite, or mean's.
         """
         z = complex(z)
-        return _poisson_factor(self.alpha, self.x, z) * self.mean(cmath.exp(z))
+        y = cmath.exp(z)
+        return _finite(self.alpha, self.x, y, _poisson_factor(self.alpha, self.x, z) * self.mean(y))
 
     def distribution(self) -> DistributionTable:
         """The pmf of g(N); see pmf.
@@ -757,13 +785,9 @@ def twisted_mean(alpha: MultiplicativeSpec, y, g: AdditiveSpec, x: int) -> compl
     """
     y = _twist_base(y)
     if g.integer_valued:
-        value = bucket_sums(alpha, g, x).mean(y)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-            value = _mean(alpha, x, *_direct_twisted_sums(alpha, y, g, x))
-    if not cmath.isfinite(value):
-        raise OverflowError(f"{alpha.name}: E[y^g(N)] on [1, {x}] overflows float64 at y = {y}")
-    return value
+        return bucket_sums(alpha, g, x).mean(y)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in _finite
+        return _finite(alpha, x, y, _mean(alpha, x, *_direct_twisted_sums(alpha, y, g, x)))
 
 
 def pmf(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int) -> DistributionTable:

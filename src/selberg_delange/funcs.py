@@ -554,20 +554,22 @@ def _format_param(v) -> str:
 #   spec     := name [":" param ("," param)*]
 #   param    := number | key "=" number | int "^" int "=" number
 #
-# e.g.  "unit", "theta_omega:2.5", "geometric_B:1.5,c0=0.2",
-#       "perturbed:a=1,eps=0.5", "tau_rho:3",
-#       "tabulated:default=1,2^1=0.5,2^2=0.25"
+# _GRAMMAR holds one row per name: the constructor, the number of
+# positional numbers it takes (0 or 1), the keys it accepts, the keys it
+# requires and an example.  The keys are the constructor's keyword
+# parameters, and tabulated alone takes the prime-power entries, as its
+# first argument.
 # ---------------------------------------------------------------------------
 
-_SPEC_NAMES = (
-    "unit",
-    "theta_omega",
-    "geometric_B",
-    "perturbed",
-    "tau_rho",
-    "euler_phi_over_n",
-    "tabulated",
-)
+_GRAMMAR = {
+    "unit": (unit, 0, (), (), "unit"),
+    "theta_omega": (theta_omega, 1, (), (), "theta_omega:2.5"),
+    "geometric_B": (geometric_B, 1, ("c0",), (), "geometric_B:1.5"),
+    "perturbed": (perturbed, 0, ("a", "eps"), ("a", "eps"), "perturbed:a=1,eps=0.5"),
+    "tau_rho": (tau_rho, 1, (), (), "tau_rho:2"),
+    "euler_phi_over_n": (euler_phi_over_n, 0, (), (), "euler_phi_over_n"),
+    "tabulated": (tabulated_multiplicative, 0, ("c0", "default"), (), "tabulated:default=1,2^1=0.5,2^2=0.25"),
+}
 
 
 def _grammar_error(text: str, column: int, message: str) -> SpecGrammarError:
@@ -590,7 +592,8 @@ def _split_params(rest: str, offset: int):
 
 
 def parse_multiplicative(text: str) -> MultiplicativeSpec:
-    """Parse the CLI spec grammar into a MultiplicativeSpec.
+    """Parse the CLI spec grammar into a MultiplicativeSpec, by the row
+    of _GRAMMAR its name picks.
 
     Raises:
         SpecGrammarError: unknown name, malformed parameters or values the
@@ -599,9 +602,10 @@ def parse_multiplicative(text: str) -> MultiplicativeSpec:
     body = text.strip()
     name, sep, rest = body.partition(":")
     name = name.strip()
-    if name not in _SPEC_NAMES:
-        known = ", ".join(_SPEC_NAMES)
+    if name not in _GRAMMAR:
+        known = ", ".join(_GRAMMAR)
         raise _grammar_error(text, 1, f"unknown spec name {name!r}; known names: {known}")
+    make, arity, allowed_keys, required_keys, example = _GRAMMAR[name]
     positional = []
     keywords = {}
     entries = {}
@@ -629,61 +633,23 @@ def parse_multiplicative(text: str) -> MultiplicativeSpec:
             else:
                 positional.append((_parse_number(text, token, column), column))
 
-    def no_extras(allowed_keys=(), n_positional=0):
-        for key in keywords:
-            if key not in allowed_keys:
-                raise _grammar_error(text, 1, f"unexpected key {key!r} for {name}")
-        if len(positional) > n_positional:
-            raise _grammar_error(text, positional[n_positional][1], f"too many parameters for {name}")
-        if entries and name != "tabulated":
-            raise _grammar_error(text, 1, f"prime-power entries only apply to 'tabulated', not {name}")
-
-    def construct(column, make, *params, **options):
-        """make(*params, **options), with its ValueError reported at column."""
-        try:
-            return make(*params, **options)
-        except ValueError as exc:
-            raise _grammar_error(text, column, str(exc)) from None
-
-    if name == "unit":
-        no_extras()
-        if positional:
-            raise _grammar_error(text, positional[0][1], "unit takes no parameters")
-        return unit()
-    if name == "euler_phi_over_n":
-        no_extras()
-        if positional:
-            raise _grammar_error(text, positional[0][1], "euler_phi_over_n takes no parameters")
-        return euler_phi_over_n()
-    if name == "theta_omega":
-        no_extras(n_positional=1)
-        if len(positional) != 1:
-            raise _grammar_error(text, 1, "theta_omega needs exactly one parameter, e.g. theta_omega:2.5")
-        return construct(positional[0][1], theta_omega, positional[0][0])
-    if name == "tau_rho":
-        no_extras(n_positional=1)
-        if len(positional) != 1:
-            raise _grammar_error(text, 1, "tau_rho needs exactly one parameter, e.g. tau_rho:2")
-        return construct(positional[0][1], tau_rho, positional[0][0])
-    if name == "geometric_B":
-        no_extras(allowed_keys=("c0",), n_positional=1)
-        if len(positional) != 1:
-            raise _grammar_error(text, 1, "geometric_B needs one parameter, e.g. geometric_B:1.5")
-        return construct(positional[0][1], geometric_B, positional[0][0], c0=keywords.get("c0"))
-    if name == "perturbed":
-        no_extras(allowed_keys=("a", "eps"))
-        if positional:
-            raise _grammar_error(text, positional[0][1], "perturbed takes key=value parameters only")
-        if "a" not in keywords or "eps" not in keywords:
-            raise _grammar_error(text, 1, "perturbed needs a=... and eps=..., e.g. perturbed:a=1,eps=0.5")
-        return construct(1, perturbed, keywords["a"], keywords["eps"])
-    # tabulated
-    no_extras(allowed_keys=("c0", "default"))
-    if positional:
-        raise _grammar_error(text, positional[0][1], "tabulated takes key=value parameters only")
-    return construct(
-        1, tabulated_multiplicative, entries, default=keywords.get("default", 1.0), c0=keywords.get("c0", 0.25)
-    )
+    for key in keywords:
+        if key not in allowed_keys:
+            raise _grammar_error(text, 1, f"unexpected key {key!r} for {name}")
+    if len(positional) > arity:
+        raise _grammar_error(text, positional[arity][1], f"too many parameters for {name}")
+    if entries and name != "tabulated":
+        raise _grammar_error(text, 1, f"prime-power entries only apply to 'tabulated', not {name}")
+    if len(positional) < arity:
+        raise _grammar_error(text, 1, f"{name} needs exactly one parameter, e.g. {example}")
+    if any(key not in keywords for key in required_keys):
+        needed = " and ".join(f"{key}=..." for key in required_keys)
+        raise _grammar_error(text, 1, f"{name} needs {needed}, e.g. {example}")
+    numbers = ([entries] if name == "tabulated" else []) + [number for number, _ in positional]
+    try:
+        return make(*numbers, **keywords)
+    except ValueError as exc:
+        raise _grammar_error(text, positional[0][1] if positional else 1, str(exc)) from None
 
 
 def parse_additive(text: str) -> AdditiveSpec:

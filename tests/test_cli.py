@@ -115,14 +115,11 @@ def test_sample_golden(capsys):
     assert out == SAMPLE_GOLDEN
 
 
-def test_sample_draws_written_in_chunks(tmp_path, capsys, monkeypatch):
+def test_sample_draws_written_in_chunks(capsys, monkeypatch):
     # the draws are formatted and written a chunk at a time; the bytes
-    # are those of one write, on stdout and in one --output file
+    # on stdout are those of one write
     monkeypatch.setattr(cli, "_DRAWS_PER_WRITE", 2)
     assert run_cli(capsys, SAMPLE_ARGS) == (0, SAMPLE_GOLDEN, "")
-    target = tmp_path / "draws.txt"
-    assert run_cli(capsys, SAMPLE_ARGS + ["--output", str(target)]) == (0, "", "")
-    assert target.read_text() == SAMPLE_GOLDEN
 
 
 def test_sum_golden_single_and_grid(capsys):
@@ -672,29 +669,7 @@ def test_non_finite_table_values_exit_two(tmp_path, capsys, argv, message):
 
 
 # ---------------------------------------------------------------------------
-# output routing and formats
-
-
-def test_output_file(tmp_path, capsys):
-    target = tmp_path / "out.csv"
-    argv = [
-        "pmf", "--spec", "unit", "--g", "omega", "--x", "10",
-        "--output", str(target),
-    ]
-    code, out, _ = run_cli(capsys, argv)
-    assert code == 0
-    assert out == ""
-    assert target.read_text() == "value,probability\n0,0.1\n1,0.7\n2,0.2\n"
-
-
-def test_output_file_bad_path(capsys):
-    argv = [
-        "pmf", "--spec", "unit", "--g", "omega", "--x", "10",
-        "--output", "/nonexistent-dir/out.csv",
-    ]
-    code, _, err = run_cli(capsys, argv)
-    assert code == 2
-    assert err != ""
+# output formats
 
 
 def test_pmf_json_format(capsys):
@@ -799,9 +774,11 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
         (["ldp", "--x", "1000", "--rho", "nan", "--s", "2"], "--rho"),
         (["report", "--x-g", "1000"], "--x-g"),
         (["report", "--seed", "1"], "--seed"),
+        (["pmf", "--x", "10", "--output", "out.csv"], "--output"),
     ],
     ids=["lambda0-tol-1e-12", "clt-rho-1", "check-c0", "report-x", "lambda0-tol", "psi-tol", "check-tol",
-         "clt-rho-inf", "report-rho-inf", "ldp-rho-inf", "clt-rho-nan", "ldp-rho-nan", "report-x-g", "report-seed"],
+         "clt-rho-inf", "report-rho-inf", "ldp-rho-inf", "clt-rho-nan", "ldp-rho-nan", "report-x-g", "report-seed",
+         "pmf-output"],
 )
 def test_deleted_flags_exit_two(capsys, argv, flag):
     # the tolerance is a constant, rho and c0 come from the spec, report
@@ -818,18 +795,18 @@ def test_deleted_flags_exit_two(capsys, argv, flag):
     ]
 
 
-# every flag slot each command registers, --spec, --output and --format included
+# every flag slot each command registers, --spec and --format included
 COMMAND_FLAGS = {
-    "lambda0": ["--spec", "--cutoff", "--output", "--format"],
-    "psi": ["--spec", "--g", "--cutoff", "--z", "--output", "--format"],
-    "sum": ["--spec", "--x", "--x-grid", "--output", "--format"],
-    "mgf": ["--spec", "--g", "--x", "--y", "--z", "--output", "--format"],
-    "pmf": ["--spec", "--g", "--x", "--output", "--format"],
-    "sample": ["--spec", "--x", "--seed", "--stream", "--count", "--output", "--format"],
-    "clt": ["--spec", "--g", "--x", "--y-grid", "--output", "--format"],
-    "ldp": ["--spec", "--g", "--cutoff", "--x", "--x-grid", "--s", "--output", "--format"],
-    "check": ["--spec", "--output", "--format"],
-    "report": ["--spec", "--g", "--cutoff", "--x-grid", "--z-grid", "--s", "--y-grid", "--output", "--format"],
+    "lambda0": ["--spec", "--cutoff", "--format"],
+    "psi": ["--spec", "--g", "--cutoff", "--z", "--format"],
+    "sum": ["--spec", "--x", "--x-grid", "--format"],
+    "mgf": ["--spec", "--g", "--x", "--y", "--z", "--format"],
+    "pmf": ["--spec", "--g", "--x", "--format"],
+    "sample": ["--spec", "--x", "--seed", "--stream", "--count", "--format"],
+    "clt": ["--spec", "--g", "--x", "--y-grid", "--format"],
+    "ldp": ["--spec", "--g", "--cutoff", "--x", "--x-grid", "--s", "--format"],
+    "check": ["--spec", "--format"],
+    "report": ["--spec", "--g", "--cutoff", "--x-grid", "--z-grid", "--s", "--y-grid", "--format"],
 }
 
 
@@ -840,7 +817,7 @@ def test_each_command_registers_exactly_its_flags():
         for name, parser in sub.choices.items()
     }
     assert registered == COMMAND_FLAGS
-    assert sum(map(len, COMMAND_FLAGS.values())) == 60
+    assert sum(map(len, COMMAND_FLAGS.values())) == 50
 
 
 @pytest.mark.parametrize(
@@ -916,6 +893,19 @@ def test_module_invocation_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout == SAMPLE_GOLDEN
+
+
+def test_s_one_note_is_one_stderr_line_in_a_process():
+    # the CLI configures no logging: logging's last-resort handler writes
+    # the s = 1 note as its bare message, the one line on stderr
+    result = subprocess.run(
+        [sys.executable, "-m", "selberg_delange.cli", "ldp", "--x", "1000", "--s", "1", "--cutoff", "1000"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith(b"s = 1\n")
+    assert result.stderr == b"s = 1: replacing the divergent prefactor psi(0)/(1 - 1/s) by psi'(0)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1000,8 +990,8 @@ def test_psi_twist_out_of_float_range_exits_two(capsys, argv, z):
     # itself past 709.78, and it underflows to 0 below -745; the first such
     # z of a grid is named.  At z = 6.5+1.5j, Gamma(47.05+663.5i) is the
     # subnormal 1.1e-321-9.3e-322j, and psi printed nan+nanj
-    message = (f"z = {z} takes the twist out of float64 range: e^z underflows to 0, "
-               "or e^z or Gamma(rho e^(c z)) overflows, with c = 1 for omega")
+    message = (f"z = {z} takes the twist out of float64 range: e^z underflows to 0 or overflows, "
+               "or |Gamma(rho e^(c z))| overflows or falls below the least normal float, with c = 1 for omega")
     assert run_cli(capsys, argv + ["--cutoff", "100"]) == (2, "", f"error: {message}\n")
     # below the limit the printed value is what it was
     assert run_cli(capsys, ["psi", "--z", "5", "--cutoff", "100"]) == (0, "psi = 0\n", "")
@@ -1169,11 +1159,11 @@ def ldp_twin(argv, message):
         (["--spec", "unit", "--g", "big_omega", "--s", "1.3"], ["psi", "--g", "big_omega", "--z", "1"],
          "numeric error: z = 1+0j, twist by big_omega: growth ratio r=2.71828 >= 2 diverges at p=2, s=1"),
         (["--spec", "unit", "--z-grid", "0.5,6"], ["psi", "--z", "6"],
-         "error: z = 6+0j takes the twist out of float64 range: e^z underflows to 0, or e^z or "
-         "Gamma(rho e^(c z)) overflows, with c = 1 for omega"),
+         "error: z = 6+0j takes the twist out of float64 range: e^z underflows to 0 or overflows, or "
+         "|Gamma(rho e^(c z))| overflows or falls below the least normal float, with c = 1 for omega"),
         (["--spec", "unit", "--z-grid", "0.5,6.5+1.5j"], ["psi", "--z", "6.5+1.5j"],
-         "error: z = 6.5+1.5j takes the twist out of float64 range: e^z underflows to 0, or e^z or "
-         "Gamma(rho e^(c z)) overflows, with c = 1 for omega"),
+         "error: z = 6.5+1.5j takes the twist out of float64 range: e^z underflows to 0 or overflows, or "
+         "|Gamma(rho e^(c z))| overflows or falls below the least normal float, with c = 1 for omega"),
     ],
     ids=["underflow", "theta-negative", "theta-zero", "tau-negative", "strip", "z-growth", "z-float-range",
          "z-gamma-subnormal"],

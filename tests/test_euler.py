@@ -1011,8 +1011,9 @@ def test_staircase_matches_the_scalar_series_length(C, r, sigma, tol, P, cap):
     primes = prime_array(P)
     q = r / euler._map_float(math.pow, primes.astype(np.float64), sigma)
     with mock.patch.object(euler, "_K_HARD_CAP", cap), mock.patch.object(euler, "DEFAULT_FACTOR_TOL", tol):
-        [(counts, cut, failure)] = euler._series_lengths(primes, q[None], [C], [(1.0, 0.0)])
+        lengths, [cut], [failure] = euler._series_lengths(primes, q[None], [C], [(1.0, 0.0)])
         want, want_failure = scalar_series_lengths(primes, q, C, head_tol(P))
+    counts = lengths[:, 0].tolist()
     assert per_prime_lengths(counts, cut).tolist() == want
     assert counts == sorted(counts, reverse=True) and 0 not in counts
     if want_failure is None:
@@ -1033,8 +1034,8 @@ def test_series_lengths_match_the_envelope_tail(envelope):
     tol = budget / len(primes)
     q = 1.9 / primes
     with mock.patch.object(euler, "DEFAULT_FACTOR_TOL", budget):
-        [(counts, cut, failure)] = euler._series_lengths(primes, q[None], [C], [envelope])
-    K = per_prime_lengths(counts, cut)
+        lengths, [cut], [failure] = euler._series_lengths(primes, q[None], [C], [envelope])
+    K = per_prime_lengths(lengths[:, 0].tolist(), cut)
     assert failure is None
     def tail(qp, K0):
         return fsum((a + b * k) * C * qp**k for k in range(K0 + 1, K0 + 2000))

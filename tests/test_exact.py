@@ -304,6 +304,23 @@ def test_twisted_mean_raises_where_y_to_the_g_overflows(y, g):
     assert bucket_sums(unit(), OMEGA, 10).twisted_sum(1e100) == pytest.approx(1 + 7e100 + 2e200, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bucket_sums_methods_raise_where_y_to_the_g_overflows():
+    # twisted_sum(1e200), mean(1e200) and residual(700) returned nan+nanj;
+    # each now raises twisted_mean's OverflowError, naming alpha, x and y
+    buckets = bucket_sums(unit(), OMEGA, 10)
+    for method, arg, y in [
+        (buckets.twisted_sum, 1e200, 1e200),
+        (buckets.mean, 1e200, 1e200),
+        (buckets.residual, 700, cmath.exp(700)),
+    ]:
+        with pytest.raises(OverflowError) as want:
+            twisted_mean(unit(), y, OMEGA, 10)
+        with pytest.raises(OverflowError) as got:
+            method(arg)
+        assert str(got.value) == str(want.value) == f"unit: E[y^g(N)] on [1, 10] overflows float64 at y = {complex(y)}"
+
+
 def test_mgf_exact_examples():
     # E[e^{z omega(N)}] at z = ln 2 and z = 0
     assert twisted_mean(unit(), cmath.exp(math.log(2.0)), OMEGA, 10) == pytest.approx(2.3, rel=1e-14)

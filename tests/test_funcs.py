@@ -9,6 +9,7 @@ import pytest
 
 import selberg_delange
 from conftest import additive_eval_brute, spec_eval_brute, trial_factorize, whole_table
+from selberg_delange import funcs
 from selberg_delange.errors import SpecGrammarError
 from selberg_delange.funcs import (
     BIG_OMEGA,
@@ -334,6 +335,37 @@ GRAMMAR_ERRORS = [
     ("theta_omega:1,2", "column 15"),
     ("theta_omega:", "empty parameter list"),
     ("geometric_B:1.5,2^1=2", "only apply to 'tabulated'"),
+    # one case per row of the grammar table and kind of error, at its column
+    ("unit:a=1", "column 1: unexpected key 'a' for unit"),
+    ("unit:2^1=1", "column 1: prime-power entries only apply to 'tabulated', not unit"),
+    ("theta_omega:1,a=2", "column 1: unexpected key 'a' for theta_omega"),
+    ("theta_omega:1,2^1=3", "column 1: prime-power entries only apply to 'tabulated', not theta_omega"),
+    ("theta_omega:inf", "column 13: growth constant C must be finite"),
+    ("geometric_B", "column 1: geometric_B needs exactly one parameter, e.g. geometric_B:1.5"),
+    ("geometric_B:c0=0.2", "column 1: geometric_B needs exactly one parameter, e.g. geometric_B:1.5"),
+    ("geometric_B:1.5,1", "column 17: too many parameters for geometric_B"),
+    ("geometric_B:1.5,d=1", "column 1: unexpected key 'd' for geometric_B"),
+    ("geometric_B:1.5,c0=2", "column 13: c0 must lie in (0,1), got 2.0"),
+    ("perturbed", "column 1: perturbed needs a=... and eps=..., e.g. perturbed:a=1,eps=0.5"),
+    ("perturbed:eps=1", "column 1: perturbed needs a=... and eps=..., e.g. perturbed:a=1,eps=0.5"),
+    ("perturbed:1", "column 11: too many parameters for perturbed"),
+    ("perturbed:a=1,eps=1,b=2", "column 1: unexpected key 'b' for perturbed"),
+    ("perturbed:a=1,eps=1,2^1=1", "column 1: prime-power entries only apply to 'tabulated', not perturbed"),
+    ("perturbed:a=1,eps=0", "column 1: perturbed needs eps > 0, got 0.0"),
+    ("tau_rho", "column 1: tau_rho needs exactly one parameter, e.g. tau_rho:2"),
+    ("tau_rho:1,2", "column 11: too many parameters for tau_rho"),
+    ("tau_rho:c0=1", "column 1: unexpected key 'c0' for tau_rho"),
+    ("tau_rho:2,3^1=1", "column 1: prime-power entries only apply to 'tabulated', not tau_rho"),
+    ("tau_rho:1e4", "column 9: tau_rho: rho = 10000 overflows C(rho+k-1, k) at k = 135"),
+    ("euler_phi_over_n:1", "column 18: too many parameters for euler_phi_over_n"),
+    ("euler_phi_over_n:x=1", "column 1: unexpected key 'x' for euler_phi_over_n"),
+    ("euler_phi_over_n:2^1=1", "column 1: prime-power entries only apply to 'tabulated', not euler_phi_over_n"),
+    ("tabulated:1", "column 11: too many parameters for tabulated"),
+    ("tabulated:c0=2", "column 1: c0 must lie in (0,1), got 2.0"),
+    ("tabulated:x^1=1", "column 11: bad prime-power key 'x^1'"),
+    # the checks run in one order: keys, then too many numbers, then entries
+    ("unit:1,2^1=3,b=1", "column 1: unexpected key 'b' for unit"),
+    ("geometric_B:1.5,2,2^1=2", "column 17: too many parameters for geometric_B"),
 ]
 
 
@@ -344,6 +376,15 @@ def test_parse_multiplicative_diagnostics(text, fragment):
     message = str(exc_info.value)
     assert fragment in message
     assert "column" in message
+
+
+def test_each_grammar_row_parses_its_example():
+    # the names of the table are the known names, in its order, and
+    # each row's example builds a spec of that name
+    with pytest.raises(SpecGrammarError, match="known names: " + ", ".join(funcs._GRAMMAR) + "$"):
+        parse_multiplicative("nope")
+    for name, row in funcs._GRAMMAR.items():
+        assert parse_multiplicative(row[-1]).name.partition(":")[0] == name
 
 
 def test_parse_additive_builtins():

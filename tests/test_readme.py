@@ -1,7 +1,7 @@
 """The README's library example runs as written, at a smaller x and with
 the documented signatures of the tail comparisons, its command-line
 section names only flags that sd registers, and every line of its weight
-spec grammar parses."""
+spec grammar parses, one line per row of the grammar table."""
 
 import argparse
 import math
@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 from selberg_delange.cli import build_parser
-from selberg_delange.funcs import parse_multiplicative
+from selberg_delange.funcs import _GRAMMAR, parse_multiplicative
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,7 +50,8 @@ def test_readme_spec_grammar_lines_parse():
     start = text.index("\n### Weight spec grammar\n")
     block = re.search(r"```text\n(.*?)```", text[start:], re.S).group(1)
     specs = [line.split()[0] for line in block.splitlines() if line.strip()]
-    assert len(specs) == 7
+    # one line per row of the grammar table, in its order
+    assert [spec.partition(":")[0] for spec in specs] == list(_GRAMMAR)
     for spec in specs:
         # an optional part in [brackets] parses both without and with it
         for form in (re.sub(r"\[.*?\]", "", spec), re.sub(r"\[(.*?)\]", r"\1", spec)):
