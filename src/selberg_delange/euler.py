@@ -73,15 +73,15 @@ _K_HARD_CAP = 100_000
 class EulerProductResult:
     """Value of an Euler product plus truncation metadata.
 
-    prime_cutoff is the last prime of the head, the primes summed one by
-    one; k_cutoff is the largest per-prime series length used there.
-    tail_estimate bounds |log value - log true value| (0 when the value
-    is exactly 0).  It adds three parts: the primes p > prime_cutoff
-    (the truncated j series of a completed product, or the whole tail of
-    a plain one), the truncation of the head's series, DEFAULT_FACTOR_TOL
-    over all its primes, divided by min |1 + F_p| where that is below 1,
-    and the rounding.  completed tells whether the primes above
-    prime_cutoff were closed by the prime-zeta tail.
+    prime_cutoff is the cutoff P of the head, the primes p <= P summed
+    one by one; k_cutoff is the largest per-prime series length used
+    there.  tail_estimate bounds |log value - log true value| (0 when
+    the value is exactly 0).  It adds three parts: the primes p >
+    prime_cutoff (the truncated j series of a completed product, or the
+    whole tail of a plain one), the truncation of the head's series,
+    DEFAULT_FACTOR_TOL over all its primes, divided by min |1 + F_p|
+    where that is below 1, and the rounding.  completed tells whether
+    the primes above prime_cutoff were closed by the prime-zeta tail.
     """
 
     value: complex

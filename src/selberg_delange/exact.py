@@ -20,16 +20,19 @@ none holds more than a block of them.
 Values.  Every prime-power value comes from funcs.prime_power_values,
 once per power k over the swept primes with p^k <= x and once over the
 primes above sqrt(x); the checks then run prime by prime, so an error
-names the first (p, k) the sweep would reach.  A spec that states its
-value (a one-term series or a k_value) gives one scalar there unless
-one of its exceptional primes lies among them, so no array over the
-large primes is built, and a value of 1 (0 for g) gathers nothing.  A
-pass allocates its working arrays once: the tables, the complex copy of
-a promoted one, the tail's positions and the gather's index and
-offsets.  It fills the runs of the tail and of the gather in groups of
-_TEMP_ITEMS entries, so no temporary grows with x (malloc returns a
-larger one to the system after every block, to be faulted in again at
-the next).  A yielded block is valid until the next is requested.
+names the first (p, k) the sweep would reach.  Both tables hold real
+values, float64 (int64 for integer-valued g): a value with a nonzero
+imaginary part is an error, and complex twists of alpha come from the
+real bucket sums below.  A spec that states its value (a one-term
+series or a k_value) gives one scalar there unless one of its
+exceptional primes lies among them, so no array over the large primes
+is built, and a value of 1 (0 for g) gathers nothing.  A pass
+allocates its working arrays once: the tables, the tail's positions
+and the gather's index and offsets.  It fills the runs of the tail and
+of the gather in groups of _TEMP_ITEMS entries, so no temporary grows
+with x (malloc returns a larger one to the system after every block,
+to be faulted in again at the next).  A yielded block is valid until
+the next is requested.
 
 Buckets.  For integer-valued g every exact statistic of g(N) is a
 function of the sums S_m(x) = sum of alpha(n) over n <= x with
@@ -165,35 +168,16 @@ def _compact(values: np.ndarray):
     return values[0] if (raw == raw[0]).all() else values
 
 
-class _Work:
-    """A recipe's working arrays for one pass of blocks of at most `block`
-    n, allocated once: the table, its complex128 copy once promoted, and
-    the positions of the tail."""
-
-    def __init__(self, recipe: "_Recipe", block: int):
-        self.table = np.empty(block, dtype=recipe.dtype)
-        self.complex: Optional[np.ndarray] = None
-        self.tail = np.empty(int(((block - 1) // recipe.moduli[recipe.tail :] + 1).sum()), dtype=np.int64)
-
-    def promoted(self, a: np.ndarray) -> np.ndarray:
-        if self.complex is None:
-            self.complex = np.empty(self.table.size, dtype=np.complex128)
-        out = self.complex[: a.size]
-        out[...] = a
-        return out
-
-
 @dataclass(frozen=True)
 class _Recipe:
     """One value table as steps: a start value, the sweep of the primes
     p <= sqrt(x), then one gather of the primes above sqrt(x).
 
     A step (pk, nxt, v) applies op(., v) at the multiples of pk, except
-    those of nxt when nxt is nonzero.  The table turns complex128 before
-    step complex_from (len(steps): before the gather), if that is set.
-    The steps from tail on are applied together, by one op.at per block.
-    tail_values and gather_values hold one value for all their steps or
-    primes, or one per step or gather prime.
+    those of nxt when nxt is nonzero.  The steps from tail on are applied
+    together, by one op.at per block.  tail_values and gather_values hold
+    one value for all their steps or primes, or one per step or gather
+    prime.
     """
 
     start: float
@@ -201,25 +185,27 @@ class _Recipe:
     op: Callable
     steps: List[Tuple[int, int, object]]
     moduli: np.ndarray
-    complex_from: Optional[int]
     tail: int
     tail_values: object
     gather_primes: np.ndarray
     gather_values: object
 
+    def work(self, block: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The working arrays of one pass of blocks of at most `block` n,
+        allocated once: the table and the positions of the tail."""
+        tail = int(((block - 1) // self.moduli[self.tail :] + 1).sum())
+        return np.empty(block, dtype=self.dtype), np.empty(tail, dtype=np.int64)
+
     # an overflowing weight is reported by the finite-total checks
     @np.errstate(over="ignore")
-    def block(self, lo: int, hi: int, gather: Callable, work: _Work) -> np.ndarray:
+    def block(self, lo: int, hi: int, gather: Callable, work: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         size = hi - lo
-        a = work.table[:size]
+        a = work[0][:size]
         a.fill(self.start)
         firsts = -lo % self.moduli
         head = firsts[: self.tail].tolist()
-        promote = len(self.steps) + 1 if self.complex_from is None else self.complex_from
         # most steps of the larger prime powers have no multiple in the block
         for i in [i for i, first in enumerate(head) if first < size]:
-            if i >= promote and a.dtype != np.complex128:
-                a = work.promoted(a)
             pk, nxt, v = self.steps[i]
             if nxt:
                 at = np.arange(head[i], size, pk)
@@ -227,28 +213,17 @@ class _Recipe:
                 a[at] = self.op(a[at], v)
             else:
                 view = a[head[i] :: pk]
-                if view.size == 1:
-                    # numpy multiplies a lone complex in place by a scalar
-                    # loop that rounds unlike its vector loop, so a step
-                    # hitting one n of a block would round by the block size
-                    view[...] = self.op(view, v)
-                else:
-                    self.op(view, v, out=view)
+                self.op(view, v, out=view)
         if self.tail < len(self.steps):
             # op.at applies its positions in order, so each n still sees the steps in order
             moduli = self.moduli[self.tail :]
             counts = np.maximum((size - 1 - firsts[self.tail :]) // moduli + 1, 0)
             values = self.tail_values if np.ndim(self.tail_values) == 0 else np.repeat(self.tail_values, counts)
-            self.op.at(a, _runs(firsts[self.tail :], moduli, counts, work.tail), values)
-        if promote <= len(self.steps) and a.dtype != np.complex128:
-            a = work.promoted(a)
+            self.op.at(a, _runs(firsts[self.tail :], moduli, counts, work[1]), values)
         if len(self.gather_primes):
             at, index = gather(self.gather_primes, lo, hi)
             values = self.gather_values if np.ndim(self.gather_values) == 0 else self.gather_values[index]
-            if a.dtype == np.complex128:
-                a[at] = self.op(a[at], values)  # op.at rounds complex products differently
-            else:
-                self.op.at(a, at, values)
+            self.op.at(a, at, values)
         return a
 
 
@@ -278,7 +253,7 @@ def _runs(starts: np.ndarray, steps: np.ndarray, counts: np.ndarray, out: np.nda
     return out[: int(ends[-1]) if ends.size else 0]
 
 
-def _recipe(start, dtype, op, steps, complex_from, large, values, keep) -> _Recipe:
+def _recipe(start, dtype, op, steps, large, values, keep) -> _Recipe:
     """The _Recipe of a sweep and of the gather of the large primes where
     keep holds; values and keep are 0-d for one value at them all."""
     if keep.ndim == 0:
@@ -288,56 +263,51 @@ def _recipe(start, dtype, op, steps, complex_from, large, values, keep) -> _Reci
             large, values = large[keep], values[keep]
         values = _compact(values)
     moduli = np.array([pk for pk, _, _ in steps], dtype=np.int64)
-    # the tail: the last steps, all of moduli >= _TAIL_MODULUS and none
-    # excluding multiples, of a table still real (op.at rounds complex
-    # products differently)
-    tail = len(steps)
-    if complex_from is None or complex_from == len(steps):
-        small = np.flatnonzero(moduli < _TAIL_MODULUS)
-        exact = [i for i, (_, nxt, _) in enumerate(steps) if nxt]
-        tail = max([int(small[-1]) + 1 if small.size else 0] + [i + 1 for i in exact[-1:]])
+    # the tail: the last steps, all of moduli >= _TAIL_MODULUS and none excluding multiples
+    small = np.flatnonzero(moduli < _TAIL_MODULUS)
+    exact = [i for i, (_, nxt, _) in enumerate(steps) if nxt]
+    tail = max([int(small[-1]) + 1 if small.size else 0] + [i + 1 for i in exact[-1:]])
     tail_values = _compact(np.array([v for _, _, v in steps[tail:]]))
-    return _Recipe(start, dtype, op, steps, moduli, complex_from, tail, tail_values, large, values)
+    return _Recipe(start, dtype, op, steps, moduli, tail, tail_values, large, values)
+
+
+def _multiplicative_value(spec: MultiplicativeSpec, p: int, k: int, v: complex) -> float:
+    """f(p^k), checked as the tables require."""
+    if not cmath.isfinite(v):
+        raise ValueError(f"{spec.name}: non-finite value at ({p},{k})")
+    if v.imag != 0.0:
+        raise ValueError(f"{spec.name}: tables require real values, got {v} at ({p},{k})")
+    return v.real
 
 
 def _multiplicative_recipe(spec: MultiplicativeSpec, x: int, small: np.ndarray, large: np.ndarray) -> _Recipe:
-    """The steps of f(n) for n <= x, with the checks and the dtype of the whole table."""
-    steps: List[Tuple[int, int, object]] = []
-    complex_from: Optional[int] = None
+    """The steps of f(n) for n <= x, with the checks of the whole table."""
+    steps: List[Tuple[int, int, float]] = []
     for p, row in zip(small.tolist(), _swept_rows(spec, x, small)):
-        values = [complex(v) for v in row]
-        for k, v in enumerate(values, start=1):
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"{spec.name}: non-finite value at ({p},{k})")
-        has_zero = any(v == 0 for v in values)
-        if complex_from is None and any(v.imag != 0.0 for v in values):
-            complex_from = len(steps)
+        values = [_multiplicative_value(spec, p, k, complex(v)) for k, v in enumerate(row, start=1)]
+        has_zero = 0.0 in values
         # f(p) itself, as the gather of the large primes applies it, then f(p^k)/f(p^(k-1))
         ratios = [] if has_zero else values[:1] + [v / prev for v, prev in zip(values[1:], values)]
-        if has_zero or not all(cmath.isfinite(r) for r in ratios):
+        if has_zero or not all(math.isfinite(r) for r in ratios):
             # multiply on the exact-exponent classes p^k || n; a ratio
             # after a zero, or past a tiny value, is not finite
             for k, v in enumerate(values, start=1):
                 nxt = p ** (k + 1)
-                steps.append((p**k, nxt if nxt <= x else 0, v if complex_from is not None else v.real))
+                steps.append((p**k, nxt if nxt <= x else 0, v))
             continue
         pk = p
         for ratio in ratios:
             if ratio != 1.0:
-                steps.append((pk, 0, ratio if complex_from is not None else ratio.real))
+                steps.append((pk, 0, ratio))
             pk *= p
     # primes above sqrt(x) divide each n <= x at most once, and last
     values = prime_power_values(spec, 1, large)
-    bad = np.flatnonzero(~(np.isfinite(values.real) & np.isfinite(values.imag)))
-    if len(bad):
-        raise ValueError(f"{spec.name}: non-finite value at ({int(large[bad[0]])},1)")
-    if complex_from is not None or values.imag.any():
-        if complex_from is None:
-            complex_from = len(steps)
-        values = values.astype(np.complex128, copy=False)
-    else:
-        values = values.real
-    return _recipe(1.0, np.float64, np.multiply, steps, complex_from, large, values, values != 1.0)
+    first = np.flatnonzero(~np.isfinite(values) | (values.imag != 0.0))
+    if len(first):
+        i = int(first[0])
+        _multiplicative_value(spec, int(large[i]), 1, complex(values.flat[i]))  # raises for this prime
+    values = values.real
+    return _recipe(1.0, np.float64, np.multiply, steps, large, values, values != 1.0)
 
 
 def _additive_delta(g: AdditiveSpec, p: int, k: int, v: complex, prev: float) -> float:
@@ -373,7 +343,7 @@ def _additive_recipe(g: AdditiveSpec, x: int, small: np.ndarray, large: np.ndarr
         i = int(first[0])
         _additive_delta(g, int(large[i]), 1, complex(values.flat[i]), 0.0)  # raises for this prime
     dtype = np.int64 if integer else np.float64
-    return _recipe(0, dtype, np.add, steps, None, large, deltas.astype(dtype, copy=False), deltas != 0.0)
+    return _recipe(0, dtype, np.add, steps, large, deltas.astype(dtype, copy=False), deltas != 0.0)
 
 
 def _gather_index(primes: np.ndarray, lo: int, hi: int, at: np.ndarray, index: np.ndarray,
@@ -459,7 +429,7 @@ class _ValueBlocks:
 
     def __iter__(self) -> Iterator[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]]:
         block = min(_BLOCK, self.x)
-        sides = [None if recipe is None else (recipe, _Work(recipe, block)) for recipe in (self.alpha, self.g)]
+        sides = [None if recipe is None else (recipe, recipe.work(block)) for recipe in (self.alpha, self.g)]
         gather = _Gather(block)
         for lo in range(1, self.x + 1, block):
             hi = min(lo + block, self.x + 1)
@@ -501,21 +471,14 @@ def _grid_sums(blocks: _ValueBlocks, grid: List[int], parts: Callable) -> Dict[i
     return out
 
 
-def _alpha_parts(w: np.ndarray, gt=None) -> Tuple[np.ndarray, ...]:
-    return (w.real, w.imag) if np.iscomplexobj(w) else (w,)
-
-
-def _as_complex(sums: Sequence[float]) -> complex:
-    return complex(sums[0], sums[1] if len(sums) > 1 else 0.0)
-
-
 def partial_sum_grid(spec: MultiplicativeSpec, xs: Sequence[int]) -> List[complex]:
-    """Exact sum of f(n) over 1 <= n <= x at every x in xs, from one pass over the blocks."""
+    """Exact sum of f(n) over 1 <= n <= x at every x in xs, from one pass
+    over the blocks; complex, with imaginary part 0, as the twisted sums are."""
     grid = _grid(xs)
-    sums = _grid_sums(_ValueBlocks(spec, None, grid[-1]), grid, _alpha_parts)
+    sums = _grid_sums(_ValueBlocks(spec, None, grid[-1]), grid, lambda w, gt: (w,))
     for x in grid:
-        _check_finite_total(spec, x, _as_complex(sums[x]))
-    return [_as_complex(sums[int(x)]) for x in xs]
+        _check_finite_total(spec, x, sums[x][0])
+    return [complex(sums[int(x)][0]) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -551,10 +514,10 @@ def _direct_twisted_sums(alpha: MultiplicativeSpec, y: complex, g: AdditiveSpec,
 
     def parts(w, gt):
         terms = w * np.exp(gt * log_y)
-        return (terms.real, terms.imag) + _alpha_parts(w)
+        return terms.real, terms.imag, w
 
     sums = _grid_sums(blocks, [x], parts)[x]
-    return complex(sums[0], sums[1]), _as_complex(sums[2:])
+    return complex(sums[0], sums[1]), complex(sums[2])
 
 
 def _check_finite_total(alpha: MultiplicativeSpec, x: int, total: complex) -> None:
@@ -591,10 +554,9 @@ def _poisson_factor(alpha: MultiplicativeSpec, x: int, z: complex) -> complex:
 class BucketSums:
     """S_m = sum of alpha(n) over n <= x with g(n) = m, for lo <= m <= hi.
 
-    real[i] and imag[i] hold S_{lo+i}, each a compensated sum; imag is
-    None for real alpha.  Every exact statistic of an integer-valued
-    g(N) reads these few sums.  min_index is the first n of least
-    weight (real alpha only), for the pmf's sign check.
+    real[i] holds S_{lo+i}, a compensated sum.  Every exact statistic of
+    an integer-valued g(N) reads these few sums, complex twists too.
+    min_index is the first n of least weight, for the pmf's sign check.
     """
 
     alpha: MultiplicativeSpec
@@ -602,21 +564,16 @@ class BucketSums:
     x: int
     lo: int
     real: np.ndarray
-    imag: Optional[np.ndarray]
     min_index: int
     min_weight: float
 
     def total(self) -> complex:
         """sum of alpha(n) over 1 <= n <= x; not finite when it overflows."""
-        imag = 0.0 if self.imag is None else _fsum(self.imag.tolist())
-        return complex(_fsum(self.real.tolist()), imag)
+        return complex(_fsum(self.real.tolist()))
 
     def _sum(self, y: complex) -> complex:
         """sum_m y^m S_m, finite or not."""
-        sums = self.real.tolist()
-        if self.imag is not None:
-            sums = [complex(a, b) for a, b in zip(sums, self.imag.tolist())]
-        terms = [cpow(y, m) * s for m, s in enumerate(sums, start=self.lo)]
+        terms = [cpow(y, m) * s for m, s in enumerate(self.real.tolist(), start=self.lo)]
         return complex(_fsum([t.real for t in terms]), _fsum([t.imag for t in terms]))
 
     def twisted_sum(self, y) -> complex:
@@ -658,13 +615,11 @@ class BucketSums:
         """The pmf of g(N); see pmf.
 
         Raises:
-            ValueError: alpha complex or negative somewhere, its total
-                overflows, or g negative.
+            ValueError: alpha negative somewhere, its total overflows,
+                or g negative.
             DegenerateSpecError: all weights vanish.
         """
         name = self.alpha.name
-        if self.imag is not None:
-            raise ValueError(f"{name}: weight table requires real nonnegative values")
         if self.min_weight < 0.0:
             raise ValueError(f"{name}: negative weight alpha({self.min_index}) = {self.min_weight:g}")
         total = self.total().real
@@ -717,10 +672,9 @@ def _least(w: np.ndarray, lo: int) -> Tuple[float, int]:
 def bucket_sums_grid(alpha: MultiplicativeSpec, g: AdditiveSpec, xs: Sequence[int]) -> List[BucketSums]:
     """bucket_sums at every x in xs, from one pass over the blocks.
 
-    Each block adds one bincount row per 4096 consecutive n (two for
-    complex alpha, real and imaginary part); a grid x inside a row gets
-    a row of its own, and fsum down the rows gives every bucket exactly,
-    whatever the blocks.
+    Each block adds one bincount row per 4096 consecutive n; a grid x
+    inside a row gets a row of its own, and fsum down the rows gives
+    every bucket exactly, whatever the blocks.
 
     Raises:
         ValueError: g is not integer-valued.
@@ -729,38 +683,31 @@ def bucket_sums_grid(alpha: MultiplicativeSpec, g: AdditiveSpec, xs: Sequence[in
         raise ValueError(f"{g.name} is not integer-valued; pmf buckets are integers")
     grid = _grid(xs)
     blocks = _ValueBlocks(alpha, g, grid[-1])
-    done: List[List[Tuple[int, np.ndarray]]] = []  # per part of alpha, (m0, rows) of the blocks passed
+    done: List[Tuple[int, np.ndarray]] = []  # (m0, rows) of the blocks passed
     g_lo, g_hi = math.inf, -math.inf
-    least = (math.inf, 0)  # the least weight so far and its first n (real alpha)
+    least = (math.inf, 0)  # the least weight so far and its first n
     out = {}
     for lo, w, gt in blocks:
-        parts = _alpha_parts(w)
-        done = done or [[] for _ in parts]
         # bincount labels from 0; only a g with negative values needs an offset
         m0 = min(int(gt.min()), 0)
         labels = gt - m0 if m0 else gt
         n_buckets = int(gt.max()) - m0 + 1
-        rows = [_bucket_rows(labels, a, n_buckets) for a in parts]
+        rows = _bucket_rows(labels, w, n_buckets)
         for end in _ends(grid, lo, gt.size):
             whole = (end // _BUCKET_CHUNK) * _BUCKET_CHUNK
             m_lo, m_hi = min(g_lo, int(gt[:end].min())), max(g_hi, int(gt[:end].max()))
-            sums = []
-            for d, r, a in zip(done, rows, parts):
-                cut = d + [(m0, r[: whole // _BUCKET_CHUNK])]
-                if whole < end:
-                    cut.append((m0, _bucket_rows(labels[whole:end], a[whole:end], n_buckets)))
-                sums.append(_fsum_buckets(cut, m_lo, m_hi - m_lo + 1))
-            min_weight, min_index = min(least, _least(w[:end], lo)) if len(parts) == 1 else (0.0, 0)
+            cut = done + [(m0, rows[: whole // _BUCKET_CHUNK])]
+            if whole < end:
+                cut.append((m0, _bucket_rows(labels[whole:end], w[whole:end], n_buckets)))
+            min_weight, min_index = min(least, _least(w[:end], lo))
             out[lo + end - 1] = BucketSums(
-                alpha=alpha, g=g, x=lo + end - 1, lo=m_lo, real=sums[0],
-                imag=sums[1] if len(sums) > 1 else None, min_index=min_index, min_weight=min_weight,
+                alpha=alpha, g=g, x=lo + end - 1, lo=m_lo, real=_fsum_buckets(cut, m_lo, m_hi - m_lo + 1),
+                min_index=min_index, min_weight=min_weight,
             )
-        for d, r in zip(done, rows):
-            d.append((m0, r))
+        done.append((m0, rows))
         g_lo, g_hi = min(g_lo, int(gt.min())), max(g_hi, int(gt.max()))
-        if len(parts) == 1:
-            least = min(least, _least(w, lo))
-        del w, gt, parts, labels  # the next block is built without this one
+        least = min(least, _least(w, lo))
+        del w, gt, labels  # the next block is built without this one
     return [out[int(x)] for x in xs]
 
 
@@ -852,8 +799,6 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
 
     def checked():
         for lo, w, gt in blocks:
-            if np.iscomplexobj(w):
-                raise ValueError(f"{alpha.name}: weight table requires real nonnegative values")
             lows.append(_least(w, lo))
             yield lo, w, gt
 

@@ -220,15 +220,22 @@ def prime_power_values(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, pr
     Returns a 0-d array where one stated value holds at every prime,
     else an array of the primes' shape; float64 while every imaginary
     part is +0.0, else complex128.
+
+    Raises:
+        OverflowError: the spec's coefficients or value_at overflow; the
+            message names the spec, the first listed prime and k.
     """
     if not len(primes):
         return np.empty(0)
-    value, exceptional = _stated(spec, k)
-    if value is None:
-        return _called_values(spec.value_at, k, primes)
-    where = np.searchsorted(primes, exceptional).tolist() if exceptional else []
-    inside = [(i, q) for i, q in zip(where, exceptional) if i < len(primes) and primes[i] == q]
-    values = _stored(np.array([value] + [spec.value_at(q, k) for _, q in inside], dtype=np.complex128))
+    try:
+        value, exceptional = _stated(spec, k)
+        if value is None:
+            return _called_values(spec.value_at, k, primes)
+        where = np.searchsorted(primes, exceptional).tolist() if exceptional else []
+        inside = [(i, q) for i, q in zip(where, exceptional) if i < len(primes) and primes[i] == q]
+        values = _stored(np.array([value] + [spec.value_at(q, k) for _, q in inside], dtype=np.complex128))
+    except OverflowError:
+        raise OverflowError(f"{spec.name}: value at ({int(primes[0])},{k}) overflows float64") from None
     if not inside:
         return values[0, ...]
     out = np.full(len(primes), values[0], dtype=values.dtype)
@@ -625,6 +632,8 @@ def parse_multiplicative(text: str) -> MultiplicativeSpec:
                         p, k = int(p_str), int(k_str)
                     except ValueError:
                         raise _grammar_error(text, column, f"bad prime-power key {key!r}") from None
+                    if (p, k) in entries:
+                        raise _grammar_error(text, column, f"duplicate key {key!r}")
                     entries[(p, k)] = number
                 else:
                     if key in keywords:

@@ -81,26 +81,28 @@ def test_mgf_golden(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, golden",
+    "argv, want",
     [
-        (["psi", "--spec", "unit", "--z", "0.3+0.4j", "--cutoff", "2000"], "psi = 1.23195806420886-0.162588471700832j\n"),
+        (["psi", "--spec", "unit", "--z", "0.3+0.4j", "--cutoff", "2000"],
+         (0, "psi = 1.23195806420886-0.162588471700832j\n", "")),
         (["mgf", "--spec", "theta_omega:2", "--x", "1000", "--y", "0.5+0.5j"],
-         "mgf = -0.0898335672749148+0.352717064367355j\n"),
+         (0, "mgf = -0.0898335672749148+0.352717064367355j\n", "")),
         (["lambda0", "--spec", "cplx", "--cutoff", "2000"],
-         "lambda0 = 7.41050111866589+4.25427512249569j\ntail_estimate = 1.20444282510255e-13\n"
-         "prime_cutoff = 2000\nk_cutoff = 56\n"),
+         (0, "lambda0 = 7.41050111866589+4.25427512249569j\ntail_estimate = 1.20444282510255e-13\n"
+          "prime_cutoff = 2000\nk_cutoff = 56\n", "")),
+        # the exact tables take real values only
         (["sum", "--spec", "cplx", "--x-grid", "10,100,1e4"],
-         "x,sum_re,sum_im\n10,0.5,13.5\n100,-119.5,118.5\n10000,-17671.375,-5624.625\n"),
+         (2, "", "error: theta_omega:0.5+1.5j: tables require real values, got (0.5+1.5j) at (2,1)\n")),
     ],
     ids=["psi", "mgf", "lambda0", "sum-grid"],
 )
-def test_complex_text_goldens(capsys, monkeypatch, argv, golden):
-    # complex values print as re+imj in a key = value line and as two
-    # columns in a csv row; the spec grammar takes real parameters only,
-    # so "cplx" stands for theta_omega(0.5+1.5j) here
+def test_complex_text_goldens(capsys, monkeypatch, argv, want):
+    # complex values print as re+imj in a key = value line; the spec
+    # grammar takes real parameters only, so "cplx" stands for
+    # theta_omega(0.5+1.5j) here
     parse = cli.parse_multiplicative
     monkeypatch.setattr(cli, "parse_multiplicative", lambda text: theta_omega(0.5 + 1.5j) if text == "cplx" else parse(text))
-    assert run_cli(capsys, argv) == (0, golden, "")
+    assert run_cli(capsys, argv) == want
 
 
 def test_pmf_golden_csv(capsys):
@@ -374,6 +376,39 @@ def test_report_csv_fails_before_any_table(work_counts, capsys):
     argv = ["report", "--x-grid", "1000,3000", "--cutoff", "2000", "--format", "csv"]
     assert run_cli(capsys, argv) == (2, "", "error: report emits json only; use --format json\n")
     assert work_counts == Counter()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sum", "--spec", "theta_omega:1,", "--x", "10"], "error: bad spec 'theta_omega:1,' at column 15: empty parameter"),
+        (["sum", "--spec", "tabulated:1^1=2", "--x", "10"],
+         "error: bad spec 'tabulated:1^1=2' at column 1: table key (1,1) is not a (prime, k>=1) pair"),
+        (["pmf", "--g", "table:{table}", "--x", "10"], "error: {table}:1: expected 'p k value', got '2 x 1'"),
+        (["psi", "--z", "abc"], "sd psi: error: argument --z: expected a number like 0.3 or 0.1+0.2j, got 'abc'"),
+        (["report", "--z-grid", "circle:0"], "sd report: error: argument --z-grid: circle:N needs N >= 1"),
+        (["sample", "--x", "10", "--count", "0"], "error: --count must be >= 1, got 0"),
+        (["report", "--x-grid", "10"], "error: report x grid needs x >= 16, got 10"),
+        (["sum", "--x", "0"], "error: --x must be >= 1, got 0"),
+    ],
+    ids=["empty-parameter", "non-prime-key", "table-row", "psi-z", "circle-0", "count-0", "report-x-grid", "sum-x-0"],
+)
+def test_guards_exit_two(tmp_path, capsys, argv, message):
+    table = tmp_path / "g.txt"
+    table.write_text("2 x 1\n")
+    argv = [arg.format(table=table) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    assert code == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if "error" in line] == [message.format(table=table)]
+
+
+def test_a_spec_value_beyond_float_range_names_the_spec_and_prime_power(capsys):
+    # geometric_B's coefficient 1.99**k overflows at k = 1032 of p = 2
+    argv = ["lambda0", "--spec", "geometric_B:1.99", "--cutoff", "100"]
+    assert run_cli(capsys, argv) == (3, "", "numeric error: geometric_B:1.99: value at (2,1032) overflows float64\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

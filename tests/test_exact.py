@@ -85,7 +85,7 @@ def test_compensated_cumsum_prefixes():
     [
         unit(),
         theta_omega(2.5),
-        theta_omega(0.5 + 1.5j),
+        theta_omega(-1.5),
         geometric_B(1.5),
         tau_rho(0.5),
         euler_phi_over_n(),
@@ -103,8 +103,19 @@ def test_multiplicative_value_table_matches_brute(spec):
 
 
 def test_multiplicative_value_table_dtypes():
+    # the tables are real: an imaginary part of -0.0 counts as real, any
+    # other is rejected at its prime power
     assert whole_table(unit(), None, 100).dtype == np.float64
-    assert whole_table(theta_omega(1j), None, 100).dtype == np.complex128
+    negative_zero = MultiplicativeSpec(
+        "negative_zero", lambda p, k: complex(1.5, -0.0), rho=1.5, c0=0.25, growth=GrowthBound(1.5, 1.0)
+    )
+    assert whole_table(negative_zero, None, 100).tobytes() == whole_table(theta_omega(1.5), None, 100).tobytes()
+    with pytest.raises(ValueError, match=r"^theta_omega:0\+1j: tables require real values, got 1j at \(2,1\)$"):
+        whole_table(theta_omega(1j), None, 100)
+    # the sweep meets the primes in order, each with its powers in order
+    late = tabulated_multiplicative({(3, 2): 0.5 + 2j, (5, 1): 1j})
+    with pytest.raises(ValueError, match=r"^tabulated: tables require real values, got \(0.5\+2j\) at \(3,2\)$"):
+        whole_table(late, None, 100)
 
 
 def test_multiplicative_value_table_rejects_non_finite():
@@ -153,7 +164,7 @@ def test_additive_value_table_rejects_bad_specs():
 
 # every built-in family, and a table with a zero and a prime above sqrt(1e4)
 BUILT_INS = [
-    unit(), theta_omega(2.5), theta_omega(0.5 + 1.5j), geometric_B(1.5), tau_rho(0.5), euler_phi_over_n(),
+    unit(), theta_omega(2.5), theta_omega(-1), geometric_B(1.5), tau_rho(0.5), euler_phi_over_n(),
     perturbed(1.0, 0.5), tabulated_multiplicative({(2, 1): 0.0, (3, 1): 2.0, (101, 1): 0.5}, default=1.5),
     OMEGA, BIG_OMEGA, tabulated_additive({(2, 1): 1.0, (3, 2): 2.0, (101, 1): 3.0}),
 ]
@@ -175,8 +186,7 @@ def test_whole_table_matches_trial_division(monkeypatch, spec):
         if spec.name in ROUNDED_RATIOS:
             assert got == pytest.approx(want.real, rel=1e-15, abs=0.0)
         else:
-            expected = want if got.dtype == np.complex128 else want.real.astype(got.dtype)
-            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == want.real.astype(got.dtype).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +201,7 @@ def test_sample_and_pmf_reject_negative_weights():
 
 def test_sample_and_pmf_reject_complex_weights():
     for run in (lambda: sample(theta_omega(1j), 50, 1, 10), lambda: pmf(theta_omega(1j), OMEGA, 50)):
-        with pytest.raises(ValueError, match="weight table requires real nonnegative values"):
+        with pytest.raises(ValueError, match=r"^theta_omega:0\+1j: tables require real values, got 1j at \(2,1\)$"):
             run()
 
 
@@ -233,15 +243,14 @@ def test_partial_sum_enumeration_examples():
 
 @pytest.mark.parametrize(
     "spec",
-    [theta_omega(2), geometric_B(1.5), euler_phi_over_n(), theta_omega(0.5 + 1.5j)],
+    [theta_omega(2), geometric_B(1.5), euler_phi_over_n(), theta_omega(-1.5)],
     ids=lambda s: s.name,
 )
 def test_partial_sum_matches_brute_force(spec):
     for x in (1, 7, 30, 50):
-        want_re = math.fsum(spec_eval_brute(spec, n).real for n in range(1, x + 1))
-        want_im = math.fsum(spec_eval_brute(spec, n).imag for n in range(1, x + 1))
+        want = math.fsum(spec_eval_brute(spec, n).real for n in range(1, x + 1))
         got = partial_sum_grid(spec, [x])[0]
-        assert got == pytest.approx(complex(want_re, want_im), rel=1e-13, abs=1e-13)
+        assert got.imag == 0.0 and got.real == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_partial_sum_validation():
@@ -485,19 +494,17 @@ def reference_multiplicative_table(spec, x):
             v = complex(spec.value_at(p, len(values) + 1))
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"{spec.name}: non-finite value at ({p},{len(values) + 1})")
-            values.append(v)
+            if v.imag != 0.0:
+                raise ValueError(f"{spec.name}: tables require real values, got {v} at ({p},{len(values) + 1})")
+            values.append(v.real)
             pk *= p
-        if not np.iscomplexobj(w) and any(v.imag != 0.0 for v in values):
-            w = w.astype(np.complex128)
-        # every product is taken out of place: numpy multiplies a lone
-        # complex in place by a scalar loop that rounds unlike its vector loop
         # a ratio after a zero, or past a tiny value, is not finite
-        if any(v == 0 for v in values) or not all(cmath.isfinite(v / prev) for v, prev in zip(values[1:], values)):
+        if any(v == 0 for v in values) or not all(math.isfinite(v / prev) for v, prev in zip(values[1:], values)):
             for k, v in enumerate(values, start=1):
                 idx = np.arange(p**k, x + 1, p**k)
                 if p ** (k + 1) <= x:
                     idx = idx[idx % p ** (k + 1) != 0]
-                w[idx] = w[idx] * (v if np.iscomplexobj(w) else v.real)
+                w[idx] *= v
             continue
         # f(p) itself, then the ratios f(p^k)/f(p^(k-1))
         prev = None
@@ -505,7 +512,7 @@ def reference_multiplicative_table(spec, x):
         for v in values:
             ratio = v if prev is None else v / prev
             if ratio != 1.0:
-                w[pk::pk] = w[pk::pk] * (ratio if np.iscomplexobj(w) else ratio.real)
+                w[pk::pk] *= ratio
             prev = v
             pk *= p
     return w
@@ -546,13 +553,21 @@ def raised(fn):
     return None
 
 
+def outcome(fn):
+    """fn()'s value, or its exception as raised gives it."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
 PRIMES_1E4 = prime_array(10**4).tolist()
 PRIME_POWER_KEYS = st.tuples(st.sampled_from(PRIMES_1E4), st.integers(1, 3))
 MULTIPLICATIVE = st.one_of(
     st.just(unit()),
     st.just(euler_phi_over_n()),
     st.floats(0.1, 3.0).map(theta_omega),
-    st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 2.0)).map(lambda t: theta_omega(complex(*t))),
+    st.floats(-2.0, -0.1).map(theta_omega),
     st.floats(0.1, 1.9).map(geometric_B),
     st.floats(0.1, 4.0).map(tau_rho),
     st.tuples(st.floats(0.5, 2.0), st.floats(0.2, 2.0)).map(lambda t: perturbed(*t)),
@@ -660,7 +675,7 @@ def test_bucket_sums_api():
     x = 1000
     buckets = bucket_sums(theta_omega(2), OMEGA, x)
     assert isinstance(buckets, BucketSums)
-    assert buckets.x == x and buckets.lo == 0 and buckets.imag is None
+    assert buckets.x == x and buckets.lo == 0
     assert buckets.total() == partial_sum_grid(theta_omega(2), [x])[0]
     assert buckets.twisted_sum(1.0) == buckets.total()
     assert buckets.mean(2.0) == twisted_mean(theta_omega(2), 2.0, OMEGA, x)
@@ -668,11 +683,8 @@ def test_bucket_sums_api():
     assert buckets.residual(0.3) == poisson * twisted_mean(theta_omega(2), cmath.exp(0.3), OMEGA, x)
     got, want = buckets.distribution(), pmf(theta_omega(2), OMEGA, x)
     assert (got.values.tolist(), got.probabilities.tolist()) == (want.values.tolist(), want.probabilities.tolist())
-    complex_buckets = bucket_sums(theta_omega(1j), OMEGA, 100)
-    assert complex_buckets.imag is not None
-    assert complex_buckets.total() == pytest.approx(partial_sum_grid(theta_omega(1j), [100])[0], abs=1e-12)
-    with pytest.raises(ValueError, match="real nonnegative"):
-        complex_buckets.distribution()
+    with pytest.raises(ValueError, match=r"^theta_omega:0\+1j: tables require real values, got 1j at \(2,1\)$"):
+        bucket_sums(theta_omega(1j), OMEGA, 100)
     with pytest.raises(ValueError, match="not integer-valued"):
         bucket_sums(unit(), tabulated_additive({(2, 1): 0.5}), 100)
 
@@ -713,16 +725,13 @@ def test_gather_non_finite_value_at_large_prime():
     )
 
 
-def test_gather_promotes_to_complex_at_large_prime():
+def test_gather_rejects_a_complex_value_at_large_prime():
     spec = MultiplicativeSpec(
         "late_complex", lambda p, k: np.where(p == 101, 2j, 1.5), rho=1.0, c0=0.25,
         growth=GrowthBound(2.0, 1.0),
     )
-    x = 1000
-    table = whole_table(spec, None, x)
-    assert table.dtype == np.complex128
-    assert table[101] == 2j and table[202] == 3j
-    assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
+    want = (ValueError, "late_complex: tables require real values, got 2j at (101,1)")
+    assert raised(lambda: whole_table(spec, None, 1000)) == raised(lambda: reference_multiplicative_table(spec, 1000)) == want
 
 
 def test_gather_falls_back_per_prime_for_dict_lookups():
@@ -822,11 +831,12 @@ def stated_everywhere_but_small(name, value, x, **kwargs):
     [
         (stated_everywhere_but_small("inf", math.inf, 1000), "inf: non-finite value at (37,1)"),
         (stated_everywhere_but_small("nan", complex(1.0, math.nan), 1000), "nan: non-finite value at (37,1)"),
+        (stated_everywhere_but_small("late", 2j, 1000), "late: tables require real values, got 2j at (37,1)"),
         (stated_everywhere_but_small("cplx", 1j, 1000, integer_valued=False), "cplx: tables require real values, got 1j at (37,1)"),
         (stated_everywhere_but_small("half", 0.5, 1000, integer_valued=True),
          "half declared integer-valued but g(37^1) jumps by 0.5"),
     ],
-    ids=["non-finite", "non-finite-imag", "complex", "non-integer"],
+    ids=["non-finite", "non-finite-imag", "complex-alpha", "complex", "non-integer"],
 )
 def test_a_bad_stated_value_names_the_first_large_prime(spec, message):
     if isinstance(spec, MultiplicativeSpec):
@@ -837,14 +847,11 @@ def test_a_bad_stated_value_names_the_first_large_prime(spec, message):
     assert raised(lambda: reference(spec, 1000)) == (ValueError, message)
 
 
-def test_stated_values_promote_and_gather_as_value_at_does():
-    # a complex value stated above sqrt(x) promotes the table before the gather;
+def test_stated_values_gather_as_value_at_does():
     # a stated 1 (0 for g) gathers nothing
-    for value in (2j, 1.0, 0.5):
+    for value in (1.0, 0.5):
         spec = stated_everywhere_but_small("late", value, 1000)
-        table = whole_table(spec, None, 1000)
-        assert table.dtype == (np.complex128 if value == 2j else np.float64)
-        assert table.tobytes() == reference_multiplicative_table(spec, 1000).tobytes()
+        assert whole_table(spec, None, 1000).tobytes() == reference_multiplicative_table(spec, 1000).tobytes()
     g = stated_everywhere_but_small("zero", 0.0, 1000, integer_valued=True)
     assert whole_table(None, g, 1000).tobytes() == reference_additive_table(g, 1000).tobytes()
 
@@ -860,7 +867,9 @@ def test_exact_sums_make_no_value_at_call_for_a_stated_spec(spec):
     alpha, calls = counted(spec)
     for g in (OMEGA, BIG_OMEGA):
         g_spy, g_calls = counted(g)
-        assert bucket_sums(alpha, g_spy, x).real.tobytes() == bucket_sums(spec, g, x).real.tobytes()
+        assert outcome(lambda: bucket_sums(alpha, g_spy, x).real.tobytes()) == outcome(
+            lambda: bucket_sums(spec, g, x).real.tobytes()
+        )
         assert raised(lambda: pmf(alpha, g_spy, x)) == raised(lambda: pmf(spec, g, x))
         assert g_calls == []
     assert raised(lambda: sample(alpha, x, 1, 100)) == raised(lambda: sample(spec, x, 1, 100))
@@ -914,14 +923,11 @@ def whole_bucket_sums(w, gt, x):
     w, gt = w[1 : x + 1], gt[1 : x + 1]
     lo = int(gt.min())
     n_buckets = int(gt.max()) - lo + 1
-    sums = []
-    for part in (w.real, w.imag) if np.iscomplexobj(w) else (w,):
-        rows = np.vstack([
-            np.bincount(gt[s : s + 4096] - lo, weights=part[s : s + 4096], minlength=n_buckets)
-            for s in range(0, x, 4096)
-        ])
-        sums.append(np.array([math.fsum(rows[:, j].tolist()) for j in range(n_buckets)]))
-    return lo, sums
+    rows = np.vstack([
+        np.bincount(gt[s : s + 4096] - lo, weights=w[s : s + 4096], minlength=n_buckets)
+        for s in range(0, x, 4096)
+    ])
+    return lo, np.array([math.fsum(rows[:, j].tolist()) for j in range(n_buckets)])
 
 
 def whole_sum(a):
@@ -935,9 +941,7 @@ def whole_sum(a):
 
 
 def whole_complex_sum(a):
-    if np.iscomplexobj(a):
-        return complex(whole_sum(a.real), whole_sum(a.imag))
-    return complex(whole_sum(a), 0.0)
+    return complex(whole_sum(a.real), whole_sum(a.imag))
 
 
 def bits(z):
@@ -1009,14 +1013,10 @@ def test_streamed_bucket_and_partial_sums_match_whole_tables(block, spec, g, x):
     for xi, got, s in zip(grid, streamed, partials):
         lo, sums = whole_bucket_sums(w, gt, xi)
         assert got.x == xi and got.lo == lo
-        assert got.real.tobytes() == sums[0].tobytes()
-        assert (got.imag is None) == (len(sums) == 1)
-        if got.imag is None:
-            i = int(np.argmin(w[1 : xi + 1]))
-            assert (got.min_index, got.min_weight) == (i + 1, float(w[i + 1]))
-        else:
-            assert got.imag.tobytes() == sums[1].tobytes()
-        want = whole_complex_sum(w[1 : xi + 1])
+        assert got.real.tobytes() == sums.tobytes()
+        i = int(np.argmin(w[1 : xi + 1]))
+        assert (got.min_index, got.min_weight) == (i + 1, float(w[i + 1]))
+        want = complex(whole_sum(w[1 : xi + 1]))
         assert bits(s) == bits(want)
         assert bits(partial_sum_grid(spec, [xi])[0]) == bits(want)
 
@@ -1053,11 +1053,10 @@ def test_streamed_sample_matches_whole_search(block, spec, x):
 
 
 @BLOCKS
-@pytest.mark.parametrize("spec", [perturbed(1.0, 0.5), theta_omega(0.5 + 1.5j)], ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", [perturbed(1.0, 0.5), euler_phi_over_n()], ids=lambda s: s.name)
 def test_streamed_tables_keep_the_order_of_the_steps(block, spec):
     # n = p q with 128 < p < q < sqrt(x) takes two different ratios from
-    # the steps of one op.at, and rounding shows their order; complex
-    # tables take every step as a slice
+    # the steps of one op.at, and rounding shows their order
     x = 5 * 10**4
     with small_blocks(block):
         table = whole_table(spec, None, x)
@@ -1086,10 +1085,18 @@ def test_streamed_errors_match_reference(block):
             "late_complex", lambda p, k: np.where(p == late, 2j, 1.5), rho=1.5, c0=0.25,
             growth=GrowthBound(2.0, 1.0),
         )
-        table = whole_table(late_complex, None, x)
-        assert table.tobytes() == reference_multiplicative_table(late_complex, x).tobytes()
-        for run in (lambda: pmf(late_complex, OMEGA, x), lambda: sample(late_complex, x, 1, 10)):
-            assert raised(run) == (ValueError, "late_complex: weight table requires real nonnegative values")
+        want = raised(lambda: reference_multiplicative_table(late_complex, x))
+        assert want == (ValueError, f"late_complex: tables require real values, got 2j at ({late},1)")
+        for run in (
+            lambda: whole_table(late_complex, None, x),
+            lambda: partial_sum_grid(late_complex, [x]),
+            lambda: bucket_sums(late_complex, OMEGA, x),
+            lambda: twisted_mean(late_complex, 2.0, OMEGA, x),
+            lambda: twisted_mean(late_complex, 2.0, tabulated_additive({(2, 1): 0.5}), x),
+            lambda: pmf(late_complex, OMEGA, x),
+            lambda: sample(late_complex, x, 1, 10),
+        ):
+            assert raised(run) == want
         lying = AdditiveSpec("lying", lambda p, k: np.where(p == late, 0.5, 1.0), integer_valued=True)
         assert raised(lambda: pmf(unit(), lying, x)) == raised(lambda: reference_additive_table(lying, x))
 

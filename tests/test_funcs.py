@@ -62,7 +62,7 @@ def test_eval_additive_examples():
     [
         unit(),
         theta_omega(2.5),
-        theta_omega(0.5 + 1.5j),
+        theta_omega(-1.5),
         geometric_B(1.5),
         perturbed(1.0, 0.5),
         tau_rho(3),
@@ -329,6 +329,7 @@ GRAMMAR_ERRORS = [
     ("unit:1", "column 6"),
     ("geometric_B:2.5", "B in (0, 2)"),
     ("tabulated:default=1,default=2", "duplicate key"),
+    ("tabulated:2^1=0.5,2^1=0.7", "column 19: duplicate key '2^1'"),
     ("tabulated:4^1=2", "not a (prime, k>=1) pair"),
     ("tabulated:2^1=0.5,C=2", "unexpected key 'C' for tabulated"),
     ("perturbed:a=1", "eps=..."),

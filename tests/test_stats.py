@@ -298,8 +298,8 @@ def test_ldp_predict_big_omega_strip():
 def test_ldp_predict_validation():
     with pytest.raises(ValueError):
         ldp_predict([bucket_sums(unit(), OMEGA, 10)], 2.0)
-    with pytest.raises(ValueError):
-        ldp_predict([bucket_sums(theta_omega(complex(1.0, 0.5)), OMEGA, 10**4)], 2.0)
+    with pytest.raises(DomainError, match=r"need a real rho with rho ln ln x finite, got rho = \(1\+0.5j\)"):
+        stats._checked_decay(theta_omega(complex(1.0, 0.5)), OMEGA, 10**4, 2.0)
 
 
 def test_ldp_predict_rejects_a_grid_that_mixes_specs():
