@@ -39,7 +39,6 @@ from .exact import (
     partial_sum_grid,
     pmf,
     sample,
-    twisted_mean,
 )
 from .funcs import (
     BIG_OMEGA,
@@ -128,7 +127,6 @@ __all__ = [
     "tau_rho",
     "theta_omega",
     "twist",
-    "twisted_mean",
     "unit",
     "zeta",
 ]

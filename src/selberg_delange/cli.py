@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 from .euler import DEFAULT_FACTOR_TOL, DEFAULT_PRIME_CUTOFF, check_admissibility_pp, lambda0, psi
 from .euler import _exp_twist, _psi_batch
-from .exact import bucket_sums, bucket_sums_grid, partial_sum_grid, pmf, sample, twisted_mean
+from .exact import bucket_sums, bucket_sums_grid, partial_sum_grid, pmf, sample
 from .funcs import parse_additive, parse_multiplicative
 from .stats import _checked_decay, _checked_slope, _mean_scale, clt_report, ldp_predict
 
@@ -163,7 +163,7 @@ def cmd_mgf(args: argparse.Namespace):
         y = args.y if args.y is not None else cmath.exp(args.z)
         if y == 0:
             raise ValueError("--y must be nonzero" if args.y is not None else f"{given}: e^z underflows float64 to 0")
-        value = twisted_mean(args.alpha, y, args.additive, x)
+        value = bucket_sums(args.alpha, args.additive, x).mean(y)
     except OverflowError:
         raise ValueError(f"{given}: e^z or E[y^g(N)] overflows float64") from None
     record = {"x": x, "y_re": y.real, "y_im": y.imag, "mgf_re": value.real, "mgf_im": value.imag}

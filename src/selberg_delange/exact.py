@@ -34,21 +34,24 @@ with x (malloc returns a larger one to the system after every block,
 to be faulted in again at the next).  A yielded block is valid until
 the next is requested.
 
-Buckets.  For integer-valued g every exact statistic of g(N) is a
-function of the sums S_m(x) = sum of alpha(n) over n <= x with
-g(n) = m: the twisted sum is sum_m y^m S_m, the normalizing sum is
-sum_m S_m, and the pmf is S_m over that total.  bucket_sums_grid makes
-one pass over the blocks for a whole x grid; each statistic BucketSums
-gives then costs O(#buckets), about 25.
-Non-integer g keeps the direct sum of exp(g(n) log y) alpha(n).
+Buckets.  Every exact statistic of g(N) is a function of the sums
+S_v(x) = sum of alpha(n) over n <= x with g(n) = v, one for each value
+v that g takes: the twisted sum is sum_v y^v S_v, the normalizing sum is
+sum_v S_v, and the pmf is S_v over that total.  Each block labels its n
+by the offset g(n) - min g when g is integer-valued and its span on the
+block is at most the block's length, and by np.unique otherwise, whose
+sort costs about six times as much; the offsets key every integer of the
+span, taken or not.  bucket_sums_grid makes one pass over the blocks for
+a whole x grid; each statistic BucketSums gives then costs O(#values),
+about 25 for omega.
 
 All reductions run through fixed chunks aligned at n = 1 (n = 0 for
 prefix sums) and finished by fsum, which is exact and so does not
 depend on where the blocks cut: a bucket sum takes one bincount row
-per 4096 consecutive n, a direct sum one pairwise sum per _CHUNK n,
+per 4096 consecutive n, a partial sum one pairwise sum per _CHUNK n,
 and a grid x inside a chunk gets a row of its own.  Results are
 bit-stable for a given chunk size (changing _CHUNK or the bincount
-chunk may perturb outputs at the 1e-13 level).  Direct sums stay near
+chunk may perturb outputs at the 1e-13 level).  Partial sums stay near
 1e-16 of the terms' L1 norm; a bucket adds up to 4096 weights in
 sequence, which for weights with few distinct values costs up to about
 1e-14 of it.
@@ -59,7 +62,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -455,35 +458,25 @@ def _ends(grid: List[int], lo: int, size: int) -> List[int]:
     return [x - lo + 1 for x in grid if lo <= x < lo + size]
 
 
-def _grid_sums(blocks: _ValueBlocks, grid: List[int], parts: Callable) -> Dict[int, List[float]]:
-    """_finish_sum over 1 <= n <= x of each real sequence parts(w, gt) gives, for every grid x."""
-    done: Optional[List[List[np.ndarray]]] = None
-    out = {}
-    for lo, w, gt in blocks:
-        arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in parts(w, gt)]
-        if done is None:
-            done = [[] for _ in arrays]
-        for end in _ends(grid, lo, arrays[0].size):
-            out[lo + end - 1] = [_finish_sum(d, a, end) for d, a in zip(done, arrays)]
-        for d, a in zip(done, arrays):
-            d.append(_chunk_sums(a))
-        del w, gt, arrays  # the next block is built without this one
-    return out
-
-
 def partial_sum_grid(spec: MultiplicativeSpec, xs: Sequence[int]) -> List[complex]:
     """Exact sum of f(n) over 1 <= n <= x at every x in xs, from one pass
     over the blocks; complex, with imaginary part 0, as the twisted sums are."""
     grid = _grid(xs)
-    sums = _grid_sums(_ValueBlocks(spec, None, grid[-1]), grid, lambda w, gt: (w,))
+    done: List[np.ndarray] = []  # the chunk sums of the blocks passed
+    sums = {}
+    for lo, w, _ in _ValueBlocks(spec, None, grid[-1]):
+        for end in _ends(grid, lo, w.size):
+            sums[lo + end - 1] = _finish_sum(done, w, end)
+        done.append(_chunk_sums(w))
     for x in grid:
-        _check_finite_total(spec, x, sums[x][0])
-    return [complex(sums[int(x)][0]) for x in xs]
+        _check_finite_total(spec, x, sums[x])
+    return [complex(sums[int(x)]) for x in xs]
 
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Exact distribution of g(N) for N drawn with weights alpha(n), n <= x."""
+    """Exact distribution of g(N) for N drawn with weights alpha(n), n <= x:
+    int64 values for integer-valued g, float64 otherwise."""
 
     x: int
     values: np.ndarray
@@ -492,10 +485,8 @@ class DistributionTable:
     variance: float
 
     def tail_probability(self, threshold: float) -> float:
-        """P(g >= threshold), summing pmf buckets from ceil(threshold) up."""
-        cut = math.ceil(threshold)
-        mask = self.values >= cut
-        return min(1.0, float(math.fsum(self.probabilities[mask].tolist())))
+        """P(g >= threshold), summing the pmf over the values >= threshold."""
+        return min(1.0, float(math.fsum(self.probabilities[self.values >= threshold].tolist())))
 
 
 def _twist_base(y) -> complex:
@@ -503,21 +494,6 @@ def _twist_base(y) -> complex:
     if y == 0:
         raise ValueError("twist parameter y must be nonzero")
     return y
-
-
-def _direct_twisted_sums(alpha: MultiplicativeSpec, y: complex, g: AdditiveSpec, x: int) -> Tuple[complex, complex]:
-    """Sums of y^{g(n)} alpha(n), term by term for non-integer g, and of alpha(n)."""
-    blocks = _ValueBlocks(alpha, g, x)
-    if y.imag == 0.0 and y.real <= 0.0:
-        raise DomainError(f"y = {y} is on the branch cut for non-integer additive values")
-    log_y = complex(cmath.log(y))
-
-    def parts(w, gt):
-        terms = w * np.exp(gt * log_y)
-        return terms.real, terms.imag, w
-
-    sums = _grid_sums(blocks, [x], parts)[x]
-    return complex(sums[0], sums[1]), complex(sums[2])
 
 
 def _check_finite_total(alpha: MultiplicativeSpec, x: int, total: complex) -> None:
@@ -543,26 +519,32 @@ def _finite(alpha: MultiplicativeSpec, x: int, y: complex, value: complex) -> co
     return value
 
 
-def _poisson_factor(alpha: MultiplicativeSpec, x: int, z: complex) -> complex:
-    """exp(-rho ln ln x (e^z - 1)), rho = alpha.rho: the mod-Poisson normalization."""
+def _poisson_factor(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int, z: complex) -> complex:
+    """exp(-c rho ln ln x (e^z - 1)), rho = alpha.rho and c = g.k_value(1),
+    g's generic prime value: the mod-Poisson normalization."""
     if x < 3:
         raise ValueError(f"x must be >= 3 for ln ln x > 0, got {x}")
-    return cmath.exp(-(complex(alpha.rho) * math.log(math.log(x))) * cexpm1(z))
+    if g.k_value is None:
+        raise ValueError(f"additive spec {g.name!r} has no generic prime value; the residual needs one")
+    return cmath.exp(-(complex(alpha.rho) * (g.k_value(1) * math.log(math.log(x)))) * cexpm1(z))
 
 
 @dataclass(frozen=True)
 class BucketSums:
-    """S_m = sum of alpha(n) over n <= x with g(n) = m, for lo <= m <= hi.
+    """S_v = sum of alpha(n) over n <= x with g(n) = v, for the values v of g.
 
-    real[i] holds S_{lo+i}, a compensated sum.  Every exact statistic of
-    an integer-valued g(N) reads these few sums, complex twists too.
-    min_index is the first n of least weight, for the pmf's sign check.
+    values holds the v in increasing order (int64 for integer-valued g,
+    where it may hold integers between them that g does not take, whose
+    S_v is 0; float64 otherwise), and real[i] holds S_{values[i]}, a
+    compensated sum.  Every exact statistic of g(N) reads these sums,
+    complex twists too.  min_index is the first n of least weight, for
+    the pmf's sign check.
     """
 
     alpha: MultiplicativeSpec
     g: AdditiveSpec
     x: int
-    lo: int
+    values: np.ndarray
     real: np.ndarray
     min_index: int
     min_weight: float
@@ -572,14 +554,25 @@ class BucketSums:
         return complex(_fsum(self.real.tolist()))
 
     def _sum(self, y: complex) -> complex:
-        """sum_m y^m S_m, finite or not."""
-        terms = [cpow(y, m) * s for m, s in enumerate(self.real.tolist(), start=self.lo)]
+        """sum_v y^v S_v, finite or not.
+
+        Raises:
+            DomainError: y lies on (-inf, 0) and some value is not an integer.
+        """
+        if y.imag == 0.0 and y.real < 0.0 and (self.values != np.floor(self.values)).any():
+            raise DomainError(f"y = {y} is on the branch cut for non-integer additive values")
+        try:
+            terms = [cpow(y, v) * s for v, s in zip(self.values.tolist(), self.real.tolist())]
+        except OverflowError:  # cmath.exp in a non-integer power; integer powers give inf
+            return complex(math.inf)
         return complex(_fsum([t.real for t in terms]), _fsum([t.imag for t in terms]))
 
     def twisted_sum(self, y) -> complex:
-        """sum of y^{g(n)} alpha(n) over 1 <= n <= x, as sum_m y^m S_m.
+        """sum of y^{g(n)} alpha(n) over 1 <= n <= x, as sum_v y^v S_v,
+        with y^v on the principal branch.
 
         Raises:
+            DomainError: y lies on (-inf, 0) and g takes a non-integer value.
             OverflowError: the sum is not finite (y^g(n) overflows).
         """
         y = _twist_base(y)
@@ -589,6 +582,7 @@ class BucketSums:
         """E[y^{g(N)}] for N weighted by alpha on 1..x.
 
         Raises:
+            DomainError: y lies on (-inf, 0) and g takes a non-integer value.
             ValueError: the sum of the weights on [1, x] overflows.
             DegenerateSpecError: the weights sum to 0 on [1, x].
             OverflowError: the mean is not finite (y^g(n) overflows).
@@ -597,19 +591,20 @@ class BucketSums:
         return _finite(self.alpha, self.x, y, _mean(self.alpha, self.x, self._sum(y), self.total()))
 
     def residual(self, z) -> complex:
-        """Normalized MGF psi_x(z) = exp(-rho ln ln x (e^z - 1)) E[e^{z g(N)}],
-        with rho = alpha.rho.
+        """Normalized MGF psi_x(z) = exp(-c rho ln ln x (e^z - 1)) E[e^{z g(N)}],
+        with rho = alpha.rho and c = g.k_value(1), g's generic prime value.
 
         As x grows this converges to the limiting function psi(z); the
         difference from psi is the object of the convergence studies.
 
         Raises:
-            ValueError: x < 3 (ln ln x must be positive), or mean's.
+            ValueError: x < 3 (ln ln x must be positive), g states no
+                k_value, or mean's.
             OverflowError: the residual is not finite, or mean's.
         """
         z = complex(z)
         y = cmath.exp(z)
-        return _finite(self.alpha, self.x, y, _poisson_factor(self.alpha, self.x, z) * self.mean(y))
+        return _finite(self.alpha, self.x, y, _poisson_factor(self.alpha, self.g, self.x, z) * self.mean(y))
 
     def distribution(self) -> DistributionTable:
         """The pmf of g(N); see pmf.
@@ -626,12 +621,11 @@ class BucketSums:
         _check_finite_total(self.alpha, self.x, total)
         if not total > 0.0:
             raise DegenerateSpecError(f"{name}: total weight is 0 on [1, {self.x}]")
-        if self.lo < 0:
+        if self.values[0] < 0:
             raise ValueError(f"{self.g.name} takes negative values; pmf requires nonnegative")
         probabilities = self.real / total
-        values = np.arange(self.lo, self.lo + self.real.size, dtype=np.int64)
         keep = probabilities > 0.0
-        values = values[keep]
+        values = self.values[keep]
         probabilities = probabilities[keep]
         mean = math.fsum((values * probabilities).tolist())
         variance = math.fsum(((values - mean) ** 2 * probabilities).tolist())
@@ -648,19 +642,35 @@ def _bucket_rows(labels: np.ndarray, weights: np.ndarray, n_buckets: int) -> np.
     ])
 
 
-def _fsum_buckets(rows: List[Tuple[int, np.ndarray]], lo: int, n_buckets: int) -> np.ndarray:
-    """fsum down buckets lo .. lo + n_buckets - 1.
+def _buckets(w: np.ndarray, gt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The values of g on a block, in increasing order, and one bincount
+    row of the weights w by them per _BUCKET_CHUNK consecutive n.
 
-    rows[i] = (m0, r) holds buckets m0, m0 + 1, ... in its columns; the
-    columns outside the range hold no weight.
+    An integer g whose span on the block is at most the block's length is
+    labelled by the offset from its least value, and every integer of the
+    span is a value; any other g by np.unique, a sort.
     """
-    stacked = np.zeros((sum(r.shape[0] for _, r in rows), n_buckets))
-    i = 0
-    for m0, r in rows:
-        a, b = max(m0, lo), min(m0 + r.shape[1], lo + n_buckets)
-        stacked[i : i + r.shape[0], a - lo : b - lo] = r[:, a - m0 : b - m0]
-        i += r.shape[0]
-    return np.array([_fsum(stacked[:, j].tolist()) for j in range(n_buckets)])
+    least = gt.min()
+    if gt.dtype.kind == "i" and gt.max() - least < gt.size:
+        values, labels = np.arange(least, gt.max() + 1), gt - least
+    else:
+        values, labels = np.unique(gt, return_inverse=True)
+    return values, _bucket_rows(labels, w, values.size)
+
+
+def _fsum_buckets(pieces: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    """The values of the pieces, in increasing order, and for each the fsum
+    of its entries in every row of every piece that holds it.
+
+    pieces[i] = (values, rows) holds one value's sums in each column of
+    rows; a value's entries are summed in the order of the pieces and rows.
+    """
+    values = np.array(sorted(set(np.concatenate([v for v, _ in pieces]).tolist())), dtype=pieces[0][0].dtype)
+    columns = np.concatenate([np.broadcast_to(np.searchsorted(values, v), r.shape).ravel() for v, r in pieces])
+    order = np.argsort(columns, kind="stable")
+    entries = np.concatenate([r.ravel() for _, r in pieces])[order]
+    ends = np.cumsum(np.bincount(columns, minlength=values.size)).tolist()
+    return values, np.array([_fsum(entries[a:b].tolist()) for a, b in zip([0] + ends[:-1], ends)])
 
 
 def _least(w: np.ndarray, lo: int) -> Tuple[float, int]:
@@ -672,77 +682,50 @@ def _least(w: np.ndarray, lo: int) -> Tuple[float, int]:
 def bucket_sums_grid(alpha: MultiplicativeSpec, g: AdditiveSpec, xs: Sequence[int]) -> List[BucketSums]:
     """bucket_sums at every x in xs, from one pass over the blocks.
 
-    Each block adds one bincount row per 4096 consecutive n; a grid x
-    inside a row gets a row of its own, and fsum down the rows gives
-    every bucket exactly, whatever the blocks.
+    Each block adds one bincount row per 4096 consecutive n, keyed by the
+    values of g on the block; a grid x inside a block buckets its part of
+    the block afresh, and fsum down the rows that hold a value gives its
+    sum exactly, whatever the blocks.
 
     Raises:
-        ValueError: g is not integer-valued.
+        ValueError: the rows for the values of g exceed physical memory.
     """
-    if not g.integer_valued:
-        raise ValueError(f"{g.name} is not integer-valued; pmf buckets are integers")
     grid = _grid(xs)
     blocks = _ValueBlocks(alpha, g, grid[-1])
-    done: List[Tuple[int, np.ndarray]] = []  # (m0, rows) of the blocks passed
-    g_lo, g_hi = math.inf, -math.inf
+    done: List[Tuple[np.ndarray, np.ndarray]] = []  # (values, rows) of the blocks passed
+    held = 0  # entries of their rows
     least = (math.inf, 0)  # the least weight so far and its first n
     out = {}
     for lo, w, gt in blocks:
-        # bincount labels from 0; only a g with negative values needs an offset
-        m0 = min(int(gt.min()), 0)
-        labels = gt - m0 if m0 else gt
-        n_buckets = int(gt.max()) - m0 + 1
-        rows = _bucket_rows(labels, w, n_buckets)
+        piece = _buckets(w, gt)
+        held += piece[1].size
+        # 8 bytes an entry for the rows, and 32 for the merge's columns, order and two copies
+        _require_memory(40 * held, f"bucket sums of {g.name} by its values to x = {grid[-1]}")
         for end in _ends(grid, lo, gt.size):
-            whole = (end // _BUCKET_CHUNK) * _BUCKET_CHUNK
-            m_lo, m_hi = min(g_lo, int(gt[:end].min())), max(g_hi, int(gt[:end].max()))
-            cut = done + [(m0, rows[: whole // _BUCKET_CHUNK])]
-            if whole < end:
-                cut.append((m0, _bucket_rows(labels[whole:end], w[whole:end], n_buckets)))
+            values, real = _fsum_buckets(done + [piece if end == gt.size else _buckets(w[:end], gt[:end])])
             min_weight, min_index = min(least, _least(w[:end], lo))
             out[lo + end - 1] = BucketSums(
-                alpha=alpha, g=g, x=lo + end - 1, lo=m_lo, real=_fsum_buckets(cut, m_lo, m_hi - m_lo + 1),
+                alpha=alpha, g=g, x=lo + end - 1, values=values, real=real,
                 min_index=min_index, min_weight=min_weight,
             )
-        done.append((m0, rows))
-        g_lo, g_hi = min(g_lo, int(gt.min())), max(g_hi, int(gt.max()))
+        done.append(piece)
         least = min(least, _least(w, lo))
-        del w, gt, labels  # the next block is built without this one
     return [out[int(x)] for x in xs]
 
 
 def bucket_sums(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int) -> BucketSums:
-    """Bucket the alpha weights on 1..x by the integer value of g.
+    """Bucket the alpha weights on 1..x by the value of g.
 
     One pass over the value-table blocks; see bucket_sums_grid.
-
-    Raises:
-        ValueError: g is not integer-valued.
     """
     return bucket_sums_grid(alpha, g, (x,))[0]
-
-
-def twisted_mean(alpha: MultiplicativeSpec, y, g: AdditiveSpec, x: int) -> complex:
-    """E[y^{g(N)}] for N weighted by alpha on 1..x (exact).
-
-    Raises:
-        ValueError: the sum of the weights on [1, x] overflows.
-        DegenerateSpecError: the weights sum to 0 on [1, x].
-        OverflowError: the mean is not finite (y^g(n) overflows).
-    """
-    y = _twist_base(y)
-    if g.integer_valued:
-        return bucket_sums(alpha, g, x).mean(y)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in _finite
-        return _finite(alpha, x, y, _mean(alpha, x, *_direct_twisted_sums(alpha, y, g, x)))
 
 
 def pmf(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int) -> DistributionTable:
     """Exact probability mass function of g(N) under the alpha weights.
 
-    Requires g to take nonnegative integer values (omega, Omega, or an
-    integer table); weights must be real and nonnegative, with a total
-    that float64 holds.
+    Requires g to take nonnegative values; weights must be real and
+    nonnegative, with a total that float64 holds.
     """
     return bucket_sums(alpha, g, x).distribution()
 

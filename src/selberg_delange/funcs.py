@@ -664,8 +664,8 @@ def parse_multiplicative(text: str) -> MultiplicativeSpec:
 def parse_additive(text: str) -> AdditiveSpec:
     """Parse an additive-function name: omega | big_omega | table:<file>.
 
-    Table files hold whitespace-separated "p k value" rows; blank lines
-    and '#' comments are ignored.
+    Table files hold whitespace-separated "p k value" rows, at most one
+    per (p, k); blank lines and '#' comments are ignored.
     """
     body = text.strip()
     if body == "omega":
@@ -674,7 +674,7 @@ def parse_additive(text: str) -> AdditiveSpec:
         return BIG_OMEGA
     name, sep, path = body.partition(":")
     if name == "table" and sep:
-        entries = {}
+        entries, lines = {}, {}  # each row's value and line
         try:
             with open(path) as fh:
                 for lineno, raw in enumerate(fh, start=1):
@@ -694,7 +694,10 @@ def parse_additive(text: str) -> AdditiveSpec:
                         ) from None
                     if not math.isfinite(v):
                         raise SpecGrammarError(f"{path}:{lineno}: value {parts[2]} is not finite")
-                    entries[(p, k)] = v
+                    if (p, k) in lines:
+                        raise SpecGrammarError(f"{path}:{lineno}: repeats the row for p = {p}, k = {k} "
+                                               f"of line {lines[(p, k)]}")
+                    entries[(p, k)], lines[(p, k)] = v, lineno
         except OSError as exc:
             raise SpecGrammarError(f"cannot read additive table {path!r}: {exc}") from None
         try:

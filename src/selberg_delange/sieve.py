@@ -10,7 +10,8 @@ least-prime-factor table.
 _require_memory is the guard on the size of x: prime_array and the
 value tables estimate their bytes before allocating anything and raise
 ValueError when the estimate exceeds physical memory.  The value
-tables hold a block at a time, so they are charged for the sieve alone.
+tables hold a block at a time, so they are charged for the sieve alone;
+the bucket sums also charge the rows they keep for the values of g.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ value tables into one array; checked against these oracles, it is the
 tests' reference for the tables.  Also the rows_per_pass fixture, which
 counts the Euler kernel's passes."""
 
-from typing import Tuple
+import math
+from typing import Dict, Tuple
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ def additive_eval_brute(g, n: int) -> complex:
     for p, k in trial_factorize(n):
         acc += complex(g.value_at(p, k))
     return acc
+
+
+def brute_law(alpha, g, x: int) -> Dict[float, float]:
+    """The weight of each value of g(n) over n <= x, by trial division: for
+    every value g takes, in increasing order, the fsum of alpha(n) over the
+    n that take it, for any g: omega, or a fractional or sparse table."""
+    law: Dict[float, list] = {}
+    for n in range(1, x + 1):
+        law.setdefault(additive_eval_brute(g, n).real, []).append(spec_eval_brute(alpha, n).real)
+    return {v: math.fsum(weights) for v, weights in sorted(law.items())}
 
 
 def small_primes(limit: int):

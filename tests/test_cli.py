@@ -703,6 +703,63 @@ def test_non_finite_table_values_exit_two(tmp_path, capsys, argv, message):
     assert run_cli(capsys, argv) == (2, "", f"error: {message.format(table=table)}\n")
 
 
+def test_a_repeated_table_row_exits_two(tmp_path, capsys):
+    # the last of two rows for one (p, k) used to win silently
+    table = tmp_path / "g.txt"
+    table.write_text("2 1 0.5\n3 1 1.5\n2 1 0.7\n")
+    argv = ["mgf", "--spec", "unit", "--g", f"table:{table}", "--x", "100", "--y", "2"]
+    assert run_cli(capsys, argv) == (2, "", f"error: {table}:3: repeats the row for p = 2, k = 1 of line 1\n")
+
+
+def fractional_run(capsys, tmp_path, command, *args):
+    """sd <command> of unit weights with g = 0.5 at 2 || n, plus 1.5 at 3 || n."""
+    table = tmp_path / "g.txt"
+    table.write_text("2 1 0.5\n3 1 1.5\n", encoding="utf-8")
+    return run_cli(capsys, [command, "--spec", "unit", "--g", f"table:{table}", *args]), f"table:{table}"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # n <= 100: 5 with 6 || n and not 9 | n, 20 more with n = 2 mod 4, 17 more with 3 || n
+        (["pmf", "--x", "100"], (0, "value,probability\n0,0.58\n0.5,0.2\n1.5,0.17\n2,0.05\n", "")),
+        (["clt", "--x", "1000", "--y-grid", "0,1"],
+         (0, "# x=1000 kolmogorov_distance=0.626620393989616\ny,exact,gaussian\n0,0.055,0.5\n1,0,0.158655253931457\n",
+          "")),
+        (["mgf", "--x", "1000", "--y", "2"], (0, "mgf = 1.55111897449537\n", "")),
+        (["mgf", "--x", "1000", "--y", "-2"],
+         (2, "", "error: y = (-2+0j) is on the branch cut for non-integer additive values\n")),
+    ],
+    ids=["pmf", "clt", "mgf", "mgf-branch-cut"],
+)
+def test_fractional_table_goldens(tmp_path, capsys, argv, want):
+    assert fractional_run(capsys, tmp_path, *argv)[0] == want
+
+
+def test_fractional_table_report_golden(tmp_path, capsys):
+    # a table's generic prime value is 0, so its residual is its mgf
+    # against psi, which falls tenfold per decade of x
+    (code, out, err), g = fractional_run(capsys, tmp_path, "report", "--x-grid", "1e3,1e4", "--z-grid", "0.5",
+                                         "--y-grid", "0,1", "--cutoff", "1000")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc.pop("config")["g"] == g
+    ldp = {"s": 2.0, "h": 0.6931471805599453, "rate": 0.3862943611198906, "exact_tail": 0.0, "ratio": 0.0}
+    assert doc == {
+        "lambda0": {"value_re": 0.9999999999999983, "value_im": 0.0, "tail_estimate": 7.556149060448636e-14,
+                    "prime_cutoff": 1000, "k_cutoff": 54},
+        "psi_grid": [{"z_re": 0.5, "z_im": 0.0, "psi_re": 1.336853935372455, "psi_im": 0.0}],
+        "residual_table": [{"x": 1000, "max_abs_residual": 0.00042447577878124143},
+                           {"x": 10000, "max_abs_residual": 4.244757787930098e-05}],
+        "clt": [{"x": 1000, "kolmogorov_distance": 0.6266203939896158,
+                 "tail_pairs": [[0.0, 0.055, 0.5], [1.0, 0.0, 0.15865525393145707]]},
+                {"x": 10000, "kolmogorov_distance": 0.6536570471050656,
+                 "tail_pairs": [[0.0, 0.0, 0.5], [1.0, 0.0, 0.15865525393145707]]}],
+        "ldp": [dict(ldp, predicted_tail=1.4712127715342154, x=1000),
+                dict(ldp, predicted_tail=1.3164742139204564, x=10000)],
+    }
+
+
 # ---------------------------------------------------------------------------
 # output formats
 

@@ -10,9 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import additive_eval_brute, spec_eval_brute, trial_big_omega, trial_omega, whole_table
+from conftest import (
+    additive_eval_brute,
+    brute_law,
+    spec_eval_brute,
+    trial_big_omega,
+    trial_omega,
+    whole_table,
+)
 from selberg_delange import exact, sieve
 from selberg_delange.errors import DegenerateSpecError, DomainError
+from selberg_delange.euler import psi
 from selberg_delange.exact import (
     BucketSums,
     DistributionTable,
@@ -21,7 +29,6 @@ from selberg_delange.exact import (
     partial_sum_grid,
     pmf,
     sample,
-    twisted_mean,
 )
 from selberg_delange.funcs import (
     BIG_OMEGA,
@@ -41,6 +48,7 @@ from selberg_delange.funcs import (
 )
 from selberg_delange.sieve import _sieve_bytes, prime_array
 from selberg_delange.special import cpow
+from selberg_delange.stats import clt_report
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +229,8 @@ def test_sample_and_pmf_reject_complex_weights():
     [
         lambda spec, x: sample(spec, x, 1, 5),
         lambda spec, x: pmf(spec, OMEGA, x),
-        lambda spec, x: twisted_mean(spec, 2.0, OMEGA, x),
-        lambda spec, x: twisted_mean(spec, cmath.exp(0.1), tabulated_additive({(2, 1): 0.5}), x),
+        lambda spec, x: bucket_sums(spec, OMEGA, x).mean(2.0),
+        lambda spec, x: bucket_sums(spec, tabulated_additive({(2, 1): 0.5}), x).mean(cmath.exp(0.1)),
     ],
     ids=["sample", "pmf", "mean", "direct-mean"],
 )
@@ -284,9 +292,9 @@ def test_twisted_sum_negative_base_integer_g():
 def test_twisted_sum_branch_cut_for_fractional_g():
     g = tabulated_additive({(2, 1): 0.5})
     with pytest.raises(DomainError):
-        twisted_mean(unit(), -2.0, g, 20)
+        bucket_sums(unit(), g, 20).mean(-2.0)
     # positive base is fine
-    got = twisted_mean(unit(), 2.0, g, 4)
+    got = bucket_sums(unit(), g, 4).mean(2.0)
     want = (1.0 + 2.0**0.5 + 1.0 + 1.0) / 4
     assert got == pytest.approx(want, rel=1e-13)
 
@@ -295,7 +303,7 @@ def test_twisted_sum_rejects_zero_y():
     with pytest.raises(ValueError):
         bucket_sums(unit(), OMEGA, 10).twisted_sum(0.0)
     with pytest.raises(ValueError):
-        twisted_mean(unit(), 0.0, tabulated_additive({(2, 1): 0.5}), 10)
+        bucket_sums(unit(), tabulated_additive({(2, 1): 0.5}), 10).mean(0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -307,32 +315,30 @@ def test_twisted_sum_rejects_zero_y():
 def test_twisted_mean_raises_where_y_to_the_g_overflows(y, g):
     # y^2 or y^2.5 at n = 6 or 2 is beyond float64: an error, not nan
     with pytest.raises(OverflowError, match=r"E\[y\^g\(N\)\] on \[1, 10\] overflows float64"):
-        twisted_mean(unit(), y, g, 10)
+        bucket_sums(unit(), g, 10).mean(y)
     # a y whose powers stay finite is unchanged
-    assert twisted_mean(unit(), 1e100, OMEGA, 10) == pytest.approx((1 + 7e100 + 2e200) / 10, rel=1e-15)
+    assert bucket_sums(unit(), OMEGA, 10).mean(1e100) == pytest.approx((1 + 7e100 + 2e200) / 10, rel=1e-15)
     assert bucket_sums(unit(), OMEGA, 10).twisted_sum(1e100) == pytest.approx(1 + 7e100 + 2e200, rel=1e-15)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bucket_sums_methods_raise_where_y_to_the_g_overflows():
     # twisted_sum(1e200), mean(1e200) and residual(700) returned nan+nanj;
-    # each now raises twisted_mean's OverflowError, naming alpha, x and y
+    # each now raises one OverflowError, naming alpha, x and y
     buckets = bucket_sums(unit(), OMEGA, 10)
     for method, arg, y in [
         (buckets.twisted_sum, 1e200, 1e200),
         (buckets.mean, 1e200, 1e200),
         (buckets.residual, 700, cmath.exp(700)),
     ]:
-        with pytest.raises(OverflowError) as want:
-            twisted_mean(unit(), y, OMEGA, 10)
         with pytest.raises(OverflowError) as got:
             method(arg)
-        assert str(got.value) == str(want.value) == f"unit: E[y^g(N)] on [1, 10] overflows float64 at y = {complex(y)}"
+        assert str(got.value) == f"unit: E[y^g(N)] on [1, 10] overflows float64 at y = {complex(y)}"
 
 
 def test_mgf_exact_examples():
     # E[e^{z omega(N)}] at z = ln 2 and z = 0
-    assert twisted_mean(unit(), cmath.exp(math.log(2.0)), OMEGA, 10) == pytest.approx(2.3, rel=1e-14)
+    assert bucket_sums(unit(), OMEGA, 10).mean(cmath.exp(math.log(2.0))) == pytest.approx(2.3, rel=1e-14)
     assert bucket_sums(unit(), OMEGA, 100).mean(cmath.exp(0.0)) == pytest.approx(1.0, rel=1e-14)
 
 
@@ -368,18 +374,19 @@ def test_pmf_invariants_at_scale():
         assert dist.mean == pytest.approx(mean, rel=1e-13)
 
 
-def test_pmf_rejects_non_integer_or_negative_g():
-    frac = tabulated_additive({(2, 1): 0.5})
-    with pytest.raises(ValueError):
-        pmf(unit(), frac, 100)
+def test_pmf_rejects_negative_g_and_takes_fractional_g():
     signed = tabulated_additive({(2, 1): -1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="takes negative values"):
         pmf(unit(), signed, 100)
+    # g(n) is 0.5 at n = 2 mod 4 and 0 elsewhere
+    dist = pmf(unit(), tabulated_additive({(2, 1): 0.5}), 100)
+    assert dist.values.dtype == np.float64
+    assert (dist.values.tolist(), dist.probabilities.tolist()) == ([0.0, 0.5], [0.75, 0.25])
 
 
 def test_mgf_pmf_duality():
     # E[e^{z g}] as a term-by-term sum over whole tables, through the pmf,
-    # and from twisted_mean agree to near machine precision
+    # and from the bucket sums agree to near machine precision
     x = 10**4
     om = whole_table(None, OMEGA, x)[1:]
     for spec in (unit(), theta_omega(2.5)):
@@ -393,7 +400,7 @@ def test_mgf_pmf_duality():
                 for m, q in zip(dist.values.tolist(), dist.probabilities.tolist())
             )
             assert abs(direct - via_pmf) < 1e-12
-            assert abs(direct - twisted_mean(spec, cmath.exp(z), OMEGA, x)) < 1e-12
+            assert abs(direct - bucket_sums(spec, OMEGA, x).mean(cmath.exp(z))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -461,19 +468,35 @@ def test_mod_poisson_residual_rejects_tiny_x():
         bucket_sums(unit(), OMEGA, 2).residual(0.5)
 
 
+def test_mod_poisson_residual_needs_a_generic_prime_value():
+    bare = AdditiveSpec("bare", lambda p, k: 1.0, integer_valued=True)
+    with pytest.raises(ValueError, match=r"^additive spec 'bare' has no generic prime value; the residual needs one$"):
+        bucket_sums(unit(), bare, 10).residual(0.5)
+
+
 def test_mod_poisson_residual_manual_composition():
     x, z = 5000, complex(0.2, 0.4)
     got = bucket_sums(unit(), OMEGA, x).residual(z)
     t_x = math.log(math.log(x))
-    want = cmath.exp(-t_x * (cmath.exp(z) - 1.0)) * twisted_mean(unit(), cmath.exp(z), OMEGA, x)
+    want = cmath.exp(-t_x * (cmath.exp(z) - 1.0)) * bucket_sums(unit(), OMEGA, x).mean(cmath.exp(z))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_table_g_residual_falls_as_x_grows():
+    # a table's generic prime value is 0, so the residual is its mgf, with
+    # no rho ln ln x to pull it from psi (omega's normalization, applied to
+    # every g, made it 0.29 at x = 1e6, against psi = 1.61)
+    g = tabulated_additive({(2, 1): 1.0, (3, 1): 2.0})
+    limit = psi(unit(), 0.5, g)
+    gaps = [abs(sums.residual(0.5) - limit) for sums in bucket_sums_grid(unit(), g, [10**3, 10**4, 10**5])]
+    assert 1e-4 < gaps[0] < 1e-2 and gaps[1] < gaps[0] / 5 and gaps[2] < gaps[1] / 5
 
 
 def test_mod_poisson_residual_normalizes_by_the_spec_rho():
     # theta_omega(2) declares rho = 2, so its residual scales ln ln x by 2
     x, z = 5000, 0.3
     got = bucket_sums(theta_omega(2), OMEGA, x).residual(z)
-    mean = twisted_mean(theta_omega(2), cmath.exp(z), OMEGA, x)
+    mean = bucket_sums(theta_omega(2), OMEGA, x).mean(cmath.exp(z))
     want = cmath.exp(-2.0 * math.log(math.log(x)) * (cmath.exp(z) - 1.0)) * mean
     assert got == pytest.approx(want, rel=1e-13)
 
@@ -675,24 +698,27 @@ def test_bucket_sums_api():
     x = 1000
     buckets = bucket_sums(theta_omega(2), OMEGA, x)
     assert isinstance(buckets, BucketSums)
-    assert buckets.x == x and buckets.lo == 0
+    assert buckets.x == x and buckets.values.tolist() == [0, 1, 2, 3, 4]
+    assert buckets.values.dtype == np.int64
     assert buckets.total() == partial_sum_grid(theta_omega(2), [x])[0]
     assert buckets.twisted_sum(1.0) == buckets.total()
-    assert buckets.mean(2.0) == twisted_mean(theta_omega(2), 2.0, OMEGA, x)
-    poisson = exact._poisson_factor(theta_omega(2), x, 0.3)
-    assert buckets.residual(0.3) == poisson * twisted_mean(theta_omega(2), cmath.exp(0.3), OMEGA, x)
+    assert buckets.mean(2.0) == buckets.twisted_sum(2.0) / buckets.total()
+    poisson = exact._poisson_factor(theta_omega(2), OMEGA, x, 0.3)
+    assert buckets.residual(0.3) == poisson * buckets.mean(cmath.exp(0.3))
     got, want = buckets.distribution(), pmf(theta_omega(2), OMEGA, x)
     assert (got.values.tolist(), got.probabilities.tolist()) == (want.values.tolist(), want.probabilities.tolist())
     with pytest.raises(ValueError, match=r"^theta_omega:0\+1j: tables require real values, got 1j at \(2,1\)$"):
         bucket_sums(theta_omega(1j), OMEGA, 100)
-    with pytest.raises(ValueError, match="not integer-valued"):
-        bucket_sums(unit(), tabulated_additive({(2, 1): 0.5}), 100)
+    # a fractional g has a bucket for each value it takes: 0.5 at n = 2 mod 4
+    fractional = bucket_sums(unit(), tabulated_additive({(2, 1): 0.5}), 100)
+    assert (fractional.values.tolist(), fractional.real.tolist()) == ([0.0, 0.5], [75.0, 25.0])
 
 
 def test_signed_integer_g_buckets_below_zero():
     g = tabulated_additive({(2, 1): -1.0, (3, 1): 2.0})
     buckets = bucket_sums(unit(), g, 12)
-    assert buckets.lo == -1  # g(2) = g(10) = -1; unlisted g(2^k), k >= 2, are 0
+    # g(2) = g(10) = -1; unlisted g(2^k), k >= 2, are 0
+    assert buckets.values.tolist() == [-1, 0, 1, 2]
     got = buckets.twisted_sum(2.0)
     want = sum(2.0 ** additive_eval_brute(g, n).real for n in range(1, 13))
     assert got == pytest.approx(want, rel=1e-14)
@@ -700,13 +726,106 @@ def test_signed_integer_g_buckets_below_zero():
         buckets.distribution()
 
 
+# a fractional table and a sparse one, whose dense span 0..1e6 once took
+# a bincount column per integer
+ORACLE_TABLES = {"fractional": {(2, 1): 0.5, (3, 1): 1.5}, "sparse": {(2, 1): 1e6}}
+# two x inside a block of 65536, and inside blocks of 1000
+ORACLE_GRID = [1000, 4101, 5000]
+
+
+def assert_agrees(got, want):
+    """got() equals want() to 1e-12 relative, or both overflow."""
+    try:
+        expected = want()
+    except OverflowError:
+        with pytest.raises(OverflowError, match="overflows float64"):
+            got()
+    else:
+        assert got() == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("block", [65536, 1000], ids=lambda b: f"block{b}")
+@pytest.mark.parametrize("table", ORACLE_TABLES.values(), ids=ORACLE_TABLES.keys())
+@pytest.mark.parametrize("spec", [unit(), geometric_B(1.5)], ids=lambda s: s.name)
+def test_fractional_and_sparse_tables_match_the_trial_division_oracle(block, table, spec):
+    g = tabulated_additive(table)
+    with small_blocks(block):
+        grid = bucket_sums_grid(spec, g, ORACLE_GRID)
+    for sums in grid:
+        law = brute_law(spec, g, sums.x)
+        total = math.fsum(law.values())
+
+        def brute_mean(y):
+            return sum(cmath.exp(v * cmath.log(y)) * w for v, w in law.items()) / total
+
+        dist = sums.distribution()
+        assert dist.values.tolist() == [v for v, w in law.items() if w > 0]
+        assert dist.probabilities.tolist() == pytest.approx([w / total for w in law.values() if w > 0], rel=1e-12)
+        for y in (2.0, cmath.exp(0.1)):
+            assert_agrees(lambda: sums.mean(y), lambda: brute_mean(y))
+        # a table's generic prime value is 0, so its residual is its mgf
+        for z in (0.5, complex(0.3, 1.0), -0.5):
+            assert_agrees(lambda: sums.residual(z), lambda: brute_mean(cmath.exp(z)))
+        t_x = spec.rho * math.log(math.log(sums.x))
+        for y, tail, _ in clt_report(sums, [-1.0, 0.0, 0.5, 2.0]).tail_pairs:
+            want = math.fsum(w for v, w in law.items() if v >= t_x + y * math.sqrt(t_x)) / total
+            assert tail == pytest.approx(want, rel=1e-12)
+
+
+def test_a_sparse_table_buckets_in_small_memory():
+    # g = 1e6 at n = 2 mod 4 and 0 elsewhere: two values, where a dense
+    # row over the span 0..1e6 took 8 MB per 4096 n
+    x = 10**5
+    prime_array.cache_clear()
+    tracemalloc.start()
+    try:
+        sums = bucket_sums(unit(), tabulated_additive({(2, 1): 1e6}), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sums.values.tolist(), sums.real.tolist()) == ([0, 10**6], [75000.0, 25000.0])
+    assert peak < 2**23
+
+
+def test_omega_and_big_omega_buckets_take_no_sort(monkeypatch):
+    # their span on a block is at most the block's length, so the offsets
+    # label them; a fractional table labels through np.unique
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    for spec in (unit(), theta_omega(2), geometric_B(1.5)):
+        for g in (OMEGA, BIG_OMEGA):
+            with small_blocks(4096):
+                bucket_sums_grid(spec, g, [10, 5000, 10**4])
+            bucket_sums_grid(spec, g, [10, 5000, 10**5])
+    assert calls == []
+    bucket_sums(unit(), tabulated_additive({(2, 1): 0.5}), 10)
+    assert calls == [10]
+
+
+def test_too_many_values_for_memory_is_a_named_error(monkeypatch):
+    # g(p) = p (+ 0.5) on the first 500 primes takes thousands of values
+    # per block; memory for the sieve alone holds the rows of a few hundred
+    x = 10**5
+    monkeypatch.setattr(sieve, "_physical_memory", lambda: _sieve_bytes(x))
+    for shift in (0.0, 0.5):
+        g = tabulated_additive({(p, 1): p + shift for p in PRIMES_1E4[:500]}, name="wide")
+        with pytest.raises(ValueError, match=f"^bucket sums of wide by its values to x = {x}: need about"):
+            bucket_sums(unit(), g, x)
+
+
 def test_twisted_mean_zero_normalizing_sum():
     signed = tabulated_multiplicative({(2, 1): -1.0}, default=1.0)
     # weights 1, -1 on n = 1, 2 cancel exactly
     with pytest.raises(DegenerateSpecError, match=r"zero normalizing sum on \[1, 2\]"):
-        twisted_mean(signed, 2.0, OMEGA, 2)
+        bucket_sums(signed, OMEGA, 2).mean(2.0)
     with pytest.raises(DegenerateSpecError, match=r"zero normalizing sum on \[1, 2\]"):
-        twisted_mean(signed, cmath.exp(0.1), tabulated_additive({(2, 1): 0.5}), 2)
+        bucket_sums(signed, tabulated_additive({(2, 1): 0.5}), 2).mean(cmath.exp(0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -918,16 +1037,25 @@ def test_tiny_prime_power_value_takes_exact_exponent_steps():
 
 
 def whole_bucket_sums(w, gt, x):
-    """Bucket sums of alpha(n) by g(n) over n <= x from whole tables: one
-    bincount row per 4096 n from n = 1, then fsum down each bucket."""
+    """Bucket sums of alpha(n) by g(n) over n <= x from whole tables, for
+    each value g takes: one bincount row per 4096 n from n = 1, then fsum
+    down each bucket."""
     w, gt = w[1 : x + 1], gt[1 : x + 1]
-    lo = int(gt.min())
-    n_buckets = int(gt.max()) - lo + 1
+    values, labels = np.unique(gt, return_inverse=True)
     rows = np.vstack([
-        np.bincount(gt[s : s + 4096] - lo, weights=w[s : s + 4096], minlength=n_buckets)
+        np.bincount(labels[s : s + 4096], weights=w[s : s + 4096], minlength=values.size)
         for s in range(0, x, 4096)
     ])
-    return lo, np.array([math.fsum(rows[:, j].tolist()) for j in range(n_buckets)])
+    return values, np.array([math.fsum(rows[:, j].tolist()) for j in range(values.size)])
+
+
+def assert_whole_bucket_sums(got, w, gt):
+    """got has whole_bucket_sums' bits at every value g takes, and 0 at the
+    integers between them that an integer g keys too."""
+    values, sums = whole_bucket_sums(w, gt, got.x)
+    taken = np.isin(got.values, values)
+    assert got.values.dtype == gt.dtype and got.values[taken].tobytes() == values.tobytes()
+    assert got.real[taken].tobytes() == sums.tobytes() and not got.real[~taken].any()
 
 
 def whole_sum(a):
@@ -1011,9 +1139,8 @@ def test_streamed_bucket_and_partial_sums_match_whole_tables(block, spec, g, x):
         streamed = bucket_sums_grid(spec, g, grid)
         partials = partial_sum_grid(spec, grid)
     for xi, got, s in zip(grid, streamed, partials):
-        lo, sums = whole_bucket_sums(w, gt, xi)
-        assert got.x == xi and got.lo == lo
-        assert got.real.tobytes() == sums.tobytes()
+        assert got.x == xi
+        assert_whole_bucket_sums(got, w, gt)
         i = int(np.argmin(w[1 : xi + 1]))
         assert (got.min_index, got.min_weight) == (i + 1, float(w[i + 1]))
         want = complex(whole_sum(w[1 : xi + 1]))
@@ -1024,15 +1151,20 @@ def test_streamed_bucket_and_partial_sums_match_whole_tables(block, spec, g, x):
 @BLOCKS
 @settings(max_examples=15, deadline=None)
 @given(spec=STREAM_MULTIPLICATIVE, g=FRACTIONAL_ADDITIVE, x=STREAM_XS, y=st.floats(0.1, 3.0))
-def test_streamed_direct_twisted_sums_match_whole_tables(block, spec, g, x, y):
+def test_streamed_fractional_bucket_sums_match_whole_tables(block, spec, g, x, y):
+    # the values of a fractional g label each block through np.unique;
+    # the bucket sums at every grid x have the whole tables' bits, and the
+    # twisted sum agrees with the term-by-term sum of w exp(g log y)
+    grid = stream_grid(x)
     w = reference_multiplicative_table(spec, x)
     gt = reference_additive_table(g, x)
-    want = whole_complex_sum(w[1:] * np.exp(gt[1:] * complex(cmath.log(y))))
-    den = whole_complex_sum(w[1:])
     with small_blocks(block):
-        assert [bits(s) for s in exact._direct_twisted_sums(spec, complex(y), g, x)] == [bits(want), bits(den)]
-        if den != 0:
-            assert bits(twisted_mean(spec, y, g, x)) == bits(want / den)
+        streamed = bucket_sums_grid(spec, g, grid)
+    for xi, got in zip(grid, streamed):
+        assert got.x == xi
+        assert_whole_bucket_sums(got, w, gt)
+    terms = w[1:] * np.exp(gt[1:] * complex(cmath.log(y)))
+    assert abs(streamed[-1].twisted_sum(y) - whole_complex_sum(terms)) <= BUCKET_TOL * float(np.abs(terms).sum())
 
 
 @BLOCKS
@@ -1091,8 +1223,8 @@ def test_streamed_errors_match_reference(block):
             lambda: whole_table(late_complex, None, x),
             lambda: partial_sum_grid(late_complex, [x]),
             lambda: bucket_sums(late_complex, OMEGA, x),
-            lambda: twisted_mean(late_complex, 2.0, OMEGA, x),
-            lambda: twisted_mean(late_complex, 2.0, tabulated_additive({(2, 1): 0.5}), x),
+            lambda: bucket_sums(late_complex, OMEGA, x).mean(2.0),
+            lambda: bucket_sums(late_complex, tabulated_additive({(2, 1): 0.5}), x).mean(2.0),
             lambda: pmf(late_complex, OMEGA, x),
             lambda: sample(late_complex, x, 1, 10),
         ):
