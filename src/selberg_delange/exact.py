@@ -37,24 +37,26 @@ the next is requested.
 Buckets.  Every exact statistic of g(N) is a function of the sums
 S_v(x) = sum of alpha(n) over n <= x with g(n) = v, one for each value
 v that g takes: the twisted sum is sum_v y^v S_v, the normalizing sum is
-sum_v S_v, and the pmf is S_v over that total.  Each block labels its n
-by the offset g(n) - min g when g is integer-valued and its span on the
-block is at most the block's length, and by np.unique otherwise, whose
-sort costs about six times as much; the offsets key every integer of the
-span, taken or not.  bucket_sums_grid makes one pass over the blocks for
-a whole x grid; each statistic BucketSums gives then costs O(#values),
-about 25 for omega.
+sum_v S_v, and the pmf is S_v over that total.  Each piece (below)
+labels its n by the offset g(n) - min g when g is integer-valued and its
+span on the piece is at most the piece's length, and by np.unique
+otherwise, whose sort costs about six times as much; the offsets key
+every integer of the span, taken or not.  bucket_sums_grid makes one
+pass over the blocks for a whole x grid; each statistic BucketSums gives
+then costs O(#values), about 25 for omega.
 
 All reductions run through fixed chunks aligned at n = 1 (n = 0 for
-prefix sums) and finished by fsum, which is exact and so does not
-depend on where the blocks cut: a bucket sum takes one bincount row
-per 4096 consecutive n, a partial sum one pairwise sum per _CHUNK n,
-and a grid x inside a chunk gets a row of its own.  Results are
-bit-stable for a given chunk size (changing _CHUNK or the bincount
-chunk may perturb outputs at the 1e-13 level).  Partial sums stay near
-1e-16 of the terms' L1 norm; a bucket adds up to 4096 weights in
-sequence, which for weights with few distinct values costs up to about
-1e-14 of it.
+prefix sums) and finished by fsum, which is exact: a bucket sum takes one
+bincount row per _BUCKET_CHUNK n, a partial or prefix sum one pairwise
+sum or cumsum per _CHUNK n, and a grid x inside a chunk gets a row of its
+own.  _pieces cuts the blocks into pieces of whole chunks, so results
+depend on the chunk sizes, not on the block length: every exact result
+has the same bits at any _BLOCK, but for which untaken integers
+BucketSums.values lists (changing _CHUNK or _BUCKET_CHUNK may perturb
+outputs at the 1e-13 level).
+Partial sums stay near 1e-16 of the terms' L1 norm; a bucket adds up to
+4096 weights in sequence, which for weights with few distinct values
+costs up to about 1e-14 of it.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ _CHUNK = 1024
 # consecutive n per bincount row of the bucket sums
 _BUCKET_CHUNK = 4096
 
-# n per value-table block: a multiple of _BUCKET_CHUNK (and so of _CHUNK)
+# n per value-table block; blocks of whole _BUCKET_CHUNKs are read
+# without a copy by the bucket and partial sums
 _BLOCK = 1 << 16
 
 # entries per temporary of the tail and the gather (int64: 64 KiB), so
@@ -104,7 +107,7 @@ def _chunk_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _finish_sum(chunk_sums: List[np.ndarray], a: np.ndarray, end: int) -> float:
-    """The sum of a sequence whose earlier blocks gave chunk_sums and that
+    """The sum of a sequence whose earlier pieces gave chunk_sums and that
     ends with a[:end]: pairwise sums of its _CHUNK-blocks, finished with
     exact fsum."""
     m = (end // _CHUNK) * _CHUNK
@@ -407,13 +410,15 @@ class _Gather:
 
 
 class _ValueBlocks:
-    """alpha(n) and g(n) for 1 <= n <= x as blocks (lo, alpha[lo:hi], g[lo:hi]).
+    """alpha(n) and g(n) for 1 <= n <= x as blocks (lo, alpha[lo:hi], g[lo:hi])
+    of _BLOCK n, the last shorter.
 
     A side without a spec yields None.  The constructor makes every
     check of the values, in the order a sweep of the whole table meets
     them, before any block is built; each iteration is one pass, which
     allocates its working arrays once, so a yielded block is valid until
-    the next is requested.
+    the next is requested.  The reductions read the blocks through
+    _pieces, so the block length changes no bit of any result.
 
     Raises ValueError for x < 1, a prime sieve beyond physical memory, or
     a spec the tables reject.
@@ -440,6 +445,42 @@ class _ValueBlocks:
             yield lo, w, gt
 
 
+def _pieces(blocks, chunk: int, lead: int = 0) -> Iterator[Tuple]:
+    """The blocks (lo, *arrays) of a pass cut again into pieces (n, *arrays)
+    of whole `chunk`-blocks aligned at n = 1, or at n = 1 - lead after
+    `lead` zeros; only the last piece may end inside a chunk.  A side
+    without a spec (None) is left out.
+
+    This is where blocks meet the reduction chunks: a block's entries past
+    its last whole chunk are carried into the next piece.  A block of
+    whole chunks, with nothing carried, is yielded as its own views; other
+    pieces are assembled in one array per side.  A piece is valid until
+    the next is requested, and its consumer may overwrite it.
+    """
+    runs: List[np.ndarray] = []  # per side, the entries carried over at its head
+    carry, n = lead, 1 - lead
+    for _, *arrays in blocks:
+        arrays = [a for a in arrays if a is not None]
+        size = carry + arrays[0].size
+        if not runs and (carry or size % chunk):
+            runs = [np.zeros(chunk, a.dtype) for a in arrays]  # the lead zeros first
+        if carry:
+            if runs[0].size < size:
+                runs = [np.concatenate((run[:carry], np.empty(size - carry + chunk, run.dtype))) for run in runs]
+            for run, a in zip(runs, arrays):
+                run[carry:size] = a
+            arrays = [run[:size] for run in runs]
+        m = size - size % chunk
+        if m:
+            yield (n, *[a[:m] for a in arrays])
+            n += m
+        carry = size - m
+        for run, a in zip(runs, arrays):
+            run[:carry] = a[m:]
+    if carry:
+        yield (n, *[run[:carry] for run in runs])
+
+
 # ---------------------------------------------------------------------------
 # one pass over the blocks for a grid of x
 
@@ -460,11 +501,12 @@ def _ends(grid: List[int], lo: int, size: int) -> List[int]:
 
 def partial_sum_grid(spec: MultiplicativeSpec, xs: Sequence[int]) -> List[complex]:
     """Exact sum of f(n) over 1 <= n <= x at every x in xs, from one pass
-    over the blocks; complex, with imaginary part 0, as the twisted sums are."""
+    over the blocks; complex, with imaginary part 0, as the twisted sums are.
+    The pieces of whole _CHUNKs give the same bits at any block length."""
     grid = _grid(xs)
-    done: List[np.ndarray] = []  # the chunk sums of the blocks passed
+    done: List[np.ndarray] = []  # the chunk sums of the pieces passed
     sums = {}
-    for lo, w, _ in _ValueBlocks(spec, None, grid[-1]):
+    for lo, w in _pieces(_ValueBlocks(spec, None, grid[-1]), _CHUNK):
         for end in _ends(grid, lo, w.size):
             sums[lo + end - 1] = _finish_sum(done, w, end)
         done.append(_chunk_sums(w))
@@ -535,8 +577,8 @@ class BucketSums:
 
     values holds the v in increasing order (int64 for integer-valued g,
     where it may hold integers between them that g does not take, whose
-    S_v is 0; float64 otherwise), and real[i] holds S_{values[i]}, a
-    compensated sum.  Every exact statistic of g(N) reads these sums,
+    S_v is 0, and which ones follows the pieces; float64 otherwise), and
+    real[i] holds S_{values[i]}, a compensated sum.  Every exact statistic of g(N) reads these sums,
     complex twists too.  min_index is the first n of least weight, for
     the pmf's sign check.
     """
@@ -643,10 +685,10 @@ def _bucket_rows(labels: np.ndarray, weights: np.ndarray, n_buckets: int) -> np.
 
 
 def _buckets(w: np.ndarray, gt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The values of g on a block, in increasing order, and one bincount
+    """The values of g on a piece, in increasing order, and one bincount
     row of the weights w by them per _BUCKET_CHUNK consecutive n.
 
-    An integer g whose span on the block is at most the block's length is
+    An integer g whose span on the piece is at most the piece's length is
     labelled by the offset from its least value, and every integer of the
     span is a value; any other g by np.unique, a sort.
     """
@@ -682,10 +724,11 @@ def _least(w: np.ndarray, lo: int) -> Tuple[float, int]:
 def bucket_sums_grid(alpha: MultiplicativeSpec, g: AdditiveSpec, xs: Sequence[int]) -> List[BucketSums]:
     """bucket_sums at every x in xs, from one pass over the blocks.
 
-    Each block adds one bincount row per 4096 consecutive n, keyed by the
-    values of g on the block; a grid x inside a block buckets its part of
-    the block afresh, and fsum down the rows that hold a value gives its
-    sum exactly, whatever the blocks.
+    Each piece of whole _BUCKET_CHUNKs adds one bincount row per 4096
+    consecutive n, keyed by the values of g on the piece; a grid x inside a
+    piece buckets its part of the piece afresh, and fsum down the rows that
+    hold a value gives its sum exactly, with the same bits at any block
+    length.
 
     Raises:
         ValueError: the rows for the values of g exceed physical memory.
@@ -696,7 +739,7 @@ def bucket_sums_grid(alpha: MultiplicativeSpec, g: AdditiveSpec, xs: Sequence[in
     held = 0  # entries of their rows
     least = (math.inf, 0)  # the least weight so far and its first n
     out = {}
-    for lo, w, gt in blocks:
+    for lo, w, gt in _pieces(blocks, _BUCKET_CHUNK):
         piece = _buckets(w, gt)
         held += piece[1].size
         # 8 bytes an entry for the rows, and 32 for the merge's columns, order and two copies
@@ -730,46 +773,19 @@ def pmf(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int) -> DistributionTable
     return bucket_sums(alpha, g, x).distribution()
 
 
-def _cumulative_pieces(blocks) -> Iterator[Tuple[int, np.ndarray]]:
-    """(n, cumulative[n : n + len]) piece by piece, cumulative = _PrefixSums()(w[0..x]), w[0] = 0.
-
-    The prefix-sum chunks start at n = 0 and the blocks at n = 1, so each
-    piece carries the weights past its last whole chunk over to the next.
-    The pieces are summed in place in one array allocated at the first
-    block, so, like a block, a piece is valid until the next is requested.
-    """
-    prefix = _PrefixSums()
-    run = np.zeros(1)
-    carry = 1  # run[:carry] holds the weights carried over; w[0] = 0 first
-    n = 0
-    for _, w, _ in blocks:
-        if run.size < carry + w.size:
-            run = np.concatenate((run[:carry], np.empty(w.size + _CHUNK)))
-        piece = run[: carry + w.size]
-        piece[carry:] = w
-        m = (piece.size // _CHUNK) * _CHUNK
-        if m:
-            yield n, prefix(piece[:m], out=piece[:m])
-            n += m
-            run[: piece.size - m] = piece[m:]
-        carry = piece.size - m
-    if carry:
-        yield n, prefix(run[:carry], out=run[:carry])
-
-
 def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int = 0) -> np.ndarray:
     """Draw `count` iid copies of N (P(N=n) proportional to alpha(n), n <= x).
 
     Inverse-CDF sampling: uniforms come from the counter-based
     Philox4x64 generator keyed by (seed, stream), so draws are
     reproducible across platforms and independent streams are obtained
-    by varying `stream`.  Two passes over the weight blocks replace the
-    cumulative weight array: the first checks the weights as
-    BucketSums.distribution does and carries the compensated prefix sum
-    to the total; the second recomputes the prefix sums a block at a
-    time and binary-searches the targets, in sorted order, that fall in
-    it.  Each draw is the one a search of the whole cumulative array
-    gives.
+    by varying `stream`.  Two passes over the weights, in pieces of whole
+    _CHUNKs from n = 0 (w[0] = 0), replace the cumulative weight array:
+    the first checks the weights as BucketSums.distribution does and
+    carries the compensated prefix sum to the total; the second
+    recomputes the prefix sums a piece at a time and binary-searches the
+    targets, in sorted order, that fall in it.  Each draw is the one a
+    search of the whole cumulative array gives, at any block length.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -778,16 +794,11 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
     # the uniforms, their argsort order and the sorted copy
     _require_memory(24 * count, f"{count} draws")
     blocks = _ValueBlocks(alpha, None, x)
-    lows = [(0.0, 0)]  # the least weight of each block, and its first n
-
-    def checked():
-        for lo, w, gt in blocks:
-            lows.append(_least(w, lo))
-            yield lo, w, gt
-
-    total = 0.0
-    for _, cumulative in _cumulative_pieces(checked()):
-        total = float(cumulative[-1])
+    lows = []  # the least weight of each piece, and its first n
+    prefix = _PrefixSums()
+    for n, w in _pieces(blocks, _CHUNK, lead=1):  # w[0] = 0
+        lows.append(_least(w, n))
+        total = float(prefix(w, out=w)[-1])
     weight, n_bad = min(lows)
     if weight < 0.0:
         raise ValueError(f"{alpha.name}: negative weight alpha({n_bad}) = {weight:g}")
@@ -801,9 +812,11 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
     ordered = targets[order]
     found = ordered.view(np.int64)  # each sorted target's slot takes its draw once searched
     j = 0
-    for n, cumulative in _cumulative_pieces(blocks):
+    prefix = _PrefixSums()
+    for n, w in _pieces(blocks, _CHUNK, lead=1):  # w[0] = 0
         if j == count:
             break
+        cumulative = prefix(w, out=w)
         k = j + int(np.searchsorted(ordered[j:], cumulative[-1], side="left"))
         found[j:k] = n + np.searchsorted(cumulative, ordered[j:k], side="right")
         j = k

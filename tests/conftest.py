@@ -3,8 +3,10 @@ trial division and direct summation only, independent of the package's
 sieve and table machinery.  whole_table writes the package's streamed
 value tables into one array; checked against these oracles, it is the
 tests' reference for the tables.  Also the rows_per_pass fixture, which
-counts the Euler kernel's passes."""
+counts the Euler kernel's passes, and block_length, which sets the length
+of the value-table blocks."""
 
+import contextlib
 import math
 from typing import Dict, Tuple
 
@@ -26,6 +28,14 @@ def rows_per_pass(monkeypatch):
 
     monkeypatch.setattr(euler, "_power_series", counted)
     return rows_per_pass
+
+
+@contextlib.contextmanager
+def block_length(block: int):
+    """Value-table blocks of `block` n inside the with-statement."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_BLOCK", block)
+        yield
 
 
 def trial_factorize(n: int) -> Tuple[Tuple[int, int], ...]:

@@ -1,5 +1,4 @@
 import cmath
-import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     additive_eval_brute,
+    block_length,
     brute_law,
     spec_eval_brute,
     trial_big_omega,
@@ -182,15 +182,15 @@ ROUNDED_RATIOS = {tau_rho(0.5).name, perturbed(1.0, 0.5).name}
 
 
 @pytest.mark.parametrize("spec", BUILT_INS, ids=lambda s: s.name)
-def test_whole_table_matches_trial_division(monkeypatch, spec):
+def test_whole_table_matches_trial_division(spec):
     # whole_table is the tests' reference for the streamed tables
     x = 10**4
     additive = isinstance(spec, AdditiveSpec)
     brute = additive_eval_brute if additive else spec_eval_brute
     want = np.array([0j] + [brute(spec, n) for n in range(1, x + 1)])
     for block in (exact._BLOCK, 1000):
-        monkeypatch.setattr(exact, "_BLOCK", block)
-        got = whole_table(None, spec, x) if additive else whole_table(spec, None, x)
+        with block_length(block):
+            got = whole_table(None, spec, x) if additive else whole_table(spec, None, x)
         if spec.name in ROUNDED_RATIOS:
             assert got == pytest.approx(want.real, rel=1e-15, abs=0.0)
         else:
@@ -749,7 +749,7 @@ def assert_agrees(got, want):
 @pytest.mark.parametrize("spec", [unit(), geometric_B(1.5)], ids=lambda s: s.name)
 def test_fractional_and_sparse_tables_match_the_trial_division_oracle(block, table, spec):
     g = tabulated_additive(table)
-    with small_blocks(block):
+    with block_length(block):
         grid = bucket_sums_grid(spec, g, ORACLE_GRID)
     for sums in grid:
         law = brute_law(spec, g, sums.x)
@@ -800,7 +800,7 @@ def test_omega_and_big_omega_buckets_take_no_sort(monkeypatch):
     monkeypatch.setattr(np, "unique", counted)
     for spec in (unit(), theta_omega(2), geometric_B(1.5)):
         for g in (OMEGA, BIG_OMEGA):
-            with small_blocks(4096):
+            with block_length(4096):
                 bucket_sums_grid(spec, g, [10, 5000, 10**4])
             bucket_sums_grid(spec, g, [10, 5000, 10**5])
     assert calls == []
@@ -1105,21 +1105,15 @@ def stream_grid(x):
     return sorted({x, (x + 1) // 2, min(x, 4095), min(x, 4097), min(x, 8192), min(x, 1024 * 9 + 5)})
 
 
-BLOCKS = pytest.mark.parametrize("block", [4096, 8192], ids=lambda b: f"block{b}")
-
-
-@contextlib.contextmanager
-def small_blocks(block):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_BLOCK", block)
-        yield
+# whole bucket chunks, and lengths that cut the reduction chunks (100 < _CHUNK)
+BLOCKS = pytest.mark.parametrize("block", [4096, 8192, 100, 1000, 5000], ids=lambda b: f"block{b}")
 
 
 @BLOCKS
 @settings(max_examples=20, deadline=None)
 @given(spec=STREAM_MULTIPLICATIVE, g=st.one_of(ADDITIVE, SIGNED_INTEGER_TABLES.map(tabulated_additive)), x=STREAM_XS)
 def test_streamed_tables_match_per_prime_sweep(block, spec, g, x):
-    with small_blocks(block):
+    with block_length(block):
         w = whole_table(spec, None, x)
         gt = whole_table(None, g, x)
     want = reference_multiplicative_table(spec, x)
@@ -1135,7 +1129,7 @@ def test_streamed_bucket_and_partial_sums_match_whole_tables(block, spec, g, x):
     grid = stream_grid(x)
     w = reference_multiplicative_table(spec, x)
     gt = reference_additive_table(g, x)
-    with small_blocks(block):
+    with block_length(block):
         streamed = bucket_sums_grid(spec, g, grid)
         partials = partial_sum_grid(spec, grid)
     for xi, got, s in zip(grid, streamed, partials):
@@ -1158,7 +1152,7 @@ def test_streamed_fractional_bucket_sums_match_whole_tables(block, spec, g, x, y
     grid = stream_grid(x)
     w = reference_multiplicative_table(spec, x)
     gt = reference_additive_table(g, x)
-    with small_blocks(block):
+    with block_length(block):
         streamed = bucket_sums_grid(spec, g, grid)
     for xi, got in zip(grid, streamed):
         assert got.x == xi
@@ -1173,10 +1167,11 @@ def test_streamed_fractional_bucket_sums_match_whole_tables(block, spec, g, x, y
 def test_streamed_sample_matches_whole_search(block, spec, x):
     w = reference_multiplicative_table(spec, x)
     cumulative = exact._PrefixSums()(w)
-    with small_blocks(block):
-        # a piece is valid until the next is requested
-        pieces = exact._cumulative_pieces(exact._ValueBlocks(spec, None, x))
-        assert np.concatenate([c.copy() for _, c in pieces]).tobytes() == cumulative.tobytes()
+    with block_length(block):
+        blocks = exact._ValueBlocks(spec, None, x)
+        prefix = exact._PrefixSums()
+        pieces = [prefix(piece) for _, piece in exact._pieces(blocks, exact._CHUNK, lead=1)]
+        assert np.concatenate(pieces).tobytes() == cumulative.tobytes()
         for seed in (0, 1, 7, 2**63 + 5):
             bits_ = np.random.Philox(key=[np.uint64(seed & (2**64 - 1)), np.uint64(0)])
             targets = np.random.Generator(bits_).random(3000) * cumulative[x]
@@ -1190,7 +1185,7 @@ def test_streamed_tables_keep_the_order_of_the_steps(block, spec):
     # n = p q with 128 < p < q < sqrt(x) takes two different ratios from
     # the steps of one op.at, and rounding shows their order
     x = 5 * 10**4
-    with small_blocks(block):
+    with block_length(block):
         table = whole_table(spec, None, x)
     assert table.tobytes() == reference_multiplicative_table(spec, x).tobytes()
 
@@ -1205,7 +1200,7 @@ def test_streamed_errors_match_reference(block):
     )
     want = raised(lambda: reference_multiplicative_table(bad, x))
     assert want == (ValueError, f"bad: non-finite value at ({late},1)")
-    with small_blocks(block):
+    with block_length(block):
         for run in (
             lambda: whole_table(bad, None, x),
             lambda: partial_sum_grid(bad, [x])[0],
@@ -1231,6 +1226,47 @@ def test_streamed_errors_match_reference(block):
             assert raised(run) == want
         lying = AdditiveSpec("lying", lambda p, k: np.where(p == late, 0.5, 1.0), integer_valued=True)
         assert raised(lambda: pmf(unit(), lying, x)) == raised(lambda: reference_additive_table(lying, x))
+
+
+@pytest.mark.parametrize("lead", [0, 1])
+@pytest.mark.parametrize("block", [100, 4096, 5000, 8192], ids=lambda b: f"block{b}")
+def test_pieces_are_whole_chunks_carried_across_blocks(block, lead):
+    # pieces start at a chunk edge, every piece but the last is whole
+    # chunks, and a block of whole chunks with nothing carried is its own view
+    x, chunk = 20000, 4096
+    table = np.arange(1.0, x + 1.0)
+    blocks = [(lo, table[lo - 1 : lo - 1 + block]) for lo in range(1, x + 1, block)]
+    pieces = [(n, w.copy(), np.shares_memory(w, table)) for n, w in exact._pieces(blocks, chunk, lead)]
+    assert [n for n, _, _ in pieces] == (1 - lead + np.cumsum([0] + [w.size for _, w, _ in pieces[:-1]])).tolist()
+    assert all(w.size % chunk == 0 for _, w, _ in pieces[:-1])
+    assert np.concatenate([np.zeros(lead)] + [w for _, w in blocks]).tobytes() == np.concatenate([w for _, w, _ in pieces]).tobytes()
+    if block % chunk == 0 and not lead:
+        assert [view for _, _, view in pieces] == [True] * (len(pieces) - 1) + [False]
+
+
+def exact_results(alpha, g, grid):
+    """The bytes of every exact result of alpha and g on the grid."""
+    results = []
+    for sums in bucket_sums_grid(alpha, g, grid):
+        dist = sums.distribution()
+        results += [sums.values, sums.real, dist.values, dist.probabilities, np.array([sums.mean(2.0), sums.residual(0.5j)])]
+        results.append(np.array([sums.min_index, sums.min_weight, dist.mean, dist.variance]))
+    results += [np.array(partial_sum_grid(alpha, grid)), sample(alpha, grid[-1], seed=7, count=1000)]
+    return [r.tobytes() for r in results]
+
+
+@pytest.mark.parametrize(
+    "grid, block",
+    [([2 * 10**5], block) for block in (12288, 5000, 1000)] + [([4095, 4097, 65537], block) for block in (12288, 5000, 1000, 100)],
+    ids=lambda v: f"block{v}" if isinstance(v, int) else f"x{v[-1]}",
+)
+@pytest.mark.parametrize("alpha, g", [(theta_omega(1.8168), OMEGA), (tau_rho(0.5), BIG_OMEGA)], ids=["theta_omega-omega", "tau_rho-Omega"])
+def test_every_exact_result_has_the_default_blocks_bits(alpha, g, grid, block):
+    # the reductions run on chunks aligned at n = 1 whatever the block
+    # length; a block of 5000 once summed f to 27521.51 at 2e5, not 33389.39
+    want = exact_results(alpha, g, grid)
+    with block_length(block):
+        assert exact_results(alpha, g, grid) == want
 
 
 def test_pmf_streams_in_bounded_memory():
