@@ -15,118 +15,60 @@ psi_x(z) from BucketSums.residual and psi(z) from psi, whose decay is
 the convergence statement the test suite verifies.
 """
 
-from .errors import (
-    DegenerateSpecError,
-    DivergentLocalFactorError,
-    DomainError,
-    PoleError,
-    SpecGrammarError,
-)
-from .euler import (
-    AdmissibilityReport,
-    EulerProductResult,
-    check_admissibility_pp,
-    g_compensated,
-    lambda0,
-    psi,
-    psi_grid,
-)
-from .exact import (
-    BucketSums,
-    DistributionTable,
-    bucket_sums,
-    bucket_sums_grid,
-    partial_sum_grid,
-    pmf,
-    sample,
-)
-from .funcs import (
-    BIG_OMEGA,
-    FULL_PLANE,
-    OMEGA,
-    AdditiveSpec,
-    GrowthBound,
-    LocalSeries,
-    MultiplicativeSpec,
-    StripDomain,
-    euler_phi_over_n,
-    geometric_B,
-    parse_additive,
-    parse_multiplicative,
-    perturbed,
-    tabulated_additive,
-    tabulated_multiplicative,
-    tau_rho,
-    theta_omega,
-    twist,
-    unit,
-)
-from .sieve import prime_array
-from .special import cexpm1, clog1p, cpow, gamma, zeta
-from .stats import (
-    CltReport,
-    LdpPrediction,
-    clt_report,
-    eta,
-    eta_star,
-    ldp_predict,
-    normal_cdf,
-    psi_prime_at_zero,
-)
+import importlib.util
+import sys
+
+from . import errors, funcs, sieve, special
+
+# each public name, under the module that defines it
+_PUBLIC = {
+    "errors": ("DegenerateSpecError", "DivergentLocalFactorError", "DomainError", "PoleError", "SpecGrammarError"),
+    "euler": (
+        "AdmissibilityReport", "EulerProductResult", "check_admissibility_pp", "g_compensated", "lambda0", "psi",
+        "psi_grid",
+    ),
+    "exact": (
+        "BucketSums", "DistributionTable", "bucket_sums", "bucket_sums_grid", "partial_sum_grid", "pmf", "sample",
+    ),
+    "funcs": (
+        "BIG_OMEGA", "FULL_PLANE", "OMEGA", "AdditiveSpec", "GrowthBound", "LocalSeries", "MultiplicativeSpec",
+        "StripDomain", "euler_phi_over_n", "geometric_B", "parse_additive", "parse_multiplicative", "perturbed",
+        "tabulated_additive", "tabulated_multiplicative", "tau_rho", "theta_omega", "twist", "unit",
+    ),
+    "sieve": ("prime_array",),
+    "special": ("cexpm1", "clog1p", "cpow", "gamma", "zeta"),
+    "stats": (
+        "CltReport", "LdpPrediction", "clt_report", "eta", "eta_star", "ldp_predict", "normal_cdf",
+        "psi_prime_at_zero",
+    ),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+
+def _lazy(name: str):
+    """The submodule name, in sys.modules at once and run at its first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the engines: a command that calls none of one never runs it
+euler, exact, stats = _lazy("euler"), _lazy("exact"), _lazy("stats")
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdditiveSpec",
-    "AdmissibilityReport",
-    "BucketSums",
-    "BIG_OMEGA",
-    "CltReport",
-    "DegenerateSpecError",
-    "DistributionTable",
-    "DivergentLocalFactorError",
-    "DomainError",
-    "EulerProductResult",
-    "FULL_PLANE",
-    "GrowthBound",
-    "LocalSeries",
-    "LdpPrediction",
-    "MultiplicativeSpec",
-    "OMEGA",
-    "PoleError",
-    "SpecGrammarError",
-    "StripDomain",
-    "bucket_sums",
-    "bucket_sums_grid",
-    "cexpm1",
-    "check_admissibility_pp",
-    "clog1p",
-    "clt_report",
-    "cpow",
-    "eta",
-    "eta_star",
-    "euler_phi_over_n",
-    "g_compensated",
-    "gamma",
-    "geometric_B",
-    "lambda0",
-    "ldp_predict",
-    "normal_cdf",
-    "parse_additive",
-    "parse_multiplicative",
-    "partial_sum_grid",
-    "perturbed",
-    "pmf",
-    "prime_array",
-    "psi",
-    "psi_grid",
-    "psi_prime_at_zero",
-    "sample",
-    "tabulated_additive",
-    "tabulated_multiplicative",
-    "tau_rho",
-    "theta_omega",
-    "twist",
-    "unit",
-    "zeta",
-]
+__all__ = sorted(_HOME)

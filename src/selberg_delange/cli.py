@@ -20,17 +20,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import sys
 from dataclasses import asdict
 from typing import Optional, Sequence, Tuple
 
-from .euler import DEFAULT_FACTOR_TOL, DEFAULT_PRIME_CUTOFF, check_admissibility_pp, lambda0, psi
-from .euler import _exp_twist, _psi_batch
-from .exact import bucket_sums, bucket_sums_grid, partial_sum_grid, pmf, sample
+from . import euler, exact, stats
 from .funcs import parse_additive, parse_multiplicative
-from .stats import _checked_decay, _checked_slope, _mean_scale, clt_report, ldp_predict
 
 DEFAULT_X_GRID = (1000, 10000, 100000, 1000000)
 DEFAULT_Y_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -127,8 +123,13 @@ def _require_x(x: Optional[int]) -> int:
     return x
 
 
+def _cutoff(args: argparse.Namespace) -> int:
+    """--cutoff, or euler's default when it is not given."""
+    return euler.DEFAULT_PRIME_CUTOFF if args.cutoff is None else args.cutoff
+
+
 def cmd_lambda0(args: argparse.Namespace):
-    res = lambda0(args.alpha, prime_cutoff=args.cutoff)
+    res = euler.lambda0(args.alpha, prime_cutoff=_cutoff(args))
     record = {
         "lambda0_re": res.value.real,
         "lambda0_im": res.value.imag,
@@ -141,14 +142,14 @@ def cmd_lambda0(args: argparse.Namespace):
 
 
 def cmd_psi(args: argparse.Namespace):
-    value = psi(args.alpha, args.z, args.additive, prime_cutoff=args.cutoff)
+    value = euler.psi(args.alpha, args.z, args.additive, prime_cutoff=_cutoff(args))
     record = {"z_re": args.z.real, "z_im": args.z.imag, "psi_re": value.real, "psi_im": value.imag}
     return record, _lines(psi=value)
 
 
 def cmd_sum(args: argparse.Namespace):
     xs = sorted(args.x_grid or (_require_x(args.x),))
-    rows = list(zip(xs, partial_sum_grid(args.alpha, xs)))
+    rows = list(zip(xs, exact.partial_sum_grid(args.alpha, xs)))
     if not args.x_grid:
         x, value = rows[0]
         return {"x": x, "sum_re": value.real, "sum_im": value.imag}, _lines(sum=value)
@@ -163,7 +164,7 @@ def cmd_mgf(args: argparse.Namespace):
         y = args.y if args.y is not None else cmath.exp(args.z)
         if y == 0:
             raise ValueError("--y must be nonzero" if args.y is not None else f"{given}: e^z underflows float64 to 0")
-        value = bucket_sums(args.alpha, args.additive, x).mean(y)
+        value = exact.bucket_sums(args.alpha, args.additive, x).mean(y)
     except OverflowError:
         raise ValueError(f"{given}: e^z or E[y^g(N)] overflows float64") from None
     record = {"x": x, "y_re": y.real, "y_im": y.imag, "mgf_re": value.real, "mgf_im": value.imag}
@@ -172,7 +173,7 @@ def cmd_mgf(args: argparse.Namespace):
 
 def cmd_pmf(args: argparse.Namespace):
     x = _require_x(args.x)
-    dist = pmf(args.alpha, args.additive, x)
+    dist = exact.pmf(args.alpha, args.additive, x)
     pairs = list(zip(dist.values.tolist(), dist.probabilities.tolist()))
     record = {"x": dist.x, "pmf": {str(m): q for m, q in pairs}, "mean": dist.mean, "variance": dist.variance}
     return record, _csv("value,probability", pairs)
@@ -182,30 +183,34 @@ def cmd_sample(args: argparse.Namespace):
     x = _require_x(args.x)
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
-    draws = sample(args.alpha, x, args.seed, args.count, stream=args.stream)
+    draws = exact.sample(args.alpha, x, args.seed, args.count, stream=args.stream)
 
     def record():
         return {"x": x, "seed": args.seed, "stream": args.stream, "draws": draws.tolist()}
 
-    chunks = ("\n".join(map(str, draws[i : i + _DRAWS_PER_WRITE].tolist())) + "\n"
-              for i in range(0, draws.size, _DRAWS_PER_WRITE))
-    return record, chunks
+    def chunks():
+        for i in range(0, draws.size, _DRAWS_PER_WRITE):
+            chunk = tuple(draws[i : i + _DRAWS_PER_WRITE].tolist())
+            yield ("%d\n" * len(chunk)) % chunk
+
+    return record, chunks()
 
 
 def cmd_clt(args: argparse.Namespace):
     x = _require_x(args.x)
-    _mean_scale(args.alpha, x)  # clt_report's check, made before the table pass
-    report = clt_report(bucket_sums(args.alpha, args.additive, x), args.y_grid)
+    stats._mean_scale(args.alpha, x)  # clt_report's check, made before the table pass
+    report = stats.clt_report(exact.bucket_sums(args.alpha, args.additive, x), args.y_grid)
     head = f"# x={report.x} kolmogorov_distance={report.kolmogorov_distance:.15g}\n"
     return asdict(report), head + _csv("y,exact,gaussian", report.tail_pairs)
 
 
 def cmd_ldp(args: argparse.Namespace):
     xs = sorted(args.x_grid or (_require_x(args.x),))
-    s = _checked_slope(args.s)
+    s = stats._checked_slope(args.s)
     for x in xs:  # ldp_predict's checks at each x, made before the table pass
-        _checked_decay(args.alpha, args.additive, x, s)
-    predictions = ldp_predict(bucket_sums_grid(args.alpha, args.additive, xs), args.s, prime_cutoff=args.cutoff)
+        stats._checked_decay(args.alpha, args.additive, x, s)
+    predictions = stats.ldp_predict(exact.bucket_sums_grid(args.alpha, args.additive, xs), args.s,
+                                    prime_cutoff=_cutoff(args))
     rows = list(zip(xs, predictions))
     if not args.x_grid:
         record = asdict(rows[0][1])
@@ -215,7 +220,7 @@ def cmd_ldp(args: argparse.Namespace):
 
 
 def cmd_check(args: argparse.Namespace):
-    report = check_admissibility_pp(args.alpha)
+    report = euler.check_admissibility_pp(args.alpha)
     return asdict(report), _lines(verdict=report.verdict, c0=report.c0, witness=report.witness,
                                   abscissa_estimate=report.abscissa_estimate, reason=report.reason)
 
@@ -225,16 +230,17 @@ def cmd_report(args: argparse.Namespace):
     xs = tuple(sorted(args.x_grid or DEFAULT_X_GRID))
     if xs[0] < 16:
         raise ValueError(f"report x grid needs x >= 16, got {xs[0]}")
-    s = _checked_slope(args.s)
+    s = stats._checked_slope(args.s)
     for x in xs:  # ldp_predict's checks at each x, made before the table pass
-        _checked_decay(args.alpha, args.additive, x, s)
+        stats._checked_decay(args.alpha, args.additive, x, s)
     for z in args.z_grid:  # and psi's at each z
-        _exp_twist(args.alpha, z, args.additive)
+        euler._exp_twist(args.alpha, z, args.additive)
     # one pass over the value tables serves all residuals and the pmf
-    buckets = bucket_sums_grid(args.alpha, args.additive, xs)
+    buckets = exact.bucket_sums_grid(args.alpha, args.additive, xs)
 
     # one kernel pass for the grid and its denominator, the lambda0 block
-    lam, limits = _psi_batch(args.alpha, args.z_grid, args.additive, args.cutoff)
+    cutoff = _cutoff(args)
+    lam, limits = euler._psi_batch(args.alpha, args.z_grid, args.additive, cutoff)
     psi_values = list(zip(args.z_grid, limits))
 
     residual_table = []
@@ -244,8 +250,8 @@ def cmd_report(args: argparse.Namespace):
             worst = max(worst, abs(sums.residual(z) - limit))
         residual_table.append({"x": x, "max_abs_residual": worst})
 
-    clt_rows = [asdict(clt_report(sums, args.y_grid)) for sums in buckets]
-    predictions = ldp_predict(buckets, args.s, prime_cutoff=args.cutoff)
+    clt_rows = [asdict(stats.clt_report(sums, args.y_grid)) for sums in buckets]
+    predictions = stats.ldp_predict(buckets, args.s, prime_cutoff=cutoff)
     ldp_rows = [dict(asdict(pred), x=x) for x, pred in zip(xs, predictions)]
 
     payload = {
@@ -254,8 +260,8 @@ def cmd_report(args: argparse.Namespace):
             "g": args.g,
             "x_grid": list(xs),
             "z_grid": [[z.real, z.imag] for z in args.z_grid],
-            "cutoff": args.cutoff,
-            "tol": DEFAULT_FACTOR_TOL,
+            "cutoff": cutoff,
+            "tol": euler.DEFAULT_FACTOR_TOL,
             "s": args.s,
             "y_grid": list(args.y_grid),
             "seed": 0,
@@ -281,7 +287,9 @@ def cmd_report(args: argparse.Namespace):
 # each command registers --spec, --format and its own flags
 _FLAGS = {
     "--g": dict(default="omega", help="additive function: omega | big_omega | table:<path>"),
-    "--cutoff": dict(type=_int_arg, default=DEFAULT_PRIME_CUTOFF, help="Euler product prime cutoff"),
+    # None stands for euler.DEFAULT_PRIME_CUTOFF, read by _cutoff in the
+    # command, so that building the parser loads no engine
+    "--cutoff": dict(type=_int_arg, help="Euler product prime cutoff"),
     "--x": dict(type=_int_arg),
     "--x-grid": dict(type=_x_grid_arg),
     "--y": dict(type=_complex_arg),
@@ -340,6 +348,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.additive = parse_additive(args.g) if "g" in args else None
         record, text = args.func(args)
         if args.fmt == "json":
+            import json  # loaded for --format json alone
+
             chunks = (json.dumps(record() if callable(record) else record, indent=2) + "\n",)
         else:
             chunks = (text,) if isinstance(text, str) else text

@@ -39,11 +39,11 @@ S_v(x) = sum of alpha(n) over n <= x with g(n) = v, one for each value
 v that g takes: the twisted sum is sum_v y^v S_v, the normalizing sum is
 sum_v S_v, and the pmf is S_v over that total.  Each piece (below)
 labels its n by the offset g(n) - min g when g is integer-valued and its
-span on the piece is at most the piece's length, and by np.unique
-otherwise, whose sort costs about six times as much; the offsets key
-every integer of the span, taken or not.  bucket_sums_grid makes one
-pass over the blocks for a whole x grid; each statistic BucketSums gives
-then costs O(#values), about 25 for omega.
+span on the piece is at most _DENSE_SPAN, and by np.unique otherwise,
+whose sort costs about six times as much; the offsets key every integer
+of the span, taken or not.  bucket_sums_grid makes one pass over the
+blocks for a whole x grid; each statistic BucketSums gives then costs
+O(#values), about 25 for omega.
 
 All reductions run through fixed chunks aligned at n = 1 (n = 0 for
 prefix sums) and finished by fsum, which is exact: a bucket sum takes one
@@ -78,6 +78,13 @@ _CHUNK = 1024
 
 # consecutive n per bincount row of the bucket sums
 _BUCKET_CHUNK = 4096
+
+# widest span of an integer g on a piece that is labelled by offsets.
+# omega and Omega span at most 33 up to x = 1e10, so they never sort; a
+# wider g is keyed by the values it takes, because the offsets keep a
+# column per integer of the span in every row, taken or not: a table
+# value of 60000 would keep 60001 columns per 4096 n, 597 MB at x = 1e6
+_DENSE_SPAN = 64
 
 # n per value-table block; blocks of whole _BUCKET_CHUNKs are read
 # without a copy by the bucket and partial sums
@@ -688,12 +695,12 @@ def _buckets(w: np.ndarray, gt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The values of g on a piece, in increasing order, and one bincount
     row of the weights w by them per _BUCKET_CHUNK consecutive n.
 
-    An integer g whose span on the piece is at most the piece's length is
+    An integer g whose span on the piece is at most _DENSE_SPAN is
     labelled by the offset from its least value, and every integer of the
     span is a value; any other g by np.unique, a sort.
     """
     least = gt.min()
-    if gt.dtype.kind == "i" and gt.max() - least < gt.size:
+    if gt.dtype.kind == "i" and gt.max() - least <= _DENSE_SPAN:
         values, labels = np.arange(least, gt.max() + 1), gt - least
     else:
         values, labels = np.unique(gt, return_inverse=True)

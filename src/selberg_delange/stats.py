@@ -15,7 +15,6 @@ or a spec other than its own.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
@@ -27,8 +26,6 @@ from .euler import DEFAULT_PRIME_CUTOFF, _check_cutoff, _log_derivative, _twist_
 from .exact import BucketSums
 from .funcs import OMEGA, AdditiveSpec, MultiplicativeSpec
 from .special import cexpm1
-
-logger = logging.getLogger(__name__)
 
 
 def eta(z) -> complex:
@@ -158,7 +155,9 @@ def _checked_decay(alpha: MultiplicativeSpec, g: AdditiveSpec, x: int, s: float)
 def _prefactor(alpha: MultiplicativeSpec, g: AdditiveSpec, s: float, prime_cutoff: int) -> float:
     """psi(ln s)/(1 - 1/s), or psi'(0) at s = 1, where that quotient is 1/0."""
     if s == 1.0:
-        logger.warning("s = 1: replacing the divergent prefactor psi(0)/(1 - 1/s) by psi'(0)")
+        import logging  # loaded for this warning alone
+
+        logging.getLogger(__name__).warning("s = 1: replacing the divergent prefactor psi(0)/(1 - 1/s) by psi'(0)")
         return psi_prime_at_zero(alpha, g, prime_cutoff).real
     return psi(alpha, math.log(s), g, prime_cutoff=prime_cutoff).real / (1.0 - 1.0 / s)
 

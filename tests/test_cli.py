@@ -124,6 +124,15 @@ def test_sample_draws_written_in_chunks(capsys, monkeypatch):
     assert run_cli(capsys, SAMPLE_ARGS) == (0, SAMPLE_GOLDEN, "")
 
 
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 100000])
+def test_sample_bytes_are_those_of_one_join(capsys, count):
+    # each chunk is formatted by one %-format; the bytes are those of a
+    # join of the draws' str over all of them
+    code, out, _ = run_cli(capsys, ["sample", "--x", "1000", "--count", str(count)])
+    draws = exact.sample(parse_multiplicative("unit"), 1000, 0, count).tolist()
+    assert (code, out) == (0, "\n".join(map(str, draws)) + "\n")
+
+
 def test_sum_golden_single_and_grid(capsys):
     code, out, _ = run_cli(capsys, ["sum", "--spec", "theta_omega:2", "--x", "10"])
     assert code == 0
@@ -1217,8 +1226,8 @@ def test_ldp_grid_at_s_one_computes_psi_prime_once(rows_per_pass, monkeypatch, c
 def count_report_work(monkeypatch):
     """The list each value-table pass and each Euler kernel pass appends to."""
     calls = []
-    bucket_sums_grid, local_factors = cli.bucket_sums_grid, euler._local_factors
-    monkeypatch.setattr(cli, "bucket_sums_grid", lambda *args: calls.append("tables") or bucket_sums_grid(*args))
+    bucket_sums_grid, local_factors = exact.bucket_sums_grid, euler._local_factors
+    monkeypatch.setattr(exact, "bucket_sums_grid", lambda *args: calls.append("tables") or bucket_sums_grid(*args))
     monkeypatch.setattr(euler, "_local_factors", lambda *args: calls.append("euler") or local_factors(*args))
     return calls
 
@@ -1306,3 +1315,54 @@ def test_traced_euler_workload_repeats_its_output_and_counts(tmp_path, argv):
         trace = json.loads(path.read_text(encoding="utf-8"))
         counts.append((trace["value_at_calls"], Counter(span[0] for span in trace["spans"])))
     assert counts[0] == counts[1]
+
+
+def test_trace_child_finds_the_lazy_engines(tmp_path):
+    # bench/trace_child.py indexes sys.modules for each layer right after
+    # importing the CLI; the lazy engines are there, and its vars() runs them
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    trace = tmp_path / "trace.json"
+    result = subprocess.run([sys.executable, str(root / "bench" / "trace_child.py"), str(trace), "pmf", "--x", "1000"],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "exact.pmf" in [span[0] for span in json.loads(trace.read_text(encoding="utf-8"))["spans"]]
+
+
+# ---------------------------------------------------------------------------
+# what each command loads: the package runs an engine at its first use,
+# json loads for --format json alone and logging for the s = 1 warning
+
+LOAD_PROBE = """
+import contextlib, io, sys, types
+from selberg_delange import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+ran = [name for name in ("euler", "exact", "stats") if type(sys.modules["selberg_delange." + name]) is types.ModuleType]
+print(code, *ran, *(name for name in ("json", "logging") if name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["pmf", "--x", "1000"], "exact"),
+        (["sample", "--x", "1000"], "exact"),
+        (["sum", "--x", "1000"], "exact"),
+        (["mgf", "--x", "1000", "--y", "2"], "exact"),
+        (["lambda0", "--cutoff", "1000"], "euler"),
+        (["psi", "--cutoff", "1000"], "euler"),
+        (["check"], "euler"),
+        (["pmf", "--x", "1000", "--format", "json"], "exact json"),
+        (["clt", "--x", "1000"], "euler exact stats"),
+        (["ldp", "--x", "1000", "--s", "1", "--cutoff", "1000"], "euler exact stats logging"),
+        (["report", "--x-grid", "1e3", "--z-grid", "circle:2", "--cutoff", "1000"], "euler exact stats json"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_each_command_loads_only_the_engines_it_runs(argv, loaded):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.stdout == f"0 {loaded}\n", result.stderr

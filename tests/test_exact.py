@@ -787,9 +787,26 @@ def test_a_sparse_table_buckets_in_small_memory():
     assert peak < 2**23
 
 
+@pytest.mark.parametrize("v", [4000, 60000, 70000])
+def test_one_large_table_value_keeps_two_buckets(v):
+    # g = v at n = 2 mod 4: a span of v on every piece, which the offsets
+    # once keyed by v + 1 columns per 4096 n (597 MB at v = 60000) while
+    # it stayed within the block's 65536; every v now takes np.unique
+    x = 10**6
+    prime_array.cache_clear()
+    tracemalloc.start()
+    try:
+        sums = bucket_sums(unit(), tabulated_additive({(2, 1): v}), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sums.values.tolist(), sums.real.tolist()) == ([0, v], [750000.0, 250000.0])
+    assert peak < 2**23
+
+
 def test_omega_and_big_omega_buckets_take_no_sort(monkeypatch):
-    # their span on a block is at most the block's length, so the offsets
-    # label them; a fractional table labels through np.unique
+    # their span is at most 33 up to x = 1e10, within exact._DENSE_SPAN, so
+    # the offsets label them; a fractional table labels through np.unique
     calls = []
     unique = np.unique
 

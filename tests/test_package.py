@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import selberg_delange
@@ -24,6 +29,19 @@ DELETED = [
 def test_the_package_exports_exactly_its_public_names():
     assert len(PUBLIC_NAMES) == 52
     assert sorted(selberg_delange.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(selberg_delange))
+
+
+def test_a_bare_import_runs_no_engine():
+    # euler, exact and stats sit in sys.modules as lazy modules, whose
+    # class becomes ModuleType when their code runs
+    probe = (
+        "import sys, types, selberg_delange\n"
+        "print([type(sys.modules['selberg_delange.' + m]) is types.ModuleType for m in ('euler', 'exact', 'stats')])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.stdout, result.stderr) == ("[False, False, False]\n", "")
 
 
 @pytest.mark.parametrize("name", DELETED)
