@@ -67,6 +67,7 @@ DEFAULT_FACTOR_TOL = 1e-14
 _INTEGER_SNAP_TOL = 1e-12
 
 _K_HARD_CAP = 100_000
+_MAP_SLICE = 4096  # entries _map_float lists at a time
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,14 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
 
     numpy's own log1p, atan2 and power may differ from libm in the last
     ulp, which would change printed values; mapping keeps every term
-    bit-identical to a per-prime loop in Python floats.
+    bit-identical to a per-prime loop in Python floats.  Columns are
+    listed _MAP_SLICE entries at a time, so no list grows with them.
     """
     n = max(np.size(c) for c in columns)
-    lists = [np.broadcast_to(c, (n,)).tolist() for c in columns]
-    return np.fromiter(map(fn, *lists), dtype=np.float64, count=n)
+    columns, out = [np.broadcast_to(c, (n,)) for c in columns], np.empty(n)
+    for i in range(0, n, _MAP_SLICE):
+        out[i : i + _MAP_SLICE] = np.fromiter(map(fn, *(c[i : i + _MAP_SLICE].tolist() for c in columns)), np.float64)
+    return out
 
 
 @np.errstate(all="ignore")  # entries past a row's cut or count are masked out

@@ -23,10 +23,11 @@ primes above sqrt(x); the checks then run prime by prime, so an error
 names the first (p, k) the sweep would reach.  Both tables hold real
 values, float64 (int64 for integer-valued g): a value with a nonzero
 imaginary part is an error, and complex twists of alpha come from the
-real bucket sums below.  A spec that states its value (a one-term
-series or a k_value) gives one scalar there unless one of its
-exceptional primes lies among them, so no array over the large primes
-is built, and a value of 1 (0 for g) gathers nothing.  A pass
+real bucket sums below.  A spec's series (k_value for g) gives every
+value off its exceptional primes, and of the built-ins only `perturbed`
+has none.  A one-term series gives one scalar unless an exceptional
+prime lies among the primes, so no array over the large primes is
+built, and a value of 1 (0 for g) gathers nothing.  A pass
 allocates its working arrays once: the tables, the tail's positions
 and the gather's index and offsets.  It fills the runs of the tail and
 of the gather in groups of _TEMP_ITEMS entries, so no temporary grows
@@ -69,7 +70,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateSpecError, DomainError
-from .funcs import AdditiveSpec, MultiplicativeSpec, prime_power_values
+from .funcs import AdditiveSpec, MultiplicativeSpec, _listed, prime_power_values
 from .sieve import _require_memory, _sieve_bytes, prime_array
 from .special import cexpm1, cpow
 
@@ -167,8 +168,7 @@ def _swept_rows(spec, x: int, small: np.ndarray) -> List[List]:
     columns: List[List] = []
     primes = powers = small.tolist()
     while powers:  # the p^k <= x, a prefix of the primes
-        values = prime_power_values(spec, len(columns) + 1, small[: len(powers)])
-        columns.append(values.tolist() if values.ndim else [values.item()] * len(powers))
+        columns.append(_listed(spec, len(columns) + 1, small[: len(powers)]))
         powers = [q * p for q, p in zip(powers, primes) if q * p <= x]
     return [[column[i] for column in columns if i < len(column)] for i in range(len(primes))]
 

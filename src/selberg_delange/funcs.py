@@ -7,10 +7,10 @@ window, and a geometric growth envelope |f(p^k)| <= C * r^k that makes
 every series truncation computable.  Additive functions carry the
 analogous data for exponential twists y^g.
 
-Every built-in multiplicative spec except `perturbed` also declares its
-local series: f(p^k) as a short polynomial in 1/p whose coefficients do
-not depend on p.  The Euler products use it to close the product over
-the primes above their cutoff in closed form.
+Every built-in multiplicative spec except `perturbed` states its values
+by its local series: f(p^k) as a short polynomial in 1/p whose
+coefficients do not depend on p.  Both engines read it, and the Euler
+products close the product over the primes above their cutoff with it.
 
 Built-in families:
     unit                 f(n) = 1
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -75,8 +75,10 @@ class LocalSeries:
     """f(p^k) = sum_i coeffs(k)[i] p^(-i) at every prime p outside
     exceptional_primes, with coefficients that do not depend on p.
 
-    coeffs(k) returns a short tuple for each k >= 1; coeffs is compared
-    by identity, like value_at.
+    prime_power_values evaluates it there, and reads value_at at the
+    exceptional primes alone (the tabled primes of `tabulated`); every
+    built-in but `perturbed` has one.  coeffs(k) returns a short tuple
+    for each k >= 1; coeffs is compared by identity, like value_at.
     """
 
     coeffs: Callable[[int], Tuple[complex, ...]]
@@ -87,29 +89,26 @@ class LocalSeries:
 class MultiplicativeSpec:
     """A multiplicative function given by its prime-power values.
 
-    value_at(p, k) must be pure; instances are immutable and safe to
-    share across threads.  Both engines read the values through
-    prime_power_values, which calls value_at only where the spec states
-    none, as it describes.
+    Each f(p^k) is stated once, and both engines read it through
+    prime_power_values: by series, the optional LocalSeries, at every
+    prime outside its exceptional primes, and by value_at(p, k) at
+    those, or at every prime for a spec without a series.  Construction
+    raises ValueError where value_at is needed and missing.  Among the
+    built-ins only `perturbed`, the `tabulated` table and twists with
+    exceptional primes give one.  value_at must be pure; instances are
+    immutable and safe to share across threads.
 
     rho is the value f(p) tends to over the primes, so that
     sum f(n) n^-s = zeta(s)^rho G(s); prime_deviation = (c1, eps) bounds
     |f(p) - rho| <= c1 * p^(-eps), and feeds Euler-product tail
-    estimates.
-
-    series is the optional LocalSeries of the same values, declared by
-    every built-in but `perturbed`.  The Euler products close the primes
-    above their cutoff with it when no exceptional prime lies there (a
-    spec without one keeps the plain truncated product).  Where it has
-    one coefficient at k, that coefficient is the value f(p^k) the spec
-    states at every prime outside the exceptional primes, read there in
-    place of value_at, so the two must agree bit for bit.  Construction
-    compares them at k = 1 at the least prime above the exceptional
-    primes, and raises ValueError where their complex128 bits differ.
+    estimates.  The Euler products close the primes above their cutoff
+    with the series when no exceptional prime lies there.  The fields
+    after value_at are keyword-only.
     """
 
     name: str
-    value_at: Callable[[int, int], complex]
+    value_at: Optional[Callable[[int, int], complex]] = None
+    _: KW_ONLY
     rho: complex
     c0: float
     growth: GrowthBound
@@ -124,7 +123,7 @@ class MultiplicativeSpec:
         c1, eps = self.prime_deviation
         if c1 < 0.0 or eps <= 0.0:
             raise ValueError(f"prime_deviation needs c1 >= 0 and eps > 0, got {self.prime_deviation}")
-        _check_stated_value(self)
+        _check_value_at(self)
 
 
 @dataclass(frozen=True)
@@ -142,13 +141,13 @@ class AdditiveSpec:
     exceptional_primes (1 for omega, k for Omega, 0 for tables), or None
     when g states no such value; k_value(1) is g's generic prime value.
     It gives twists their rho and carries a local series through twists
-    and psi'(0), and prime_power_values reads it in place of value_at,
-    so the two must agree bit for bit; construction compares them at
-    k = 1 as MultiplicativeSpec does.
+    and psi'(0).  value_at(p, k) states g where k_value does not, as
+    MultiplicativeSpec's does where its series does not: OMEGA and
+    BIG_OMEGA give none, and the additive table gives its table.
     """
 
     name: str
-    value_at: Callable[[int, int], complex]
+    value_at: Optional[Callable[[int, int], complex]] = None
     strip: StripDomain = FULL_PLANE
     power_bound: Tuple[float, float] = (1.0, 0.0)
     integer_valued: bool = False
@@ -161,23 +160,25 @@ class AdditiveSpec:
         if not (math.isfinite(a) and math.isfinite(b) and b >= 0.0 and a + b >= 0.0):
             raise ValueError(f"power_bound (a, b) needs finite a and b with b >= 0 and a + b >= 0, "
                              f"got {self.power_bound}")
-        _check_stated_value(self)
+        _check_value_at(self)
 
 
-# primes per value_at call where a spec states no value
+# primes per value_at call where no series states a value
 _PRIMES_PER_CALL = 4096
 
 
-def _stated(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int) -> Tuple[object, Tuple[int, ...]]:
-    """The value spec states at p^k for every prime p outside its
-    exceptional primes, or None, and those primes: the coefficient of a
-    series with one coefficient at k, or k_value(k)."""
+def _exceptional(spec: Union[MultiplicativeSpec, AdditiveSpec]) -> Optional[Tuple[int, ...]]:
+    """The primes where value_at states spec's values: its series' (or k_value's) exceptional ones, or None for all."""
     if isinstance(spec, MultiplicativeSpec):
-        if spec.series is None:
-            return None, ()
-        coeffs = spec.series.coeffs(k)
-        return (coeffs[0] if len(coeffs) == 1 else None), spec.series.exceptional_primes
-    return (None if spec.k_value is None else spec.k_value(k)), spec.exceptional_primes
+        return None if spec.series is None else spec.series.exceptional_primes
+    return None if spec.k_value is None else spec.exceptional_primes
+
+
+def _check_value_at(spec: Union[MultiplicativeSpec, AdditiveSpec]) -> None:
+    exceptional = _exceptional(spec)
+    if spec.value_at is None and (exceptional is None or exceptional):
+        where = "any prime" if exceptional is None else f"its exceptional primes {list(exceptional)}"
+        raise ValueError(f"{spec.name}: no series states its values at {where}, so it needs value_at")
 
 
 def _stored(values: np.ndarray) -> np.ndarray:
@@ -188,36 +189,39 @@ def _stored(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values.real)
 
 
-def _check_stated_value(spec: Union[MultiplicativeSpec, AdditiveSpec]) -> None:
-    """value_at(q, 1) against the value spec states at q, the least prime
-    above its exceptional primes, where it states one: equal when their
-    complex128 bits are."""
-    value, exceptional = _stated(spec, 1)
-    if value is None:
-        return
-    q = max(exceptional, default=1) + 1
-    while not _is_prime_small(q):
-        q += 1
-    given = spec.value_at(q, 1)
-    if np.complex128(given).tobytes() != np.complex128(value).tobytes():
-        raise ValueError(f"{spec.name}: value_at({q}, 1) = {given} but the spec states {value} there")
+def _series_values(coeffs: Tuple, primes: np.ndarray) -> np.ndarray:
+    """The series of coefficients coeffs at every prime of primes: a 0-d
+    array for one coefficient, else the polynomial in u = 1/p by Horner's
+    rule from 0 and the last coefficient, with the real and imaginary
+    parts multiplied by u apart."""
+    c = _stored(np.array(coeffs, dtype=np.complex128))
+    if len(c) == 1:
+        return c[0, ...]
+    out = np.zeros(len(primes), dtype=c.dtype)
+    parts, u = out.view(np.float64).reshape(len(primes), -1), 1.0 / primes[:, None]
+    for a in c[::-1]:
+        parts *= u
+        out += a
+    return _stored(out)
 
 
 def prime_power_values(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, primes: np.ndarray) -> np.ndarray:
     """f(p^k), or g(p^k), at every prime p of the sorted int64 array
     primes: the one source of prime-power values for both engines.
 
-    Where the spec states a value at k (see _stated), every prime but
-    its exceptional primes takes it, and value_at(q, k) is called at each
-    exceptional prime q among primes, with q a Python int.  Where it
-    states none, value_at(p, k) is called once per _PRIMES_PER_CALL
-    primes with p a numpy object array of Python ints, so that Python
-    arithmetic on p acts elementwise and rounds as the scalar call
-    does; it may return a scalar or an array of p's shape.  A value_at
-    that raises TypeError or ValueError on an array (a table lookup, an
-    `if` on p) is called one prime at a time instead.
+    Where the spec has a series (or k_value), every prime but its
+    exceptional primes takes the series' value, evaluated in numpy by
+    _series_values, and value_at(q, k) is called at each exceptional
+    prime q among primes, with q a Python int.  Where it has none,
+    value_at(p, k) is called once per _PRIMES_PER_CALL primes with p a
+    numpy object array of Python ints, so that Python arithmetic on p
+    acts elementwise and rounds as the scalar call does; it may return a
+    scalar or an array of p's shape.  A value_at that raises TypeError
+    or ValueError on an array (a table lookup, an `if` on p) is called
+    one prime at a time instead.  Among the built-ins only `perturbed`
+    is read that way; the tables' value_at is read at their tabled primes.
 
-    Returns a 0-d array where one stated value holds at every prime,
+    Returns a 0-d array where one coefficient holds at every prime,
     else an array of the primes' shape; float64 while every imaginary
     part is +0.0, else complex128.
 
@@ -227,19 +231,21 @@ def prime_power_values(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, pr
     """
     if not len(primes):
         return np.empty(0)
+    exceptional = _exceptional(spec)
     try:
-        value, exceptional = _stated(spec, k)
-        if value is None:
+        if exceptional is None:
             return _called_values(spec.value_at, k, primes)
+        coeffs = spec.series.coeffs(k) if isinstance(spec, MultiplicativeSpec) else (spec.k_value(k),)
+        stated = _series_values(coeffs, primes)
         where = np.searchsorted(primes, exceptional).tolist() if exceptional else []
         inside = [(i, q) for i, q in zip(where, exceptional) if i < len(primes) and primes[i] == q]
-        values = _stored(np.array([value] + [spec.value_at(q, k) for _, q in inside], dtype=np.complex128))
+        if not inside:
+            return stated
+        called = _stored(np.array([spec.value_at(q, k) for _, q in inside], dtype=np.complex128))
     except OverflowError:
         raise OverflowError(f"{spec.name}: value at ({int(primes[0])},{k}) overflows float64") from None
-    if not inside:
-        return values[0, ...]
-    out = np.full(len(primes), values[0], dtype=values.dtype)
-    out[[i for i, _ in inside]] = values[1:]
+    out = np.full(len(primes), stated, dtype=np.result_type(stated, called))
+    out[[i for i, _ in inside]] = called
     return out
 
 
@@ -259,6 +265,12 @@ def _called_values(value_at, k: int, primes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _listed(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, primes: np.ndarray) -> list:
+    """prime_power_values as one Python scalar per prime."""
+    values = prime_power_values(spec, k, primes)
+    return values.tolist() if values.ndim else [values.item()] * len(primes)
+
+
 def _is_prime_small(p: int) -> bool:
     if p < 2:
         return False
@@ -270,7 +282,6 @@ def _is_prime_small(p: int) -> bool:
 
 OMEGA = AdditiveSpec(
     name="omega",
-    value_at=lambda p, k: 1,
     integer_valued=True,
     k_value=lambda k: 1,
 )
@@ -279,7 +290,6 @@ OMEGA = AdditiveSpec(
 # i.e. |y| < sqrt(2); slope enforcement downstream uses this strip
 BIG_OMEGA = AdditiveSpec(
     name="big_omega",
-    value_at=lambda p, k: k,
     strip=StripDomain(-math.inf, 0.5 * math.log(2.0)),
     power_bound=(0.0, 1.0),
     integer_valued=True,
@@ -296,7 +306,9 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
     the prime deviation bound, as in tabulated_multiplicative.  The
     twist maps alpha's local series, if it has one, to a series: it
     multiplies coeffs(k) by y^k_value(k), and its exceptional primes are
-    those of alpha's series and those of g.
+    those of alpha's series and those of g.  Only where that series has
+    exceptional primes, or alpha none, does it give a value_at, which
+    reads alpha's and g's values through prime_power_values.
 
     Raises:
         ValueError: y == 0, or g states no k_value.
@@ -306,20 +318,22 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
         raise ValueError("twist parameter y must be nonzero")
     if g.k_value is None:
         raise ValueError(f"additive spec {g.name!r} has no generic prime value, so its twist has no rho")
-    alpha_value = alpha.value_at
-    g_value = g.value_at
 
     def value_at(p, k):
-        return cpow(y, g_value(p, k)) * alpha_value(p, k)
+        # p is an exceptional prime of the series, or a chunk of primes where alpha has none
+        primes = np.array(p, dtype=np.int64, ndmin=1)
+        g_values = _listed(g, k, primes)
+        powers = {v: cpow(y, v) for v in set(g_values)}
+        values = [powers[v] * f for v, f in zip(g_values, _listed(alpha, k, primes))]
+        return values if np.ndim(p) else values[0]
 
     a, b = g.power_bound
     m = max(1.0, abs(y)) if g.nonnegative else max(abs(y), 1.0 / abs(y))
     c1, eps = alpha.prime_deviation
     scale = cpow(y, g.k_value(1))
-    c1 = c1 * m ** (a + b) + max(
-        (abs(cpow(y, g_value(p, 1)) - scale) * abs(alpha_value(p, 1)) * p**eps for p in g.exceptional_primes),
-        default=0.0,
-    )
+    at = np.array(sorted(g.exceptional_primes), dtype=np.int64)
+    deviations = zip(at.tolist(), _listed(g, 1, at), _listed(alpha, 1, at))
+    c1 = c1 * m ** (a + b) + max((abs(cpow(y, v) - scale) * abs(f) * p**eps for p, v, f in deviations), default=0.0)
     series = None
     if alpha.series is not None:
         alpha_coeffs, k_value = alpha.series.coeffs, g.k_value
@@ -331,7 +345,7 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
         series = LocalSeries(coeffs, tuple(sorted({*alpha.series.exceptional_primes, *g.exceptional_primes})))
     return MultiplicativeSpec(
         name=f"twist({alpha.name}, y={y.real:g}{y.imag:+g}j, g={g.name})",
-        value_at=value_at,
+        value_at=value_at if series is None or series.exceptional_primes else None,
         rho=scale * complex(alpha.rho),
         c0=alpha.c0,
         growth=GrowthBound(C=alpha.growth.C * m**a, r=alpha.growth.r * m**b),
@@ -340,20 +354,14 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
     )
 
 
-def _constant_series(coeffs: Tuple, exceptional_primes: Tuple[int, ...] = ()) -> LocalSeries:
-    """The series whose coefficients are the same for every k."""
-    return LocalSeries(lambda k: coeffs, exceptional_primes)
-
-
 def unit() -> MultiplicativeSpec:
     """f(n) = 1 for all n; rho = 1."""
     return MultiplicativeSpec(
         name="unit",
-        value_at=lambda p, k: 1.0,
         rho=1.0,
         c0=0.25,
         growth=GrowthBound(1.0, 1.0),
-        series=_constant_series((1.0,)),
+        series=LocalSeries(lambda k: (1.0,)),
     )
 
 
@@ -364,11 +372,10 @@ def theta_omega(theta) -> MultiplicativeSpec:
 
     return MultiplicativeSpec(
         name=f"theta_omega:{_format_param(value)}",
-        value_at=lambda p, k: value,
         rho=value,
         c0=0.25,
         growth=GrowthBound(abs(theta), 1.0),
-        series=_constant_series((value,)),
+        series=LocalSeries(lambda k: (value,)),
     )
 
 
@@ -388,7 +395,6 @@ def geometric_B(B: float, c0: Optional[float] = None) -> MultiplicativeSpec:
         c0 = 0.25 if B <= 1.0 else min(0.25, 0.5 * (1.0 - math.log2(B)))
     return MultiplicativeSpec(
         name=f"geometric_B:{B:g}",
-        value_at=lambda p, k: B**k,
         rho=B,
         c0=c0,
         growth=GrowthBound(1.0, B),
@@ -438,9 +444,6 @@ def tau_rho(rho) -> MultiplicativeSpec:
     if not cmath.isfinite(rho):
         raise ValueError(f"tau_rho needs a finite rho, got {_format_param(rho)}")
 
-    def value_at(p, k):
-        return _binomial_series_coeff(rho, k)
-
     # values are p-independent and grow polynomially in k, so any r > 1
     # gives a geometric envelope once C covers the early maximum
     r = 1.25
@@ -456,7 +459,6 @@ def tau_rho(rho) -> MultiplicativeSpec:
             break  # r**k exceeds every double: no finite coefficient lifts C >= 1 from here on
     return MultiplicativeSpec(
         name=f"tau_rho:{_format_param(rho)}",
-        value_at=value_at,
         rho=rho,
         c0=0.25,
         growth=GrowthBound(C, r),
@@ -468,12 +470,11 @@ def euler_phi_over_n() -> MultiplicativeSpec:
     """f(n) = phi(n)/n, i.e. f(p^k) = 1 - 1/p; rho = 1."""
     return MultiplicativeSpec(
         name="euler_phi_over_n",
-        value_at=lambda p, k: 1.0 - 1.0 / p,
         rho=1.0,
         c0=0.25,
         growth=GrowthBound(1.0, 1.0),
         prime_deviation=(1.0, 1.0),
-        series=_constant_series((1.0, -1.0)),
+        series=LocalSeries(lambda k: (1.0, -1.0)),
     )
 
 
@@ -505,14 +506,9 @@ def tabulated_multiplicative(
     default = complex(default)
     if default.imag == 0.0:
         default = default.real
-    table = {}
-    for (p, k), v in entries.items():
-        table[_table_key(p, k, v)] = complex(v)
+    table = {_table_key(p, k, v): complex(v) for (p, k), v in entries.items()}
     cap = max([abs(default)] + [abs(v) for v in table.values()])
-    dev = 0.0
-    for (p, k), v in table.items():
-        if k == 1:
-            dev = max(dev, abs(v - default) * p)
+    dev = max((abs(v - default) * p for (p, k), v in table.items() if k == 1), default=0.0)
     return MultiplicativeSpec(
         name=name,
         value_at=lambda p, k: table.get((p, k), default),
@@ -520,7 +516,7 @@ def tabulated_multiplicative(
         c0=c0,
         growth=GrowthBound(max(cap, 1e-300), 1.0),
         prime_deviation=(dev, 1.0),
-        series=_constant_series((default,), tuple(sorted({p for p, _ in table}))),
+        series=LocalSeries(lambda k: (default,), tuple(sorted({p for p, _ in table}))),
     )
 
 
@@ -533,9 +529,7 @@ def tabulated_additive(
     It states g(p^k) = 0 at every prime outside the table, and the
     tabled primes are its exceptional primes.
     """
-    table = {}
-    for (p, k), v in entries.items():
-        table[_table_key(p, k, v)] = float(v)
+    table = {_table_key(p, k, v): float(v) for (p, k), v in entries.items()}
     values = list(table.values())
     cap = max((abs(v) for v in values), default=0.0)
     return AdditiveSpec(

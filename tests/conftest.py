@@ -1,12 +1,14 @@
 """Shared brute-force oracles: everything here but whole_table uses
 trial division and direct summation only, independent of the package's
-sieve and table machinery.  whole_table writes the package's streamed
-value tables into one array; checked against these oracles, it is the
-tests' reference for the tables.  Also the rows_per_pass fixture, which
-counts the Euler kernel's passes, and block_length, which sets the length
-of the value-table blocks."""
+sieve, table machinery and prime_power_values.  whole_table writes the
+package's streamed value tables into one array; checked against these
+oracles, it is the tests' reference for the tables.  counted counts a
+spec's value_at calls.  Also the rows_per_pass fixture, which counts the
+Euler kernel's passes, and block_length, which sets the length of the
+value-table blocks."""
 
 import contextlib
+import dataclasses
 import math
 from typing import Dict, Tuple
 
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from selberg_delange import euler, exact
+from selberg_delange.funcs import AdditiveSpec
 
 
 @pytest.fixture
@@ -64,18 +67,61 @@ def trial_big_omega(n: int) -> int:
     return sum(k for _, k in trial_factorize(n))
 
 
+def value_of(spec, p: int, k: int):
+    """f(p^k), or g(p^k), at the one prime p, as the spec states it and
+    without funcs.prime_power_values: value_at at an exceptional prime,
+    else the series' coefficients (k_value for g) summed in Python in
+    that function's order, Horner's rule in u = 1/p from 0 and the last
+    coefficient on the real and imaginary parts apart, else value_at."""
+    if isinstance(spec, AdditiveSpec):
+        coeffs = None if spec.k_value is None else (spec.k_value(k),)
+        exceptional = spec.exceptional_primes
+    else:
+        coeffs = None if spec.series is None else spec.series.coeffs(k)
+        exceptional = () if spec.series is None else spec.series.exceptional_primes
+    if coeffs is None or p in exceptional:
+        return spec.value_at(p, k)
+    if len(coeffs) == 1:
+        return coeffs[0]
+    u = 1.0 / p
+    c = [complex(a) for a in coeffs]
+    re = im = 0.0
+    for a in reversed(c):
+        re, im = re * u + a.real, im * u + a.imag
+    return complex(re, im)
+
+
+def counted(spec):
+    """spec with a value_at that counts its calls, as bench/trace_child.py
+    builds one; it wraps None for a spec that gives no value_at."""
+    calls = []
+    value_at = spec.value_at
+
+    def counting(p, k):
+        calls.append((p, k))
+        return value_at(p, k)
+
+    return dataclasses.replace(spec, value_at=counting), calls
+
+
+def without_series(spec):
+    """spec with its series dropped, whose value_at gives value_of's
+    values one prime at a time (int() raises TypeError on an array)."""
+    return dataclasses.replace(spec, series=None, value_at=lambda p, k: value_of(spec, int(p), k))
+
+
 def spec_eval_brute(spec, n: int) -> complex:
     """Evaluate a multiplicative spec at n through trial division."""
     acc = complex(1.0)
     for p, k in trial_factorize(n):
-        acc *= complex(spec.value_at(p, k))
+        acc *= complex(value_of(spec, p, k))
     return acc
 
 
 def additive_eval_brute(g, n: int) -> complex:
     acc = complex(0.0)
     for p, k in trial_factorize(n):
-        acc += complex(g.value_at(p, k))
+        acc += complex(value_of(g, p, k))
     return acc
 
 

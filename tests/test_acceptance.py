@@ -28,7 +28,7 @@ import pytest
 from scipy import optimize
 from scipy import stats as scistats
 
-from conftest import trial_factorize, whole_table
+from conftest import trial_factorize, value_of, whole_table
 from selberg_delange.euler import check_admissibility_pp, g_compensated, lambda0, psi
 from selberg_delange.exact import bucket_sums_grid, partial_sum_grid, pmf, sample
 from selberg_delange.funcs import (
@@ -146,7 +146,8 @@ def test_criterion_03_sieve_vs_trial_division():
         for n in range(1, limit + 1):
             value = 1.0
             for p, k in factorizations[n]:
-                value *= spec.value_at(p, k).real if isinstance(spec.value_at(p, k), complex) else spec.value_at(p, k)
+                v = value_of(spec, p, k)
+                value *= v.real if isinstance(v, complex) else v
             brute[n] = value
         rel = np.abs(table - brute) / np.maximum(np.abs(brute), 1e-300)
         rel[0] = 0.0

@@ -29,6 +29,7 @@ from selberg_delange.euler import (
     lambda0,
     psi,
 )
+from selberg_delange.exact import bucket_sums, sample
 from selberg_delange.funcs import (
     BIG_OMEGA,
     OMEGA,
@@ -52,7 +53,7 @@ from selberg_delange.sieve import prime_array
 from selberg_delange.special import clog1p, cpow, gamma, zeta
 from selberg_delange.stats import psi_prime_at_zero
 
-from conftest import geometric_b_lambda0, prime_zeta_tail, whole_table
+from conftest import counted, geometric_b_lambda0, prime_zeta_tail, value_of, whole_table, without_series
 
 # ---------------------------------------------------------------------------
 # the scalar oracle: one local factor at a time, in Python floats
@@ -92,7 +93,7 @@ def local_factor(spec, p: int, s, tol: float = euler.DEFAULT_FACTOR_TOL) -> comp
     acc = 0j
     cur = t
     for k in range(1, K + 1):
-        acc += spec.value_at(p, k) * cur
+        acc += value_of(spec, p, k) * cur
         cur *= t
     return acc
 
@@ -338,7 +339,7 @@ def reference_square_sum_partials(spec, c0, grid):
         weight = 1.0
         for k in range(1, K + 1):
             weight /= float(p) ** beta
-            inner += abs(spec.value_at(p, k)) * weight
+            inner += abs(value_of(spec, p, k)) * weight
         acc_parts.append(inner * inner)
     partials.append((next_cut, fsum(acc_parts)))
     for remaining in grid_iter:
@@ -792,7 +793,7 @@ def test_stacked_lambda0_matches_each_row_and_the_scalar_reference():
         assert want == outcome(lambda: reference_lambda0(spec, P))
         if head is not None:
             assert result == lambda0(spec, P)
-            plain = lambda0(dataclasses.replace(spec, series=None), P)
+            plain = lambda0(without_series(spec), P)
             assert (repr(head), plain.completed) == (repr(plain.value), False)
 
 
@@ -932,7 +933,7 @@ def test_psi_and_ldp_read_one_twist_predicate():
         psi(unit(), math.log(171.63), prime_cutoff=100)
     assert psi(unit(), complex(math.log(200.0), math.pi), prime_cutoff=100) == 0j
     # a g without a k_value is left to twist, which names it
-    assert euler._twist_is_finite(unit(), 1000.0, dataclasses.replace(OMEGA, k_value=None))
+    assert euler._twist_is_finite(unit(), 1000.0, dataclasses.replace(OMEGA, k_value=None, value_at=lambda p, k: 1))
 
 
 def test_psi_grid_stores_its_products_for_lambda0():
@@ -962,7 +963,7 @@ def test_psi_grid_divides_products_closed_unlike_as_their_plain_products(alpha, 
     # products of the specs without their series are the oracle for the
     # heads that the grid's one pass divides
     def plain(spec):
-        result = lambda0(dataclasses.replace(spec, series=None), P)
+        result = lambda0(without_series(spec), P)
         assert not result.completed
         return result.value
 
@@ -1092,7 +1093,7 @@ def test_memo_hit_equals_fresh_computation():
 
 def test_memo_never_shares_entries_across_value_at():
     # no series: a series states the values, and the kernel reads it in place of value_at
-    a = dataclasses.replace(theta_omega(2), series=None)
+    a = dataclasses.replace(theta_omega(2), series=None, value_at=lambda p, k: 2.0)
     b = dataclasses.replace(a, value_at=lambda p, k: 1.5)
     assert a != b
     for first, second in ((a, b), (b, a)):
@@ -1349,11 +1350,13 @@ SERIES_SPECS = st.one_of(
     k=st.integers(1, 10),
 )
 def test_local_series_matches_value_at(spec, g, y, p, k):
+    # a twist's series states y^g(p^k) alpha(p^k) off its exceptional primes
+    want = complex(value_of(spec, p, k))
     if g is not None:
+        want *= cpow(y, value_of(g, p, k))
         spec = twist(spec, y, g)
     if p in spec.series.exceptional_primes:
         return
-    want = complex(spec.value_at(p, k))
     assert series_value(spec, p, k) == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
@@ -1408,22 +1411,8 @@ def test_specs_without_a_series_keep_their_bits():
 
 
 # ---------------------------------------------------------------------------
-# stated values: a row whose series has one coefficient at k, and no
-# exceptional prime in the head, reads it in place of value_at
-
-
-def counted(spec):
-    """spec with a value_at that counts its calls after construction, as
-    bench/trace_child.py builds one."""
-    calls = []
-
-    def value_at(p, k):
-        calls.append((p, k))
-        return spec.value_at(p, k)
-
-    spy = dataclasses.replace(spec, value_at=value_at)
-    calls.clear()  # the check of the stated value at construction
-    return spy, calls
+# stated values: a row whose series has no exceptional prime in the head
+# reads it in place of value_at
 
 
 STATING_SPECS = [unit(), theta_omega(2.5), theta_omega(complex(1.5, 0.5)), geometric_B(1.5), tau_rho(0.5),
@@ -1441,13 +1430,36 @@ def test_the_kernel_makes_no_value_at_call_for_a_stated_spec(spec):
         got = (outcome(lambda: lambda0(alpha, P)), euler.psi_grid(alpha, [-0.3, 0.5j], g_spy, P),
                psi_prime_at_zero(alpha, g_spy, P))
         assert repr(got) == repr(want)
-        # the kernel calls none; each twist checks its stated value once, at k = 1
-        assert [k for _, k in g_calls] == [1, 1]
-    assert [k for _, k in calls] == [1] * 4
-    # a two-term series states no value: phi(n)/n reads value_at once per power
-    phi, calls = counted(euler_phi_over_n())
-    lambda0(phi, P)
-    assert [k for _, k in calls] == list(range(1, len(calls) + 1))
+        assert g_calls == []
+    assert calls == []
+
+
+COUNTED_G = tabulated_additive({(2, 1): 1.0, (3, 1): 1.0, (5, 1): 2.0})
+COUNTED_SPECS = [unit(), theta_omega(2.5), theta_omega(complex(1.5, 0.5)), geometric_B(1.5), tau_rho(0.5),
+                 euler_phi_over_n(), tabulated_multiplicative({(3, 1): 0.5, (10007, 1): 2.0}, default=1.5),
+                 perturbed(1, 0.5)]
+
+
+@pytest.mark.parametrize("spec", COUNTED_SPECS, ids=lambda s: s.name)
+def test_no_built_in_but_perturbed_calls_value_at_off_its_exceptional_primes(spec):
+    # both engines, and the twists they build, read every other value from
+    # the series; perturbed has none, so its value_at gives every value
+    x, P = 10**5, 2000
+    alpha, calls = counted(spec)
+    for g in (OMEGA, BIG_OMEGA, COUNTED_G):
+        g_spy, g_calls = counted(g)
+        lambda0(alpha, P)
+        euler.psi_grid(alpha, [-0.3, 0.5j], g_spy, P)
+        psi_prime_at_zero(alpha, g_spy, P)
+        if not isinstance(spec.rho, complex):
+            bucket_sums(alpha, g_spy, x)
+        assert {p for p, _ in g_calls} <= set(g.exceptional_primes)
+    if not isinstance(spec.rho, complex):
+        sample(alpha, x, seed=1, count=100)
+    if spec.series is None:
+        assert len(calls) > 0
+    else:
+        assert {p for p, _ in calls} <= set(spec.series.exceptional_primes)
 
 
 def test_a_table_calls_value_at_only_at_its_table_prime():
@@ -1510,7 +1522,7 @@ def test_table_twist_psi_against_mpmath(alpha, alpha_value, P):
 def test_prime_power_values_match_value_at_to_the_last_bit(spec):
     primes = prime_array(3000)
     for k in (1, 2, 3):
-        want = np.array([complex(spec.value_at(p, k)) for p in primes.tolist()], dtype=np.complex128)
+        want = np.array([complex(value_of(spec, p, k)) for p in primes.tolist()], dtype=np.complex128)
         got = np.broadcast_to(prime_power_values(spec, k, primes), primes.shape).astype(np.complex128)
         assert got.tobytes() == want.tobytes()
 

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import tracemalloc
 from functools import partial
@@ -13,9 +12,12 @@ from conftest import (
     additive_eval_brute,
     block_length,
     brute_law,
+    counted,
     spec_eval_brute,
     trial_big_omega,
+    trial_factorize,
     trial_omega,
+    value_of,
     whole_table,
 )
 from selberg_delange import exact, sieve
@@ -507,14 +509,14 @@ def test_mod_poisson_residual_normalizes_by_the_spec_rho():
 
 def reference_multiplicative_table(spec, x):
     """f(n) for n <= x by sweeping the prime-power progressions of every
-    prime p <= x in increasing order, one value_at call per (p, k)."""
+    prime p <= x in increasing order, one conftest.value_of per (p, k)."""
     w = np.ones(x + 1, dtype=np.float64)
     w[0] = 0.0
     for p in prime_array(x).tolist():
         values = []
         pk = p
         while pk <= x:
-            v = complex(spec.value_at(p, len(values) + 1))
+            v = complex(value_of(spec, p, len(values) + 1))
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"{spec.name}: non-finite value at ({p},{len(values) + 1})")
             if v.imag != 0.0:
@@ -548,7 +550,7 @@ def reference_additive_table(g, x):
         prev = 0.0
         pk, k = p, 1
         while pk <= x:
-            v = complex(g.value_at(p, k))
+            v = complex(value_of(g, p, k))
             if v.imag != 0.0:
                 raise ValueError(f"{g.name}: tables require real values, got {v} at ({p},{k})")
             delta = v.real - prev
@@ -913,20 +915,6 @@ def test_gather_non_integer_delta_at_large_prime():
 # the tables read it and call no value_at
 
 
-def counted(spec):
-    """spec with a value_at that counts its calls after construction, as
-    bench/trace_child.py builds one."""
-    calls = []
-
-    def value_at(p, k):
-        calls.append((p, k))
-        return spec.value_at(p, k)
-
-    spy = dataclasses.replace(spec, value_at=value_at)
-    calls.clear()  # the check of the stated value at construction
-    return spy, calls
-
-
 # 101^2 = 10201: at x = 10200 the table prime 101 is gathered, at 10201 swept
 @pytest.mark.parametrize("x", [1000, 10200, 10201, 30000])
 @pytest.mark.parametrize("prime", [7, 101])
@@ -1021,19 +1009,16 @@ def test_a_table_prime_above_sqrt_x_is_the_one_value_at_call():
     assert calls == [(1009, 1)]
 
 
-def test_a_two_term_series_states_no_value():
-    # phi(n)/n has f(p^k) = 1 - 1/p: its series (1, -1) states no single
-    # value, so value_at gives the table over object arrays of Python
-    # ints: once per power k over the swept primes with p^k <= x, then
-    # once per chunk of the primes above sqrt(x)
+def test_a_two_term_series_is_read_without_value_at():
+    # phi(n)/n has f(p^k) = 1 - 1/p: its series (1, -1) is evaluated in
+    # numpy as 1 + (-1)(1/p), which is 1 - 1/p bit for bit
     x = 5000
     alpha, calls = counted(euler_phi_over_n())
+    table = whole_table(alpha, None, x)
+    assert table.tobytes() == reference_multiplicative_table(euler_phi_over_n(), x).tobytes()
+    assert table[1:].tolist() == [math.prod(1.0 - 1.0 / p for p, _ in trial_factorize(n)) for n in range(1, x + 1)]
     bucket_sums(alpha, OMEGA, x)
-    small = prime_array(math.isqrt(x)).tolist()
-    large = prime_array(x)[len(small) :].tolist()
-    want = [([p for p in small if p**k <= x], k) for k in range(1, 20) if 2**k <= x] + [(large, 1)]
-    assert [(p.tolist(), k) for p, k in calls] == want
-    assert {type(q) for p, _ in calls for q in p} == {int}
+    assert calls == []
 
 
 def test_tiny_prime_power_value_takes_exact_exponent_steps():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import selberg_delange
-from conftest import additive_eval_brute, spec_eval_brute, trial_factorize, whole_table
+from conftest import additive_eval_brute, spec_eval_brute, trial_factorize, value_of, whole_table
 from selberg_delange import funcs
 from selberg_delange.errors import SpecGrammarError
 from selberg_delange.funcs import (
@@ -82,8 +82,8 @@ def test_multiplicativity_on_coprime_pairs(spec):
 
 
 def test_twist_examples():
-    assert twist(unit(), 2, OMEGA).value_at(3, 5) == 2
-    assert twist(unit(), 2, BIG_OMEGA).value_at(3, 5) == 32
+    assert value_of(twist(unit(), 2, OMEGA), 3, 5) == 2
+    assert value_of(twist(unit(), 2, BIG_OMEGA), 3, 5) == 32
     assert twist(unit(), 2, OMEGA).rho == 2
     assert twist(theta_omega(3), 2, OMEGA).rho == 6
 
@@ -95,7 +95,7 @@ def test_twist_composition():
     assert outer.rho == direct.rho
     for p in (2, 3, 5, 97):
         for k in (1, 2, 5):
-            assert outer.value_at(p, k) == pytest.approx(direct.value_at(p, k), rel=1e-14)
+            assert value_of(outer, p, k) == pytest.approx(value_of(direct, p, k), rel=1e-14)
 
 
 def test_twist_rejects_zero():
@@ -111,7 +111,7 @@ def test_twist_varying_additive_needs_explicit_rho():
     # declaring g(p^k) = 2 outside p = 2 makes it explicit: rho = 2^2 * 1
     spec = twist(unit(), 2, dataclasses.replace(g, exceptional_primes=(2,), k_value=lambda k: 2.0))
     assert spec.rho == 4.0
-    assert spec.value_at(3, 1) == 4
+    assert value_of(spec, 3, 1) == 4
 
 
 def test_twist_by_additive_table_uses_generic_value_zero():
@@ -119,8 +119,8 @@ def test_twist_by_additive_table_uses_generic_value_zero():
     assert (g.k_value(1), g.k_value(2), g.exceptional_primes) == (0.0, 0.0, (2, 3))
     spec = twist(theta_omega(1.5), 2, g)
     assert spec.rho == 1.5
-    assert spec.value_at(3, 1) == 6
-    assert spec.value_at(11, 1) == 1.5
+    assert value_of(spec, 3, 1) == 6
+    assert value_of(spec, 11, 1) == 1.5
     # |f(3) - 1.5| = 4.5 = c1 * 3^-1 needs c1 >= 13.5
     c1, eps = spec.prime_deviation
     assert eps == 1.0 and c1 >= 13.5
@@ -134,17 +134,17 @@ def test_theta_omega_is_omega_twist_of_unit():
     assert th.rho == tw.rho
     for p in (2, 3, 5, 11, 97):
         for k in (1, 2, 3, 7):
-            assert th.value_at(p, k) == pytest.approx(tw.value_at(p, k), rel=1e-14)
+            assert value_of(th, p, k) == pytest.approx(value_of(tw, p, k), rel=1e-14)
 
 
 def test_tau_rho_binomials():
-    assert tau_rho(1).value_at(2, 5) == 1
-    assert tau_rho(2).value_at(7, 1) == 2
+    assert value_of(tau_rho(1), 2, 5) == 1
+    assert value_of(tau_rho(2), 7, 1) == 2
     for rho in (2, 3, 5):
         spec = tau_rho(rho)
         for k in range(0, 12):
             want = math.comb(rho + k - 1, k)
-            assert spec.value_at(2, k) == pytest.approx(want, rel=1e-12)
+            assert value_of(spec, 2, k) == pytest.approx(want, rel=1e-12)
 
 
 def test_tau_rho_one_matches_unit():
@@ -187,7 +187,7 @@ def test_growth_envelope_holds(spec):
     C, r = spec.growth.C, spec.growth.r
     for p in (2, 3, 5, 7, 97):
         for k in range(1, 13):
-            assert abs(spec.value_at(p, k)) <= C * r**k * (1 + 1e-12)
+            assert abs(value_of(spec, p, k)) <= C * r**k * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("spec", [s for s in BUILTINS + TWISTS if s.series is not None], ids=lambda s: s.name)
@@ -200,7 +200,7 @@ def test_prime_deviation_bound_holds():
     for spec in (perturbed(1.0, 0.5), euler_phi_over_n()):
         c1, eps = spec.prime_deviation
         for p in (2, 3, 5, 101, 997):
-            assert abs(spec.value_at(p, 1) - spec.rho) <= c1 * p**-eps * (1 + 1e-12)
+            assert abs(value_of(spec, p, 1) - spec.rho) <= c1 * p**-eps * (1 + 1e-12)
 
 
 def test_growth_bound_validation():
@@ -255,10 +255,10 @@ def test_tau_rho_envelope_scan_stops_at_the_first_overflow():
 
 def test_tabulated_multiplicative():
     spec = tabulated_multiplicative({(2, 1): 0.5, (2, 2): 0.25}, default=1.0)
-    assert spec.value_at(2, 1) == 0.5
-    assert spec.value_at(2, 2) == 0.25
-    assert spec.value_at(2, 3) == 1.0
-    assert spec.value_at(3, 1) == 1.0
+    assert value_of(spec, 2, 1) == 0.5
+    assert value_of(spec, 2, 2) == 0.25
+    assert value_of(spec, 2, 3) == 1.0
+    assert value_of(spec, 3, 1) == 1.0
     assert spec.rho == 1.0
     with pytest.raises(ValueError):
         tabulated_multiplicative({(4, 1): 2.0})
@@ -268,9 +268,9 @@ def test_tabulated_multiplicative():
 
 def test_tabulated_additive():
     g = tabulated_additive({(2, 1): 1.0, (3, 2): 2.0})
-    assert g.value_at(2, 1) == 1.0
-    assert g.value_at(3, 2) == 2.0
-    assert g.value_at(5, 1) == 0.0
+    assert value_of(g, 2, 1) == 1.0
+    assert value_of(g, 3, 2) == 2.0
+    assert value_of(g, 5, 1) == 0.0
     assert g.integer_valued
     assert additive_eval_brute(g, 18) == 3.0
     frac = tabulated_additive({(2, 1): 0.5})
@@ -313,7 +313,7 @@ def test_parse_multiplicative_round_trips(text, n, value):
 
 def test_parse_multiplicative_perturbed():
     spec = parse_multiplicative("perturbed:a=1,eps=0.5")
-    assert spec.value_at(5, 1) == pytest.approx(1.0 + 5**-0.5, rel=1e-14)
+    assert value_of(spec, 5, 1) == pytest.approx(1.0 + 5**-0.5, rel=1e-14)
     assert spec.rho == 1.0
 
 
@@ -398,10 +398,10 @@ def test_parse_additive_table_file(tmp_path):
     path = tmp_path / "g.table"
     path.write_text("# comment\n2 1 1.5\n3 1 2\n\n5 2 -1  # inline\n")
     g = parse_additive(f"table:{path}")
-    assert g.value_at(2, 1) == 1.5
-    assert g.value_at(3, 1) == 2.0
-    assert g.value_at(5, 2) == -1.0
-    assert g.value_at(7, 1) == 0.0
+    assert value_of(g, 2, 1) == 1.5
+    assert value_of(g, 3, 1) == 2.0
+    assert value_of(g, 5, 2) == -1.0
+    assert value_of(g, 7, 1) == 0.0
     assert not g.integer_valued
     assert not g.nonnegative
     assert additive_eval_brute(g, 12) == 2.0
@@ -444,8 +444,8 @@ def test_power_bounds_of_the_built_in_additive_specs():
 
 
 def one_at_a_time(spec, k, primes):
-    """value_at(p, k) at each prime, called with a Python int, as complex128."""
-    return np.array([complex(spec.value_at(p, k)) for p in primes.tolist()], dtype=np.complex128)
+    """The stated value at each prime (conftest.value_of), as complex128."""
+    return np.array([complex(value_of(spec, p, k)) for p in primes.tolist()], dtype=np.complex128)
 
 
 def complex_bits(values, primes):
@@ -515,19 +515,20 @@ def test_prime_power_values_storage_and_chunks():
     assert prime_power_values(table, 1, primes[:0]).shape == (0,)
 
 
-def test_a_value_at_that_contradicts_the_stated_value_is_refused():
-    # checked at q, the least prime above the exceptional primes
-    message = "theta_omega:2: value_at(2, 1) = 1.5 but the spec states 2.0 there"
+def test_value_at_is_required_where_no_series_states_the_values():
+    # at the exceptional primes of a series, or at every prime without one
+    message = "tabulated: no series states its values at its exceptional primes [7], so it needs value_at"
     with pytest.raises(ValueError, match=re.escape(message)):
-        dataclasses.replace(theta_omega(2), value_at=lambda p, k: 1.5)
-    table = tabulated_multiplicative({(7, 1): 3.0})
-    with pytest.raises(ValueError, match=re.escape("value_at(11, 1) = 2.0 but the spec states 1.0 there")):
-        dataclasses.replace(table, value_at=lambda p, k: 3.0 if p == 7 else 2.0)
-    with pytest.raises(ValueError, match=re.escape("omega: value_at(2, 1) = 2 but the spec states 1 there")):
-        dataclasses.replace(OMEGA, value_at=lambda p, k: 2)
-    # where a spec states no value there is nothing to compare
-    dataclasses.replace(theta_omega(2), value_at=lambda p, k: 1.5, series=None)
-    AdditiveSpec("custom", lambda p, k: 2)
+        dataclasses.replace(tabulated_multiplicative({(7, 1): 3.0}), value_at=None)
+    with pytest.raises(ValueError, match=re.escape("theta_omega:2: no series states its values at any prime, so it needs value_at")):
+        dataclasses.replace(theta_omega(2), series=None)
+    with pytest.raises(ValueError, match=re.escape("table: no series states its values at its exceptional primes [3]")):
+        dataclasses.replace(tabulated_additive({(3, 1): 1.0}), value_at=None)
+    with pytest.raises(ValueError, match=re.escape("custom: no series states its values at any prime, so it needs value_at")):
+        AdditiveSpec("custom")
+    # a spec may give both; value_at is then read at the exceptional primes alone
+    both = dataclasses.replace(theta_omega(2), value_at=lambda p, k: 1 / 0)
+    assert prime_power_values(both, 1, prime_array(100)).item() == 2.0
     # every tabled prime of a table g is exceptional, a -0.0 entry too
     assert tabulated_additive({(3, 1): 1.0, (5, 1): -0.0, (7, 2): 0.0}).exceptional_primes == (3, 5, 7)
 
