@@ -644,9 +644,9 @@ def _close_tail(coefficients: Iterator[complex], P: int, R0: float) -> Optional[
             return None
 
 
-def _completes(series: Optional[LocalSeries], P: int, *exceptional: int) -> bool:
-    """Whether a product over the primes above P can be closed by the series."""
-    return series is not None and all(p <= P for p in (*series.exceptional_primes, *exceptional))
+def _completes(series: Optional[LocalSeries], P: int, *exceptions) -> bool:
+    """Whether the series can close the product above P: no prime it or the given exceptions list lies above P."""
+    return series is not None and all(p <= P for listed in (series.exceptions, *exceptions) for p, _ in listed)
 
 
 def lambda0(spec: MultiplicativeSpec, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductResult:
@@ -879,7 +879,7 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
     terms /= 1.0 + factors.F_re + 1j * factors.F_im
     terms += c * rho * _map_float(math.log1p, -1.0 / factors.primes)
     total = complex(fsum(terms.real), fsum(terms.imag))
-    if _completes(alpha.series, P, *g.exceptional_primes):
+    if _completes(alpha.series, P, g.exceptions):
         coefficients = _log_derivative_coefficients(alpha.series, g.k_value, c, rho)
         tail = _close_tail(coefficients, P, alpha.growth.r)
         if tail is not None:

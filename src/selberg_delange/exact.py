@@ -24,10 +24,10 @@ names the first (p, k) the sweep would reach.  Both tables hold real
 values, float64 (int64 for integer-valued g): a value with a nonzero
 imaginary part is an error, and complex twists of alpha come from the
 real bucket sums below.  A spec's series (k_value for g) gives every
-value off its exceptional primes, and of the built-ins only `perturbed`
-has none.  A one-term series gives one scalar unless an exceptional
-prime lies among the primes, so no array over the large primes is
-built, and a value of 1 (0 for g) gathers nothing.  A pass
+value but the entries its exceptions list, and of the built-ins only
+`perturbed` has none.  A one-term series gives one scalar unless an
+entry at that power lies among the primes, so no array over the large
+primes is built, and a value of 1 (0 for g) gathers nothing.  A pass
 allocates its working arrays once: the tables, the tail's positions
 and the gather's index and offsets.  It fills the runs of the tail and
 of the gather in groups of _TEMP_ITEMS entries, so no temporary grows

@@ -9,8 +9,9 @@ analogous data for exponential twists y^g.
 
 Every built-in multiplicative spec except `perturbed` states its values
 by its local series: f(p^k) as a short polynomial in 1/p whose
-coefficients do not depend on p.  Both engines read it, and the Euler
-products close the product over the primes above their cutoff with it.
+coefficients do not depend on p, but at the prime powers it lists.  Both
+engines read it, and the Euler products close the product over the
+primes above their cutoff with it.
 
 Built-in families:
     unit                 f(n) = 1
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import KW_ONLY, dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+import operator
+from dataclasses import KW_ONLY, dataclass, field
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .errors import SpecGrammarError
 from .special import cpow
 
 _DEVIATION_NONE = (0.0, 1.0)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @dataclass(frozen=True)
@@ -72,17 +75,18 @@ FULL_PLANE = StripDomain(-math.inf, math.inf)
 
 @dataclass(frozen=True)
 class LocalSeries:
-    """f(p^k) = sum_i coeffs(k)[i] p^(-i) at every prime p outside
-    exceptional_primes, with coefficients that do not depend on p.
+    """f(p^k) = sum_i coeffs(k)[i] p^(-i) at every prime power outside
+    exceptions, with coefficients that do not depend on p.
 
-    prime_power_values evaluates it there, and reads value_at at the
-    exceptional primes alone (the tabled primes of `tabulated`); every
-    built-in but `perturbed` has one.  coeffs(k) returns a short tuple
-    for each k >= 1; coeffs is compared by identity, like value_at.
+    exceptions maps each (p, k) where f takes another value to it (the
+    entries of `tabulated`, and a twist's), and is compared by value but
+    not hashed, so a table spec stays hashable.  Every built-in but
+    `perturbed` has a series.  coeffs(k) returns a short tuple for each
+    k >= 1; coeffs is compared by identity, like value_at.
     """
 
     coeffs: Callable[[int], Tuple[complex, ...]]
-    exceptional_primes: Tuple[int, ...] = ()
+    exceptions: Mapping[Tuple[int, int], complex] = field(default_factory=dict, hash=False)
 
 
 @dataclass(frozen=True)
@@ -90,19 +94,17 @@ class MultiplicativeSpec:
     """A multiplicative function given by its prime-power values.
 
     Each f(p^k) is stated once, and both engines read it through
-    prime_power_values: by series, the optional LocalSeries, at every
-    prime outside its exceptional primes, and by value_at(p, k) at
-    those, or at every prime for a spec without a series.  Construction
-    raises ValueError where value_at is needed and missing.  Among the
-    built-ins only `perturbed`, the `tabulated` table and twists with
-    exceptional primes give one.  value_at must be pure; instances are
-    immutable and safe to share across threads.
+    prime_power_values: by series, the optional LocalSeries and its
+    exceptions, or else by value_at(p, k), which is read nowhere else.
+    Construction raises ValueError where neither is given.  Among the
+    built-ins only `perturbed` and its twists give value_at.  value_at
+    must be pure; instances are immutable and safe to share across threads.
 
     rho is the value f(p) tends to over the primes, so that
     sum f(n) n^-s = zeta(s)^rho G(s); prime_deviation = (c1, eps) bounds
     |f(p) - rho| <= c1 * p^(-eps), and feeds Euler-product tail
     estimates.  The Euler products close the primes above their cutoff
-    with the series when no exceptional prime lies there.  The fields
+    with the series when no listed prime lies there.  The fields
     after value_at are keyword-only.
     """
 
@@ -137,13 +139,12 @@ class AdditiveSpec:
     tightens twisted growth bounds.  strip is the horizontal strip of
     twist parameters z on which the limiting-function analysis of
     exp-twists y^g (y = e^z) stays valid.  k_value(k) is the value
-    g(p^k) takes at every prime p outside the finite set
-    exceptional_primes (1 for omega, k for Omega, 0 for tables), or None
-    when g states no such value; k_value(1) is g's generic prime value.
-    It gives twists their rho and carries a local series through twists
-    and psi'(0).  value_at(p, k) states g where k_value does not, as
-    MultiplicativeSpec's does where its series does not: OMEGA and
-    BIG_OMEGA give none, and the additive table gives its table.
+    g(p^k) takes at every prime power outside exceptions, as in
+    LocalSeries (1 for omega, k for Omega, 0 for tables, whose entries
+    are the exceptions), or None when g states no such value; k_value(1)
+    is g's generic prime value.  It gives twists their rho and carries a
+    local series through twists and psi'(0).  value_at(p, k) gives g's
+    values where k_value is None; no built-in gives one.
     """
 
     name: str
@@ -152,7 +153,7 @@ class AdditiveSpec:
     power_bound: Tuple[float, float] = (1.0, 0.0)
     integer_valued: bool = False
     nonnegative: bool = True
-    exceptional_primes: Tuple[int, ...] = ()
+    exceptions: Mapping[Tuple[int, int], float] = field(default_factory=dict, hash=False)
     k_value: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
@@ -167,18 +168,10 @@ class AdditiveSpec:
 _PRIMES_PER_CALL = 4096
 
 
-def _exceptional(spec: Union[MultiplicativeSpec, AdditiveSpec]) -> Optional[Tuple[int, ...]]:
-    """The primes where value_at states spec's values: its series' (or k_value's) exceptional ones, or None for all."""
-    if isinstance(spec, MultiplicativeSpec):
-        return None if spec.series is None else spec.series.exceptional_primes
-    return None if spec.k_value is None else spec.exceptional_primes
-
-
 def _check_value_at(spec: Union[MultiplicativeSpec, AdditiveSpec]) -> None:
-    exceptional = _exceptional(spec)
-    if spec.value_at is None and (exceptional is None or exceptional):
-        where = "any prime" if exceptional is None else f"its exceptional primes {list(exceptional)}"
-        raise ValueError(f"{spec.name}: no series states its values at {where}, so it needs value_at")
+    stated = spec.series if isinstance(spec, MultiplicativeSpec) else spec.k_value
+    if spec.value_at is None and stated is None:
+        raise ValueError(f"{spec.name}: no series states its values at any prime, so it needs value_at")
 
 
 def _stored(values: np.ndarray) -> np.ndarray:
@@ -209,21 +202,21 @@ def prime_power_values(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, pr
     """f(p^k), or g(p^k), at every prime p of the sorted int64 array
     primes: the one source of prime-power values for both engines.
 
-    Where the spec has a series (or k_value), every prime but its
-    exceptional primes takes the series' value, evaluated in numpy by
-    _series_values, and value_at(q, k) is called at each exceptional
-    prime q among primes, with q a Python int.  Where it has none,
+    Where the spec has a series (or k_value), every prime takes the
+    series' value, evaluated in numpy by _series_values, and then each
+    entry of its exceptions listed at this k and at a prime among primes
+    takes the listed value; value_at is not read.  Where it has none,
     value_at(p, k) is called once per _PRIMES_PER_CALL primes with p a
     numpy object array of Python ints, so that Python arithmetic on p
     acts elementwise and rounds as the scalar call does; it may return a
     scalar or an array of p's shape.  A value_at that raises TypeError
     or ValueError on an array (a table lookup, an `if` on p) is called
     one prime at a time instead.  Among the built-ins only `perturbed`
-    is read that way; the tables' value_at is read at their tabled primes.
+    and its twists are read that way.
 
-    Returns a 0-d array where one coefficient holds at every prime,
-    else an array of the primes' shape; float64 while every imaginary
-    part is +0.0, else complex128.
+    Returns a 0-d array where one coefficient holds and no entry is
+    listed among primes at k, else an array of the primes' shape;
+    float64 while every imaginary part is +0.0, else complex128.
 
     Raises:
         OverflowError: the spec's coefficients or value_at overflow; the
@@ -231,21 +224,23 @@ def prime_power_values(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, pr
     """
     if not len(primes):
         return np.empty(0)
-    exceptional = _exceptional(spec)
+    multiplicative = isinstance(spec, MultiplicativeSpec)
+    series = spec.series if multiplicative else spec.k_value
     try:
-        if exceptional is None:
+        if series is None:
             return _called_values(spec.value_at, k, primes)
-        coeffs = spec.series.coeffs(k) if isinstance(spec, MultiplicativeSpec) else (spec.k_value(k),)
-        stated = _series_values(coeffs, primes)
-        where = np.searchsorted(primes, exceptional).tolist() if exceptional else []
-        inside = [(i, q) for i, q in zip(where, exceptional) if i < len(primes) and primes[i] == q]
-        if not inside:
-            return stated
-        called = _stored(np.array([spec.value_at(q, k) for _, q in inside], dtype=np.complex128))
+        stated = _series_values(series.coeffs(k) if multiplicative else (series(k),), primes)
     except OverflowError:
         raise OverflowError(f"{spec.name}: value at ({int(primes[0])},{k}) overflows float64") from None
-    out = np.full(len(primes), stated, dtype=np.result_type(stated, called))
-    out[[i for i, _ in inside]] = called
+    exceptions = series.exceptions if multiplicative else spec.exceptions
+    at = [(p, v) for (p, j), v in exceptions.items() if j == k]
+    where = np.searchsorted(primes, [p for p, _ in at]).tolist() if at else []
+    inside = [(i, v) for i, (p, v) in zip(where, at) if i < len(primes) and primes[i] == p]
+    if not inside:
+        return stated
+    listed = _stored(np.array([v for _, v in inside], dtype=np.complex128))
+    out = np.full(len(primes), stated, dtype=np.result_type(stated, listed))
+    out[[i for i, _ in inside]] = listed
     return out
 
 
@@ -271,11 +266,16 @@ def _listed(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, primes: np.nd
     return values.tolist() if values.ndim else [values.item()] * len(primes)
 
 
-def _is_prime_small(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, math.isqrt(p) + 1):
-        if p % q == 0:
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin with the bases _WITNESSES, which decides every n < 3.3e24."""
+    if n < 2 or any(n % q == 0 for q in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)  # a prime n has a^d = 1, or a^(d 2^r) = -1 for some r < s
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
             return False
     return True
 
@@ -302,16 +302,17 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
 
     The average value of the twist is y^c * alpha.rho, where c is the
     generic prime value g.k_value(1) (omega and Omega give y * rho,
-    tables give rho); the finitely many exceptional primes of g enter
-    the prime deviation bound, as in tabulated_multiplicative.  The
-    twist maps alpha's local series, if it has one, to a series: it
-    multiplies coeffs(k) by y^k_value(k), and its exceptional primes are
-    those of alpha's series and those of g.  Only where that series has
-    exceptional primes, or alpha none, does it give a value_at, which
-    reads alpha's and g's values through prime_power_values.
+    tables give rho); the primes g lists enter the prime deviation
+    bound, as in tabulated_multiplicative.  The twist maps alpha's local
+    series, if it has one, to a series: it multiplies coeffs(k) by
+    y^k_value(k), and lists y^g(p^k) alpha(p^k) at every (p, k) that
+    alpha's series or g lists, computed here once.  Only where alpha has
+    no series does it give a value_at, which reads alpha's and g's
+    values through prime_power_values.
 
     Raises:
         ValueError: y == 0, or g states no k_value.
+        DomainError: y is real and <= 0 and g lists a non-integer value.
     """
     y = complex(y)
     if y == 0:
@@ -319,8 +320,7 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
     if g.k_value is None:
         raise ValueError(f"additive spec {g.name!r} has no generic prime value, so its twist has no rho")
 
-    def value_at(p, k):
-        # p is an exceptional prime of the series, or a chunk of primes where alpha has none
+    def value_at(p, k):  # p is a sorted list or chunk of primes, or one prime
         primes = np.array(p, dtype=np.int64, ndmin=1)
         g_values = _listed(g, k, primes)
         powers = {v: cpow(y, v) for v in set(g_values)}
@@ -331,7 +331,7 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
     m = max(1.0, abs(y)) if g.nonnegative else max(abs(y), 1.0 / abs(y))
     c1, eps = alpha.prime_deviation
     scale = cpow(y, g.k_value(1))
-    at = np.array(sorted(g.exceptional_primes), dtype=np.int64)
+    at = np.array(sorted({p for p, _ in g.exceptions}), dtype=np.int64)
     deviations = zip(at.tolist(), _listed(g, 1, at), _listed(alpha, 1, at))
     c1 = c1 * m ** (a + b) + max((abs(cpow(y, v) - scale) * abs(f) * p**eps for p, v, f in deviations), default=0.0)
     series = None
@@ -342,10 +342,13 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
             y_k = cpow(y, k_value(k))
             return tuple(y_k * c for c in alpha_coeffs(k))
 
-        series = LocalSeries(coeffs, tuple(sorted({*alpha.series.exceptional_primes, *g.exceptional_primes})))
+        listed = {}  # the primes alpha or g lists at each k, read in one call per k
+        for p, k in sorted({*alpha.series.exceptions, *g.exceptions}):
+            listed.setdefault(k, []).append(p)
+        series = LocalSeries(coeffs, {(p, k): v for k, ps in listed.items() for p, v in zip(ps, value_at(ps, k))})
     return MultiplicativeSpec(
         name=f"twist({alpha.name}, y={y.real:g}{y.imag:+g}j, g={g.name})",
-        value_at=value_at if series is None or series.exceptional_primes else None,
+        value_at=value_at if series is None else None,
         rho=scale * complex(alpha.rho),
         c0=alpha.c0,
         growth=GrowthBound(C=alpha.growth.C * m**a, r=alpha.growth.r * m**b),
@@ -479,8 +482,11 @@ def euler_phi_over_n() -> MultiplicativeSpec:
 
 
 def _table_key(p: int, k: int, v) -> Tuple[int, int]:
-    """(p, k) as ints, once p is prime, k >= 1 and the entry's value v is finite."""
-    if k < 1 or not _is_prime_small(p):
+    """(p, k) as ints, once p is a prime below 2^53 (exact in float64, as
+    1.0/p and the tables' int64 need), k >= 1 and the value v is finite."""
+    if p >= 2**53:
+        raise ValueError(f"table entry {p}^{k}: tabled primes must lie below 2^53")
+    if k < 1 or not _is_prime(operator.index(p)):
         raise ValueError(f"table key ({p},{k}) is not a (prime, k>=1) pair")
     if not cmath.isfinite(complex(v)):
         raise ValueError(f"table entry {p}^{k} = {v} is not finite")
@@ -511,12 +517,11 @@ def tabulated_multiplicative(
     dev = max((abs(v - default) * p for (p, k), v in table.items() if k == 1), default=0.0)
     return MultiplicativeSpec(
         name=name,
-        value_at=lambda p, k: table.get((p, k), default),
         rho=default,
         c0=c0,
         growth=GrowthBound(max(cap, 1e-300), 1.0),
         prime_deviation=(dev, 1.0),
-        series=LocalSeries(lambda k: (default,), tuple(sorted({p for p, _ in table}))),
+        series=LocalSeries(lambda k: (default,), table),
     )
 
 
@@ -526,19 +531,18 @@ def tabulated_additive(
 ) -> AdditiveSpec:
     """Explicit (p, k) -> value additive table; unlisted values are 0.
 
-    It states g(p^k) = 0 at every prime outside the table, and the
-    tabled primes are its exceptional primes.
+    It states g(p^k) = 0 at every prime power outside the table, whose
+    entries are its exceptions.
     """
     table = {_table_key(p, k, v): float(v) for (p, k), v in entries.items()}
     values = list(table.values())
     cap = max((abs(v) for v in values), default=0.0)
     return AdditiveSpec(
         name=name,
-        value_at=lambda p, k: table.get((p, k), 0.0),
         power_bound=(cap, 0.0),
         integer_valued=all(v == int(v) for v in values),
         nonnegative=all(v >= 0.0 for v in values),
-        exceptional_primes=tuple(sorted({p for p, _ in table})),
+        exceptions=table,
         k_value=lambda k: 0.0,
     )
 
@@ -676,16 +680,11 @@ def parse_additive(text: str) -> AdditiveSpec:
                     if not line:
                         continue
                     parts = line.split()
-                    if len(parts) != 3:
-                        raise SpecGrammarError(
-                            f"{path}:{lineno}: expected 'p k value', got {raw.strip()!r}"
-                        )
                     try:
-                        p, k, v = int(parts[0]), int(parts[1]), float(parts[2])
+                        p, k, v = parts
+                        p, k, v = int(p), int(k), float(v)
                     except ValueError:
-                        raise SpecGrammarError(
-                            f"{path}:{lineno}: expected 'p k value', got {raw.strip()!r}"
-                        ) from None
+                        raise SpecGrammarError(f"{path}:{lineno}: expected 'p k value', got {raw.strip()!r}") from None
                     if not math.isfinite(v):
                         raise SpecGrammarError(f"{path}:{lineno}: value {parts[2]} is not finite")
                     if (p, k) in lines:

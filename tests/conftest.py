@@ -69,17 +69,20 @@ def trial_big_omega(n: int) -> int:
 
 def value_of(spec, p: int, k: int):
     """f(p^k), or g(p^k), at the one prime p, as the spec states it and
-    without funcs.prime_power_values: value_at at an exceptional prime,
-    else the series' coefficients (k_value for g) summed in Python in
-    that function's order, Horner's rule in u = 1/p from 0 and the last
-    coefficient on the real and imaginary parts apart, else value_at."""
+    without funcs.prime_power_values: the listed value where its
+    exceptions list (p, k), else the series' coefficients (k_value for
+    g) summed in Python in that function's order, Horner's rule in
+    u = 1/p from 0 and the last coefficient on the real and imaginary
+    parts apart, else value_at."""
     if isinstance(spec, AdditiveSpec):
         coeffs = None if spec.k_value is None else (spec.k_value(k),)
-        exceptional = spec.exceptional_primes
+        exceptions = spec.exceptions
     else:
         coeffs = None if spec.series is None else spec.series.coeffs(k)
-        exceptional = () if spec.series is None else spec.series.exceptional_primes
-    if coeffs is None or p in exceptional:
+        exceptions = {} if spec.series is None else spec.series.exceptions
+    if (p, k) in exceptions:
+        return exceptions[(p, k)]
+    if coeffs is None:
         return spec.value_at(p, k)
     if len(coeffs) == 1:
         return coeffs[0]

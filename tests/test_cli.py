@@ -393,6 +393,9 @@ def test_report_csv_fails_before_any_table(work_counts, capsys):
         (["sum", "--spec", "theta_omega:1,", "--x", "10"], "error: bad spec 'theta_omega:1,' at column 15: empty parameter"),
         (["sum", "--spec", "tabulated:1^1=2", "--x", "10"],
          "error: bad spec 'tabulated:1^1=2' at column 1: table key (1,1) is not a (prime, k>=1) pair"),
+        (["lambda0", "--spec", "tabulated:9223372036854775837^1=2"],
+         "error: bad spec 'tabulated:9223372036854775837^1=2' at column 1: table entry 9223372036854775837^1: "
+         "tabled primes must lie below 2^53"),
         (["pmf", "--g", "table:{table}", "--x", "10"], "error: {table}:1: expected 'p k value', got '2 x 1'"),
         (["psi", "--z", "abc"], "sd psi: error: argument --z: expected a number like 0.3 or 0.1+0.2j, got 'abc'"),
         (["report", "--z-grid", "circle:0"], "sd report: error: argument --z-grid: circle:N needs N >= 1"),
@@ -400,7 +403,7 @@ def test_report_csv_fails_before_any_table(work_counts, capsys):
         (["report", "--x-grid", "10"], "error: report x grid needs x >= 16, got 10"),
         (["sum", "--x", "0"], "error: --x must be >= 1, got 0"),
     ],
-    ids=["empty-parameter", "non-prime-key", "table-row", "psi-z", "circle-0", "count-0", "report-x-grid", "sum-x-0"],
+    ids=["empty-parameter", "non-prime-key", "huge-prime-key", "table-row", "psi-z", "circle-0", "count-0", "report-x-grid", "sum-x-0"],
 )
 def test_guards_exit_two(tmp_path, capsys, argv, message):
     table = tmp_path / "g.txt"

@@ -20,7 +20,7 @@ from selberg_delange.errors import (
     DomainError,
     PoleError,
 )
-from selberg_delange import cli, euler
+from selberg_delange import cli, euler, funcs
 from selberg_delange.euler import (
     AdmissibilityReport,
     EulerProductResult,
@@ -39,6 +39,7 @@ from selberg_delange.funcs import (
     MultiplicativeSpec,
     euler_phi_over_n,
     geometric_B,
+    parse_additive,
     parse_multiplicative,
     perturbed,
     prime_power_values,
@@ -659,7 +660,7 @@ def test_fallback_specs_do_not_broadcast():
     with pytest.raises(ValueError):
         MOD4.value_at(primes, 1)
     with pytest.raises(TypeError):
-        TABLE.value_at(primes, 1)
+        without_series(TABLE).value_at(primes, 1)
 
 
 def test_kernel_errors_act_at_the_same_prime_as_the_reference():
@@ -1091,7 +1092,7 @@ def test_memo_hit_equals_fresh_computation():
     assert rows == [1, 1, 1, 2, 2, 2]
 
 
-def test_memo_never_shares_entries_across_value_at():
+def test_specs_that_differ_in_value_at_alone_give_their_own_products():
     # no series: a series states the values, and the kernel reads it in place of value_at
     a = dataclasses.replace(theta_omega(2), series=None, value_at=lambda p, k: 2.0)
     b = dataclasses.replace(a, value_at=lambda p, k: 1.5)
@@ -1101,11 +1102,17 @@ def test_memo_never_shares_entries_across_value_at():
         assert psi(first, 0.3, prime_cutoff=2000) != psi(second, 0.3, prime_cutoff=2000)
 
 
-def test_memo_skips_unhashable_specs():
+def test_an_unhashable_spec_computes_as_a_hashable_one():
     # a spec with an unhashable field computes as the hashable one does
     spec = dataclasses.replace(theta_omega(2), prime_deviation=[0.0, 1.0])
     with pytest.raises(TypeError):
         hash(spec)
+    # the tables and their twists stay hashable: their entries are
+    # compared but not hashed
+    g = tabulated_additive({(3, 1): 1.0})
+    specs = {TABLE: 0, g: 1, twist(TABLE, 2.0, g): 2}
+    assert [specs[spec] for spec in (TABLE, g)] == [0, 1]
+    assert dataclasses.replace(TABLE, series=dataclasses.replace(TABLE.series, exceptions={})) != TABLE
     assert lambda0(spec, 2000).value == lambda0(theta_omega(2), 2000).value
     assert psi(spec, 0.3, prime_cutoff=2000) == psi(theta_omega(2), 0.3, prime_cutoff=2000)
 
@@ -1262,17 +1269,18 @@ def mp_log_product(spec, s):
     s >= 1, for a spec with a local series, in mpmath at 40 digits.
 
     The primes p <= 1000 one by one, each series summed until its
-    envelope C (r/p^s)^k falls below 1e-36 (value_at at the exceptional
-    primes); the rest as sum_m b_m P_{>1000}(m), with b_m the
-    coefficients of the log factor in v = 1/p, read from the series.
+    envelope C (r/p^s)^k falls below 1e-36 (the listed value where the
+    series' exceptions list (p, k)); the rest as sum_m b_m P_{>1000}(m),
+    with b_m the coefficients of the log factor in v = 1/p, read from
+    the series.
     """
     with mpmath.workdps(40):
         rho = mpmath.mpmathify(complex(spec.rho))
         series, C, r = spec.series, spec.growth.C, spec.growth.r
 
         def f(p, k):
-            if p in series.exceptional_primes:
-                return mpmath.mpmathify(complex(spec.value_at(p, k)))
+            if (p, k) in series.exceptions:
+                return mpmath.mpmathify(complex(series.exceptions[(p, k)]))
             return mpmath.fsum(mpmath.mpmathify(complex(c)) * mpmath.mpf(p) ** -i for i, c in enumerate(series.coeffs(k)))
 
         head = []
@@ -1350,18 +1358,19 @@ SERIES_SPECS = st.one_of(
     k=st.integers(1, 10),
 )
 def test_local_series_matches_value_at(spec, g, y, p, k):
-    # a twist's series states y^g(p^k) alpha(p^k) off its exceptional primes
+    # a twist's series states y^g(p^k) alpha(p^k) off its listed exceptions
     want = complex(value_of(spec, p, k))
     if g is not None:
         want *= cpow(y, value_of(g, p, k))
         spec = twist(spec, y, g)
-    if p in spec.series.exceptional_primes:
+    if (p, k) in spec.series.exceptions:
+        assert spec.series.exceptions[(p, k)] == pytest.approx(want, rel=1e-14, abs=1e-300)
         return
     assert series_value(spec, p, k) == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
 def test_which_specs_carry_a_series():
-    assert TABLE.series.exceptional_primes == (2, 3, 7)
+    assert TABLE.series.exceptions == {(2, 1): 0.5, (3, 2): 2.0, (7, 1): 1.5}
     assert series_value(TABLE, 5, 3) == 1.0
     for spec in (perturbed(1, 0.5), MOD4):
         assert spec.series is None
@@ -1369,7 +1378,7 @@ def test_which_specs_carry_a_series():
     # a twist by a table g keeps alpha's series, with the tabled primes
     # exceptional, so a tabled prime above the cutoff keeps it plain
     twisted = twist(unit(), 2.0, tabulated_additive({(3, 1): 1.0, (1009, 2): 1.0}))
-    assert twisted.series.exceptional_primes == (3, 1009)
+    assert twisted.series.exceptions == {(3, 1): 2.0, (1009, 2): 2.0}
     assert not lambda0(twisted, 1000).completed
     assert lambda0(twisted, 1009).completed
     # a table prime above the cutoff keeps the plain product
@@ -1386,11 +1395,11 @@ def test_a_twist_keeps_the_exceptional_primes_of_g():
     # omega with g(101) = 10: the series y^1 is wrong at p = 101, so a
     # product whose cutoff leaves 101 in the tail stays plain, and its
     # estimate covers the true value
-    g = AdditiveSpec("omega_101", lambda p, k: np.where(p == 101, 10, 1), power_bound=(10.0, 0.0),
-                     integer_valued=True, exceptional_primes=(101,), k_value=lambda k: 1)
+    g = AdditiveSpec("omega_101", power_bound=(10.0, 0.0), integer_valued=True,
+                     exceptions={(101, k): 10 for k in range(1, 30)}, k_value=lambda k: 1)
     spec = twist(unit(), math.exp(0.5), g)
-    assert spec.series.exceptional_primes == (101,)
-    assert twist(TABLE, 2.0, g).series.exceptional_primes == (2, 3, 7, 101)
+    assert spec.series.exceptions.keys() == g.exceptions.keys()
+    assert set(twist(TABLE, 2.0, g).series.exceptions) == {*TABLE.series.exceptions, *g.exceptions}
     coarse, fine = lambda0(spec, 100), lambda0(spec, 10**4)
     assert not coarse.completed and fine.completed
     assert abs(coarse.value - fine.value) <= coarse.tail_estimate
@@ -1442,8 +1451,10 @@ COUNTED_SPECS = [unit(), theta_omega(2.5), theta_omega(complex(1.5, 0.5)), geome
 
 @pytest.mark.parametrize("spec", COUNTED_SPECS, ids=lambda s: s.name)
 def test_no_built_in_but_perturbed_calls_value_at_off_its_exceptional_primes(spec):
-    # both engines, and the twists they build, read every other value from
-    # the series; perturbed has none, so its value_at gives every value
+    # both engines, and the twists they build, read every value from the
+    # series and its listed exceptions, the tables' too, so no value_at
+    # is called at all; perturbed has no series, so its value_at gives
+    # every value
     x, P = 10**5, 2000
     alpha, calls = counted(spec)
     for g in (OMEGA, BIG_OMEGA, COUNTED_G):
@@ -1453,21 +1464,60 @@ def test_no_built_in_but_perturbed_calls_value_at_off_its_exceptional_primes(spe
         psi_prime_at_zero(alpha, g_spy, P)
         if not isinstance(spec.rho, complex):
             bucket_sums(alpha, g_spy, x)
-        assert {p for p, _ in g_calls} <= set(g.exceptional_primes)
+        assert g_calls == []
     if not isinstance(spec.rho, complex):
         sample(alpha, x, seed=1, count=100)
-    if spec.series is None:
-        assert len(calls) > 0
-    else:
-        assert {p for p, _ in calls} <= set(spec.series.exceptional_primes)
+    assert (len(calls) > 0) == (spec.series is None)
+
+
+def parsed(text, tmp_path):
+    """The spec sd parses from text; "table" is a table g of three primes."""
+    if text == "table":
+        path = tmp_path / "g.table"
+        path.write_text("2 1 1\n3 1 2\n5 2 -1\n")
+        return parse_additive(f"table:{path}")
+    return parse_additive(text) if text in ("omega", "big_omega") else parse_multiplicative(text)
+
+
+PARSED = [*(row[-1] for row in funcs._GRAMMAR.values()), "omega", "big_omega", "table"]
+
+
+def test_no_spec_the_cli_builds_has_a_value_at_but_perturbed_and_its_twists(tmp_path):
+    # every grammar example, omega, Omega and a table g, and the twists
+    # of the examples by each g at real and complex y: a series or
+    # k_value with its listed exceptions states every value
+    specs = [parsed(text, tmp_path) for text in PARSED]
+    alphas = [spec for spec in specs if isinstance(spec, MultiplicativeSpec)]
+    gs = [spec for spec in specs if isinstance(spec, AdditiveSpec)]
+    twists = [twist(alpha, y, g) for alpha in alphas for g in gs for y in (0.5, -1.5, 2.0, cmath.exp(0.7j))]
+    assert len(alphas) == len(funcs._GRAMMAR) and len(twists) == 12 * len(alphas)
+    for spec in specs + twists:
+        assert (spec.value_at is None) == ("perturbed" not in spec.name), spec.name
+
+
+@pytest.mark.parametrize("text", PARSED)
+def test_a_counting_value_at_is_called_for_perturbed_alone(text, tmp_path):
+    # bench/trace_child.py replaces the value_at of every spec it parses
+    # by a counting wrapper of the old one, None for all but perturbed:
+    # the replacement must build, and the engines must call it only
+    # where there is no series
+    spec = parsed(text, tmp_path)
+    spy, calls = counted(spec)
+    alpha, g = (spy, OMEGA) if isinstance(spec, MultiplicativeSpec) else (unit(), spy)
+    lambda0(alpha, 1000)
+    euler.psi_grid(alpha, [-0.3, 0.5j], g, 1000)
+    psi_prime_at_zero(alpha, g, 1000)
+    bucket_sums(alpha, g, 10**4)
+    sample(alpha, 10**4, seed=1, count=10)
+    assert (len(calls) > 0) == text.startswith("perturbed")
 
 
 def test_a_table_calls_value_at_only_at_its_table_prime():
-    # every other prime takes the stated default: one call per power of 2
-    # in its staircase, not one call per prime
+    # its entry at 2 is listed and every other value is the stated
+    # default, so no value_at is called at all
     spec, calls = counted(tabulated_multiplicative({(2, 1): 0.5}))
     result = lambda0(spec, 10**4)
-    assert calls == [(2, k) for k in range(1, result.k_cutoff + 1)]
+    assert calls == []
     assert result == lambda0(tabulated_multiplicative({(2, 1): 0.5}), 10**4)
 
 
@@ -1479,14 +1529,16 @@ TABLE_G_ZS = [cmath.exp(2j * math.pi * j / 16) for j in range(16)] + [0.5, compl
 
 @pytest.mark.parametrize("P", [1000, 30000])
 def test_a_table_twist_calls_value_at_only_at_its_tabled_primes(P):
-    # the twists read g's stated 0 off the table: g's value_at is called
-    # at most once per tabled prime, power and row, not once per prime
+    # the twists read g's stated 0 off the table and list their values
+    # at its entries, computed once when each twist is built, so g's
+    # value_at is not called
     table = tabulated_additive(TABLE_G)
     g, calls = counted(table)
     values = euler.psi_grid(theta_omega(2), TABLE_G_ZS, g, P)
     assert values == euler.psi_grid(theta_omega(2), TABLE_G_ZS, table, P)
-    powers = max(lambda0(twist(theta_omega(2), cmath.exp(z), table), P).k_cutoff for z in TABLE_G_ZS)
-    assert 0 < len(calls) <= 3 * powers * len(TABLE_G_ZS)
+    assert calls == []
+    y = cmath.exp(TABLE_G_ZS[3])
+    assert twist(theta_omega(2), y, table).series.exceptions == {key: 2 * cpow(y, v) for key, v in TABLE_G.items()}
 
 
 def table_twist_psi(alpha_value, z):
@@ -1529,8 +1581,8 @@ def test_prime_power_values_match_value_at_to_the_last_bit(spec):
 
 def test_a_raising_coefficient_fails_its_row_where_value_at_would():
     # f(p^k) = 0.5 for k < 3 and an error above, stated by the series and
-    # given by value_at alike; a series with an exceptional prime in the
-    # head leaves that prime to value_at
+    # given by value_at alike; a series with a listed entry in the head
+    # reads the entry there
     def value(k):
         if k >= 3:
             raise ValueError(f"no value at k = {k}")
@@ -1538,7 +1590,7 @@ def test_a_raising_coefficient_fails_its_row_where_value_at_would():
 
     base = MultiplicativeSpec("k3", lambda p, k: value(k), rho=0.5, c0=0.25, growth=GrowthBound(1.0, 1.0))
     stated = dataclasses.replace(base, series=LocalSeries(lambda k: (value(k),)))
-    late = dataclasses.replace(base, series=LocalSeries(lambda k: (value(k),), (3,)))
+    late = dataclasses.replace(base, series=LocalSeries(lambda k: (value(k),), {(3, 1): 0.5}))
     for P in (100, 2000):
         want = outcome(lambda: lambda0(base, P))
         assert want == (ValueError, None)

@@ -873,12 +873,13 @@ def test_gather_rejects_a_complex_value_at_large_prime():
 
 
 def test_gather_falls_back_per_prime_for_dict_lookups():
-    spec = tabulated_multiplicative({(2, 1): 0.5, (101, 1): 3.0, (997, 1): 0.0}, default=1.25)
+    entries = {(2, 1): 0.5, (101, 1): 3.0, (997, 1): 0.0}
+    spec = tabulated_multiplicative(entries, default=1.25)
     seen = []
 
     def value_at(p, k):
         seen.append(type(p))
-        return spec.value_at(p, k)
+        return entries.get((p, k), 1.25)
 
     counted = MultiplicativeSpec("counted", value_at, rho=1.25, c0=0.25, growth=spec.growth)
     x = 2000
@@ -926,28 +927,24 @@ def test_table_primes_on_either_side_of_sqrt_x(prime, x):
     gt = whole_table(None, g, x)
     assert gt.tobytes() == reference_additive_table(g, x).tobytes()
     assert gt[1:].tolist() == [int(additive_eval_brute(g, n).real) for n in range(1, x + 1)]
-    # f and g are stated at every prime but the table's, where value_at
-    # gives them, below sqrt(x) or above it alike
+    # f and g are their series and their listed entries, below sqrt(x)
+    # or above it alike, and no value_at is called
     spy, calls = counted(spec)
     assert whole_table(spy, None, x).tobytes() == table.tobytes()
-    assert sorted(calls) == [(p, k) for p in (2, prime) for k in range(1, 20) if p**k <= x]
     g_spy, g_calls = counted(g)
     assert whole_table(None, g_spy, x).tobytes() == gt.tobytes()
-    assert sorted(g_calls) == [(p, k) for p in sorted({3, prime}) for k in range(1, 20) if p**k <= x]
+    assert calls == g_calls == []
 
 
 def stated_everywhere_but_small(name, value, x, **kwargs):
     """A spec whose series states `value` at the primes above sqrt(x) and
-    whose table primes (exceptional, so value_at gives them) are the rest."""
-    small = tuple(prime_array(math.isqrt(x)).tolist())
-
-    def value_at(p, k):
-        return np.where(p <= small[-1], 1.0, value)
-
+    whose exceptions list 1.0 at every power p^k <= x of the rest."""
+    small = prime_array(math.isqrt(x)).tolist()
+    exceptions = {(p, k): 1.0 for p in small for k in range(1, x.bit_length()) if p**k <= x}
     if kwargs:
-        return AdditiveSpec(name, value_at, exceptional_primes=small, k_value=lambda k: value, **kwargs)
-    series = LocalSeries(lambda k: (value,), small)
-    return MultiplicativeSpec(name, value_at, rho=1.0, c0=0.25, growth=GrowthBound(2.0, 1.0), series=series)
+        return AdditiveSpec(name, exceptions=exceptions, k_value=lambda k: value, **kwargs)
+    series = LocalSeries(lambda k: (value,), exceptions)
+    return MultiplicativeSpec(name, rho=1.0, c0=0.25, growth=GrowthBound(2.0, 1.0), series=series)
 
 
 @pytest.mark.parametrize(
@@ -1000,13 +997,18 @@ def test_exact_sums_make_no_value_at_call_for_a_stated_spec(spec):
     assert calls == []
 
 
-def test_a_table_prime_above_sqrt_x_is_the_one_value_at_call():
-    # every other prime takes the stated default, swept or gathered
+def test_a_table_prime_above_sqrt_x_takes_its_listed_value():
+    # every other prime takes the stated default, swept or gathered, and
+    # no value_at is called
     spec = tabulated_multiplicative({(1009, 1): 0.5})
     alpha, calls = counted(spec)
     x = 10**6
-    assert bucket_sums(alpha, OMEGA, x).real.tobytes() == bucket_sums(spec, OMEGA, x).real.tobytes()
-    assert calls == [(1009, 1)]
+    sums = bucket_sums(alpha, OMEGA, x)
+    assert sums.real.tobytes() == bucket_sums(spec, OMEGA, x).real.tobytes()
+    assert calls == []
+    # n = 1009 m with m <= x / 1009 weighs half: it moves the sums off unit's
+    unit_sums = bucket_sums(unit(), OMEGA, x)
+    assert sums.total() == pytest.approx(unit_sums.total() - 0.5 * (x // 1009), abs=1e-6)
 
 
 def test_a_two_term_series_is_read_without_value_at():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import selberg_delange
-from conftest import additive_eval_brute, spec_eval_brute, trial_factorize, value_of, whole_table
+from conftest import additive_eval_brute, counted, spec_eval_brute, trial_factorize, value_of, whole_table
 from selberg_delange import funcs
-from selberg_delange.errors import SpecGrammarError
+from selberg_delange.errors import DomainError, SpecGrammarError
 from selberg_delange.funcs import (
     BIG_OMEGA,
     OMEGA,
@@ -32,6 +32,7 @@ from selberg_delange.funcs import (
     unit,
 )
 from selberg_delange.sieve import prime_array
+from selberg_delange.special import cpow
 
 
 def test_eval_multiplicative_examples():
@@ -108,15 +109,39 @@ def test_twist_varying_additive_needs_explicit_rho():
     g = AdditiveSpec("custom", lambda p, k: 1.0 if p == 2 else 2.0)
     with pytest.raises(ValueError, match="no generic prime value"):
         twist(unit(), 2, g)
-    # declaring g(p^k) = 2 outside p = 2 makes it explicit: rho = 2^2 * 1
-    spec = twist(unit(), 2, dataclasses.replace(g, exceptional_primes=(2,), k_value=lambda k: 2.0))
+    # declaring g(p^k) = 2 outside g(2) = 1 makes it explicit: rho = 2^2 * 1
+    spec = twist(unit(), 2, dataclasses.replace(g, exceptions={(2, 1): 1.0}, k_value=lambda k: 2.0))
     assert spec.rho == 4.0
-    assert value_of(spec, 3, 1) == 4
+    assert (value_of(spec, 3, 1), value_of(spec, 2, 1), value_of(spec, 2, 2)) == (4, 2, 4)
+
+
+def test_a_twist_reads_its_entries_when_it_is_built():
+    # y^g(p^k) at every entry of g, at k > 1 too, so a non-integer entry
+    # at a real y <= 0 is refused by twist, not at the first read
+    g = tabulated_additive({(3, 1): 1.0, (5, 2): 0.5})
+    with pytest.raises(DomainError, match="branch cut"):
+        twist(unit(), -2.0, g)
+    assert twist(unit(), -2.0, tabulated_additive({(3, 1): 1.0, (5, 2): 2.0})).series.exceptions == {
+        (3, 1): -2.0, (5, 2): 4.0}
+    # a twist of a spec without a series reads its values as it goes
+    assert twist(perturbed(1, 0.5), -2.0, g).value_at is not None
+
+
+def test_a_twist_lists_y_to_the_g_times_alpha_at_every_entry():
+    # at every (p, k) that alpha or g lists, to the last bit, as one
+    # prime at a time gives it; the series gives every other value
+    g = tabulated_additive({(2, 1): 1.0, (3, 1): 2.0, (3, 2): -1.0, (5, 1): 1.0, (7, 3): 2.0})
+    table = tabulated_multiplicative({(3, 1): 0.5, (7, 2): 2.0, (11, 1): 0.0}, default=1.5)
+    y = complex(0.3, 0.8)
+    for alpha in (euler_phi_over_n(), table, twist(table, 2.0, g)):
+        keys = {*g.exceptions, *alpha.series.exceptions}
+        want = {(p, k): cpow(y, value_of(g, p, k)) * complex(value_of(alpha, p, k)) for p, k in keys}
+        assert twist(alpha, y, g).series.exceptions == want
 
 
 def test_twist_by_additive_table_uses_generic_value_zero():
     g = tabulated_additive({(2, 1): 1.0, (3, 1): 2.0})
-    assert (g.k_value(1), g.k_value(2), g.exceptional_primes) == (0.0, 0.0, (2, 3))
+    assert (g.k_value(1), g.k_value(2), g.exceptions) == (0.0, 0.0, {(2, 1): 1.0, (3, 1): 2.0})
     spec = twist(theta_omega(1.5), 2, g)
     assert spec.rho == 1.5
     assert value_of(spec, 3, 1) == 6
@@ -423,6 +448,48 @@ def test_parse_additive_errors(tmp_path):
         parse_additive(f"table:{notprime}")
 
 
+def test_tabled_primes_are_decided_by_miller_rabin():
+    assert [n for n in range(10**5) if funcs._is_prime(n)] == [n for n in range(2, 10**5) if trial_factorize(n) == ((n, 1),)]
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
+
+# the least strong pseudoprimes to the first 1, 4, 6, 7 and 9 prime bases
+@pytest.mark.parametrize("n, fooled", [(2047, 1), (3215031751, 4), (3474749660383, 6), (341550071728321, 7),
+                                       (3825123056546413051, 9)])
+def test_strong_pseudoprimes_are_not_tabled_primes(n, fooled):
+    assert all(strong_probable_prime(n, a) for a in funcs._WITNESSES[:fooled])
+    assert not funcs._is_prime(n)
+
+
+def test_carmichael_numbers_and_large_primes():
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185):
+        assert all(pow(a, n - 1, n) == 1 for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37) if math.gcd(a, n) == 1)
+        assert not funcs._is_prime(n)
+    # the largest prime below 2^53, and primes past it that only Miller-Rabin decides quickly
+    assert [funcs._is_prime(n) for n in (2**53 - 111, 2**53 - 113, 10**15 + 37, 2**61 - 1, 2**63 + 29)] == [
+        True, False, True, True, True]
+
+
+def test_tabled_primes_from_2_to_the_53_on_are_refused(tmp_path):
+    assert tabulated_multiplicative({(10**15 + 37, 1): 2.0}).series.exceptions == {(10**15 + 37, 1): 2.0}
+    message = "table entry 9007199254740997^1: tabled primes must lie below 2^53"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tabulated_multiplicative({(2**53 + 5, 1): 2.0})
+    with pytest.raises(SpecGrammarError, match=re.escape("at column 1: table entry 9223372036854775837^2: tabled")):
+        parse_multiplicative("tabulated:9223372036854775837^2=2")
+    path = tmp_path / "g.table"
+    path.write_text("2 1 1\n9223372036854775837 1 1\n")
+    with pytest.raises(SpecGrammarError, match=re.escape(f"bad additive table {str(path)!r}: table entry 9223372036854775837^1")):
+        parse_additive(f"table:{path}")
+
+
 @pytest.mark.parametrize(
     "bound", [(1.0, -0.5), (-2.0, 1.0), (math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]
 )
@@ -454,13 +521,7 @@ def complex_bits(values, primes):
 
 def spied(spec):
     """spec with a value_at that records (p, k) after construction."""
-    calls = []
-
-    def value_at(p, k):
-        calls.append((p, k))
-        return spec.value_at(p, k)
-
-    spy = dataclasses.replace(spec, value_at=value_at)
+    spy, calls = counted(spec)
     calls.clear()
     return spy, calls
 
@@ -478,18 +539,19 @@ TABLES = [
 @pytest.mark.parametrize("spec", [OMEGA, BIG_OMEGA, TABLE_G, *TABLES], ids=lambda s: s.name)
 def test_prime_power_values_match_value_at_on_either_side_of_sqrt_x(spec, x):
     # the swept primes p <= sqrt(x) and the gathered ones above, as the
-    # exact tables split them; value_at is called only at the table
-    # primes
+    # exact tables split them; the tables' entries are listed, so no
+    # value_at is called, and a k with no entry among the primes gives
+    # one scalar
     primes = prime_array(x)
     split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
-    exceptional = spec.exceptional_primes if isinstance(spec, AdditiveSpec) else spec.series.exceptional_primes
+    exceptions = spec.exceptions if isinstance(spec, AdditiveSpec) else spec.series.exceptions
     for part in (primes[:split], primes[split:]):
         for k in (1, 2, 3):
             spy, calls = spied(spec)
             got = prime_power_values(spy, k, part)
             assert complex_bits(got, part) == one_at_a_time(spec, k, part).tobytes()
-            assert all(type(p) is int for p, _ in calls)
-            assert calls == [(p, k) for p in part.tolist() if p in exceptional]
+            assert calls == []
+            assert (got.ndim == 0) == all((p, k) not in exceptions for p in part.tolist())
 
 
 def test_prime_power_values_storage_and_chunks():
@@ -507,7 +569,7 @@ def test_prime_power_values_storage_and_chunks():
         assert [p.tolist() for p, _ in calls] == [primes[:4096].tolist(), primes[4096:].tolist()]
     # one that raises on an array is called one prime at a time
     table = tabulated_multiplicative({(3, 1): 0.5})
-    spy, calls = spied(dataclasses.replace(table, series=None))
+    spy, calls = spied(dataclasses.replace(table, series=None, value_at=lambda p, k: {(3, 1): 0.5}.get((p, k), 1.0)))
     assert complex_bits(prime_power_values(spy, 1, primes), primes) == one_at_a_time(table, 1, primes).tobytes()
     assert [type(p) for p, _ in calls] == [np.ndarray, *[int] * 4096, np.ndarray, *[int] * (len(primes) - 4096)]
     # a stated value at primes free of exceptional ones is a 0-d array
@@ -516,21 +578,19 @@ def test_prime_power_values_storage_and_chunks():
 
 
 def test_value_at_is_required_where_no_series_states_the_values():
-    # at the exceptional primes of a series, or at every prime without one
-    message = "tabulated: no series states its values at its exceptional primes [7], so it needs value_at"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        dataclasses.replace(tabulated_multiplicative({(7, 1): 3.0}), value_at=None)
+    # at every prime of a spec without a series; a series' exceptions are
+    # listed, so the tables need none
     with pytest.raises(ValueError, match=re.escape("theta_omega:2: no series states its values at any prime, so it needs value_at")):
         dataclasses.replace(theta_omega(2), series=None)
-    with pytest.raises(ValueError, match=re.escape("table: no series states its values at its exceptional primes [3]")):
-        dataclasses.replace(tabulated_additive({(3, 1): 1.0}), value_at=None)
     with pytest.raises(ValueError, match=re.escape("custom: no series states its values at any prime, so it needs value_at")):
         AdditiveSpec("custom")
-    # a spec may give both; value_at is then read at the exceptional primes alone
-    both = dataclasses.replace(theta_omega(2), value_at=lambda p, k: 1 / 0)
-    assert prime_power_values(both, 1, prime_array(100)).item() == 2.0
-    # every tabled prime of a table g is exceptional, a -0.0 entry too
-    assert tabulated_additive({(3, 1): 1.0, (5, 1): -0.0, (7, 2): 0.0}).exceptional_primes == (3, 5, 7)
+    assert tabulated_multiplicative({(7, 1): 3.0}).value_at is None
+    # a spec may give both; value_at is then not read, at a listed prime neither
+    both = dataclasses.replace(tabulated_multiplicative({(7, 1): 3.0}, default=2.0), value_at=lambda p, k: 1 / 0)
+    assert prime_power_values(both, 1, prime_array(100)).tolist()[:5] == [2.0, 2.0, 2.0, 3.0, 2.0]
+    # every entry of a table g is listed, a -0.0 or 0.0 one too
+    entries = {(3, 1): 1.0, (5, 1): -0.0, (7, 2): 0.0}
+    assert tabulated_additive(entries).exceptions == entries
 
 
 def test_only_funcs_names_value_at():
