@@ -23,7 +23,7 @@ import cmath
 import math
 import sys
 from dataclasses import asdict
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import euler, exact, stats
 from .funcs import parse_additive, parse_multiplicative
@@ -123,6 +123,13 @@ def _require_x(x: Optional[int]) -> int:
     return x
 
 
+def _xs(args: argparse.Namespace) -> List[int]:
+    """The x of sum and ldp: --x-grid sorted, or --x, but not both."""
+    if args.x_grid is not None and args.x is not None:
+        raise ValueError("give --x or --x-grid, not both")
+    return sorted(args.x_grid or (_require_x(args.x),))
+
+
 def _cutoff(args: argparse.Namespace) -> int:
     """--cutoff, or euler's default when it is not given."""
     return euler.DEFAULT_PRIME_CUTOFF if args.cutoff is None else args.cutoff
@@ -148,7 +155,7 @@ def cmd_psi(args: argparse.Namespace):
 
 
 def cmd_sum(args: argparse.Namespace):
-    xs = sorted(args.x_grid or (_require_x(args.x),))
+    xs = _xs(args)
     rows = list(zip(xs, exact.partial_sum_grid(args.alpha, xs)))
     if not args.x_grid:
         x, value = rows[0]
@@ -205,7 +212,7 @@ def cmd_clt(args: argparse.Namespace):
 
 
 def cmd_ldp(args: argparse.Namespace):
-    xs = sorted(args.x_grid or (_require_x(args.x),))
+    xs = _xs(args)
     s = stats._checked_slope(args.s)
     for x in xs:  # ldp_predict's checks at each x, made before the table pass
         stats._checked_decay(args.alpha, args.additive, x, s)

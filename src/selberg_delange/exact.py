@@ -38,26 +38,24 @@ the next is requested.
 Buckets.  Every exact statistic of g(N) is a function of the sums
 S_v(x) = sum of alpha(n) over n <= x with g(n) = v, one for each value
 v that g takes: the twisted sum is sum_v y^v S_v, the normalizing sum is
-sum_v S_v, and the pmf is S_v over that total.  Each piece (below)
-labels its n by the offset g(n) - min g when g is integer-valued and its
-span on the piece is at most _DENSE_SPAN, and by np.unique otherwise,
-whose sort costs about six times as much; the offsets key every integer
-of the span, taken or not.  bucket_sums_grid makes one pass over the
-blocks for a whole x grid; each statistic BucketSums gives then costs
-O(#values), about 25 for omega.
+sum_v S_v, and the pmf is S_v over that total.  Each run (below) labels
+its n by the offset g(n) - min g when g is integer-valued and its span
+on the run is at most _DENSE_SPAN, and by np.unique otherwise, whose
+sort costs about six times as much; the offsets key every integer of the
+span, taken or not.  bucket_sums_grid makes one pass over the blocks for
+a whole x grid; each statistic BucketSums gives then costs O(#values),
+about 25 for omega.
 
-All reductions run through fixed chunks aligned at n = 1 (n = 0 for
-prefix sums) and finished by fsum, which is exact: a bucket sum takes one
-bincount row per _BUCKET_CHUNK n, a partial or prefix sum one pairwise
-sum or cumsum per _CHUNK n, and a grid x inside a chunk gets a row of its
-own.  _pieces cuts the blocks into pieces of whole chunks, so results
-depend on the chunk sizes, not on the block length: every exact result
-has the same bits at any _BLOCK, but for which untaken integers
-BucketSums.values lists (changing _CHUNK or _BUCKET_CHUNK may perturb
-outputs at the 1e-13 level).
-Partial sums stay near 1e-16 of the terms' L1 norm; a bucket adds up to
-4096 weights in sequence, which for weights with few distinct values
-costs up to about 1e-14 of it.
+Every bucket sum and partial sum is correctly rounded: a pass sums each
+run of at most _TEMP_ITEMS n by value in exact level sums (_extract),
+and fsum of each value's level sums rounds S_v once.  No sum depends on
+the order of its terms, so every exact result has the same bits at any
+_BLOCK, but for which untaken integers BucketSums.values lists.  A run
+with a weight that is not finite or about 2^1008 or more is summed as
+it stands, in one level: its sum overflows or comes close to it.
+sample's prefix sums alone read the blocks through _pieces, in whole
+_CHUNKs from n = 0, so its compensated cumulative weights are the same
+at any block length.
 """
 
 from __future__ import annotations
@@ -65,6 +63,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,26 +73,23 @@ from .funcs import AdditiveSpec, MultiplicativeSpec, _listed, prime_power_values
 from .sieve import _require_memory, _sieve_bytes, prime_array
 from .special import cexpm1, cpow
 
-# reduction block size shared by every compensated sum in this module
+# n per chunk of sample's prefix sums, whose running offset is compensated once a chunk
 _CHUNK = 1024
 
-# consecutive n per bincount row of the bucket sums
-_BUCKET_CHUNK = 4096
-
-# widest span of an integer g on a piece that is labelled by offsets.
+# widest span of an integer g on a run that is labelled by offsets.
 # omega and Omega span at most 33 up to x = 1e10, so they never sort; a
 # wider g is keyed by the values it takes, because the offsets keep a
-# column per integer of the span in every row, taken or not: a table
-# value of 60000 would keep 60001 columns per 4096 n, 597 MB at x = 1e6
+# column per integer of the span in every level sum, taken or not: a
+# table value of 60000 would keep 60001 columns per run of n
 _DENSE_SPAN = 64
 
-# n per value-table block; blocks of whole _BUCKET_CHUNKs are read
-# without a copy by the bucket and partial sums
+# n per value-table block
 _BLOCK = 1 << 16
 
-# entries per temporary of the tail and the gather (int64: 64 KiB), so
-# that a pass, which allocates its block arrays once, does not hand
-# memory back to the system and fault it in again at every block
+# entries per temporary of the tail and the gather (int64: 64 KiB), and
+# n per run of the sums, so that a pass, which allocates its block
+# arrays once, does not hand memory back to the system and fault it in
+# again at every block
 _TEMP_ITEMS = 8192
 
 # sweep steps of a modulus at least this large hit few n of a block each,
@@ -106,23 +102,6 @@ def _fsum(values: List[float]) -> float:
         return math.fsum(values)
     except (OverflowError, ValueError):
         return float(sum(values))
-
-
-def _chunk_sums(a: np.ndarray) -> np.ndarray:
-    """The pairwise sum of each whole _CHUNK-block of a."""
-    m = (a.size // _CHUNK) * _CHUNK
-    return a[:m].reshape(-1, _CHUNK).sum(axis=1)
-
-
-def _finish_sum(chunk_sums: List[np.ndarray], a: np.ndarray, end: int) -> float:
-    """The sum of a sequence whose earlier pieces gave chunk_sums and that
-    ends with a[:end]: pairwise sums of its _CHUNK-blocks, finished with
-    exact fsum."""
-    m = (end // _CHUNK) * _CHUNK
-    partials = np.concatenate(chunk_sums + [_chunk_sums(a[:m])]).tolist()
-    if m < end:
-        partials.append(_fsum(a[m:end].tolist()))
-    return _fsum(partials)
 
 
 class _PrefixSums:
@@ -424,8 +403,9 @@ class _ValueBlocks:
     check of the values, in the order a sweep of the whole table meets
     them, before any block is built; each iteration is one pass, which
     allocates its working arrays once, so a yielded block is valid until
-    the next is requested.  The reductions read the blocks through
-    _pieces, so the block length changes no bit of any result.
+    the next is requested.  The sums do not depend on the order of their
+    terms, and sample reads the blocks through _pieces, so the block
+    length changes no bit of any result.
 
     Raises ValueError for x < 1, a prime sieve beyond physical memory, or
     a spec the tables reject.
@@ -452,40 +432,36 @@ class _ValueBlocks:
             yield lo, w, gt
 
 
-def _pieces(blocks, chunk: int, lead: int = 0) -> Iterator[Tuple]:
-    """The blocks (lo, *arrays) of a pass cut again into pieces (n, *arrays)
-    of whole `chunk`-blocks aligned at n = 1, or at n = 1 - lead after
-    `lead` zeros; only the last piece may end inside a chunk.  A side
-    without a spec (None) is left out.
+def _pieces(blocks, chunk: int, lead: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """sample's weights: the blocks (lo, w, ...) of a pass cut again into
+    pieces (n, w) of whole `chunk`-blocks aligned at n = 1 - lead, after
+    `lead` zeros; only the last piece may end inside a chunk.
 
-    This is where blocks meet the reduction chunks: a block's entries past
-    its last whole chunk are carried into the next piece.  A block of
-    whole chunks, with nothing carried, is yielded as its own views; other
-    pieces are assembled in one array per side.  A piece is valid until
-    the next is requested, and its consumer may overwrite it.
+    A block's entries past its last whole chunk are carried into the next
+    piece.  A block of whole chunks, with nothing carried, is yielded as
+    its own view; other pieces are assembled in one array.  A piece is
+    valid until the next is requested, and its consumer may overwrite it.
     """
-    runs: List[np.ndarray] = []  # per side, the entries carried over at its head
+    carried = None  # the entries carried over, at its head
     carry, n = lead, 1 - lead
-    for _, *arrays in blocks:
-        arrays = [a for a in arrays if a is not None]
-        size = carry + arrays[0].size
-        if not runs and (carry or size % chunk):
-            runs = [np.zeros(chunk, a.dtype) for a in arrays]  # the lead zeros first
+    for _, a, *_ in blocks:
+        size = carry + a.size
+        if carried is None and (carry or size % chunk):
+            carried = np.zeros(chunk, a.dtype)  # the lead zeros first
         if carry:
-            if runs[0].size < size:
-                runs = [np.concatenate((run[:carry], np.empty(size - carry + chunk, run.dtype))) for run in runs]
-            for run, a in zip(runs, arrays):
-                run[carry:size] = a
-            arrays = [run[:size] for run in runs]
+            if carried.size < size:
+                carried = np.concatenate((carried[:carry], np.empty(size - carry + chunk, carried.dtype)))
+            carried[carry:size] = a
+            a = carried[:size]
         m = size - size % chunk
         if m:
-            yield (n, *[a[:m] for a in arrays])
+            yield n, a[:m]
             n += m
         carry = size - m
-        for run, a in zip(runs, arrays):
-            run[:carry] = a[m:]
+        if carry:
+            carried[:carry] = a[m:]
     if carry:
-        yield (n, *[run[:carry] for run in runs])
+        yield n, carried[:carry]
 
 
 # ---------------------------------------------------------------------------
@@ -506,20 +482,106 @@ def _ends(grid: List[int], lo: int, size: int) -> List[int]:
     return [x - lo + 1 for x in grid if lo <= x < lo + size]
 
 
+# a sum that overflows is reported by the finite-total checks
+@np.errstate(over="ignore", invalid="ignore")
+def _extract(w: np.ndarray, add: Callable[[np.ndarray], np.ndarray]) -> List[np.ndarray]:
+    """Level sums add(q) of parts q that add up to the weights w exactly,
+    by error-free extraction (Rump, Ogita and Oishi, Accurate
+    floating-point summation part I, SIAM J. Sci. Comput. 31, 2008).
+
+    With |w| < 2^t and w.size < 2^b, sigma = 1.5 * 2^e, e = t + b + 1,
+    rounds each w to q = (w + sigma) - sigma, a multiple of ulp(sigma),
+    and any sum of w.size such q is a multiple of it below 2^(e - 1), so
+    add sums them exactly in any order.  The remainder w - q, exact and at
+    most ulp(sigma) / 2, is extracted in turn until it is 0, as it is once
+    ulp(sigma) is the least subnormal.  Where w is not finite or e passes
+    1023 (sigma would overflow), add sums w as it stands.
+    """
+    levels = []
+    while True:
+        top = max(float(w.max(initial=0.0)), -float(w.min(initial=0.0)))
+        e = math.frexp(top)[1] + w.size.bit_length() + 1
+        if not math.isfinite(top) or e > 1023:
+            return levels + [add(w)]
+        sigma = math.ldexp(1.5, e)
+        q = w + sigma
+        q -= sigma
+        levels.append(add(q))
+        w = w - q
+        if not w.any():
+            return levels
+
+
+def _run_sums(w: np.ndarray, gt: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """The values of g on a run of n, in increasing order (0 alone where g
+    is None), and a row of exact sums of the weights w by them per level
+    of _extract.  An integer g whose span on the run is at most
+    _DENSE_SPAN is labelled by the offset from its least value, and every
+    integer of the span is a value; any other g by np.unique, a sort.
+    """
+    if gt is None:
+        return np.zeros(1, dtype=np.int64), np.array(_extract(w, partial(np.sum, keepdims=True)))
+    least, most = gt.min(), gt.max()
+    if gt.dtype.kind == "i" and most - least <= _DENSE_SPAN:
+        values, labels = np.arange(least, most + 1), gt - least
+    else:
+        values, labels = np.unique(gt, return_inverse=True)
+    return values, np.array(_extract(w, partial(np.bincount, labels)))
+
+
+def _merge(runs: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    """The values of the runs, in increasing order, and the fsum of each
+    one's level sums in every run: its correctly rounded sum."""
+    keys = np.concatenate([np.broadcast_to(v, rows.shape).ravel() for v, rows in runs])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    entries = np.concatenate([rows.ravel() for _, rows in runs])[order]
+    return keys[starts], np.array([_fsum(part.tolist()) for part in np.split(entries, starts[1:])])
+
+
+def _least(w: np.ndarray, lo: int) -> Tuple[float, int]:
+    """The least of the weights w of n = lo, lo + 1, ..., and its first n."""
+    i = int(np.argmin(w))
+    return float(w[i]), lo + i
+
+
+def _sum_pass(alpha: MultiplicativeSpec, g: Optional[AdditiveSpec], grid: List[int]) -> Iterator[Tuple]:
+    """(x, values, sums, least) at each x of grid, in order, from one pass
+    over the blocks cut at the grid x inside them: the values g takes on
+    [1, x] (0 alone where g is None), the correctly rounded sum of
+    alpha(n) over the n of each, and the least weight with its first n.
+
+    Raises:
+        ValueError: the level sums for the values of g exceed physical memory.
+    """
+    runs: List[Tuple[np.ndarray, np.ndarray]] = []  # (values, level sums) of the runs passed
+    held = 0  # entries of their level sums
+    least = (math.inf, 0)  # the least weight so far and its first n
+    for lo, w, gt in _ValueBlocks(alpha, g, grid[-1]):
+        ends = _ends(grid, lo, w.size)
+        cuts = sorted({*ends, w.size})
+        for start, end in zip([0] + cuts, cuts):
+            for s in range(start, end, _TEMP_ITEMS):
+                run = slice(s, min(s + _TEMP_ITEMS, end))
+                runs.append(_run_sums(w[run], None if gt is None else gt[run]))
+                held += runs[-1][1].size
+            if g is not None:
+                # 8 bytes an entry for the level sums, and 40 for the merge's keys, order and sorted copies
+                _require_memory(48 * held, f"bucket sums of {g.name} by its values to x = {grid[-1]}")
+            least = min(least, _least(w[start:end], lo + start))
+            if end in ends:
+                yield (lo + end - 1, *_merge(runs), least)
+
+
 def partial_sum_grid(spec: MultiplicativeSpec, xs: Sequence[int]) -> List[complex]:
-    """Exact sum of f(n) over 1 <= n <= x at every x in xs, from one pass
-    over the blocks; complex, with imaginary part 0, as the twisted sums are.
-    The pieces of whole _CHUNKs give the same bits at any block length."""
-    grid = _grid(xs)
-    done: List[np.ndarray] = []  # the chunk sums of the pieces passed
-    sums = {}
-    for lo, w in _pieces(_ValueBlocks(spec, None, grid[-1]), _CHUNK):
-        for end in _ends(grid, lo, w.size):
-            sums[lo + end - 1] = _finish_sum(done, w, end)
-        done.append(_chunk_sums(w))
-    for x in grid:
-        _check_finite_total(spec, x, sums[x])
-    return [complex(sums[int(x)]) for x in xs]
+    """Exact sum of f(n) over 1 <= n <= x at every x in xs, correctly
+    rounded, from one pass over the blocks; complex, with imaginary part
+    0, as the twisted sums are."""
+    sums = {x: complex(real[0]) for x, _, real, _ in _sum_pass(spec, None, _grid(xs))}
+    for x, total in sums.items():  # in grid order
+        _check_finite_total(spec, x, total)
+    return [sums[int(x)] for x in xs]
 
 
 @dataclass(frozen=True)
@@ -584,10 +646,10 @@ class BucketSums:
 
     values holds the v in increasing order (int64 for integer-valued g,
     where it may hold integers between them that g does not take, whose
-    S_v is 0, and which ones follows the pieces; float64 otherwise), and
-    real[i] holds S_{values[i]}, a compensated sum.  Every exact statistic of g(N) reads these sums,
-    complex twists too.  min_index is the first n of least weight, for
-    the pmf's sign check.
+    S_v is 0, and which ones follows the runs of the sums; float64
+    otherwise), and real[i] holds S_{values[i]}, correctly rounded.
+    Every exact statistic of g(N) reads these sums, complex twists too.
+    min_index is the first n of least weight, for the pmf's sign check.
     """
 
     alpha: MultiplicativeSpec
@@ -599,7 +661,8 @@ class BucketSums:
     min_weight: float
 
     def total(self) -> complex:
-        """sum of alpha(n) over 1 <= n <= x; not finite when it overflows."""
+        """sum of alpha(n) over 1 <= n <= x, as the fsum of the rounded
+        S_v (partial_sum_grid rounds it once); not finite when it overflows."""
         return complex(_fsum(self.real.tolist()))
 
     def _sum(self, y: complex) -> complex:
@@ -683,83 +746,17 @@ class BucketSums:
         )
 
 
-def _bucket_rows(labels: np.ndarray, weights: np.ndarray, n_buckets: int) -> np.ndarray:
-    """One bincount row per _BUCKET_CHUNK consecutive n, each adding its weights in order."""
-    return np.vstack([
-        np.bincount(labels[s : s + _BUCKET_CHUNK], weights=weights[s : s + _BUCKET_CHUNK], minlength=n_buckets)
-        for s in range(0, labels.size, _BUCKET_CHUNK)
-    ])
-
-
-def _buckets(w: np.ndarray, gt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The values of g on a piece, in increasing order, and one bincount
-    row of the weights w by them per _BUCKET_CHUNK consecutive n.
-
-    An integer g whose span on the piece is at most _DENSE_SPAN is
-    labelled by the offset from its least value, and every integer of the
-    span is a value; any other g by np.unique, a sort.
-    """
-    least = gt.min()
-    if gt.dtype.kind == "i" and gt.max() - least <= _DENSE_SPAN:
-        values, labels = np.arange(least, gt.max() + 1), gt - least
-    else:
-        values, labels = np.unique(gt, return_inverse=True)
-    return values, _bucket_rows(labels, w, values.size)
-
-
-def _fsum_buckets(pieces: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
-    """The values of the pieces, in increasing order, and for each the fsum
-    of its entries in every row of every piece that holds it.
-
-    pieces[i] = (values, rows) holds one value's sums in each column of
-    rows; a value's entries are summed in the order of the pieces and rows.
-    """
-    values = np.array(sorted(set(np.concatenate([v for v, _ in pieces]).tolist())), dtype=pieces[0][0].dtype)
-    columns = np.concatenate([np.broadcast_to(np.searchsorted(values, v), r.shape).ravel() for v, r in pieces])
-    order = np.argsort(columns, kind="stable")
-    entries = np.concatenate([r.ravel() for _, r in pieces])[order]
-    ends = np.cumsum(np.bincount(columns, minlength=values.size)).tolist()
-    return values, np.array([_fsum(entries[a:b].tolist()) for a, b in zip([0] + ends[:-1], ends)])
-
-
-def _least(w: np.ndarray, lo: int) -> Tuple[float, int]:
-    """The least of the weights w of n = lo, lo + 1, ..., and its first n."""
-    i = int(np.argmin(w))
-    return float(w[i]), lo + i
-
-
 def bucket_sums_grid(alpha: MultiplicativeSpec, g: AdditiveSpec, xs: Sequence[int]) -> List[BucketSums]:
-    """bucket_sums at every x in xs, from one pass over the blocks.
-
-    Each piece of whole _BUCKET_CHUNKs adds one bincount row per 4096
-    consecutive n, keyed by the values of g on the piece; a grid x inside a
-    piece buckets its part of the piece afresh, and fsum down the rows that
-    hold a value gives its sum exactly, with the same bits at any block
-    length.
+    """bucket_sums at every x in xs, from one pass over the blocks: each
+    S_v correctly rounded, with the same bits at any block length.
 
     Raises:
-        ValueError: the rows for the values of g exceed physical memory.
+        ValueError: the level sums for the values of g exceed physical memory.
     """
-    grid = _grid(xs)
-    blocks = _ValueBlocks(alpha, g, grid[-1])
-    done: List[Tuple[np.ndarray, np.ndarray]] = []  # (values, rows) of the blocks passed
-    held = 0  # entries of their rows
-    least = (math.inf, 0)  # the least weight so far and its first n
-    out = {}
-    for lo, w, gt in _pieces(blocks, _BUCKET_CHUNK):
-        piece = _buckets(w, gt)
-        held += piece[1].size
-        # 8 bytes an entry for the rows, and 32 for the merge's columns, order and two copies
-        _require_memory(40 * held, f"bucket sums of {g.name} by its values to x = {grid[-1]}")
-        for end in _ends(grid, lo, gt.size):
-            values, real = _fsum_buckets(done + [piece if end == gt.size else _buckets(w[:end], gt[:end])])
-            min_weight, min_index = min(least, _least(w[:end], lo))
-            out[lo + end - 1] = BucketSums(
-                alpha=alpha, g=g, x=lo + end - 1, values=values, real=real,
-                min_index=min_index, min_weight=min_weight,
-            )
-        done.append(piece)
-        least = min(least, _least(w, lo))
+    out = {
+        x: BucketSums(alpha=alpha, g=g, x=x, values=values, real=real, min_index=n, min_weight=weight)
+        for x, values, real, (weight, n) in _sum_pass(alpha, g, _grid(xs))
+    }
     return [out[int(x)] for x in xs]
 
 

@@ -73,6 +73,17 @@ class StripDomain:
 FULL_PLANE = StripDomain(-math.inf, math.inf)
 
 
+def _by_power(exceptions: Mapping[Tuple[int, int], complex]) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """exceptions as k -> (the sorted int64 primes listed at k, their complex128 values)."""
+    grouped: Dict[int, list] = {}
+    for p, k in sorted(exceptions):
+        grouped.setdefault(k, []).append(p)
+    return {
+        k: (np.array(ps, dtype=np.int64), np.array([exceptions[p, k] for p in ps], dtype=np.complex128))
+        for k, ps in grouped.items()
+    }
+
+
 @dataclass(frozen=True)
 class LocalSeries:
     """f(p^k) = sum_i coeffs(k)[i] p^(-i) at every prime power outside
@@ -87,6 +98,10 @@ class LocalSeries:
 
     coeffs: Callable[[int], Tuple[complex, ...]]
     exceptions: Mapping[Tuple[int, int], complex] = field(default_factory=dict, hash=False)
+    _by_power: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_power", _by_power(self.exceptions))
 
 
 @dataclass(frozen=True)
@@ -155,6 +170,7 @@ class AdditiveSpec:
     nonnegative: bool = True
     exceptions: Mapping[Tuple[int, int], float] = field(default_factory=dict, hash=False)
     k_value: Optional[Callable[[int], float]] = None
+    _by_power: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = self.power_bound
@@ -162,6 +178,7 @@ class AdditiveSpec:
             raise ValueError(f"power_bound (a, b) needs finite a and b with b >= 0 and a + b >= 0, "
                              f"got {self.power_bound}")
         _check_value_at(self)
+        object.__setattr__(self, "_by_power", _by_power(self.exceptions))
 
 
 # primes per value_at call where no series states a value
@@ -205,7 +222,8 @@ def prime_power_values(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, pr
     Where the spec has a series (or k_value), every prime takes the
     series' value, evaluated in numpy by _series_values, and then each
     entry of its exceptions listed at this k and at a prime among primes
-    takes the listed value; value_at is not read.  Where it has none,
+    takes the listed value (the entries are grouped by k once, when the
+    spec is built); value_at is not read.  Where it has none,
     value_at(p, k) is called once per _PRIMES_PER_CALL primes with p a
     numpy object array of Python ints, so that Python arithmetic on p
     acts elementwise and rounds as the scalar call does; it may return a
@@ -232,15 +250,17 @@ def prime_power_values(spec: Union[MultiplicativeSpec, AdditiveSpec], k: int, pr
         stated = _series_values(series.coeffs(k) if multiplicative else (series(k),), primes)
     except OverflowError:
         raise OverflowError(f"{spec.name}: value at ({int(primes[0])},{k}) overflows float64") from None
-    exceptions = series.exceptions if multiplicative else spec.exceptions
-    at = [(p, v) for (p, j), v in exceptions.items() if j == k]
-    where = np.searchsorted(primes, [p for p, _ in at]).tolist() if at else []
-    inside = [(i, v) for i, (p, v) in zip(where, at) if i < len(primes) and primes[i] == p]
-    if not inside:
+    at_k = (series if multiplicative else spec)._by_power.get(k)
+    if at_k is None:
         return stated
-    listed = _stored(np.array([v for _, v in inside], dtype=np.complex128))
+    at, values = at_k
+    where = np.searchsorted(primes, at)
+    inside = primes[np.minimum(where, len(primes) - 1)] == at
+    if not inside.any():
+        return stated
+    listed = _stored(values[inside])
     out = np.full(len(primes), stated, dtype=np.result_type(stated, listed))
-    out[[i for i, _ in inside]] = listed
+    out[where[inside]] = listed
     return out
 
 

@@ -402,8 +402,11 @@ def test_report_csv_fails_before_any_table(work_counts, capsys):
         (["sample", "--x", "10", "--count", "0"], "error: --count must be >= 1, got 0"),
         (["report", "--x-grid", "10"], "error: report x grid needs x >= 16, got 10"),
         (["sum", "--x", "0"], "error: --x must be >= 1, got 0"),
+        (["sum", "--x", "1e3", "--x-grid", "1e4"], "error: give --x or --x-grid, not both"),
+        (["ldp", "--x", "1e3", "--x-grid", "1e4"], "error: give --x or --x-grid, not both"),
     ],
-    ids=["empty-parameter", "non-prime-key", "huge-prime-key", "table-row", "psi-z", "circle-0", "count-0", "report-x-grid", "sum-x-0"],
+    ids=["empty-parameter", "non-prime-key", "huge-prime-key", "table-row", "psi-z", "circle-0", "count-0", "report-x-grid", "sum-x-0",
+         "sum-x-and-x-grid", "ldp-x-and-x-grid"],
 )
 def test_guards_exit_two(tmp_path, capsys, argv, message):
     table = tmp_path / "g.txt"

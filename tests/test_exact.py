@@ -20,7 +20,7 @@ from conftest import (
     value_of,
     whole_table,
 )
-from selberg_delange import exact, sieve
+from selberg_delange import exact, funcs, sieve
 from selberg_delange.errors import DegenerateSpecError, DomainError
 from selberg_delange.euler import psi
 from selberg_delange.exact import (
@@ -41,6 +41,7 @@ from selberg_delange.funcs import (
     MultiplicativeSpec,
     euler_phi_over_n,
     geometric_B,
+    parse_multiplicative,
     perturbed,
     tabulated_additive,
     tabulated_multiplicative,
@@ -54,27 +55,87 @@ from selberg_delange.stats import clt_report
 
 
 # ---------------------------------------------------------------------------
-# compensated summation
+# correctly rounded sums by error-free extraction
+
+
+def fsum(a):
+    """math.fsum of an array: the correctly rounded sum, the reference of every exact sum."""
+    return math.fsum(np.asarray(a, dtype=np.float64).tolist())
+
+
+def extracted_sums(w, labels, buckets):
+    """The fsum of each bucket's level sums from exact._extract, and the levels."""
+    levels = exact._extract(w, partial(np.bincount, labels, minlength=buckets))
+    return np.array([math.fsum(column) for column in np.array(levels).T.tolist()]), levels
+
+
+def fsum_by_label(w, labels, buckets):
+    return np.array([fsum(w[labels == j]) for j in range(buckets)])
 
 
 def test_compensated_sum_same_sign_is_fsum_accurate():
-    # nonnegative data (the weight-table case) carries no cancellation;
-    # the blocked sum then agrees with fsum to the last few ulps
+    # nonnegative data over 12 decades (the weight-table case): the level
+    # sums of each bucket add up to fsum's bits
     rng = np.random.default_rng(1)
     data = rng.random(50000) * 10.0 ** rng.integers(-6, 6, size=50000)
-    want = math.fsum(data.tolist())
-    assert exact._finish_sum([], data, data.size) == pytest.approx(want, rel=1e-15)
+    labels = rng.integers(0, 5, size=50000)
+    assert extracted_sums(data, labels, 5)[0].tobytes() == fsum_by_label(data, labels, 5).tobytes()
 
 
 @pytest.mark.parametrize("size", [0, 1, 1023, 1024, 1025, 4096 + 17])
 def test_compensated_sum_error_scales_with_l1_norm(size):
-    # signed data: the contract is |error| <= ~1e-14 * sum|values|,
-    # which is what keeps per-bucket pmf errors near 1e-12 at x = 1e7
+    # signed data over 16 decades: each bucket sum and the one-bucket sum
+    # have fsum's bits, so the error is half an ulp of the sum at most,
+    # whatever the L1 norm
     rng = np.random.default_rng(size + 1)
     data = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size=size)
-    want = math.fsum(data.tolist())
-    budget = 1e-14 * float(np.abs(data).sum()) + 1e-300
-    assert abs(exact._finish_sum([], data, data.size) - want) <= budget
+    labels = rng.integers(0, 5, size=size)
+    assert extracted_sums(data, labels, 5)[0].tobytes() == fsum_by_label(data, labels, 5).tobytes()
+    total = exact._extract(data, partial(np.sum, keepdims=True))
+    assert math.fsum(np.concatenate(total).tolist()) == math.fsum(data.tolist())
+
+
+def test_extracted_sums_of_the_weight_tables_take_one_level_or_two():
+    # integer and dyadic weights are taken whole at the first level; omega
+    # takes the values 0..5 on n <= 8192
+    labels = whole_table(None, OMEGA, 8192)[1:]
+    for spec, count in [(unit(), 1), (geometric_B(1.5), 1), (theta_omega(1.8168), 2), (tau_rho(0.5), 2),
+                        (euler_phi_over_n(), 2)]:
+        w = whole_table(spec, None, 8192)[1:]
+        got, levels = extracted_sums(w, labels, 6)
+        assert len(levels) == count
+        assert got.tobytes() == fsum_by_label(w, labels, 6).tobytes()
+
+
+def test_extracted_sums_of_subnormal_and_zero_weights():
+    # f(2) subnormal, so alpha(n) is subnormal at n = 2 mod 4
+    w = whole_table(tabulated_multiplicative({(2, 1): 2.2250738585e-313}), None, 10)[1:]
+    labels = whole_table(None, OMEGA, 10)[1:]
+    got, _ = extracted_sums(w, labels, 3)
+    assert got.tobytes() == fsum_by_label(w, labels, 3).tobytes() and got[1] != 0.0
+    tiny = np.array([2.2250738585e-313, -5e-324, 1e-310, 5e-324])
+    got, levels = extracted_sums(tiny, np.zeros(4, dtype=np.int64), 1)
+    assert len(levels) == 1 and got.tolist() == [math.fsum(tiny.tolist())]
+    got, levels = extracted_sums(np.zeros(100), np.arange(100) % 3, 3)
+    assert len(levels) == 1 and got.tobytes() == np.zeros(3).tobytes()
+
+
+def test_a_run_beyond_the_extraction_range_keeps_one_bincount():
+    # 2048 of these 8192 weights are 1e305: sigma = 1.5 * 2^e would pass
+    # the float range, so the run is summed as it stands, and its total
+    # overflows
+    spec = tabulated_multiplicative({(2, 1): 1e305})
+    w = whole_table(spec, None, 8192)[1:]
+    labels = whole_table(None, OMEGA, 8192)[1:]
+    levels = exact._extract(w, partial(np.bincount, labels))
+    assert len(levels) == 1
+    assert levels[0].tobytes() == np.bincount(labels, weights=w).tobytes()
+    assert exact._fsum(levels[0].tolist()) == math.inf
+    # the one-bucket sum overflows too, without a RuntimeWarning
+    levels = exact._extract(w, partial(np.sum, keepdims=True))
+    assert len(levels) == 1 and levels[0].tolist() == [math.inf]
+    with pytest.raises(ValueError, match=r"^tabulated: total weight on \[1, 8192\] overflows float64$"):
+        partial_sum_grid(spec, [8192])
 
 
 def test_compensated_cumsum_prefixes():
@@ -646,17 +707,15 @@ def direct_twisted_sum(w, gt, y, x):
     lo = int(g_slice.min())
     ladder = np.array([cpow(y, m) for m in range(lo, int(g_slice.max()) + 1)], dtype=np.complex128)
     terms = w[1 : x + 1] * ladder[g_slice - lo]
-    return complex(whole_sum(terms.real), whole_sum(terms.imag)), float(np.abs(terms).sum())
+    return complex(fsum(terms.real), fsum(terms.imag)), float(np.abs(terms).sum())
 
 
 CIRCLE_16 = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
 REAL_Y = st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0))
-# a bucket sum adds at most 4096 weights in sequence per block (then
-# fsum), for the real and the imaginary part, so its error is at most
-# 2 * 4096 ulps of the L1 norm; weights with few distinct values (as
-# theta_omega's) do reach 1e-14 of it, while the direct blocked
-# pairwise sum stays near 1e-16
-BUCKET_TOL = 2 * 4096 * 2.0**-53
+# each S_v is correctly rounded, so the twisted sum's terms y^v S_v and
+# the direct sum's terms y^g(n) alpha(n) round apart by a few ulps of the
+# terms' L1 norm, as do the powers taken by cpow and by exp
+BUCKET_TOL = 16 * 2.0**-53
 
 
 @settings(max_examples=40, deadline=None)
@@ -686,10 +745,10 @@ def test_bucketed_sums_match_direct_sums(spec, g, x, real_y):
 def test_bucketed_pmf_matches_direct_sums(spec, g, x):
     w = whole_table(spec, None, x)
     gt = whole_table(None, g, x)
-    total = whole_sum(w[1:])
+    total = fsum(w[1:])
     dist = pmf(spec, g, x)
     for m, q in zip(dist.values.tolist(), dist.probabilities.tolist()):
-        bucket = whole_sum(w[1:][gt[1:] == m])
+        bucket = fsum(w[1:][gt[1:] == m])
         assert abs(q - bucket / total) <= BUCKET_TOL * q + 1e-16
     # every bucket of positive weight is listed, and nothing else
     support = [m for m in np.unique(gt[1:]).tolist() if w[1:][gt[1:] == m].sum() > 0]
@@ -1040,40 +1099,21 @@ def test_tiny_prime_power_value_takes_exact_exponent_steps():
 # streamed blocks: cutting the tables into blocks changes no bit
 
 
-def whole_bucket_sums(w, gt, x):
-    """Bucket sums of alpha(n) by g(n) over n <= x from whole tables, for
-    each value g takes: one bincount row per 4096 n from n = 1, then fsum
-    down each bucket."""
+def fsum_by_value(w, gt, x):
+    """The values g takes on n <= x and the fsum of alpha(n) over the n of
+    each, from whole tables."""
     w, gt = w[1 : x + 1], gt[1 : x + 1]
-    values, labels = np.unique(gt, return_inverse=True)
-    rows = np.vstack([
-        np.bincount(labels[s : s + 4096], weights=w[s : s + 4096], minlength=values.size)
-        for s in range(0, x, 4096)
-    ])
-    return values, np.array([math.fsum(rows[:, j].tolist()) for j in range(values.size)])
+    values = np.unique(gt)
+    return values, np.array([fsum(w[gt == v]) for v in values.tolist()])
 
 
-def assert_whole_bucket_sums(got, w, gt):
-    """got has whole_bucket_sums' bits at every value g takes, and 0 at the
+def assert_fsum_by_value(got, w, gt):
+    """got has fsum_by_value's bits at every value g takes, and 0 at the
     integers between them that an integer g keys too."""
-    values, sums = whole_bucket_sums(w, gt, got.x)
+    values, sums = fsum_by_value(w, gt, got.x)
     taken = np.isin(got.values, values)
     assert got.values.dtype == gt.dtype and got.values[taken].tobytes() == values.tobytes()
     assert got.real[taken].tobytes() == sums.tobytes() and not got.real[~taken].any()
-
-
-def whole_sum(a):
-    """Pairwise sums of 1024-chunks and fsum of the rest, finished by fsum."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    m = (a.size // 1024) * 1024
-    partials = a[:m].reshape(-1, 1024).sum(axis=1).tolist()
-    if m < a.size:
-        partials.append(math.fsum(a[m:].tolist()))
-    return math.fsum(partials)
-
-
-def whole_complex_sum(a):
-    return complex(whole_sum(a.real), whole_sum(a.imag))
 
 
 def bits(z):
@@ -1138,10 +1178,10 @@ def test_streamed_bucket_and_partial_sums_match_whole_tables(block, spec, g, x):
         partials = partial_sum_grid(spec, grid)
     for xi, got, s in zip(grid, streamed, partials):
         assert got.x == xi
-        assert_whole_bucket_sums(got, w, gt)
+        assert_fsum_by_value(got, w, gt)
         i = int(np.argmin(w[1 : xi + 1]))
         assert (got.min_index, got.min_weight) == (i + 1, float(w[i + 1]))
-        want = complex(whole_sum(w[1 : xi + 1]))
+        want = complex(fsum(w[1 : xi + 1]))
         assert bits(s) == bits(want)
         assert bits(partial_sum_grid(spec, [xi])[0]) == bits(want)
 
@@ -1160,9 +1200,9 @@ def test_streamed_fractional_bucket_sums_match_whole_tables(block, spec, g, x, y
         streamed = bucket_sums_grid(spec, g, grid)
     for xi, got in zip(grid, streamed):
         assert got.x == xi
-        assert_whole_bucket_sums(got, w, gt)
+        assert_fsum_by_value(got, w, gt)
     terms = w[1:] * np.exp(gt[1:] * complex(cmath.log(y)))
-    assert abs(streamed[-1].twisted_sum(y) - whole_complex_sum(terms)) <= BUCKET_TOL * float(np.abs(terms).sum())
+    assert abs(streamed[-1].twisted_sum(y) - complex(fsum(terms.real), fsum(terms.imag))) <= BUCKET_TOL * float(np.abs(terms).sum())
 
 
 @BLOCKS
@@ -1266,11 +1306,40 @@ def exact_results(alpha, g, grid):
 )
 @pytest.mark.parametrize("alpha, g", [(theta_omega(1.8168), OMEGA), (tau_rho(0.5), BIG_OMEGA)], ids=["theta_omega-omega", "tau_rho-Omega"])
 def test_every_exact_result_has_the_default_blocks_bits(alpha, g, grid, block):
-    # the reductions run on chunks aligned at n = 1 whatever the block
-    # length; a block of 5000 once summed f to 27521.51 at 2e5, not 33389.39
+    # the sums are correctly rounded and sample's prefix sums run on chunks
+    # aligned at n = 0, whatever the block length; a block of 5000 once
+    # summed f to 27521.51 at 2e5, not 33389.39
     want = exact_results(alpha, g, grid)
     with block_length(block):
         assert exact_results(alpha, g, grid) == want
+
+
+FSUM_X = 10**5
+# 31337 and 65537 lie inside a block at every length below; 65537 opens
+# the second block of 2^16
+FSUM_GRID = [31337, 65537, FSUM_X]
+FSUM_ALPHAS = [parse_multiplicative(row[-1]) for row in funcs._GRAMMAR.values()] + [
+    tabulated_multiplicative({(2, 1): 0.0, (3, 2): 2.5, (99991, 1): 0.3}, default=1.5),
+    tabulated_multiplicative({(2, 1): -0.5, (5, 1): 1e-3, (7, 3): 7.0}),
+    tabulated_multiplicative({(3, 1): 1.0 / 3.0, (313, 1): 2.0**-40}, default=0.7),
+]
+FSUM_GS = [OMEGA, BIG_OMEGA, tabulated_additive({(2, 1): 0.5, (3, 1): 1.25, (7, 2): -0.75})]
+
+
+@pytest.mark.parametrize("block", [65536, 5000, 100], ids=lambda b: f"block{b}")
+@pytest.mark.parametrize("alpha", FSUM_ALPHAS, ids=lambda a: a.name)
+def test_every_bucket_and_partial_sum_is_the_fsum_of_its_whole_table_bucket(alpha, block):
+    w = whole_table(alpha, None, FSUM_X)
+    with block_length(block):
+        partials = partial_sum_grid(alpha, FSUM_GRID)
+        grids = [bucket_sums_grid(alpha, g, FSUM_GRID) for g in FSUM_GS]
+    for x, total in zip(FSUM_GRID, partials):
+        assert bits(total) == bits(math.fsum(w[1 : x + 1].tolist()))
+    for g, grid in zip(FSUM_GS, grids):
+        gt = whole_table(None, g, FSUM_X)
+        for x, sums in zip(FSUM_GRID, grid):
+            assert sums.x == x
+            assert_fsum_by_value(sums, w, gt)
 
 
 def test_pmf_streams_in_bounded_memory():

@@ -1,9 +1,11 @@
 """The README's library example runs as written, at a smaller x and with
 the documented signatures of the tail comparisons, its command-line
-section names only flags that sd registers, and every line of its weight
-spec grammar parses, one line per row of the grammar table."""
+section names only flags that sd registers, every line of its weight
+spec grammar parses, one line per row of the grammar table, and every
+`module.name` it cites exists in that module."""
 
 import argparse
+import importlib
 import math
 import re
 from pathlib import Path
@@ -11,7 +13,8 @@ from pathlib import Path
 from selberg_delange.cli import build_parser
 from selberg_delange.funcs import _GRAMMAR, parse_multiplicative
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_example_runs(capsys):
@@ -56,3 +59,13 @@ def test_readme_spec_grammar_lines_parse():
         # an optional part in [brackets] parses both without and with it
         for form in (re.sub(r"\[.*?\]", "", spec), re.sub(r"\[(.*?)\]", r"\1", spec)):
             parse_multiplicative(form)
+
+
+def test_readme_cites_only_names_its_modules_define():
+    # a helper deleted from a module must not stay in the docs
+    text = README.read_text(encoding="utf-8")
+    modules = sorted(p.stem for p in (ROOT / "src" / "selberg_delange").glob("*.py") if p.stem != "__init__")
+    cited = set(re.findall(rf"(?<![\w.])({'|'.join(modules)})\.([A-Za-z_]\w*)", text)) - {(m, "py") for m in modules}
+    assert {("exact", "_DENSE_SPAN"), ("euler", "DEFAULT_FACTOR_TOL")} <= cited
+    missing = sorted(f"{m}.{n}" for m, n in cited if not hasattr(importlib.import_module(f"selberg_delange.{m}"), n))
+    assert not missing, f"README cites names its modules do not define: {missing}"
