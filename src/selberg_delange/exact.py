@@ -53,9 +53,9 @@ the order of its terms, so every exact result has the same bits at any
 _BLOCK, but for which untaken integers BucketSums.values lists.  A run
 with a weight that is not finite or about 2^1008 or more is summed as
 it stands, in one level: its sum overflows or comes close to it.
-sample's prefix sums alone read the blocks through _pieces, in whole
-_CHUNKs from n = 0, so its compensated cumulative weights are the same
-at any block length.
+sample's prefix sums take the blocks as they come: _PrefixSums carries
+its open chunk from one block to the next, so its compensated
+cumulative weights are the same at any block length.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .funcs import AdditiveSpec, MultiplicativeSpec, _listed, prime_power_values
 from .sieve import _require_memory, _sieve_bytes, prime_array
 from .special import cexpm1, cpow
 
-# n per chunk of sample's prefix sums, whose running offset is compensated once a chunk
+# entries per chunk of _PrefixSums, whose running offset is compensated once a chunk
 _CHUNK = 1024
 
 # widest span of an integer g on a run that is labelled by offsets.
@@ -86,11 +86,13 @@ _DENSE_SPAN = 64
 # n per value-table block
 _BLOCK = 1 << 16
 
-# entries per temporary of the tail and the gather (int64: 64 KiB), and
+# entries per temporary of the tail and the gather (int64: 128 KiB), and
 # n per run of the sums, so that a pass, which allocates its block
 # arrays once, does not hand memory back to the system and fault it in
-# again at every block
-_TEMP_ITEMS = 8192
+# again at every block.  A run costs a few numpy calls per level of the
+# sums: runs of 8192 took partial_sum_grid(unit, [1e7]) 40 ms against
+# 34, and runs of 32768 made pmf at 1e8 slower
+_TEMP_ITEMS = 1 << 14
 
 # sweep steps of a modulus at least this large hit few n of a block each,
 # so one op.at per block applies them cheaper than a slice each
@@ -105,36 +107,58 @@ def _fsum(values: List[float]) -> float:
 
 
 class _PrefixSums:
-    """Prefix sums of a sequence fed in pieces, with the running offset
-    compensated once per _CHUNK-block, so cutting the sequence into
-    pieces of whole blocks (all but the last) leaves every prefix sum
-    unchanged.
+    """Prefix sums of a sequence fed in pieces of any length.
+
+    The sequence is cut into _CHUNKs from its first entry: a prefix sum
+    is its chunk's np.cumsum so far plus the sum of the chunks before,
+    which is compensated once a chunk closes.  The open chunk (how many
+    of its entries were read, and their sum) carries over from one piece
+    to the next, so every prefix sum has the same bits however the
+    sequence is cut.
     """
 
     def __init__(self):
-        self.total = 0.0
+        self.total = 0.0  # the compensated sum of the closed chunks
         self.comp = 0.0
+        self.open = 0  # entries read of the open chunk
+        self.run = 0.0  # their sum
 
     def __call__(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The prefix sums of the next piece a, written into out (which may be a)."""
         n = a.size
         out = np.empty(n, dtype=np.float64) if out is None else out
-        m = (n // _CHUNK) * _CHUNK
-        total, comp = self.total, self.comp
-        if m:
-            body = np.cumsum(a[:m].reshape(-1, _CHUNK), axis=1, out=out[:m].reshape(-1, _CHUNK))
-            offsets = np.empty(m // _CHUNK, dtype=np.float64)
-            for i, t in enumerate(body[:, -1].tolist()):
-                offsets[i] = total
-                y = t - comp
-                new_total = total + y
-                comp = (new_total - total) - y
-                total = new_total
-            body += offsets[:, None]
-        if m < n:
-            out[m:] = np.cumsum(a[m:]) + total
-        self.total, self.comp = total, comp
+        head = min(-self.open % _CHUNK, n)  # the rest of the open chunk
+        m = n - (n - head) % _CHUNK  # then whole chunks, and one left open
+        self._extend(a[:head], out[:head])
+        body = out[head:m].reshape(-1, _CHUNK)
+        np.cumsum(a[head:m].reshape(-1, _CHUNK), axis=1, out=body)
+        offsets = np.empty(len(body))
+        for i, t in enumerate(body[:, -1].tolist()):
+            offsets[i] = self.total
+            self._close(t)
+        body += offsets[:, None]
+        self._extend(a[m:], out[m:])
         return out
+
+    def _extend(self, a: np.ndarray, out: np.ndarray) -> None:
+        """The prefix sums of entries a that the open chunk takes, into out."""
+        if a.size:
+            out[...] = a
+            out[0] += self.run
+            np.cumsum(out, out=out)
+            self.open += a.size
+            self.run = float(out[-1])
+            out += self.total
+            if self.open == _CHUNK:
+                self._close(self.run)
+
+    def _close(self, t: float) -> None:
+        """Add t, the sum of the chunk that closes, to the compensated total."""
+        y = t - self.comp
+        total = self.total + y
+        self.comp = (total - self.total) - y
+        self.total = total
+        self.open, self.run = 0, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +428,8 @@ class _ValueBlocks:
     them, before any block is built; each iteration is one pass, which
     allocates its working arrays once, so a yielded block is valid until
     the next is requested.  The sums do not depend on the order of their
-    terms, and sample reads the blocks through _pieces, so the block
-    length changes no bit of any result.
+    terms, and sample's prefix sums not on how the weights are cut, so
+    the block length changes no bit of any result.
 
     Raises ValueError for x < 1, a prime sieve beyond physical memory, or
     a spec the tables reject.
@@ -430,38 +454,6 @@ class _ValueBlocks:
             hi = min(lo + block, self.x + 1)
             w, gt = (None if side is None else side[0].block(lo, hi, gather, side[1]) for side in sides)
             yield lo, w, gt
-
-
-def _pieces(blocks, chunk: int, lead: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """sample's weights: the blocks (lo, w, ...) of a pass cut again into
-    pieces (n, w) of whole `chunk`-blocks aligned at n = 1 - lead, after
-    `lead` zeros; only the last piece may end inside a chunk.
-
-    A block's entries past its last whole chunk are carried into the next
-    piece.  A block of whole chunks, with nothing carried, is yielded as
-    its own view; other pieces are assembled in one array.  A piece is
-    valid until the next is requested, and its consumer may overwrite it.
-    """
-    carried = None  # the entries carried over, at its head
-    carry, n = lead, 1 - lead
-    for _, a, *_ in blocks:
-        size = carry + a.size
-        if carried is None and (carry or size % chunk):
-            carried = np.zeros(chunk, a.dtype)  # the lead zeros first
-        if carry:
-            if carried.size < size:
-                carried = np.concatenate((carried[:carry], np.empty(size - carry + chunk, carried.dtype)))
-            carried[carry:size] = a
-            a = carried[:size]
-        m = size - size % chunk
-        if m:
-            yield n, a[:m]
-            n += m
-        carry = size - m
-        if carry:
-            carried[:carry] = a[m:]
-    if carry:
-        yield n, carried[:carry]
 
 
 # ---------------------------------------------------------------------------
@@ -783,13 +775,14 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
     Inverse-CDF sampling: uniforms come from the counter-based
     Philox4x64 generator keyed by (seed, stream), so draws are
     reproducible across platforms and independent streams are obtained
-    by varying `stream`.  Two passes over the weights, in pieces of whole
-    _CHUNKs from n = 0 (w[0] = 0), replace the cumulative weight array:
-    the first checks the weights as BucketSums.distribution does and
-    carries the compensated prefix sum to the total; the second
-    recomputes the prefix sums a piece at a time and binary-searches the
-    targets, in sorted order, that fall in it.  Each draw is the one a
-    search of the whole cumulative array gives, at any block length.
+    by varying `stream`.  Two passes over the value-table blocks, each
+    read by _PrefixSums from w[0] = 0, replace the cumulative weight
+    array: the first checks the weights as BucketSums.distribution does
+    and carries the compensated prefix sum to the total; the second
+    recomputes the prefix sums a block at a time, in place, and
+    binary-searches the targets, in sorted order, that fall in it (draw
+    lo + i is the block's entry i).  Each draw is the one a search of
+    the whole cumulative array gives, at any block length.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -798,10 +791,11 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
     # the uniforms, their argsort order and the sorted copy
     _require_memory(24 * count, f"{count} draws")
     blocks = _ValueBlocks(alpha, None, x)
-    lows = []  # the least weight of each piece, and its first n
+    lows = []  # the least weight of each block, and its first n
     prefix = _PrefixSums()
-    for n, w in _pieces(blocks, _CHUNK, lead=1):  # w[0] = 0
-        lows.append(_least(w, n))
+    prefix(np.zeros(1))  # w[0] = 0
+    for lo, w, _ in blocks:
+        lows.append(_least(w, lo))
         total = float(prefix(w, out=w)[-1])
     weight, n_bad = min(lows)
     if weight < 0.0:
@@ -817,12 +811,13 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
     found = ordered.view(np.int64)  # each sorted target's slot takes its draw once searched
     j = 0
     prefix = _PrefixSums()
-    for n, w in _pieces(blocks, _CHUNK, lead=1):  # w[0] = 0
+    prefix(np.zeros(1))
+    for lo, w, _ in blocks:
         if j == count:
             break
         cumulative = prefix(w, out=w)
         k = j + int(np.searchsorted(ordered[j:], cumulative[-1], side="left"))
-        found[j:k] = n + np.searchsorted(cumulative, ordered[j:k], side="right")
+        found[j:k] = lo + np.searchsorted(cumulative, ordered[j:k], side="right")
         j = k
     found[j:] = x + 1  # targets at the total, as a search of the whole array places them
     draws = targets.view(np.int64)  # the targets are spent; their buffer takes the draws

@@ -147,6 +147,29 @@ def test_compensated_cumsum_prefixes():
         assert cum[idx] == pytest.approx(math.fsum(data[: idx + 1].tolist()), rel=1e-14, abs=1e-8)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(0, 5 * exact._CHUNK),
+    cuts=st.lists(st.integers(0, 5 * exact._CHUNK), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=3 * exact._CHUNK + 7, cuts=[0, 0, 1, 1, 1024, 1025, 2048, 2500, 2500], seed=0)
+def test_prefix_sums_of_any_pieces_have_the_bits_of_one_call(size, cuts, seed):
+    # pieces may be empty, shorter than a chunk, or end inside one: the
+    # open chunk carries over, so the cut moves no bit of any prefix sum
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size=size)
+    want = exact._PrefixSums()(data)
+    prefix = exact._PrefixSums()
+    bounds = [0] + sorted(min(c, size) for c in cuts) + [size]
+    got = [prefix(data[i:j]) for i, j in zip(bounds, bounds[1:])]
+    assert np.concatenate(got).tobytes() == want.tobytes()
+    # written in place, as sample writes each block
+    prefix = exact._PrefixSums()
+    pieces = [data[i:j].copy() for i, j in zip(bounds, bounds[1:])]
+    assert np.concatenate([prefix(w, out=w) for w in pieces]).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # value tables
 
@@ -1149,7 +1172,7 @@ def stream_grid(x):
     return sorted({x, (x + 1) // 2, min(x, 4095), min(x, 4097), min(x, 8192), min(x, 1024 * 9 + 5)})
 
 
-# whole bucket chunks, and lengths that cut the reduction chunks (100 < _CHUNK)
+# whole chunks of sample's prefix sums, and lengths that cut them (100 < _CHUNK)
 BLOCKS = pytest.mark.parametrize("block", [4096, 8192, 100, 1000, 5000], ids=lambda b: f"block{b}")
 
 
@@ -1212,9 +1235,11 @@ def test_streamed_sample_matches_whole_search(block, spec, x):
     w = reference_multiplicative_table(spec, x)
     cumulative = exact._PrefixSums()(w)
     with block_length(block):
-        blocks = exact._ValueBlocks(spec, None, x)
         prefix = exact._PrefixSums()
-        pieces = [prefix(piece) for _, piece in exact._pieces(blocks, exact._CHUNK, lead=1)]
+        pieces = [prefix(np.zeros(1))]  # w[0] = 0, as sample reads it
+        for lo, piece, _ in exact._ValueBlocks(spec, None, x):
+            assert lo == sum(p.size for p in pieces)
+            pieces.append(prefix(piece))
         assert np.concatenate(pieces).tobytes() == cumulative.tobytes()
         for seed in (0, 1, 7, 2**63 + 5):
             bits_ = np.random.Philox(key=[np.uint64(seed & (2**64 - 1)), np.uint64(0)])
@@ -1270,22 +1295,6 @@ def test_streamed_errors_match_reference(block):
             assert raised(run) == want
         lying = AdditiveSpec("lying", lambda p, k: np.where(p == late, 0.5, 1.0), integer_valued=True)
         assert raised(lambda: pmf(unit(), lying, x)) == raised(lambda: reference_additive_table(lying, x))
-
-
-@pytest.mark.parametrize("lead", [0, 1])
-@pytest.mark.parametrize("block", [100, 4096, 5000, 8192], ids=lambda b: f"block{b}")
-def test_pieces_are_whole_chunks_carried_across_blocks(block, lead):
-    # pieces start at a chunk edge, every piece but the last is whole
-    # chunks, and a block of whole chunks with nothing carried is its own view
-    x, chunk = 20000, 4096
-    table = np.arange(1.0, x + 1.0)
-    blocks = [(lo, table[lo - 1 : lo - 1 + block]) for lo in range(1, x + 1, block)]
-    pieces = [(n, w.copy(), np.shares_memory(w, table)) for n, w in exact._pieces(blocks, chunk, lead)]
-    assert [n for n, _, _ in pieces] == (1 - lead + np.cumsum([0] + [w.size for _, w, _ in pieces[:-1]])).tolist()
-    assert all(w.size % chunk == 0 for _, w, _ in pieces[:-1])
-    assert np.concatenate([np.zeros(lead)] + [w for _, w in blocks]).tobytes() == np.concatenate([w for _, w, _ in pieces]).tobytes()
-    if block % chunk == 0 and not lead:
-        assert [view for _, _, view in pieces] == [True] * (len(pieces) - 1) + [False]
 
 
 def exact_results(alpha, g, grid):
@@ -1354,6 +1363,23 @@ def test_pmf_streams_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * x / 4
+
+
+def test_sample_streams_in_bounded_memory():
+    # a pass holds the sieve, one block of weights and its work arrays
+    # (the tail's positions, the gather's index and offsets, and their
+    # temporaries), a few block-lengths of 8-byte entries in all; the
+    # cumulative weights of the whole table alone would take 8 bytes per n
+    x = 2**20
+    prime_array.cache_clear()
+    tracemalloc.start()
+    try:
+        draws = sample(geometric_B(1.5), x, seed=1, count=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.size == 1000
+    assert peak < _sieve_bytes(x) + 8 * 8 * exact._BLOCK < 8 * x
 
 
 def test_streamed_commands_are_charged_for_the_sieve_alone(monkeypatch):
