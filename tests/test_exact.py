@@ -170,6 +170,23 @@ def test_prefix_sums_of_any_pieces_have_the_bits_of_one_call(size, cuts, seed):
     assert np.concatenate([prefix(w, out=w) for w in pieces]).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("lead", [0, 1])
+@pytest.mark.parametrize("block", [100, 4096, 5000, 8192], ids=lambda b: f"block{b}")
+def test_pieces_are_whole_chunks_carried_across_blocks(block, lead):
+    # blocks of a value table fed one by one, after the lead zero at n = 0
+    # when there is one, sum in the chunks of one call: the open chunk is
+    # carried from block to block, and each block gets its own prefix sums
+    x = 20000
+    rng = np.random.default_rng(block + lead)
+    table = rng.standard_normal(x) * 10.0 ** rng.integers(-8, 8, size=x)
+    blocks = [table[lo - 1 : lo - 1 + block] for lo in range(1, x + 1, block)]
+    want = exact._PrefixSums()(np.concatenate([np.zeros(lead), table]))
+    prefix = exact._PrefixSums()
+    pieces = [prefix(np.zeros(lead))] + [prefix(w) for w in blocks]
+    assert [p.size for p in pieces] == [lead] + [w.size for w in blocks]
+    assert np.concatenate(pieces).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # value tables
 
