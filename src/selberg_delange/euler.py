@@ -7,7 +7,10 @@ accumulated in log space (exact summation of per-prime logs) so that
 10^6 factors neither underflow nor lose relative accuracy.  One kernel
 pass evaluates a stack of products as rows over one column of primes:
 psi_grid puts lambda0(alpha) and the twist of every z in one pass, and
-psi'(0) its series F_p and G_p.
+psi'(0) its series F_p and G_p.  The pass walks the powers k once: the
+primes whose series reaches k are a prefix of the head, and at each k
+every row adds its terms over its own prefix and counts, from its
+growth envelope, the prefix that reaches k + 1.
 
 At s = 1 the primes above the cutoff are not dropped when the spec
 declares a local series (funcs.LocalSeries).  The log of a local factor
@@ -141,8 +144,8 @@ class _LocalFactors(NamedTuple):
 
     The head stops at the first prime whose series fails, and failure is
     that error (None if there is none).  k_max is the series length at
-    the first prime, the longest of the head: the number of nonzero
-    counts in the row's column of _series_lengths.
+    the first prime, the longest of the head and the number of powers its
+    pass read for the row.
     t_re and t_im are the power column p^{-s}, with t_im None for a real
     s.  vanished marks that 1 + F_p(s) = 0 at primes[-1], so the product
     is exactly 0 (see _checked).
@@ -173,97 +176,96 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
     return out
 
 
-@np.errstate(all="ignore")  # entries past a row's cut or count are masked out
-def _series_lengths(
-    primes: np.ndarray, q: np.ndarray, C: Sequence[float], envelopes: Sequence[Tuple[float, float]]
-) -> Tuple[np.ndarray, List[int], List[Optional[ArithmeticError]]]:
-    """The staircases of series lengths of a stack of rows.
+def _first_length(C: float, q: float, a: float, b: float, tol: float) -> int:
+    """K_p at the head's first prime (see _local_factors), counted up to
+    _K_HARD_CAP + 1 in Python floats, which round as the kernel's float64
+    columns do."""
+    if C == 0.0:
+        return 0
+    geo, base, K = C * q * q / (1.0 - q), a + b * q / (1.0 - q), 1
+    while K <= _K_HARD_CAP and geo * (base + b * (K + 1)) > tol:
+        geo *= q
+        K += 1
+    return K
 
-    Row i has the ratios q[i] = r_i/p^sigma over the primes and the
-    envelope (a + b k) C q^k with C = C[i] and (a, b) = envelopes[i].
-    K_p is the smallest K >= 1 whose tail bound
+
+@np.errstate(all="ignore")  # entries past a row's cut or count are masked out
+def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_LocalFactors, Exception]]:
+    """F_p(s) of each row for every prime p <= P, in one kernel pass.
+
+    Row i has the ratios q = r/p^sigma over the primes and the envelope
+    (a + b k) C q^k.  K_p is the smallest K >= 1 whose tail bound
     C q^{K+1}/(1-q) (a + b(K+1) + b q/(1-q)) is <= DEFAULT_FACTOR_TOL / n,
-    n = len(primes): the product's budget shared by its primes, so that
-    the n cuts together drop at most DEFAULT_FACTOR_TOL.  The envelope
-    (1, 0) gives the geometric tail C q^{K+1}/(1-q).  q falls as p
-    grows, and with b >= 0 and a + b >= 0 so does the bound; the
+    n the number of primes p <= P: the product's budget shared by its
+    primes, so that the n cuts together drop at most DEFAULT_FACTOR_TOL,
+    bit-identical to the scalar local_factor oracle of tests/test_euler.py.
+    The envelope (1, 0) gives the geometric tail C q^{K+1}/(1-q).  q falls
+    as p grows, and with b >= 0 and a + b >= 0 so does the bound; the
     threshold is one number per pass, so K_p never rises with p, and the
-    primes whose series reaches k are a prefix of the head.  Returns
-    (lengths, cuts, failures): lengths is the int64 count matrix of
-    shape (k, rows), whose entry [k-1, i] is the length of that prefix
-    for row i (so K_p at the first prime is the number of nonzero counts
-    in column i), and row i's head stops at cuts[i], the index of the
-    first prime whose series fails, with failures[i] that error (None if
-    there is none).  The rows share one loop over k, over the longest
-    prefix still counting; each row counts within its own prefix.
+    primes whose series reaches k are a prefix of the head.
+
+    Ahead of the loop, a row's head stops at its first prime with q >= 1
+    (a failure), and a row whose series at the first prime needs more
+    than _K_HARD_CAP terms fails there before any of its values are read.
+    Then one loop over k serves the stack: each row reads its values over
+    its prefix of the head that reaches k (one values call per row and
+    power), adds its terms there under a where= mask, and counts from its
+    envelope tail the prefix that reaches k + 1.  The power column
+    cur = t_p^k is shared: acc += value * cur; cur *= t, with the complex
+    products spelled out in float64 so that they round exactly as
+    Python's complex arithmetic does; with s real the column is real and
+    its zero imaginary half is skipped.  A row whose values raise an
+    ArithmeticError or ValueError gets that error in its place; _checked
+    reads the other failures.
     """
+    primes = prime_array(P)
+    p_sigma = primes.astype(np.float64)
+    if s.real != 1.0:  # pow(p, 1.0) is p exactly
+        p_sigma = _map_float(math.pow, p_sigma, s.real)
     tol = DEFAULT_FACTOR_TOL / len(primes)
-    C = np.asarray(C, dtype=np.float64)
-    a, b = np.asarray(envelopes, dtype=np.float64).T[:, :, None]
+    C = np.array([row.C for row in rows], dtype=np.float64)
+    a, b = np.array([row.envelope for row in rows], dtype=np.float64).T[:, :, None]
+    r = np.array([row.r for row in rows], dtype=np.float64)[:, None]
+    q = r / p_sigma
     diverging = q >= 1.0
-    cuts = np.where(diverging.any(axis=1), diverging.argmax(axis=1), q.shape[1]).tolist()
-    failures = [None] * len(cuts)
+    cuts = np.where(diverging.any(axis=1), diverging.argmax(axis=1), len(primes)).tolist()
+    failures: List[Optional[ArithmeticError]] = [None] * len(rows)
+    k_max = [0] * len(rows)
     for i, cut in enumerate(cuts):
-        if cut < q.shape[1]:
+        if cut < len(primes):
             p, qf = int(primes[cut]), float(q[i, cut])
             failures[i] = DivergentLocalFactorError(
                 f"local factor diverges at p={p}: growth ratio {float(C[i]):g}*{qf:g}^k does not decay",
                 prime=p,
             )
-    geo = C[:, None] * q * q / (1.0 - q)
-    base = a + b * q / (1.0 - q)
-    column = np.arange(q.shape[1])
-    n = np.where(C != 0.0, cuts, 0)
-    width = int(n.max(initial=0))
-    steps = []
-    while width:
-        if len(steps) == _K_HARD_CAP:
-            p = int(primes[0])
-            for i in np.flatnonzero(n).tolist():
-                cuts[i] = 0
-                failures[i] = DivergentLocalFactorError(
-                    f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p
-                )
-            break
-        steps.append(n)
-        geo = geo[:, :width]
-        live = geo * (base[:, :width] + b * (len(steps) + 1)) > tol
-        live &= column[:width] < n[:, None]
-        n = live.sum(axis=1)
-        width = int(n.max())
-        geo = geo[:, :width] * q[:, :width]
-    lengths = np.array(steps, dtype=np.int64).reshape(-1, len(cuts)) * (np.array(cuts) > 0)
-    return lengths[: np.count_nonzero(lengths.any(axis=1))], cuts, failures
-
-
-@np.errstate(all="ignore")  # Python float arithmetic does not warn either
-def _power_series(
-    rows: Sequence[_Row], primes: np.ndarray, lengths: np.ndarray, t_re, t_im=None
-) -> Tuple[np.ndarray, np.ndarray, List[Optional[Exception]]]:
-    """sum_{k <= K_p} values(p, k) t_p^k for every row and prime, as
-    float64 arrays of shape (rows, primes).
-
-    One loop over k serves the stack.  The power column cur = t_p^k is
-    shared; row i adds its terms only to the first lengths[k-1, i]
-    primes, lengths being the count matrix of _series_lengths: a where=
-    mask against the union of the staircases.
-    acc += value * cur; cur *= t, one power at a time, with the complex
-    products spelled out in float64 so that they round exactly as
-    Python's complex arithmetic does.  With t_im None the column is real
-    and its zero imaginary half is skipped.
-    Also returns, per row, the ArithmeticError or ValueError its values
-    raised (None if none).
-    """
-    union = lengths.max(axis=1, initial=0).tolist()
-    head = union[0] if union else 0
-    S_re, S_im = np.zeros((len(rows), len(primes))), np.zeros((len(rows), len(primes)))
+        if cut:
+            k_max[i] = _first_length(float(C[i]), float(q[i, 0]), float(a[i, 0]), float(b[i, 0]), tol)
+        if k_max[i] > _K_HARD_CAP:
+            p, cuts[i], k_max[i] = int(primes[0]), 0, 0
+            failures[i] = DivergentLocalFactorError(
+                f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p
+            )
+    head = max(cuts, default=0)
+    primes, q = primes[:head], q[:, :head]
+    if s.imag == 0.0:
+        t_re, t_im = 1.0 / p_sigma[:head], None
+    else:
+        t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
+        t_re, t_im = t.real, t.imag
+    geo = C[:, None] * q  # C q q/(1 - q), in place
+    geo *= q
+    geo /= 1.0 - q
+    base = a + b * q / (1.0 - q) if b.any() else a  # with b = 0 it is a + 0 = a, and no array
+    del q, diverging  # the loop divides r by p^sigma again over each prefix
+    n = np.where(np.array(k_max) > 0, cuts, 0)  # per row, the prefix whose series reaches k
+    S_re, S_im = np.zeros((len(rows), head)), np.zeros((len(rows), head))
     errors: List[Optional[Exception]] = [None] * len(rows)
-    column = np.arange(head)
-    cur_re = t_re[:head].copy()
-    cur_im = None if t_im is None else t_im[:head].copy()
-    for k, (n, live) in enumerate(zip(union, lengths), start=1):
+    cur_re = t_re.copy()
+    cur_im = None if t_im is None else t_im.copy()
+    for k in range(1, max(k_max, default=0) + 1):
+        width = int(n.max())
         values: List = [0j] * len(rows)
-        for i, m in enumerate(live.tolist()):
+        for i, m in enumerate(n.tolist()):
             if m and errors[i] is None:
                 try:
                     values[i] = rows[i].values(k, primes[:m])
@@ -272,50 +274,23 @@ def _power_series(
         if all(getattr(v, "ndim", 0) == 0 for v in values):  # one value per row: a column
             V = np.array(values, dtype=np.complex128)[:, None]
         else:
-            V = np.zeros((len(rows), n), dtype=np.complex128)
-            for i, (v, m) in enumerate(zip(values, live.tolist())):
+            V = np.zeros((len(rows), width), dtype=np.complex128)
+            for i, (v, m) in enumerate(zip(values, n.tolist())):
                 V[i, :m] = v
-        where = column[:n] < live[:, None]
-        acc_re, acc_im, cr = S_re[:, :n], S_im[:, :n], cur_re[:n]
+        where = np.arange(width) < n[:, None]
+        acc_re, acc_im, cr = S_re[:, :width], S_im[:, :width], cur_re[:width]
         if cur_im is None:
             np.add(acc_re, V.real * cr, out=acc_re, where=where)
             np.add(acc_im, V.imag * cr, out=acc_im, where=where)
-            cr *= t_re[:n]
+            cr *= t_re[:width]
         else:
-            ci, tr, ti = cur_im[:n], t_re[:n], t_im[:n]
+            ci, tr, ti = cur_im[:width], t_re[:width], t_im[:width]
             np.add(acc_re, V.real * cr - V.imag * ci, out=acc_re, where=where)
             np.add(acc_im, V.real * ci + V.imag * cr, out=acc_im, where=where)
             cr[:], ci[:] = cr * tr - ci * ti, cr * ti + ci * tr
-    return S_re, S_im, errors
-
-
-def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_LocalFactors, Exception]]:
-    """F_p(s) of each row for every prime p <= P, in one kernel pass.
-
-    Each series is cut where its tail bound is <= DEFAULT_FACTOR_TOL
-    over the number of primes p <= P (see _series_lengths), which depends
-    on P alone, bit-identical to the scalar local_factor oracle of
-    tests/test_euler.py.  One values call per row and power k covers the
-    prefix of the head whose series reaches k.  A row whose values raise
-    gets that error in its place; _checked reads the other failures.
-    """
-    primes = prime_array(P)
-    p_sigma = primes.astype(np.float64)
-    if s.real != 1.0:  # pow(p, 1.0) is p exactly
-        p_sigma = _map_float(math.pow, p_sigma, s.real)
-    r = np.array([row.r for row in rows], dtype=np.float64)
-    lengths, cuts, failures = _series_lengths(
-        primes, r[:, None] / p_sigma, [row.C for row in rows], [row.envelope for row in rows]
-    )
-    head = max(cuts, default=0)
-    primes = primes[:head]
-    if s.imag == 0.0:
-        t_re, t_im = 1.0 / p_sigma[:head], None
-    else:
-        t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
-        t_re, t_im = t.real, t.imag
-    S_re, S_im, errors = _power_series(rows, primes, lengths, t_re, t_im)
-    k_max = np.count_nonzero(lengths, axis=0).tolist()
+        # the prefix whose series reaches k + 1
+        n = (where & (geo[:, :width] * (base[:, :width] + b * (k + 1)) > tol)).sum(axis=1)
+        geo[:, :width] *= r / p_sigma[:width]
     return [
         error if error is not None else _LocalFactors(
             primes[:cut], F_re[:cut], F_im[:cut], t_re[:cut], None if t_im is None else t_im[:cut], k, failure
@@ -448,7 +423,7 @@ def _head_bound(spec: MultiplicativeSpec, rho: complex, factors: _LocalFactors, 
     """Bound on the log error of the head product over the primes p <= P.
 
     Each truncated series F_p is within DEFAULT_FACTOR_TOL / n of the
-    true one, n the number of primes p <= P (see _series_lengths), which
+    true one, n the number of primes p <= P (see _local_factors), which
     moves log(1 + F_p) by at most that over |1 + F_p|; so the head moves
     by at most DEFAULT_FACTOR_TOL / min(1, min_p |1 + F_p|).  Rounding:
     every term is within a few ulps of |rho|/p or of (K_p + 4) ulps of

@@ -797,6 +797,7 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
     for lo, w, _ in blocks:
         lows.append(_least(w, lo))
         total = float(prefix(w, out=w)[-1])
+    del w  # the pass's last block, which would stay alive through the second pass
     weight, n_bad = min(lows)
     if weight < 0.0:
         raise ValueError(f"{alpha.name}: negative weight alpha({n_bad}) = {weight:g}")

@@ -21,15 +21,15 @@ from selberg_delange.funcs import AdditiveSpec
 
 @pytest.fixture
 def rows_per_pass(monkeypatch):
-    """The number of rows of each pass of the Euler power loop, in call order."""
+    """The number of rows of each pass of the Euler kernel, in call order."""
     rows_per_pass = []
-    power_series = euler._power_series
+    local_factors = euler._local_factors
 
     def counted(rows, *args):
         rows_per_pass.append(len(rows))
-        return power_series(rows, *args)
+        return local_factors(rows, *args)
 
-    monkeypatch.setattr(euler, "_power_series", counted)
+    monkeypatch.setattr(euler, "_local_factors", counted)
     return rows_per_pass
 
 

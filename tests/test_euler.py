@@ -60,8 +60,10 @@ from conftest import counted, geometric_b_lambda0, prime_zeta_tail, value_of, wh
 # the scalar oracle: one local factor at a time, in Python floats
 
 
-def series_length(C: float, q: float, tol: float, p: int) -> int:
-    """Smallest K with geometric tail C q^{K+1}/(1-q) <= tol."""
+def series_length(C: float, q: float, tol: float, p: int, envelope=(1.0, 0.0)) -> int:
+    """Smallest K >= 1 whose envelope tail C q^{K+1}/(1-q) (a + b(K+1) +
+    b q/(1-q)) is <= tol, (a, b) = envelope; (1, 0) gives the geometric
+    tail C q^{K+1}/(1-q)."""
     if q >= 1.0:
         raise DivergentLocalFactorError(
             f"local factor diverges at p={p}: growth ratio {C:g}*{q:g}^k does not decay",
@@ -69,11 +71,12 @@ def series_length(C: float, q: float, tol: float, p: int) -> int:
         )
     if C == 0.0:
         return 0
+    a, b = envelope
     K = 1
-    bound = C * q * q / (1.0 - q)
-    while bound > tol:
+    geo, base = C * q * q / (1.0 - q), a + b * q / (1.0 - q)
+    while geo * (base + b * (K + 1)) > tol:
         K += 1
-        bound *= q
+        geo *= q
         if K > euler._K_HARD_CAP:
             raise DivergentLocalFactorError(
                 f"local factor at p={p} needs more than {euler._K_HARD_CAP} terms", prime=p
@@ -954,13 +957,16 @@ def test_psi_grid_stores_its_products_for_lambda0():
         (theta_omega(30), [-3.0, -2.0], OMEGA, 100),
         (theta_omega(2), [0.5, 1j, complex(-0.3, 0.7)],
          tabulated_additive({(2, 1): 1.0, (3, 1): 1.0, (30011, 1): 1.0}), 30000),
+        (theta_omega(5), [2.0], OMEGA, 100),
     ],
-    ids=["plain-denominator", "plain-twists"],
+    ids=["plain-denominator", "plain-twists", "unclosed-series-twist"],
 )
 def test_psi_grid_divides_products_closed_unlike_as_their_plain_products(alpha, zs, g, P):
     # theta_omega(30)'s series grows too fast to close just above 100,
     # while its twists by e^-3 and e^-2 complete; a tabled prime above
-    # 30000 keeps each twist plain, while alpha completes.  The plain
+    # 30000 keeps each twist plain, while alpha completes; the twist of
+    # theta_omega(5) by e^2 has a series too, but it does not close just
+    # above 100, while alpha does.  The plain
     # products of the specs without their series are the oracle for the
     # heads that the grid's one pass divides
     def plain(spec):
@@ -982,12 +988,31 @@ def per_prime_lengths(counts, cut):
     return K
 
 
-def scalar_series_lengths(primes, q, C, tol):
+# (a, b) of the envelopes (a + b k) C q^k: geometric, k-weighted, both, none
+ENVELOPES = [(1.0, 0.0), (0.0, 1.0), (2.0, 0.5), (0.0, 0.0)]
+
+
+def staircase(C, r, s, P, envelope=(1.0, 0.0)):
+    """The row (C, r, envelope) alone in a kernel pass at s over the
+    primes p <= P: its local factors and its staircase, the number of
+    primes its values were read over at each power k."""
+    counts = []
+
+    def values(k, primes):
+        assert k == len(counts) + 1
+        counts.append(len(primes))
+        return 1.0
+
+    [factors] = euler._local_factors([euler._Row(values, C, r, envelope)], complex(s), P)
+    return factors, counts
+
+
+def scalar_series_lengths(primes, q, C, tol, envelope):
     """series_length prime by prime, up to the first failure."""
     lengths = []
     for p, qp in zip(primes.tolist(), q.tolist()):
         try:
-            lengths.append(series_length(C, qp, tol, p))
+            lengths.append(series_length(C, qp, tol, p, envelope))
         except DivergentLocalFactorError as exc:
             return lengths, exc
     return lengths, None
@@ -1001,23 +1026,26 @@ def scalar_series_lengths(primes, q, C, tol):
     tol=st.floats(1e-16, 1e-2),
     P=st.integers(2, 3000),
     cap=st.sampled_from([euler._K_HARD_CAP, 4, 12]),
+    envelope=st.sampled_from(ENVELOPES),
 )
-@example(C=1.0, r=1.9999, sigma=1.0, tol=1e-14, P=100, cap=euler._K_HARD_CAP)  # past the cap at p = 2
-@example(C=1.0, r=1.5, sigma=0.5, tol=1e-14, P=100, cap=euler._K_HARD_CAP)  # diverges at p = 2
-@example(C=1.0, r=0.5, sigma=1.0, tol=1e-3, P=100, cap=4)  # K_2 = 5, one past the cap
-def test_staircase_matches_the_scalar_series_length(C, r, sigma, tol, P, cap):
-    # the staircase expanded to one K per prime is the scalar K_p, cut
-    # at the budget tol over the number of primes, at every head prime,
-    # and a failure stops it at the same prime; the small caps put some
-    # K_p right at the hard cap
+# past the cap at p = 2; diverges at p = 2; K_2 = 5, one past the cap
+@example(C=1.0, r=1.9999, sigma=1.0, tol=1e-14, P=100, cap=euler._K_HARD_CAP, envelope=(1.0, 0.0))
+@example(C=1.0, r=1.5, sigma=0.5, tol=1e-14, P=100, cap=euler._K_HARD_CAP, envelope=(1.0, 0.0))
+@example(C=1.0, r=0.5, sigma=1.0, tol=1e-3, P=100, cap=4, envelope=(1.0, 0.0))
+def test_staircase_matches_the_scalar_series_length(C, r, sigma, tol, P, cap, envelope):
+    # the staircase the kernel reads, expanded to one K per prime, is the
+    # scalar K_p of the envelope, cut at the budget tol over the number
+    # of primes, at every head prime, and a failure stops it at the same
+    # prime; the small caps put some K_p right at the hard cap
     primes = prime_array(P)
     q = r / euler._map_float(math.pow, primes.astype(np.float64), sigma)
     with mock.patch.object(euler, "_K_HARD_CAP", cap), mock.patch.object(euler, "DEFAULT_FACTOR_TOL", tol):
-        lengths, [cut], [failure] = euler._series_lengths(primes, q[None], [C], [(1.0, 0.0)])
-        want, want_failure = scalar_series_lengths(primes, q, C, head_tol(P))
-    counts = lengths[:, 0].tolist()
+        factors, counts = staircase(C, r, sigma, P, envelope)
+        want, want_failure = scalar_series_lengths(primes, q, C, head_tol(P), envelope)
+    cut, failure = len(factors.primes), factors.failure
     assert per_prime_lengths(counts, cut).tolist() == want
     assert counts == sorted(counts, reverse=True) and 0 not in counts
+    assert factors.k_max == len(counts) == (want[0] if want else 0)
     if want_failure is None:
         assert failure is None
     else:
@@ -1025,7 +1053,7 @@ def test_staircase_matches_the_scalar_series_length(C, r, sigma, tol, P, cap):
             type(want_failure), want_failure.prime, str(want_failure))
 
 
-@pytest.mark.parametrize("envelope", [(1.0, 0.0), (0.0, 1.0), (2.0, 0.5), (0.0, 0.0)])
+@pytest.mark.parametrize("envelope", ENVELOPES)
 def test_series_lengths_match_the_envelope_tail(envelope):
     # K_p is the smallest K >= 1 with sum_{k>K} (a + b k) C q^k <= tol/n,
     # n = 46 primes, so the cuts of the whole head drop at most tol; the
@@ -1036,9 +1064,9 @@ def test_series_lengths_match_the_envelope_tail(envelope):
     tol = budget / len(primes)
     q = 1.9 / primes
     with mock.patch.object(euler, "DEFAULT_FACTOR_TOL", budget):
-        lengths, [cut], [failure] = euler._series_lengths(primes, q[None], [C], [envelope])
-    K = per_prime_lengths(lengths[:, 0].tolist(), cut)
-    assert failure is None
+        factors, counts = staircase(C, 1.9, 1.0, 200, envelope)
+    K = per_prime_lengths(counts, len(factors.primes))
+    assert factors.failure is None and len(factors.primes) == len(primes)
     def tail(qp, K0):
         return fsum((a + b * k) * C * qp**k for k in range(K0 + 1, K0 + 2000))
 
@@ -1046,6 +1074,21 @@ def test_series_lengths_match_the_envelope_tail(envelope):
         assert tail(qp, got) <= tol * (1 + 1e-9), p
         assert got == 1 or tail(qp, got - 1) > tol * (1 - 1e-9), p
     assert fsum(tail(qp, got) for qp, got in zip(q.tolist(), K.tolist())) <= budget
+
+
+def test_a_row_past_the_cap_fails_before_its_values_are_read():
+    # geometric_B:1.9999's envelope needs more than _K_HARD_CAP terms at
+    # p = 2: the row fails there with no values read, and the row beside
+    # it keeps the bits of its pass alone
+    def unread(k, primes):
+        raise AssertionError(f"values read at k = {k}")
+
+    rows = [euler._Row(unread, 1.0, 1.9999), euler._spec_row(theta_omega(2))]
+    capped, beside = euler._local_factors(rows, complex(1.0), 100)
+    assert (len(capped.primes), capped.k_max) == (0, 0)
+    assert (type(capped.failure), capped.failure.prime, str(capped.failure)) == (
+        DivergentLocalFactorError, 2, f"local factor at p=2 needs more than {euler._K_HARD_CAP} terms")
+    assert factor_bits(beside) == factor_bits(euler._local_factors(rows[1:], complex(1.0), 100)[0])
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
