@@ -240,14 +240,13 @@ def cmd_report(args: argparse.Namespace):
     s = stats._checked_slope(args.s)
     for x in xs:  # ldp_predict's checks at each x, made before the table pass
         stats._checked_decay(args.alpha, args.additive, x, s)
-    for z in args.z_grid:  # and psi's at each z
-        euler._exp_twist(args.alpha, z, args.additive)
+    twisted = [euler._exp_twist(args.alpha, z, args.additive) for z in args.z_grid]  # and psi's at each z
     # one pass over the value tables serves all residuals and the pmf
     buckets = exact.bucket_sums_grid(args.alpha, args.additive, xs)
 
     # one kernel pass for the grid and its denominator, the lambda0 block
     cutoff = _cutoff(args)
-    lam, limits = euler._psi_batch(args.alpha, args.z_grid, args.additive, cutoff)
+    lam, limits = euler._psi_batch(args.alpha, twisted, cutoff)
     psi_values = list(zip(args.z_grid, limits))
 
     residual_table = []

@@ -7,10 +7,12 @@ accumulated in log space (exact summation of per-prime logs) so that
 10^6 factors neither underflow nor lose relative accuracy.  One kernel
 pass evaluates a stack of products as rows over one column of primes:
 psi_grid puts lambda0(alpha) and the twist of every z in one pass, and
-psi'(0) its series F_p and G_p.  The pass walks the powers k once: the
-primes whose series reaches k are a prefix of the head, and at each k
-every row adds its terms over its own prefix and counts, from its
-growth envelope, the prefix that reaches k + 1.
+psi'(0) its series F_p and G_p.  The growth envelope decides a row's
+failure at the first prime, where q = r/p^sigma is largest, and the
+failure comes back in the row's place.  The pass walks the powers k
+once: the primes whose series reaches k are a prefix of the head, and
+at each k every row adds its terms over its own prefix and counts, from
+its envelope, the prefix that reaches k + 1.
 
 At s = 1 the primes above the cutoff are not dropped when the spec
 declares a local series (funcs.LocalSeries).  The log of a local factor
@@ -140,12 +142,11 @@ def _spec_row(spec: MultiplicativeSpec) -> _Row:
 
 
 class _LocalFactors(NamedTuple):
-    """One row's series F_p(s) over its head primes, as float64 columns.
-
-    The head stops at the first prime whose series fails, and failure is
-    that error (None if there is none).  k_max is the series length at
-    the first prime, the longest of the head and the number of powers its
-    pass read for the row.
+    """One row's series F_p(s) over all the primes p <= P of its pass, as
+    float64 columns: a row whose series fails does so at the first prime,
+    and gets that error in its place (see _local_factors).  k_max is the
+    series length at the first prime, the longest of the row and the
+    number of powers its pass read for it.
     t_re and t_im are the power column p^{-s}, with t_im None for a real
     s.  vanished marks that 1 + F_p(s) = 0 at primes[-1], so the product
     is exactly 0 (see _checked).
@@ -157,7 +158,6 @@ class _LocalFactors(NamedTuple):
     t_re: np.ndarray
     t_im: Optional[np.ndarray]
     k_max: int
-    failure: Optional[ArithmeticError]
     vanished: bool = False
 
 
@@ -177,9 +177,9 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
 
 
 def _first_length(C: float, q: float, a: float, b: float, tol: float) -> int:
-    """K_p at the head's first prime (see _local_factors), counted up to
-    _K_HARD_CAP + 1 in Python floats, which round as the kernel's float64
-    columns do."""
+    """K_p at the first prime, where q is largest (see _local_factors),
+    counted up to _K_HARD_CAP + 1 in Python floats, which round as the
+    kernel's float64 columns do: past the cap, the row fails there."""
     if C == 0.0:
         return 0
     geo, base, K = C * q * q / (1.0 - q), a + b * q / (1.0 - q), 1
@@ -189,7 +189,7 @@ def _first_length(C: float, q: float, a: float, b: float, tol: float) -> int:
     return K
 
 
-@np.errstate(all="ignore")  # entries past a row's cut or count are masked out
+@np.errstate(all="ignore")  # entries past a row's count are masked out
 def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_LocalFactors, Exception]]:
     """F_p(s) of each row for every prime p <= P, in one kernel pass.
 
@@ -202,67 +202,61 @@ def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_Loca
     The envelope (1, 0) gives the geometric tail C q^{K+1}/(1-q).  q falls
     as p grows, and with b >= 0 and a + b >= 0 so does the bound; the
     threshold is one number per pass, so K_p never rises with p, and the
-    primes whose series reaches k are a prefix of the head.
+    primes whose series reaches k are a prefix of the primes.
 
-    Ahead of the loop, a row's head stops at its first prime with q >= 1
-    (a failure), and a row whose series at the first prime needs more
-    than _K_HARD_CAP terms fails there before any of its values are read.
-    Then one loop over k serves the stack: each row reads its values over
-    its prefix of the head that reaches k (one values call per row and
-    power), adds its terms there under a where= mask, and counts from its
-    envelope tail the prefix that reaches k + 1.  The power column
-    cur = t_p^k is shared: acc += value * cur; cur *= t, with the complex
-    products spelled out in float64 so that they round exactly as
-    Python's complex arithmetic does; with s real the column is real and
-    its zero imaginary half is skipped.  A row whose values raise an
-    ArithmeticError or ValueError gets that error in its place; _checked
-    reads the other failures.
+    So the envelope decides a row's failure at the first prime, where q
+    is largest: q >= 1 there, or a series there past _K_HARD_CAP.  The
+    row gets that error in its place with no values read, and a pass
+    whose rows all failed returns before it builds any column.  Then one
+    loop over k serves the stack: each row reads its values over its
+    prefix that reaches k (one values call per row and power), adds its
+    terms there under a where= mask, and counts from its envelope tail
+    the prefix that reaches k + 1.  The power column cur = t_p^k is
+    shared: acc += value * cur; cur *= t, with the complex products
+    spelled out in float64 so that they round exactly as Python's
+    complex arithmetic does; with s real the column is real and its zero
+    imaginary half is skipped.  A row whose values raise an
+    ArithmeticError or ValueError gets that error in its place too.
     """
     primes = prime_array(P)
+    tol = DEFAULT_FACTOR_TOL / len(primes)
+    p = int(primes[0])
+    errors: List[Optional[Exception]] = [None] * len(rows)
+    k_max = [0] * len(rows)
+    for i, row in enumerate(rows):
+        C, q = float(row.C), float(row.r) / math.pow(p, s.real)  # as the columns below round it
+        if q >= 1.0:
+            errors[i] = DivergentLocalFactorError(
+                f"local factor diverges at p={p}: growth ratio {C:g}*{q:g}^k does not decay", prime=p
+            )
+        elif (K := _first_length(C, q, *map(float, row.envelope), tol)) > _K_HARD_CAP:
+            errors[i] = DivergentLocalFactorError(f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p)
+        else:
+            k_max[i] = K
+    if all(errors):
+        return errors
     p_sigma = primes.astype(np.float64)
     if s.real != 1.0:  # pow(p, 1.0) is p exactly
         p_sigma = _map_float(math.pow, p_sigma, s.real)
-    tol = DEFAULT_FACTOR_TOL / len(primes)
+    if s.imag == 0.0:
+        t_re, t_im = 1.0 / p_sigma, None
+    else:
+        t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
+        t_re, t_im = t.real, t.imag
     C = np.array([row.C for row in rows], dtype=np.float64)
     a, b = np.array([row.envelope for row in rows], dtype=np.float64).T[:, :, None]
     r = np.array([row.r for row in rows], dtype=np.float64)[:, None]
     q = r / p_sigma
-    diverging = q >= 1.0
-    cuts = np.where(diverging.any(axis=1), diverging.argmax(axis=1), len(primes)).tolist()
-    failures: List[Optional[ArithmeticError]] = [None] * len(rows)
-    k_max = [0] * len(rows)
-    for i, cut in enumerate(cuts):
-        if cut < len(primes):
-            p, qf = int(primes[cut]), float(q[i, cut])
-            failures[i] = DivergentLocalFactorError(
-                f"local factor diverges at p={p}: growth ratio {float(C[i]):g}*{qf:g}^k does not decay",
-                prime=p,
-            )
-        if cut:
-            k_max[i] = _first_length(float(C[i]), float(q[i, 0]), float(a[i, 0]), float(b[i, 0]), tol)
-        if k_max[i] > _K_HARD_CAP:
-            p, cuts[i], k_max[i] = int(primes[0]), 0, 0
-            failures[i] = DivergentLocalFactorError(
-                f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p
-            )
-    head = max(cuts, default=0)
-    primes, q = primes[:head], q[:, :head]
-    if s.imag == 0.0:
-        t_re, t_im = 1.0 / p_sigma[:head], None
-    else:
-        t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
-        t_re, t_im = t.real, t.imag
     geo = C[:, None] * q  # C q q/(1 - q), in place
     geo *= q
     geo /= 1.0 - q
     base = a + b * q / (1.0 - q) if b.any() else a  # with b = 0 it is a + 0 = a, and no array
-    del q, diverging  # the loop divides r by p^sigma again over each prefix
-    n = np.where(np.array(k_max) > 0, cuts, 0)  # per row, the prefix whose series reaches k
-    S_re, S_im = np.zeros((len(rows), head)), np.zeros((len(rows), head))
-    errors: List[Optional[Exception]] = [None] * len(rows)
+    del q  # the loop divides r by p^sigma again over each prefix
+    n = np.where(np.array(k_max) > 0, len(primes), 0)  # per row, the prefix whose series reaches k
+    S_re, S_im = np.zeros((len(rows), len(primes))), np.zeros((len(rows), len(primes)))
     cur_re = t_re.copy()
     cur_im = None if t_im is None else t_im.copy()
-    for k in range(1, max(k_max, default=0) + 1):
+    for k in range(1, max(k_max) + 1):
         width = int(n.max())
         values: List = [0j] * len(rows)
         for i, m in enumerate(n.tolist()):
@@ -292,10 +286,8 @@ def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_Loca
         n = (where & (geo[:, :width] * (base[:, :width] + b * (k + 1)) > tol)).sum(axis=1)
         geo[:, :width] *= r / p_sigma[:width]
     return [
-        error if error is not None else _LocalFactors(
-            primes[:cut], F_re[:cut], F_im[:cut], t_re[:cut], None if t_im is None else t_im[:cut], k, failure
-        )
-        for cut, failure, k, F_re, F_im, error in zip(cuts, failures, k_max, S_re, S_im, errors)
+        error if error is not None else _LocalFactors(primes, F_re, F_im, t_re, t_im, k)
+        for k, F_re, F_im, error in zip(k_max, S_re, S_im, errors)
     ]
 
 
@@ -303,14 +295,14 @@ def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_Loca
 def _checked(factors: Union[_LocalFactors, Exception], at: str) -> _LocalFactors:
     """The row as local factors 1 + F_p(at), each a valid log.
 
-    Failures act at the first prime that trips one: the row's values
-    raising, then at each prime a non-finite series, a vanishing factor
-    (returned with vanished set, not raised) or the log branch cut, then
-    series divergence.
+    A row that failed in its pass raises the error held in its place.
+    Else the first prime that trips one acts: a non-finite series, a
+    vanishing factor (returned with vanished set, not raised) or the log
+    branch cut.
 
     Raises:
-        DivergentLocalFactorError: growth ratio >= p^{Re s}, or more
-            than _K_HARD_CAP terms.
+        DivergentLocalFactorError: growth ratio >= 2^{Re s} at the first
+            prime, or more than _K_HARD_CAP terms there.
         PoleError: 1 + F_p(s) real and negative.
         ValueError: F_p(s) not finite.
     """
@@ -332,8 +324,6 @@ def _checked(factors: Union[_LocalFactors, Exception], at: str) -> _LocalFactors
             f"local factor 1 + F_p({at}) = {float(w_re[i]):g} hits the log branch cut at p={p}",
             prime=p,
         )
-    if factors.failure is not None:
-        raise factors.failure
     return factors
 
 
@@ -746,7 +736,8 @@ def psi_grid(
         DegenerateSpecError: lambda0(alpha) = 0.
         DomainError: the twist at z leaves float64 range (_exp_twist).
     """
-    return _psi_batch(alpha, zs, g, prime_cutoff)[1]
+    P = _check_cutoff(prime_cutoff)
+    return _psi_batch(alpha, [_attempt(_exp_twist, alpha, complex(z), g) for z in zs], P)[1]
 
 
 def _twist_is_finite(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> bool:
@@ -791,11 +782,12 @@ def _exp_twist(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> Multip
 
 
 def _psi_batch(
-    alpha: MultiplicativeSpec, zs: Sequence, g: AdditiveSpec, prime_cutoff: int
+    alpha: MultiplicativeSpec, twisted: Sequence[Union[MultiplicativeSpec, Exception]], prime_cutoff: int
 ) -> Tuple[EulerProductResult, List[complex]]:
-    """lambda0(alpha) and psi_grid(alpha, zs, g, prime_cutoff), from one pass.
+    """lambda0(alpha) and the psi of each twist, from one pass.
 
-    Each value is the ratio of two products closed alike, so that the
+    twisted holds _exp_twist(alpha, z, g), or its error, for each z of
+    the grid, raised in grid order.  Each value is the ratio of two products closed alike, so that the
     tails above P cancel in the ratio instead of adding: of the values
     when both completed or both are plain, else of the heads, the
     products over the primes p <= P (a table prime of g above P, say,
@@ -803,7 +795,6 @@ def _psi_batch(
     Raises what lambda0(alpha) raises, for every z.
     """
     P = _check_cutoff(prime_cutoff)
-    twisted = [_attempt(_exp_twist, alpha, complex(z), g) for z in zs]
     den, *nums = _lambda0_batch([alpha] + [spec for spec in twisted if not isinstance(spec, Exception)], P)
     den, den_head = _raised(den)
     if den.value == 0:
@@ -845,8 +836,6 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
     if factors.vanished:
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
     G = _raised(G)
-    if G.failure is not None:
-        raise G.failure
     rho = complex(alpha.rho)
     # G_p / (1 + F_p) + c rho log(1 - 1/p) in place, and fsum reads the
     # columns directly: fewer temporaries over the primes, the same bits

@@ -604,6 +604,23 @@ def _check_finite_total(alpha: MultiplicativeSpec, x: int, total: complex) -> No
         raise ValueError(f"{alpha.name}: total weight on [1, {x}] overflows float64")
 
 
+def _check_law(alpha: MultiplicativeSpec, x: int, least: Tuple[float, int], total: float) -> None:
+    """The weights on [1, x] make a law: least, the least weight and its
+    first n, is not negative, and total is finite and positive; the
+    checks of pmf and sample, in this order.
+
+    Raises:
+        ValueError: a negative weight, or the total overflows.
+        DegenerateSpecError: the total is 0.
+    """
+    weight, n = least
+    if weight < 0.0:
+        raise ValueError(f"{alpha.name}: negative weight alpha({n}) = {weight:g}")
+    _check_finite_total(alpha, x, total)
+    if not total > 0.0:
+        raise DegenerateSpecError(f"{alpha.name}: total weight is 0 on [1, {x}]")
+
+
 def _mean(alpha: MultiplicativeSpec, x: int, num: complex, den: complex) -> complex:
     _check_finite_total(alpha, x, den)
     if den == 0:
@@ -718,13 +735,8 @@ class BucketSums:
                 or g negative.
             DegenerateSpecError: all weights vanish.
         """
-        name = self.alpha.name
-        if self.min_weight < 0.0:
-            raise ValueError(f"{name}: negative weight alpha({self.min_index}) = {self.min_weight:g}")
         total = self.total().real
-        _check_finite_total(self.alpha, self.x, total)
-        if not total > 0.0:
-            raise DegenerateSpecError(f"{name}: total weight is 0 on [1, {self.x}]")
+        _check_law(self.alpha, self.x, (self.min_weight, self.min_index), total)
         if self.values[0] < 0:
             raise ValueError(f"{self.g.name} takes negative values; pmf requires nonnegative")
         probabilities = self.real / total
@@ -777,7 +789,7 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
     reproducible across platforms and independent streams are obtained
     by varying `stream`.  Two passes over the value-table blocks, each
     read by _PrefixSums from w[0] = 0, replace the cumulative weight
-    array: the first checks the weights as BucketSums.distribution does
+    array: the first checks the weights with _check_law, as pmf does,
     and carries the compensated prefix sum to the total; the second
     recomputes the prefix sums a block at a time, in place, and
     binary-searches the targets, in sorted order, that fall in it (draw
@@ -798,12 +810,7 @@ def sample(alpha: MultiplicativeSpec, x: int, seed: int, count: int, stream: int
         lows.append(_least(w, lo))
         total = float(prefix(w, out=w)[-1])
     del w  # the pass's last block, which would stay alive through the second pass
-    weight, n_bad = min(lows)
-    if weight < 0.0:
-        raise ValueError(f"{alpha.name}: negative weight alpha({n_bad}) = {weight:g}")
-    _check_finite_total(alpha, x, total)
-    if not total > 0.0:
-        raise DegenerateSpecError(f"{alpha.name}: total weight is 0 on [1, {x}]")
+    _check_law(alpha, x, min(lows), total)
     bits = np.random.Philox(key=[np.uint64(int(seed) & (2**64 - 1)), np.uint64(int(stream))])
     targets = np.random.Generator(bits).random(count)
     targets *= total

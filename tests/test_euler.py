@@ -733,11 +733,9 @@ def test_kernel_matches_reference_on_random_specs(spec, tw, P, s):
 def factor_bits(factors):
     """Every array and number of one row of a pass, or the error in its place."""
     if isinstance(factors, Exception):
-        return type(factors), str(factors)
+        return type(factors), str(factors), getattr(factors, "prime", None)
     arrays = (factors.primes, factors.F_re, factors.F_im, factors.t_re, factors.t_im)
-    failure = factors.failure
-    return (tuple(None if a is None else a.tobytes() for a in arrays), factors.k_max,
-            None if failure is None else (type(failure), str(failure)))
+    return tuple(None if a is None else a.tobytes() for a in arrays), factors.k_max
 
 
 def result_bits(result):
@@ -945,7 +943,7 @@ def test_psi_grid_stores_its_products_for_lambda0():
     # row is lambda0(alpha) alone, and each value psi(z) alone
     spec, P = theta_omega(1.25), 1500
     zs = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
-    den, values = euler._psi_batch(spec, zs, OMEGA, P)
+    den, values = euler._psi_batch(spec, [euler._exp_twist(spec, z, OMEGA) for z in zs], P)
     assert den == lambda0(spec, P)
     assert values == euler.psi_grid(spec, zs, OMEGA, P)
     assert [psi_bits(value) for value in values] == [psi_bits(psi(spec, z, prime_cutoff=P)) for z in zs]
@@ -994,8 +992,9 @@ ENVELOPES = [(1.0, 0.0), (0.0, 1.0), (2.0, 0.5), (0.0, 0.0)]
 
 def staircase(C, r, s, P, envelope=(1.0, 0.0)):
     """The row (C, r, envelope) alone in a kernel pass at s over the
-    primes p <= P: its local factors and its staircase, the number of
-    primes its values were read over at each power k."""
+    primes p <= P: its local factors, or the error in their place, and
+    its staircase, the number of primes its values were read over at
+    each power k."""
     counts = []
 
     def values(k, primes):
@@ -1028,28 +1027,33 @@ def scalar_series_lengths(primes, q, C, tol, envelope):
     cap=st.sampled_from([euler._K_HARD_CAP, 4, 12]),
     envelope=st.sampled_from(ENVELOPES),
 )
-# past the cap at p = 2; diverges at p = 2; K_2 = 5, one past the cap
+# past the cap at p = 2; diverges at p = 2; K_2 = 5, one past the cap;
+# past a cap of 12 at p = 2 with sigma = 0.05, over 3000 primes
 @example(C=1.0, r=1.9999, sigma=1.0, tol=1e-14, P=100, cap=euler._K_HARD_CAP, envelope=(1.0, 0.0))
 @example(C=1.0, r=1.5, sigma=0.5, tol=1e-14, P=100, cap=euler._K_HARD_CAP, envelope=(1.0, 0.0))
 @example(C=1.0, r=0.5, sigma=1.0, tol=1e-3, P=100, cap=4, envelope=(1.0, 0.0))
+@example(C=1.0, r=0.9, sigma=0.05, tol=1e-14, P=3000, cap=12, envelope=(2.0, 0.5))
 def test_staircase_matches_the_scalar_series_length(C, r, sigma, tol, P, cap, envelope):
     # the staircase the kernel reads, expanded to one K per prime, is the
     # scalar K_p of the envelope, cut at the budget tol over the number
-    # of primes, at every head prime, and a failure stops it at the same
-    # prime; the small caps put some K_p right at the hard cap
+    # of primes, at every prime; the scalar reference, which walks prime
+    # by prime, fails at the first prime or not at all, and the kernel
+    # returns that error in the row's place with no values read; the
+    # small caps put some K_p right at the hard cap
     primes = prime_array(P)
     q = r / euler._map_float(math.pow, primes.astype(np.float64), sigma)
     with mock.patch.object(euler, "_K_HARD_CAP", cap), mock.patch.object(euler, "DEFAULT_FACTOR_TOL", tol):
         factors, counts = staircase(C, r, sigma, P, envelope)
         want, want_failure = scalar_series_lengths(primes, q, C, head_tol(P), envelope)
-    cut, failure = len(factors.primes), factors.failure
-    assert per_prime_lengths(counts, cut).tolist() == want
-    assert counts == sorted(counts, reverse=True) and 0 not in counts
-    assert factors.k_max == len(counts) == (want[0] if want else 0)
     if want_failure is None:
-        assert failure is None
+        assert per_prime_lengths(counts, len(factors.primes)).tolist() == want
+        assert len(factors.primes) == len(primes)
+        assert counts == sorted(counts, reverse=True) and 0 not in counts
+        assert factors.k_max == len(counts) == want[0]
     else:
-        assert (type(failure), failure.prime, str(failure)) == (
+        assert (want, want_failure.prime) == ([], 2)
+        assert counts == []
+        assert (type(factors), factors.prime, str(factors)) == (
             type(want_failure), want_failure.prime, str(want_failure))
 
 
@@ -1065,8 +1069,8 @@ def test_series_lengths_match_the_envelope_tail(envelope):
     q = 1.9 / primes
     with mock.patch.object(euler, "DEFAULT_FACTOR_TOL", budget):
         factors, counts = staircase(C, 1.9, 1.0, 200, envelope)
+    assert not isinstance(factors, Exception) and len(factors.primes) == len(primes)
     K = per_prime_lengths(counts, len(factors.primes))
-    assert factors.failure is None and len(factors.primes) == len(primes)
     def tail(qp, K0):
         return fsum((a + b * k) * C * qp**k for k in range(K0 + 1, K0 + 2000))
 
@@ -1085,10 +1089,29 @@ def test_a_row_past_the_cap_fails_before_its_values_are_read():
 
     rows = [euler._Row(unread, 1.0, 1.9999), euler._spec_row(theta_omega(2))]
     capped, beside = euler._local_factors(rows, complex(1.0), 100)
-    assert (len(capped.primes), capped.k_max) == (0, 0)
-    assert (type(capped.failure), capped.failure.prime, str(capped.failure)) == (
+    assert (type(capped), capped.prime, str(capped)) == (
         DivergentLocalFactorError, 2, f"local factor at p=2 needs more than {euler._K_HARD_CAP} terms")
     assert factor_bits(beside) == factor_bits(euler._local_factors(rows[1:], complex(1.0), 100)[0])
+
+
+def test_a_pass_whose_every_row_failed_returns_its_errors_alone():
+    # at sigma = 0.5, r = 1.4142 needs more than _K_HARD_CAP terms at
+    # p = 2 and r = 1.5 diverges there: the pass reads no values, maps no
+    # column of p^sigma, and returns the two errors in the rows' places
+    def unread(k, primes):
+        raise AssertionError(f"values read at k = {k}")
+
+    def unmapped(*columns):
+        raise AssertionError("a column was built")
+
+    rows = [euler._Row(unread, 1.0, 1.4142), euler._Row(unread, 1.0, 1.5)]
+    with mock.patch.object(euler, "_map_float", unmapped):
+        capped, diverging = euler._local_factors(rows, complex(0.5), 100)
+    q = 1.5 / math.sqrt(2.0)
+    assert [factor_bits(capped), factor_bits(diverging)] == [
+        (DivergentLocalFactorError, f"local factor at p=2 needs more than {euler._K_HARD_CAP} terms", 2),
+        (DivergentLocalFactorError, f"local factor diverges at p=2: growth ratio 1*{q:g}^k does not decay", 2),
+    ]
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)

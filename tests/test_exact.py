@@ -304,10 +304,40 @@ def test_whole_table_matches_trial_division(spec):
 # weights of a distribution
 
 
-def test_sample_and_pmf_reject_negative_weights():
-    for run in (lambda: sample(theta_omega(-1), 50, 1, 10), lambda: pmf(theta_omega(-1), OMEGA, 50)):
-        with pytest.raises(ValueError, match=r"^theta_omega:-1: negative weight alpha\(2\) = -1$"):
+def zeroed_weights(monkeypatch):
+    """Every value-table block yields alpha(n) = 0: a law of total 0,
+    which no multiplicative spec gives, as alpha(1) = 1."""
+    blocks = exact._ValueBlocks.__iter__
+
+    def zeroed(self):
+        for lo, w, gt in blocks(self):
+            if w is not None:
+                w[:] = 0.0
+            yield lo, w, gt
+
+    monkeypatch.setattr(exact._ValueBlocks, "__iter__", zeroed)
+
+
+@pytest.mark.parametrize(
+    "spec, x, zeroed, error, message",
+    [
+        (theta_omega(-1), 50, False, ValueError, "theta_omega:-1: negative weight alpha(2) = -1"),
+        # alpha(6) = 1e400 overflows to inf
+        (tabulated_multiplicative({(2, 1): 1e200, (3, 1): 1e200}), 10, False, ValueError,
+         "tabulated: total weight on [1, 10] overflows float64"),
+        (theta_omega(2), 50, True, DegenerateSpecError, "theta_omega:2: total weight is 0 on [1, 50]"),
+    ],
+    ids=["negative-weight", "overflowing-total", "zero-total"],
+)
+def test_sample_and_pmf_refuse_the_same_weights_alike(monkeypatch, spec, x, zeroed, error, message):
+    # the law checks of sample and pmf are one: a negative weight at its
+    # first n, then a total that overflows, then a zero total
+    if zeroed:
+        zeroed_weights(monkeypatch)
+    for run in (lambda: sample(spec, x, 1, 10), lambda: pmf(spec, OMEGA, x)):
+        with pytest.raises(error) as info:
             run()
+        assert str(info.value) == message
 
 
 def test_sample_and_pmf_reject_complex_weights():
