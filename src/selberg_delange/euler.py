@@ -5,13 +5,14 @@ Everything here reduces to products over primes p <= P of local factors
 truncated using the spec's geometric growth envelope.  Products are
 accumulated in log space (exact summation of per-prime logs) so that
 10^6 factors neither underflow nor lose relative accuracy.  One kernel
-pass evaluates a stack of products as rows over one column of primes:
+pass evaluates several products as rows over one column of primes:
 psi_grid puts lambda0(alpha) and the twist of every z in one pass, and
-psi'(0) its series F_p and G_p.  The growth envelope decides a row's
-failure at the first prime, where q = r/p^sigma is largest, and the
-failure comes back in the row's place.  The pass walks the powers k
-once: the primes whose series reaches k are a prefix of the head, and
-at each k every row adds its terms over its own prefix and counts, from
+psi'(0) its series F_p and G_p.  The rows share the primes, p^sigma and
+the power column p^{-s}.  The growth envelope decides a row's failure at
+the first prime, where q = r/p^sigma is largest, and the failure comes
+back in the row's place.  Every other row is computed alone and handed
+over before the next is built: it walks the powers k once, adds its
+terms over the prefix of primes whose series reaches k, and counts, from
 its envelope, the prefix that reaches k + 1.
 
 At s = 1 the primes above the cutoff are not dropped when the spec
@@ -146,10 +147,11 @@ class _LocalFactors(NamedTuple):
     float64 columns: a row whose series fails does so at the first prime,
     and gets that error in its place (see _local_factors).  k_max is the
     series length at the first prime, the longest of the row and the
-    number of powers its pass read for it.
-    t_re and t_im are the power column p^{-s}, with t_im None for a real
-    s.  vanished marks that 1 + F_p(s) = 0 at primes[-1], so the product
-    is exactly 0 (see _checked).
+    number of powers read for it.  F_re and F_im are the row's own;
+    primes and the power column p^{-s}, t_re and t_im (None for a real
+    s), are shared by the rows of the pass.  vanished marks that
+    1 + F_p(s) = 0 at some prime, so the product is exactly 0 and the
+    columns are not read (see _checked).
     """
 
     primes: np.ndarray
@@ -178,8 +180,9 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
 
 def _first_length(C: float, q: float, a: float, b: float, tol: float) -> int:
     """K_p at the first prime, where q is largest (see _local_factors),
-    counted up to _K_HARD_CAP + 1 in Python floats, which round as the
-    kernel's float64 columns do: past the cap, the row fails there."""
+    counted up to _K_HARD_CAP + 1 in Python floats, which round as
+    _row_series' float64 columns do: past the cap, the row fails there,
+    and else K is the number of powers _row_series walks."""
     if C == 0.0:
         return 0
     geo, base, K = C * q * q / (1.0 - q), a + b * q / (1.0 - q), 1
@@ -189,8 +192,7 @@ def _first_length(C: float, q: float, a: float, b: float, tol: float) -> int:
     return K
 
 
-@np.errstate(all="ignore")  # entries past a row's count are masked out
-def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_LocalFactors, Exception]]:
+def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> Iterator[Union[_LocalFactors, Exception]]:
     """F_p(s) of each row for every prime p <= P, in one kernel pass.
 
     Row i has the ratios q = r/p^sigma over the primes and the envelope
@@ -207,34 +209,30 @@ def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_Loca
     So the envelope decides a row's failure at the first prime, where q
     is largest: q >= 1 there, or a series there past _K_HARD_CAP.  The
     row gets that error in its place with no values read, and a pass
-    whose rows all failed returns before it builds any column.  Then one
-    loop over k serves the stack: each row reads its values over its
-    prefix that reaches k (one values call per row and power), adds its
-    terms there under a where= mask, and counts from its envelope tail
-    the prefix that reaches k + 1.  The power column cur = t_p^k is
-    shared: acc += value * cur; cur *= t, with the complex products
-    spelled out in float64 so that they round exactly as Python's
-    complex arithmetic does; with s real the column is real and its zero
-    imaginary half is skipped.  A row whose values raise an
-    ArithmeticError or ValueError gets that error in its place too.
+    whose rows all failed hands its errors over before it builds any
+    column.  The rows share the primes, the tolerance, p^sigma and the
+    power column t = p^{-s}; each live row is then computed alone
+    (_row_series) and handed over in row order, so that the caller
+    finishes one row before the next is built.  A row whose values raise
+    an ArithmeticError or ValueError gets that error in its place too.
     """
     primes = prime_array(P)
     tol = DEFAULT_FACTOR_TOL / len(primes)
     p = int(primes[0])
-    errors: List[Optional[Exception]] = [None] * len(rows)
-    k_max = [0] * len(rows)
-    for i, row in enumerate(rows):
-        C, q = float(row.C), float(row.r) / math.pow(p, s.real)  # as the columns below round it
+    firsts: List[Union[int, Exception]] = []
+    for row in rows:
+        C, q = float(row.C), float(row.r) / math.pow(p, s.real)  # as _row_series rounds it
         if q >= 1.0:
-            errors[i] = DivergentLocalFactorError(
+            firsts.append(DivergentLocalFactorError(
                 f"local factor diverges at p={p}: growth ratio {C:g}*{q:g}^k does not decay", prime=p
-            )
+            ))
         elif (K := _first_length(C, q, *map(float, row.envelope), tol)) > _K_HARD_CAP:
-            errors[i] = DivergentLocalFactorError(f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p)
+            firsts.append(DivergentLocalFactorError(f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p))
         else:
-            k_max[i] = K
-    if all(errors):
-        return errors
+            firsts.append(K)
+    if all(isinstance(K, Exception) for K in firsts):
+        yield from firsts
+        return
     p_sigma = primes.astype(np.float64)
     if s.real != 1.0:  # pow(p, 1.0) is p exactly
         p_sigma = _map_float(math.pow, p_sigma, s.real)
@@ -243,52 +241,50 @@ def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> List[Union[_Loca
     else:
         t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
         t_re, t_im = t.real, t.imag
-    C = np.array([row.C for row in rows], dtype=np.float64)
-    a, b = np.array([row.envelope for row in rows], dtype=np.float64).T[:, :, None]
-    r = np.array([row.r for row in rows], dtype=np.float64)[:, None]
+    for row, K in zip(rows, firsts):
+        yield K if isinstance(K, Exception) else _attempt(_row_series, row, K, primes, p_sigma, t_re, t_im, tol)
+
+
+@np.errstate(all="ignore")  # a term out of float64 range is refused by _checked; geo may underflow to 0
+def _row_series(row: _Row, K: int, primes, p_sigma, t_re, t_im, tol: float) -> _LocalFactors:
+    """One row of a pass (see _local_factors): its K powers over its own
+    prefix of the primes, with its own running power cur = t^k.
+
+    At each k the row reads its values over the prefix whose series
+    reaches k (one values call per power) and adds value * cur there.
+    With s real, cur is real, and each part of numpy's complex-by-real
+    product rounds as value.real * cur and value.imag * cur do (up to
+    the sign of a zero, which no sum keeps, and a nan beside an infinite
+    part of a value); else the complex products are spelled out in
+    float64, so that they round exactly as Python's complex arithmetic
+    does.  Then its envelope tail counts the prefix that reaches k + 1.
+    """
+    C, r, (a, b) = float(row.C), float(row.r), map(float, row.envelope)
     q = r / p_sigma
-    geo = C[:, None] * q  # C q q/(1 - q), in place
+    geo = C * q  # C q q/(1 - q), in place
     geo *= q
     geo /= 1.0 - q
-    base = a + b * q / (1.0 - q) if b.any() else a  # with b = 0 it is a + 0 = a, and no array
-    del q  # the loop divides r by p^sigma again over each prefix
-    n = np.where(np.array(k_max) > 0, len(primes), 0)  # per row, the prefix whose series reaches k
-    S_re, S_im = np.zeros((len(rows), len(primes))), np.zeros((len(rows), len(primes)))
+    base = a + b * q / (1.0 - q) if b else a  # with b = 0 it is a + 0 = a, and no column
+    S = np.zeros(len(primes), dtype=np.complex128)
     cur_re = t_re.copy()
     cur_im = None if t_im is None else t_im.copy()
-    for k in range(1, max(k_max) + 1):
-        width = int(n.max())
-        values: List = [0j] * len(rows)
-        for i, m in enumerate(n.tolist()):
-            if m and errors[i] is None:
-                try:
-                    values[i] = rows[i].values(k, primes[:m])
-                except (ArithmeticError, ValueError) as exc:
-                    errors[i] = exc
-        if all(getattr(v, "ndim", 0) == 0 for v in values):  # one value per row: a column
-            V = np.array(values, dtype=np.complex128)[:, None]
-        else:
-            V = np.zeros((len(rows), width), dtype=np.complex128)
-            for i, (v, m) in enumerate(zip(values, n.tolist())):
-                V[i, :m] = v
-        where = np.arange(width) < n[:, None]
-        acc_re, acc_im, cr = S_re[:, :width], S_im[:, :width], cur_re[:width]
+    m = len(primes)
+    for k in range(1, K + 1):
+        v = row.values(k, primes[:m])
+        cr = cur_re[:m]
         if cur_im is None:
-            np.add(acc_re, V.real * cr, out=acc_re, where=where)
-            np.add(acc_im, V.imag * cr, out=acc_im, where=where)
-            cr *= t_re[:width]
+            S[:m] += v * cr
+            cr *= t_re[:m]
         else:
-            ci, tr, ti = cur_im[:width], t_re[:width], t_im[:width]
-            np.add(acc_re, V.real * cr - V.imag * ci, out=acc_re, where=where)
-            np.add(acc_im, V.real * ci + V.imag * cr, out=acc_im, where=where)
+            v = np.asarray(v, dtype=np.complex128)
+            ci, tr, ti = cur_im[:m], t_re[:m], t_im[:m]
+            S.real[:m] += v.real * cr - v.imag * ci
+            S.imag[:m] += v.real * ci + v.imag * cr
             cr[:], ci[:] = cr * tr - ci * ti, cr * ti + ci * tr
-        # the prefix whose series reaches k + 1
-        n = (where & (geo[:, :width] * (base[:, :width] + b * (k + 1)) > tol)).sum(axis=1)
-        geo[:, :width] *= r / p_sigma[:width]
-    return [
-        error if error is not None else _LocalFactors(primes, F_re, F_im, t_re, t_im, k)
-        for k, F_re, F_im, error in zip(k_max, S_re, S_im, errors)
-    ]
+        m = int(np.count_nonzero(geo * (base + b * (k + 1)) > tol))  # the prefix that reaches k + 1
+        geo, q, base = geo[:m], q[:m], base[:m] if b else a
+        geo *= q
+    return _LocalFactors(primes, S.real, S.imag, t_re, t_im, K)
 
 
 @np.errstate(all="ignore")
@@ -319,7 +315,7 @@ def _checked(factors: Union[_LocalFactors, Exception], at: str) -> _LocalFactors
         if bad[i]:
             raise ValueError(f"local factor 1 + F_p({at}) is not finite at p={p}")
         if zero[i]:
-            return factors._replace(primes=factors.primes[: i + 1], vanished=True)
+            return factors._replace(vanished=True)
         raise PoleError(
             f"local factor 1 + F_p({at}) = {float(w_re[i]):g} hits the log branch cut at p={p}",
             prime=p,
@@ -818,7 +814,9 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
     math library, as in lambda0, so the printed value does not depend on
     numpy's SIMD.  When alpha has a local series and no exceptional prime
     of either lies above P, the primes p > P add sum_j b_j P_{>P}(j), as
-    in lambda0.
+    in lambda0.  Otherwise, or when that series cannot close (_close_tail
+    gives None), the value is the head alone, with no bound on the primes
+    it drops.
     """
     if not _factors_at_one(alpha):
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
@@ -831,11 +829,11 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
         return np.multiply(g_values, alpha_values, dtype=np.complex128)
 
     G_row = _Row(values, alpha.growth.C, alpha.growth.r, g.power_bound)
-    F, G = _local_factors([_spec_row(alpha), G_row], complex(1.0), P)
-    factors = _checked(F, "1")
+    rows = _local_factors([_spec_row(alpha), G_row], complex(1.0), P)
+    factors = _checked(next(rows), "1")
     if factors.vanished:
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
-    G = _raised(G)
+    G = _raised(next(rows))
     rho = complex(alpha.rho)
     # G_p / (1 + F_p) + c rho log(1 - 1/p) in place, and fsum reads the
     # columns directly: fewer temporaries over the primes, the same bits
@@ -874,7 +872,7 @@ def g_compensated(
         raise DomainError(
             f"g_compensated needs Re s > 1 - c0 = {1.0 - spec.c0:g}, got Re s = {sigma:g}"
         )
-    factors = _checked(_local_factors([_spec_row(spec)], s, P)[0], f"{s}")
+    factors = _checked(next(_local_factors([_spec_row(spec)], s, P)), f"{s}")
     if factors.vanished:
         return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0)
     if s.imag == 0.0:

@@ -71,7 +71,11 @@ def psi_prime_at_zero(
     One kernel pass over the primes p <= P, with F_p and G_p as its two
     rows; when alpha has a local series and no exceptional prime of
     alpha or g lies above P, the primes above P are closed by the
-    prime-zeta tail, otherwise dropped.
+    prime-zeta tail.  Otherwise, or when that tail series cannot close,
+    psi'(0) keeps the head alone, the sum over the primes p <= P, and
+    gives no bound for the primes it drops: for theta_omega:30 and omega
+    it is -152.42607826916247 at cutoff 100, -153.822953241354 at 1000
+    and -153.8229532458206 at 1e6, and no cutoff says how far it is off.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import re
+import tracemalloc
 from math import fsum
 from pathlib import Path
 from unittest import mock
@@ -762,10 +763,11 @@ COLUMN_SPECS = [
 
 def assert_stack_equals_rows_alone(specs, s, P):
     rows = [euler._spec_row(spec) for spec in specs]
-    stacked = euler._local_factors(rows, complex(s), P)
+    stacked = list(euler._local_factors(rows, complex(s), P))
     assert len(stacked) == len(rows)
     for row, got in zip(rows, stacked):
-        assert factor_bits(got) == factor_bits(euler._local_factors([row], complex(s), P)[0])
+        [alone] = euler._local_factors([row], complex(s), P)
+        assert factor_bits(got) == factor_bits(alone)
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0, 1.1, complex(1.5, 1.0)])
@@ -1091,7 +1093,8 @@ def test_a_row_past_the_cap_fails_before_its_values_are_read():
     capped, beside = euler._local_factors(rows, complex(1.0), 100)
     assert (type(capped), capped.prime, str(capped)) == (
         DivergentLocalFactorError, 2, f"local factor at p=2 needs more than {euler._K_HARD_CAP} terms")
-    assert factor_bits(beside) == factor_bits(euler._local_factors(rows[1:], complex(1.0), 100)[0])
+    [alone] = euler._local_factors(rows[1:], complex(1.0), 100)
+    assert factor_bits(beside) == factor_bits(alone)
 
 
 def test_a_pass_whose_every_row_failed_returns_its_errors_alone():
@@ -1112,6 +1115,23 @@ def test_a_pass_whose_every_row_failed_returns_its_errors_alone():
         (DivergentLocalFactorError, f"local factor at p=2 needs more than {euler._K_HARD_CAP} terms", 2),
         (DivergentLocalFactorError, f"local factor diverges at p=2: growth ratio 1*{q:g}^k does not decay", 2),
     ]
+
+
+@pytest.mark.parametrize("alpha", [theta_omega(2), euler_phi_over_n()], ids=lambda spec: spec.name)
+def test_a_grid_pass_holds_a_few_columns_at_a_time(alpha):
+    # the 17 rows of sd report's grid pass (circle:16) are computed one at
+    # a time over their shared columns: the traced peak stays a few
+    # float64 columns of the primes, however many rows the pass has
+    P = 2 * 10**5
+    column = 8 * len(prime_array(P))
+    zs = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
+    tracemalloc.start()
+    try:
+        euler.psi_grid(alpha, zs, OMEGA, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * column
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
