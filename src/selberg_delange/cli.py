@@ -244,7 +244,7 @@ def cmd_report(args: argparse.Namespace):
     # one pass over the value tables serves all residuals and the pmf
     buckets = exact.bucket_sums_grid(args.alpha, args.additive, xs)
 
-    # one kernel pass for the grid and its denominator, the lambda0 block
+    # the grid's twists and their denominator, made once: the lambda0 block
     cutoff = _cutoff(args)
     lam, limits = euler._psi_batch(args.alpha, twisted, cutoff)
     psi_values = list(zip(args.z_grid, limits))

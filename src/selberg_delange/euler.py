@@ -4,16 +4,17 @@ Everything here reduces to products over primes p <= P of local factors
 (1 - p^{-s})^rho (1 + F_p(s)), where F_p(s) = sum_k f(p^k) p^{-ks} is
 truncated using the spec's geometric growth envelope.  Products are
 accumulated in log space (exact summation of per-prime logs) so that
-10^6 factors neither underflow nor lose relative accuracy.  One kernel
-pass evaluates several products as rows over one column of primes:
-psi_grid puts lambda0(alpha) and the twist of every z in one pass, and
-psi'(0) its series F_p and G_p.  The rows share the primes, p^sigma and
-the power column p^{-s}.  The growth envelope decides a row's failure at
-the first prime, where q = r/p^sigma is largest, and the failure comes
-back in the row's place.  Every other row is computed alone and handed
-over before the next is built: it walks the powers k once, adds its
-terms over the prefix of primes whose series reaches k, and counts, from
-its envelope, the prefix that reaches k + 1.
+10^6 factors neither underflow nor lose relative accuracy.  Each product
+is one call of the kernel, _local_factors: psi_grid makes lambda0(alpha)
+and then the twist of each z, and psi'(0) its series F_p and then G_p.
+The products at one (s, P) read the same read-only columns, p^sigma and
+the power column p^{-s}, memoised per (s, P), and lambda0's compensator
+log1p(-1/p) is memoised per P.  The growth envelope decides a product's
+failure at the first prime, where q = r/p^sigma is largest, and the
+kernel raises it there, before any value is read or any column built.
+Else the product walks the powers k once, adds its terms over the prefix
+of primes whose series reaches k, and counts, from its envelope, the
+prefix that reaches k + 1.
 
 At s = 1 the primes above the cutoff are not dropped when the spec
 declares a local series (funcs.LocalSeries).  The log of a local factor
@@ -48,7 +49,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import fsum
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,9 +64,9 @@ from .sieve import prime_array
 from .special import cpow, digamma, gamma, zeta_minus_one
 
 DEFAULT_PRIME_CUTOFF = 10**6
-# the series truncation budget of one product: each of the n local series
-# of a pass over the primes p <= P stops where its tail bound is <= this
-# over n; the kernels read it when they run
+# the series truncation budget of one product: each of its n local series
+# over the primes p <= P stops where its tail bound is <= this over n; the
+# kernel reads it at each call, and no memo holds it
 DEFAULT_FACTOR_TOL = 1e-14
 
 # rho values this close to a nonpositive integer trigger the exact-zero
@@ -123,13 +124,13 @@ def _is_snapped_nonpositive_integer(z: complex) -> bool:
 
 
 class _Row(NamedTuple):
-    """One product of a kernel pass: its values and its growth envelope.
+    """One product of the kernel: its values and its growth envelope.
 
     values(k, primes) gives f(p^k) over a prefix of the head primes, as
     funcs.prime_power_values does: an array of their shape, or a 0-d one
     for all of them.  The series at p stops where the tail of
     (a + b k) C (r/p^sigma)^k is <= DEFAULT_FACTOR_TOL / n, n the number
-    of primes of the pass, with (a, b) = envelope.
+    of primes p <= P, with (a, b) = envelope.
     """
 
     values: Callable
@@ -143,13 +144,12 @@ def _spec_row(spec: MultiplicativeSpec) -> _Row:
 
 
 class _LocalFactors(NamedTuple):
-    """One row's series F_p(s) over all the primes p <= P of its pass, as
-    float64 columns: a row whose series fails does so at the first prime,
-    and gets that error in its place (see _local_factors).  k_max is the
-    series length at the first prime, the longest of the row and the
-    number of powers read for it.  F_re and F_im are the row's own;
-    primes and the power column p^{-s}, t_re and t_im (None for a real
-    s), are shared by the rows of the pass.  vanished marks that
+    """One product's series F_p(s) over all the primes p <= P, as float64
+    columns (see _local_factors).  k_max is the series length at the
+    first prime, the longest of the product and the number of powers
+    read for it.  F_re and F_im are the product's own; primes and the
+    power column p^{-s}, t_re and t_im (None for a real s), are the
+    read-only columns of every product at (s, P).  vanished marks that
     1 + F_p(s) = 0 at some prime, so the product is exactly 0 and the
     columns are not read (see _checked).
     """
@@ -181,8 +181,8 @@ def _map_float(fn: Callable, *columns) -> np.ndarray:
 def _first_length(C: float, q: float, a: float, b: float, tol: float) -> int:
     """K_p at the first prime, where q is largest (see _local_factors),
     counted up to _K_HARD_CAP + 1 in Python floats, which round as
-    _row_series' float64 columns do: past the cap, the row fails there,
-    and else K is the number of powers _row_series walks."""
+    _row_series' float64 columns do: past the cap, the product fails
+    there, and else K is the number of powers _row_series walks."""
     if C == 0.0:
         return 0
     geo, base, K = C * q * q / (1.0 - q), a + b * q / (1.0 - q), 1
@@ -192,72 +192,85 @@ def _first_length(C: float, q: float, a: float, b: float, tol: float) -> int:
     return K
 
 
-def _local_factors(rows: Sequence[_Row], s: complex, P: int) -> Iterator[Union[_LocalFactors, Exception]]:
-    """F_p(s) of each row for every prime p <= P, in one kernel pass.
+def _local_factors(row: _Row, s: complex, P: int) -> _LocalFactors:
+    """F_p(s) of the product row for every prime p <= P.
 
-    Row i has the ratios q = r/p^sigma over the primes and the envelope
-    (a + b k) C q^k.  K_p is the smallest K >= 1 whose tail bound
+    The product has the ratios q = r/p^sigma over the primes and the
+    envelope (a + b k) C q^k.  K_p is the smallest K >= 1 whose tail bound
     C q^{K+1}/(1-q) (a + b(K+1) + b q/(1-q)) is <= DEFAULT_FACTOR_TOL / n,
     n the number of primes p <= P: the product's budget shared by its
     primes, so that the n cuts together drop at most DEFAULT_FACTOR_TOL,
     bit-identical to the scalar local_factor oracle of tests/test_euler.py.
     The envelope (1, 0) gives the geometric tail C q^{K+1}/(1-q).  q falls
     as p grows, and with b >= 0 and a + b >= 0 so does the bound; the
-    threshold is one number per pass, so K_p never rises with p, and the
-    primes whose series reaches k are a prefix of the primes.
+    threshold is one number per product, so K_p never rises with p, and
+    the primes whose series reaches k are a prefix of the primes.
 
-    So the envelope decides a row's failure at the first prime, where q
-    is largest: q >= 1 there, or a series there past _K_HARD_CAP.  The
-    row gets that error in its place with no values read, and a pass
-    whose rows all failed hands its errors over before it builds any
-    column.  The rows share the primes, the tolerance, p^sigma and the
-    power column t = p^{-s}; each live row is then computed alone
-    (_row_series) and handed over in row order, so that the caller
-    finishes one row before the next is built.  A row whose values raise
-    an ArithmeticError or ValueError gets that error in its place too.
+    So the envelope decides the product's failure at the first prime,
+    where q is largest: q >= 1 there, or a series there past _K_HARD_CAP.
+    That error is raised before any value is read or any column built.
+    Else _row_series computes the product over the read-only columns of
+    (s, P) (_columns); what its values raise propagates.
+
+    Raises:
+        DivergentLocalFactorError: q >= 1 at the first prime, or more
+            than _K_HARD_CAP terms there.
     """
     primes = prime_array(P)
     tol = DEFAULT_FACTOR_TOL / len(primes)
     p = int(primes[0])
-    firsts: List[Union[int, Exception]] = []
-    for row in rows:
-        C, q = float(row.C), float(row.r) / math.pow(p, s.real)  # as _row_series rounds it
-        if q >= 1.0:
-            firsts.append(DivergentLocalFactorError(
-                f"local factor diverges at p={p}: growth ratio {C:g}*{q:g}^k does not decay", prime=p
-            ))
-        elif (K := _first_length(C, q, *map(float, row.envelope), tol)) > _K_HARD_CAP:
-            firsts.append(DivergentLocalFactorError(f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p))
-        else:
-            firsts.append(K)
-    if all(isinstance(K, Exception) for K in firsts):
-        yield from firsts
-        return
+    C, q = float(row.C), float(row.r) / math.pow(p, s.real)  # as _row_series rounds it
+    if q >= 1.0:
+        raise DivergentLocalFactorError(
+            f"local factor diverges at p={p}: growth ratio {C:g}*{q:g}^k does not decay", prime=p
+        )
+    if (K := _first_length(C, q, *map(float, row.envelope), tol)) > _K_HARD_CAP:
+        raise DivergentLocalFactorError(f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p)
+    return _row_series(row, K, primes, *_columns(s, P), tol)
+
+
+def _read_only(*columns) -> tuple:
+    """columns, each made read-only (None passes), for the memos to hand out."""
+    for column in columns:
+        if column is not None:
+            column.flags.writeable = False
+    return columns
+
+
+@lru_cache(maxsize=1)
+def _columns(s: complex, P: int) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """p^sigma and the power column t = p^{-s} (t_im None for a real s)
+    over the primes p <= P: read-only, shared by every product at (s, P)."""
+    primes = prime_array(P)
     p_sigma = primes.astype(np.float64)
     if s.real != 1.0:  # pow(p, 1.0) is p exactly
         p_sigma = _map_float(math.pow, p_sigma, s.real)
     if s.imag == 0.0:
-        t_re, t_im = 1.0 / p_sigma, None
-    else:
-        t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
-        t_re, t_im = t.real, t.imag
-    for row, K in zip(rows, firsts):
-        yield K if isinstance(K, Exception) else _attempt(_row_series, row, K, primes, p_sigma, t_re, t_im, tol)
+        return _read_only(p_sigma, 1.0 / p_sigma, None)
+    t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
+    return _read_only(p_sigma, t.real, t.imag)
+
+
+@lru_cache(maxsize=1)
+def _compensator(P: int) -> np.ndarray:
+    """lambda0's log1p(-1/p) over the primes p <= P, read-only."""
+    return _read_only(_map_float(math.log1p, -1.0 / prime_array(P)))[0]
 
 
 @np.errstate(all="ignore")  # a term out of float64 range is refused by _checked; geo may underflow to 0
 def _row_series(row: _Row, K: int, primes, p_sigma, t_re, t_im, tol: float) -> _LocalFactors:
-    """One row of a pass (see _local_factors): its K powers over its own
-    prefix of the primes, with its own running power cur = t^k.
+    """The product row over the columns of _local_factors: its K powers,
+    each over the prefix of the primes whose series reaches it, with its
+    own running power cur = t^k.
 
-    At each k the row reads its values over the prefix whose series
-    reaches k (one values call per power) and adds value * cur there.
+    At each k it reads its values over that prefix (one values call per
+    power) and adds value * cur there.
     With s real, cur is real, and each part of numpy's complex-by-real
     product rounds as value.real * cur and value.imag * cur do (up to
     the sign of a zero, which no sum keeps, and a nan beside an infinite
     part of a value); else the complex products are spelled out in
     float64, so that they round exactly as Python's complex arithmetic
-    does.  Then its envelope tail counts the prefix that reaches k + 1.
+    does.  Then the envelope tail counts the prefix that reaches k + 1.
     """
     C, r, (a, b) = float(row.C), float(row.r), map(float, row.envelope)
     q = r / p_sigma
@@ -288,21 +301,16 @@ def _row_series(row: _Row, K: int, primes, p_sigma, t_re, t_im, tol: float) -> _
 
 
 @np.errstate(all="ignore")
-def _checked(factors: Union[_LocalFactors, Exception], at: str) -> _LocalFactors:
-    """The row as local factors 1 + F_p(at), each a valid log.
+def _checked(factors: _LocalFactors, at: str) -> _LocalFactors:
+    """The product as local factors 1 + F_p(at), each a valid log.
 
-    A row that failed in its pass raises the error held in its place.
-    Else the first prime that trips one acts: a non-finite series, a
-    vanishing factor (returned with vanished set, not raised) or the log
-    branch cut.
+    The first prime that trips one acts: a non-finite series, a vanishing
+    factor (returned with vanished set, not raised) or the log branch cut.
 
     Raises:
-        DivergentLocalFactorError: growth ratio >= 2^{Re s} at the first
-            prime, or more than _K_HARD_CAP terms there.
         PoleError: 1 + F_p(s) real and negative.
         ValueError: F_p(s) not finite.
     """
-    factors = _raised(factors)
     F_re, F_im = factors.F_re, factors.F_im
     w_re = 1.0 + F_re
     zero = (w_re == 0.0) & (F_im == 0.0)
@@ -321,22 +329,6 @@ def _checked(factors: Union[_LocalFactors, Exception], at: str) -> _LocalFactors
             prime=p,
         )
     return factors
-
-
-def _attempt(fn: Callable, *args):
-    """fn(*args), or the ArithmeticError or ValueError it raises: a row's
-    result, which fails without stopping the other rows."""
-    try:
-        return fn(*args)
-    except (ArithmeticError, ValueError) as exc:
-        return exc
-
-
-def _raised(result):
-    """result, or raise it when it is an exception held for its row."""
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a square out of range takes the hypot below
@@ -622,9 +614,9 @@ def lambda0(spec: MultiplicativeSpec, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) 
     Returns:
         EulerProductResult; value is exactly 0 when rho is a nonpositive
         integer (within snap tolerance) or some local factor vanishes.
-        Each call is a kernel pass of one row.
+        Each call makes the product afresh, one call of the kernel.
     """
-    return _raised(_lambda0_batch([spec], _check_cutoff(prime_cutoff))[0])[0]
+    return _lambda0(spec, _check_cutoff(prime_cutoff))[0]
 
 
 def _factors_at_one(spec: MultiplicativeSpec, where: str = "") -> bool:
@@ -649,37 +641,17 @@ def _completion(spec: MultiplicativeSpec, rho: complex, P: int) -> Optional[_Com
     return _close_tail(_log_factor_coefficients(spec.series, rho), P, spec.growth.r)
 
 
-def _lambda0_batch(
-    specs: Sequence[MultiplicativeSpec], P: int
-) -> List[Union[Tuple[EulerProductResult, complex], Exception]]:
-    """lambda0 of each spec, closed by the prime-zeta tail when the spec
-    allows it, from one kernel pass over the primes p <= P.
-
-    The specs are the rows of the pass and share the compensator
-    log1p(-1/p).  Each gives its result and its head, the product over
-    the primes p <= P alone (the value, when plain or 0), or the
-    ArithmeticError or ValueError of its own checks; the other rows are
-    what they are alone.
-    """
-    results = [_attempt(_factors_at_one, spec) for spec in specs]
-    todo = [i for i, needed in enumerate(results) if needed is True]
-    for i, needed in enumerate(results):
-        if needed is False:
-            results[i] = EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=0, tail_estimate=0.0), 0j
-    if todo:
-        comp = _map_float(math.log1p, -1.0 / prime_array(P))
-        for i, factors in zip(todo, _local_factors([_spec_row(specs[i]) for i in todo], complex(1.0), P)):
-            results[i] = _attempt(_lambda0_result, specs[i], P, factors, comp)
-    return results
-
-
-def _lambda0_result(spec: MultiplicativeSpec, P: int, factors, comp: np.ndarray) -> Tuple[EulerProductResult, complex]:
-    """lambda0 and its head from the row's unchecked local factors and the compensator."""
-    factors = _checked(factors, "1")
+def _lambda0(spec: MultiplicativeSpec, P: int) -> Tuple[EulerProductResult, complex]:
+    """lambda0 of spec, closed by the prime-zeta tail when the spec allows
+    it, and its head, the product over the primes p <= P alone (the
+    value, when plain or 0)."""
+    if not _factors_at_one(spec):
+        return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=0, tail_estimate=0.0), 0j
+    factors = _checked(_local_factors(_spec_row(spec), complex(1.0), P), "1")
     if factors.vanished:
         return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0), 0j
     rho = complex(spec.rho)
-    total = _log_product(spec, comp, 0.0, factors)
+    total = _log_product(spec, _compensator(P), 0.0, factors)
     try:
         gamma_rho = gamma(rho)
     except OverflowError:
@@ -705,8 +677,7 @@ def psi(
 ) -> complex:
     """Limiting function psi(z) = lambda0(exp-twist of alpha) / lambda0(alpha).
 
-    psi_grid of the one z: the twist and lambda0(alpha) are the two rows
-    of one kernel pass.
+    psi_grid of the one z: two products, lambda0(alpha) and the twist.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
@@ -720,20 +691,20 @@ def psi_grid(
     g: AdditiveSpec = OMEGA,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
 ) -> List[complex]:
-    """psi(z) for each z of zs, from one kernel pass.
+    """psi(z) for each z of zs, with lambda0(alpha) made once.
 
-    lambda0(alpha) and the twist of each z are the rows of one pass over
-    the primes p <= cutoff, and a twist closed unlike alpha is divided
-    by it head by head (see _psi_batch).  The values are bit-identical
-    to psi(z) alone.  A failing z raises what psi(z) alone raises, the
-    first in the order of zs.
+    lambda0(alpha) is made first and then the twist of each z, in the
+    order of zs, each over the primes p <= cutoff, and a twist closed
+    unlike alpha is divided by it head by head (see _psi_batch).  The
+    values are bit-identical to psi(z) alone.  What lambda0(alpha)
+    raises comes first; then a failing z raises what psi(z) alone
+    raises, the first in the order of zs.
 
     Raises:
         DegenerateSpecError: lambda0(alpha) = 0.
         DomainError: the twist at z leaves float64 range (_exp_twist).
     """
-    P = _check_cutoff(prime_cutoff)
-    return _psi_batch(alpha, [_attempt(_exp_twist, alpha, complex(z), g) for z in zs], P)[1]
+    return _psi_batch(alpha, (_exp_twist(alpha, complex(z), g) for z in zs), prime_cutoff)[1]
 
 
 def _twist_is_finite(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> bool:
@@ -778,27 +749,27 @@ def _exp_twist(alpha: MultiplicativeSpec, z: complex, g: AdditiveSpec) -> Multip
 
 
 def _psi_batch(
-    alpha: MultiplicativeSpec, twisted: Sequence[Union[MultiplicativeSpec, Exception]], prime_cutoff: int
+    alpha: MultiplicativeSpec, twisted: Iterable[MultiplicativeSpec], prime_cutoff: int
 ) -> Tuple[EulerProductResult, List[complex]]:
-    """lambda0(alpha) and the psi of each twist, from one pass.
+    """lambda0(alpha) and the psi of each twist.
 
-    twisted holds _exp_twist(alpha, z, g), or its error, for each z of
-    the grid, raised in grid order.  Each value is the ratio of two products closed alike, so that the
-    tails above P cancel in the ratio instead of adding: of the values
-    when both completed or both are plain, else of the heads, the
-    products over the primes p <= P (a table prime of g above P, say,
-    leaves the twists plain).  A plain product's head is its value.
-    Raises what lambda0(alpha) raises, for every z.
+    lambda0(alpha) is made first, so its error comes before any twist's;
+    then twisted is read in order, _exp_twist(alpha, z, g) for each z of
+    the grid (a generator raises a failing z's error when it is reached),
+    and each twist's product made.  Each value is the ratio of two
+    products closed alike, so that the tails above P cancel in the ratio
+    instead of adding: of the values when both completed or both are
+    plain, else of the heads, the products over the primes p <= P (a
+    table prime of g above P, say, leaves the twists plain).  A plain
+    product's head is its value.
     """
     P = _check_cutoff(prime_cutoff)
-    den, *nums = _lambda0_batch([alpha] + [spec for spec in twisted if not isinstance(spec, Exception)], P)
-    den, den_head = _raised(den)
+    den, den_head = _lambda0(alpha, P)
     if den.value == 0:
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
-    nums = iter(nums)
     values = []
     for spec in twisted:
-        num, head = _raised(spec if isinstance(spec, Exception) else next(nums))
+        num, head = _lambda0(spec, P)
         values.append(num.value / den.value if num.completed == den.completed else head / den_head)
     return den, values
 
@@ -806,11 +777,12 @@ def _psi_batch(
 def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> complex:
     """d/dz log lambda0(exp-twist of alpha) at z = 0.
 
-    The closed form of stats.psi_prime_at_zero, from one kernel pass
-    over the primes p <= P with two rows: F_p, the s = 1 factors, and
+    The closed form of stats.psi_prime_at_zero, from two calls of the
+    kernel over the primes p <= P: F_p, the s = 1 factors, and then
     G_p = sum_k g(p^k) alpha(p^k) p^{-k}, truncated where the tail of
     its envelope (a + b k) C (r/p)^k is <= DEFAULT_FACTOR_TOL over the
-    number of primes, with (a, b) = g.power_bound.  Logs go through the
+    number of primes, with (a, b) = g.power_bound.  The compensator
+    log1p(-1/p) is computed here, not memoised.  Logs go through the
     math library, as in lambda0, so the printed value does not depend on
     numpy's SIMD.  When alpha has a local series and no exceptional prime
     of either lies above P, the primes p > P add sum_j b_j P_{>P}(j), as
@@ -828,12 +800,10 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
         g_values, alpha_values = prime_power_values(g, k, primes), prime_power_values(alpha, k, primes)
         return np.multiply(g_values, alpha_values, dtype=np.complex128)
 
-    G_row = _Row(values, alpha.growth.C, alpha.growth.r, g.power_bound)
-    rows = _local_factors([_spec_row(alpha), G_row], complex(1.0), P)
-    factors = _checked(next(rows), "1")
+    factors = _checked(_local_factors(_spec_row(alpha), complex(1.0), P), "1")
     if factors.vanished:
         raise DegenerateSpecError(f"lambda0({alpha.name}) = 0; psi undefined")
-    G = _raised(next(rows))
+    G = _local_factors(_Row(values, alpha.growth.C, alpha.growth.r, g.power_bound), complex(1.0), P)
     rho = complex(alpha.rho)
     # G_p / (1 + F_p) + c rho log(1 - 1/p) in place, and fsum reads the
     # columns directly: fewer temporaries over the primes, the same bits
@@ -872,7 +842,7 @@ def g_compensated(
         raise DomainError(
             f"g_compensated needs Re s > 1 - c0 = {1.0 - spec.c0:g}, got Re s = {sigma:g}"
         )
-    factors = _checked(next(_local_factors([_spec_row(spec)], s, P)), f"{s}")
+    factors = _checked(_local_factors(_spec_row(spec), s, P), f"{s}")
     if factors.vanished:
         return EulerProductResult(value=0j, prime_cutoff=P, k_cutoff=factors.k_max, tail_estimate=0.0)
     if s.imag == 0.0:

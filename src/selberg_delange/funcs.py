@@ -29,6 +29,7 @@ import cmath
 import math
 import operator
 from dataclasses import KW_ONLY, dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -357,9 +358,10 @@ def twist(alpha: MultiplicativeSpec, y, g: AdditiveSpec) -> MultiplicativeSpec:
     series = None
     if alpha.series is not None:
         alpha_coeffs, k_value = alpha.series.coeffs, g.k_value
+        y_to = lru_cache(maxsize=None)(partial(cpow, y))  # y^v, once per exponent v = k_value(k)
 
         def coeffs(k):
-            y_k = cpow(y, k_value(k))
+            y_k = y_to(k_value(k))
             return tuple(y_k * c for c in alpha_coeffs(k))
 
         listed = {}  # the primes alpha or g lists at each k, read in one call per k

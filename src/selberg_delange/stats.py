@@ -68,8 +68,8 @@ def psi_prime_at_zero(
     where F_p = sum_k alpha(p^k) p^{-k} and
     G_p = sum_k g(p^k) alpha(p^k) p^{-k}.  It is the constant term of
     the mean of g(N) (Mertens' constant 0.26150 for unit and omega).
-    One kernel pass over the primes p <= P, with F_p and G_p as its two
-    rows; when alpha has a local series and no exceptional prime of
+    Two products over the primes p <= P, F_p and then G_p, one kernel
+    call each; when alpha has a local series and no exceptional prime of
     alpha or g lies above P, the primes above P are closed by the
     prime-zeta tail.  Otherwise, or when that tail series cannot close,
     psi'(0) keeps the head alone, the sum over the primes p <= P, and

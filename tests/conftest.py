@@ -3,9 +3,10 @@ trial division and direct summation only, independent of the package's
 sieve, table machinery and prime_power_values.  whole_table writes the
 package's streamed value tables into one array; checked against these
 oracles, it is the tests' reference for the tables.  counted counts a
-spec's value_at calls.  Also the rows_per_pass fixture, which counts the
-Euler kernel's passes, and block_length, which sets the length of the
-value-table blocks."""
+spec's value_at calls.  Also the products fixture, which lists the
+Euler products a command makes, block_length, which sets the length of
+the value-table blocks, and an autouse fixture that empties the Euler
+kernel's memos before each test."""
 
 import contextlib
 import dataclasses
@@ -19,18 +20,25 @@ from selberg_delange import euler, exact
 from selberg_delange.funcs import AdditiveSpec
 
 
+@pytest.fixture(autouse=True)
+def empty_euler_memos():
+    """No test reads columns or a compensator that another test left memoised."""
+    euler._columns.cache_clear()
+    euler._compensator.cache_clear()
+
+
 @pytest.fixture
-def rows_per_pass(monkeypatch):
-    """The number of rows of each pass of the Euler kernel, in call order."""
-    rows_per_pass = []
+def products(monkeypatch):
+    """The rows of the Euler products made, one per call of the kernel, in call order."""
+    products = []
     local_factors = euler._local_factors
 
-    def counted(rows, *args):
-        rows_per_pass.append(len(rows))
-        return local_factors(rows, *args)
+    def counted(row, *args):
+        products.append(row)
+        return local_factors(row, *args)
 
     monkeypatch.setattr(euler, "_local_factors", counted)
-    return rows_per_pass
+    return products
 
 
 @contextlib.contextmanager

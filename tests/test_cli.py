@@ -1126,33 +1126,33 @@ def test_pmf_with_a_subnormal_prime_power_value(capsys):
     assert out == "value,probability\n0,0.142857142857143\n1,0.857142857142857\n2,6.35735388156138e-314\n"
 
 
-def test_report_grid_products_share_one_kernel_pass(rows_per_pass, capsys):
+def test_report_grid_products_share_one_kernel_pass(products, capsys):
     # lambda0(alpha), the report's lambda0 block, and the 16 twists of
-    # circle:16 are the rows of one pass of the power loop; ldp's
-    # psi(ln 2) at s = 2 makes the only other, of two rows
+    # circle:16 are 17 products, lambda0(alpha) made once for the grid;
+    # ldp's psi(ln 2) at s = 2 makes the only other two
     argv = ["report", "--spec", "theta_omega:2", "--x-grid", "1e3,1e4", "--z-grid", "circle:16", "--cutoff", "3000"]
     code, _, err = run_cli(capsys, argv)
     assert code == 0, err
-    assert rows_per_pass == [17, 2]
+    assert len(products) == 19
 
 
 @pytest.mark.parametrize(
-    "argv, passes",
+    "argv, count",
     [
-        (["lambda0"], [1]),
-        (["psi", "--z", "0.5"], [2]),
-        (["ldp", "--x", "1e3", "--s", "2"], [2]),
-        (["ldp", "--x", "1e3", "--s", "1"], [2]),
-        (["report", "--x-grid", "1e3", "--s", "1"], [17, 2]),
+        (["lambda0"], 1),
+        (["psi", "--z", "0.5"], 2),
+        (["ldp", "--x", "1e3", "--s", "2"], 2),
+        (["ldp", "--x", "1e3", "--s", "1"], 2),
+        (["report", "--x-grid", "1e3", "--s", "1"], 19),
     ],
     ids=["lambda0", "psi", "ldp-s2", "ldp-s1", "report-s1"],
 )
-def test_each_command_computes_its_products_in_its_own_passes(rows_per_pass, capsys, argv, passes):
-    # psi(z) is a pass of the twist and its denominator, and psi'(0) one
-    # of F_p and G_p; sd report at s = 1 adds psi'(0) to its grid pass
+def test_each_command_computes_its_products_in_its_own_passes(products, capsys, argv, count):
+    # psi(z) is two products, the twist and its denominator, and psi'(0)
+    # two, F_p and G_p; sd report at s = 1 adds psi'(0) to its grid's 17
     code, _, err = run_cli(capsys, argv[:1] + ["--spec", "theta_omega:2", "--cutoff", "3000"] + argv[1:])
     assert code == 0, err
-    assert rows_per_pass == passes
+    assert len(products) == count
 
 
 def table_g_run(capsys, tmp_path, rows, command="report", *args):
@@ -1178,29 +1178,29 @@ def assert_table_g_report_bits(doc, last_psi_im):
     assert doc["ldp"][0]["predicted_tail"] == 1.437863692037476
 
 
-def test_report_with_a_table_g_divides_plain_twists_by_alpha_s_head(rows_per_pass, capsys, tmp_path):
+def test_report_with_a_table_g_divides_plain_twists_by_alpha_s_head(products, capsys, tmp_path):
     # a tabled prime above the cutoff keeps each twist's product plain,
     # so its ratio's denominator is alpha's head, the product over the
-    # primes up to the cutoff, which the pass computed before completing
-    # it: no pass beyond the grid's and ldp's psi(ln 2)
+    # primes up to the cutoff, which lambda0(alpha) computed before
+    # completing it: no product beyond the grid's and ldp's psi(ln 2)
     doc = table_g_run(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n30011 1 1\n")
-    assert rows_per_pass == [17, 2]
+    assert len(products) == 19
     assert_table_g_report_bits(doc, -4.105661870290539)
 
 
-def test_psi_with_a_table_g_above_the_cutoff_is_one_pass(rows_per_pass, capsys, tmp_path):
-    # the plain twist divided by alpha's head in the one pass of two
-    # rows: the ratio of the plain products, bit for bit
+def test_psi_with_a_table_g_above_the_cutoff_is_one_pass(products, capsys, tmp_path):
+    # the plain twist divided by alpha's head, two products in all: the
+    # ratio of the plain products, bit for bit
     doc = table_g_run(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n30011 1 1\n", "psi", "--z", "0.5", "--format", "json")
-    assert rows_per_pass == [2]
+    assert len(products) == 2
     assert (doc["psi_re"], doc["psi_im"]) == (2.1570414429654208, 0.0)
 
 
-def test_report_with_a_table_g_closes_its_twists_in_two_passes(rows_per_pass, capsys, tmp_path):
+def test_report_with_a_table_g_closes_its_twists_in_two_passes(products, capsys, tmp_path):
     # with every tabled prime below the cutoff each twist keeps alpha's
     # series and completes, as alpha does
     doc = table_g_run(capsys, tmp_path, "2 1 1\n3 1 1\n5 1 2\n")
-    assert rows_per_pass == [17, 2]
+    assert len(products) == 19
     assert_table_g_report_bits(doc, -4.10566187029054)
 
 
@@ -1213,9 +1213,9 @@ def test_lambda0_of_a_huge_table_value_above_the_cutoff_has_an_infinite_tail(cap
     assert out == "lambda0 = 1\ntail_estimate = inf\nprime_cutoff = 1000\nk_cutoff = 719\n"
 
 
-def test_ldp_grid_at_s_one_computes_psi_prime_once(rows_per_pass, monkeypatch, capsys):
-    # psi'(0) does not depend on x: one closed form, one kernel pass with
-    # the two rows F_p and G_p, for the whole grid
+def test_ldp_grid_at_s_one_computes_psi_prime_once(products, monkeypatch, capsys):
+    # psi'(0) does not depend on x: one closed form, two products F_p
+    # and G_p, for the whole grid
     derivatives = []
     log_derivative = stats._log_derivative
 
@@ -1226,11 +1226,11 @@ def test_ldp_grid_at_s_one_computes_psi_prime_once(rows_per_pass, monkeypatch, c
     monkeypatch.setattr(stats, "_log_derivative", counted_derivative)
     code, _, err = run_cli(capsys, ["ldp", "--s", "1", "--x-grid", "1e3,1e4,1e5", "--cutoff", "1000"])
     assert code == 0, err
-    assert (len(derivatives), rows_per_pass) == (1, [2])
+    assert (len(derivatives), len(products)) == (1, 2)
 
 
 def count_report_work(monkeypatch):
-    """The list each value-table pass and each Euler kernel pass appends to."""
+    """The list each value-table pass and each Euler product appends to."""
     calls = []
     bucket_sums_grid, local_factors = exact.bucket_sums_grid, euler._local_factors
     monkeypatch.setattr(exact, "bucket_sums_grid", lambda *args: calls.append("tables") or bucket_sums_grid(*args))

@@ -728,77 +728,74 @@ def test_kernel_matches_reference_on_random_specs(spec, tw, P, s):
 
 
 # ---------------------------------------------------------------------------
-# stacked rows: one kernel pass for many products
+# one product per kernel call, over read-only columns memoised per (s, P)
 
 
 def factor_bits(factors):
-    """Every array and number of one row of a pass, or the error in its place."""
-    if isinstance(factors, Exception):
-        return type(factors), str(factors), getattr(factors, "prime", None)
+    """Every array and number of one product's local factors."""
     arrays = (factors.primes, factors.F_re, factors.F_im, factors.t_re, factors.t_im)
     return tuple(None if a is None else a.tobytes() for a in arrays), factors.k_max
 
 
-def result_bits(result):
-    """outcome() of a product the batch returned, error or value."""
-    if isinstance(result, Exception):
-        return type(result), getattr(result, "prime", None)
-    return outcome(lambda: result)
+def kernel_outcome(row, s, P):
+    """factor_bits of the product row, or (error class, message, prime)."""
+    try:
+        return factor_bits(euler._local_factors(row, complex(s), P))
+    except DivergentLocalFactorError as exc:
+        return type(exc), str(exc), exc.prime
 
 
-def batch_results(specs, P):
-    """_lambda0_batch's entries without their heads: each result, or its error."""
-    return [entry if isinstance(entry, Exception) else entry[0] for entry in euler._lambda0_batch(specs, P)]
+def each_lambda0(specs, P):
+    """lambda0 of each spec, each product made alone, or the error it raises."""
+    results = []
+    for spec in specs:
+        try:
+            results.append(lambda0(spec, P))
+        except (ArithmeticError, ValueError) as exc:
+            results.append(exc)
+    return results
+
+
+def unread(k, primes):
+    raise AssertionError(f"values read at k = {k}")
 
 
 STACK_SPECS = ORACLE_SPECS + [twist(unit(), y, OMEGA) for y in CIRCLE_Y]
-# the specs whose values give one value for all primes, so that every
-# power of the pass is a column of one value per row
-TWO_THREE = np.array([2, 3])
-COLUMN_SPECS = [
-    spec for spec in STACK_SPECS
-    if np.ndim(euler._spec_row(spec).values(1, TWO_THREE)) == 0
-]
-
-
-def assert_stack_equals_rows_alone(specs, s, P):
-    rows = [euler._spec_row(spec) for spec in specs]
-    stacked = list(euler._local_factors(rows, complex(s), P))
-    assert len(stacked) == len(rows)
-    for row, got in zip(rows, stacked):
-        [alone] = euler._local_factors([row], complex(s), P)
-        assert factor_bits(got) == factor_bits(alone)
-
-
-@pytest.mark.parametrize("s", [1.0, 2.0, 1.1, complex(1.5, 1.0)])
-@pytest.mark.parametrize("stack", ["all", "columns"])
-def test_stacked_rows_equal_each_row_alone(stack, s):
-    # the series, staircases and power columns of a stack are those of
-    # each row in a pass of its own, to the last bit
-    assert len(COLUMN_SPECS) >= 12
-    assert_stack_equals_rows_alone(STACK_SPECS if stack == "all" else COLUMN_SPECS, s, 3000)
 
 
 def test_a_row_that_diverges_at_the_first_prime_stays_out_of_the_stack():
     # at s = 0.8 geometric_B:1.9 diverges at p = 2 (1.9/2^0.8 >= 1) but not
-    # at p >= 3; unit's series runs past a cap of 12 terms
+    # at p >= 3; unit's series runs past a cap of 12 terms.  Each fails at
+    # p = 2 with no values read, and theta_omega:0.5 made after them has
+    # the bits it has alone, over columns built afresh
+    diverging, capped = (euler._spec_row(spec)._replace(values=unread) for spec in (geometric_B(1.9, c0=0.45), unit()))
+    live = euler._spec_row(theta_omega(0.5))
+    q = 1.9 / 2.0**0.8
     with mock.patch.object(euler, "_K_HARD_CAP", 12):
-        assert_stack_equals_rows_alone([geometric_B(1.9, c0=0.45), unit(), theta_omega(0.5)], 0.8, 1000)
+        assert [kernel_outcome(diverging, 0.8, 1000), kernel_outcome(capped, 0.8, 1000)] == [
+            (DivergentLocalFactorError, f"local factor diverges at p=2: growth ratio 1*{q:g}^k does not decay", 2),
+            (DivergentLocalFactorError, "local factor at p=2 needs more than 12 terms", 2),
+        ]
+        after = kernel_outcome(live, 0.8, 1000)
+        euler._columns.cache_clear()
+        assert after == kernel_outcome(live, 0.8, 1000)
 
 
 def test_stacked_lambda0_matches_each_row_and_the_scalar_reference():
-    # and each head is the plain product, which the spec without its
-    # series gives: the value itself unless the product completed
+    # each product's result is lambda0's and the scalar reference's, and
+    # each head is the plain product, which the spec without its series
+    # gives: the value itself unless the product completed
     P = 3000
-    for spec, entry in zip(STACK_SPECS, euler._lambda0_batch(STACK_SPECS, P)):
-        result, head = (entry, None) if isinstance(entry, Exception) else entry
+    for spec in STACK_SPECS:
         want = outcome(lambda: lambda0(spec, P))
-        assert result_bits(result) == want
         assert want == outcome(lambda: reference_lambda0(spec, P))
-        if head is not None:
-            assert result == lambda0(spec, P)
-            plain = lambda0(without_series(spec), P)
-            assert (repr(head), plain.completed) == (repr(plain.value), False)
+        assert outcome(lambda: euler._lambda0(spec, P)[0]) == want
+        if isinstance(want[0], type):  # an error, raised by _lambda0 as by lambda0
+            continue
+        result, head = euler._lambda0(spec, P)
+        assert result == lambda0(spec, P)
+        plain = lambda0(without_series(spec), P)
+        assert (repr(head), plain.completed) == (repr(plain.value), False)
 
 
 @pytest.mark.parametrize(
@@ -810,16 +807,17 @@ def test_stacked_lambda0_matches_each_row_and_the_scalar_reference():
 def test_non_finite_values_fail_as_the_scalar_path(entries):
     # a hand-built spec whose envelope C = 1 ignores its non-finite entry,
     # so that the kernel, not the envelope, meets it: a ValueError as on
-    # the scalar path, naming the prime, in a stack or alone.  The real
-    # power column skips the zero imaginary half, so -inf stays real, and
-    # non-finite is checked before the log branch cut
+    # the scalar path, naming the prime, while the products beside it
+    # are made as ever.  The real power column skips the zero imaginary
+    # half, so -inf stays real, and non-finite is checked before the log
+    # branch cut
     spec = MultiplicativeSpec("table", lambda p, k: entries.get((p, k), 1.0), rho=1.0, c0=0.25,
                               growth=GrowthBound(1.0, 1.0))
     with pytest.raises(ValueError):
         reference_lambda0(spec, 200)
     [(p, _)] = entries
     for specs in ([spec], [unit(), spec, theta_omega(2)]):
-        results = batch_results(specs, 200)
+        results = each_lambda0(specs, 200)
         got = results[specs.index(spec)]
         assert (type(got), str(got)) == (ValueError, f"local factor 1 + F_p(1) is not finite at p={p}")
         assert all(result == lambda0(other, 200) for other, result in zip(specs, results) if other is not spec)
@@ -862,70 +860,51 @@ def test_psi_grid_matches_psi_alone(alpha, zs, g, P):
         assert [psi_bits(v) for v in got] == [psi_bits(w) for w in want]
 
 
-def test_failing_rows_leave_the_others_unchanged():
-    # f(2) = -1: twisting by y = 2 makes 1 + F_2 = 0 (the product is 0),
-    # by y = 3 makes it -1/2 (a pole at p = 2); Omega twists by |y| >= 2
-    # have growth ratio >= 2 (divergence)
+def test_psi_grid_raises_the_denominator_s_error_then_the_first_failing_z(products):
+    # with f(2^k) = 0 for k >= 2, f(2) = -2 makes lambda0 0 and f(2) = -3
+    # puts 1 + F_2 = -1/2 on the log branch cut.  Either fails the grid
+    # before any twist is made, even where a z of the grid is refused
+    # (e^-800 underflows to 0)
+    refused = -800.0
+    for f2, error in ((-2.0, DegenerateSpecError), (-3.0, PoleError)):
+        alpha = tabulated_multiplicative({(2, 1): f2, **{(2, k): 0.0 for k in range(2, 60)}})
+        products.clear()
+        with pytest.raises(error):
+            euler.psi_grid(alpha, [refused, 0.25], OMEGA, 1000)
+        assert len(products) == 1
+    # alpha with f(2) = -1 and f(2^k) = 0 for k >= 2: twisting by y = 2
+    # makes 1 + F_2 = 0 (psi is 0), by y = 3 makes it -1/2 (a pole at
+    # p = 2).  The first failing z raises, as psi(z) alone does, and no
+    # twist after it is made
     alpha = tabulated_multiplicative({(2, 1): -1.0, **{(2, k): 0.0 for k in range(2, 60)}})
-    P = 1000
-    vanishing, pole, diverging = math.log(2.0), math.log(3.0), complex(0.8, 0.3)
-    zs = [0.25, vanishing, complex(0.1, 2.0), pole, -0.5, diverging, 0.4]
-    g_of = {diverging: BIG_OMEGA}
-    specs = [alpha] + [twist(alpha, cmath.exp(z), g_of.get(z, OMEGA)) for z in zs]
-    results = batch_results(specs, P)
-    for spec, result in zip(specs, results):
-        assert result_bits(result) == outcome(lambda: lambda0(spec, P))
-    assert result_bits(results[2]) == ("0.0", "0.0", 55)
-    assert result_bits(results[4]) == (PoleError, 2)
-    assert result_bits(results[6]) == (DivergentLocalFactorError, 2)
-    # psi over the grid raises the pole, the first failing z, as psi(pole)
-    # alone does, and psi alone gives every other z what it gives in a
-    # stack; e^-800 underflows to 0, which the twist step rejects
-    omega_zs = [z for z in zs if z != diverging] + [-800.0]
-    want = {z: psi_bits(psi_alone(alpha, z, OMEGA, P)) for z in omega_zs}
-    assert want[vanishing] == "0j"
-    assert want[-800.0][0] is DomainError
-    with pytest.raises(PoleError) as exc_info:
-        euler.psi_grid(alpha, omega_zs, OMEGA, P)
-    assert psi_bits(exc_info.value) == want[pole]
-    for z in omega_zs:
-        if z in (pole, -800.0):
-            continue
-        assert psi_bits(psi(alpha, z, OMEGA, P)) == want[z]
+    vanishing, pole = math.log(2.0), math.log(3.0)
+    assert psi(alpha, vanishing, OMEGA, 1000) == 0j
+    for zs, first in (([0.25, vanishing, pole, refused, 0.4], pole), ([0.25, refused, pole, 0.4], refused)):
+        products.clear()
+        with pytest.raises((PoleError, DomainError)) as exc_info:
+            euler.psi_grid(alpha, zs, OMEGA, 1000)
+        assert len(products) == 1 + zs.index(first) + (first == pole)
+        assert psi_bits(exc_info.value) == psi_bits(psi_alone(alpha, first, OMEGA, 1000))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("z", [6.0, 400.0, 1000.0, -1000.0, complex(5.2, 0.1)])
-def test_twist_out_of_float_range_is_rejected_before_its_product(z):
+def test_twist_out_of_float_range_is_rejected_before_its_product(products, z):
     # Gamma(e^z), the rho of the omega twist of unit, overflows past
     # z = 5.147; e^z overflows past 709.78 and is 0 below -745
     assert not euler._twist_is_finite(unit(), complex(z), OMEGA)
-    rows = []
-    local_factors = euler._local_factors
-
-    def counted(stack, *args):
-        rows.append(len(stack))
-        return local_factors(stack, *args)
-
     message = f"z = {complex(z):g} takes the twist out of float64 range"
-    with mock.patch.object(euler, "_local_factors", counted), pytest.raises(DomainError, match=re.escape(message)):
+    with pytest.raises(DomainError, match=re.escape(message)):
         psi(unit(), z, prime_cutoff=100)
-    assert rows == [1]  # lambda0(unit) alone: the twist has no row
+    assert len(products) == 1  # lambda0(unit) alone: the twist is not made
 
 
-def test_psi_prime_at_zero_refuses_a_g_without_prime_value_before_its_pass():
-    rows = []
-    local_factors = euler._local_factors
-
-    def counted(stack, *args):
-        rows.append(len(stack))
-        return local_factors(stack, *args)
-
+def test_psi_prime_at_zero_refuses_a_g_without_prime_value_before_its_pass(products):
     custom = AdditiveSpec(name="custom", value_at=lambda p, k: 1)
-    with mock.patch.object(euler, "_local_factors", counted), pytest.raises(ValueError) as exc_info:
+    with pytest.raises(ValueError) as exc_info:
         psi_prime_at_zero(unit(), custom, 1000)
     assert str(exc_info.value) == "additive spec 'custom' has no generic prime value; psi'(0) needs one"
-    assert rows == []
+    assert products == []
 
 
 def test_psi_and_ldp_read_one_twist_predicate():
@@ -993,10 +972,9 @@ ENVELOPES = [(1.0, 0.0), (0.0, 1.0), (2.0, 0.5), (0.0, 0.0)]
 
 
 def staircase(C, r, s, P, envelope=(1.0, 0.0)):
-    """The row (C, r, envelope) alone in a kernel pass at s over the
-    primes p <= P: its local factors, or the error in their place, and
-    its staircase, the number of primes its values were read over at
-    each power k."""
+    """The product (C, r, envelope) at s over the primes p <= P: its local
+    factors, or the error it raises, and its staircase, the number of
+    primes its values were read over at each power k."""
     counts = []
 
     def values(k, primes):
@@ -1004,7 +982,10 @@ def staircase(C, r, s, P, envelope=(1.0, 0.0)):
         counts.append(len(primes))
         return 1.0
 
-    [factors] = euler._local_factors([euler._Row(values, C, r, envelope)], complex(s), P)
+    try:
+        factors = euler._local_factors(euler._Row(values, C, r, envelope), complex(s), P)
+    except DivergentLocalFactorError as exc:
+        factors = exc
     return factors, counts
 
 
@@ -1040,7 +1021,7 @@ def test_staircase_matches_the_scalar_series_length(C, r, sigma, tol, P, cap, en
     # scalar K_p of the envelope, cut at the budget tol over the number
     # of primes, at every prime; the scalar reference, which walks prime
     # by prime, fails at the first prime or not at all, and the kernel
-    # returns that error in the row's place with no values read; the
+    # raises that error there with no values read; the
     # small caps put some K_p right at the hard cap
     primes = prime_array(P)
     q = r / euler._map_float(math.pow, primes.astype(np.float64), sigma)
@@ -1084,44 +1065,49 @@ def test_series_lengths_match_the_envelope_tail(envelope):
 
 def test_a_row_past_the_cap_fails_before_its_values_are_read():
     # geometric_B:1.9999's envelope needs more than _K_HARD_CAP terms at
-    # p = 2: the row fails there with no values read, and the row beside
-    # it keeps the bits of its pass alone
-    def unread(k, primes):
-        raise AssertionError(f"values read at k = {k}")
-
-    rows = [euler._Row(unread, 1.0, 1.9999), euler._spec_row(theta_omega(2))]
-    capped, beside = euler._local_factors(rows, complex(1.0), 100)
-    assert (type(capped), capped.prime, str(capped)) == (
-        DivergentLocalFactorError, 2, f"local factor at p=2 needs more than {euler._K_HARD_CAP} terms")
-    [alone] = euler._local_factors(rows[1:], complex(1.0), 100)
-    assert factor_bits(beside) == factor_bits(alone)
+    # p = 2: the product fails there with no values read, and a product
+    # made after it keeps the bits it has over columns built afresh
+    capped = euler._Row(unread, 1.0, 1.9999)
+    assert kernel_outcome(capped, 1.0, 100) == (
+        DivergentLocalFactorError, f"local factor at p=2 needs more than {euler._K_HARD_CAP} terms", 2)
+    beside = euler._spec_row(theta_omega(2))
+    after = kernel_outcome(beside, 1.0, 100)
+    euler._columns.cache_clear()
+    assert after == kernel_outcome(beside, 1.0, 100)
 
 
 def test_a_pass_whose_every_row_failed_returns_its_errors_alone():
     # at sigma = 0.5, r = 1.4142 needs more than _K_HARD_CAP terms at
-    # p = 2 and r = 1.5 diverges there: the pass reads no values, maps no
-    # column of p^sigma, and returns the two errors in the rows' places
-    def unread(k, primes):
-        raise AssertionError(f"values read at k = {k}")
-
+    # p = 2 and r = 1.5 diverges there: each product raises its own
+    # error at p = 2, reads no values and maps no column of p^sigma
     def unmapped(*columns):
         raise AssertionError("a column was built")
 
-    rows = [euler._Row(unread, 1.0, 1.4142), euler._Row(unread, 1.0, 1.5)]
-    with mock.patch.object(euler, "_map_float", unmapped):
-        capped, diverging = euler._local_factors(rows, complex(0.5), 100)
     q = 1.5 / math.sqrt(2.0)
-    assert [factor_bits(capped), factor_bits(diverging)] == [
-        (DivergentLocalFactorError, f"local factor at p=2 needs more than {euler._K_HARD_CAP} terms", 2),
-        (DivergentLocalFactorError, f"local factor diverges at p=2: growth ratio 1*{q:g}^k does not decay", 2),
-    ]
+    with mock.patch.object(euler, "_map_float", unmapped):
+        assert kernel_outcome(euler._Row(unread, 1.0, 1.4142), 0.5, 100) == (
+            DivergentLocalFactorError, f"local factor at p=2 needs more than {euler._K_HARD_CAP} terms", 2)
+        assert kernel_outcome(euler._Row(unread, 1.0, 1.5), 0.5, 100) == (
+            DivergentLocalFactorError, f"local factor diverges at p=2: growth ratio 1*{q:g}^k does not decay", 2)
+
+
+def test_memoised_columns_are_read_only():
+    # the columns every product at (s, P) reads, and lambda0's
+    # compensator, refuse a write
+    for s in (complex(1.0), complex(0.8), complex(1.5, 1.0)):
+        factors = euler._local_factors(euler._spec_row(theta_omega(2)), s, 1000)
+        for column in (*euler._columns(s, 1000), factors.t_re, factors.t_im, euler._compensator(1000)):
+            if column is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 0.0
 
 
 @pytest.mark.parametrize("alpha", [theta_omega(2), euler_phi_over_n()], ids=lambda spec: spec.name)
 def test_a_grid_pass_holds_a_few_columns_at_a_time(alpha):
-    # the 17 rows of sd report's grid pass (circle:16) are computed one at
-    # a time over their shared columns: the traced peak stays a few
-    # float64 columns of the primes, however many rows the pass has
+    # the 17 products of sd report's grid (circle:16) are made one at a
+    # time over their memoised columns, which the autouse fixture has
+    # emptied: the traced peak stays a few float64 columns of the primes,
+    # however many products the grid has
     P = 2 * 10**5
     column = 8 * len(prime_array(P))
     zs = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
@@ -1159,23 +1145,16 @@ def test_memo_accepts_numpy_scalars_and_float_cutoff():
     assert psi(spec, np.complex128(z), OMEGA, np.int64(3000)) == want
 
 
-def test_memo_hit_equals_fresh_computation():
-    # repeated calls make a pass each, and agree to the last bit
+def test_memo_hit_equals_fresh_computation(products):
+    # repeated calls make their products afresh, and agree to the last bit
     spec = theta_omega(0.75)
-    rows = []
-    local_factors = euler._local_factors
-
-    def counted(stack, *args):
-        rows.append(len(stack))
-        return local_factors(stack, *args)
-
     z = complex(0.2, 0.4)
-    with mock.patch.object(euler, "_local_factors", counted):
-        products = [lambda0(spec, 4000) for _ in range(3)]
-        values = [psi(spec, z, prime_cutoff=4000) for _ in range(3)]
-    assert products[0] == products[1] == products[2]
+    results = [lambda0(spec, 4000) for _ in range(3)]
+    assert len(products) == 3
+    values = [psi(spec, z, prime_cutoff=4000) for _ in range(3)]
+    assert len(products) == 9
+    assert results[0] == results[1] == results[2]
     assert repr(values[0]) == repr(values[1]) == repr(values[2])
-    assert rows == [1, 1, 1, 2, 2, 2]
 
 
 def test_specs_that_differ_in_value_at_alone_give_their_own_products():
@@ -1683,6 +1662,6 @@ def test_a_raising_coefficient_fails_its_row_where_value_at_would():
         for spec in (stated, late):
             assert outcome(lambda: lambda0(spec, P)) == want
             assert outcome(lambda: g_compensated(spec, 1.5, prime_cutoff=P)) == want
-        stack = batch_results([theta_omega(2), stated, unit()], P)
+        stack = each_lambda0([theta_omega(2), stated, unit()], P)
         assert [type(r) for r in stack] == [EulerProductResult, ValueError, EulerProductResult]
         assert str(stack[1]) == "no value at k = 3"

@@ -225,10 +225,10 @@ def test_ldp_predict_computes_psi_prime_once_per_grid():
     assert [pred.predicted_tail for pred in preds] == [want, want]
 
 
-def test_psi_prime_at_zero_is_one_kernel_pass(rows_per_pass):
-    # F_p and G_p are the two rows of one pass of the power loop
+def test_psi_prime_at_zero_is_one_kernel_pass(products):
+    # F_p and G_p are two products, one call of the kernel each
     got = euler._log_derivative(geometric_B(1.5), BIG_OMEGA, 20000)
-    assert rows_per_pass == [2]
+    assert len(products) == 2
     assert got == psi_prime_at_zero(geometric_B(1.5), BIG_OMEGA, 20000)
 
 
