@@ -760,7 +760,46 @@ def unread(k, primes):
     raise AssertionError(f"values read at k = {k}")
 
 
+def result_bits(result):
+    """outcome() of a product's result, error or value."""
+    if isinstance(result, Exception):
+        return type(result), getattr(result, "prime", None)
+    return outcome(lambda: result)
+
+
+def fresh(compute):
+    """compute() over memos emptied first: columns built afresh."""
+    euler._columns.cache_clear()
+    euler._compensator.cache_clear()
+    return compute()
+
+
 STACK_SPECS = ORACLE_SPECS + [twist(unit(), y, OMEGA) for y in CIRCLE_Y]
+# the specs whose values give one value for all primes, so that every
+# power of the product is a column of one value
+TWO_THREE = np.array([2, 3])
+COLUMN_SPECS = [
+    spec for spec in STACK_SPECS
+    if np.ndim(euler._spec_row(spec).values(1, TWO_THREE)) == 0
+]
+
+
+def assert_stack_equals_rows_alone(specs, s, P):
+    # the products made one after another share the memoised columns of
+    # (s, P); each equals the product made alone over columns built afresh
+    rows = [euler._spec_row(spec) for spec in specs]
+    stacked = [kernel_outcome(row, s, P) for row in rows]
+    for row, got in zip(rows, stacked):
+        assert got == fresh(lambda: kernel_outcome(row, s, P))
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 1.1, complex(1.5, 1.0)])
+@pytest.mark.parametrize("stack", ["all", "columns"])
+def test_stacked_rows_equal_each_row_alone(stack, s):
+    # the series, staircases and power columns of products made over the
+    # shared columns are those of each product alone, to the last bit
+    assert len(COLUMN_SPECS) >= 12
+    assert_stack_equals_rows_alone(STACK_SPECS if stack == "all" else COLUMN_SPECS, s, 3000)
 
 
 def test_a_row_that_diverges_at_the_first_prime_stays_out_of_the_stack():
@@ -858,6 +897,39 @@ def test_psi_grid_matches_psi_alone(alpha, zs, g, P):
         assert psi_bits(exc) == psi_bits(first)
     else:
         assert [psi_bits(v) for v in got] == [psi_bits(w) for w in want]
+
+
+def test_failing_rows_leave_the_others_unchanged():
+    # f(2) = -1: twisting by y = 2 makes 1 + F_2 = 0 (the product is 0),
+    # by y = 3 makes it -1/2 (a pole at p = 2); Omega twists by |y| >= 2
+    # have growth ratio >= 2 (divergence).  The products made after a
+    # failing one, over the memoised columns, equal each made alone
+    alpha = tabulated_multiplicative({(2, 1): -1.0, **{(2, k): 0.0 for k in range(2, 60)}})
+    P = 1000
+    vanishing, pole, diverging = math.log(2.0), math.log(3.0), complex(0.8, 0.3)
+    zs = [0.25, vanishing, complex(0.1, 2.0), pole, -0.5, diverging, 0.4]
+    g_of = {diverging: BIG_OMEGA}
+    specs = [alpha] + [twist(alpha, cmath.exp(z), g_of.get(z, OMEGA)) for z in zs]
+    results = each_lambda0(specs, P)
+    for spec, result in zip(specs, results):
+        assert result_bits(result) == fresh(lambda: outcome(lambda: lambda0(spec, P)))
+    assert result_bits(results[2]) == ("0.0", "0.0", 55)
+    assert result_bits(results[4]) == (PoleError, 2)
+    assert result_bits(results[6]) == (DivergentLocalFactorError, 2)
+    # psi over the grid raises the pole, the first failing z, as psi(pole)
+    # alone does, and psi alone gives every other z what it gives after
+    # the grid; e^-800 underflows to 0, which the twist step rejects
+    omega_zs = [z for z in zs if z != diverging] + [-800.0]
+    want = {z: psi_bits(fresh(lambda: psi_alone(alpha, z, OMEGA, P))) for z in omega_zs}
+    assert want[vanishing] == "0j"
+    assert want[-800.0][0] is DomainError
+    with pytest.raises(PoleError) as exc_info:
+        euler.psi_grid(alpha, omega_zs, OMEGA, P)
+    assert psi_bits(exc_info.value) == want[pole]
+    for z in omega_zs:
+        if z in (pole, -800.0):
+            continue
+        assert psi_bits(psi(alpha, z, OMEGA, P)) == want[z]
 
 
 def test_psi_grid_raises_the_denominator_s_error_then_the_first_failing_z(products):
