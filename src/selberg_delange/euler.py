@@ -7,14 +7,13 @@ accumulated in log space (exact summation of per-prime logs) so that
 10^6 factors neither underflow nor lose relative accuracy.  Each product
 is one call of the kernel, _local_factors: psi_grid makes lambda0(alpha)
 and then the twist of each z, and psi'(0) its series F_p and then G_p.
-The products at one (s, P) read the same read-only columns, p^sigma and
-the power column p^{-s}, memoised per (s, P), and lambda0's compensator
-log1p(-1/p) is memoised per P.  The growth envelope decides a product's
-failure at the first prime, where q = r/p^sigma is largest, and the
-kernel raises it there, before any value is read or any column built.
-Else the product walks the powers k once, adds its terms over the prefix
-of primes whose series reaches k, and counts, from its envelope, the
-prefix that reaches k + 1.
+Each call builds its own columns p^sigma and p^{-s}; lambda0's
+compensator log1p(-1/p) alone is memoised, per P, read-only.  The growth
+envelope decides a product's failure at the first prime, where
+q = r/p^sigma is largest, and the kernel raises it there, before any
+value is read or any column built.  Else the product walks the powers k
+once, adds its terms over the prefix of primes whose series reaches k,
+and counts, from its envelope, the prefix that reaches k + 1.
 
 At s = 1 the primes above the cutoff are not dropped when the spec
 declares a local series (funcs.LocalSeries).  The log of a local factor
@@ -147,18 +146,14 @@ class _LocalFactors(NamedTuple):
     """One product's series F_p(s) over all the primes p <= P, as float64
     columns (see _local_factors).  k_max is the series length at the
     first prime, the longest of the product and the number of powers
-    read for it.  F_re and F_im are the product's own; primes and the
-    power column p^{-s}, t_re and t_im (None for a real s), are the
-    read-only columns of every product at (s, P).  vanished marks that
-    1 + F_p(s) = 0 at some prime, so the product is exactly 0 and the
-    columns are not read (see _checked).
+    read for it.  primes is the shared sieve column, F_re and F_im the
+    product's own.  vanished marks that 1 + F_p(s) = 0 at some prime, so
+    the product is exactly 0 and the columns are not read (see _checked).
     """
 
     primes: np.ndarray
     F_re: np.ndarray
     F_im: np.ndarray
-    t_re: np.ndarray
-    t_im: Optional[np.ndarray]
     k_max: int
     vanished: bool = False
 
@@ -209,8 +204,9 @@ def _local_factors(row: _Row, s: complex, P: int) -> _LocalFactors:
     So the envelope decides the product's failure at the first prime,
     where q is largest: q >= 1 there, or a series there past _K_HARD_CAP.
     That error is raised before any value is read or any column built.
-    Else _row_series computes the product over the read-only columns of
-    (s, P) (_columns); what its values raise propagates.
+    Else _row_series computes the product over p^sigma and the power
+    column that it builds for this call; what its values raise
+    propagates.
 
     Raises:
         DivergentLocalFactorError: q >= 1 at the first prime, or more
@@ -226,42 +222,33 @@ def _local_factors(row: _Row, s: complex, P: int) -> _LocalFactors:
         )
     if (K := _first_length(C, q, *map(float, row.envelope), tol)) > _K_HARD_CAP:
         raise DivergentLocalFactorError(f"local factor at p={p} needs more than {_K_HARD_CAP} terms", prime=p)
-    return _row_series(row, K, primes, *_columns(s, P), tol)
+    return _row_series(row, K, primes, s, tol)
 
 
-def _read_only(*columns) -> tuple:
-    """columns, each made read-only (None passes), for the memos to hand out."""
-    for column in columns:
-        if column is not None:
-            column.flags.writeable = False
-    return columns
-
-
-@lru_cache(maxsize=1)
-def _columns(s: complex, P: int) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """p^sigma and the power column t = p^{-s} (t_im None for a real s)
-    over the primes p <= P: read-only, shared by every product at (s, P)."""
-    primes = prime_array(P)
+def _power_columns(s: complex, primes) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """p^sigma and the power column t = p^{-s} over primes, t_im None for a real s."""
     p_sigma = primes.astype(np.float64)
     if s.real != 1.0:  # pow(p, 1.0) is p exactly
         p_sigma = _map_float(math.pow, p_sigma, s.real)
     if s.imag == 0.0:
-        return _read_only(p_sigma, 1.0 / p_sigma, None)
+        return p_sigma, 1.0 / p_sigma, None
     t = np.array([cmath.exp(-s * math.log(p)) for p in primes.tolist()], dtype=np.complex128)
-    return _read_only(p_sigma, t.real, t.imag)
+    return p_sigma, t.real, t.imag
 
 
 @lru_cache(maxsize=1)
 def _compensator(P: int) -> np.ndarray:
     """lambda0's log1p(-1/p) over the primes p <= P, read-only."""
-    return _read_only(_map_float(math.log1p, -1.0 / prime_array(P)))[0]
+    comp = _map_float(math.log1p, -1.0 / prime_array(P))
+    comp.flags.writeable = False
+    return comp
 
 
 @np.errstate(all="ignore")  # a term out of float64 range is refused by _checked; geo may underflow to 0
-def _row_series(row: _Row, K: int, primes, p_sigma, t_re, t_im, tol: float) -> _LocalFactors:
-    """The product row over the columns of _local_factors: its K powers,
-    each over the prefix of the primes whose series reaches it, with its
-    own running power cur = t^k.
+def _row_series(row: _Row, K: int, primes, s: complex, tol: float) -> _LocalFactors:
+    """The product row over its own columns from _power_columns: its K
+    powers, each over the prefix of the primes whose series reaches it,
+    with its running power cur = t^k.
 
     At each k it reads its values over that prefix (one values call per
     power) and adds value * cur there.
@@ -273,7 +260,9 @@ def _row_series(row: _Row, K: int, primes, p_sigma, t_re, t_im, tol: float) -> _
     does.  Then the envelope tail counts the prefix that reaches k + 1.
     """
     C, r, (a, b) = float(row.C), float(row.r), map(float, row.envelope)
+    p_sigma, t_re, t_im = _power_columns(s, primes)
     q = r / p_sigma
+    del p_sigma  # q takes its place through the loop
     geo = C * q  # C q q/(1 - q), in place
     geo *= q
     geo /= 1.0 - q
@@ -297,7 +286,7 @@ def _row_series(row: _Row, K: int, primes, p_sigma, t_re, t_im, tol: float) -> _
         m = int(np.count_nonzero(geo * (base + b * (k + 1)) > tol))  # the prefix that reaches k + 1
         geo, q, base = geo[:m], q[:m], base[:m] if b else a
         geo *= q
-    return _LocalFactors(primes, S.real, S.imag, t_re, t_im, K)
+    return _LocalFactors(primes, S.real, S.imag, K)
 
 
 @np.errstate(all="ignore")
@@ -782,7 +771,8 @@ def _log_derivative(alpha: MultiplicativeSpec, g: AdditiveSpec, P: int) -> compl
     G_p = sum_k g(p^k) alpha(p^k) p^{-k}, truncated where the tail of
     its envelope (a + b k) C (r/p)^k is <= DEFAULT_FACTOR_TOL over the
     number of primes, with (a, b) = g.power_bound.  The compensator
-    log1p(-1/p) is computed here, not memoised.  Logs go through the
+    log1p(-1/p) is computed here and freed with the call: memoised, it
+    would stay beside G_p's columns.  Logs go through the
     math library, as in lambda0, so the printed value does not depend on
     numpy's SIMD.  When alpha has a local series and no exceptional prime
     of either lies above P, the primes p > P add sum_j b_j P_{>P}(j), as
@@ -848,7 +838,7 @@ def g_compensated(
     if s.imag == 0.0:
         t_re, t_im = _map_float(math.pow, factors.primes.astype(np.float64), -sigma), 0.0
     else:
-        t_re, t_im = factors.t_re, factors.t_im
+        t_re, t_im = _power_columns(s, factors.primes)[1:]
     comp_re, comp_im = _clog1p(-t_re, -t_im)
     value = cmath.exp(_log_product(spec, comp_re, comp_im, factors))
     return EulerProductResult(

@@ -21,9 +21,8 @@ from selberg_delange.funcs import AdditiveSpec
 
 
 @pytest.fixture(autouse=True)
-def empty_euler_memos():
-    """No test reads columns or a compensator that another test left memoised."""
-    euler._columns.cache_clear()
+def empty_compensator_memo():
+    """No test reads a compensator that another test left memoised."""
     euler._compensator.cache_clear()
 
 

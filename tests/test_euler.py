@@ -728,13 +728,13 @@ def test_kernel_matches_reference_on_random_specs(spec, tw, P, s):
 
 
 # ---------------------------------------------------------------------------
-# one product per kernel call, over read-only columns memoised per (s, P)
+# one product per kernel call, each over columns of its own
 
 
 def factor_bits(factors):
     """Every array and number of one product's local factors."""
-    arrays = (factors.primes, factors.F_re, factors.F_im, factors.t_re, factors.t_im)
-    return tuple(None if a is None else a.tobytes() for a in arrays), factors.k_max
+    arrays = (factors.primes, factors.F_re, factors.F_im)
+    return tuple(a.tobytes() for a in arrays), factors.k_max
 
 
 def kernel_outcome(row, s, P):
@@ -768,8 +768,7 @@ def result_bits(result):
 
 
 def fresh(compute):
-    """compute() over memos emptied first: columns built afresh."""
-    euler._columns.cache_clear()
+    """compute() with the compensator memo emptied first."""
     euler._compensator.cache_clear()
     return compute()
 
@@ -785,8 +784,8 @@ COLUMN_SPECS = [
 
 
 def assert_stack_equals_rows_alone(specs, s, P):
-    # the products made one after another share the memoised columns of
-    # (s, P); each equals the product made alone over columns built afresh
+    # the products made one after another at (s, P) each equal the
+    # product made alone: no call leaves state that the next one reads
     rows = [euler._spec_row(spec) for spec in specs]
     stacked = [kernel_outcome(row, s, P) for row in rows]
     for row, got in zip(rows, stacked):
@@ -796,8 +795,8 @@ def assert_stack_equals_rows_alone(specs, s, P):
 @pytest.mark.parametrize("s", [1.0, 2.0, 1.1, complex(1.5, 1.0)])
 @pytest.mark.parametrize("stack", ["all", "columns"])
 def test_stacked_rows_equal_each_row_alone(stack, s):
-    # the series, staircases and power columns of products made over the
-    # shared columns are those of each product alone, to the last bit
+    # the series, staircases and power columns of products made in turn
+    # are those of each product alone, to the last bit
     assert len(COLUMN_SPECS) >= 12
     assert_stack_equals_rows_alone(STACK_SPECS if stack == "all" else COLUMN_SPECS, s, 3000)
 
@@ -806,7 +805,7 @@ def test_a_row_that_diverges_at_the_first_prime_stays_out_of_the_stack():
     # at s = 0.8 geometric_B:1.9 diverges at p = 2 (1.9/2^0.8 >= 1) but not
     # at p >= 3; unit's series runs past a cap of 12 terms.  Each fails at
     # p = 2 with no values read, and theta_omega:0.5 made after them has
-    # the bits it has alone, over columns built afresh
+    # the bits it has alone
     diverging, capped = (euler._spec_row(spec)._replace(values=unread) for spec in (geometric_B(1.9, c0=0.45), unit()))
     live = euler._spec_row(theta_omega(0.5))
     q = 1.9 / 2.0**0.8
@@ -815,9 +814,7 @@ def test_a_row_that_diverges_at_the_first_prime_stays_out_of_the_stack():
             (DivergentLocalFactorError, f"local factor diverges at p=2: growth ratio 1*{q:g}^k does not decay", 2),
             (DivergentLocalFactorError, "local factor at p=2 needs more than 12 terms", 2),
         ]
-        after = kernel_outcome(live, 0.8, 1000)
-        euler._columns.cache_clear()
-        assert after == kernel_outcome(live, 0.8, 1000)
+        assert kernel_outcome(live, 0.8, 1000) == fresh(lambda: kernel_outcome(live, 0.8, 1000))
 
 
 def test_stacked_lambda0_matches_each_row_and_the_scalar_reference():
@@ -903,7 +900,7 @@ def test_failing_rows_leave_the_others_unchanged():
     # f(2) = -1: twisting by y = 2 makes 1 + F_2 = 0 (the product is 0),
     # by y = 3 makes it -1/2 (a pole at p = 2); Omega twists by |y| >= 2
     # have growth ratio >= 2 (divergence).  The products made after a
-    # failing one, over the memoised columns, equal each made alone
+    # failing one equal each made alone
     alpha = tabulated_multiplicative({(2, 1): -1.0, **{(2, k): 0.0 for k in range(2, 60)}})
     P = 1000
     vanishing, pole, diverging = math.log(2.0), math.log(3.0), complex(0.8, 0.3)
@@ -1138,14 +1135,12 @@ def test_series_lengths_match_the_envelope_tail(envelope):
 def test_a_row_past_the_cap_fails_before_its_values_are_read():
     # geometric_B:1.9999's envelope needs more than _K_HARD_CAP terms at
     # p = 2: the product fails there with no values read, and a product
-    # made after it keeps the bits it has over columns built afresh
+    # made after it keeps the bits it has alone
     capped = euler._Row(unread, 1.0, 1.9999)
     assert kernel_outcome(capped, 1.0, 100) == (
         DivergentLocalFactorError, f"local factor at p=2 needs more than {euler._K_HARD_CAP} terms", 2)
     beside = euler._spec_row(theta_omega(2))
-    after = kernel_outcome(beside, 1.0, 100)
-    euler._columns.cache_clear()
-    assert after == kernel_outcome(beside, 1.0, 100)
+    assert kernel_outcome(beside, 1.0, 100) == fresh(lambda: kernel_outcome(beside, 1.0, 100))
 
 
 def test_a_pass_whose_every_row_failed_returns_its_errors_alone():
@@ -1163,23 +1158,20 @@ def test_a_pass_whose_every_row_failed_returns_its_errors_alone():
             DivergentLocalFactorError, f"local factor diverges at p=2: growth ratio 1*{q:g}^k does not decay", 2)
 
 
-def test_memoised_columns_are_read_only():
-    # the columns every product at (s, P) reads, and lambda0's
-    # compensator, refuse a write
-    for s in (complex(1.0), complex(0.8), complex(1.5, 1.0)):
-        factors = euler._local_factors(euler._spec_row(theta_omega(2)), s, 1000)
-        for column in (*euler._columns(s, 1000), factors.t_re, factors.t_im, euler._compensator(1000)):
-            if column is not None:
-                with pytest.raises(ValueError, match="read-only"):
-                    column[0] = 0.0
+def test_the_memoised_compensator_is_read_only():
+    # lambda0's compensator, the one column a memo hands out, refuses a
+    # write, so no caller can change what the next product reads
+    lambda0(theta_omega(2), 1000)
+    with pytest.raises(ValueError, match="read-only"):
+        euler._compensator(1000)[0] = 0.0
 
 
 @pytest.mark.parametrize("alpha", [theta_omega(2), euler_phi_over_n()], ids=lambda spec: spec.name)
 def test_a_grid_pass_holds_a_few_columns_at_a_time(alpha):
     # the 17 products of sd report's grid (circle:16) are made one at a
-    # time over their memoised columns, which the autouse fixture has
-    # emptied: the traced peak stays a few float64 columns of the primes,
-    # however many products the grid has
+    # time, with the compensator memo emptied by the autouse fixture: the
+    # traced peak stays a few float64 columns of the primes, however many
+    # products the grid has
     P = 2 * 10**5
     column = 8 * len(prime_array(P))
     zs = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
